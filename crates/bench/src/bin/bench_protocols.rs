@@ -3,15 +3,11 @@
 //! Runs every protocol through the batch-first runner across the batch
 //! and topology axes, measuring wall-clock throughput *and* the measured
 //! communication profile (total cost, root fan-in, broadcast fan-out,
-//! hops) — and, since PR 3, through the **threaded** driver across a
-//! topology × fanout axis with interior aggregator nodes on their own
-//! threads (`"mode": "threaded"` records), demonstrating measured
-//! fan-in relief at the root under real concurrency. Since PR 5 the
-//! grid adds a **workers** axis (`"mode": "pooled"` records): the same
-//! deployments scheduled on the bounded worker-pool execution engine at
-//! several pool sizes, including an `m = 1024` deployment
-//! (`"sites": 1024` rows) the thread-per-node engine could not record,
-//! plus `"adaptive8"` topology rows where the fanout is resolved by the
+//! hops). The **workers** axis (`"mode": "pooled"` records) runs the
+//! same deployments on the bounded worker-pool execution engine at
+//! several pool sizes — fan-in relief at the root measured under real
+//! concurrency — including an `m = 1024` deployment (`"sites": 1024`
+//! rows), plus `"adaptive8"` topology rows where the fanout is resolved by the
 //! two-pass measured-fan-in planner rather than chosen statically.
 //! Since PR 9 the grid adds a **churn** axis (`"mode": "churn"`
 //! records): representative protocols through the churn/recovery
@@ -35,17 +31,16 @@
 //! Build `--release`; the debug profile underreports throughput ~20×.
 
 use cma_bench::{
-    resolve_hh_adaptive, run_hh_churn, run_hh_engine, run_hh_threaded, run_hh_topology,
-    run_matrix_churn, run_matrix_engine, run_matrix_threaded, run_matrix_timed,
-    run_matrix_topology, run_swfd_engine, run_swfd_threaded, run_swfd_timed, run_swfd_topology,
-    run_swmg_churn, run_swmg_engine, run_swmg_threaded, run_swmg_topology, Args, HhProtocol,
+    resolve_hh_adaptive, run_hh_churn, run_hh_engine, run_hh_topology, run_matrix_churn,
+    run_matrix_engine, run_matrix_timed, run_matrix_topology, run_swfd_engine, run_swfd_timed,
+    run_swfd_topology, run_swmg_churn, run_swmg_engine, run_swmg_topology, Args, HhProtocol,
     MatrixProtocol,
 };
 use cma_core::window::{SwFdConfig, SwMgConfig};
 use cma_core::{HhConfig, MatrixConfig, Topology};
 use cma_data::{SyntheticMatrixStream, WeightedZipfStream};
 use cma_linalg::LinalgProfile;
-use cma_stream::runner::threaded::ThreadedConfig;
+use cma_stream::runner::engine::ThreadedConfig;
 use cma_stream::{BroadcastPlane, ChurnConfig, ChurnEvent, ChurnSchedule, Executor};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -55,18 +50,6 @@ const BATCHES: [usize; 2] = [64, 1024];
 fn topologies() -> [(&'static str, Topology); 3] {
     [
         ("star", Topology::Star),
-        ("tree4", Topology::Tree { fanout: 4 }),
-        ("tree8", Topology::Tree { fanout: 8 }),
-    ]
-}
-
-/// The threaded axis: the star baseline plus every fanout the fan-in
-/// relief claim is stated for (m ≥ 64 ⇒ all three trees have interior
-/// levels).
-fn threaded_topologies() -> [(&'static str, Topology); 4] {
-    [
-        ("star", Topology::Star),
-        ("tree2", Topology::Tree { fanout: 2 }),
         ("tree4", Topology::Tree { fanout: 4 }),
         ("tree8", Topology::Tree { fanout: 8 }),
     ]
@@ -277,83 +260,9 @@ fn main() {
         }
     }
 
-    // The threaded axis: the same eight-protocol grid as the sequential
-    // axes (the paper's four per family; the with-replacement P3wr
-    // baselines are excluded there too) through the threaded driver —
-    // one thread per site *and per interior node* — across star and
-    // fanout {2, 4, 8} trees. `root_in_msgs` on these records is the
-    // measured fan-in relief under real concurrency.
-    let tcfg = ThreadedConfig {
-        batch_size: 64,
-        channel_capacity: 4,
-        plane: Default::default(),
-    };
-    for proto in [
-        HhProtocol::P1,
-        HhProtocol::P2,
-        HhProtocol::P3,
-        HhProtocol::P4,
-    ] {
-        for (tname, topo) in threaded_topologies() {
-            eprintln!("hh {} threaded {tname}…", proto.name());
-            let t0 = Instant::now();
-            let (run, comm) = run_hh_threaded(proto, &hh_cfg, &hh_stream, 0.05, topo, &tcfg);
-            let dt = t0.elapsed().as_secs_f64();
-            records.push(Record {
-                plane: "",
-                family: "hh",
-                protocol: proto.name(),
-                batch: tcfg.batch_size,
-                topology: tname,
-                mode: "threaded",
-                workers: 0,
-                sites: 0,
-                dim: 0,
-                profile: "",
-                churn: "",
-                snapshot_bytes: 0,
-                elapsed_s: dt,
-                throughput: hh_n as f64 / dt,
-                err: run.eval.avg_rel_err,
-                comm,
-            });
-        }
-    }
-    for proto in [
-        MatrixProtocol::P1,
-        MatrixProtocol::P2,
-        MatrixProtocol::P3,
-        MatrixProtocol::P4,
-    ] {
-        for (tname, topo) in threaded_topologies() {
-            eprintln!("matrix {} threaded {tname}…", proto.name());
-            let t0 = Instant::now();
-            let (run, comm) = run_matrix_threaded(proto, &mt_cfg, &mt_rows, topo, &tcfg);
-            let dt = t0.elapsed().as_secs_f64();
-            records.push(Record {
-                plane: "",
-                family: "matrix",
-                protocol: proto.name(),
-                batch: tcfg.batch_size,
-                topology: tname,
-                mode: "threaded",
-                workers: 0,
-                sites: 0,
-                dim: 0,
-                profile: "",
-                churn: "",
-                snapshot_bytes: 0,
-                elapsed_s: dt,
-                throughput: mt_n as f64 / dt,
-                err: run.err,
-                comm,
-            });
-        }
-    }
-
     // The window axis (PR 4): the two sliding-window protocols over the
     // same workloads, tracking the last `W` global arrivals. Same
-    // sequential batch × topology grid, then the threaded grid.
+    // sequential batch × topology grid.
     let swmg_cfg = SwMgConfig::new(sites, 0.05, 8_192, 64);
     let swfd_cfg = SwFdConfig::new(sites, 0.1, 2_048, mt_cfg.dim, 40);
     for batch in BATCHES {
@@ -404,57 +313,16 @@ fn main() {
             });
         }
     }
-    for (tname, topo) in threaded_topologies() {
-        eprintln!("window SwMg threaded {tname}…");
-        let t0 = Instant::now();
-        let (run, comm) = run_swmg_threaded(&swmg_cfg, &hh_stream, 0.05, topo, &tcfg);
-        let dt = t0.elapsed().as_secs_f64();
-        records.push(Record {
-            plane: "",
-            family: "window",
-            protocol: run.protocol,
-            batch: tcfg.batch_size,
-            topology: tname,
-            mode: "threaded",
-            workers: 0,
-            sites: 0,
-            dim: 0,
-            profile: "",
-            churn: "",
-            snapshot_bytes: 0,
-            elapsed_s: dt,
-            throughput: hh_n as f64 / dt,
-            err: run.err,
-            comm,
-        });
-        eprintln!("window SwFd threaded {tname}…");
-        let t0 = Instant::now();
-        let (run, comm) = run_swfd_threaded(&swfd_cfg, &mt_rows, topo, &tcfg);
-        let dt = t0.elapsed().as_secs_f64();
-        records.push(Record {
-            plane: "",
-            family: "window",
-            protocol: run.protocol,
-            batch: tcfg.batch_size,
-            topology: tname,
-            mode: "threaded",
-            workers: 0,
-            sites: 0,
-            dim: 0,
-            profile: "",
-            churn: "",
-            snapshot_bytes: 0,
-            elapsed_s: dt,
-            throughput: mt_n as f64 / dt,
-            err: run.err,
-            comm,
-        });
-    }
 
     // The workers axis (PR 5): every protocol family through the pooled
     // execution engine at tree8, pool sizes {2, 8}. Thread count is
     // `workers + 1` regardless of deployment size — which is what makes
     // the m = 1024 rows below recordable at all.
+    let tcfg = ThreadedConfig {
+        batch_size: 64,
+        channel_capacity: 4,
+        plane: Default::default(),
+    };
     let pool_topo = Topology::Tree { fanout: 8 };
     for proto in [
         HhProtocol::P1,
@@ -593,10 +461,9 @@ fn main() {
         });
     }
 
-    // m = 1024 pooled rows: a deployment shape the thread-per-node
-    // engine could not record (it would need > 1100 OS threads; the
-    // pool uses workers + 1). P2 only — the P1 m = 1024 w8 row moved
-    // into the deployment-scale tier below (same key, same workload).
+    // m = 1024 pooled rows: > 1100 nodes on workers + 1 threads. P2
+    // only — the P1 m = 1024 w8 row lives in the deployment-scale tier
+    // below (same key, same workload).
     let big_m = 1024usize;
     let big_cfg = HhConfig::new(big_m, 0.05).with_seed(1);
     {
@@ -1034,7 +901,6 @@ fn main() {
          \"hh_epsilon\": {}, \"mt_epsilon\": {}, \"mt_dim\": {}, \
          \"swmg_window\": {}, \"swfd_window\": {}, \
          \"batches\": [64, 1024], \"topologies\": [\"star\", \"tree4\", \"tree8\"], \
-         \"threaded_topologies\": [\"star\", \"tree2\", \"tree4\", \"tree8\"], \
          \"pool_workers\": [2, 8], \"pool_sites_big\": {big_m}, \
          \"pool_tier_sites\": [1024, 65536], \"pool_tier_workers\": [2, 8, 16], \
          \"pool_tier_mt_n\": {mt_tier_n}, \

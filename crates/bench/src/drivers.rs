@@ -17,8 +17,7 @@ use cma_linalg::Matrix;
 use cma_sketch::{ExactWeightedCounter, FrequentDirections};
 use cma_stream::partition::RoundRobin;
 use cma_stream::runner::churn;
-use cma_stream::runner::engine::{self, EngineStats, Executor};
-use cma_stream::runner::threaded::{self, ThreadedConfig};
+use cma_stream::runner::engine::{self, EngineStats, Executor, ThreadedConfig};
 use cma_stream::{ChurnConfig, ChurnReport, CommStats, Topology};
 
 /// Arrivals per epoch when a driver delivers a stream to a deployment
@@ -118,8 +117,8 @@ pub struct CommSummary {
     /// Hops from leaf to root.
     pub hops: usize,
     /// Scheduler counters of a pooled-engine run ([`EngineSummary`]);
-    /// `None` for the sequential and thread-per-node drivers, whose
-    /// runtimes have no work-stealing scheduler to count.
+    /// `None` for the sequential driver, which has no scheduler to
+    /// count.
     pub engine: Option<EngineSummary>,
 }
 
@@ -276,8 +275,8 @@ pub fn run_hh_topology(
 
 /// Round-robin pre-partitioning of a stream over `m` sites — the same
 /// per-site streams a sequential `run_partitioned` with [`RoundRobin`]
-/// delivers, as explicit input vectors for the threaded driver. Public
-/// so threaded-vs-sequential comparisons (tests, harnesses) share one
+/// delivers, as explicit input vectors for the engine drivers. Public
+/// so pooled-vs-sequential comparisons (tests, harnesses) share one
 /// definition of "the identical partitioning".
 pub fn partition_round_robin<T: Clone>(stream: &[T], m: usize) -> Vec<Vec<T>> {
     let mut inputs: Vec<Vec<T>> = vec![Vec::new(); m];
@@ -285,57 +284,6 @@ pub fn partition_round_robin<T: Clone>(stream: &[T], m: usize) -> Vec<Vec<T>> {
         inputs[i % m].push(x.clone());
     }
     inputs
-}
-
-macro_rules! drive_hh_threaded {
-    ($module:ident, $cfg:expr, $inputs:expr, $exact:expr, $phi:expr, $topo:expr, $tcfg:expr) => {{
-        let (sites, coordinator, _) = hh::$module::deploy_topology($cfg, $topo).into_parts();
-        let (_, coordinator, stats) = threaded::run_partitioned_topology(
-            sites,
-            coordinator,
-            $inputs,
-            $tcfg,
-            $topo,
-            hh::$module::make_aggregator($cfg, $topo),
-        );
-        let summary = CommSummary::from(&stats);
-        let eval = metrics::evaluate(&coordinator, $exact, $phi, $cfg.epsilon);
-        (summary, eval)
-    }};
-}
-
-/// [`run_hh_topology`] through the *threaded* driver: one OS thread per
-/// site **and per interior aggregator node**, so the reported root
-/// fan-in ([`CommSummary::root_in_msgs`]) and wall-clock reflect a real
-/// concurrent deployment rather than a sequential simulation.
-pub fn run_hh_threaded(
-    proto: HhProtocol,
-    cfg: &HhConfig,
-    stream: &[(u64, f64)],
-    phi: f64,
-    topology: Topology,
-    tcfg: &ThreadedConfig,
-) -> (HhRunResult, CommSummary) {
-    let mut exact = ExactWeightedCounter::new();
-    for &(e, w) in stream {
-        exact.update(e, w);
-    }
-    let inputs = partition_round_robin(stream, cfg.sites);
-    let (summary, eval) = match proto {
-        HhProtocol::P1 => drive_hh_threaded!(p1, cfg, inputs, &exact, phi, topology, tcfg),
-        HhProtocol::P2 => drive_hh_threaded!(p2, cfg, inputs, &exact, phi, topology, tcfg),
-        HhProtocol::P3 => drive_hh_threaded!(p3, cfg, inputs, &exact, phi, topology, tcfg),
-        HhProtocol::P3wr => drive_hh_threaded!(p3wr, cfg, inputs, &exact, phi, topology, tcfg),
-        HhProtocol::P4 => drive_hh_threaded!(p4, cfg, inputs, &exact, phi, topology, tcfg),
-    };
-    (
-        HhRunResult {
-            protocol: proto.name(),
-            msgs: summary.total,
-            eval,
-        },
-        summary,
-    )
 }
 
 macro_rules! drive_hh_engine {
@@ -357,11 +305,12 @@ macro_rules! drive_hh_engine {
     }};
 }
 
-/// [`run_hh_threaded`] through the *pooled execution engine*: the same
-/// deployment semantics, but node tasks scheduled onto a bounded worker
-/// pool (thread count `executor.workers() + 1`, independent of `m` and
-/// of the interior node count) — the configuration that can run
-/// `m = 1024` deployments the thread-per-node engine cannot.
+/// [`run_hh_topology`] through the *execution engine*: sites and
+/// interior aggregator nodes run as tasks on a bounded worker pool
+/// (thread count `executor.workers() + 1`, independent of `m` and of
+/// the interior node count), so the reported root fan-in
+/// ([`CommSummary::root_in_msgs`]) and wall-clock reflect a real
+/// concurrent deployment rather than a sequential simulation.
 pub fn run_hh_engine(
     proto: HhProtocol,
     cfg: &HhConfig,
@@ -395,60 +344,6 @@ pub fn run_hh_engine(
     )
 }
 
-macro_rules! drive_matrix_threaded {
-    ($module:ident, $cfg:expr, $inputs:expr, $topo:expr, $tcfg:expr) => {{
-        let (sites, coordinator, _) = matrix::$module::deploy_topology($cfg, $topo).into_parts();
-        let (_, coordinator, stats) = threaded::run_partitioned_topology(
-            sites,
-            coordinator,
-            $inputs,
-            $tcfg,
-            $topo,
-            matrix::$module::make_aggregator($cfg, $topo),
-        );
-        (
-            CommSummary::from(&stats),
-            coordinator.sketch(),
-            coordinator.frob_estimate(),
-        )
-    }};
-}
-
-/// [`run_matrix_topology`] through the *threaded* driver (see
-/// [`run_hh_threaded`]).
-pub fn run_matrix_threaded(
-    proto: MatrixProtocol,
-    cfg: &MatrixConfig,
-    rows: &[Vec<f64>],
-    topology: Topology,
-    tcfg: &ThreadedConfig,
-) -> (MatrixRunResult, CommSummary) {
-    let mut truth = StreamingGram::new(cfg.dim);
-    for row in rows {
-        truth.update(row);
-    }
-    let inputs = partition_round_robin(rows, cfg.sites);
-    let (summary, sketch, frob_est) = match proto {
-        MatrixProtocol::P1 => drive_matrix_threaded!(p1, cfg, inputs, topology, tcfg),
-        MatrixProtocol::P2 => drive_matrix_threaded!(p2, cfg, inputs, topology, tcfg),
-        MatrixProtocol::P3 => drive_matrix_threaded!(p3, cfg, inputs, topology, tcfg),
-        MatrixProtocol::P3wr => drive_matrix_threaded!(p3wr, cfg, inputs, topology, tcfg),
-        MatrixProtocol::P4 => drive_matrix_threaded!(p4, cfg, inputs, topology, tcfg),
-    };
-    let err = truth
-        .error_of_sketch(&sketch)
-        .expect("error metric eigensolve");
-    (
-        MatrixRunResult {
-            protocol: proto.name(),
-            msgs: summary.total,
-            err,
-            frob_est,
-        },
-        summary,
-    )
-}
-
 macro_rules! drive_matrix_engine {
     ($module:ident, $cfg:expr, $inputs:expr, $topo:expr, $tcfg:expr, $exec:expr) => {{
         let (sites, coordinator, _) = matrix::$module::deploy_topology($cfg, $topo).into_parts();
@@ -471,7 +366,7 @@ macro_rules! drive_matrix_engine {
     }};
 }
 
-/// [`run_matrix_threaded`] through the *pooled execution engine* (see
+/// [`run_matrix_topology`] through the *execution engine* (see
 /// [`run_hh_engine`]).
 pub fn run_matrix_engine(
     proto: MatrixProtocol,
@@ -858,38 +753,6 @@ pub fn run_swmg_topology(
     )
 }
 
-/// [`run_swmg_topology`] through the *threaded* driver (one thread per
-/// site and per interior aggregator node).
-pub fn run_swmg_threaded(
-    cfg: &SwMgConfig,
-    stream: &[(u64, f64)],
-    phi: f64,
-    topology: Topology,
-    tcfg: &ThreadedConfig,
-) -> (WindowRunResult, CommSummary) {
-    let inputs = partition_round_robin(&stamp_stream(stream), cfg.params.sites);
-    let (sites, coordinator, _) = swmg::deploy_topology(cfg, topology).into_parts();
-    let (_, coordinator, stats) = threaded::run_partitioned_topology(
-        sites,
-        coordinator,
-        inputs,
-        tcfg,
-        topology,
-        swmg::make_aggregator(cfg, topology),
-    );
-    let summary = CommSummary::from(&stats);
-    let err = swmg_window_err(&coordinator, stream, cfg.params.window as usize, phi);
-    (
-        WindowRunResult {
-            protocol: WindowProtocol::SwMg.name(),
-            msgs: summary.total,
-            err,
-            certified: coordinator.error_bound_at(stream.len() as u64).total(),
-        },
-        summary,
-    )
-}
-
 /// Measured windowed covariance error at the end of the stream: the
 /// paper's `‖A_WᵀA_W − BᵀB‖₂ / ‖A_W‖²_F` with `A_W` the exact last-`W`
 /// rows.
@@ -929,37 +792,6 @@ pub fn run_swfd_topology(
             msgs: summary.total,
             err,
             certified: coord.error_bound_at(rows.len() as u64).total(),
-        },
-        summary,
-    )
-}
-
-/// [`run_swfd_topology`] through the *threaded* driver.
-pub fn run_swfd_threaded(
-    cfg: &SwFdConfig,
-    rows: &[Vec<f64>],
-    topology: Topology,
-    tcfg: &ThreadedConfig,
-) -> (WindowRunResult, CommSummary) {
-    let inputs = partition_round_robin(&stamp_stream(rows), cfg.params.sites);
-    let (sites, coordinator, _) = swfd::deploy_topology(cfg, topology).into_parts();
-    let (_, coordinator, stats) = threaded::run_partitioned_topology(
-        sites,
-        coordinator,
-        inputs,
-        tcfg,
-        topology,
-        swfd::make_aggregator(cfg, topology),
-    );
-    let summary = CommSummary::from(&stats);
-    let sketch = coordinator.sketch_at(rows.len() as u64);
-    let err = swfd_window_err(&sketch, rows, cfg.params.window as usize, cfg.dim);
-    (
-        WindowRunResult {
-            protocol: WindowProtocol::SwFd.name(),
-            msgs: summary.total,
-            err,
-            certified: coordinator.error_bound_at(rows.len() as u64).total(),
         },
         summary,
     )
@@ -1439,7 +1271,7 @@ mod tests {
     }
 
     #[test]
-    fn threaded_drivers_run_and_relieve_root_fan_in() {
+    fn engine_drivers_run_and_relieve_root_fan_in() {
         let stream = small_stream(8_000);
         let cfg = HhConfig::new(16, 0.05).with_seed(5);
         let tcfg = ThreadedConfig {
@@ -1447,22 +1279,31 @@ mod tests {
             channel_capacity: 2,
             plane: Default::default(),
         };
-        let (star, star_comm) =
-            run_hh_threaded(HhProtocol::P1, &cfg, &stream, 0.05, Topology::Star, &tcfg);
-        let (tree, tree_comm) = run_hh_threaded(
+        let pool = Executor::Pool { workers: 2 };
+        let (star, star_comm) = run_hh_engine(
+            HhProtocol::P1,
+            &cfg,
+            &stream,
+            0.05,
+            Topology::Star,
+            &tcfg,
+            pool,
+        );
+        let (tree, tree_comm) = run_hh_engine(
             HhProtocol::P1,
             &cfg,
             &stream,
             0.05,
             Topology::Tree { fanout: 4 },
             &tcfg,
+            pool,
         );
         assert!(star.msgs > 0 && tree.msgs > 0);
         assert_eq!(tree_comm.max_fan_in, 4);
         assert_eq!(tree_comm.hops, 2);
         assert!(
             tree_comm.root_in_msgs < star_comm.root_in_msgs,
-            "threaded tree root {} vs star {}",
+            "pooled tree root {} vs star {}",
             tree_comm.root_in_msgs,
             star_comm.root_in_msgs
         );
@@ -1473,18 +1314,15 @@ mod tests {
             let mut s = cma_data::SyntheticMatrixStream::new(6, &[3.0, 1.0], 100.0, 7);
             (0..1_500).map(|_| s.next_row()).collect()
         };
-        let (run, comm) = run_matrix_threaded(
+        let (run, comm) = run_matrix_engine(
             MatrixProtocol::P1,
             &mcfg,
             &rows,
             Topology::Tree { fanout: 4 },
             &tcfg,
+            pool,
         );
-        assert!(
-            run.err <= mcfg.epsilon,
-            "threaded tree MT-P1 err {}",
-            run.err
-        );
+        assert!(run.err <= mcfg.epsilon, "pooled tree MT-P1 err {}", run.err);
         assert_eq!(comm.max_fan_in, 4);
     }
 
@@ -1506,10 +1344,17 @@ mod tests {
             channel_capacity: 2,
             plane: Default::default(),
         };
-        let (thr, thr_comm) =
-            run_swmg_threaded(&cfg, &stream, 0.05, Topology::Tree { fanout: 4 }, &tcfg);
-        assert!(thr.msgs > 0);
-        assert_eq!(thr_comm.max_fan_in, 4);
+        let pool = Executor::Pool { workers: 2 };
+        let (pooled, pooled_comm) = run_swmg_engine(
+            &cfg,
+            &stream,
+            0.05,
+            Topology::Tree { fanout: 4 },
+            &tcfg,
+            pool,
+        );
+        assert!(pooled.msgs > 0);
+        assert_eq!(pooled_comm.max_fan_in, 4);
 
         let rows: Vec<Vec<f64>> = {
             let mut s = cma_data::SyntheticMatrixStream::new(6, &[3.0, 1.0], 100.0, 7);
@@ -1521,8 +1366,8 @@ mod tests {
         // The measured error metric normalises by ‖A_W‖²_F; the certified
         // bound is absolute — compare both to sanity, not to each other.
         assert!(seq.err.is_finite() && seq.err >= 0.0);
-        let (thr, _) = run_swfd_threaded(&fcfg, &rows, Topology::Tree { fanout: 2 }, &tcfg);
-        assert!(thr.err.is_finite());
+        let (pooled, _) = run_swfd_engine(&fcfg, &rows, Topology::Tree { fanout: 2 }, &tcfg, pool);
+        assert!(pooled.err.is_finite());
     }
 
     #[test]

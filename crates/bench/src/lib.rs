@@ -27,12 +27,11 @@ pub mod report;
 pub use args::Args;
 pub use drivers::{
     baseline_fd, baseline_svd, calibrate_hh, partition_round_robin, resolve_hh_adaptive, run_hh,
-    run_hh_churn, run_hh_engine, run_hh_threaded, run_hh_topology, run_matrix, run_matrix_churn,
-    run_matrix_engine, run_matrix_threaded, run_matrix_timed, run_matrix_topology, run_swfd_engine,
-    run_swfd_threaded, run_swfd_timed, run_swfd_topology, run_swmg_churn, run_swmg_engine,
-    run_swmg_threaded, run_swmg_topology, stamp_stream, tune_hh_to_error, ChurnSummary,
-    CommSummary, EngineSummary, HhProtocol, HhRunResult, MatrixProtocol, MatrixRunResult,
-    TimedRunResult, WindowProtocol, WindowRunResult,
+    run_hh_churn, run_hh_engine, run_hh_topology, run_matrix, run_matrix_churn, run_matrix_engine,
+    run_matrix_timed, run_matrix_topology, run_swfd_engine, run_swfd_timed, run_swfd_topology,
+    run_swmg_churn, run_swmg_engine, run_swmg_topology, stamp_stream, tune_hh_to_error,
+    ChurnSummary, CommSummary, EngineSummary, HhProtocol, HhRunResult, MatrixProtocol,
+    MatrixRunResult, TimedRunResult, WindowProtocol, WindowRunResult,
 };
 
 /// The paper's default heavy-hitter threshold `φ = 0.05`.

@@ -9,8 +9,9 @@
 //!
 //! The parser is deliberately tolerant: it scans for record objects by
 //! their `"family"` key and reads only the fields it knows, so older
-//! recordings (e.g. ones without the `mode` field introduced with the
-//! threaded axis) still diff cleanly.
+//! recordings (e.g. ones without the `mode` field, or with
+//! `"mode": "threaded"` rows of the retired thread-per-node driver)
+//! still diff cleanly.
 
 use std::collections::BTreeMap;
 
@@ -26,10 +27,10 @@ pub struct BenchRecord {
     pub batch: u64,
     /// Topology label (`"star"`, `"tree4"`, …).
     pub topology: String,
-    /// Execution mode: `"seq"` (batch-first sequential runner),
-    /// `"threaded"` (one thread per site and per interior node) or
-    /// `"pooled"` (the worker-pool execution engine). Recordings older
-    /// than the threaded axis carry `"seq"`.
+    /// Execution mode: `"seq"` (batch-first sequential runner) or
+    /// `"pooled"` (the worker-pool execution engine); old recordings
+    /// may also carry `"threaded"` (the retired thread-per-node
+    /// driver), and ones without the field read as `"seq"`.
     pub mode: String,
     /// Worker threads of a `"pooled"` record; `0` (absent in older
     /// recordings and non-pooled rows) means not applicable.

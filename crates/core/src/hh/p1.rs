@@ -360,7 +360,7 @@ pub fn deploy_topology(
 
 /// Aggregator factory matching [`deploy_topology`]'s budget split — the
 /// entry point for driving a tree deployment through
-/// [`cma_stream::runner::threaded::run_partitioned_topology`] (pair it
+/// [`cma_stream::runner::engine::run_partitioned_topology`] (pair it
 /// with sites taken from a `deploy_topology` runner so the leaf
 /// thresholds share the same split).
 pub fn make_aggregator(cfg: &HhConfig, topology: Topology) -> impl FnMut(AggNode) -> P1Aggregator {

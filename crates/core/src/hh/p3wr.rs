@@ -288,7 +288,7 @@ pub fn deploy_topology(
     )
 }
 
-/// Aggregator factory (for the threaded topology driver).
+/// Aggregator factory (for the engine's topology drivers).
 pub fn make_aggregator(
     cfg: &HhConfig,
     _topology: Topology,

@@ -470,7 +470,7 @@ pub fn deploy_topology(
 }
 
 /// Aggregator factory matching [`deploy_topology`]'s budget split (for
-/// the threaded topology driver).
+/// the engine's topology drivers).
 pub fn make_aggregator(cfg: &HhConfig, topology: Topology) -> impl FnMut(AggNode) -> P4Aggregator {
     let plan = topology.plan(cfg.sites);
     let budget = cfg.sites + plan.internal_nodes();

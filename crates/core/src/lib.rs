@@ -28,7 +28,7 @@
 //! Every protocol is split into a site type (implements
 //! [`cma_stream::Site`]) and a coordinator type (implements
 //! [`cma_stream::Coordinator`]), so any of them can be driven by the
-//! sequential or threaded runner in `cma-stream`. Queries are *local* to
+//! sequential runner or the pooled engine in `cma-stream`. Queries are *local* to
 //! the coordinator — the continuous-monitoring model's whole point is
 //! that answering a query costs no communication.
 //!
@@ -41,10 +41,10 @@
 //! re-split across the `m + I` withholding nodes so every ε guarantee
 //! survives unchanged. `deploy_topology(cfg, Topology::Star)` is
 //! execution-identical to `deploy(cfg)`. Each protocol module also
-//! exposes a `make_aggregator(cfg, topology)` factory for the threaded
-//! driver, which runs every site *and every interior node* on its own
-//! thread (`cma_stream::runner::threaded::run_partitioned_topology`) —
-//! the guarantees tolerate the resulting broadcast lag because every
+//! exposes a `make_aggregator(cfg, topology)` factory for the execution
+//! engine, which runs every site *and every interior node* as a task on
+//! a worker pool (`cma_stream::runner::engine::run_partitioned_topology`)
+//! — the guarantees tolerate the resulting broadcast lag because every
 //! threshold only grows, so stale state makes nodes report sooner,
 //! never later.
 //!

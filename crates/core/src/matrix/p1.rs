@@ -366,7 +366,7 @@ pub fn deploy_topology(
 }
 
 /// Aggregator factory matching [`deploy_topology`]'s budget split (for
-/// the threaded topology driver).
+/// the engine's topology drivers).
 pub fn make_aggregator(
     cfg: &MatrixConfig,
     topology: Topology,

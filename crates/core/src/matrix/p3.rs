@@ -267,7 +267,7 @@ pub fn deploy_topology(
     )
 }
 
-/// Aggregator factory (for the threaded topology driver).
+/// Aggregator factory (for the engine's topology drivers).
 pub fn make_aggregator(
     _cfg: &MatrixConfig,
     _topology: Topology,

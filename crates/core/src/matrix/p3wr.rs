@@ -280,7 +280,7 @@ pub fn deploy_topology(
     )
 }
 
-/// Aggregator factory (for the threaded topology driver).
+/// Aggregator factory (for the engine's topology drivers).
 pub fn make_aggregator(
     cfg: &MatrixConfig,
     _topology: Topology,

@@ -206,7 +206,7 @@ pub fn deploy_topology(
 
 /// Aggregator factory matching [`deploy_topology`]'s budget split — the
 /// entry point for driving a tree deployment through
-/// [`cma_stream::runner::threaded::run_partitioned_topology`].
+/// [`cma_stream::runner::engine::run_partitioned_topology`].
 pub fn make_aggregator(
     cfg: &SwFdConfig,
     topology: Topology,
@@ -221,10 +221,10 @@ pub fn make_aggregator(
 pub fn run_engine(
     cfg: &SwFdConfig,
     inputs: Vec<Vec<super::Stamped<Row>>>,
-    tcfg: &cma_stream::runner::threaded::ThreadedConfig,
+    tcfg: &cma_stream::runner::engine::ThreadedConfig,
     executor: cma_stream::Executor,
     topology: Topology,
-) -> cma_stream::runner::threaded::TreeRunParts<SwFdSite, SwFdCoordinator, SwFdAggregator> {
+) -> cma_stream::runner::engine::TreeRunParts<SwFdSite, SwFdCoordinator, SwFdAggregator> {
     super::run_kind_engine(cfg.kind(), &cfg.params, inputs, tcfg, executor, topology)
 }
 
@@ -233,7 +233,7 @@ pub fn run_engine(
 pub fn run_engine_live(
     cfg: &SwFdConfig,
     inputs: Vec<Vec<super::Stamped<Row>>>,
-    tcfg: &cma_stream::runner::threaded::ThreadedConfig,
+    tcfg: &cma_stream::runner::engine::ThreadedConfig,
     executor: cma_stream::Executor,
     topology: Topology,
     live_cfg: &cma_stream::runner::live::LiveConfig,

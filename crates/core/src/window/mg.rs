@@ -157,7 +157,7 @@ pub fn deploy_topology(
 
 /// Aggregator factory matching [`deploy_topology`]'s budget split — the
 /// entry point for driving a tree deployment through
-/// [`cma_stream::runner::threaded::run_partitioned_topology`].
+/// [`cma_stream::runner::engine::run_partitioned_topology`].
 pub fn make_aggregator(
     cfg: &SwMgConfig,
     topology: Topology,
@@ -178,10 +178,10 @@ pub fn make_aggregator(
 pub fn run_engine(
     cfg: &SwMgConfig,
     inputs: Vec<Vec<super::Stamped<WeightedItem>>>,
-    tcfg: &cma_stream::runner::threaded::ThreadedConfig,
+    tcfg: &cma_stream::runner::engine::ThreadedConfig,
     executor: cma_stream::Executor,
     topology: Topology,
-) -> cma_stream::runner::threaded::TreeRunParts<SwMgSite, SwMgCoordinator, SwMgAggregator> {
+) -> cma_stream::runner::engine::TreeRunParts<SwMgSite, SwMgCoordinator, SwMgAggregator> {
     super::run_kind_engine(cfg.kind(), &cfg.params, inputs, tcfg, executor, topology)
 }
 
@@ -194,7 +194,7 @@ pub fn run_engine(
 pub fn run_engine_live(
     cfg: &SwMgConfig,
     inputs: Vec<Vec<super::Stamped<WeightedItem>>>,
-    tcfg: &cma_stream::runner::threaded::ThreadedConfig,
+    tcfg: &cma_stream::runner::engine::ThreadedConfig,
     executor: cma_stream::Executor,
     topology: Topology,
     live_cfg: &cma_stream::runner::live::LiveConfig,

@@ -55,17 +55,15 @@
 //! Two instantiations: [`mg`] (windowed weighted heavy hitters over
 //! Misra–Gries buckets) and [`fd`] (windowed matrix tracking over
 //! Frequent Directions buckets). Both run through every driver:
-//! [`Runner`] star and tree, the threaded
-//! `runner::threaded::run_partitioned_topology`, and — via
-//! [`mg::run_engine`] / [`fd::run_engine`] — the pooled execution
-//! engine (`runner::engine`), which caps thread count at the pool size
-//! instead of `m +` interior nodes.
+//! [`Runner`] star and tree, and — via [`mg::run_engine`] /
+//! [`fd::run_engine`] — the execution engine (`runner::engine`), inline
+//! or on a worker pool whose thread count is the pool size, not `m +`
+//! interior nodes.
 
 use cma_sketch::sliding_window::{ExpHistogram, WinBucket, WindowSummary};
 use cma_sketch::{FrequentDirections, MgSummary};
-use cma_stream::runner::engine::{self, Executor};
+use cma_stream::runner::engine::{self, Executor, ThreadedConfig, TreeRunParts};
 use cma_stream::runner::live;
-use cma_stream::runner::threaded::{ThreadedConfig, TreeRunParts};
 use cma_stream::{
     put_f64, put_u64, put_usize, AggNode, Aggregator, BudgetShare, ChurnBudget, ChurnCoordinator,
     ChurnSite, Coordinator, Membership, MessageCost, MigratableAggregator, Runner, Site, SiteId,
@@ -772,7 +770,7 @@ pub(crate) fn deploy_kind_topology<K: WindowKind>(
 }
 
 /// Aggregator factory matching [`deploy_kind_topology`]'s budget split
-/// (for the threaded topology driver): each interior node gets
+/// (for the engine's topology drivers): each interior node gets
 /// `(ε/2L)·(c/m)` of `Ŵ` — its slice of the interior half of the
 /// withholding budget, proportional to the `c` leaves it covers over
 /// `L` interior levels.
@@ -794,9 +792,8 @@ pub(crate) fn make_kind_aggregator<K: WindowKind>(
     }
 }
 
-/// Runs a full pre-partitioned windowed deployment through the pooled
-/// execution engine: same wave/broadcast/drain semantics as the
-/// thread-per-node driver, scheduled on a bounded worker pool
+/// Runs a full pre-partitioned windowed deployment through the
+/// execution engine, scheduled on a bounded worker pool
 /// ([`Executor::Pool`]) or deterministically on the calling thread
 /// ([`Executor::Inline`]). Sites and aggregators carry the same budget
 /// split as [`deploy_kind_topology`].

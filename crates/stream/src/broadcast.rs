@@ -140,7 +140,7 @@ fn splitmix(z: &mut u64) -> u64 {
 /// Per-run dissemination state of the broadcast plane.
 ///
 /// Owned by whatever plays the root (the sequential runner's core, the
-/// threaded/pooled drivers' root loop): every broadcast event passes
+/// pooled engine's root loop): every broadcast event passes
 /// through [`BroadcastState::disseminate`], which stamps the monotone
 /// version, performs the plane's rounds (charging
 /// [`CommStats`] per edge actually crossed), and returns the

@@ -23,18 +23,17 @@
 //!   routes messages through the aggregation layer, applies broadcasts
 //!   synchronously. Every experiment harness and test drives protocols
 //!   through this.
-//! * [`runner::threaded`] — an asynchronous driver (std channels, one
-//!   thread per site **and per interior tree node**, batched message
-//!   shipping) where broadcasts arrive with real lag; used to
-//!   demonstrate that the protocols tolerate the asynchrony of an actual
-//!   deployment, to measure deployment-shaped throughput, and — under a
-//!   tree topology — to measure *real* root fan-in relief rather than a
-//!   sequential simulation of it.
-//! * [`runner::engine`] — the **pooled execution engine**: the same
-//!   deployment semantics as the threaded tree, scheduled as
-//!   level-chunked tasks onto a bounded worker pool
-//!   ([`Executor::Pool`]) so thread count is `workers + 1` instead of
-//!   `m + interior nodes` — the path to `m ≫ 10³` deployments.
+//! * [`runner::engine`] — the **execution engine**, the one concurrent
+//!   runtime: sites and interior tree nodes are cooperative tasks with
+//!   bounded inboxes and batched message shipping, scheduled as
+//!   level-chunked work onto a bounded worker pool
+//!   ([`Executor::Pool`], `workers + 1` threads whatever `m` is) where
+//!   broadcasts arrive with real lag — used to demonstrate that the
+//!   protocols tolerate the asynchrony of an actual deployment, to
+//!   measure deployment-shaped throughput and *real* root fan-in
+//!   relief — or run deterministically on the calling thread
+//!   ([`Executor::Inline`]) as the reference the pool is audited
+//!   against.
 //!   [`Topology::Adaptive`] closes the loop the other way: the
 //!   deployment *measures* fan-in pressure ([`CommStats`]) and picks
 //!   its own fanout within a budget.
@@ -112,20 +111,19 @@
 //!   same [`CommStats`] — at every batch size. Batching here is a pure
 //!   throughput win; there is no semantic trade-off, which is what the
 //!   `batch_parity` integration suite pins down.
-//! * **Threaded** ([`runner::threaded`]): each site thread applies
-//!   pending broadcasts only *between* batches and ships each batch's
-//!   messages as one bounded-channel send. Larger batches amortise
-//!   synchronisation but let coordinator thresholds go stale for longer —
-//!   a latency/communication-vs-throughput trade-off. Staleness never
-//!   endangers a guarantee: every protocol's thresholds only grow, so a
-//!   stale (smaller) threshold merely makes sites send *sooner* than
-//!   strictly necessary. Under a tree topology
-//!   ([`runner::threaded::run_partitioned_topology`]) every interior
-//!   [`Aggregator`] node gets its own thread: upward waves hop
-//!   leaf → interior → root over bounded channels (backpressure walks
-//!   down the tree), broadcasts cascade back down through
+//! * **Pooled** ([`runner::engine`] on [`Executor::Pool`]): each site
+//!   task applies pending broadcasts only *between* batches and ships
+//!   each batch's messages as one bounded-channel send. Larger batches
+//!   amortise synchronisation but let coordinator thresholds go stale
+//!   for longer — a latency/communication-vs-throughput trade-off.
+//!   Staleness never endangers a guarantee: every protocol's thresholds
+//!   only grow, so a stale (smaller) threshold merely makes sites send
+//!   *sooner* than strictly necessary. Under a tree topology every
+//!   interior [`Aggregator`] node is a task of its own: upward waves
+//!   hop leaf → interior → root over bounded channels (backpressure
+//!   walks down the tree), broadcasts cascade back down through
 //!   [`Aggregator::on_broadcast`] at every hop, shutdown drains
-//!   bottom-up, and each thread's [`CommStats`] are merged without
+//!   bottom-up, and each task's [`CommStats`] are merged without
 //!   double-counting when the run returns.
 //!
 //! Protocols opt into faster batched math by overriding

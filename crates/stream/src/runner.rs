@@ -19,25 +19,20 @@
 //! tree. A tree with `fanout ≥ m` is *execution-identical* to the star
 //! (pinned by the `topology_parity` suite).
 //!
-//! [`threaded`] is an asynchronous driver (one OS thread per site,
-//! bounded std channels carrying whole *batches* of messages) in which
-//! broadcasts arrive with genuine lag. The protocols remain correct
-//! under lag — a stale (smaller) threshold only makes sites send
-//! *sooner* — so this driver demonstrates deployment behaviour and feeds
-//! the throughput benchmarks. Under a tree topology every interior
-//! [`Aggregator`] node runs on its *own* thread: upward traffic hops
-//! leaf → interior → root over bounded channels, broadcasts cascade
-//! back down the same tree, and each thread keeps its own [`CommStats`]
-//! which are merged (without double-counting) when the run drains.
-//!
-//! [`engine`] is the *pooled* execution engine (PR 5): the same
-//! deployment semantics as the threaded tree, but scheduled as
-//! level-chunked tasks onto a bounded worker pool
-//! ([`engine::Executor::Pool`]) instead of one thread per node — the
-//! path that scales past the thread-per-node wall at `m ≫ 10³`.
+//! [`engine`] is the concurrent runtime: sites and interior
+//! [`Aggregator`] nodes are tasks with bounded inboxes carrying whole
+//! *batches* of messages, scheduled as level-chunked work onto a
+//! bounded worker pool ([`engine::Executor::Pool`]), so broadcasts
+//! arrive with genuine lag. The protocols remain correct under lag — a
+//! stale (smaller) threshold only makes sites send *sooner* — so this
+//! driver demonstrates deployment behaviour and feeds the throughput
+//! benchmarks. Upward traffic hops leaf → interior → root over bounded
+//! channels, broadcasts cascade back down the same tree, and each task
+//! keeps its own [`CommStats`] which are merged (without
+//! double-counting) when the run drains.
 //! [`engine::Executor::Inline`] runs the identical task plan on the
 //! calling thread, deterministically, for parity and conservation
-//! audits.
+//! audits. [`live`] and [`churn`] run their segments on the engine.
 
 use std::collections::BTreeMap;
 
@@ -52,23 +47,23 @@ use crate::transport::{FaultLink, Transport};
 use crate::wire::WireSized;
 use crate::SiteId;
 
-/// The aggregation layer shared by the sequential and threaded drivers:
-/// the resolved topology, the interior aggregator nodes and the root
-/// coordinator, plus the routing logic that moves messages between them.
-///
-/// Since PR 8 the layer is transport-aware: [`AggCore::install_net`]
-/// threads every hop it routes through the [`Transport`]'s per-link
-/// [`FaultLink`]s, so a simulated faulty network applies its drops,
-/// duplicates, delays and reorders exactly where a real wire would —
-/// on the edge between sender and receiver, before the receiver records
-/// or absorbs anything. With the default [`crate::ChannelTransport`]
-/// none of this machinery is built and routing is bit-exact with the
-/// pre-transport code.
 /// Upward fault links keyed by `(from, to)` transport node ids; each
 /// value carries the hop level of the receiving side so close-time
 /// releases can resume the climb where the message was in flight.
 type UpLinks<M> = BTreeMap<(usize, usize), (usize, FaultLink<(SiteId, M)>)>;
 
+/// The aggregation layer shared by the sequential [`Runner`] and the
+/// engine's [`engine::Executor::Inline`] path: the resolved topology,
+/// the interior aggregator nodes and the root coordinator, plus the
+/// routing logic that moves messages between them.
+///
+/// The layer is transport-aware: [`AggCore::install_net`] threads every
+/// hop it routes through the [`Transport`]'s per-link [`FaultLink`]s, so
+/// a simulated faulty network applies its drops, duplicates, delays and
+/// reorders exactly where a real wire would — on the edge between
+/// sender and receiver, before the receiver records or absorbs
+/// anything. With the default [`crate::ChannelTransport`] none of this
+/// machinery is built and routing is bit-exact with a fault-free run.
 struct AggCore<A: Aggregator, C> {
     plan: TopologyPlan,
     aggs: Vec<A>,
@@ -663,928 +658,11 @@ pub mod churn;
 pub mod engine;
 pub mod live;
 
-/// Asynchronous driver: one thread per site, channel-based delivery of
-/// message *batches*.
+/// Alias path for the engine's run configuration. `benchmark/` is a
+/// frozen package outside the workspace that imports
+/// `cma_stream::runner::threaded::ThreadedConfig`; this keeps it building.
 pub mod threaded {
-    use super::*;
-    use std::sync::mpsc;
-
-    /// Tuning knobs of the threaded driver.
-    #[derive(Debug, Clone)]
-    pub struct ThreadedConfig {
-        /// Arrivals each site processes between communication points: the
-        /// site drains pending broadcasts, observes `batch_size` arrivals
-        /// through [`Site::observe_batch`], and ships everything emitted
-        /// as **one** channel send (one `Vec` allocation per shipped
-        /// batch instead of one send per message).
-        ///
-        /// Larger batches amortise channel synchronisation but let the
-        /// coordinator's thresholds go stale for longer — which never
-        /// breaks a guarantee (a stale, smaller threshold only makes
-        /// sites send sooner) but does trade a little extra communication
-        /// for throughput.
-        pub batch_size: usize,
-        /// Bound of the site→coordinator channel, in batches. Applies
-        /// backpressure: a site that outruns the coordinator blocks
-        /// instead of queueing unboundedly.
-        pub channel_capacity: usize,
-        /// How coordinator broadcasts reach the deployment (see
-        /// [`crate::broadcast`]): structural root fan-out, tree cascade
-        /// (the default and historical behaviour), or versioned
-        /// push–pull gossip with `O(fanout · rounds)` per-node cost.
-        pub plane: BroadcastPlane,
-    }
-
-    impl Default for ThreadedConfig {
-        fn default() -> Self {
-            ThreadedConfig {
-                batch_size: 64,
-                channel_capacity: 4,
-                plane: BroadcastPlane::TreeCascade,
-            }
-        }
-    }
-
-    /// Runs each site on its own thread over its pre-partitioned local
-    /// stream with the default [`ThreadedConfig`]; the calling thread
-    /// plays coordinator.
-    ///
-    /// # Panics
-    /// Panics if `inputs.len() != sites.len()`, or if a site thread
-    /// panics.
-    pub fn run_partitioned<S, C>(
-        sites: Vec<S>,
-        coordinator: C,
-        inputs: Vec<Vec<S::Input>>,
-    ) -> (Vec<S>, C, CommStats)
-    where
-        S: Site + Send,
-        S::Input: Send,
-        S::UpMsg: MessageCost + Clone + Send,
-        S::Broadcast: Clone + WireSized + Send,
-        C: Coordinator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>,
-    {
-        run_partitioned_with(sites, coordinator, inputs, &ThreadedConfig::default())
-    }
-
-    /// [`run_partitioned`] with explicit batching configuration.
-    ///
-    /// Broadcasts are delivered through per-site channels and applied by
-    /// each site *before its next batch*, so they lag exactly as they
-    /// would over a network. Message and broadcast totals are accounted
-    /// identically to the sequential runner; only their timing differs.
-    ///
-    /// Returns the finished sites, the coordinator and the accumulated
-    /// statistics.
-    ///
-    /// # Panics
-    /// Panics if `inputs.len() != sites.len()`, if the configured batch
-    /// size or channel capacity is zero, or if a site thread panics.
-    pub fn run_partitioned_with<S, C>(
-        sites: Vec<S>,
-        coordinator: C,
-        inputs: Vec<Vec<S::Input>>,
-        cfg: &ThreadedConfig,
-    ) -> (Vec<S>, C, CommStats)
-    where
-        S: Site + Send,
-        S::Input: Send,
-        S::UpMsg: MessageCost + Clone + Send,
-        S::Broadcast: Clone + WireSized + Send,
-        C: Coordinator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>,
-    {
-        run_partitioned_with_on(
-            sites,
-            coordinator,
-            inputs,
-            cfg,
-            &crate::transport::ChannelTransport,
-        )
-    }
-
-    /// [`run_partitioned_with`] over an explicit [`Transport`]: the
-    /// message plane the waves cross. [`crate::ChannelTransport`] is the
-    /// bit-exact default; a [`crate::SimNet`] applies its fault plan to
-    /// every site→coordinator link (and the coordinator's broadcast
-    /// links back down).
-    ///
-    /// # Panics
-    /// As [`run_partitioned_with`].
-    pub fn run_partitioned_with_on<S, C>(
-        sites: Vec<S>,
-        coordinator: C,
-        inputs: Vec<Vec<S::Input>>,
-        cfg: &ThreadedConfig,
-        net: &dyn Transport,
-    ) -> (Vec<S>, C, CommStats)
-    where
-        S: Site + Send,
-        S::Input: Send,
-        S::UpMsg: MessageCost + Clone + Send,
-        S::Broadcast: Clone + WireSized + Send,
-        C: Coordinator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>,
-    {
-        if sites.is_empty() {
-            assert!(
-                inputs.is_empty(),
-                "run_partitioned: one input stream per site"
-            );
-            return (sites, coordinator, CommStats::default());
-        }
-        let m = sites.len();
-        run_inner::<S, C, Relay<S::UpMsg, S::Broadcast>>(
-            sites,
-            AggCore::star(m, coordinator),
-            inputs,
-            cfg,
-            net,
-        )
-    }
-
-    /// How long an idle aggregator thread waits on its upward channel
-    /// before polling its broadcast inbox again. Under load the recv
-    /// returns immediately and the poll never fires; the timeout only
-    /// bounds how stale a *quiet* subtree's threshold state can get —
-    /// and staleness is always safe (a stale, smaller threshold makes
-    /// sites send sooner, never later).
-    const AGG_POLL: std::time::Duration = std::time::Duration::from_millis(1);
-
-    /// One upward *wave*: a batch of origin-tagged messages shipped as a
-    /// single bounded-channel send (one allocation per wave).
-    type Wave<M> = Vec<(SiteId, M)>;
-
-    /// The pieces of a finished threaded tree run.
-    ///
-    /// Unlike the `(sites, coordinator, stats)` triple of the flat
-    /// driver, a tree run also hands back the interior [`Aggregator`]
-    /// nodes — still holding whatever sub-threshold partials they had
-    /// not yet forwarded when their subtree drained. Tests use them to
-    /// audit conservation: everything a leaf emitted is either in the
-    /// coordinator or held by exactly one aggregator.
-    pub struct TreeRunParts<S, C, A> {
-        /// The finished sites, in site-id order.
-        pub sites: Vec<S>,
-        /// The interior nodes, level-major bottom-up (the
-        /// [`TopologyPlan::agg_nodes`] construction order); empty for a
-        /// degenerate (flat) plan.
-        pub aggregators: Vec<A>,
-        /// The root coordinator after every in-flight message drained.
-        pub coordinator: C,
-        /// Merged communication totals across all threads.
-        pub stats: CommStats,
-        /// Per-worker scheduling counters — populated only by the
-        /// pooled execution engine ([`super::engine::Executor::Pool`]);
-        /// empty (no workers) for this thread-per-node driver and for
-        /// [`super::engine::Executor::Inline`].
-        pub engine: super::engine::EngineStats,
-    }
-
-    /// [`run_partitioned_with`] over an arbitrary aggregation topology,
-    /// with **interior nodes on their own threads**: each
-    /// [`Aggregator`] of the plan runs on a dedicated OS thread,
-    /// receiving child batches over a bounded channel, absorbing and
-    /// flushing per wave, and shipping whatever it forwards to *its*
-    /// parent's channel — so root fan-in relief is real under load, not
-    /// simulated on the coordinator thread. Broadcasts cascade down the
-    /// same tree (root → interior → leaves), passing through
-    /// [`Aggregator::on_broadcast`] at every hop. Broadcast *timing*
-    /// lags as usual for this driver; broadcast *cost* is charged per
-    /// tree recipient exactly as in the sequential
-    /// [`Runner::with_topology`].
-    ///
-    /// Shutdown drains bottom-up: when a node's children all finish and
-    /// hang up, the node processes its remaining queued waves, keeps any
-    /// sub-threshold partial it is holding (the runner never forces a
-    /// flush), and hangs up on its own parent; the call returns only
-    /// after the root has drained every in-flight message, so the
-    /// coordinator's estimates are safe to read immediately.
-    ///
-    /// A flat plan (`Topology::Star` or `fanout ≥ m`) has no interior
-    /// nodes and runs exactly like [`run_partitioned_with`].
-    ///
-    /// # Panics
-    /// Panics if `inputs.len() != sites.len()`, if the configured batch
-    /// size or channel capacity is zero, or if a site or aggregator
-    /// thread panics.
-    pub fn run_partitioned_topology<S, C, A>(
-        sites: Vec<S>,
-        coordinator: C,
-        inputs: Vec<Vec<S::Input>>,
-        cfg: &ThreadedConfig,
-        topology: Topology,
-        make_agg: impl FnMut(crate::topology::AggNode) -> A,
-    ) -> (Vec<S>, C, CommStats)
-    where
-        S: Site + Send,
-        S::Input: Send,
-        S::UpMsg: MessageCost + Clone + Send,
-        S::Broadcast: Clone + WireSized + Send,
-        C: Coordinator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>,
-        A: Aggregator<UpMsg = S::UpMsg, Broadcast = S::Broadcast> + Send,
-    {
-        let parts =
-            run_partitioned_topology_parts(sites, coordinator, inputs, cfg, topology, make_agg);
-        (parts.sites, parts.coordinator, parts.stats)
-    }
-
-    /// [`run_partitioned_topology`] that additionally returns the
-    /// interior aggregator nodes (see [`TreeRunParts`]).
-    ///
-    /// # Panics
-    /// As [`run_partitioned_topology`].
-    pub fn run_partitioned_topology_parts<S, C, A>(
-        sites: Vec<S>,
-        coordinator: C,
-        inputs: Vec<Vec<S::Input>>,
-        cfg: &ThreadedConfig,
-        topology: Topology,
-        make_agg: impl FnMut(crate::topology::AggNode) -> A,
-    ) -> TreeRunParts<S, C, A>
-    where
-        S: Site + Send,
-        S::Input: Send,
-        S::UpMsg: MessageCost + Clone + Send,
-        S::Broadcast: Clone + WireSized + Send,
-        C: Coordinator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>,
-        A: Aggregator<UpMsg = S::UpMsg, Broadcast = S::Broadcast> + Send,
-    {
-        run_partitioned_topology_parts_on(
-            sites,
-            coordinator,
-            inputs,
-            cfg,
-            topology,
-            make_agg,
-            &crate::transport::ChannelTransport,
-        )
-    }
-
-    /// [`run_partitioned_topology_parts`] over an explicit
-    /// [`Transport`]: every link of the tree — leaf→parent waves,
-    /// interior hops, the hop into the root, and the broadcast cascade
-    /// back down — crosses the given message plane. The default
-    /// [`crate::ChannelTransport`] is bit-exact with the channel-only
-    /// code; a [`crate::SimNet`] applies per-link faults at the
-    /// *receiving* side of each hop, so dropped waves are never recorded
-    /// and duplicated ones are recorded twice.
-    ///
-    /// # Panics
-    /// As [`run_partitioned_topology`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_partitioned_topology_parts_on<S, C, A>(
-        sites: Vec<S>,
-        coordinator: C,
-        inputs: Vec<Vec<S::Input>>,
-        cfg: &ThreadedConfig,
-        topology: Topology,
-        mut make_agg: impl FnMut(crate::topology::AggNode) -> A,
-        net: &dyn Transport,
-    ) -> TreeRunParts<S, C, A>
-    where
-        S: Site + Send,
-        S::Input: Send,
-        S::UpMsg: MessageCost + Clone + Send,
-        S::Broadcast: Clone + WireSized + Send,
-        C: Coordinator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>,
-        A: Aggregator<UpMsg = S::UpMsg, Broadcast = S::Broadcast> + Send,
-    {
-        if sites.is_empty() {
-            assert!(
-                inputs.is_empty(),
-                "run_partitioned: one input stream per site"
-            );
-            return TreeRunParts {
-                sites,
-                aggregators: Vec::new(),
-                coordinator,
-                stats: CommStats::default(),
-                engine: super::engine::EngineStats::default(),
-            };
-        }
-        let m = sites.len();
-        let plan = topology.plan(m);
-        if plan.is_flat() {
-            // No interior nodes: the star path, aggregators never built.
-            let core = AggCore::build(m, coordinator, topology, &mut make_agg);
-            let (sites, coordinator, stats) = run_inner(sites, core, inputs, cfg, net);
-            return TreeRunParts {
-                sites,
-                aggregators: Vec::new(),
-                coordinator,
-                stats,
-                engine: super::engine::EngineStats::default(),
-            };
-        }
-        run_tree(sites, coordinator, inputs, cfg, plan, &mut make_agg, net)
-    }
-
-    /// Ships one wave to a parent's bounded inbox. Returns `false` when
-    /// the receiver has already hung up — mid-run that only happens
-    /// during an abnormal teardown (a panicking sibling collapsing the
-    /// tree), and the right response is to stop streaming quietly
-    /// instead of panicking over the top of the original failure
-    /// (drain-by-disconnection, the PR 3 contract).
-    pub(super) fn ship<T>(tx: &mpsc::SyncSender<T>, wave: T) -> bool {
-        tx.send(wave).is_ok()
-    }
-
-    /// The threaded tree runtime: one thread per site, one thread per
-    /// interior aggregator node, the root coordinator on the calling
-    /// thread. See [`run_partitioned_topology`] for the contract.
-    fn run_tree<S, C, A>(
-        mut sites: Vec<S>,
-        mut coordinator: C,
-        inputs: Vec<Vec<S::Input>>,
-        cfg: &ThreadedConfig,
-        plan: TopologyPlan,
-        make_agg: &mut dyn FnMut(crate::topology::AggNode) -> A,
-        net: &dyn Transport,
-    ) -> TreeRunParts<S, C, A>
-    where
-        S: Site + Send,
-        S::Input: Send,
-        S::UpMsg: MessageCost + Clone + Send,
-        S::Broadcast: Clone + WireSized + Send,
-        C: Coordinator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>,
-        A: Aggregator<UpMsg = S::UpMsg, Broadcast = S::Broadcast> + Send,
-    {
-        assert_eq!(
-            inputs.len(),
-            sites.len(),
-            "run_partitioned: one input stream per site"
-        );
-        assert!(
-            cfg.batch_size >= 1,
-            "run_partitioned: batch_size must be positive"
-        );
-        assert!(
-            cfg.channel_capacity >= 1,
-            "run_partitioned: channel_capacity must be positive"
-        );
-        let m = sites.len();
-        let total_arrivals: u64 = inputs.iter().map(|v| v.len() as u64).sum();
-        let fanout = plan.fanout();
-        let levels: Vec<usize> = plan.levels().to_vec();
-        let n_levels = levels.len();
-        let i_total = plan.internal_nodes();
-        let level_offset = |li: usize| -> usize { levels[..li].iter().sum() };
-
-        // Upward channels: one bounded inbox per interior node and one
-        // for the root; capacity is in *batches*, so backpressure walks
-        // down the tree (a slow parent blocks its children, never the
-        // whole deployment).
-        let mut agg_up_tx = Vec::with_capacity(i_total);
-        let mut agg_up_rx: Vec<Option<mpsc::Receiver<Wave<S::UpMsg>>>> =
-            Vec::with_capacity(i_total);
-        for _ in 0..i_total {
-            let (tx, rx) = mpsc::sync_channel::<Wave<S::UpMsg>>(cfg.channel_capacity);
-            agg_up_tx.push(tx);
-            agg_up_rx.push(Some(rx));
-        }
-        let (root_tx, root_rx) = mpsc::sync_channel::<Wave<S::UpMsg>>(cfg.channel_capacity);
-
-        // Downward (broadcast) channels stay unbounded, as in the flat
-        // driver: a bounded broadcast channel could deadlock against the
-        // bounded up-channels (a parent blocked sending down to a child
-        // that is blocked sending up).
-        let mut agg_bc_tx = Vec::with_capacity(i_total);
-        let mut agg_bc_rx: Vec<Option<mpsc::Receiver<S::Broadcast>>> = Vec::with_capacity(i_total);
-        for _ in 0..i_total {
-            let (tx, rx) = mpsc::channel::<S::Broadcast>();
-            agg_bc_tx.push(tx);
-            agg_bc_rx.push(Some(rx));
-        }
-        let mut leaf_bc_tx = Vec::with_capacity(m);
-        let mut leaf_bc_rx: Vec<Option<mpsc::Receiver<S::Broadcast>>> = Vec::with_capacity(m);
-        for _ in 0..m {
-            let (tx, rx) = mpsc::channel::<S::Broadcast>();
-            leaf_bc_tx.push(tx);
-            leaf_bc_rx.push(Some(rx));
-        }
-
-        // Interior nodes, constructed in global (level-major, bottom-up)
-        // order — the same order `Runner::with_topology` uses, so
-        // protocol budget splits are identical.
-        let mut aggs: Vec<Option<A>> = plan.agg_nodes().map(|n| Some(make_agg(n))).collect();
-
-        // How broadcasts travel: the tree cascade forwards hop by hop;
-        // root fan-out delivers everything from the root directly; the
-        // gossip plane routes leaf delivery through its own simulated
-        // rounds (the adopter set), with faults applied in-plane.
-        let plane = cfg.plane;
-        let gossip = plane.is_gossip();
-        let cascade = plane == BroadcastPlane::TreeCascade;
-
-        let (sites_out, aggs_out, stats) = std::thread::scope(|scope| {
-            // ---- leaf threads: identical to the flat driver except the
-            // shipped batch is tagged with the origin site id and goes to
-            // the leaf's level-1 parent instead of the root.
-            let mut site_handles = Vec::with_capacity(m);
-            for (sid, (mut site, local)) in sites.drain(..).zip(inputs).enumerate() {
-                let parent_g = plan.parent_of(0, sid).0;
-                let up_tx = agg_up_tx[parent_g].clone();
-                let bc_rx = leaf_bc_rx[sid].take().expect("leaf bc receiver");
-                // The downward link this leaf hears broadcasts on: its
-                // cascade parent, or the root itself under root
-                // fan-out. The gossip plane faults its own edges during
-                // dissemination, so the channel here is transparent.
-                let mut bc_link: FaultLink<S::Broadcast> = if gossip {
-                    FaultLink::transparent()
-                } else if cascade {
-                    FaultLink::new(net.link(plan.agg_node_id(parent_g), sid, false))
-                } else {
-                    FaultLink::new(net.link(plan.root_node_id(), sid, false))
-                };
-                let batch_size = cfg.batch_size;
-                site_handles.push(scope.spawn(move || {
-                    let mut out: Vec<S::UpMsg> = Vec::new();
-                    let mut shipping: Vec<(SiteId, S::UpMsg)> = Vec::new();
-                    let mut it = local.into_iter().peekable();
-                    while it.peek().is_some() {
-                        while let Ok(bc) = bc_rx.try_recv() {
-                            if bc_link.deliver_now(0.0) {
-                                site.on_broadcast(&bc);
-                            }
-                        }
-                        let mut batch = it.by_ref().take(batch_size);
-                        loop {
-                            site.observe_batch(&mut batch, &mut out);
-                            if out.is_empty() {
-                                break;
-                            }
-                            shipping.extend(out.drain(..).map(|msg| (sid, msg)));
-                        }
-                        if !shipping.is_empty() && !ship(&up_tx, std::mem::take(&mut shipping)) {
-                            // Parent gone mid-run: abnormal teardown —
-                            // stop streaming instead of panicking over
-                            // the original failure.
-                            break;
-                        }
-                    }
-                    site
-                }));
-            }
-
-            // ---- interior threads: one per aggregator node.
-            let mut agg_handles = Vec::with_capacity(i_total);
-            for li in 0..n_levels {
-                let offset = level_offset(li);
-                for j in 0..levels[li] {
-                    let g = offset + j;
-                    let up_rx = agg_up_rx[g].take().expect("agg up receiver");
-                    let bc_rx = agg_bc_rx[g].take().expect("agg bc receiver");
-                    // Parent inbox: the next interior level, or the root.
-                    let parent_tx = if li + 1 < n_levels {
-                        agg_up_tx[plan.parent_of(li + 1, j).0].clone()
-                    } else {
-                        root_tx.clone()
-                    };
-                    // Broadcast outlets: this node's direct children on
-                    // the cascade. Under root fan-out nobody forwards;
-                    // under gossip, interiors cascade among themselves
-                    // but leaf delivery is the gossip plane's job, so a
-                    // level-0 node forwards to no one.
-                    let child_bcs: Vec<mpsc::Sender<S::Broadcast>> = if li == 0 {
-                        if cascade {
-                            (j * fanout..((j + 1) * fanout).min(m))
-                                .map(|c| leaf_bc_tx[c].clone())
-                                .collect()
-                        } else {
-                            Vec::new()
-                        }
-                    } else if cascade || gossip {
-                        let lower = level_offset(li - 1);
-                        (j * fanout..((j + 1) * fanout).min(levels[li - 1]))
-                            .map(|c| agg_bc_tx[lower + c].clone())
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    let mut agg = aggs[g].take().expect("aggregator built once");
-                    let mut stats = CommStats::for_plan(&plan);
-                    // Fault machinery for this node's incoming edges: one
-                    // up-link per direct child (keyed by the child's
-                    // transport node id) and the downward link broadcasts
-                    // arrive on. All empty/transparent under channels.
-                    let faulty = !net.is_transparent();
-                    let node_id = plan.agg_node_id(g);
-                    let mut up_links: BTreeMap<usize, FaultLink<(SiteId, S::UpMsg)>> =
-                        BTreeMap::new();
-                    // Origin sid → transport node id of the child that
-                    // relays its messages into this node.
-                    let sender_of: Vec<usize> = if faulty {
-                        if li == 0 {
-                            for c in j * fanout..((j + 1) * fanout).min(m) {
-                                up_links.insert(c, FaultLink::new(net.link(c, node_id, true)));
-                            }
-                            (0..m).collect()
-                        } else {
-                            let lower = level_offset(li - 1);
-                            for c in j * fanout..((j + 1) * fanout).min(levels[li - 1]) {
-                                let child = plan.agg_node_id(lower + c);
-                                up_links
-                                    .insert(child, FaultLink::new(net.link(child, node_id, true)));
-                            }
-                            (0..m)
-                                .map(|sid| plan.agg_node_id(plan.ancestor_of(li - 1, sid)))
-                                .collect()
-                        }
-                    } else {
-                        Vec::new()
-                    };
-                    let parent_id = if li + 1 < n_levels {
-                        plan.agg_node_id(plan.parent_of(li + 1, j).0)
-                    } else {
-                        plan.root_node_id()
-                    };
-                    // Broadcast edge into this node: its cascade parent,
-                    // or the root directly under root fan-out.
-                    let bc_from = if cascade || gossip {
-                        parent_id
-                    } else {
-                        plan.root_node_id()
-                    };
-                    let mut bc_link: FaultLink<S::Broadcast> =
-                        FaultLink::new(net.link(bc_from, node_id, false));
-                    agg_handles.push(scope.spawn(move || {
-                        let mut out: Vec<(SiteId, S::UpMsg)> = Vec::new();
-                        let mut delivered: Vec<(SiteId, S::UpMsg)> = Vec::new();
-                        let forward_bc = |agg: &mut A, bc: S::Broadcast| {
-                            agg.on_broadcast(&bc);
-                            for tx in &child_bcs {
-                                // A child may already have drained; fine.
-                                let _ = tx.send(bc.clone());
-                            }
-                        };
-                        loop {
-                            // Freshen threshold state (and pass it on)
-                            // before absorbing the next wave. A dropped
-                            // down-link delivery suppresses the whole
-                            // subtree: this node never saw it, so it
-                            // cannot cascade it either.
-                            while let Ok(bc) = bc_rx.try_recv() {
-                                if bc_link.deliver_now(0.0) {
-                                    forward_bc(&mut agg, bc);
-                                }
-                            }
-                            match up_rx.recv_timeout(AGG_POLL) {
-                                Ok(batch) => {
-                                    if faulty {
-                                        for (from, msg) in batch {
-                                            let mass = msg.mass();
-                                            match up_links.get_mut(&sender_of[from]) {
-                                                Some(l) => {
-                                                    l.receive((from, msg), mass, &mut delivered)
-                                                }
-                                                None => delivered.push((from, msg)),
-                                            }
-                                        }
-                                    } else {
-                                        delivered = batch;
-                                    }
-                                    for (from, msg) in delivered.drain(..) {
-                                        stats.record_hop(li, msg.cost(), msg.wire_bytes());
-                                        stats.record_recv(g);
-                                        if li == 0 {
-                                            stats.record_leaf_send(from);
-                                        }
-                                        agg.absorb(from, msg);
-                                    }
-                                    agg.flush(&mut out);
-                                    if !out.is_empty()
-                                        && !ship(&parent_tx, std::mem::take(&mut out))
-                                    {
-                                        // Parent gone mid-run (abnormal
-                                        // teardown): stop relaying.
-                                        break;
-                                    }
-                                }
-                                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                            }
-                        }
-                        // Children all hung up. Close the faulty links
-                        // first: anything still held in-flight (delayed
-                        // or reordered past the last wave) releases now
-                        // as one final wave — late, never lost.
-                        if faulty {
-                            for link in up_links.values_mut() {
-                                link.close(&mut delivered);
-                            }
-                            for (from, msg) in delivered.drain(..) {
-                                stats.record_hop(li, msg.cost(), msg.wire_bytes());
-                                stats.record_recv(g);
-                                if li == 0 {
-                                    stats.record_leaf_send(from);
-                                }
-                                agg.absorb(from, msg);
-                            }
-                            agg.flush(&mut out);
-                            if !out.is_empty() {
-                                // Best effort: the parent may be gone too.
-                                let _ = ship(&parent_tx, std::mem::take(&mut out));
-                            }
-                        }
-                        // Any partial still held stays held (the runner
-                        // never forces a flush). Absorb broadcasts queued
-                        // up to this point so the returned node's
-                        // threshold state is no staler than its subtree's
-                        // drain; broadcasts the root emits *after* this
-                        // node exits are dropped — they could no longer
-                        // affect any message (this subtree has none left
-                        // to send).
-                        while let Ok(bc) = bc_rx.try_recv() {
-                            if bc_link.deliver_now(0.0) {
-                                forward_bc(&mut agg, bc);
-                            }
-                        }
-                        (g, agg, stats)
-                    }));
-                }
-            }
-
-            // The main thread keeps only what the root needs: on the
-            // cascade planes the broadcast senders of its direct
-            // children (the top interior level); under root fan-out a
-            // sender per node; under gossip additionally every leaf
-            // sender, so adopter sets can be served directly. Everything
-            // else is dropped so channel disconnection cascades
-            // bottom-up when the leaves finish (leaves exit on input
-            // exhaustion and interiors on up-channel disconnection, so
-            // keeping broadcast senders alive never stalls shutdown).
-            let top = level_offset(n_levels - 1);
-            let structural_txs: Vec<mpsc::Sender<S::Broadcast>> =
-                if plane == BroadcastPlane::RootFanOut {
-                    agg_bc_tx.iter().chain(leaf_bc_tx.iter()).cloned().collect()
-                } else {
-                    agg_bc_tx[top..].to_vec()
-                };
-            let gossip_leaf_txs: Vec<mpsc::Sender<S::Broadcast>> = if gossip {
-                leaf_bc_tx.clone()
-            } else {
-                Vec::new()
-            };
-            drop(agg_bc_tx);
-            drop(agg_up_tx);
-            drop(leaf_bc_tx);
-            drop(root_tx);
-
-            // ---- root on the calling thread.
-            let mut stats = CommStats::for_plan(&plan);
-            let last_hop = plan.internal_levels();
-            let root_idx = plan.root_index();
-            let faulty = !net.is_transparent();
-            let mut root_links: BTreeMap<usize, FaultLink<(SiteId, S::UpMsg)>> = BTreeMap::new();
-            if faulty {
-                for g in top..i_total {
-                    let child = plan.agg_node_id(g);
-                    root_links.insert(
-                        child,
-                        FaultLink::new(net.link(child, plan.root_node_id(), true)),
-                    );
-                }
-            }
-            let mut bc_buf: Vec<S::Broadcast> = Vec::new();
-            let mut delivered: Vec<(SiteId, S::UpMsg)> = Vec::new();
-            let mut bcast = BroadcastState::new(plane, m);
-            let plan_ref = &plan;
-            let root_wave = |delivered: &mut Vec<(SiteId, S::UpMsg)>,
-                             coordinator: &mut C,
-                             stats: &mut CommStats,
-                             bc_buf: &mut Vec<S::Broadcast>,
-                             bcast: &mut BroadcastState| {
-                for (from, msg) in delivered.drain(..) {
-                    stats.record_hop(last_hop, msg.cost(), msg.wire_bytes());
-                    stats.record_recv(root_idx);
-                    coordinator.receive(from, msg, bc_buf);
-                    for bc in bc_buf.drain(..) {
-                        // The plane charges one delivery per edge
-                        // actually crossed and reports which leaves to
-                        // serve; interior delivery flows through the
-                        // channels below, with down-link faults applied
-                        // at each receiving node.
-                        let set = bcast.disseminate(plan_ref, bc.wire_size(), stats, net);
-                        for tx in &structural_txs {
-                            let _ = tx.send(bc.clone());
-                        }
-                        if let LeafSet::Subset(adopters) = set {
-                            for sid in adopters {
-                                // A leaf may already have drained; fine.
-                                let _ = gossip_leaf_txs[sid].send(bc.clone());
-                            }
-                        }
-                    }
-                }
-            };
-            while let Ok(batch) = root_rx.recv() {
-                if faulty {
-                    for (from, msg) in batch {
-                        let sender = plan.agg_node_id(plan.ancestor_of(n_levels - 1, from));
-                        let mass = msg.mass();
-                        match root_links.get_mut(&sender) {
-                            Some(l) => l.receive((from, msg), mass, &mut delivered),
-                            None => delivered.push((from, msg)),
-                        }
-                    }
-                } else {
-                    delivered = batch;
-                }
-                root_wave(
-                    &mut delivered,
-                    &mut coordinator,
-                    &mut stats,
-                    &mut bc_buf,
-                    &mut bcast,
-                );
-            }
-            // Every child hung up: release anything the faulty links
-            // still held in flight — delivered late, never lost.
-            if faulty {
-                for link in root_links.values_mut() {
-                    link.close(&mut delivered);
-                }
-                root_wave(
-                    &mut delivered,
-                    &mut coordinator,
-                    &mut stats,
-                    &mut bc_buf,
-                    &mut bcast,
-                );
-            }
-            // Frames the gossip plane's links still held release now.
-            bcast.close(&mut stats);
-
-            let sites_out: Vec<S> = site_handles
-                .into_iter()
-                .map(|h| h.join().expect("site thread panicked"))
-                .collect();
-            let mut aggs_out: Vec<Option<A>> = (0..i_total).map(|_| None).collect();
-            for h in agg_handles {
-                let (g, agg, thread_stats) = h.join().expect("aggregator thread panicked");
-                stats.absorb(&thread_stats);
-                aggs_out[g] = Some(agg);
-            }
-            (sites_out, aggs_out, stats)
-        });
-
-        let mut stats = stats;
-        stats.arrivals = total_arrivals;
-        TreeRunParts {
-            sites: sites_out,
-            aggregators: aggs_out
-                .into_iter()
-                .map(|a| a.expect("every aggregator joined"))
-                .collect(),
-            coordinator,
-            stats,
-            engine: super::engine::EngineStats::default(),
-        }
-    }
-
-    fn run_inner<S, C, A>(
-        mut sites: Vec<S>,
-        mut core: AggCore<A, C>,
-        inputs: Vec<Vec<S::Input>>,
-        cfg: &ThreadedConfig,
-        net: &dyn Transport,
-    ) -> (Vec<S>, C, CommStats)
-    where
-        S: Site + Send,
-        S::Input: Send,
-        S::UpMsg: MessageCost + Clone + Send,
-        S::Broadcast: Clone + WireSized + Send,
-        C: Coordinator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>,
-        A: Aggregator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>,
-    {
-        assert_eq!(
-            inputs.len(),
-            sites.len(),
-            "run_partitioned: one input stream per site"
-        );
-        assert!(
-            cfg.batch_size >= 1,
-            "run_partitioned: batch_size must be positive"
-        );
-        assert!(
-            cfg.channel_capacity >= 1,
-            "run_partitioned: channel_capacity must be positive"
-        );
-        let m = sites.len();
-        core.set_plane(cfg.plane);
-        core.install_net(net);
-        let gossip = cfg.plane.is_gossip();
-        let mut stats = CommStats::for_plan(&core.plan);
-        stats.arrivals = inputs.iter().map(|v| v.len() as u64).sum();
-        let root_id = core.plan.root_node_id();
-
-        let (up_tx, up_rx) = mpsc::sync_channel::<(SiteId, Vec<S::UpMsg>)>(cfg.channel_capacity);
-        let mut bc_txs = Vec::with_capacity(m);
-        let mut bc_rxs = Vec::with_capacity(m);
-        for _ in 0..m {
-            // Broadcasts stay unbounded: a bounded broadcast channel
-            // could deadlock against the bounded up-channel (coordinator
-            // blocked sending to a site that is blocked sending up).
-            let (tx, rx) = mpsc::channel::<S::Broadcast>();
-            bc_txs.push(tx);
-            bc_rxs.push(rx);
-        }
-
-        let site_results = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(m);
-            for (sid, (mut site, local)) in sites.drain(..).zip(inputs).enumerate() {
-                let up_tx = up_tx.clone();
-                let bc_rx = bc_rxs.remove(0);
-                // The downward link this leaf hears broadcasts on. The
-                // gossip plane faults its own edges during
-                // dissemination, so the channel here is transparent.
-                let mut bc_link: FaultLink<S::Broadcast> = if gossip {
-                    FaultLink::transparent()
-                } else {
-                    FaultLink::new(net.link(root_id, sid, false))
-                };
-                let batch_size = cfg.batch_size;
-                handles.push(scope.spawn(move || {
-                    let mut out: Vec<S::UpMsg> = Vec::new();
-                    let mut shipping: Vec<S::UpMsg> = Vec::new();
-                    let mut it = local.into_iter().peekable();
-                    while it.peek().is_some() {
-                        // Apply any broadcasts that have arrived.
-                        while let Ok(bc) = bc_rx.try_recv() {
-                            if bc_link.deliver_now(0.0) {
-                                site.on_broadcast(&bc);
-                            }
-                        }
-                        // One batch of arrivals. A pause-on-message site
-                        // returns whenever `out` is non-empty, so move its
-                        // messages into the batch's shipping buffer before
-                        // every resumption — the site always resumes with
-                        // an empty `out`, and a return that adds nothing
-                        // means (per the contract) the batch is exhausted.
-                        let mut batch = it.by_ref().take(batch_size);
-                        loop {
-                            site.observe_batch(&mut batch, &mut out);
-                            if out.is_empty() {
-                                break;
-                            }
-                            shipping.append(&mut out);
-                        }
-                        if !shipping.is_empty()
-                            && !ship(&up_tx, (sid, std::mem::take(&mut shipping)))
-                        {
-                            // Coordinator gone mid-run: abnormal
-                            // teardown — stop streaming instead of
-                            // panicking over the original failure.
-                            break;
-                        }
-                    }
-                    site
-                }));
-            }
-            drop(up_tx); // coordinator's recv ends when all sites finish
-
-            let mut bc_buf = Vec::new();
-            // Sends one broadcast to the leaves the plane says it
-            // reached (a site may already have finished; that's fine).
-            let send_bc = |set: LeafSet, bc: &S::Broadcast| match set {
-                LeafSet::All => {
-                    for tx in &bc_txs {
-                        let _ = tx.send(bc.clone());
-                    }
-                }
-                LeafSet::Subset(adopters) => {
-                    for sid in adopters {
-                        let _ = bc_txs[sid].send(bc.clone());
-                    }
-                }
-            };
-            while let Ok((sid, batch)) = up_rx.recv() {
-                for msg in batch {
-                    core.route_up(sid, msg, &mut stats, &mut bc_buf);
-                    for bc in bc_buf.drain(..) {
-                        let set = core.route_broadcast(&bc, &mut stats, net);
-                        send_bc(set, &bc);
-                    }
-                }
-            }
-            // All senders hung up: the simulated network's links close,
-            // releasing anything still held in flight (delayed/reordered
-            // past the final wave) — delivered late, never lost.
-            core.close_links(&mut stats, &mut bc_buf);
-            for bc in bc_buf.drain(..) {
-                // Post-shutdown flush: fault-free, like the up path.
-                let set =
-                    core.route_broadcast(&bc, &mut stats, &crate::transport::ChannelTransport);
-                send_bc(set, &bc);
-            }
-
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("site thread panicked"))
-                .collect::<Vec<S>>()
-        });
-
-        (site_results, core.coordinator, stats)
-    }
+    pub use super::engine::{ThreadedConfig, TreeRunParts};
 }
 
 #[cfg(test)]
@@ -1885,261 +963,5 @@ mod tests {
     fn run_partitioned_rejects_mismatched_partitioner() {
         let mut r = toy_runner(2);
         r.run_partitioned(std::iter::once(1.0), &mut RoundRobin::new(3), 8);
-    }
-
-    #[test]
-    fn threaded_conserves_weight() {
-        let sites: Vec<ToySite> = (0..4)
-            .map(|_| ToySite {
-                pending: 0.0,
-                threshold: 1.0,
-            })
-            .collect();
-        let coord = ToyCoord {
-            total: 0.0,
-            last_broadcast_at: 0.0,
-        };
-        let inputs: Vec<Vec<f64>> = (0..4).map(|_| vec![1.0; 50]).collect();
-        let (sites, coord, stats) = threaded::run_partitioned(sites, coord, inputs);
-        let pending: f64 = sites.iter().map(|s| s.pending).sum();
-        assert_eq!(coord.total + pending, 200.0);
-        assert!(stats.up_msgs > 0);
-        assert_eq!(stats.arrivals, 200);
-    }
-
-    #[test]
-    fn threaded_conserves_weight_at_every_batch_size() {
-        for batch in [1usize, 2, 16, 1000] {
-            let sites: Vec<ToySite> = (0..3)
-                .map(|_| ToySite {
-                    pending: 0.0,
-                    threshold: 1.0,
-                })
-                .collect();
-            let coord = ToyCoord {
-                total: 0.0,
-                last_broadcast_at: 0.0,
-            };
-            let inputs: Vec<Vec<f64>> = (0..3).map(|_| vec![1.0; 70]).collect();
-            let cfg = threaded::ThreadedConfig {
-                batch_size: batch,
-                channel_capacity: 2,
-                plane: Default::default(),
-            };
-            let (sites, coord, stats) = threaded::run_partitioned_with(sites, coord, inputs, &cfg);
-            let pending: f64 = sites.iter().map(|s| s.pending).sum();
-            assert_eq!(coord.total + pending, 210.0, "batch={batch}");
-            assert!(stats.up_msgs > 0, "batch={batch}");
-        }
-    }
-
-    #[test]
-    fn threaded_topology_conserves_weight_and_tracks_levels() {
-        let m = 8;
-        let sites: Vec<ToySite> = (0..m)
-            .map(|_| ToySite {
-                pending: 0.0,
-                threshold: 1.0,
-            })
-            .collect();
-        let coord = ToyCoord {
-            total: 0.0,
-            last_broadcast_at: 0.0,
-        };
-        let inputs: Vec<Vec<f64>> = (0..m).map(|_| vec![1.0; 60]).collect();
-        let cfg = threaded::ThreadedConfig {
-            batch_size: 8,
-            channel_capacity: 2,
-            plane: Default::default(),
-        };
-        let (sites, coord, stats) = threaded::run_partitioned_topology(
-            sites,
-            coord,
-            inputs,
-            &cfg,
-            Topology::Tree { fanout: 2 },
-            |_| ToyAgg {
-                pending: 0.0,
-                hold: 0.0,
-                rep: 0,
-            },
-        );
-        // hold = 0 aggregators forward everything, so only site-pending
-        // weight is outstanding.
-        let pending: f64 = sites.iter().map(|s| s.pending).sum();
-        assert_eq!(coord.total + pending, 8.0 * 60.0);
-        assert_eq!(stats.per_level.len(), 3); // 8 → 4 → 2 → root
-        assert!(stats.per_level.iter().all(|l| l.up_msgs > 0));
-        assert_eq!(stats.max_fan_in, 2);
-    }
-
-    #[test]
-    fn threaded_tree_parts_returns_held_partials() {
-        // Aggregators that never forward: every report a leaf emits must
-        // end up held by exactly one interior node — nothing reaches the
-        // root, nothing is lost in a channel.
-        let m = 8;
-        let sites: Vec<ToySite> = (0..m)
-            .map(|_| ToySite {
-                pending: 0.0,
-                threshold: 1.0,
-            })
-            .collect();
-        let coord = ToyCoord {
-            total: 0.0,
-            last_broadcast_at: 0.0,
-        };
-        let inputs: Vec<Vec<f64>> = (0..m).map(|_| vec![1.0; 40]).collect();
-        let parts = threaded::run_partitioned_topology_parts(
-            sites,
-            coord,
-            inputs,
-            &threaded::ThreadedConfig::default(),
-            Topology::Tree { fanout: 2 },
-            |_| ToyAgg {
-                pending: 0.0,
-                hold: f64::INFINITY,
-                rep: 0,
-            },
-        );
-        assert_eq!(parts.coordinator.total, 0.0, "infinite hold leaked");
-        let site_pending: f64 = parts.sites.iter().map(|s| s.pending).sum();
-        // Only level-1 nodes ever see traffic when nothing is forwarded.
-        let agg_pending: f64 = parts.aggregators.iter().map(|a| a.pending).sum();
-        assert_eq!(site_pending + agg_pending, 8.0 * 40.0);
-        assert_eq!(parts.aggregators.len(), parts.stats.node_in_msgs.len() - 1);
-        assert_eq!(*parts.stats.node_in_msgs.last().unwrap(), 0);
-        assert_eq!(parts.stats.arrivals, 8.0 as u64 * 40);
-    }
-
-    #[test]
-    fn threaded_tree_sites_finishing_at_different_times() {
-        // Ragged stream lengths: early-finishing sites hang up while
-        // their siblings are still streaming; the drain must still be
-        // complete and conservative.
-        let m = 9; // ragged tree at fanout 4 too
-        let sites: Vec<ToySite> = (0..m)
-            .map(|_| ToySite {
-                pending: 0.0,
-                threshold: 1.0,
-            })
-            .collect();
-        let coord = ToyCoord {
-            total: 0.0,
-            last_broadcast_at: 0.0,
-        };
-        let inputs: Vec<Vec<f64>> = (0..m).map(|i| vec![1.0; i * 25]).collect();
-        let expected: f64 = (0..m).map(|i| (i * 25) as f64).sum();
-        let parts = threaded::run_partitioned_topology_parts(
-            sites,
-            coord,
-            inputs,
-            &threaded::ThreadedConfig {
-                batch_size: 3,
-                channel_capacity: 1,
-                plane: Default::default(),
-            },
-            Topology::Tree { fanout: 4 },
-            |_| ToyAgg {
-                pending: 0.0,
-                hold: 0.0,
-                rep: 0,
-            },
-        );
-        let site_pending: f64 = parts.sites.iter().map(|s| s.pending).sum();
-        let agg_pending: f64 = parts.aggregators.iter().map(|a| a.pending).sum();
-        assert_eq!(
-            parts.coordinator.total + site_pending + agg_pending,
-            expected
-        );
-    }
-
-    #[test]
-    fn threaded_tree_aggregator_with_no_traffic() {
-        // One subtree's sites have empty streams: its aggregator sees no
-        // children traffic at all and must still shut down cleanly.
-        let m = 8;
-        let sites: Vec<ToySite> = (0..m)
-            .map(|_| ToySite {
-                pending: 0.0,
-                threshold: 1.0,
-            })
-            .collect();
-        let coord = ToyCoord {
-            total: 0.0,
-            last_broadcast_at: 0.0,
-        };
-        // Leaves 4..8 (the second level-2 subtree at fanout 2) are empty.
-        let inputs: Vec<Vec<f64>> = (0..m)
-            .map(|i| if i < 4 { vec![1.0; 50] } else { Vec::new() })
-            .collect();
-        let parts = threaded::run_partitioned_topology_parts(
-            sites,
-            coord,
-            inputs,
-            &threaded::ThreadedConfig::default(),
-            Topology::Tree { fanout: 2 },
-            |_| ToyAgg {
-                pending: 0.0,
-                hold: 0.0,
-                rep: 0,
-            },
-        );
-        let site_pending: f64 = parts.sites.iter().map(|s| s.pending).sum();
-        assert_eq!(parts.coordinator.total + site_pending, 200.0);
-        // The silent subtree's nodes saw zero messages.
-        assert!(parts.stats.node_in_msgs.contains(&0));
-        assert_eq!(parts.stats.arrivals, 200);
-    }
-
-    #[test]
-    fn threaded_topology_star_matches_flat_driver_shape() {
-        // A flat plan through the topology entry point takes the star
-        // path: no aggregators, single-hop stats.
-        let sites: Vec<ToySite> = (0..4)
-            .map(|_| ToySite {
-                pending: 0.0,
-                threshold: 1.0,
-            })
-            .collect();
-        let coord = ToyCoord {
-            total: 0.0,
-            last_broadcast_at: 0.0,
-        };
-        let inputs: Vec<Vec<f64>> = (0..4).map(|_| vec![1.0; 30]).collect();
-        let parts = threaded::run_partitioned_topology_parts(
-            sites,
-            coord,
-            inputs,
-            &threaded::ThreadedConfig::default(),
-            Topology::Tree { fanout: 8 }, // fanout ≥ m ⇒ flat
-            |_| ToyAgg {
-                pending: 0.0,
-                hold: 0.0,
-                rep: 0,
-            },
-        );
-        assert!(parts.aggregators.is_empty());
-        assert_eq!(parts.stats.per_level.len(), 1);
-        let pending: f64 = parts.sites.iter().map(|s| s.pending).sum();
-        assert_eq!(parts.coordinator.total + pending, 120.0);
-    }
-
-    #[test]
-    fn threaded_handles_empty_streams() {
-        let sites: Vec<ToySite> = (0..3)
-            .map(|_| ToySite {
-                pending: 0.0,
-                threshold: 1.0,
-            })
-            .collect();
-        let coord = ToyCoord {
-            total: 0.0,
-            last_broadcast_at: 0.0,
-        };
-        let inputs: Vec<Vec<f64>> = vec![Vec::new(), Vec::new(), Vec::new()];
-        let (_, coord, stats) = threaded::run_partitioned(sites, coord, inputs);
-        assert_eq!(coord.total, 0.0);
-        assert_eq!(stats.total(), 0);
     }
 }

@@ -53,8 +53,7 @@
 //! `live`, this driver re-plans topology from *membership*, not from
 //! measured fan-in — `Adaptive` resolves against the active count.)
 
-use super::engine::{self, EngineStats, Executor};
-use super::threaded::ThreadedConfig;
+use super::engine::{self, EngineStats, Executor, ThreadedConfig};
 use crate::aggregator::MigratableAggregator;
 use crate::churn::{
     BudgetShare, ChurnBudget, ChurnCoordinator, ChurnEvent, ChurnSchedule, ChurnSite, Membership,
@@ -220,21 +219,6 @@ pub struct ChurnRunParts<S, C, A> {
     pub report: ChurnReport,
     /// The captured snapshot, if `snapshot_at` fired.
     pub snapshot: Option<Snapshot>,
-}
-
-/// Structural topology resolution from a member count (the same rule
-/// `Topology::plan` applies to `Adaptive`, stated over *active* sites).
-fn resolve_structural(topology: Topology, count: usize) -> Topology {
-    match topology {
-        Topology::Adaptive { max_fan_in } => {
-            if count.max(1) <= max_fan_in {
-                Topology::Star
-            } else {
-                Topology::Tree { fanout: max_fan_in }
-            }
-        }
-        t => t,
-    }
 }
 
 /// The [`Membership`] of a plan with `active_sites` live leaves. Clamped
@@ -433,7 +417,7 @@ where
     }
     let m = sites.len();
 
-    let base_topology = resolve_structural(topology, m);
+    let base_topology = topology.resolve_structural(m);
     let mut report = ChurnReport {
         segments: 0,
         joins: 0,
@@ -610,7 +594,7 @@ where
             // membership, the surviving sites the current one — one
             // ungated re-split resolves both.
             let n_active = active.iter().filter(|a| **a).count();
-            let new_topology = resolve_structural(topology, n_active);
+            let new_topology = topology.resolve_structural(n_active);
             let new_plan = new_topology.plan(m);
             let next = membership_of(&new_plan, n_active);
             let mut make = factory(new_topology);
@@ -644,7 +628,7 @@ where
         {
             // (4) Settled-boundary re-split over the new membership.
             let n_active = active.iter().filter(|a| **a).count();
-            let new_topology = resolve_structural(topology, n_active);
+            let new_topology = topology.resolve_structural(n_active);
             let new_plan = new_topology.plan(m);
             let next = membership_of(&new_plan, n_active);
             let mut make = factory(new_topology);

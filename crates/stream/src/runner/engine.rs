@@ -1,16 +1,16 @@
 //! The pooled execution engine: deployment-shaped concurrency without
 //! deployment-shaped thread counts.
 //!
-//! The thread-per-node runtime ([`super::threaded`]) gives every site
-//! and every interior [`Aggregator`] its own OS thread — faithful, but a
-//! scalability wall: an `m = 1024`, fanout-4 deployment would need
-//! ~1360 threads. This module keeps the *semantics* of that runtime —
-//! absorb → flush waves climbing the tree, broadcasts cascading down
-//! through [`Aggregator::on_broadcast`], bottom-up shutdown drain, each
-//! hop's [`CommStats`] recorded once by its receiving node — and swaps
-//! the *scheduling*: nodes become cooperative **tasks**, chunked per
-//! tree level, executed by a bounded worker pool whose size is chosen
-//! by the caller, not by the topology.
+//! This is the one concurrent runtime: giving every site and every
+//! interior [`Aggregator`] its own OS thread would be faithful to a
+//! deployment but a scalability wall (an `m = 1024`, fanout-4 plan has
+//! ~1360 nodes). The engine keeps the deployment *semantics* — absorb →
+//! flush waves climbing the tree, broadcasts cascading down through
+//! [`Aggregator::on_broadcast`], bottom-up shutdown drain, each hop's
+//! [`CommStats`] recorded once by its receiving node — and makes the
+//! *scheduling* a parameter: nodes are cooperative **tasks**, chunked
+//! per tree level, executed by a bounded worker pool whose size is
+//! chosen by the caller, not by the topology.
 //!
 //! [`Executor`] names the scheduling policy:
 //!
@@ -37,7 +37,7 @@
 //! turn: drain broadcasts, ship held output, absorb available waves /
 //! observe one batch), and push the chunk back until it completes.
 //!
-//! Channels are exactly the thread-per-node runtime's: bounded upward
+//! Every node owns its channels as a deployed node would: bounded upward
 //! inboxes (backpressure walks down the tree — a task whose parent
 //! inbox is full *holds* its wave and stops absorbing instead of
 //! blocking its worker, so a single worker can never deadlock the
@@ -71,7 +71,6 @@
 //! parks and wakeups per worker, so the scheduling win is measurable
 //! rather than asserted.
 
-use super::threaded::{ThreadedConfig, TreeRunParts};
 use super::AggCore;
 use crate::aggregator::Aggregator;
 use crate::broadcast::{BroadcastPlane, BroadcastState, LeafSet};
@@ -87,6 +86,68 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Condvar, Mutex};
 
+/// Batching, backpressure and broadcast-plane knobs of an engine run
+/// (shared by the [`super::live`] and [`super::churn`] drivers, which
+/// run their segments on this engine).
+#[derive(Debug, Clone)]
+pub struct ThreadedConfig {
+    /// Arrivals each site task processes between communication points:
+    /// the site drains pending broadcasts, observes `batch_size`
+    /// arrivals through [`Site::observe_batch`], and ships everything
+    /// emitted as **one** wave (one `Vec` allocation per shipped batch
+    /// instead of one send per message).
+    ///
+    /// Larger batches amortise channel synchronisation but let the
+    /// coordinator's thresholds go stale for longer — which never
+    /// breaks a guarantee (a stale, smaller threshold only makes sites
+    /// send sooner) but does trade a little extra communication for
+    /// throughput.
+    pub batch_size: usize,
+    /// Bound of every upward inbox, in waves. Applies backpressure: a
+    /// node that outruns its parent holds its wave instead of queueing
+    /// unboundedly.
+    pub channel_capacity: usize,
+    /// How coordinator broadcasts reach the deployment (see
+    /// [`crate::broadcast`]): structural root fan-out, tree cascade
+    /// (the default), or versioned push–pull gossip with
+    /// `O(fanout · rounds)` per-node cost.
+    pub plane: BroadcastPlane,
+}
+
+impl Default for ThreadedConfig {
+    fn default() -> Self {
+        ThreadedConfig {
+            batch_size: 64,
+            channel_capacity: 4,
+            plane: BroadcastPlane::TreeCascade,
+        }
+    }
+}
+
+/// The pieces of a finished engine run.
+///
+/// Besides the `(sites, coordinator, stats)` triple, a run hands back
+/// the interior [`Aggregator`] nodes — still holding whatever
+/// sub-threshold partials they had not yet forwarded when their subtree
+/// drained. Tests use them to audit conservation: everything a leaf
+/// emitted is either in the coordinator or held by exactly one
+/// aggregator.
+pub struct TreeRunParts<S, C, A> {
+    /// The finished sites, in site-id order.
+    pub sites: Vec<S>,
+    /// The interior nodes, level-major bottom-up (the
+    /// [`TopologyPlan::agg_nodes`] construction order); empty for a
+    /// degenerate (flat) plan.
+    pub aggregators: Vec<A>,
+    /// The root coordinator after every in-flight message drained.
+    pub coordinator: C,
+    /// Merged communication totals across all tasks.
+    pub stats: CommStats,
+    /// Per-worker scheduling counters of an [`Executor::Pool`] run;
+    /// empty (no workers) for [`Executor::Inline`].
+    pub engine: EngineStats,
+}
+
 /// How a [`run_partitioned_topology`] call schedules its node tasks.
 ///
 /// # Example
@@ -96,8 +157,7 @@ use std::sync::{Condvar, Mutex};
 /// nodes the plan has):
 ///
 /// ```
-/// use cma_stream::runner::engine::{self, Executor};
-/// use cma_stream::runner::threaded::ThreadedConfig;
+/// use cma_stream::runner::engine::{self, Executor, ThreadedConfig};
 /// use cma_stream::{Aggregator, Coordinator, MessageCost, Site, SiteId, Topology};
 ///
 /// #[derive(Clone)]
@@ -148,9 +208,9 @@ pub enum Executor {
     Inline,
     /// A bounded pool of `workers` OS threads executing the
     /// level-chunked task plan; the calling thread plays the root.
-    /// Message timing is asynchronous exactly as in the thread-per-node
-    /// runtime: broadcasts lag, backpressure is real, and the run
-    /// returns only after the bottom-up shutdown drain completes.
+    /// Message timing is asynchronous, as in a real deployment:
+    /// broadcasts lag, backpressure is real, and the run returns only
+    /// after the bottom-up shutdown drain completes.
     Pool {
         /// Worker threads to schedule node tasks onto (`≥ 1`).
         workers: usize,
@@ -197,8 +257,7 @@ pub struct WorkerStats {
 /// Per-worker scheduling counters of one pooled run, returned in
 /// [`TreeRunParts::engine`] so the scheduler's behaviour (work
 /// distribution, steal traffic, idle parking) is *measured*, not
-/// asserted. Empty for [`Executor::Inline`] and for the sequential and
-/// thread-per-node drivers.
+/// asserted. Empty for [`Executor::Inline`], which schedules nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// One entry per pool worker, in worker-index order.
@@ -308,8 +367,7 @@ impl Waker {
 }
 
 /// [`run_partitioned_topology_parts`] without the interior nodes in the
-/// return value, mirroring
-/// [`super::threaded::run_partitioned_topology`].
+/// return value.
 ///
 /// # Panics
 /// As [`run_partitioned_topology_parts`].
@@ -347,15 +405,13 @@ where
 /// complete [`TreeRunParts`] — sites, **interior aggregator nodes**
 /// (still holding their sub-threshold partials; both executors return
 /// them, so ragged-shutdown / silent-subtree conservation audits cover
-/// the pool exactly as they cover the thread-per-node engine), the
-/// drained coordinator, and the merged [`CommStats`].
+/// either), the drained coordinator, and the merged [`CommStats`].
 ///
-/// Semantics match [`super::threaded::run_partitioned_topology_parts`]:
-/// waves climb leaf → interior → root with per-hop accounting recorded
+/// Waves climb leaf → interior → root with per-hop accounting recorded
 /// by the receiving node, broadcasts cascade down through
 /// [`Aggregator::on_broadcast`], shutdown drains bottom-up and never
 /// forces a flush, and the call returns only after the root has drained
-/// every in-flight message. Only the *scheduling* differs — see
+/// every in-flight message. Only the *scheduling* depends on the
 /// [`Executor`].
 ///
 /// # Panics
@@ -971,8 +1027,9 @@ impl Drop for AbortOnPanic<'_> {
     }
 }
 
-/// The pooled runtime. Channel layout is identical to the
-/// thread-per-node `run_tree`; only scheduling differs.
+/// The pooled runtime: one bounded inbox and one broadcast channel per
+/// node, node tasks chunked per level onto `workers` threads, the root
+/// coordinator on the calling thread.
 #[allow(clippy::too_many_arguments)]
 fn run_pool<S, C, A>(
     mut sites: Vec<S>,
@@ -1001,7 +1058,7 @@ where
     let level_offset = |li: usize| -> usize { levels[..li].iter().sum() };
 
     // Bounded upward inboxes (one per interior node, one for the root)
-    // and unbounded broadcast channels — the thread-per-node layout.
+    // and unbounded broadcast channels.
     let mut agg_up_tx = Vec::with_capacity(i_total);
     let mut agg_up_rx = Vec::with_capacity(i_total);
     for _ in 0..i_total {
@@ -1317,7 +1374,7 @@ where
             });
         }
 
-        // ---- root on the calling thread, exactly as thread-per-node.
+        // ---- root on the calling thread.
         // The timeout only matters when a task panicked: chunks still
         // sitting in the queue would keep their upward senders alive
         // forever, so the root watches the abort flag instead of

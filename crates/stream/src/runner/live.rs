@@ -47,8 +47,7 @@
 //! `resolve_live` returns `None` — so driving them through this module
 //! is exactly segmented execution.
 
-use super::engine::{self, EngineStats, Executor};
-use super::threaded::ThreadedConfig;
+use super::engine::{self, EngineStats, Executor, ThreadedConfig};
 use crate::aggregator::MigratableAggregator;
 use crate::comm::{CommStats, MessageCost};
 use crate::coordinator::Coordinator;
@@ -209,18 +208,9 @@ where
     let m = sites.len();
 
     // The structural (zero-knowledge) resolution the deployment starts
-    // on — identical to what `topology.plan(m)` encodes, kept as a
-    // `Topology` value so the protocol factory can split budgets for it.
-    let current_topology = match topology {
-        Topology::Adaptive { max_fan_in } => {
-            if m <= max_fan_in {
-                Topology::Star
-            } else {
-                Topology::Tree { fanout: max_fan_in }
-            }
-        }
-        t => t,
-    };
+    // on, kept as a `Topology` value so the protocol factory can split
+    // budgets for it.
+    let current_topology = topology.resolve_structural(m);
     let mut report = LiveReport {
         segments: 0,
         replans: 0,

@@ -143,12 +143,27 @@ impl Topology {
                     max_fan_in >= 2,
                     "Topology::plan: adaptive max_fan_in must be ≥ 2"
                 );
-                if m <= max_fan_in {
-                    Topology::Star.plan(m)
+                self.resolve_structural(m).plan(m)
+            }
+        }
+    }
+
+    /// The zero-knowledge resolution of [`Topology::Adaptive`] for
+    /// `count` sites: the flat star while `count ≤ max_fan_in`, else a
+    /// `Tree { fanout: max_fan_in }` (every node's child count within
+    /// budget by construction). `Star` and `Tree` return themselves.
+    /// `count` is clamped to ≥ 1 so a deployment everyone has left
+    /// still resolves.
+    pub fn resolve_structural(&self, count: usize) -> Topology {
+        match *self {
+            Topology::Adaptive { max_fan_in } => {
+                if count.max(1) <= max_fan_in {
+                    Topology::Star
                 } else {
-                    Topology::Tree { fanout: max_fan_in }.plan(m)
+                    Topology::Tree { fanout: max_fan_in }
                 }
             }
+            t => t,
         }
     }
 
@@ -567,6 +582,12 @@ mod tests {
         // Over budget: the budget-fanout tree, exactly.
         assert_eq!(a.plan(64), Topology::Tree { fanout: 8 }.plan(64));
         assert_eq!(a.plan(64).max_fan_in(), 8);
+        // The resolver is total: an emptied deployment (churn) resolves
+        // as one site would, and static shapes resolve to themselves.
+        assert_eq!(a.resolve_structural(0), Topology::Star);
+        assert_eq!(a.resolve_structural(9), Topology::Tree { fanout: 8 });
+        let tree = Topology::Tree { fanout: 4 };
+        assert_eq!(tree.resolve_structural(2), tree);
     }
 
     #[test]

@@ -205,8 +205,8 @@ fn mix(mut z: u64) -> u64 {
 /// The message plane: hands out one [`LinkPipe`] per directed link.
 ///
 /// Implementations must be cheap to query from multiple threads — the
-/// threaded and pooled runners fetch each node's links from the node's
-/// own thread.
+/// pooled engine fetches each node's links from whichever worker owns
+/// the node.
 pub trait Transport: Send + Sync {
     /// The pipe for the directed link `from → to` (node ids as in
     /// [`crate::TopologyPlan`]; `up` says whether the link points

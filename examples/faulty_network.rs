@@ -14,8 +14,7 @@
 use cma::data::WeightedZipfStream;
 use cma::protocols::hh::{p1, HhConfig, HhEstimator};
 use cma::sketch::ExactWeightedCounter;
-use cma::stream::runner::engine::{self, Executor};
-use cma::stream::runner::threaded::ThreadedConfig;
+use cma::stream::runner::engine::{self, Executor, ThreadedConfig};
 use cma::stream::{ChannelTransport, FaultPlan, LinkFaults, SimNet, Topology, Transport};
 
 fn main() {

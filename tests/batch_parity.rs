@@ -7,7 +7,7 @@
 //! identical [`CommStats`], identical coordinator state — at every batch
 //! size, for deterministic and (seeded) randomized protocols alike.
 //! These tests pin that down on seeded Zipf and synthetic-matrix
-//! streams, then check the threaded runner (where broadcast lag makes
+//! streams, then check the pooled engine (where broadcast lag makes
 //! batching a real semantic trade-off) still meets every protocol's
 //! error contract at several batch sizes.
 
@@ -16,8 +16,8 @@ use cma::protocols::hh::{self, HhConfig, HhEstimator};
 use cma::protocols::matrix::{self, MatrixConfig, MatrixEstimator};
 use cma::sketch::ExactWeightedCounter;
 use cma::stream::partition::RoundRobin;
-use cma::stream::runner::threaded;
-use cma::stream::{Coordinator, MessageCost, Runner, Site, WireSized};
+use cma::stream::runner::engine::{self, Executor, ThreadedConfig};
+use cma::stream::{Coordinator, MessageCost, Relay, Runner, Site, Topology, WireSized};
 
 const BATCH_SIZES: [usize; 4] = [1, 7, 64, 1024];
 
@@ -419,10 +419,19 @@ fn matrix_p2_deferred_check_keeps_error_contract() {
     }
 }
 
-/// The threaded driver trades threshold freshness for throughput; the
+/// `(batch_size, pool workers)` cells of the pooled error-contract
+/// tests: several batch sizes, each at a single worker, at two, and at
+/// more workers than the deployments have sites.
+fn pooled_grid() -> impl Iterator<Item = (usize, usize)> {
+    [1usize, 16, 256]
+        .into_iter()
+        .flat_map(|batch| [1usize, 2, 8].map(|workers| (batch, workers)))
+}
+
+/// The pooled engine trades threshold freshness for throughput; the
 /// deterministic protocols' guarantees hold under arbitrary lag, and the
-/// randomized ones hold with high probability. Exercise several batch
-/// sizes end to end.
+/// randomized ones hold with high probability. Exercise the whole
+/// [`pooled_grid`] end to end.
 #[test]
 fn threaded_hh_protocols_keep_error_contract_at_several_batch_sizes() {
     let stream = zipf_stream(24_000, 33);
@@ -436,8 +445,8 @@ fn threaded_hh_protocols_keep_error_contract_at_several_batch_sizes() {
     let w = exact.total_weight();
     let cfg = HhConfig::new(m, 0.05).with_seed(51);
 
-    for batch in [1usize, 16, 256] {
-        let tcfg = threaded::ThreadedConfig {
+    for (batch, workers) in pooled_grid() {
+        let tcfg = ThreadedConfig {
             batch_size: batch,
             channel_capacity: 4,
             plane: Default::default(),
@@ -445,14 +454,25 @@ fn threaded_hh_protocols_keep_error_contract_at_several_batch_sizes() {
         macro_rules! check {
             ($name:literal, $deploy:expr, $slack:expr) => {{
                 let (sites, coord, _stats) = $deploy.into_parts();
-                let (_, coord, stats) =
-                    threaded::run_partitioned_with(sites, coord, inputs.clone(), &tcfg);
-                assert!(stats.up_msgs > 0, "{} batch {batch}: no messages", $name);
+                let (_, coord, stats) = engine::run_partitioned_topology(
+                    sites,
+                    coord,
+                    inputs.clone(),
+                    &tcfg,
+                    Executor::Pool { workers },
+                    Topology::Star,
+                    |_| Relay::new(),
+                );
+                assert!(
+                    stats.up_msgs > 0,
+                    "{} batch {batch} w{workers}: no messages",
+                    $name
+                );
                 for (e, f) in exact.iter() {
                     let err = (coord.estimate(e) - f).abs();
                     assert!(
                         err <= $slack * cfg.epsilon * w + 1e-6,
-                        "{} batch {batch}: item {e} err {err} > {}·εW",
+                        "{} batch {batch} w{workers}: item {e} err {err} > {}·εW",
                         $name,
                         $slack
                     );
@@ -482,8 +502,8 @@ fn threaded_matrix_protocols_keep_error_contract_at_several_batch_sizes() {
     }
     let cfg = MatrixConfig::new(m, 0.2, dim).with_seed(52);
 
-    for batch in [1usize, 16, 256] {
-        let tcfg = threaded::ThreadedConfig {
+    for (batch, workers) in pooled_grid() {
+        let tcfg = ThreadedConfig {
             batch_size: batch,
             channel_capacity: 4,
             plane: Default::default(),
@@ -491,13 +511,24 @@ fn threaded_matrix_protocols_keep_error_contract_at_several_batch_sizes() {
         macro_rules! check {
             ($name:literal, $deploy:expr, $slack:expr) => {{
                 let (sites, coord, _stats) = $deploy.into_parts();
-                let (_, coord, stats) =
-                    threaded::run_partitioned_with(sites, coord, inputs.clone(), &tcfg);
-                assert!(stats.up_msgs > 0, "{} batch {batch}: no messages", $name);
+                let (_, coord, stats) = engine::run_partitioned_topology(
+                    sites,
+                    coord,
+                    inputs.clone(),
+                    &tcfg,
+                    Executor::Pool { workers },
+                    Topology::Star,
+                    |_| Relay::new(),
+                );
+                assert!(
+                    stats.up_msgs > 0,
+                    "{} batch {batch} w{workers}: no messages",
+                    $name
+                );
                 let err = truth.error_of_sketch(&coord.sketch()).unwrap();
                 assert!(
                     err <= $slack * cfg.epsilon,
-                    "{} batch {batch}: err {err} > {}·ε",
+                    "{} batch {batch} w{workers}: err {err} > {}·ε",
                     $name,
                     $slack
                 );

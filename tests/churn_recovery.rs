@@ -29,9 +29,8 @@ use cma::protocols::matrix::{self, MatrixConfig, MatrixEstimator};
 use cma::protocols::window::{fd, mg, SwFdConfig, SwMgConfig};
 use cma::sketch::ExactWeightedCounter;
 use cma::stream::runner::churn::run_churn_partitioned_topology_parts as run_churn;
-use cma::stream::runner::engine;
+use cma::stream::runner::engine::{self, ThreadedConfig};
 use cma::stream::runner::live::{self, LiveConfig};
-use cma::stream::runner::threaded::ThreadedConfig;
 use cma::stream::{ChurnConfig, ChurnEvent, ChurnSchedule, Executor, Topology};
 use cma_bench::partition_round_robin as partition;
 use rand::rngs::StdRng;
@@ -287,7 +286,7 @@ fn hh_restated_bounds_across_churn_matrix() {
                     );
                 }
                 // Ŵ = (1/s)·Σρ⁽²⁾ is a heavy-tailed second-order
-                // statistic (the threaded suite already observes ~25%
+                // statistic (the pooled suites already observe ~25%
                 // deviations on fault-free runs), so the envelope here
                 // is wide — the sharp pin is the parity above.
                 assert!(

@@ -26,8 +26,7 @@ use cma::protocols::hh::{self, HhConfig, HhEstimator};
 use cma::protocols::window::{mg, SwMgConfig};
 use cma::sketch::ExactWeightedCounter;
 use cma::stream::partition::RoundRobin;
-use cma::stream::runner::engine::{self, Executor};
-use cma::stream::runner::threaded::ThreadedConfig;
+use cma::stream::runner::engine::{self, Executor, ThreadedConfig, TreeRunParts};
 use cma::stream::{BroadcastPlane, ChannelTransport, Topology};
 use cma_bench::partition_round_robin as partition;
 
@@ -43,11 +42,7 @@ fn cfg_with(plane: BroadcastPlane) -> ThreadedConfig {
     }
 }
 
-type P1Parts = cma::stream::runner::threaded::TreeRunParts<
-    hh::p1::P1Site,
-    hh::p1::P1Coordinator,
-    hh::p1::P1Aggregator,
->;
+type P1Parts = TreeRunParts<hh::p1::P1Site, hh::p1::P1Coordinator, hh::p1::P1Aggregator>;
 
 fn run_p1_inline(
     _m: usize,
@@ -352,10 +347,10 @@ fn sequential_runner_gossips_with_bound_intact() {
     }
 }
 
-/// The concurrent drivers — the pooled engine and the thread-per-node
-/// tree — complete gossip runs with every arrival counted and the εW
-/// contract intact (their broadcast lag composes with gossip staleness;
-/// both are monotone-safe).
+/// The concurrent executor — the worker pool at one worker, two, and a
+/// comfortable four — completes gossip runs with every arrival counted
+/// and the εW contract intact (its broadcast lag composes with gossip
+/// staleness; both are monotone-safe).
 #[test]
 fn pooled_and_threaded_gossip_runs_complete() {
     let m = 16;
@@ -374,45 +369,38 @@ fn pooled_and_threaded_gossip_runs_complete() {
         seed: 29,
     };
 
-    let (sites, coord, _) = hh::p1::deploy_topology(&cfg, topo).into_parts();
-    let pooled = engine::run_partitioned_topology_parts_on(
-        sites,
-        coord,
-        inputs.clone(),
-        &cfg_with(plane),
-        Executor::Pool { workers: 4 },
-        topo,
-        hh::p1::make_aggregator(&cfg, topo),
-        &ChannelTransport,
-    );
-    let (sites, coord, _) = hh::p1::deploy_topology(&cfg, topo).into_parts();
-    let threaded = cma::stream::runner::threaded::run_partitioned_topology_parts_on(
-        sites,
-        coord,
-        inputs.clone(),
-        &cfg_with(plane),
-        topo,
-        hh::p1::make_aggregator(&cfg, topo),
-        &ChannelTransport,
-    );
+    for workers in [1usize, 2, 4] {
+        let (sites, coord, _) = hh::p1::deploy_topology(&cfg, topo).into_parts();
+        let parts = engine::run_partitioned_topology_parts_on(
+            sites,
+            coord,
+            inputs.clone(),
+            &cfg_with(plane),
+            Executor::Pool { workers },
+            topo,
+            hh::p1::make_aggregator(&cfg, topo),
+            &ChannelTransport,
+        );
 
-    for (parts, what) in [(&pooled, "pooled"), (&threaded, "threaded")] {
         assert_eq!(
             parts.stats.arrivals,
             stream.len() as u64,
-            "{what}: arrivals lost"
+            "w{workers}: arrivals lost"
         );
-        assert!(parts.stats.broadcast_events > 0, "{what}: no broadcasts");
+        assert!(
+            parts.stats.broadcast_events > 0,
+            "w{workers}: no broadcasts"
+        );
         for (e, f) in exact.iter() {
             let est = parts.coordinator.estimate(e);
             assert!(
                 est - f <= 1e-6,
-                "{what}: item {e} overcounts by {}",
+                "w{workers}: item {e} overcounts by {}",
                 est - f
             );
             assert!(
                 f - est <= cfg.epsilon * w + 1e-6,
-                "{what}: item {e} undercount {} > εW {}",
+                "w{workers}: item {e} undercount {} > εW {}",
                 f - est,
                 cfg.epsilon * w
             );

@@ -24,8 +24,8 @@ use cma::protocols::hh::{self, HhConfig, HhEstimator};
 use cma::protocols::window::{mg, SwMgConfig};
 use cma::sketch::ExactWeightedCounter;
 use cma::stream::partition::RoundRobin;
+use cma::stream::runner::engine::ThreadedConfig;
 use cma::stream::runner::live::{self, LiveConfig};
-use cma::stream::runner::threaded::ThreadedConfig;
 use cma::stream::{Executor, Topology};
 
 fn zipf_stream(n: usize, seed: u64) -> Vec<(u64, f64)> {

@@ -30,8 +30,7 @@ use cma::sketch::ExactWeightedCounter;
 use cma::stream::runner::churn::{
     run_churn_partitioned_topology_parts as run_churn, ChurnRunParts,
 };
-use cma::stream::runner::engine;
-use cma::stream::runner::threaded::ThreadedConfig;
+use cma::stream::runner::engine::{self, ThreadedConfig};
 use cma::stream::{ChurnConfig, ChurnSchedule, Executor, Snapshot, Topology, WireCodec};
 use cma_bench::partition_round_robin as partition;
 use proptest::prelude::*;

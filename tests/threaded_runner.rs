@@ -1,13 +1,46 @@
-//! Asynchronous-delivery integration tests: the protocols must tolerate
-//! broadcast lag (threaded runner, one OS thread per site). A lagging —
-//! therefore smaller — threshold only makes sites send *sooner*, so the
-//! accuracy contracts survive; these tests pin that reasoning down.
+//! Asynchronous-delivery integration tests on the paper's star shape:
+//! the protocols must tolerate broadcast lag (sites as tasks of the
+//! engine's worker pool, threads fewer than, equal to and more than the
+//! site count). A lagging — therefore smaller — threshold only makes
+//! sites send *sooner*, so the accuracy contracts survive; these tests
+//! pin that reasoning down.
 
 use cma::data::{StreamingGram, SyntheticMatrixStream, WeightedZipfStream};
 use cma::protocols::hh::{p2, HhConfig, HhEstimator};
 use cma::protocols::matrix::{p2 as mp2, MatrixConfig, MatrixEstimator};
 use cma::sketch::ExactWeightedCounter;
-use cma::stream::runner::threaded;
+use cma::stream::runner::engine::{self, Executor, ThreadedConfig};
+use cma::stream::{CommStats, Coordinator, MessageCost, Relay, Site, Topology, WireSized};
+
+/// Pool sizes every test sweeps: a single worker (no stealing), CI's
+/// two cores, and more workers than the deployment has sites.
+const WORKERS: [usize; 3] = [1, 2, 8];
+
+/// Runs a star deployment on the pool with the default batching.
+fn run_star<S, C>(
+    sites: Vec<S>,
+    coordinator: C,
+    inputs: Vec<Vec<S::Input>>,
+    workers: usize,
+) -> (C, CommStats)
+where
+    S: Site + Send,
+    S::Input: Send,
+    S::UpMsg: MessageCost + Clone + Send,
+    S::Broadcast: Clone + WireSized + Send,
+    C: Coordinator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>,
+{
+    let (_, coordinator, stats) = engine::run_partitioned_topology(
+        sites,
+        coordinator,
+        inputs,
+        &ThreadedConfig::default(),
+        Executor::Pool { workers },
+        Topology::Star,
+        |_| Relay::new(),
+    );
+    (coordinator, stats)
+}
 
 #[test]
 fn hh_p2_contract_under_async_delivery() {
@@ -25,18 +58,22 @@ fn hh_p2_contract_under_async_delivery() {
         inputs[i % m].push((e, w));
     }
 
-    let runner = p2::deploy(&cfg);
-    let (sites, coordinator, _) = runner.into_parts();
-    let (_, coordinator, stats2) = threaded::run_partitioned(sites, coordinator, inputs);
-
     let w = exact.total_weight();
-    for (e, f) in exact.iter() {
-        let err = (coordinator.estimate(e) - f).abs();
-        assert!(err <= eps * w + 1e-9, "item {e}: async error {err} > εW");
+    for workers in WORKERS {
+        let (sites, coordinator, _) = p2::deploy(&cfg).into_parts();
+        let (coordinator, stats) = run_star(sites, coordinator, inputs.clone(), workers);
+
+        for (e, f) in exact.iter() {
+            let err = (coordinator.estimate(e) - f).abs();
+            assert!(
+                err <= eps * w + 1e-9,
+                "workers={workers} item {e}: async error {err} > εW"
+            );
+        }
+        assert!(stats.up_msgs > 0);
+        // The coordinator still recovered (approximately) the whole weight.
+        assert!((coordinator.total_weight() - w).abs() <= 2.0 * eps * w);
     }
-    assert!(stats2.up_msgs > 0);
-    // The coordinator still recovered (approximately) the whole weight.
-    assert!((coordinator.total_weight() - w).abs() <= 2.0 * eps * w);
 }
 
 #[test]
@@ -56,13 +93,17 @@ fn matrix_p2_contract_under_async_delivery() {
         inputs[i % m].push(row);
     }
 
-    let runner = mp2::deploy(&cfg);
-    let (sites, coordinator, _) = runner.into_parts();
-    let (_, coordinator, stats) = threaded::run_partitioned(sites, coordinator, inputs);
+    for workers in WORKERS {
+        let (sites, coordinator, _) = mp2::deploy(&cfg).into_parts();
+        let (coordinator, stats) = run_star(sites, coordinator, inputs.clone(), workers);
 
-    let err = truth.error_of_sketch(&coordinator.sketch()).unwrap();
-    assert!(err <= eps, "async matrix error {err} > ε");
-    assert!(stats.up_msgs > 0);
+        let err = truth.error_of_sketch(&coordinator.sketch()).unwrap();
+        assert!(
+            err <= eps,
+            "workers={workers}: async matrix error {err} > ε"
+        );
+        assert!(stats.up_msgs > 0);
+    }
 }
 
 /// Async delivery may cost extra messages (stale thresholds fire sooner)
@@ -82,18 +123,20 @@ fn async_message_overhead_is_bounded() {
     }
     let seq_msgs = seq.stats().total();
 
-    // Threaded run on the identical partitioning.
+    // Pooled runs on the identical partitioning.
     let mut inputs: Vec<Vec<(u64, f64)>> = vec![Vec::new(); m];
     for (i, &(e, w)) in stream.iter().enumerate() {
         inputs[i % m].push((e, w));
     }
-    let (sites, coordinator, _) = p2::deploy(&cfg).into_parts();
-    let (_, _, stats) = threaded::run_partitioned(sites, coordinator, inputs);
+    for workers in WORKERS {
+        let (sites, coordinator, _) = p2::deploy(&cfg).into_parts();
+        let (_, stats) = run_star(sites, coordinator, inputs.clone(), workers);
 
-    assert!(
-        stats.total() <= 20 * seq_msgs,
-        "async messages {} wildly exceed sequential {}",
-        stats.total(),
-        seq_msgs
-    );
+        assert!(
+            stats.total() <= 20 * seq_msgs,
+            "workers={workers}: async messages {} wildly exceed sequential {}",
+            stats.total(),
+            seq_msgs
+        );
+    }
 }

@@ -22,14 +22,13 @@
 //!    field.
 //! 3. **Ragged shutdown survives a lossy net.** Sites finishing at
 //!    wildly different times while the network drops messages must
-//!    drain by disconnection (the PR 3 contract), never panic.
+//!    drain by disconnection on the worker pool, never hang or panic.
 
 use cma::protocols::hh::{self, HhConfig, HhEstimator};
 use cma::protocols::window::{mg, SwMgConfig};
 use cma::sketch::ExactWeightedCounter;
 use cma::stream::runner::churn::run_churn_partitioned_topology_parts_on;
-use cma::stream::runner::engine::{self, Executor};
-use cma::stream::runner::threaded::ThreadedConfig;
+use cma::stream::runner::engine::{self, Executor, ThreadedConfig};
 use cma::stream::{
     ChurnConfig, ChurnEvent, ChurnSchedule, FaultPlan, LinkFaults, SimNet, Topology,
 };
@@ -297,7 +296,7 @@ fn seed_replay_is_bit_identical() {
     assert_ne!(faults_a, faults_c, "seed does not drive the schedule");
 }
 
-/// Ragged shutdown under loss, thread-per-node: sites with wildly
+/// Ragged shutdown under loss on a two-worker pool: sites with wildly
 /// different stream lengths (some empty) over a SimNet dropping 20%
 /// both ways must drain by disconnection — the run returns, every
 /// arrival is counted, and the coordinator stays queryable.
@@ -330,11 +329,12 @@ fn ragged_shutdown_under_simnet_drop() {
         overrides: Vec::new(),
     });
     let (sites, coord, _) = hh::p1::deploy_topology(&cfg, topo).into_parts();
-    let parts = cma::stream::runner::threaded::run_partitioned_topology_parts_on(
+    let parts = engine::run_partitioned_topology_parts_on(
         sites,
         coord,
         inputs,
         &tcfg(),
+        Executor::Pool { workers: 2 },
         topo,
         hh::p1::make_aggregator(&cfg, topo),
         &net,

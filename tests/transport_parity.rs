@@ -5,7 +5,7 @@
 //! [`CommStats`] field for field (including the measured
 //! `bytes_up`/`bytes_down` counters), the same estimates bit for bit.
 //!
-//! The threaded plain entry points *delegate* to the `_on` variants
+//! The engine's plain entry points *delegate* to the `_on` variants
 //! with `&ChannelTransport`, so their equivalence is structural; what
 //! needs pinning at runtime is the deterministic drivers — the
 //! sequential [`Runner`] and the engine's inline executor — where two
@@ -14,10 +14,8 @@
 use cma::data::WeightedZipfStream;
 use cma::protocols::hh::{self, HhConfig, HhEstimator};
 use cma::protocols::window::{mg, SwMgConfig};
-use cma::sketch::ExactWeightedCounter;
 use cma::stream::partition::RoundRobin;
-use cma::stream::runner::engine::{self, Executor};
-use cma::stream::runner::threaded::ThreadedConfig;
+use cma::stream::runner::engine::{self, Executor, ThreadedConfig};
 use cma::stream::{ChannelTransport, CommStats, FaultPlan, SimNet, Topology};
 use cma_bench::partition_round_robin as partition;
 
@@ -270,9 +268,9 @@ fn structural_planes_deliveries_equal_reach() {
 }
 
 /// Exact-relay protocols stay exact through an explicit transport on
-/// the thread-per-node runtime: the P3 sample is a pure function of
-/// the stream and seeds, so a threaded run over [`ChannelTransport`]
-/// reproduces the sequential star's estimates bit for bit.
+/// the worker pool: the P3 sample is a pure function of the stream and
+/// seeds, so a pooled run over [`ChannelTransport`] reproduces the
+/// sequential tree's estimates bit for bit at any worker count.
 #[test]
 fn threaded_channel_transport_keeps_exact_relays_exact() {
     let m = 12;
@@ -283,44 +281,40 @@ fn threaded_channel_transport_keeps_exact_relays_exact() {
     let mut seq = hh::p3::deploy_topology(&cfg, topo);
     seq.run_partitioned(stream.iter().cloned(), &mut RoundRobin::new(m), 64);
 
-    let inputs = partition(&stream, m);
-    let (sites, coord, _) = hh::p3::deploy_topology(&cfg, topo).into_parts();
-    let threaded = cma::stream::runner::threaded::run_partitioned_topology_parts_on(
-        sites,
-        coord,
-        inputs,
-        &tcfg(),
-        topo,
-        hh::p3::make_aggregator(&cfg, topo),
-        &ChannelTransport,
-    );
-
-    assert_eq!(
-        seq.coordinator().total_weight().to_bits(),
-        threaded.coordinator.total_weight().to_bits(),
-        "Ŵ diverged"
-    );
-    let mut sa = seq.coordinator().tracked_items();
-    let mut sb = threaded.coordinator.tracked_items();
-    sa.sort_unstable();
-    sb.sort_unstable();
-    assert_eq!(sa, sb, "threaded sample diverged from sequential");
-    for &e in &sa {
-        assert_eq!(
-            seq.coordinator().estimate(e).to_bits(),
-            threaded.coordinator.estimate(e).to_bits(),
-            "estimate for {e} diverged"
+    for workers in [1usize, 2, 8] {
+        let (sites, coord, _) = hh::p3::deploy_topology(&cfg, topo).into_parts();
+        let pooled = engine::run_partitioned_topology_parts_on(
+            sites,
+            coord,
+            partition(&stream, m),
+            &tcfg(),
+            Executor::Pool { workers },
+            topo,
+            hh::p3::make_aggregator(&cfg, topo),
+            &ChannelTransport,
         );
-    }
 
-    // ExactWeightedCounter cross-check: the sample's estimates are
-    // consistent with the true stream (sanity that the run fed
-    // everything).
-    let mut exact = ExactWeightedCounter::new();
-    for &(e, w) in &stream {
-        exact.update(e, w);
+        assert_eq!(
+            seq.coordinator().total_weight().to_bits(),
+            pooled.coordinator.total_weight().to_bits(),
+            "workers={workers}: Ŵ diverged"
+        );
+        let mut sa = seq.coordinator().tracked_items();
+        let mut sb = pooled.coordinator.tracked_items();
+        sa.sort_unstable();
+        sb.sort_unstable();
+        assert_eq!(
+            sa, sb,
+            "workers={workers}: pooled sample diverged from sequential"
+        );
+        for &e in &sa {
+            assert_eq!(
+                seq.coordinator().estimate(e).to_bits(),
+                pooled.coordinator.estimate(e).to_bits(),
+                "workers={workers}: estimate for {e} diverged"
+            );
+        }
+        assert_eq!(pooled.stats.arrivals, stream.len() as u64);
+        assert!(pooled.stats.bytes_up > 0);
     }
-    assert_eq!(threaded.stats.arrivals, stream.len() as u64);
-    assert!(threaded.stats.bytes_up > 0);
-    let _ = exact.total_weight();
 }
