@@ -5,8 +5,8 @@
 //! Tree aggregation exists to bound coordinator fan-in, not to win raw
 //! single-process throughput — interior hops add work — so this bench
 //! quantifies the price paid per fanout, while the communication-shape
-//! benefit (root fan-in, per-hop traffic) is recorded by the
-//! `bench_protocols` harness into `BENCH_protocols.json`.
+//! benefit (root fan-in, per-hop traffic) is pinned exactly by the
+//! golden table in `tests/comm_counts.rs`.
 
 use cma_core::{hh, matrix, HhConfig, MatrixConfig, Topology};
 use cma_data::{SyntheticMatrixStream, WeightedZipfStream};

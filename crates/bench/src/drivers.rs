@@ -9,23 +9,20 @@
 
 use cma_core::hh::{self, metrics};
 use cma_core::matrix::{self, MatrixEstimator};
-use cma_core::window::{fd as swfd, mg as swmg, SwFdConfig, SwMgConfig};
 use cma_core::{HhConfig, MatrixConfig};
 use cma_data::StreamingGram;
 use cma_linalg::svd::gram_svd;
 use cma_linalg::Matrix;
 use cma_sketch::{ExactWeightedCounter, FrequentDirections};
 use cma_stream::partition::RoundRobin;
-use cma_stream::runner::churn;
-use cma_stream::runner::engine::{self, EngineStats, Executor, ThreadedConfig};
-use cma_stream::{ChurnConfig, ChurnReport, CommStats, Topology};
+use cma_stream::{CommStats, Topology};
 
 /// Arrivals per epoch when a driver delivers a stream to a deployment
 /// through the batch-first runner. Batched delivery is
 /// execution-equivalent to per-item delivery in the same order (see the
 /// `cma-stream` crate docs); 256 amortises per-item dispatch while
 /// keeping epochs small relative to every workload used here.
-pub const DRIVER_BATCH: usize = 256;
+const DRIVER_BATCH: usize = 256;
 
 /// The heavy-hitter protocols under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,94 +71,21 @@ pub struct HhRunResult {
     pub eval: metrics::HhEvaluation,
 }
 
-/// Flattened communication profile of one run — what the JSON bench
-/// recorder and the topology sweeps report.
+/// Flattened communication profile of one run — the fan-in/root-load
+/// figures the adaptive-topology comparisons read.
 #[derive(Debug, Clone)]
 pub struct CommSummary {
     /// Total message cost (all hops + fanned-out broadcasts).
     pub total: u64,
     /// Logical messages leaving the leaf sites.
     pub up_msgs: u64,
-    /// Broadcast events.
-    pub broadcast_events: u64,
     /// Broadcast deliveries — one per edge a frame actually crossed
-    /// ([`CommStats::broadcast_deliveries`]; on the structural planes
-    /// this equals one per recipient, the historical meaning).
-    pub broadcast_cost: u64,
-    /// Recipients that adopted a fresh payload
-    /// ([`CommStats::broadcast_reach`]). Equals `broadcast_cost` on the
-    /// structural planes; under gossip the gap is redundancy.
-    pub broadcast_reach: u64,
-    /// Largest per-node out-degree any single broadcast event required
-    /// ([`CommStats::broadcast_peak_out`]) — the dissemination
-    /// bottleneck: `m + I` for root fan-out, `O(fanout · rounds)` for
-    /// gossip.
-    pub broadcast_peak_out: u64,
-    /// Dissemination rounds summed over events
-    /// ([`CommStats::broadcast_lag_rounds`]) — convergence lag.
-    pub broadcast_lag_rounds: u64,
-    /// Leaves missed by their event, summed over events
-    /// ([`CommStats::broadcast_stale`]); always 0 on the structural
-    /// planes over a perfect transport.
-    pub broadcast_stale: u64,
-    /// Measured encoded bytes of upward traffic, summed across every
-    /// hop each message crosses ([`CommStats::bytes_up`]).
-    pub bytes_up: u64,
-    /// Measured encoded bytes of broadcast traffic, charged per
-    /// recipient ([`CommStats::bytes_down`]).
-    pub bytes_down: u64,
+    /// ([`CommStats::broadcast_deliveries`]).
+    pub broadcast_deliveries: u64,
     /// Structural fan-in bound (m for a star, the fanout for a tree).
     pub max_fan_in: u64,
     /// Messages the root coordinator actually received.
     pub root_in_msgs: u64,
-    /// Hops from leaf to root.
-    pub hops: usize,
-    /// Scheduler counters of a pooled-engine run ([`EngineSummary`]);
-    /// `None` for the sequential driver, which has no scheduler to
-    /// count.
-    pub engine: Option<EngineSummary>,
-}
-
-/// Flattened per-run scheduler counters ([`EngineStats`]) of a pooled
-/// record — the v2 work-stealing engine's own telemetry, recorded next
-/// to the communication profile so a bench diff can tell a protocol
-/// change from a scheduling change.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EngineSummary {
-    /// Node tasks executed across all workers.
-    pub tasks: u64,
-    /// Chunks stolen from another worker's deque.
-    pub steals: u64,
-    /// Times a worker actually slept on the wakeup condvar.
-    pub parks: u64,
-    /// Times a sleeping worker was woken by a task-producing event.
-    pub wakeups: u64,
-    /// Per-worker steal counts, worker 0 first, slash-separated
-    /// (`"12/9/14"`) — kept flat because the bench JSON schema carries
-    /// no arrays.
-    pub worker_steals: String,
-    /// Per-worker park counts, same encoding.
-    pub worker_parks: String,
-}
-
-impl From<&EngineStats> for EngineSummary {
-    fn from(s: &EngineStats) -> Self {
-        let join = |field: fn(&cma_stream::WorkerStats) -> u64| {
-            s.workers
-                .iter()
-                .map(|w| field(w).to_string())
-                .collect::<Vec<_>>()
-                .join("/")
-        };
-        EngineSummary {
-            tasks: s.total_tasks(),
-            steals: s.total_steals(),
-            parks: s.total_parks(),
-            wakeups: s.total_wakeups(),
-            worker_steals: join(|w| w.steals),
-            worker_parks: join(|w| w.parks),
-        }
-    }
 }
 
 impl From<&CommStats> for CommSummary {
@@ -169,25 +93,16 @@ impl From<&CommStats> for CommSummary {
         CommSummary {
             total: s.total(),
             up_msgs: s.up_msgs,
-            broadcast_events: s.broadcast_events,
-            broadcast_cost: s.broadcast_deliveries,
-            broadcast_reach: s.broadcast_reach,
-            broadcast_peak_out: s.broadcast_peak_out,
-            broadcast_lag_rounds: s.broadcast_lag_rounds,
-            broadcast_stale: s.broadcast_stale,
-            bytes_up: s.bytes_up,
-            bytes_down: s.bytes_down,
+            broadcast_deliveries: s.broadcast_deliveries,
             max_fan_in: s.max_fan_in,
             root_in_msgs: s.node_in_msgs.last().copied().unwrap_or(0),
-            hops: s.per_level.len(),
-            engine: None,
         }
     }
 }
 
 macro_rules! drive_hh {
-    ($runner:expr, $cfg:expr, $stream:expr, $exact:expr, $phi:expr, $batch:expr) => {{
-        let mut runner = $runner;
+    ($module:ident, $cfg:expr, $topo:expr, $stream:expr, $exact:expr, $phi:expr, $batch:expr) => {{
+        let mut runner = hh::$module::deploy_topology($cfg, $topo);
         runner.run_partitioned(
             $stream.iter().copied(),
             &mut RoundRobin::new($cfg.sites),
@@ -207,8 +122,7 @@ pub fn run_hh(proto: HhProtocol, cfg: &HhConfig, stream: &[(u64, f64)], phi: f64
 }
 
 /// [`run_hh`] over an explicit aggregation topology and batch size,
-/// additionally reporting the communication profile ([`CommSummary`]) —
-/// the per-hop/fan-in data the topology benches record.
+/// additionally reporting the communication profile ([`CommSummary`]).
 pub fn run_hh_topology(
     proto: HhProtocol,
     cfg: &HhConfig,
@@ -222,181 +136,17 @@ pub fn run_hh_topology(
         exact.update(e, w);
     }
     let (summary, eval) = match proto {
-        HhProtocol::P1 => drive_hh!(
-            hh::p1::deploy_topology(cfg, topology),
-            cfg,
-            stream,
-            &exact,
-            phi,
-            batch
-        ),
-        HhProtocol::P2 => drive_hh!(
-            hh::p2::deploy_topology(cfg, topology),
-            cfg,
-            stream,
-            &exact,
-            phi,
-            batch
-        ),
-        HhProtocol::P3 => drive_hh!(
-            hh::p3::deploy_topology(cfg, topology),
-            cfg,
-            stream,
-            &exact,
-            phi,
-            batch
-        ),
-        HhProtocol::P3wr => drive_hh!(
-            hh::p3wr::deploy_topology(cfg, topology),
-            cfg,
-            stream,
-            &exact,
-            phi,
-            batch
-        ),
-        HhProtocol::P4 => drive_hh!(
-            hh::p4::deploy_topology(cfg, topology),
-            cfg,
-            stream,
-            &exact,
-            phi,
-            batch
-        ),
+        HhProtocol::P1 => drive_hh!(p1, cfg, topology, stream, &exact, phi, batch),
+        HhProtocol::P2 => drive_hh!(p2, cfg, topology, stream, &exact, phi, batch),
+        HhProtocol::P3 => drive_hh!(p3, cfg, topology, stream, &exact, phi, batch),
+        HhProtocol::P3wr => drive_hh!(p3wr, cfg, topology, stream, &exact, phi, batch),
+        HhProtocol::P4 => drive_hh!(p4, cfg, topology, stream, &exact, phi, batch),
     };
     (
         HhRunResult {
             protocol: proto.name(),
             msgs: summary.total,
             eval,
-        },
-        summary,
-    )
-}
-
-/// Round-robin pre-partitioning of a stream over `m` sites — the same
-/// per-site streams a sequential `run_partitioned` with [`RoundRobin`]
-/// delivers, as explicit input vectors for the engine drivers. Public
-/// so pooled-vs-sequential comparisons (tests, harnesses) share one
-/// definition of "the identical partitioning".
-pub fn partition_round_robin<T: Clone>(stream: &[T], m: usize) -> Vec<Vec<T>> {
-    let mut inputs: Vec<Vec<T>> = vec![Vec::new(); m];
-    for (i, x) in stream.iter().enumerate() {
-        inputs[i % m].push(x.clone());
-    }
-    inputs
-}
-
-macro_rules! drive_hh_engine {
-    ($module:ident, $cfg:expr, $inputs:expr, $exact:expr, $phi:expr, $topo:expr, $tcfg:expr, $exec:expr) => {{
-        let (sites, coordinator, _) = hh::$module::deploy_topology($cfg, $topo).into_parts();
-        let parts = engine::run_partitioned_topology_parts(
-            sites,
-            coordinator,
-            $inputs,
-            $tcfg,
-            $exec,
-            $topo,
-            hh::$module::make_aggregator($cfg, $topo),
-        );
-        let mut summary = CommSummary::from(&parts.stats);
-        summary.engine = Some(EngineSummary::from(&parts.engine));
-        let eval = metrics::evaluate(&parts.coordinator, $exact, $phi, $cfg.epsilon);
-        (summary, eval)
-    }};
-}
-
-/// [`run_hh_topology`] through the *execution engine*: sites and
-/// interior aggregator nodes run as tasks on a bounded worker pool
-/// (thread count `executor.workers() + 1`, independent of `m` and of
-/// the interior node count), so the reported root fan-in
-/// ([`CommSummary::root_in_msgs`]) and wall-clock reflect a real
-/// concurrent deployment rather than a sequential simulation.
-pub fn run_hh_engine(
-    proto: HhProtocol,
-    cfg: &HhConfig,
-    stream: &[(u64, f64)],
-    phi: f64,
-    topology: Topology,
-    tcfg: &ThreadedConfig,
-    executor: Executor,
-) -> (HhRunResult, CommSummary) {
-    let mut exact = ExactWeightedCounter::new();
-    for &(e, w) in stream {
-        exact.update(e, w);
-    }
-    let inputs = partition_round_robin(stream, cfg.sites);
-    let (summary, eval) = match proto {
-        HhProtocol::P1 => drive_hh_engine!(p1, cfg, inputs, &exact, phi, topology, tcfg, executor),
-        HhProtocol::P2 => drive_hh_engine!(p2, cfg, inputs, &exact, phi, topology, tcfg, executor),
-        HhProtocol::P3 => drive_hh_engine!(p3, cfg, inputs, &exact, phi, topology, tcfg, executor),
-        HhProtocol::P3wr => {
-            drive_hh_engine!(p3wr, cfg, inputs, &exact, phi, topology, tcfg, executor)
-        }
-        HhProtocol::P4 => drive_hh_engine!(p4, cfg, inputs, &exact, phi, topology, tcfg, executor),
-    };
-    (
-        HhRunResult {
-            protocol: proto.name(),
-            msgs: summary.total,
-            eval,
-        },
-        summary,
-    )
-}
-
-macro_rules! drive_matrix_engine {
-    ($module:ident, $cfg:expr, $inputs:expr, $topo:expr, $tcfg:expr, $exec:expr) => {{
-        let (sites, coordinator, _) = matrix::$module::deploy_topology($cfg, $topo).into_parts();
-        let parts = engine::run_partitioned_topology_parts(
-            sites,
-            coordinator,
-            $inputs,
-            $tcfg,
-            $exec,
-            $topo,
-            matrix::$module::make_aggregator($cfg, $topo),
-        );
-        let mut summary = CommSummary::from(&parts.stats);
-        summary.engine = Some(EngineSummary::from(&parts.engine));
-        (
-            summary,
-            parts.coordinator.sketch(),
-            parts.coordinator.frob_estimate(),
-        )
-    }};
-}
-
-/// [`run_matrix_topology`] through the *execution engine* (see
-/// [`run_hh_engine`]).
-pub fn run_matrix_engine(
-    proto: MatrixProtocol,
-    cfg: &MatrixConfig,
-    rows: &[Vec<f64>],
-    topology: Topology,
-    tcfg: &ThreadedConfig,
-    executor: Executor,
-) -> (MatrixRunResult, CommSummary) {
-    let mut truth = StreamingGram::new(cfg.dim);
-    for row in rows {
-        truth.update(row);
-    }
-    let inputs = partition_round_robin(rows, cfg.sites);
-    let (summary, sketch, frob_est) = match proto {
-        MatrixProtocol::P1 => drive_matrix_engine!(p1, cfg, inputs, topology, tcfg, executor),
-        MatrixProtocol::P2 => drive_matrix_engine!(p2, cfg, inputs, topology, tcfg, executor),
-        MatrixProtocol::P3 => drive_matrix_engine!(p3, cfg, inputs, topology, tcfg, executor),
-        MatrixProtocol::P3wr => drive_matrix_engine!(p3wr, cfg, inputs, topology, tcfg, executor),
-        MatrixProtocol::P4 => drive_matrix_engine!(p4, cfg, inputs, topology, tcfg, executor),
-    };
-    let err = truth
-        .error_of_sketch(&sketch)
-        .expect("error metric eigensolve");
-    (
-        MatrixRunResult {
-            protocol: proto.name(),
-            msgs: summary.total,
-            err,
-            frob_est,
         },
         summary,
     )
@@ -448,24 +198,25 @@ pub struct MatrixRunResult {
 }
 
 macro_rules! drive_matrix {
-    ($runner:expr, $cfg:expr, $rows:expr, $truth:expr, $batch:expr) => {{
-        let mut runner = $runner;
+    ($module:ident, $cfg:expr, $rows:expr, $truth:expr) => {{
+        let mut runner = matrix::$module::deploy($cfg);
         let truth = &mut $truth;
         runner.run_partitioned(
             $rows.inspect(|row| truth.update(row)),
             &mut RoundRobin::new($cfg.sites),
-            $batch,
+            DRIVER_BATCH,
         );
-        let summary = CommSummary::from(runner.stats());
-        let sketch = runner.coordinator().sketch();
-        let frob_est = runner.coordinator().frob_estimate();
-        (summary, sketch, frob_est)
+        (
+            runner.stats().total(),
+            runner.coordinator().sketch(),
+            runner.coordinator().frob_estimate(),
+        )
     }};
 }
 
-/// Runs one matrix protocol over `n` rows produced by `make_rows` (a
-/// factory so every protocol sees the identical stream) and returns the
-/// end-of-stream covariance error.
+/// Runs one matrix protocol (star deployment) over `n` rows produced by
+/// `make_rows` (a factory so every protocol sees the identical stream)
+/// and returns the end-of-stream covariance error.
 pub fn run_matrix<F, I>(
     proto: MatrixProtocol,
     cfg: &MatrixConfig,
@@ -476,572 +227,24 @@ where
     F: Fn() -> I,
     I: Iterator<Item = Vec<f64>>,
 {
-    let (run, _) = run_matrix_topology(proto, cfg, make_rows, n, Topology::Star, DRIVER_BATCH);
-    run
-}
-
-/// [`run_matrix`] over an explicit aggregation topology and batch size,
-/// additionally reporting the communication profile ([`CommSummary`]).
-pub fn run_matrix_topology<F, I>(
-    proto: MatrixProtocol,
-    cfg: &MatrixConfig,
-    make_rows: F,
-    n: usize,
-    topology: Topology,
-    batch: usize,
-) -> (MatrixRunResult, CommSummary)
-where
-    F: Fn() -> I,
-    I: Iterator<Item = Vec<f64>>,
-{
     let mut truth = StreamingGram::new(cfg.dim);
     let rows = make_rows().take(n);
-    let (summary, sketch, frob_est) = match proto {
-        MatrixProtocol::P1 => drive_matrix!(
-            matrix::p1::deploy_topology(cfg, topology),
-            cfg,
-            rows,
-            truth,
-            batch
-        ),
-        MatrixProtocol::P2 => drive_matrix!(
-            matrix::p2::deploy_topology(cfg, topology),
-            cfg,
-            rows,
-            truth,
-            batch
-        ),
-        MatrixProtocol::P3 => drive_matrix!(
-            matrix::p3::deploy_topology(cfg, topology),
-            cfg,
-            rows,
-            truth,
-            batch
-        ),
-        MatrixProtocol::P3wr => drive_matrix!(
-            matrix::p3wr::deploy_topology(cfg, topology),
-            cfg,
-            rows,
-            truth,
-            batch
-        ),
-        MatrixProtocol::P4 => drive_matrix!(
-            matrix::p4::deploy_topology(cfg, topology),
-            cfg,
-            rows,
-            truth,
-            batch
-        ),
+    let (msgs, sketch, frob_est) = match proto {
+        MatrixProtocol::P1 => drive_matrix!(p1, cfg, rows, truth),
+        MatrixProtocol::P2 => drive_matrix!(p2, cfg, rows, truth),
+        MatrixProtocol::P3 => drive_matrix!(p3, cfg, rows, truth),
+        MatrixProtocol::P3wr => drive_matrix!(p3wr, cfg, rows, truth),
+        MatrixProtocol::P4 => drive_matrix!(p4, cfg, rows, truth),
     };
     let err = truth
         .error_of_sketch(&sketch)
         .expect("error metric eigensolve");
-    (
-        MatrixRunResult {
-            protocol: proto.name(),
-            msgs: summary.total,
-            err,
-            frob_est,
-        },
-        summary,
-    )
-}
-
-/// Result of a protocol-only timed run — the `d`-axis bench rows.
-///
-/// The stream is fully materialised before the clock starts and ground
-/// truth is evaluated after it stops, so `elapsed` measures the
-/// protocol's math plane (basis projections, eigensolves, FD shrinks)
-/// rather than the harness. This matters: the general drivers fold the
-/// `O(n·d²)` exact-Gram accumulation into the streamed region, which at
-/// `d = 512` would swamp the very kernel differences the `d`-axis rows
-/// exist to expose.
-#[derive(Debug, Clone)]
-pub struct TimedRunResult {
-    /// Protocol name.
-    pub protocol: &'static str,
-    /// Total messages in the paper's units.
-    pub msgs: u64,
-    /// End-of-stream covariance error (window-restricted for SwFd).
-    pub err: f64,
-    /// Wall-clock of the protocol run only.
-    pub elapsed: std::time::Duration,
-    /// Rows streamed (throughput numerator).
-    pub rows: usize,
-    /// Communication profile of the run (measured outside the clock).
-    pub comm: CommSummary,
-}
-
-macro_rules! drive_matrix_timed {
-    ($module:ident, $cfg:expr, $rows:expr, $batch:expr) => {{
-        let mut runner = matrix::$module::deploy_topology($cfg, Topology::Star);
-        let t0 = std::time::Instant::now();
-        runner.run_partitioned(
-            $rows.iter().cloned(),
-            &mut RoundRobin::new($cfg.sites),
-            $batch,
-        );
-        let elapsed = t0.elapsed();
-        (
-            elapsed,
-            CommSummary::from(runner.stats()),
-            runner.coordinator().sketch(),
-        )
-    }};
-}
-
-/// Runs one matrix protocol (star topology) with protocol-only timing;
-/// see [`TimedRunResult`]. Truth is evaluated afterwards through the
-/// blocked `Matrix::gram` + [`cma_linalg::norms::covariance_error`]
-/// (identical bits to the streaming accumulation — the kernels are
-/// bit-exact equivalents).
-pub fn run_matrix_timed(
-    proto: MatrixProtocol,
-    cfg: &MatrixConfig,
-    rows: &[Vec<f64>],
-    batch: usize,
-) -> TimedRunResult {
-    let (elapsed, summary, sketch) = match proto {
-        MatrixProtocol::P1 => drive_matrix_timed!(p1, cfg, rows, batch),
-        MatrixProtocol::P2 => drive_matrix_timed!(p2, cfg, rows, batch),
-        MatrixProtocol::P3 => drive_matrix_timed!(p3, cfg, rows, batch),
-        MatrixProtocol::P3wr => drive_matrix_timed!(p3wr, cfg, rows, batch),
-        MatrixProtocol::P4 => drive_matrix_timed!(p4, cfg, rows, batch),
-    };
-    let a = Matrix::from_rows(rows);
-    let err = cma_linalg::norms::covariance_error(&a.gram(), &sketch.gram(), a.frob_norm_sq())
-        .expect("error metric eigensolve");
-    TimedRunResult {
+    MatrixRunResult {
         protocol: proto.name(),
-        msgs: summary.total,
+        msgs,
         err,
-        elapsed,
-        rows: rows.len(),
-        comm: summary,
+        frob_est,
     }
-}
-
-/// Runs the windowed matrix protocol (star topology) with protocol-only
-/// timing; see [`TimedRunResult`]. The error is the paper's covariance
-/// metric restricted to the exact last-`W` rows.
-pub fn run_swfd_timed(cfg: &SwFdConfig, rows: &[Vec<f64>], batch: usize) -> TimedRunResult {
-    let stamped = stamp_stream(rows);
-    let mut runner = swfd::deploy(cfg);
-    let t0 = std::time::Instant::now();
-    runner.run_partitioned(stamped, &mut RoundRobin::new(cfg.params.sites), batch);
-    let elapsed = t0.elapsed();
-    let summary = CommSummary::from(runner.stats());
-    let sketch = runner.coordinator().sketch_at(rows.len() as u64);
-    let start = rows.len().saturating_sub(cfg.params.window as usize);
-    let a = Matrix::from_rows(&rows[start..]);
-    let err = cma_linalg::norms::covariance_error(&a.gram(), &sketch.gram(), a.frob_norm_sq())
-        .expect("window error eigensolve");
-    TimedRunResult {
-        protocol: WindowProtocol::SwFd.name(),
-        msgs: summary.total,
-        err,
-        elapsed,
-        rows: rows.len(),
-        comm: summary,
-    }
-}
-
-/// The distributed sliding-window protocols under test (PR 4: the
-/// paper's stated open problem, run through the site / aggregator /
-/// coordinator stack).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WindowProtocol {
-    /// Windowed weighted heavy hitters (Misra–Gries buckets).
-    SwMg,
-    /// Windowed matrix tracking (Frequent Directions buckets).
-    SwFd,
-}
-
-impl WindowProtocol {
-    /// Display name used in bench records.
-    pub fn name(self) -> &'static str {
-        match self {
-            WindowProtocol::SwMg => "SwMg",
-            WindowProtocol::SwFd => "SwFd",
-        }
-    }
-}
-
-/// Result of one windowed-protocol run.
-#[derive(Debug, Clone)]
-pub struct WindowRunResult {
-    /// Protocol name.
-    pub protocol: &'static str,
-    /// Total messages in the paper's units.
-    pub msgs: u64,
-    /// End-of-stream error against the exact window content
-    /// (protocol-specific metric; see the driver docs).
-    pub err: f64,
-    /// The coordinator's certified bound on that error at query time.
-    pub certified: f64,
-}
-
-/// Stamps a stream with its global indices — the windowed protocols'
-/// input shape ([`cma_core::window::Stamped`]).
-pub fn stamp_stream<T: Clone>(stream: &[T]) -> Vec<(u64, T)> {
-    stream
-        .iter()
-        .enumerate()
-        .map(|(t, x)| (t as u64, x.clone()))
-        .collect()
-}
-
-/// Measured windowed heavy-hitter error at the end of the stream: the
-/// average of `|est − truth| / W_window` over the items whose true
-/// window weight reaches `phi · W_window` (the paper's evaluation
-/// style, restricted to the window).
-fn swmg_window_err(
-    coord: &cma_core::window::mg::SwMgCoordinator,
-    stream: &[(u64, f64)],
-    window: usize,
-    phi: f64,
-) -> f64 {
-    let t_now = stream.len();
-    let start = t_now.saturating_sub(window);
-    let mut exact = ExactWeightedCounter::new();
-    for &(e, w) in &stream[start..] {
-        exact.update(e, w);
-    }
-    let w_win = exact.total_weight();
-    let mut err_sum = 0.0;
-    let mut n = 0usize;
-    for (e, f) in exact.iter() {
-        if f >= phi * w_win {
-            err_sum += (coord.estimate_at(t_now as u64, e) - f).abs() / w_win;
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        err_sum / n as f64
-    }
-}
-
-/// Runs the windowed heavy-hitter protocol over `stream` through the
-/// sequential runner on the given topology, scoring the final window
-/// against exact ground truth at heavy-hitter threshold `phi`.
-pub fn run_swmg_topology(
-    cfg: &SwMgConfig,
-    stream: &[(u64, f64)],
-    phi: f64,
-    topology: Topology,
-    batch: usize,
-) -> (WindowRunResult, CommSummary) {
-    let mut runner = swmg::deploy_topology(cfg, topology);
-    runner.run_partitioned(
-        stamp_stream(stream),
-        &mut RoundRobin::new(cfg.params.sites),
-        batch,
-    );
-    let summary = CommSummary::from(runner.stats());
-    let coord = runner.coordinator();
-    let err = swmg_window_err(coord, stream, cfg.params.window as usize, phi);
-    (
-        WindowRunResult {
-            protocol: WindowProtocol::SwMg.name(),
-            msgs: summary.total,
-            err,
-            certified: coord.error_bound_at(stream.len() as u64).total(),
-        },
-        summary,
-    )
-}
-
-/// Measured windowed covariance error at the end of the stream: the
-/// paper's `‖A_WᵀA_W − BᵀB‖₂ / ‖A_W‖²_F` with `A_W` the exact last-`W`
-/// rows.
-fn swfd_window_err(sketch: &Matrix, rows: &[Vec<f64>], window: usize, dim: usize) -> f64 {
-    let start = rows.len().saturating_sub(window);
-    let mut truth = StreamingGram::new(dim);
-    for row in &rows[start..] {
-        truth.update(row);
-    }
-    truth
-        .error_of_sketch(sketch)
-        .expect("window error eigensolve")
-}
-
-/// Runs the windowed matrix protocol over `rows` through the sequential
-/// runner on the given topology, scoring the final window sketch
-/// against the exact window covariance.
-pub fn run_swfd_topology(
-    cfg: &SwFdConfig,
-    rows: &[Vec<f64>],
-    topology: Topology,
-    batch: usize,
-) -> (WindowRunResult, CommSummary) {
-    let mut runner = swfd::deploy_topology(cfg, topology);
-    runner.run_partitioned(
-        stamp_stream(rows),
-        &mut RoundRobin::new(cfg.params.sites),
-        batch,
-    );
-    let summary = CommSummary::from(runner.stats());
-    let coord = runner.coordinator();
-    let sketch = coord.sketch_at(rows.len() as u64);
-    let err = swfd_window_err(&sketch, rows, cfg.params.window as usize, cfg.dim);
-    (
-        WindowRunResult {
-            protocol: WindowProtocol::SwFd.name(),
-            msgs: summary.total,
-            err,
-            certified: coord.error_bound_at(rows.len() as u64).total(),
-        },
-        summary,
-    )
-}
-
-/// [`run_swmg_topology`] through the *pooled execution engine* (see
-/// [`run_hh_engine`]).
-pub fn run_swmg_engine(
-    cfg: &SwMgConfig,
-    stream: &[(u64, f64)],
-    phi: f64,
-    topology: Topology,
-    tcfg: &ThreadedConfig,
-    executor: Executor,
-) -> (WindowRunResult, CommSummary) {
-    let inputs = partition_round_robin(&stamp_stream(stream), cfg.params.sites);
-    let parts = swmg::run_engine(cfg, inputs, tcfg, executor, topology);
-    let mut summary = CommSummary::from(&parts.stats);
-    summary.engine = Some(EngineSummary::from(&parts.engine));
-    let coord = &parts.coordinator;
-    let err = swmg_window_err(coord, stream, cfg.params.window as usize, phi);
-    (
-        WindowRunResult {
-            protocol: WindowProtocol::SwMg.name(),
-            msgs: summary.total,
-            err,
-            certified: coord.error_bound_at(stream.len() as u64).total(),
-        },
-        summary,
-    )
-}
-
-/// [`run_swfd_topology`] through the *pooled execution engine* (see
-/// [`run_hh_engine`]).
-pub fn run_swfd_engine(
-    cfg: &SwFdConfig,
-    rows: &[Vec<f64>],
-    topology: Topology,
-    tcfg: &ThreadedConfig,
-    executor: Executor,
-) -> (WindowRunResult, CommSummary) {
-    let inputs = partition_round_robin(&stamp_stream(rows), cfg.params.sites);
-    let parts = swfd::run_engine(cfg, inputs, tcfg, executor, topology);
-    let mut summary = CommSummary::from(&parts.stats);
-    summary.engine = Some(EngineSummary::from(&parts.engine));
-    let coord = &parts.coordinator;
-    let sketch = coord.sketch_at(rows.len() as u64);
-    let err = swfd_window_err(&sketch, rows, cfg.params.window as usize, cfg.dim);
-    (
-        WindowRunResult {
-            protocol: WindowProtocol::SwFd.name(),
-            msgs: summary.total,
-            err,
-            certified: coord.error_bound_at(rows.len() as u64).total(),
-        },
-        summary,
-    )
-}
-
-/// Flattened churn/recovery telemetry of one churn-driver run — the
-/// subset of [`ChurnReport`] the JSON bench recorder cares about,
-/// recorded next to the communication profile so a bench diff can put a
-/// number on what membership churn and crash recovery cost.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ChurnSummary {
-    /// Join events applied.
-    pub joins: u64,
-    /// Leave events applied.
-    pub leaves: u64,
-    /// Budget re-splits performed.
-    pub resplits: u64,
-    /// Total mass of the departure flushes (withheld mass that
-    /// re-entered the certified bound instead of evaporating).
-    pub departed_mass: f64,
-    /// Wire size of the boundary snapshot; `0` when none was taken.
-    pub snapshot_bytes: u64,
-    /// Mass the crashed root complex discarded (folded into the
-    /// restated bound's undercount term).
-    pub recovery_lost_mass: f64,
-    /// WAL messages replayed into the restored coordinator.
-    pub replayed_msgs: u64,
-}
-
-impl From<&ChurnReport> for ChurnSummary {
-    fn from(r: &ChurnReport) -> Self {
-        ChurnSummary {
-            joins: r.joins as u64,
-            leaves: r.leaves as u64,
-            resplits: r.resplits as u64,
-            departed_mass: r.departed_mass,
-            snapshot_bytes: r.snapshot_bytes.unwrap_or(0),
-            recovery_lost_mass: r.recovery_lost_mass,
-            replayed_msgs: r.replayed_msgs,
-        }
-    }
-}
-
-macro_rules! drive_hh_churn {
-    ($module:ident, $cfg:expr, $inputs:expr, $exact:expr, $phi:expr, $topo:expr, $tcfg:expr, $ccfg:expr) => {{
-        let (sites, coordinator, _) = hh::$module::deploy_topology($cfg, $topo).into_parts();
-        let parts = churn::run_churn_partitioned_topology_parts(
-            sites,
-            coordinator,
-            $inputs,
-            $tcfg,
-            Executor::Inline,
-            $topo,
-            |t| hh::$module::make_aggregator($cfg, t),
-            $ccfg,
-        );
-        let summary = CommSummary::from(&parts.stats);
-        let eval = metrics::evaluate(&parts.coordinator, $exact, $phi, $cfg.epsilon);
-        (summary, eval, ChurnSummary::from(&parts.report))
-    }};
-}
-
-/// [`run_hh_engine`] through the *churn/recovery driver*: the same
-/// deployment, but membership events, ε re-splits and an optional
-/// snapshot/crash/WAL-replay cycle applied at segment boundaries
-/// (`churn::run_churn_partitioned_topology_parts`). Scored against
-/// full-stream ground truth — a schedule whose leavers eventually
-/// rejoin feeds every input (paused slots are delayed, not dropped),
-/// so the full-stream truth stays the right yardstick.
-pub fn run_hh_churn(
-    proto: HhProtocol,
-    cfg: &HhConfig,
-    stream: &[(u64, f64)],
-    phi: f64,
-    topology: Topology,
-    tcfg: &ThreadedConfig,
-    ccfg: &ChurnConfig,
-) -> (HhRunResult, CommSummary, ChurnSummary) {
-    let mut exact = ExactWeightedCounter::new();
-    for &(e, w) in stream {
-        exact.update(e, w);
-    }
-    let inputs = partition_round_robin(stream, cfg.sites);
-    let (summary, eval, churn) = match proto {
-        HhProtocol::P1 => drive_hh_churn!(p1, cfg, inputs, &exact, phi, topology, tcfg, ccfg),
-        HhProtocol::P2 => drive_hh_churn!(p2, cfg, inputs, &exact, phi, topology, tcfg, ccfg),
-        HhProtocol::P3 => drive_hh_churn!(p3, cfg, inputs, &exact, phi, topology, tcfg, ccfg),
-        HhProtocol::P3wr => drive_hh_churn!(p3wr, cfg, inputs, &exact, phi, topology, tcfg, ccfg),
-        HhProtocol::P4 => drive_hh_churn!(p4, cfg, inputs, &exact, phi, topology, tcfg, ccfg),
-    };
-    (
-        HhRunResult {
-            protocol: proto.name(),
-            msgs: summary.total,
-            eval,
-        },
-        summary,
-        churn,
-    )
-}
-
-macro_rules! drive_matrix_churn {
-    ($module:ident, $cfg:expr, $inputs:expr, $topo:expr, $tcfg:expr, $ccfg:expr) => {{
-        let (sites, coordinator, _) = matrix::$module::deploy_topology($cfg, $topo).into_parts();
-        let parts = churn::run_churn_partitioned_topology_parts(
-            sites,
-            coordinator,
-            $inputs,
-            $tcfg,
-            Executor::Inline,
-            $topo,
-            |t| matrix::$module::make_aggregator($cfg, t),
-            $ccfg,
-        );
-        let summary = CommSummary::from(&parts.stats);
-        (
-            summary,
-            parts.coordinator.sketch(),
-            parts.coordinator.frob_estimate(),
-            ChurnSummary::from(&parts.report),
-        )
-    }};
-}
-
-/// [`run_matrix_engine`] through the *churn/recovery driver* (see
-/// [`run_hh_churn`]).
-pub fn run_matrix_churn(
-    proto: MatrixProtocol,
-    cfg: &MatrixConfig,
-    rows: &[Vec<f64>],
-    topology: Topology,
-    tcfg: &ThreadedConfig,
-    ccfg: &ChurnConfig,
-) -> (MatrixRunResult, CommSummary, ChurnSummary) {
-    let mut truth = StreamingGram::new(cfg.dim);
-    for row in rows {
-        truth.update(row);
-    }
-    let inputs = partition_round_robin(rows, cfg.sites);
-    let (summary, sketch, frob_est, churn) = match proto {
-        MatrixProtocol::P1 => drive_matrix_churn!(p1, cfg, inputs, topology, tcfg, ccfg),
-        MatrixProtocol::P2 => drive_matrix_churn!(p2, cfg, inputs, topology, tcfg, ccfg),
-        MatrixProtocol::P3 => drive_matrix_churn!(p3, cfg, inputs, topology, tcfg, ccfg),
-        MatrixProtocol::P3wr => drive_matrix_churn!(p3wr, cfg, inputs, topology, tcfg, ccfg),
-        MatrixProtocol::P4 => drive_matrix_churn!(p4, cfg, inputs, topology, tcfg, ccfg),
-    };
-    let err = truth
-        .error_of_sketch(&sketch)
-        .expect("error metric eigensolve");
-    (
-        MatrixRunResult {
-            protocol: proto.name(),
-            msgs: summary.total,
-            err,
-            frob_est,
-        },
-        summary,
-        churn,
-    )
-}
-
-/// [`run_swmg_engine`] through the *churn/recovery driver* (see
-/// [`run_hh_churn`]).
-pub fn run_swmg_churn(
-    cfg: &SwMgConfig,
-    stream: &[(u64, f64)],
-    phi: f64,
-    topology: Topology,
-    tcfg: &ThreadedConfig,
-    ccfg: &ChurnConfig,
-) -> (WindowRunResult, CommSummary, ChurnSummary) {
-    let inputs = partition_round_robin(&stamp_stream(stream), cfg.params.sites);
-    let (sites, coordinator, _) = swmg::deploy_topology(cfg, topology).into_parts();
-    let parts = churn::run_churn_partitioned_topology_parts(
-        sites,
-        coordinator,
-        inputs,
-        tcfg,
-        Executor::Inline,
-        topology,
-        |t| swmg::make_aggregator(cfg, t),
-        ccfg,
-    );
-    let summary = CommSummary::from(&parts.stats);
-    let coord = &parts.coordinator;
-    let err = swmg_window_err(coord, stream, cfg.params.window as usize, phi);
-    (
-        WindowRunResult {
-            protocol: WindowProtocol::SwMg.name(),
-            msgs: summary.total,
-            err,
-            certified: coord.error_bound_at(stream.len() as u64).total(),
-        },
-        summary,
-        ChurnSummary::from(&parts.report),
-    )
 }
 
 macro_rules! calibrate_hh_arm {
@@ -1253,121 +456,7 @@ mod tests {
         );
         assert_eq!(star_comm.max_fan_in, 16);
         assert_eq!(tree_comm.max_fan_in, 4);
-        assert_eq!(tree_comm.hops, 2);
         assert!(tree.eval.recall >= star.eval.recall - 0.05);
-
-        let mcfg = MatrixConfig::new(16, 0.3, 6).with_seed(6);
-        let make = || cma_data::SyntheticMatrixStream::new(6, &[3.0, 1.0], 100.0, 7);
-        let (run, comm) = run_matrix_topology(
-            MatrixProtocol::P1,
-            &mcfg,
-            make,
-            1_500,
-            Topology::Tree { fanout: 4 },
-            64,
-        );
-        assert!(run.err <= mcfg.epsilon, "tree MT-P1 err {}", run.err);
-        assert_eq!(comm.max_fan_in, 4);
-    }
-
-    #[test]
-    fn engine_drivers_run_and_relieve_root_fan_in() {
-        let stream = small_stream(8_000);
-        let cfg = HhConfig::new(16, 0.05).with_seed(5);
-        let tcfg = ThreadedConfig {
-            batch_size: 16,
-            channel_capacity: 2,
-            plane: Default::default(),
-        };
-        let pool = Executor::Pool { workers: 2 };
-        let (star, star_comm) = run_hh_engine(
-            HhProtocol::P1,
-            &cfg,
-            &stream,
-            0.05,
-            Topology::Star,
-            &tcfg,
-            pool,
-        );
-        let (tree, tree_comm) = run_hh_engine(
-            HhProtocol::P1,
-            &cfg,
-            &stream,
-            0.05,
-            Topology::Tree { fanout: 4 },
-            &tcfg,
-            pool,
-        );
-        assert!(star.msgs > 0 && tree.msgs > 0);
-        assert_eq!(tree_comm.max_fan_in, 4);
-        assert_eq!(tree_comm.hops, 2);
-        assert!(
-            tree_comm.root_in_msgs < star_comm.root_in_msgs,
-            "pooled tree root {} vs star {}",
-            tree_comm.root_in_msgs,
-            star_comm.root_in_msgs
-        );
-        assert!(tree.eval.recall >= star.eval.recall - 0.05);
-
-        let mcfg = MatrixConfig::new(16, 0.3, 6).with_seed(6);
-        let rows: Vec<Vec<f64>> = {
-            let mut s = cma_data::SyntheticMatrixStream::new(6, &[3.0, 1.0], 100.0, 7);
-            (0..1_500).map(|_| s.next_row()).collect()
-        };
-        let (run, comm) = run_matrix_engine(
-            MatrixProtocol::P1,
-            &mcfg,
-            &rows,
-            Topology::Tree { fanout: 4 },
-            &tcfg,
-            pool,
-        );
-        assert!(run.err <= mcfg.epsilon, "pooled tree MT-P1 err {}", run.err);
-        assert_eq!(comm.max_fan_in, 4);
-    }
-
-    #[test]
-    fn window_drivers_run_and_certify_their_error() {
-        use cma_core::window::{SwFdConfig, SwMgConfig};
-
-        let stream = small_stream(6_000);
-        let cfg = SwMgConfig::new(8, 0.1, 2_000, 32);
-        let (seq, seq_comm) =
-            run_swmg_topology(&cfg, &stream, 0.05, Topology::Tree { fanout: 4 }, 64);
-        assert!(seq.msgs > 0, "SwMg: no communication");
-        assert!(seq.err.is_finite() && seq.err >= 0.0);
-        assert!(seq.certified > 0.0);
-        assert_eq!(seq_comm.max_fan_in, 4);
-
-        let tcfg = ThreadedConfig {
-            batch_size: 16,
-            channel_capacity: 2,
-            plane: Default::default(),
-        };
-        let pool = Executor::Pool { workers: 2 };
-        let (pooled, pooled_comm) = run_swmg_engine(
-            &cfg,
-            &stream,
-            0.05,
-            Topology::Tree { fanout: 4 },
-            &tcfg,
-            pool,
-        );
-        assert!(pooled.msgs > 0);
-        assert_eq!(pooled_comm.max_fan_in, 4);
-
-        let rows: Vec<Vec<f64>> = {
-            let mut s = cma_data::SyntheticMatrixStream::new(6, &[3.0, 1.0], 100.0, 7);
-            (0..1_500).map(|_| s.next_row()).collect()
-        };
-        let fcfg = SwFdConfig::new(8, 0.15, 500, 6, 20);
-        let (seq, _) = run_swfd_topology(&fcfg, &rows, Topology::Star, 64);
-        assert!(seq.msgs > 0, "SwFd: no communication");
-        // The measured error metric normalises by ‖A_W‖²_F; the certified
-        // bound is absolute — compare both to sanity, not to each other.
-        assert!(seq.err.is_finite() && seq.err >= 0.0);
-        let (pooled, _) = run_swfd_engine(&fcfg, &rows, Topology::Tree { fanout: 2 }, &tcfg, pool);
-        assert!(pooled.err.is_finite());
     }
 
     #[test]

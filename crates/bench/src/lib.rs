@@ -6,9 +6,9 @@
 //! and CSV emission helpers. Criterion micro-benchmarks live in
 //! `benches/`.
 //!
-//! Binaries and the figures they regenerate (the repo-root
-//! `BENCH_protocols.json`, re-recorded by `bench_protocols` each PR,
-//! holds the measured throughput/communication trajectory):
+//! Binaries and the figures they regenerate (performance is measured
+//! by the repo benchmark in `benchmark/`; the per-protocol communication
+//! counts are pinned by the golden table in `tests/comm_counts.rs`):
 //!
 //! | binary | paper artefact |
 //! |---|---|
@@ -22,16 +22,12 @@
 pub mod args;
 pub mod drivers;
 pub mod figures;
-pub mod report;
 
 pub use args::Args;
 pub use drivers::{
-    baseline_fd, baseline_svd, calibrate_hh, partition_round_robin, resolve_hh_adaptive, run_hh,
-    run_hh_churn, run_hh_engine, run_hh_topology, run_matrix, run_matrix_churn, run_matrix_engine,
-    run_matrix_timed, run_matrix_topology, run_swfd_engine, run_swfd_timed, run_swfd_topology,
-    run_swmg_churn, run_swmg_engine, run_swmg_topology, stamp_stream, tune_hh_to_error,
-    ChurnSummary, CommSummary, EngineSummary, HhProtocol, HhRunResult, MatrixProtocol,
-    MatrixRunResult, TimedRunResult, WindowProtocol, WindowRunResult,
+    baseline_fd, baseline_svd, calibrate_hh, resolve_hh_adaptive, run_hh, run_hh_topology,
+    run_matrix, tune_hh_to_error, CommSummary, HhProtocol, HhRunResult, MatrixProtocol,
+    MatrixRunResult,
 };
 
 /// The paper's default heavy-hitter threshold `φ = 0.05`.
@@ -39,9 +35,6 @@ pub const PAPER_PHI: f64 = 0.05;
 
 /// The paper's default number of sites `m = 50`.
 pub const PAPER_SITES: usize = 50;
-
-/// The paper's default heavy-hitter accuracy `ε = 10⁻³`.
-pub const PAPER_HH_EPSILON: f64 = 1e-3;
 
 /// The paper's default matrix accuracy `ε = 0.1`.
 pub const PAPER_MATRIX_EPSILON: f64 = 0.1;

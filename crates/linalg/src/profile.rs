@@ -7,9 +7,10 @@
 //!   paths dispatch to. `Blocked` (the default) is the cache-tiled code;
 //!   `Naive` routes to the retained reference loops. For `matmul`/`gram`
 //!   the two are **bit-for-bit identical** (see the invariants on
-//!   [`Matrix::matmul`]), so `Naive` exists purely as the measured
-//!   baseline of the `bench_protocols` `d`-axis records; for the Jacobi
-//!   eigensolve they agree to solver tolerance.
+//!   [`Matrix::matmul`]), so `Naive` is a **test oracle only** — no
+//!   production path selects it; the equivalence suites and the MT-P2
+//!   unit tests run it as the reference. For the Jacobi eigensolve the
+//!   two agree to solver tolerance.
 //! * [`FdShrink`] — how `FrequentDirections` shrinks a full buffer.
 //!   `Exact` is the textbook SVD shrink; `Randomized` projects through a
 //!   seeded HMT range finder first and *charges a certified bound*
@@ -20,8 +21,7 @@
 //!   `FrequentDirections::set_shrink`).
 //!
 //! [`LinalgProfile`] bundles both. `MatrixConfig` and `SwFdConfig` carry a
-//! profile and thread it into protocol state at construction; the bench
-//! recorder runs the same workload once per profile to produce A/B rows.
+//! profile and thread it into protocol state at construction.
 
 use crate::eigen::{
     jacobi_eigen_sym_with_basis_tol, jacobi_eigen_sym_with_basis_tol_naive, SymEigen,
@@ -39,13 +39,12 @@ use crate::svd::{gram_svd, gram_svd_blocked, SvdValuesVectors};
 /// decomposes on the small side of the stacked rows — `O(s²d + s³)` for
 /// `s = rank + pending ≤ d` instead of `O(d³)` (see the module docs of
 /// `cma-core`'s `matrix::p2`). That representation change, not the tiled
-/// loops, is where the large-`d` speedup in the bench's `d`-axis rows
-/// comes from.
+/// loops, is where the large-`d` speedup comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPath {
     /// The retained reference loops (ikj `matmul`, row-by-row `gram`,
-    /// two-pass Jacobi rotations, full-basis MT-P2 layout). The measured
-    /// baseline.
+    /// two-pass Jacobi rotations, full-basis MT-P2 layout). The test
+    /// oracle.
     Naive,
     /// Cache-blocked kernels, the row-pair Jacobi rewrite, and the
     /// low-rank spectral MT-P2 layout.
@@ -149,7 +148,8 @@ pub struct LinalgProfile {
 }
 
 impl LinalgProfile {
-    /// The measured baseline: reference kernels, exact shrink.
+    /// The test oracle: reference kernels, exact shrink. Not a
+    /// production profile — tests compare the blocked paths against it.
     pub fn naive() -> Self {
         LinalgProfile {
             kernels: KernelPath::Naive,

@@ -184,14 +184,6 @@ impl CommStats {
         self.per_level.iter().map(|l| l.up_cost).sum::<u64>() + self.broadcast_deliveries
     }
 
-    /// The paper's broadcast-cost figure: total deliveries. Kept as an
-    /// accessor so call sites read naturally; the split fields
-    /// ([`CommStats::broadcast_deliveries`] vs
-    /// [`CommStats::broadcast_reach`]) carry the measured distinction.
-    pub fn broadcast_cost(&self) -> u64 {
-        self.broadcast_deliveries
-    }
-
     /// The largest number of messages any single aggregation point
     /// received — the *measured* fan-in pressure (compare against the
     /// structural [`CommStats::max_fan_in`]).

@@ -46,6 +46,24 @@ impl Partitioner for RoundRobin {
     }
 }
 
+/// Pre-splits a whole stream into the `m` per-site streams that
+/// [`crate::Runner::run_partitioned`] with [`RoundRobin::new`]`(m)`
+/// would route (site `i mod m`, arrival order kept within a site) —
+/// the explicit input vectors the engine, live and churn drivers take,
+/// so sequential-vs-concurrent comparisons share one definition of
+/// "the identical partitioning".
+///
+/// # Panics
+/// Panics if `m == 0`.
+pub fn partition_round_robin<T: Clone>(stream: &[T], m: usize) -> Vec<Vec<T>> {
+    let mut rr = RoundRobin::new(m);
+    let mut inputs: Vec<Vec<T>> = vec![Vec::new(); m];
+    for (i, x) in stream.iter().enumerate() {
+        inputs[rr.assign(i as u64)].push(x.clone());
+    }
+    inputs
+}
+
 /// Independent uniform assignment.
 #[derive(Debug, Clone)]
 pub struct UniformRandom {
@@ -175,6 +193,52 @@ mod tests {
         let seq: Vec<SiteId> = (0..7).map(|i| p.assign(i)).collect();
         assert_eq!(seq, vec![0, 1, 2, 0, 1, 2, 0]);
         assert_eq!(p.sites(), 3);
+    }
+
+    /// Site that records what it was fed and never talks.
+    struct Recorder(Vec<u64>);
+
+    #[derive(Clone)]
+    struct Silent;
+
+    impl crate::MessageCost for Silent {
+        fn cost(&self) -> u64 {
+            0
+        }
+    }
+
+    impl crate::Site for Recorder {
+        type Input = u64;
+        type UpMsg = Silent;
+        type Broadcast = f64;
+
+        fn observe(&mut self, x: u64, _out: &mut Vec<Silent>) {
+            self.0.push(x);
+        }
+        fn on_broadcast(&mut self, _: &f64) {}
+    }
+
+    struct Sink;
+
+    impl crate::Coordinator for Sink {
+        type UpMsg = Silent;
+        type Broadcast = f64;
+
+        fn receive(&mut self, _from: SiteId, _msg: Silent, _out: &mut Vec<f64>) {}
+    }
+
+    #[test]
+    fn pre_split_equals_what_run_partitioned_routes_round_robin() {
+        // m = 1, empty stream, len < m, len not a multiple of m, and a
+        // batch size that does not divide the stream.
+        for (m, len) in [(1, 5), (4, 0), (5, 3), (3, 10), (8, 64)] {
+            let stream: Vec<u64> = (0..len).collect();
+            let sites = (0..m).map(|_| Recorder(Vec::new())).collect();
+            let mut runner = crate::Runner::new(sites, Sink);
+            runner.run_partitioned(stream.iter().copied(), &mut RoundRobin::new(m), 7);
+            let routed: Vec<Vec<u64>> = runner.sites().iter().map(|s| s.0.clone()).collect();
+            assert_eq!(partition_round_robin(&stream, m), routed, "m={m} len={len}");
+        }
     }
 
     #[test]

@@ -1675,7 +1675,10 @@ mod tests {
                 assert_eq!(pooled.stats.up_msgs, inline.stats.up_msgs);
                 assert_eq!(pooled.stats.up_cost, inline.stats.up_cost);
                 assert_eq!(pooled.stats.broadcast_events, inline.stats.broadcast_events);
-                assert_eq!(pooled.stats.broadcast_cost(), inline.stats.broadcast_cost());
+                assert_eq!(
+                    pooled.stats.broadcast_deliveries,
+                    inline.stats.broadcast_deliveries
+                );
                 assert_eq!(pooled.stats.per_level, inline.stats.per_level);
                 assert_eq!(pooled.stats.node_in_msgs, inline.stats.node_in_msgs);
                 assert_eq!(pooled.stats.leaf_out_msgs, inline.stats.leaf_out_msgs);
@@ -1693,7 +1696,7 @@ mod tests {
         assert_eq!(parts.stats.active_leaves(), 16);
         // Broadcast cost is charged per leaf recipient.
         assert_eq!(
-            parts.stats.broadcast_cost(),
+            parts.stats.broadcast_deliveries,
             parts.stats.broadcast_events * 16
         );
     }

@@ -133,7 +133,10 @@ fn adaptive_resolved_tree_is_message_identical_to_explicit_tree() {
     );
     assert_eq!(adaptive_comm.total, explicit_comm.total);
     assert_eq!(adaptive_comm.up_msgs, explicit_comm.up_msgs);
-    assert_eq!(adaptive_comm.broadcast_cost, explicit_comm.broadcast_cost);
+    assert_eq!(
+        adaptive_comm.broadcast_deliveries,
+        explicit_comm.broadcast_deliveries
+    );
     assert_eq!(adaptive_comm.root_in_msgs, explicit_comm.root_in_msgs);
     assert_eq!(adaptive_run.msgs, explicit_run.msgs);
     assert_eq!(adaptive_run.eval.avg_rel_err, explicit_run.eval.avg_rel_err);

@@ -28,11 +28,11 @@ use cma::protocols::hh::{self, HhConfig, HhEstimator};
 use cma::protocols::matrix::{self, MatrixConfig, MatrixEstimator};
 use cma::protocols::window::{fd, mg, SwFdConfig, SwMgConfig};
 use cma::sketch::ExactWeightedCounter;
+use cma::stream::partition::partition_round_robin as partition;
 use cma::stream::runner::churn::run_churn_partitioned_topology_parts as run_churn;
 use cma::stream::runner::engine::{self, ThreadedConfig};
 use cma::stream::runner::live::{self, LiveConfig};
 use cma::stream::{ChurnConfig, ChurnEvent, ChurnSchedule, Executor, Topology};
-use cma_bench::partition_round_robin as partition;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -25,10 +25,10 @@ use cma::data::WeightedZipfStream;
 use cma::protocols::hh::{self, HhConfig, HhEstimator};
 use cma::protocols::window::{mg, SwMgConfig};
 use cma::sketch::ExactWeightedCounter;
+use cma::stream::partition::partition_round_robin as partition;
 use cma::stream::partition::RoundRobin;
 use cma::stream::runner::engine::{self, Executor, ThreadedConfig, TreeRunParts};
 use cma::stream::{BroadcastPlane, ChannelTransport, Topology};
-use cma_bench::partition_round_robin as partition;
 
 fn zipf_stream(n: usize, seed: u64) -> Vec<(u64, f64)> {
     WeightedZipfStream::new(2_000, 2.0, 50.0, seed).take_vec(n)

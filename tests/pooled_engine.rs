@@ -28,10 +28,10 @@ use cma::protocols::hh::{self, HhConfig, HhEstimator};
 use cma::protocols::matrix::{self, MatrixConfig, MatrixEstimator};
 use cma::protocols::window::{fd, mg, SwFdConfig, SwMgConfig};
 use cma::sketch::ExactWeightedCounter;
+use cma::stream::partition::partition_round_robin as partition;
 use cma::stream::partition::RoundRobin;
 use cma::stream::runner::engine::{self, Executor, ThreadedConfig};
 use cma::stream::Topology;
-use cma_bench::partition_round_robin as partition;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

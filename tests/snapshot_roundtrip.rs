@@ -27,12 +27,12 @@ use cma::protocols::hh::{self, HhConfig, HhEstimator};
 use cma::protocols::matrix::{self, MatrixConfig, MatrixEstimator};
 use cma::protocols::window::{fd, mg, SwFdConfig, SwMgConfig};
 use cma::sketch::ExactWeightedCounter;
+use cma::stream::partition::partition_round_robin as partition;
 use cma::stream::runner::churn::{
     run_churn_partitioned_topology_parts as run_churn, ChurnRunParts,
 };
 use cma::stream::runner::engine::{self, ThreadedConfig};
 use cma::stream::{ChurnConfig, ChurnSchedule, Executor, Snapshot, Topology, WireCodec};
-use cma_bench::partition_round_robin as partition;
 use proptest::prelude::*;
 
 const SEGMENT: usize = 32;

@@ -37,7 +37,7 @@ use cma::stream::{
 };
 // The one shared definition of "the identical partitioning" used by
 // every pooled-vs-sequential comparison.
-use cma_bench::partition_round_robin as partition;
+use cma::stream::partition::partition_round_robin as partition;
 
 /// Pool sizes every test sweeps.
 const WORKERS: [usize; 3] = [1, 2, 8];

@@ -187,7 +187,7 @@ fn assert_tree_shape(stats: &cma::stream::CommStats, m: usize, fanout: usize, in
         "tree must reduce fan-in below the star's {m}"
     );
     assert_eq!(
-        stats.broadcast_cost(),
+        stats.broadcast_deliveries,
         stats.broadcast_events * (m as u64 + internal as u64),
         "broadcasts must be charged per recipient"
     );

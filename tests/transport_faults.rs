@@ -27,12 +27,12 @@
 use cma::protocols::hh::{self, HhConfig, HhEstimator};
 use cma::protocols::window::{mg, SwMgConfig};
 use cma::sketch::ExactWeightedCounter;
+use cma::stream::partition::partition_round_robin as partition;
 use cma::stream::runner::churn::run_churn_partitioned_topology_parts_on;
 use cma::stream::runner::engine::{self, Executor, ThreadedConfig};
 use cma::stream::{
     ChurnConfig, ChurnEvent, ChurnSchedule, FaultPlan, LinkFaults, SimNet, Topology,
 };
-use cma_bench::partition_round_robin as partition;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

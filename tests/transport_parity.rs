@@ -14,10 +14,10 @@
 use cma::data::WeightedZipfStream;
 use cma::protocols::hh::{self, HhConfig, HhEstimator};
 use cma::protocols::window::{mg, SwMgConfig};
+use cma::stream::partition::partition_round_robin as partition;
 use cma::stream::partition::RoundRobin;
 use cma::stream::runner::engine::{self, Executor, ThreadedConfig};
 use cma::stream::{ChannelTransport, CommStats, FaultPlan, SimNet, Topology};
-use cma_bench::partition_round_robin as partition;
 
 fn zipf_stream(n: usize, seed: u64) -> Vec<(u64, f64)> {
     WeightedZipfStream::new(2_000, 2.0, 50.0, seed).take_vec(n)
@@ -139,7 +139,7 @@ fn byte_counters_are_internally_consistent() {
     // m + I recipients at 8 bytes (an f64 Ŵ threshold) each.
     assert_eq!(
         stats.bytes_down,
-        stats.broadcast_cost() * 8,
+        stats.broadcast_deliveries * 8,
         "bytes_down must be 8 bytes per delivery"
     );
 }
