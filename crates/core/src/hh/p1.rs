@@ -360,8 +360,8 @@ pub fn deploy_topology(
 
 /// Aggregator factory matching [`deploy_topology`]'s budget split — the
 /// entry point for driving a tree deployment through
-/// [`cma_stream::runner::engine::run_partitioned_topology`] (pair it
-/// with sites taken from a `deploy_topology` runner so the leaf
+/// [`cma_stream::runner::engine::run_partitioned_topology_parts`] (pair
+/// it with sites taken from a `deploy_topology` runner so the leaf
 /// thresholds share the same split).
 pub fn make_aggregator(cfg: &HhConfig, topology: Topology) -> impl FnMut(AggNode) -> P1Aggregator {
     let plan = topology.plan(cfg.sites);

@@ -43,8 +43,9 @@
 //! execution-identical to `deploy(cfg)`. Each protocol module also
 //! exposes a `make_aggregator(cfg, topology)` factory for the execution
 //! engine, which runs every site *and every interior node* as a task on
-//! a worker pool (`cma_stream::runner::engine::run_partitioned_topology`)
-//! — the guarantees tolerate the resulting broadcast lag because every
+//! a worker pool
+//! (`cma_stream::runner::engine::run_partitioned_topology_parts`) — the
+//! guarantees tolerate the resulting broadcast lag because every
 //! threshold only grows, so stale state makes nodes report sooner,
 //! never later.
 //!

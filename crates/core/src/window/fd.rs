@@ -206,7 +206,7 @@ pub fn deploy_topology(
 
 /// Aggregator factory matching [`deploy_topology`]'s budget split — the
 /// entry point for driving a tree deployment through
-/// [`cma_stream::runner::engine::run_partitioned_topology`].
+/// [`cma_stream::runner::engine::run_partitioned_topology_parts`].
 pub fn make_aggregator(
     cfg: &SwFdConfig,
     topology: Topology,
@@ -226,27 +226,6 @@ pub fn run_engine(
     topology: Topology,
 ) -> cma_stream::runner::engine::TreeRunParts<SwFdSite, SwFdCoordinator, SwFdAggregator> {
     super::run_kind_engine(cfg.kind(), &cfg.params, inputs, tcfg, executor, topology)
-}
-
-/// Runs a windowed matrix deployment through the live re-planning
-/// driver; see [`crate::window::mg::run_engine_live`] for the contract.
-pub fn run_engine_live(
-    cfg: &SwFdConfig,
-    inputs: Vec<Vec<super::Stamped<Row>>>,
-    tcfg: &cma_stream::runner::engine::ThreadedConfig,
-    executor: cma_stream::Executor,
-    topology: Topology,
-    live_cfg: &cma_stream::runner::live::LiveConfig,
-) -> cma_stream::runner::live::LiveRunParts<SwFdSite, SwFdCoordinator, SwFdAggregator> {
-    super::run_kind_engine_live(
-        cfg.kind(),
-        &cfg.params,
-        inputs,
-        tcfg,
-        executor,
-        topology,
-        live_cfg,
-    )
 }
 
 #[cfg(test)]

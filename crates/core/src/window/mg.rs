@@ -157,7 +157,7 @@ pub fn deploy_topology(
 
 /// Aggregator factory matching [`deploy_topology`]'s budget split — the
 /// entry point for driving a tree deployment through
-/// [`cma_stream::runner::engine::run_partitioned_topology`].
+/// [`cma_stream::runner::engine::run_partitioned_topology_parts`].
 pub fn make_aggregator(
     cfg: &SwMgConfig,
     topology: Topology,
@@ -183,31 +183,6 @@ pub fn run_engine(
     topology: Topology,
 ) -> cma_stream::runner::engine::TreeRunParts<SwMgSite, SwMgCoordinator, SwMgAggregator> {
     super::run_kind_engine(cfg.kind(), &cfg.params, inputs, tcfg, executor, topology)
-}
-
-/// Runs a windowed heavy-hitter deployment through the live
-/// re-planning driver: segmented execution in which a
-/// [`Topology::Adaptive`] deployment migrates its aggregation shape
-/// mid-stream when the measured fan-in calls for it (see
-/// [`cma_stream::runner::live`]); static topologies run segmented but
-/// never re-plan.
-pub fn run_engine_live(
-    cfg: &SwMgConfig,
-    inputs: Vec<Vec<super::Stamped<WeightedItem>>>,
-    tcfg: &cma_stream::runner::engine::ThreadedConfig,
-    executor: cma_stream::Executor,
-    topology: Topology,
-    live_cfg: &cma_stream::runner::live::LiveConfig,
-) -> cma_stream::runner::live::LiveRunParts<SwMgSite, SwMgCoordinator, SwMgAggregator> {
-    super::run_kind_engine_live(
-        cfg.kind(),
-        &cfg.params,
-        inputs,
-        tcfg,
-        executor,
-        topology,
-        live_cfg,
-    )
 }
 
 #[cfg(test)]

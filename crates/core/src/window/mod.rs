@@ -63,7 +63,6 @@
 use cma_sketch::sliding_window::{ExpHistogram, WinBucket, WindowSummary};
 use cma_sketch::{FrequentDirections, MgSummary};
 use cma_stream::runner::engine::{self, Executor, ThreadedConfig, TreeRunParts};
-use cma_stream::runner::live;
 use cma_stream::{
     put_f64, put_u64, put_usize, AggNode, Aggregator, BudgetShare, ChurnBudget, ChurnCoordinator,
     ChurnSite, Coordinator, Membership, MessageCost, MigratableAggregator, Runner, Site, SiteId,
@@ -819,43 +818,6 @@ where
         executor,
         topology,
         make_kind_aggregator(params, topology),
-    )
-}
-
-/// Runs a windowed deployment through the **live re-planning** driver
-/// ([`cma_stream::runner::live`]): the stream is driven in segments and
-/// a [`Topology::Adaptive`] deployment migrates its aggregation shape
-/// mid-stream when the measured fan-in calls for it, re-splitting the
-/// interior withholding budget over the new plan's nodes via
-/// [`make_kind_aggregator`]. Sites keep the budget split of the
-/// *structural* resolution they started on — the tree split whenever a
-/// re-plan is possible at all (`m >` budget), which under-withholds
-/// relative to any later flat plan and therefore never endangers the
-/// certified bound.
-pub(crate) fn run_kind_engine_live<K>(
-    kind: K,
-    params: &SwParams,
-    inputs: Vec<Vec<Stamped<K::Input>>>,
-    tcfg: &ThreadedConfig,
-    executor: Executor,
-    topology: Topology,
-    live_cfg: &live::LiveConfig,
-) -> live::LiveRunParts<SwSite<K>, SwCoordinator<K>, SwAggregator<K>>
-where
-    K: WindowKind + Send,
-    K::Input: Send,
-    K::Summary: Send,
-{
-    let (sites, coordinator, _) = deploy_kind_topology(kind, params, topology).into_parts();
-    live::run_live_partitioned_topology_parts(
-        sites,
-        coordinator,
-        inputs,
-        tcfg,
-        executor,
-        topology,
-        |concrete| make_kind_aggregator(params, concrete),
-        live_cfg,
     )
 }
 

@@ -96,12 +96,14 @@ pub trait Aggregator {
 
 /// An [`Aggregator`] whose held state can be *migrated* into a
 /// different aggregation plan while the deployment keeps running — the
-/// surface behind live re-planning
-/// ([`crate::Topology::resolve_live`]).
+/// surface behind the segmented driver's re-splits
+/// ([`crate::runner::churn`]): measured re-plans of a
+/// [`crate::Topology::Adaptive`] deployment, membership changes and
+/// crash recovery all move the interior through it.
 ///
 /// # Contract
 ///
-/// When a re-plan fires (at a `Ŵ` re-broadcast boundary, with the old
+/// When a re-split fires (at a settled segment boundary, with the old
 /// plan's traffic drained), the runner calls
 /// [`split_for_migration`](MigratableAggregator::split_for_migration)
 /// on every *old* interior node — each must hand back **all** of its

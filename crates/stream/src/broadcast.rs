@@ -146,11 +146,11 @@ fn splitmix(z: &mut u64) -> u64 {
 /// [`CommStats`] per edge actually crossed), and returns the
 /// [`LeafSet`] the driver must physically deliver the payload to.
 ///
-/// Segmented drivers ([`crate::runner::live`], [`crate::runner::churn`])
-/// rebuild this state per segment: the version counter restarts, which
-/// is sound because versions only order events *within* one plane
-/// instance, and a fresh instance treats every node as stale (first
-/// event re-disseminates to everyone it reaches).
+/// The segmented driver ([`crate::runner::churn`]) rebuilds this state
+/// per segment: the version counter restarts, which is sound because
+/// versions only order events *within* one plane instance, and a fresh
+/// instance treats every node as stale (first event re-disseminates to
+/// everyone it reaches).
 #[derive(Debug)]
 pub struct BroadcastState {
     plane: BroadcastPlane,

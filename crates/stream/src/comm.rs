@@ -337,8 +337,9 @@ impl CommStats {
     }
 
     /// Folds stats from a *differently-shaped* deployment segment into
-    /// this accumulator — the live re-planning case, where one logical
-    /// run crosses two (or more) topology plans and
+    /// this accumulator — the segmented driver's case
+    /// ([`crate::runner::churn`]), where one logical run crosses two (or
+    /// more) topology plans and
     /// [`CommStats::absorb`] would rightly refuse the shape mismatch.
     ///
     /// The scalars that are shape-independent sum exactly (`up_msgs`,

@@ -49,7 +49,7 @@ impl Partitioner for RoundRobin {
 /// Pre-splits a whole stream into the `m` per-site streams that
 /// [`crate::Runner::run_partitioned`] with [`RoundRobin::new`]`(m)`
 /// would route (site `i mod m`, arrival order kept within a site) —
-/// the explicit input vectors the engine, live and churn drivers take,
+/// the explicit input vectors the engine and segmented drivers take,
 /// so sequential-vs-concurrent comparisons share one definition of
 /// "the identical partitioning".
 ///

@@ -32,7 +32,14 @@
 //! double-counting) when the run drains.
 //! [`engine::Executor::Inline`] runs the identical task plan on the
 //! calling thread, deterministically, for parity and conservation
-//! audits. [`live`] and [`churn`] run their segments on the engine.
+//! audits.
+//!
+//! [`churn`] is the segmented driver
+//! ([`churn::run_churn_partitioned_topology_parts_on`]): it runs the
+//! stream through the engine one segment at a time
+//! ([`engine::resume_partitioned_topology_parts_on`]) and, at the
+//! boundaries in between, re-plans an adaptive topology from measured
+//! fan-in, applies membership churn, and snapshots / recovers the root.
 
 use std::collections::BTreeMap;
 
@@ -113,7 +120,7 @@ where
 
     /// Re-assembles the layer around *pre-built* aggregator nodes (in
     /// [`TopologyPlan::agg_nodes`] order) — the resume path used when a
-    /// live re-plan migrates interior state into a new plan without
+    /// re-split migrates interior state into a new plan without
     /// restarting the deployment.
     fn from_parts(plan: TopologyPlan, aggs: Vec<A>, coordinator: C) -> Self {
         assert_eq!(
@@ -656,7 +663,6 @@ fn pop_front<T>(v: &mut Vec<T>) -> Option<T> {
 
 pub mod churn;
 pub mod engine;
-pub mod live;
 
 /// Alias path for the engine's run configuration. `benchmark/` is a
 /// frozen package outside the workspace that imports

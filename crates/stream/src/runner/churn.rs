@@ -1,9 +1,19 @@
-//! Membership churn + coordinator snapshot/recovery over the pooled
-//! execution engine.
+//! The segmented driver: measured re-planning, membership churn and
+//! coordinator snapshot/recovery over the pooled execution engine.
 //!
-//! This driver extends [`super::live`]'s segmented execution with the
-//! two production concerns the paper's fixed-`m` model leaves open:
+//! The stream is driven through [`engine`] in **segments** of
+//! [`ChurnConfig::segment_len`] arrivals per site; sites, interior
+//! nodes and the coordinator stay alive between segments
+//! ([`engine::resume_partitioned_topology_parts_on`]). Everything this
+//! driver adds to a plain engine run happens at the **boundaries**
+//! between segments — the concerns the paper's fixed-`m`, fixed-shape
+//! model leaves open:
 //!
+//! * **Re-planning** — a [`Topology::Adaptive`] deployment re-resolves
+//!   its shape from the last segment's *measured* fan-in
+//!   ([`Topology::resolve_with`]) and migrates to it while running.
+//!   Static topologies resolve to themselves, so driving them through
+//!   this module is exactly segmented execution.
 //! * **Churn** — a [`ChurnSchedule`] pins [`ChurnEvent::Join`] /
 //!   [`ChurnEvent::Leave`] events to segment boundaries. The structural
 //!   site universe stays fixed (all `M` slots exist for the whole run,
@@ -13,12 +23,7 @@
 //!   coordinator, outside the transport: never dropped, never charged
 //!   to `CommStats`/`FaultStats` — so the churn ledger and the fault
 //!   ledger compose without double-charging by construction). A joining
-//!   site starts from [`ChurnCoordinator::current_broadcast`]. At the
-//!   next settled boundary the ε budget is **re-split** over the new
-//!   `m' + I` withholding nodes: every node's [`ChurnBudget::rebudget`]
-//!   is invoked exactly once, interior nodes are rebuilt through the
-//!   protocol factory and re-homed with the live-replan migration
-//!   machinery ([`MigratableAggregator`]).
+//!   site starts from [`ChurnCoordinator::current_broadcast`].
 //! * **Recovery** — at a chosen boundary the interior nodes flush fully
 //!   into the root and the root complex (coordinator + interior
 //!   aggregators) is captured as a wire-encoded [`Snapshot`]; from then
@@ -32,26 +37,42 @@
 //!   coordinator, and reconciles root-side vs site-side membership with
 //!   one ungated re-split.
 //!
-//! # Re-split timing
+//! # The boundary rule
 //!
-//! Membership changes mark the deployment dirty; the re-split itself is
-//! deferred to a boundary where threshold state is settled — one where
-//! a `Ŵ` re-broadcast happened (in the last segment or provoked by a
-//! departure flush), boundary 0, or any boundary when
-//! [`ChurnConfig::resplit_quiet_boundaries`] is set. Until the re-split
-//! lands, surviving nodes keep their old (smaller-share, strictly
-//! conservative) thresholds. A crash always re-splits immediately: the
-//! restored root believes the snapshot-time membership and must be
-//! reconciled before the next segment.
+//! A boundary is **settled** when threshold state has just been
+//! refreshed everywhere: a `Ŵ` re-broadcast happened (in the last
+//! segment or provoked by a departure flush), it is boundary 0, or
+//! [`ChurnConfig::resplit_quiet_boundaries`] is set. At a settled
+//! boundary the driver computes **one** target shape — from the active
+//! site count alone ([`Topology::resolve_structural`]) before any
+//! segment has run, from the active count and the *last segment's*
+//! stats ([`Topology::resolve_with`]) afterwards; the last segment's,
+//! not the run's, because a cumulative `active_leaves` can only grow
+//! and a tree could then never collapse — and **re-splits** when
+//! membership changed since the last re-split *or* the target differs
+//! from the running shape. Until the re-split lands, surviving nodes
+//! keep their old (smaller-share, strictly conservative) thresholds. A
+//! crash always re-splits immediately, to the same target: the restored
+//! root believes the snapshot-time membership and must be reconciled
+//! before the next segment.
 //!
-//! # Zero-churn parity
+//! One re-split re-budgets the ε split over the new `m' + I`
+//! withholding nodes — every site slot, every interior node (built
+//! afresh through the protocol's factory for the target plan) and the
+//! root has [`ChurnBudget::rebudget`] invoked exactly once, from the
+//! membership its threshold was last split for — and moves all held
+//! interior state into the target plan under the
+//! [`MigratableAggregator`] contract: nothing lost, nothing
+//! double-counted (pinned by the `live_replan` and `churn_recovery`
+//! integration suites).
 //!
-//! With an empty schedule and no snapshot/crash boundaries, this driver
-//! is **bit-identical** to [`super::live`] on a static topology: the
-//! WAL wrapper is pure delegation while disarmed, no re-split ever
-//! fires, and segments run through the same engine call. (Unlike
-//! `live`, this driver re-plans topology from *membership*, not from
-//! measured fan-in — `Adaptive` resolves against the active count.)
+//! # The idle machinery is invisible
+//!
+//! With a static topology, an empty schedule and no snapshot/crash
+//! boundaries, a run is **bit-identical** to a bare loop of
+//! [`engine::resume_partitioned_topology_parts_on`] segments: the WAL
+//! wrapper is pure delegation while disarmed and no re-split ever
+//! fires (`churn_recovery::zero_churn_matches_live_driver_bit_exactly`).
 
 use super::engine::{self, EngineStats, Executor, ThreadedConfig};
 use crate::aggregator::MigratableAggregator;
@@ -62,7 +83,7 @@ use crate::comm::{CommStats, MessageCost};
 use crate::coordinator::Coordinator;
 use crate::snapshot::Snapshot;
 use crate::topology::{AggNode, Topology, TopologyPlan};
-use crate::transport::{ChannelTransport, Transport};
+use crate::transport::Transport;
 use crate::wire::{WireCodec, WireSized};
 use crate::SiteId;
 
@@ -127,13 +148,16 @@ where
     }
 }
 
-/// Tuning + schedule for the churn/recovery driver.
+/// Tuning + schedule for the segmented driver. The default — empty
+/// schedule, no snapshot, no crash — is plain segmented execution.
 #[derive(Debug, Clone)]
 pub struct ChurnConfig {
-    /// Arrivals fed per active site per segment. Must be ≥ 1.
+    /// Arrivals fed per active site per segment (the granularity of
+    /// every boundary decision). Must be ≥ 1.
     pub segment_len: usize,
-    /// Also re-split at boundaries where no `Ŵ` re-broadcast happened
-    /// (module docs). Default `false`.
+    /// Treat boundaries where no `Ŵ` re-broadcast happened as settled
+    /// too (module docs), so re-plans and re-splits fire there as well —
+    /// for tests driving quiet streams. Default `false`.
     pub resplit_quiet_boundaries: bool,
     /// The membership events, pinned to segment boundaries.
     pub schedule: ChurnSchedule,
@@ -157,7 +181,7 @@ impl Default for ChurnConfig {
     }
 }
 
-/// What the churn/recovery driver did, alongside the protocol's stats.
+/// What the segmented driver did, alongside the protocol's stats.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChurnReport {
     /// Segments driven.
@@ -168,7 +192,8 @@ pub struct ChurnReport {
     pub leaves: usize,
     /// Budget re-splits performed (each node re-budgeted exactly once).
     pub resplits: usize,
-    /// Re-splits that also changed the plan shape.
+    /// Re-splits that also changed the plan shape (every measured
+    /// re-plan of an [`Topology::Adaptive`] deployment is one).
     pub replans: usize,
     /// Messages drained out of retiring interior nodes and re-homed
     /// (plan surgery + the pre-snapshot flush). Not charged to
@@ -201,7 +226,7 @@ pub struct ChurnReport {
     pub final_topology: Topology,
 }
 
-/// Everything a churn run returns.
+/// Everything a segmented run returns.
 #[derive(Debug)]
 pub struct ChurnRunParts<S, C, A> {
     /// The leaf sites, in slot order (departed slots included, quiet).
@@ -320,61 +345,55 @@ where
     new_aggs
 }
 
-/// Drives pre-partitioned per-site streams through the pooled engine in
-/// segments under a churn schedule, with optional snapshot/recovery
-/// (module docs for the protocol).
-///
-/// # Panics
-/// As [`engine::resume_partitioned_topology_parts`], plus if
-/// `churn_cfg.segment_len == 0`, if `crash_at` is set without a
-/// `snapshot_at ≤ crash_at`, or on a schedule that joins an active /
-/// leaves an inactive slot.
-#[allow(clippy::too_many_arguments)]
-pub fn run_churn_partitioned_topology_parts<S, C, A, FF, F>(
-    sites: Vec<S>,
-    coordinator: C,
-    inputs: Vec<Vec<S::Input>>,
-    cfg: &ThreadedConfig,
-    executor: Executor,
-    topology: Topology,
-    factory: FF,
-    churn_cfg: &ChurnConfig,
-) -> ChurnRunParts<S, C, A>
-where
-    S: ChurnSite + Send,
-    S::Input: Send,
-    S::UpMsg: MessageCost + Clone + Send,
-    S::Broadcast: Clone + WireSized + Send,
-    C: ChurnCoordinator<UpMsg = S::UpMsg, Broadcast = S::Broadcast> + WireCodec,
-    A: MigratableAggregator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>
-        + ChurnBudget
-        + WireCodec
-        + Send,
-    FF: FnMut(Topology) -> F,
-    F: FnMut(AggNode) -> A,
-{
-    run_churn_partitioned_topology_parts_on(
-        sites,
-        coordinator,
-        inputs,
-        cfg,
-        executor,
-        topology,
-        factory,
-        churn_cfg,
-        &ChannelTransport,
-    )
+/// Rejects a malformed schedule before any input is fed: every event
+/// must name one of the `m` slots, and each slot's joins and leaves
+/// must alternate, starting from [`ChurnSchedule::initial_activity`].
+fn check_schedule(schedule: &ChurnSchedule, m: usize) {
+    // The order the driver applies events in: by boundary, ties in
+    // schedule order (the sort is stable).
+    let mut events = schedule.events.clone();
+    events.sort_by_key(|&(boundary, _)| boundary);
+    let mut active = schedule.initial_activity(m);
+    for (_, event) in events {
+        match event {
+            ChurnEvent::Join(s) => {
+                assert!(s < m, "churn: join of unknown slot {s}");
+                assert!(!active[s], "churn: join of already-active slot {s}");
+                active[s] = true;
+            }
+            ChurnEvent::Leave(s) => {
+                assert!(s < m, "churn: leave of unknown slot {s}");
+                assert!(active[s], "churn: leave of inactive slot {s}");
+                active[s] = false;
+            }
+        }
+    }
 }
 
-/// [`run_churn_partitioned_topology_parts`] over an explicit
-/// [`Transport`] — bit-exact with the plain entry point under
-/// [`ChannelTransport`]. Departure flushes, migration and WAL replay
-/// bypass the transport (they model control-plane traffic, not the
-/// protocol's data plane), so a faulty [`crate::SimNet`] never drops a
-/// departing site's final flush.
+/// Drives pre-partitioned per-site streams through the pooled engine in
+/// segments — re-planning an [`Topology::Adaptive`] deployment from
+/// measured fan-in, applying a churn schedule, and optionally
+/// snapshotting and recovering the root (module docs for the boundary
+/// rule) — over an explicit [`Transport`]: pass
+/// [`crate::ChannelTransport`] for the bit-exact default plane.
+/// Departure flushes, migration and WAL replay bypass the transport
+/// (they model control-plane traffic, not the protocol's data plane),
+/// so a faulty [`crate::SimNet`] never drops a departing site's final
+/// flush; each segment applies the same fault plan over freshly seeded
+/// links, so the fault schedule stays a pure function of the seed and
+/// the plan shapes the run visits.
+///
+/// `factory` builds a fresh aggregator-factory for a *concrete*
+/// topology — protocols wrap their `make_aggregator(cfg, topology)`
+/// here, which is what splits hold budgets over the target plan's
+/// interior on a re-split.
 ///
 /// # Panics
-/// As [`run_churn_partitioned_topology_parts`].
+/// As [`engine::resume_partitioned_topology_parts_on`], plus if
+/// `churn_cfg.segment_len == 0`, if `crash_at` is set without a
+/// `snapshot_at ≤ crash_at`, or — before any input is fed — on a
+/// schedule that names a slot `≥ m`, joins an active slot or leaves an
+/// inactive one.
 #[allow(clippy::too_many_arguments)]
 pub fn run_churn_partitioned_topology_parts_on<S, C, A, FF, F>(
     sites: Vec<S>,
@@ -416,6 +435,7 @@ where
         assert!(snap <= crash, "churn: snapshot must precede the crash");
     }
     let m = sites.len();
+    check_schedule(&churn_cfg.schedule, m);
 
     let base_topology = topology.resolve_structural(m);
     let mut report = ChurnReport {
@@ -474,7 +494,9 @@ where
 
     // Slots inactive from the start need a boundary-0 re-split.
     let mut membership_dirty = active.iter().any(|a| !a);
-    let mut last_seg_broadcasts: u64 = 0;
+    // The last segment's own stats: what the next boundary's re-plan
+    // decision is measured on.
+    let mut last_seg: Option<CommStats> = None;
     let mut boundary = 0usize;
 
     loop {
@@ -483,8 +505,6 @@ where
         for event in churn_cfg.schedule.events_at(boundary) {
             match event {
                 ChurnEvent::Join(s) => {
-                    assert!(s < m, "churn: join of unknown slot {s}");
-                    assert!(!active[s], "churn: join of already-active slot {s}");
                     active[s] = true;
                     report.joins += 1;
                     // Start from live threshold state, not the default.
@@ -494,8 +514,6 @@ where
                     membership_dirty = true;
                 }
                 ChurnEvent::Leave(s) => {
-                    assert!(s < m, "churn: leave of unknown slot {s}");
-                    assert!(active[s], "churn: leave of inactive slot {s}");
                     active[s] = false;
                     report.leaves += 1;
                     let mut final_flush: Vec<S::UpMsg> = Vec::new();
@@ -553,10 +571,13 @@ where
             wal.arm();
         }
 
-        if churn_cfg.crash_at == Some(boundary) {
-            // (3) Crash + recovery. The live root complex dies: the
-            // mass its interior nodes held since the snapshot is
-            // measured into the recovery ledger, then discarded.
+        // (3) Crash + recovery. The live root complex dies: the mass
+        // its interior nodes held since the snapshot is measured into
+        // the recovery ledger, then discarded.
+        let crashed = churn_cfg.crash_at == Some(boundary);
+        // The membership the root's threshold was last split for.
+        let mut root_mem = cur_mem;
+        if crashed {
             let (snap, snap_topology, snap_mem) = sidecar
                 .clone()
                 .expect("churn: crash boundary reached without a snapshot");
@@ -570,6 +591,7 @@ where
             let (restored, restored_aggs): (C, Vec<A>) =
                 snap.restore().expect("churn: snapshot failed to restore");
             current_topology = snap_topology;
+            root_mem = snap_mem;
             aggs = restored_aggs; // mass-empty: drained at capture
 
             // Replay the WAL suffix. Broadcasts provoked by the replay
@@ -589,71 +611,49 @@ where
                 }
             }
             wal = WalCoordinator::new(inner); // disarmed: recovery done
+        }
 
-            // Reconcile: the restored root believes the snapshot-time
-            // membership, the surviving sites the current one — one
-            // ungated re-split resolves both.
+        // (4) The boundary rule (module docs): one target shape per
+        // settled boundary; re-split when membership moved or the
+        // target is not the running shape. A crash is never gated — the
+        // restored root believes the snapshot-time membership, the
+        // surviving sites the current one, and one re-split resolves
+        // both.
+        let settled = boundary == 0
+            || last_seg.as_ref().is_some_and(|s| s.broadcast_events > 0)
+            || departure_bcasts_here > 0
+            || churn_cfg.resplit_quiet_boundaries;
+        if crashed || settled {
             let n_active = active.iter().filter(|a| **a).count();
-            let new_topology = topology.resolve_structural(n_active);
-            let new_plan = new_topology.plan(m);
-            let next = membership_of(&new_plan, n_active);
-            let mut make = factory(new_topology);
-            let old = std::mem::take(&mut aggs);
-            aggs = resplit(
-                &mut sites,
-                &active,
-                &mut wal,
-                old,
-                &new_plan,
-                &mut make,
-                cur_mem,
-                snap_mem,
-                next,
-                &mut report,
-            );
-            if new_topology != current_topology {
-                report.replans += 1;
+            let target = match &last_seg {
+                Some(seg) => topology.resolve_with(n_active.max(1), seg),
+                None => topology.resolve_structural(n_active),
+            };
+            if crashed || membership_dirty || target != current_topology {
+                let new_plan = target.plan(m);
+                let next = membership_of(&new_plan, n_active);
+                aggs = resplit(
+                    &mut sites,
+                    &active,
+                    &mut wal,
+                    std::mem::take(&mut aggs),
+                    &new_plan,
+                    &mut factory(target),
+                    cur_mem,
+                    root_mem,
+                    next,
+                    &mut report,
+                );
+                if target != current_topology {
+                    report.replans += 1;
+                }
+                current_topology = target;
+                current_plan = new_plan;
+                cur_mem = next;
+                report.resplits += 1;
+                report.final_topology = current_topology;
+                membership_dirty = false;
             }
-            current_topology = new_topology;
-            current_plan = new_plan;
-            cur_mem = next;
-            report.resplits += 1;
-            report.final_topology = current_topology;
-            membership_dirty = false;
-        } else if membership_dirty
-            && (boundary == 0
-                || last_seg_broadcasts > 0
-                || departure_bcasts_here > 0
-                || churn_cfg.resplit_quiet_boundaries)
-        {
-            // (4) Settled-boundary re-split over the new membership.
-            let n_active = active.iter().filter(|a| **a).count();
-            let new_topology = topology.resolve_structural(n_active);
-            let new_plan = new_topology.plan(m);
-            let next = membership_of(&new_plan, n_active);
-            let mut make = factory(new_topology);
-            let old = std::mem::take(&mut aggs);
-            aggs = resplit(
-                &mut sites,
-                &active,
-                &mut wal,
-                old,
-                &new_plan,
-                &mut make,
-                cur_mem,
-                cur_mem,
-                next,
-                &mut report,
-            );
-            if new_topology != current_topology {
-                report.replans += 1;
-            }
-            current_topology = new_topology;
-            current_plan = new_plan;
-            cur_mem = next;
-            report.resplits += 1;
-            report.final_topology = current_topology;
-            membership_dirty = false;
         }
 
         // (5) Terminate once no boundary event is still ahead and every
@@ -691,9 +691,9 @@ where
         sites = parts.sites;
         wal = parts.coordinator;
         aggs = parts.aggregators;
-        last_seg_broadcasts = parts.stats.broadcast_events;
         acc.absorb_reshaped(&parts.stats);
         engine_stats.absorb(&parts.engine);
+        last_seg = Some(parts.stats);
         report.segments += 1;
         boundary += 1;
     }
@@ -714,6 +714,7 @@ where
 mod tests {
     use super::*;
     use crate::aggregator::RelayFilter;
+    use crate::transport::ChannelTransport;
     use crate::wire::{put_f64, put_u64, WireReader};
 
     /// Leaf that forwards every input and holds a running local count.
@@ -864,32 +865,50 @@ mod tests {
             .collect()
     }
 
+    fn tcfg() -> ThreadedConfig {
+        ThreadedConfig {
+            batch_size: 4,
+            channel_capacity: 2,
+            plane: Default::default(),
+        }
+    }
+
+    /// A fresh root that re-broadcasts every `every` messages.
+    fn count_coord(every: u64) -> CountCoord {
+        CountCoord {
+            received: 0,
+            sum: 0,
+            every,
+            share: 1.0,
+        }
+    }
+
+    /// Echo sites over explicit per-site inputs, on a two-worker pool.
+    fn drive_inputs(
+        inputs: Vec<Vec<u64>>,
+        topology: Topology,
+        churn_cfg: &ChurnConfig,
+    ) -> ChurnRunParts<EchoSite, CountCoord, EchoRelay> {
+        run_churn_partitioned_topology_parts_on(
+            echo_sites(inputs.len()),
+            count_coord(8),
+            inputs,
+            &tcfg(),
+            Executor::Pool { workers: 2 },
+            topology,
+            |_topology| |_node: AggNode| EchoRelay::new(PassFilter),
+            churn_cfg,
+            &ChannelTransport,
+        )
+    }
+
     fn drive(
         m: usize,
         per_site: usize,
         topology: Topology,
         churn_cfg: &ChurnConfig,
     ) -> ChurnRunParts<EchoSite, CountCoord, EchoRelay> {
-        let cfg = ThreadedConfig {
-            batch_size: 4,
-            channel_capacity: 2,
-            plane: Default::default(),
-        };
-        run_churn_partitioned_topology_parts(
-            echo_sites(m),
-            CountCoord {
-                received: 0,
-                sum: 0,
-                every: 8,
-                share: 1.0,
-            },
-            echo_inputs(m, per_site),
-            &cfg,
-            Executor::Pool { workers: 2 },
-            topology,
-            |_topology| |_node: AggNode| EchoRelay::new(PassFilter),
-            churn_cfg,
-        )
+        drive_inputs(echo_inputs(m, per_site), topology, churn_cfg)
     }
 
     /// Zero churn, zero snapshot: plain segmented execution — no
@@ -1030,35 +1049,227 @@ mod tests {
 
     #[test]
     fn empty_deployment_is_a_no_op() {
-        let parts: ChurnRunParts<EchoSite, CountCoord, EchoRelay> =
-            run_churn_partitioned_topology_parts(
-                Vec::new(),
-                CountCoord {
-                    received: 0,
-                    sum: 0,
-                    every: 8,
-                    share: 1.0,
-                },
-                Vec::new(),
-                &ThreadedConfig::default(),
-                Executor::Pool { workers: 2 },
-                Topology::Star,
-                |_topology| |_node: AggNode| EchoRelay::new(PassFilter),
-                &ChurnConfig::default(),
-            );
+        let parts = drive_inputs(Vec::new(), Topology::Star, &ChurnConfig::default());
         assert_eq!(parts.report.segments, 0);
         assert_eq!(parts.coordinator.received, 0);
+    }
+
+    /// Only the first `busy` of `m` sites ever speak (40 pings each):
+    /// the measured fan-in that lets an adaptive tree collapse.
+    fn concentrated_inputs(m: usize, busy: usize) -> Vec<Vec<u64>> {
+        (0..m)
+            .map(|s| {
+                if s < busy {
+                    (0..40u64).map(|i| s as u64 * 1000 + i).collect()
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect()
+    }
+
+    /// Adaptive deployment over a budget-exceeding site count starts as
+    /// a tree; when measured fan-in drops within budget it collapses to
+    /// the star mid-stream, with held state migrated, and every message
+    /// still arrives exactly once.
+    #[test]
+    fn adaptive_collapses_to_star_and_conserves_messages() {
+        // Only sites 0 and 1 ever speak: measured fan-in 2 ≤ budget 4.
+        let parts = drive_inputs(
+            concentrated_inputs(16, 2),
+            Topology::Adaptive { max_fan_in: 4 },
+            &ChurnConfig {
+                segment_len: 10,
+                resplit_quiet_boundaries: true,
+                ..ChurnConfig::default()
+            },
+        );
+        assert_eq!(parts.report.replans, 1, "tree should collapse to star");
+        assert_eq!(parts.report.resplits, 1, "the re-plan is the one re-split");
+        assert_eq!(parts.report.final_topology, Topology::Star);
+        assert!(parts.aggregators.is_empty(), "star has no interior nodes");
+        // Conservation: every one of the 80 pings reached the root.
+        assert_eq!(parts.coordinator.received, 80);
+        let expected: u64 = concentrated_inputs(16, 2).into_iter().flatten().sum();
+        assert_eq!(parts.coordinator.sum, expected);
+        // Sites and root were re-budgeted from the tree split (16 + 4
+        // withholding nodes) to the flat one (16).
+        assert!((parts.sites[0].share - 20.0 / 16.0).abs() < 1e-12);
+        assert!((parts.coordinator.share - 20.0 / 16.0).abs() < 1e-12);
+    }
+
+    /// A re-plan must not lose sub-threshold partials held by retiring
+    /// aggregators: a holding aggregator's state is drained by
+    /// `split_for_migration` and re-homed, not dropped.
+    #[test]
+    fn migration_drains_holding_aggregators() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static DRAINED: AtomicU64 = AtomicU64::new(0);
+
+        /// Holds everything until migration (flush never emits).
+        #[derive(Default)]
+        struct Hoarder {
+            pending: Vec<(SiteId, Ping)>,
+        }
+
+        impl crate::Aggregator for Hoarder {
+            type UpMsg = Ping;
+            type Broadcast = u64;
+            fn absorb(&mut self, from: SiteId, msg: Ping) {
+                self.pending.push((from, msg));
+            }
+            fn flush(&mut self, _out: &mut Vec<(SiteId, Ping)>) {}
+        }
+
+        impl MigratableAggregator for Hoarder {
+            fn split_for_migration(&mut self, out: &mut Vec<(SiteId, Ping)>) {
+                DRAINED.fetch_add(self.pending.len() as u64, Ordering::Relaxed);
+                out.append(&mut self.pending);
+            }
+        }
+
+        impl ChurnBudget for Hoarder {}
+
+        // Never snapshotted here; the driver only needs the bound.
+        impl WireCodec for Hoarder {
+            fn encode(&self, _out: &mut Vec<u8>) {}
+            fn decode(_r: &mut WireReader<'_>) -> Option<Self> {
+                Some(Hoarder::default())
+            }
+        }
+
+        let m = 8;
+        let parts = run_churn_partitioned_topology_parts_on(
+            echo_sites(m),
+            count_coord(1000), // quiet: no broadcasts
+            // One chatty site: measured fan-in 1 ≤ budget 2 → collapse.
+            concentrated_inputs(m, 1),
+            &tcfg(),
+            Executor::Pool { workers: 2 },
+            Topology::Adaptive { max_fan_in: 2 },
+            |_topology| |_node: AggNode| Hoarder::default(),
+            &ChurnConfig {
+                segment_len: 10,
+                resplit_quiet_boundaries: true,
+                ..ChurnConfig::default()
+            },
+            &ChannelTransport,
+        );
+        assert_eq!(parts.report.replans, 1);
+        // Segment 1's ten pings were hoarded at level 1, drained by the
+        // migration, and delivered to the coordinator by the collapse;
+        // the other thirty went straight to the (now flat) root.
+        assert_eq!(DRAINED.load(Ordering::Relaxed), 10);
+        assert_eq!(parts.report.migrated_msgs, 10);
+        assert_eq!(parts.coordinator.received, 40);
+        assert_eq!(parts.coordinator.sum, (0..40u64).sum::<u64>());
+    }
+
+    /// Everyone leaves an adaptive deployment: the target shape is
+    /// resolved for a clamped count of one site (`resolve_with` rejects
+    /// zero), the tree collapses, and every departure flush lands.
+    #[test]
+    fn adaptive_resolves_when_everyone_has_left() {
+        let m = 4;
+        let schedule = (0..m).fold(ChurnSchedule::new(), |sched, s| {
+            sched.at(1, ChurnEvent::Leave(s))
+        });
+        let parts = drive(
+            m,
+            20,
+            Topology::Adaptive { max_fan_in: 2 },
+            &ChurnConfig {
+                segment_len: 10,
+                schedule,
+                resplit_quiet_boundaries: true,
+                ..ChurnConfig::default()
+            },
+        );
+        assert_eq!(parts.report.leaves, m);
+        assert_eq!(parts.report.segments, 1);
+        assert_eq!(parts.report.replans, 1);
+        assert_eq!(parts.report.final_topology, Topology::Star);
+        assert!(parts.aggregators.is_empty());
+        assert_eq!(parts.report.unfed_inputs, m * 10);
+        // Each site echoed its first segment, then flushed the same sum
+        // once more on departure.
+        let fed: u64 = (0..m as u64)
+            .flat_map(|s| (0..10u64).map(move |i| s * 1000 + i))
+            .sum();
+        assert_eq!(parts.coordinator.sum, 2 * fed);
+    }
+
+    /// Leaf that must never be fed: a malformed schedule has to be
+    /// rejected up front, not when its boundary is finally reached.
+    struct TripwireSite;
+
+    impl crate::Site for TripwireSite {
+        type Input = u64;
+        type UpMsg = Ping;
+        type Broadcast = u64;
+
+        fn observe(&mut self, _input: u64, _out: &mut Vec<Ping>) {
+            panic!("input was fed before the schedule was checked");
+        }
+
+        fn on_broadcast(&mut self, _b: &u64) {}
+    }
+
+    impl ChurnBudget for TripwireSite {}
+
+    impl ChurnSite for TripwireSite {
+        fn depart(&mut self, _out: &mut Vec<Ping>) {}
+    }
+
+    fn drive_malformed(schedule: ChurnSchedule) {
+        let m = 4;
+        run_churn_partitioned_topology_parts_on(
+            (0..m).map(|_| TripwireSite).collect(),
+            count_coord(8),
+            echo_inputs(m, 10),
+            &tcfg(),
+            Executor::Inline,
+            Topology::Star,
+            |_topology| |_node: AggNode| EchoRelay::new(PassFilter),
+            &ChurnConfig {
+                segment_len: 4,
+                schedule,
+                ..ChurnConfig::default()
+            },
+            &ChannelTransport,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown slot")]
+    fn schedule_naming_a_slot_past_m_is_rejected_up_front() {
+        drive_malformed(ChurnSchedule::new().at(2, ChurnEvent::Leave(4)));
+    }
+
+    #[test]
+    #[should_panic(expected = "already-active")]
+    fn schedule_joining_an_active_slot_is_rejected_up_front() {
+        drive_malformed(
+            ChurnSchedule::new()
+                .at(2, ChurnEvent::Join(1))
+                .at(3, ChurnEvent::Join(1)),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "inactive slot")]
+    fn schedule_leaving_an_inactive_slot_is_rejected_up_front() {
+        drive_malformed(
+            ChurnSchedule::new()
+                .at(1, ChurnEvent::Leave(0))
+                .at(2, ChurnEvent::Leave(0)),
+        );
     }
 
     /// The WAL wrapper is pure delegation while disarmed.
     #[test]
     fn wal_logs_only_when_armed() {
-        let mut wal = WalCoordinator::new(CountCoord {
-            received: 0,
-            sum: 0,
-            every: 100,
-            share: 1.0,
-        });
+        let mut wal = WalCoordinator::new(count_coord(100));
         let mut out = Vec::new();
         wal.receive(0, Ping(5), &mut out);
         assert_eq!(wal.log_len(), 0);

@@ -87,8 +87,8 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Condvar, Mutex};
 
 /// Batching, backpressure and broadcast-plane knobs of an engine run
-/// (shared by the [`super::live`] and [`super::churn`] drivers, which
-/// run their segments on this engine).
+/// (shared by the segmented [`super::churn`] driver, which runs its
+/// segments on this engine).
 #[derive(Debug, Clone)]
 pub struct ThreadedConfig {
     /// Arrivals each site task processes between communication points:
@@ -148,7 +148,8 @@ pub struct TreeRunParts<S, C, A> {
     pub engine: EngineStats,
 }
 
-/// How a [`run_partitioned_topology`] call schedules its node tasks.
+/// How a [`run_partitioned_topology_parts`] call schedules its node
+/// tasks.
 ///
 /// # Example
 ///
@@ -186,7 +187,7 @@ pub struct TreeRunParts<S, C, A> {
 /// let m = 64;
 /// let sites = (0..m).map(|_| Counter(0)).collect();
 /// let inputs = (0..m).map(|i| vec![i as u64; 10]).collect();
-/// let (_, coordinator, stats) = engine::run_partitioned_topology(
+/// let parts = engine::run_partitioned_topology_parts(
 ///     sites,
 ///     Sum(0),
 ///     inputs,
@@ -195,8 +196,8 @@ pub struct TreeRunParts<S, C, A> {
 ///     Topology::Tree { fanout: 8 },
 ///     |_| cma_stream::Relay::new(),
 /// );
-/// assert_eq!(coordinator.0, (0..64u64).map(|i| i * 10).sum());
-/// assert_eq!(stats.up_msgs, 640);
+/// assert_eq!(parts.coordinator.0, (0..64u64).map(|i| i * 10).sum());
+/// assert_eq!(parts.stats.up_msgs, 640);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
@@ -286,9 +287,9 @@ impl EngineStats {
     }
 
     /// Folds another run's counters into this one, worker by worker
-    /// (used when a live re-plan splits one deployment across several
-    /// engine segments). Worker lists of different lengths are merged
-    /// index-wise, keeping the longer tail.
+    /// (used by the segmented driver, which spreads one deployment
+    /// across several engine segments). Worker lists of different
+    /// lengths are merged index-wise, keeping the longer tail.
     pub fn absorb(&mut self, other: &EngineStats) {
         if self.workers.len() < other.workers.len() {
             self.workers
@@ -364,40 +365,6 @@ impl Waker {
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
         true
     }
-}
-
-/// [`run_partitioned_topology_parts`] without the interior nodes in the
-/// return value.
-///
-/// # Panics
-/// As [`run_partitioned_topology_parts`].
-pub fn run_partitioned_topology<S, C, A>(
-    sites: Vec<S>,
-    coordinator: C,
-    inputs: Vec<Vec<S::Input>>,
-    cfg: &ThreadedConfig,
-    executor: Executor,
-    topology: Topology,
-    make_agg: impl FnMut(crate::topology::AggNode) -> A,
-) -> (Vec<S>, C, CommStats)
-where
-    S: Site + Send,
-    S::Input: Send,
-    S::UpMsg: MessageCost + Clone + Send,
-    S::Broadcast: Clone + WireSized + Send,
-    C: Coordinator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>,
-    A: Aggregator<UpMsg = S::UpMsg, Broadcast = S::Broadcast> + Send,
-{
-    let parts = run_partitioned_topology_parts(
-        sites,
-        coordinator,
-        inputs,
-        cfg,
-        executor,
-        topology,
-        make_agg,
-    );
-    (parts.sites, parts.coordinator, parts.stats)
 }
 
 /// Runs pre-partitioned per-site streams through the pooled execution
@@ -484,11 +451,13 @@ where
 }
 
 /// Runs (or *continues*) a deployment whose interior aggregators are
-/// already built — the live re-planning entry point: after a
-/// [`Topology::resolve_live`](crate::Topology) migration the caller
-/// hands the engine the migrated aggregator nodes and the new plan, and
-/// the deployment picks up where it left off (sites, coordinator and
-/// held partials intact) instead of restarting.
+/// already built — the segmented driver's entry point: after a
+/// re-split migrated the interior into a new plan
+/// ([`super::churn`]), the caller hands the engine the migrated
+/// aggregator nodes and that plan, and the deployment picks up where
+/// it left off (sites, coordinator and held partials intact) instead of
+/// restarting. `net` is the [`Transport`] every hop crosses; see
+/// [`run_partitioned_topology_parts_on`].
 ///
 /// `aggs` must be in [`TopologyPlan::agg_nodes`] order (level-major
 /// bottom-up) and match the plan's interior node count. The returned
@@ -500,40 +469,6 @@ where
 /// # Panics
 /// As [`run_partitioned_topology_parts`], plus if `aggs.len()` does not
 /// match the plan's interior node count.
-pub fn resume_partitioned_topology_parts<S, C, A>(
-    sites: Vec<S>,
-    coordinator: C,
-    inputs: Vec<Vec<S::Input>>,
-    cfg: &ThreadedConfig,
-    executor: Executor,
-    plan: TopologyPlan,
-    aggs: Vec<A>,
-) -> TreeRunParts<S, C, A>
-where
-    S: Site + Send,
-    S::Input: Send,
-    S::UpMsg: MessageCost + Clone + Send,
-    S::Broadcast: Clone + WireSized + Send,
-    C: Coordinator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>,
-    A: Aggregator<UpMsg = S::UpMsg, Broadcast = S::Broadcast> + Send,
-{
-    resume_partitioned_topology_parts_on(
-        sites,
-        coordinator,
-        inputs,
-        cfg,
-        executor,
-        plan,
-        aggs,
-        &ChannelTransport,
-    )
-}
-
-/// [`resume_partitioned_topology_parts`] over an explicit
-/// [`Transport`]; see [`run_partitioned_topology_parts_on`].
-///
-/// # Panics
-/// As [`resume_partitioned_topology_parts`].
 #[allow(clippy::too_many_arguments)]
 pub fn resume_partitioned_topology_parts_on<S, C, A>(
     sites: Vec<S>,
@@ -1922,7 +1857,7 @@ mod tests {
         assert!(engine.total_wakeups() >= engine.total_parks());
     }
 
-    /// The live-replan resume entry: handing the engine pre-built
+    /// The segmented driver's resume entry: handing the engine pre-built
     /// aggregators and a resolved plan is execution-identical to letting
     /// it build them itself.
     #[test]
@@ -1944,7 +1879,7 @@ mod tests {
         let inputs: Vec<Vec<u64>> = (0..32)
             .map(|sid| (0..40u64).map(|i| (sid as u64) + i).collect())
             .collect();
-        let resumed = resume_partitioned_topology_parts(
+        let resumed = resume_partitioned_topology_parts_on(
             sites,
             CountCoord {
                 received: 0,
@@ -1960,6 +1895,7 @@ mod tests {
             Executor::Pool { workers: 4 },
             plan,
             aggs,
+            &ChannelTransport,
         );
         assert_eq!(resumed.coordinator.sum, fresh.coordinator.sum);
         assert_eq!(resumed.stats.up_msgs, fresh.stats.up_msgs);

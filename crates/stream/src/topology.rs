@@ -59,8 +59,9 @@ pub enum Topology {
     ///   `Tree { fanout: max_fan_in }`. This keeps every existing entry
     ///   point working before any calibration has run.
     /// * [`Topology::resolve_with`] consumes one prior
-    ///   [`crate::CommStats`] (e.g. last run's): if the *measured*
-    ///   fan-in — the number of leaves that actually sent anything,
+    ///   [`crate::CommStats`] (last run's, or the last *segment's* of a
+    ///   running deployment): if the *measured* fan-in — the number of
+    ///   leaves that actually sent anything,
     ///   [`crate::CommStats::active_leaves`] — is within budget, the
     ///   flat star stays; only real pressure buys interior nodes.
     /// * [`Topology::resolve_calibrated`] is the two-pass planner: a
@@ -69,11 +70,14 @@ pub enum Topology {
     ///   one whose measured root pressure
     ///   ([`crate::CommStats::node_in_msgs`], root entry) is lowest.
     ///
-    /// Re-planning during a run is restricted to `Ŵ` re-broadcast
-    /// boundaries (where threshold state is refreshed everywhere), so
-    /// the parity pins of the test suite stay deterministic; the
-    /// shipped drivers re-plan at run boundaries, a special case of
-    /// that rule.
+    /// Re-planning during a run is restricted to *settled* boundaries —
+    /// `Ŵ` re-broadcast boundaries, where threshold state is refreshed
+    /// everywhere — so the parity pins of the test suite stay
+    /// deterministic. The segmented driver ([`crate::runner::churn`])
+    /// applies `resolve_with` to each segment's stats there and
+    /// migrates the running deployment when the answer differs from
+    /// the shape it is on; the calibration drivers re-plan at run
+    /// boundaries, a special case of that rule.
     ///
     /// # Example
     ///
@@ -168,13 +172,16 @@ impl Topology {
     }
 
     /// Resolves this topology to a concrete (non-adaptive) shape using
-    /// one prior run's measurements. `Star` and `Tree` return
-    /// themselves; `Adaptive { max_fan_in }` keeps the flat star when
-    /// the *measured* fan-in — the number of leaves that actually sent
-    /// messages, [`crate::CommStats::active_leaves`] — is within
-    /// budget, and otherwise splits into a `Tree { fanout: max_fan_in }`
-    /// (every interior node and the root then have ≤ `max_fan_in`
-    /// children by construction).
+    /// one prior run's — or one prior segment's — measurements. `Star`
+    /// and `Tree` return themselves; `Adaptive { max_fan_in }` keeps
+    /// the flat star when the *measured* fan-in — the number of leaves
+    /// that actually sent messages,
+    /// [`crate::CommStats::active_leaves`] — is within budget, and
+    /// otherwise splits into a `Tree { fanout: max_fan_in }` (every
+    /// interior node and the root then have ≤ `max_fan_in` children by
+    /// construction). The answer does not depend on the shape the
+    /// measurements were taken on, so a running deployment re-plans by
+    /// comparing it with the shape it is on.
     ///
     /// # Panics
     /// Panics if `m == 0` or on `Adaptive { max_fan_in < 2 }`.
@@ -193,46 +200,6 @@ impl Topology {
                 }
             }
             t => t,
-        }
-    }
-
-    /// Live re-planning (engine v2): decides, *mid-deployment*, whether
-    /// the running plan should change shape — called at `Ŵ`
-    /// re-broadcast boundaries, the same boundaries static adaptive
-    /// resolution is pinned to, so the decision is made on settled
-    /// threshold state.
-    ///
-    /// Only [`Topology::Adaptive`] ever re-plans; static shapes return
-    /// `None`. The rule is [`Topology::resolve_with`]'s, compared
-    /// against the plan actually running: a flat plan whose *measured*
-    /// fan-in ([`crate::CommStats::active_leaves`]) exceeds the budget
-    /// splits into `Tree { fanout: max_fan_in }`; a tree whose measured
-    /// fan-in has dropped within budget collapses back to the star;
-    /// anything else keeps the current plan (`None`). The caller then
-    /// migrates live aggregator state into the returned shape's plan —
-    /// see `MigratableAggregator` — rather than restarting the
-    /// deployment.
-    ///
-    /// # Panics
-    /// Panics on `Adaptive { max_fan_in < 2 }`.
-    pub fn resolve_live(
-        &self,
-        current: &TopologyPlan,
-        measured: &crate::CommStats,
-    ) -> Option<Topology> {
-        let Topology::Adaptive { max_fan_in } = *self else {
-            return None;
-        };
-        assert!(
-            max_fan_in >= 2,
-            "Topology::resolve_live: adaptive max_fan_in must be ≥ 2"
-        );
-        let active = measured.active_leaves();
-        if current.is_flat() {
-            (current.sites() > max_fan_in && active > max_fan_in)
-                .then_some(Topology::Tree { fanout: max_fan_in })
-        } else {
-            (active <= max_fan_in).then_some(Topology::Star)
         }
     }
 
@@ -588,6 +555,38 @@ mod tests {
         assert_eq!(a.resolve_structural(9), Topology::Tree { fanout: 8 });
         let tree = Topology::Tree { fanout: 4 };
         assert_eq!(tree.resolve_structural(2), tree);
+    }
+
+    /// The measured re-plan rule, case by case: the shape a segment ran
+    /// on (flat / tree) × its measured fan-in (within / over budget).
+    /// `resolve_with` answers from the measurement alone, so comparing
+    /// it with the running shape yields grow, collapse, or stay.
+    #[test]
+    fn resolve_with_covers_the_four_measured_cases() {
+        use crate::CommStats;
+        let (m, budget) = (16, 4);
+        let adaptive = Topology::Adaptive { max_fan_in: budget };
+        let tree = Topology::Tree { fanout: budget };
+        for (ran_on, senders, want) in [
+            (Topology::Star, budget, Topology::Star), // stay flat
+            (Topology::Star, budget + 1, tree),       // grow
+            (tree, budget, Topology::Star),           // collapse
+            (tree, m, tree),                          // stay a tree
+        ] {
+            let mut seg = CommStats::for_plan(&ran_on.plan(m));
+            for leaf in 0..senders {
+                seg.record_leaf_send(leaf);
+            }
+            assert_eq!(
+                adaptive.resolve_with(m, &seg),
+                want,
+                "ran on {ran_on:?}, {senders} senders"
+            );
+            // A site count within budget is flat whatever was measured,
+            // and static shapes ignore measurements altogether.
+            assert_eq!(adaptive.resolve_with(budget, &seg), Topology::Star);
+            assert_eq!(tree.resolve_with(m, &seg), tree);
+        }
     }
 
     #[test]

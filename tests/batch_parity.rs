@@ -454,7 +454,7 @@ fn threaded_hh_protocols_keep_error_contract_at_several_batch_sizes() {
         macro_rules! check {
             ($name:literal, $deploy:expr, $slack:expr) => {{
                 let (sites, coord, _stats) = $deploy.into_parts();
-                let (_, coord, stats) = engine::run_partitioned_topology(
+                let parts = engine::run_partitioned_topology_parts(
                     sites,
                     coord,
                     inputs.clone(),
@@ -464,12 +464,12 @@ fn threaded_hh_protocols_keep_error_contract_at_several_batch_sizes() {
                     |_| Relay::new(),
                 );
                 assert!(
-                    stats.up_msgs > 0,
+                    parts.stats.up_msgs > 0,
                     "{} batch {batch} w{workers}: no messages",
                     $name
                 );
                 for (e, f) in exact.iter() {
-                    let err = (coord.estimate(e) - f).abs();
+                    let err = (parts.coordinator.estimate(e) - f).abs();
                     assert!(
                         err <= $slack * cfg.epsilon * w + 1e-6,
                         "{} batch {batch} w{workers}: item {e} err {err} > {}·εW",
@@ -511,7 +511,7 @@ fn threaded_matrix_protocols_keep_error_contract_at_several_batch_sizes() {
         macro_rules! check {
             ($name:literal, $deploy:expr, $slack:expr) => {{
                 let (sites, coord, _stats) = $deploy.into_parts();
-                let (_, coord, stats) = engine::run_partitioned_topology(
+                let parts = engine::run_partitioned_topology_parts(
                     sites,
                     coord,
                     inputs.clone(),
@@ -521,11 +521,11 @@ fn threaded_matrix_protocols_keep_error_contract_at_several_batch_sizes() {
                     |_| Relay::new(),
                 );
                 assert!(
-                    stats.up_msgs > 0,
+                    parts.stats.up_msgs > 0,
                     "{} batch {batch} w{workers}: no messages",
                     $name
                 );
-                let err = truth.error_of_sketch(&coord.sketch()).unwrap();
+                let err = truth.error_of_sketch(&parts.coordinator.sketch()).unwrap();
                 assert!(
                     err <= $slack * cfg.epsilon,
                     "{} batch {batch} w{workers}: err {err} > {}·ε",

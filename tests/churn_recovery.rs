@@ -1,9 +1,9 @@
 //! Churn + recovery integration suite: site membership changes and
 //! coordinator crash/recovery driven through
-//! [`cma::stream::runner::churn::run_churn_partitioned_topology_parts`],
+//! [`cma::stream::runner::churn::run_churn_partitioned_topology_parts_on`],
 //! pinned against each protocol's *restated* certified bound.
 //!
-//! Three load-bearing claims:
+//! Four load-bearing claims:
 //!
 //! 1. **The churn matrix** — join-only / leave-only / mixed schedules at
 //!    m ∈ {16, 64} on the star and the fanout-4 tree. A leaving site's
@@ -12,15 +12,19 @@
 //!    the ε budget re-splits over the surviving `m' + I` withholding
 //!    nodes — so every protocol's bound holds over the mass that was
 //!    actually *fed* (paused feeds are accounted, not lost).
-//! 2. **Zero churn is invisible** — an empty schedule reproduces the
-//!    live segmented driver bit for bit: same `CommStats`, same
-//!    estimates.
+//! 2. **Zero churn is invisible** — an empty schedule on a static
+//!    topology reproduces a bare loop of engine segments bit for bit:
+//!    same `CommStats`, same estimates.
 //! 3. **Crash/recovery restates the bound** — the acceptance cell: a
 //!    forced mid-stream leave plus a coordinator crash recovered from a
 //!    wire-encoded snapshot at m = 64, with the measured
 //!    [`recovery_lost_mass`](cma::stream::ChurnReport) folded into each
 //!    protocol's undercount term exactly as `SwCoordinator::charge_faults`
 //!    folds network-fault mass.
+//! 4. **Re-planning composes with churn** — an `Adaptive` deployment
+//!    whose membership shrinks and regrows collapses to the star and
+//!    grows its tree back, every re-plan through the same certified
+//!    re-split, the restated bounds intact.
 
 use cma::data::{StreamingGram, SyntheticMatrixStream, WeightedZipfStream};
 use cma::linalg::{random, Matrix};
@@ -29,10 +33,11 @@ use cma::protocols::matrix::{self, MatrixConfig, MatrixEstimator};
 use cma::protocols::window::{fd, mg, SwFdConfig, SwMgConfig};
 use cma::sketch::ExactWeightedCounter;
 use cma::stream::partition::partition_round_robin as partition;
-use cma::stream::runner::churn::run_churn_partitioned_topology_parts as run_churn;
+use cma::stream::runner::churn::run_churn_partitioned_topology_parts_on as run_churn;
 use cma::stream::runner::engine::{self, ThreadedConfig};
-use cma::stream::runner::live::{self, LiveConfig};
-use cma::stream::{ChurnConfig, ChurnEvent, ChurnSchedule, Executor, Topology};
+use cma::stream::{
+    ChannelTransport, ChurnConfig, ChurnEvent, ChurnSchedule, CommStats, Executor, Topology,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -155,6 +160,7 @@ macro_rules! run_hh {
             $topo,
             |t| hh::$proto::make_aggregator(&cfg, t),
             $ccfg,
+            &ChannelTransport,
         )
     }};
 }
@@ -172,6 +178,7 @@ macro_rules! run_matrix {
             $topo,
             |t| matrix::$proto::make_aggregator(&cfg, t),
             $ccfg,
+            &ChannelTransport,
         )
     }};
 }
@@ -427,6 +434,7 @@ fn swmg_bound_holds_under_leave_churn() {
             topo,
             |t| mg::make_aggregator(&cfg, t),
             &ccfg,
+            &ChannelTransport,
         );
         assert_eq!(parts.report.leaves, 2);
         let bound = parts.coordinator.error_bound_at(n as u64);
@@ -450,7 +458,48 @@ fn swmg_bound_holds_under_leave_churn() {
     }
 }
 
-/// Zero churn, zero snapshot ≡ the live segmented driver, bit for bit:
+/// What segmented execution is with every boundary concern idle: the
+/// stream cut into `SEGMENT`-sized chunks per site, each chunk one
+/// `resume_…_on` call over the same plan and the same live nodes, the
+/// per-segment stats folded with `absorb_reshaped`. Yields
+/// `(coordinator, stats)`.
+macro_rules! run_bare_segments {
+    ($proto:ident, $cfg:expr, $topo:expr, $inputs:expr) => {{
+        let cfg = $cfg;
+        let (mut sites, mut coord, _) = hh::$proto::deploy_topology(&cfg, $topo).into_parts();
+        let plan = $topo.plan(sites.len());
+        let mut aggs: Vec<_> = plan
+            .agg_nodes()
+            .map(hh::$proto::make_aggregator(&cfg, $topo))
+            .collect();
+        let mut stats = CommStats::new(sites.len());
+        for k in 0..PER_SLOT / SEGMENT {
+            let segment = $inputs
+                .iter()
+                .map(|v| v[k * SEGMENT..(k + 1) * SEGMENT].to_vec())
+                .collect();
+            let parts = engine::resume_partitioned_topology_parts_on(
+                sites,
+                coord,
+                segment,
+                &tcfg(),
+                Executor::Inline,
+                plan.clone(),
+                aggs,
+                &ChannelTransport,
+            );
+            sites = parts.sites;
+            coord = parts.coordinator;
+            aggs = parts.aggregators;
+            stats.absorb_reshaped(&parts.stats);
+        }
+        (coord, stats)
+    }};
+}
+
+/// Zero churn, zero snapshot on a static topology ≡ a bare loop of
+/// engine segments (what the retired `live` driver was there), bit for
+/// bit — the idle WAL wrapper and re-split machinery are invisible:
 /// identical `CommStats` and identical estimates on the deterministic
 /// P1 and the sampling P3 (inline executor, same segment length).
 #[test]
@@ -459,41 +508,28 @@ fn zero_churn_matches_live_driver_bit_exactly() {
     let topo = Topology::Tree { fanout: 4 };
     let stream = zipf_stream(m * PER_SLOT, 4_001);
     let inputs = partition(&stream, m);
-    let live_cfg = LiveConfig {
-        segment_len: SEGMENT,
-        replan_quiet_boundaries: false,
-    };
     let ccfg = churn_cfg(ChurnSchedule::new());
 
     // P1 (deterministic merging aggregators).
     let cfg = HhConfig::new(m, 0.1).with_seed(41);
-    let (sites, coord, _) = hh::p1::deploy_topology(&cfg, topo).into_parts();
-    let live_parts = live::run_live_partitioned_topology_parts(
-        sites,
-        coord,
-        inputs.clone(),
-        &tcfg(),
-        Executor::Inline,
-        topo,
-        |t| hh::p1::make_aggregator(&cfg, t),
-        &live_cfg,
-    );
+    let (bare_coord, bare_stats) = run_bare_segments!(p1, cfg.clone(), topo, inputs);
     let churn_parts = run_hh!(p1, cfg.clone(), topo, inputs, &ccfg);
+    assert_eq!(churn_parts.report.segments, PER_SLOT / SEGMENT);
     assert_eq!(churn_parts.report.resplits, 0);
     assert_eq!(churn_parts.report.joins + churn_parts.report.leaves, 0);
     assert!(churn_parts.snapshot.is_none());
     assert_eq!(
-        churn_parts.stats, live_parts.stats,
-        "p1: CommStats diverged from the live driver"
+        churn_parts.stats, bare_stats,
+        "p1: CommStats diverged from bare segments"
     );
-    let mut items_a = live_parts.coordinator.tracked_items();
+    let mut items_a = bare_coord.tracked_items();
     let mut items_b = churn_parts.coordinator.tracked_items();
     items_a.sort_unstable();
     items_b.sort_unstable();
     assert_eq!(items_a, items_b, "p1: tracked sets diverged");
     for &e in &items_a {
         assert_eq!(
-            live_parts.coordinator.estimate(e).to_bits(),
+            bare_coord.estimate(e).to_bits(),
             churn_parts.coordinator.estimate(e).to_bits(),
             "p1: estimate diverged on item {e}"
         );
@@ -501,26 +537,103 @@ fn zero_churn_matches_live_driver_bit_exactly() {
 
     // P3 (exact relays, timing-independent priority draws).
     let cfg_s = HhConfig::new(m, 0.1).with_seed(42).with_sample_size(300);
-    let (sites, coord, _) = hh::p3::deploy_topology(&cfg_s, topo).into_parts();
-    let live_parts = live::run_live_partitioned_topology_parts(
-        sites,
-        coord,
-        inputs.clone(),
-        &tcfg(),
-        Executor::Inline,
-        topo,
-        |t| hh::p3::make_aggregator(&cfg_s, t),
-        &live_cfg,
-    );
+    let (bare_coord, bare_stats) = run_bare_segments!(p3, cfg_s.clone(), topo, inputs);
     let churn_parts = run_hh!(p3, cfg_s.clone(), topo, inputs, &ccfg);
     assert_eq!(
-        churn_parts.stats, live_parts.stats,
-        "p3: CommStats diverged from the live driver"
+        churn_parts.stats, bare_stats,
+        "p3: CommStats diverged from bare segments"
     );
     assert_eq!(
-        live_parts.coordinator.total_weight().to_bits(),
+        bare_coord.total_weight().to_bits(),
         churn_parts.coordinator.total_weight().to_bits(),
-        "p3: Ŵ diverged from the live driver"
+        "p3: Ŵ diverged from bare segments"
+    );
+}
+
+/// Re-planning × churn, the composition a deployment actually meets: an
+/// `Adaptive { max_fan_in: 4 }` deployment at m = 16 starts on the
+/// structural fanout-4 tree, loses 13 sites at boundary 2 (3 left: the
+/// star fits the budget) and gets 7 of them back at boundary 4 (10
+/// active: the measured fan-in outgrows the star again). Every re-plan
+/// goes through the same re-split as a membership change, so sites and
+/// root are re-budgeted tree → flat → tree and the restated bounds hold
+/// over the fed mass exactly as on a static shape.
+#[test]
+fn adaptive_topology_replans_under_churn_and_keeps_bounds() {
+    let m = 16;
+    let topo = Topology::Adaptive { max_fan_in: 4 };
+    let mut sched = ChurnSchedule::new();
+    for s in 3..m {
+        sched = sched.at(2, ChurnEvent::Leave(s));
+    }
+    for s in 3..10 {
+        sched = sched.at(4, ChurnEvent::Join(s));
+    }
+    let ccfg = churn_cfg(sched);
+    let stream = zipf_stream(m * PER_SLOT, 8_001);
+    let inputs = partition(&stream, m);
+    let lens: Vec<usize> = inputs.iter().map(Vec::len).collect();
+    let fed = fed_prefixes(&lens, &ccfg);
+    let mask = fed_mask(stream.len(), m, &fed);
+    let mut exact = ExactWeightedCounter::new();
+    for (i, &(e, w)) in stream.iter().enumerate() {
+        if mask[i] {
+            exact.update(e, w);
+        }
+    }
+    let w_fed = exact.total_weight();
+
+    // P1 / P2: the deterministic εW_fed contract, and the shape story —
+    // at least one collapse and one regrow, ending on the tree.
+    let cfg = HhConfig::new(m, 0.1).with_seed(81);
+    macro_rules! assert_deterministic_contract {
+        ($proto:ident) => {{
+            let parts = run_hh!($proto, cfg.clone(), topo, inputs, &ccfg);
+            let name = stringify!($proto);
+            assert_eq!((parts.report.leaves, parts.report.joins), (13, 7));
+            assert_eq!(parts.stats.arrivals, fed.iter().sum::<usize>() as u64);
+            assert!(
+                parts.report.replans >= 2,
+                "{name}: expected a collapse and a regrow, saw {} re-plan(s)",
+                parts.report.replans
+            );
+            assert!(parts.report.resplits >= parts.report.replans);
+            assert_eq!(parts.report.final_topology, Topology::Tree { fanout: 4 });
+            assert_eq!(
+                parts.aggregators.len(),
+                Topology::Tree { fanout: 4 }.plan(m).internal_nodes()
+            );
+            for (e, f) in exact.iter() {
+                let err = (parts.coordinator.estimate(e) - f).abs();
+                assert!(
+                    err <= cfg.epsilon * w_fed + 1e-6,
+                    "{name} adaptive×churn: item {e} err {err} > εW_fed"
+                );
+            }
+        }};
+    }
+    assert_deterministic_contract!(p1);
+    assert_deterministic_contract!(p2);
+
+    // P4's tracker re-broadcasts only on Ŵ doublings — none falls after
+    // the joins here — so quiet boundaries count as settled to make the
+    // regrow fire whatever the broadcast cadence.
+    let cfg4 = HhConfig::new(m, 0.15).with_seed(83);
+    let quiet = ChurnConfig {
+        resplit_quiet_boundaries: true,
+        ..ccfg.clone()
+    };
+    let parts = run_hh!(p4, cfg4, topo, inputs, &quiet);
+    assert!(parts.report.replans >= 2, "p4: no collapse + regrow");
+    assert_eq!(parts.report.final_topology, Topology::Tree { fanout: 4 });
+    let received = parts.coordinator.total_weight();
+    assert!(
+        received <= w_fed + 1e-6,
+        "p4 adaptive×churn: Ŵ {received} over-counts fed {w_fed}"
+    );
+    assert!(
+        received >= w_fed / 2.0 - 1e-6,
+        "p4 adaptive×churn: Ŵ {received} < W_fed/2"
     );
 }
 
@@ -737,6 +850,7 @@ fn crash_recovery_restates_window_bounds_at_m64() {
         topo,
         |t| mg::make_aggregator(&cfg, t),
         &ccfg,
+        &ChannelTransport,
     );
     assert!(
         parts.report.replayed_msgs > 0,
@@ -801,6 +915,7 @@ fn crash_recovery_restates_window_bounds_at_m64() {
         topo,
         |t| fd::make_aggregator(&cfg, t),
         &ccfg,
+        &ChannelTransport,
     );
     parts
         .coordinator

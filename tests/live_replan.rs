@@ -1,10 +1,11 @@
-//! Live re-planning at integration scale (PR 7): real protocols driven
-//! through the segmented live driver
-//! ([`cma::stream::runner::live::run_live_partitioned_topology_parts`])
-//! with [`Topology::Adaptive`], traffic concentrated on a handful of
-//! sites so the measured fan-in collapses the structural tree into the
-//! paper's flat star **mid-stream** — migrating every held aggregator
-//! partial into the new plan without a restart.
+//! Live re-planning at integration scale: real protocols driven
+//! through the segmented driver
+//! ([`cma::stream::runner::churn::run_churn_partitioned_topology_parts_on`],
+//! empty churn schedule) with [`Topology::Adaptive`], traffic
+//! concentrated on a handful of sites so the measured fan-in collapses
+//! the structural tree into the paper's flat star **mid-stream** —
+//! migrating every held aggregator partial into the new plan and
+//! re-budgeting sites and root for it, without a restart.
 //!
 //! What must survive the migration:
 //!
@@ -24,9 +25,9 @@ use cma::protocols::hh::{self, HhConfig, HhEstimator};
 use cma::protocols::window::{mg, SwMgConfig};
 use cma::sketch::ExactWeightedCounter;
 use cma::stream::partition::RoundRobin;
+use cma::stream::runner::churn::run_churn_partitioned_topology_parts_on as run_segmented;
 use cma::stream::runner::engine::ThreadedConfig;
-use cma::stream::runner::live::{self, LiveConfig};
-use cma::stream::{Executor, Topology};
+use cma::stream::{ChannelTransport, ChurnConfig, Executor, Topology};
 
 fn zipf_stream(n: usize, seed: u64) -> Vec<(u64, f64)> {
     WeightedZipfStream::new(2_000, 2.0, 50.0, seed).take_vec(n)
@@ -41,6 +42,16 @@ fn tcfg() -> ThreadedConfig {
 }
 
 const POOL: Executor = Executor::Pool { workers: 4 };
+
+/// Zero churn, no snapshot: only the segment length and whether quiet
+/// boundaries count as settled vary between the tests.
+fn segments(segment_len: usize, resplit_quiet_boundaries: bool) -> ChurnConfig {
+    ChurnConfig {
+        segment_len,
+        resplit_quiet_boundaries,
+        ..ChurnConfig::default()
+    }
+}
 
 /// Route the whole stream to the first `busy` of `m` sites, leaving the
 /// rest silent — the measured-fan-in shape that makes `Adaptive`'s
@@ -73,7 +84,7 @@ fn hh_p1_keeps_guarantee_across_forced_collapse_to_star() {
     let topo = Topology::Adaptive { max_fan_in: 8 };
 
     let (sites, coordinator, _) = hh::p1::deploy_topology(&cfg, topo).into_parts();
-    let parts = live::run_live_partitioned_topology_parts(
+    let parts = run_segmented(
         sites,
         coordinator,
         concentrate(&stream, m, 3),
@@ -81,13 +92,12 @@ fn hh_p1_keeps_guarantee_across_forced_collapse_to_star() {
         POOL,
         topo,
         |concrete| hh::p1::make_aggregator(&cfg, concrete),
-        &LiveConfig {
-            segment_len: 512,
-            replan_quiet_boundaries: false,
-        },
+        &segments(512, false),
+        &ChannelTransport,
     );
 
     assert_eq!(parts.report.replans, 1, "expected exactly one collapse");
+    assert_eq!(parts.report.resplits, parts.report.replans);
     assert_eq!(parts.report.final_topology, Topology::Star);
     assert!(
         parts.aggregators.is_empty(),
@@ -117,7 +127,7 @@ fn hh_p4_conserves_weight_across_replan() {
     let topo = Topology::Adaptive { max_fan_in: 8 };
 
     let (sites, coordinator, _) = hh::p4::deploy_topology(&cfg, topo).into_parts();
-    let parts = live::run_live_partitioned_topology_parts(
+    let parts = run_segmented(
         sites,
         coordinator,
         concentrate(&stream, m, 3),
@@ -125,13 +135,12 @@ fn hh_p4_conserves_weight_across_replan() {
         POOL,
         topo,
         |concrete| hh::p4::make_aggregator(&cfg, concrete),
-        &LiveConfig {
-            segment_len: 256,
-            replan_quiet_boundaries: true,
-        },
+        &segments(256, true),
+        &ChannelTransport,
     );
 
     assert_eq!(parts.report.replans, 1);
+    assert_eq!(parts.report.resplits, parts.report.replans);
     assert_eq!(parts.report.final_topology, Topology::Star);
     let received = parts.coordinator.total_weight();
     assert!(
@@ -160,19 +169,21 @@ fn swmg_keeps_certified_bound_across_replan() {
     let cfg = SwMgConfig::new(m, 0.1, window as u64, 32);
     let topo = Topology::Adaptive { max_fan_in: 8 };
 
-    let parts = mg::run_engine_live(
-        &cfg,
+    let (sites, coordinator, _) = mg::deploy_topology(&cfg, topo).into_parts();
+    let parts = run_segmented(
+        sites,
+        coordinator,
         concentrate(&stamped, m, 2),
         &tcfg(),
         POOL,
         topo,
-        &LiveConfig {
-            segment_len: 1_024,
-            replan_quiet_boundaries: true,
-        },
+        |concrete| mg::make_aggregator(&cfg, concrete),
+        &segments(1_024, true),
+        &ChannelTransport,
     );
 
     assert_eq!(parts.report.replans, 1);
+    assert_eq!(parts.report.resplits, parts.report.replans);
     assert_eq!(parts.report.final_topology, Topology::Star);
     assert_eq!(parts.stats.arrivals, stream.len() as u64);
     let t_now = stream.len() as u64;
@@ -193,7 +204,7 @@ fn swmg_keeps_certified_bound_across_replan() {
 }
 
 /// The null case that makes the others meaningful: a *static* tree
-/// driven segment-by-segment through the live driver never re-plans and
+/// driven segment-by-segment through the same driver never re-plans and
 /// reproduces the sequential tree bit for bit on P3 — segmentation and
 /// the migration machinery change nothing when no migration happens.
 #[test]
@@ -211,7 +222,7 @@ fn static_topology_through_live_driver_is_bit_exact_for_p3() {
         inputs[i % m].push(x);
     }
     let (sites, coordinator, _) = hh::p3::deploy_topology(&cfg, topo).into_parts();
-    let parts = live::run_live_partitioned_topology_parts(
+    let parts = run_segmented(
         sites,
         coordinator,
         inputs,
@@ -219,16 +230,15 @@ fn static_topology_through_live_driver_is_bit_exact_for_p3() {
         POOL,
         topo,
         |concrete| hh::p3::make_aggregator(&cfg, concrete),
-        &LiveConfig {
-            segment_len: 32,
-            replan_quiet_boundaries: true,
-        },
+        &segments(32, true),
+        &ChannelTransport,
     );
 
     assert_eq!(
         parts.report.replans, 0,
         "static topology must never re-plan"
     );
+    assert_eq!(parts.report.resplits, parts.report.replans);
     assert_eq!(parts.report.migrated_msgs, 0);
     assert_eq!(
         parts.aggregators.len(),
@@ -238,13 +248,13 @@ fn static_topology_through_live_driver_is_bit_exact_for_p3() {
     assert_eq!(
         seq.coordinator().total_weight(),
         parts.coordinator.total_weight(),
-        "Ŵ diverged through the live driver"
+        "Ŵ diverged through the segmented driver"
     );
     let mut sa = seq.coordinator().tracked_items();
     let mut sb = parts.coordinator.tracked_items();
     sa.sort_unstable();
     sb.sort_unstable();
-    assert_eq!(sa, sb, "sample diverged through the live driver");
+    assert_eq!(sa, sb, "sample diverged through the segmented driver");
     for &e in &sa {
         assert_eq!(
             seq.coordinator().estimate(e),

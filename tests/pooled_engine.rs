@@ -69,7 +69,7 @@ fn hh_deterministic_protocols_keep_guarantee_on_pool_at_m256() {
     let topo = Topology::Tree { fanout: 8 };
 
     let (sites, coord, _) = hh::p1::deploy_topology(&cfg, topo).into_parts();
-    let (_, coord, stats) = engine::run_partitioned_topology(
+    let parts = engine::run_partitioned_topology_parts(
         sites,
         coord,
         inputs.clone(),
@@ -78,9 +78,9 @@ fn hh_deterministic_protocols_keep_guarantee_on_pool_at_m256() {
         topo,
         hh::p1::make_aggregator(&cfg, topo),
     );
-    assert_eq!(stats.max_fan_in, 8);
+    assert_eq!(parts.stats.max_fan_in, 8);
     for (e, f) in exact.iter() {
-        let err = (coord.estimate(e) - f).abs();
+        let err = (parts.coordinator.estimate(e) - f).abs();
         assert!(
             err <= cfg.epsilon * w + 1e-6,
             "pooled p1: item {e} err {err} > εW"
@@ -88,7 +88,7 @@ fn hh_deterministic_protocols_keep_guarantee_on_pool_at_m256() {
     }
 
     let (sites, coord, _) = hh::p2::deploy_topology(&cfg, topo).into_parts();
-    let (_, coord, stats) = engine::run_partitioned_topology(
+    let parts = engine::run_partitioned_topology_parts(
         sites,
         coord,
         inputs,
@@ -97,9 +97,9 @@ fn hh_deterministic_protocols_keep_guarantee_on_pool_at_m256() {
         topo,
         hh::p2::make_aggregator(&cfg, topo),
     );
-    assert_eq!(stats.per_level.len(), topo.plan(m).hops());
+    assert_eq!(parts.stats.per_level.len(), topo.plan(m).hops());
     for (e, f) in exact.iter() {
-        let err = (coord.estimate(e) - f).abs();
+        let err = (parts.coordinator.estimate(e) - f).abs();
         assert!(
             err <= cfg.epsilon * w + 1e-6,
             "pooled p2: item {e} err {err} > εW"
@@ -120,7 +120,7 @@ fn hh_sampling_and_tracker_protocols_keep_guarantee_on_pool_at_m256() {
     // bit-equality.
     let cfg = HhConfig::new(m, 0.1).with_seed(12).with_sample_size(400);
     let (sites, coord, _) = hh::p3wr::deploy_topology(&cfg, topo).into_parts();
-    let (_, coord, stats) = engine::run_partitioned_topology(
+    let parts = engine::run_partitioned_topology_parts(
         sites,
         coord,
         inputs.clone(),
@@ -129,17 +129,17 @@ fn hh_sampling_and_tracker_protocols_keep_guarantee_on_pool_at_m256() {
         topo,
         hh::p3wr::make_aggregator(&cfg, topo),
     );
-    let w_hat = coord.total_weight();
+    let w_hat = parts.coordinator.total_weight();
     assert!(
         (w_hat - w).abs() <= 0.25 * w,
         "pooled p3wr Ŵ {w_hat} vs true {w}"
     );
-    assert!(stats.up_msgs > 0);
+    assert!(parts.stats.up_msgs > 0);
 
     // P4: the weight tracker's 2-approximation over the m + I nodes.
     let cfg = HhConfig::new(m, 0.15).with_seed(7);
     let (sites, coord, _) = hh::p4::deploy_topology(&cfg, topo).into_parts();
-    let (_, coord, _) = engine::run_partitioned_topology(
+    let parts = engine::run_partitioned_topology_parts(
         sites,
         coord,
         inputs,
@@ -148,7 +148,7 @@ fn hh_sampling_and_tracker_protocols_keep_guarantee_on_pool_at_m256() {
         topo,
         hh::p4::make_aggregator(&cfg, topo),
     );
-    let received = coord.total_weight();
+    let received = parts.coordinator.total_weight();
     assert!(received <= w + 1e-6, "pooled p4: Ŵ over-counted");
     assert!(
         received >= w / 2.0,
@@ -170,7 +170,7 @@ fn matrix_protocols_keep_guarantee_on_pool_at_m256() {
     let topo = Topology::Tree { fanout: 8 };
 
     let (sites, coord, _) = matrix::p1::deploy_topology(&cfg, topo).into_parts();
-    let (_, coord, _) = engine::run_partitioned_topology(
+    let parts = engine::run_partitioned_topology_parts(
         sites,
         coord,
         inputs.clone(),
@@ -179,11 +179,11 @@ fn matrix_protocols_keep_guarantee_on_pool_at_m256() {
         topo,
         matrix::p1::make_aggregator(&cfg, topo),
     );
-    let err = truth.error_of_sketch(&coord.sketch()).unwrap();
+    let err = truth.error_of_sketch(&parts.coordinator.sketch()).unwrap();
     assert!(err <= cfg.epsilon, "pooled mt-p1: err {err} > ε");
 
     let (sites, coord, _) = matrix::p2::deploy_topology(&cfg, topo).into_parts();
-    let (_, coord, _) = engine::run_partitioned_topology(
+    let parts = engine::run_partitioned_topology_parts(
         sites,
         coord,
         inputs.clone(),
@@ -192,13 +192,13 @@ fn matrix_protocols_keep_guarantee_on_pool_at_m256() {
         topo,
         matrix::p2::make_aggregator(&cfg, topo),
     );
-    let err = truth.error_of_sketch(&coord.sketch()).unwrap();
+    let err = truth.error_of_sketch(&parts.coordinator.sketch()).unwrap();
     assert!(err <= cfg.epsilon, "pooled mt-p2: err {err} > ε");
 
     // MT-P4 carries no guarantee (the paper's negative result); what
     // the engine owes it is a clean run and communication accounting.
     let (sites, coord, _) = matrix::p4::deploy_topology(&cfg, topo).into_parts();
-    let (_, coord, stats) = engine::run_partitioned_topology(
+    let parts = engine::run_partitioned_topology_parts(
         sites,
         coord,
         inputs,
@@ -207,8 +207,8 @@ fn matrix_protocols_keep_guarantee_on_pool_at_m256() {
         topo,
         matrix::p4::make_aggregator(&cfg, topo),
     );
-    assert!(stats.up_msgs > 0);
-    assert!(coord.frob_estimate() > 0.0);
+    assert!(parts.stats.up_msgs > 0);
+    assert!(parts.coordinator.frob_estimate() > 0.0);
 }
 
 /// P3's relays are exact and its priority draws timing-independent, so
@@ -228,7 +228,7 @@ fn hh_p3_pool_matches_sequential_tree_exactly() {
     // runner; 16 is the acceptance pool size.
     for workers in [1usize, 2, 16] {
         let (sites, coord, _) = hh::p3::deploy_topology(&cfg, topo).into_parts();
-        let (_, coord, stats) = engine::run_partitioned_topology(
+        let parts = engine::run_partitioned_topology_parts(
             sites,
             coord,
             partition(&stream, m),
@@ -239,23 +239,23 @@ fn hh_p3_pool_matches_sequential_tree_exactly() {
         );
         assert_eq!(
             seq.coordinator().total_weight(),
-            coord.total_weight(),
+            parts.coordinator.total_weight(),
             "workers={workers}: Ŵ diverged on the pool"
         );
         let mut sa = seq.coordinator().tracked_items();
-        let mut sb = coord.tracked_items();
+        let mut sb = parts.coordinator.tracked_items();
         sa.sort_unstable();
         sb.sort_unstable();
         assert_eq!(sa, sb, "workers={workers}: pooled sample diverged");
         for &e in &sa {
             assert_eq!(
                 seq.coordinator().estimate(e),
-                coord.estimate(e),
+                parts.coordinator.estimate(e),
                 "workers={workers}: estimate diverged on item {e}"
             );
         }
         // Lag may cost extra messages, never fewer than the sample needed.
-        assert!(stats.up_msgs >= seq.stats().up_msgs);
+        assert!(parts.stats.up_msgs >= seq.stats().up_msgs);
     }
 }
 
@@ -287,7 +287,7 @@ fn matrix_p3_pool_matches_sequential_tree_exactly() {
     };
     for workers in [1usize, 2, 16] {
         let (sites, coord, _) = matrix::p3::deploy_topology(&cfg, topo).into_parts();
-        let (_, coord, _) = engine::run_partitioned_topology(
+        let parts = engine::run_partitioned_topology_parts(
             sites,
             coord,
             partition(&stream, m),
@@ -299,10 +299,13 @@ fn matrix_p3_pool_matches_sequential_tree_exactly() {
 
         assert_eq!(
             rows(&seq.coordinator().sketch()),
-            rows(&coord.sketch()),
+            rows(&parts.coordinator.sketch()),
             "workers={workers}: pooled mt-p3 sample diverged from sequential tree"
         );
-        let (fa, fb) = (seq.coordinator().frob_estimate(), coord.frob_estimate());
+        let (fa, fb) = (
+            seq.coordinator().frob_estimate(),
+            parts.coordinator.frob_estimate(),
+        );
         assert!(
             (fa - fb).abs() <= 1e-12 * fa.abs().max(1.0),
             "workers={workers}: F̂ diverged beyond summation-order noise: {fa} vs {fb}"
@@ -506,7 +509,7 @@ fn pool_runs_m1024_deployment_with_four_workers() {
     let topo = Topology::Tree { fanout: 8 };
 
     let (sites, coord, _) = hh::p2::deploy_topology(&cfg, topo).into_parts();
-    let (_, coord, stats) = engine::run_partitioned_topology(
+    let parts = engine::run_partitioned_topology_parts(
         sites,
         coord,
         partition(&stream, m),
@@ -515,10 +518,13 @@ fn pool_runs_m1024_deployment_with_four_workers() {
         topo,
         hh::p2::make_aggregator(&cfg, topo),
     );
-    assert_eq!(stats.max_fan_in, 8);
-    assert_eq!(stats.node_in_msgs.len(), topo.plan(m).internal_nodes() + 1);
+    assert_eq!(parts.stats.max_fan_in, 8);
+    assert_eq!(
+        parts.stats.node_in_msgs.len(),
+        topo.plan(m).internal_nodes() + 1
+    );
     for (e, f) in exact.iter() {
-        let err = (coord.estimate(e) - f).abs();
+        let err = (parts.coordinator.estimate(e) - f).abs();
         assert!(
             err <= cfg.epsilon * w + 1e-6,
             "m=1024 pooled p2: item {e} err {err} > εW"

@@ -29,10 +29,12 @@ use cma::protocols::window::{fd, mg, SwFdConfig, SwMgConfig};
 use cma::sketch::ExactWeightedCounter;
 use cma::stream::partition::partition_round_robin as partition;
 use cma::stream::runner::churn::{
-    run_churn_partitioned_topology_parts as run_churn, ChurnRunParts,
+    run_churn_partitioned_topology_parts_on as run_churn, ChurnRunParts,
 };
 use cma::stream::runner::engine::{self, ThreadedConfig};
-use cma::stream::{ChurnConfig, ChurnSchedule, Executor, Snapshot, Topology, WireCodec};
+use cma::stream::{
+    ChannelTransport, ChurnConfig, ChurnSchedule, Executor, Snapshot, Topology, WireCodec,
+};
 use proptest::prelude::*;
 
 const SEGMENT: usize = 32;
@@ -261,6 +263,7 @@ macro_rules! run_hh {
             $topo,
             |t| hh::$proto::make_aggregator(&cfg, t),
             $ccfg,
+            &ChannelTransport,
         )
     }};
 }
@@ -278,6 +281,7 @@ macro_rules! run_matrix {
             $topo,
             |t| matrix::$proto::make_aggregator(&cfg, t),
             $ccfg,
+            &ChannelTransport,
         )
     }};
 }
@@ -408,6 +412,7 @@ macro_rules! invisibility_cell {
                 topo,
                 |t| mg::make_aggregator(&wcfg, t),
                 ccfg,
+                &ChannelTransport,
             )
         };
         assert_invisible(
@@ -430,6 +435,7 @@ macro_rules! invisibility_cell {
                 topo,
                 |t| fd::make_aggregator(&fcfg, t),
                 ccfg,
+                &ChannelTransport,
             )
         };
         assert_invisible(
@@ -561,6 +567,7 @@ proptest! {
             topo,
             |t| mg::make_aggregator(&wcfg, t),
             &ccfg,
+            &ChannelTransport,
         );
         parts
             .coordinator

@@ -30,7 +30,7 @@ where
     S::Broadcast: Clone + WireSized + Send,
     C: Coordinator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>,
 {
-    let (_, coordinator, stats) = engine::run_partitioned_topology(
+    let parts = engine::run_partitioned_topology_parts(
         sites,
         coordinator,
         inputs,
@@ -39,7 +39,7 @@ where
         Topology::Star,
         |_| Relay::new(),
     );
-    (coordinator, stats)
+    (parts.coordinator, parts.stats)
 }
 
 #[test]

@@ -74,7 +74,7 @@ where
         channel_capacity: 2,
         plane: Default::default(),
     };
-    let (_, coordinator, stats) = engine::run_partitioned_topology(
+    let parts = engine::run_partitioned_topology_parts(
         sites,
         coordinator,
         inputs,
@@ -83,7 +83,7 @@ where
         topology,
         make_agg,
     );
-    (coordinator, stats)
+    (parts.coordinator, parts.stats)
 }
 
 #[test]
