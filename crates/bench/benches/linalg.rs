@@ -4,8 +4,11 @@
 //! and the blocked-vs-naive kernel A/B (`kernels` group) that measures
 //! what the cache-tiled `matmul`/`gram`/`apply_transpose` and the
 //! row-pair Jacobi buy over the retained reference implementations at
-//! the paper's d = 44 and the d-axis extremes 128/512.
+//! the paper's d = 44 and the d-axis extremes 128/512, plus the
+//! `cholesky certificate` vs `jacobi eigen` pair at d = 90 — what MT-P2's
+//! certified trigger pays against what it skips.
 
+use cma_linalg::cholesky::{certifies_lambda_max_below, lambda_max_upper_bound};
 use cma_linalg::eigen::{
     jacobi_eigen_sym, jacobi_eigen_sym_with_basis_tol, jacobi_eigen_sym_with_basis_tol_naive,
 };
@@ -175,6 +178,28 @@ fn bench_kernel_ab(c: &mut Criterion) {
             })
         });
     }
+    // The MT-P2 trigger at the MSD shape: proving `λ_max < send` on a
+    // saturated d = 90 withheld Gram (a pass plus the five-halving bound)
+    // against the cold eigensolve a decomposition pays for the same
+    // answer.
+    let gram = random::gaussian(&mut rng, 200, 90).gram();
+    let send = 1.25 * jacobi_eigen_sym(&gram).unwrap().values[0];
+    g.bench_function("cholesky certificate/90", |b| {
+        b.iter(|| {
+            assert!(certifies_lambda_max_below(&gram, send));
+            black_box(lambda_max_upper_bound(&gram, send))
+        })
+    });
+    g.bench_function("jacobi eigen/90", |b| {
+        b.iter(|| {
+            let basis = Matrix::identity(90);
+            black_box(
+                jacobi_eigen_sym_with_basis_tol(&gram, basis, 1e-9)
+                    .unwrap()
+                    .values[0],
+            )
+        })
+    });
     g.finish();
 }
 

@@ -10,36 +10,82 @@
 //!
 //! # Exact lazy SVD
 //!
-//! Algorithm 5.3 as written decomposes `Bj` on *every* arrival. Two
-//! observations make the implementation fast without changing behaviour:
+//! Algorithm 5.3 as written decomposes `Bj` on *every* arrival. Four
+//! observations make the implementation fast without weakening the send
+//! rule or the invariant:
 //!
 //! 1. Only the Gram of `Bj` matters (both for the send rule and the
 //!    guarantee), so after an SVD the site re-expresses `Bj` as
 //!    `Σ Vᵀ` — at most `d` rows, losslessly.
 //! 2. Appending rows of total squared mass `ΔF` can raise any
 //!    `σ²` by at most `ΔF` (Weyl's inequality for the Gram update). So
-//!    with `s² = σ²max` after the previous SVD, no direction can reach
-//!    the threshold until `s² + ΔF ≥ (ε/m)F̂` — and the SVD is skipped
-//!    until then. The send decisions are identical to the per-row
-//!    variant's at every row boundary; only wasted decompositions are
-//!    elided. The `ablation_lazy_svd` benchmark measures the gap.
-//!
+//!    with `s²` an upper bound on `σ²max` as of the previous check, no
+//!    direction can reach the threshold until `s² + ΔF ≥ (ε/m)F̂` — and
+//!    the check is skipped until then. At `batch_slack = 0` the send
+//!    decisions are identical to the per-row variant's at every row
+//!    boundary (any bound `≥ σ²max` forces a check at the first row where
+//!    `σ²max` reaches the threshold); only wasted decompositions are
+//!    elided. With slack a direction ships at the first *check* at which
+//!    it has reached the send threshold `(1 − slack)·(ε/m)F̂` — what
+//!    [`MP2Options::batch_slack`] describes — while the invariant is
+//!    still enforced at every row. The `ablation_lazy_svd` benchmark
+//!    measures the gap.
 //! 3. The `Σ Vᵀ` form has rank at most the number of rows absorbed since
 //!    the sketch was last emptied, which on high-dimensional streams is
 //!    far below `d`. Under [`KernelPath::Blocked`] the site therefore
 //!    keeps only the nonzero directions (`r ≤ d` rows `σᵢ·vᵢᵀ`) plus the
-//!    raw pending rows, and decomposes the stacked `s × d` matrix
-//!    (`s = r + k`) on its *small side*: one `s×s` outer Gram `S·Sᵀ`
-//!    (near-arrow — the `Σ Vᵀ` block is diagonal), a warm `s×s` Jacobi,
-//!    and one `s×s · s×d` product recovering the directions. At
-//!    `s ≪ d` this replaces the `O(d³)` full-basis eigensolve with
-//!    `O(s²d + s³)` — the dominant cost of this protocol at large `d` —
-//!    and also deletes the per-row `O(d²)` basis projection (raw rows
-//!    need no projection). [`KernelPath::Naive`] retains the previous
-//!    implementation (explicit `d × d` basis, warm-started full-`d`
-//!    Jacobi) as the measured baseline; the two representations agree to
-//!    solver tolerance and the `kernel_paths_agree_on_stream` test pins
-//!    an identical message schedule on a reference stream.
+//!    raw rows absorbed since, and decomposes the stacked `s × d` matrix
+//!    (`s = r + k`) on its *small side*: one `s×s` outer Gram `S·Sᵀ`, a
+//!    warm `s×s` Jacobi, and one `s×s · s×d` product recovering the
+//!    directions. At `s ≪ d` this replaces the `O(d³)` full-basis
+//!    eigensolve with `O(s²d + s³)` — the dominant cost of this protocol
+//!    at large `d` — and also deletes the per-row `O(d²)` basis
+//!    projection (raw rows need no projection).
+//! 4. Deciding *whether* anything must be sent needs one sign, not a
+//!    spectrum. The Weyl bound of observation 2 is loose on a flat
+//!    spectrum — on the MSD-like benchmark stream 64 % of the triggered
+//!    decompositions shipped nothing and cost 89 % of the eigensolve
+//!    time — so a blocked node first asks
+//!    [`cma_linalg::cholesky`] to *prove* `λ_max(Bjᵀ Bj) < send` on the
+//!    small-side Gram: one `n³/3` Cholesky factorisation of
+//!    `send·I − G`. **Refused** ⇒ the decomposition of observation 3
+//!    runs, and ships at least one direction. **Passed** ⇒ nothing could
+//!    ship, so nothing is decomposed: five bisection steps tighten the
+//!    certified bound towards `λ_max` (resolution `(send − max diag)/32`,
+//!    about a tenth of the default slack; each further halving would cost
+//!    one more factorisation per check to postpone the next check by
+//!    half as much again), the bound becomes the new `s²` of
+//!    observation 2, and the rows stay as they are — un-orthogonalised,
+//!    which correctness never needed (observation 1). The send rule, the
+//!    invariant `λ_max < (ε/m)F̂` — now certified rather than inferred —
+//!    and the form of the lazy trigger are unchanged; check times move by
+//!    less than the bisection's resolution. Two details:
+//!    * *Saturation.* Rows that are no longer re-expressed pile up, so
+//!      the "small side" flips: when a `d+1`-th row arrives the node
+//!      replaces its `d` rows by their `d×d` Gram (the same `d²` floats)
+//!      and updates it by one rank-1 `accumulate_outer` per row — no
+//!      `O(s·d²)` re-formation per check — until the next decomposition
+//!      hands back at most `d` rows. Conversely, while the stack is small
+//!      a decomposition is also what *compresses* it to its rank, so the
+//!      certificate stands in for one only until the stack has doubled
+//!      (`Withheld::check`); a low-rank stream therefore keeps
+//!      `s ≈ rank`, exactly as before.
+//!    * *Floating point.* A pass is a proof including rounding: the
+//!      factored shift is `send·(1 − 10⁻⁹)`, which exceeds Higham's
+//!      backward-error bound `n(n+1)·u` for the factorisation by three
+//!      orders at `n = 90` (and the `O(n·u)` error of forming the Gram
+//!      with it). The certificate may therefore refuse in the sliver
+//!      `λ_max ∈ [send·(1 − 2·10⁻⁹), send)`; a refusal only costs the
+//!      decomposition that used to run anyway.
+//!
+//! [`KernelPath::Naive`] keeps the seed layout (explicit `d × d` basis,
+//! warm-started full-`d` Jacobi) and decomposes **eagerly** at every
+//! trigger — observations 1 and 2 only. It is the reference the certified
+//! path is tested against, not a second production path:
+//! `kernel_paths_agree_on_stream` pins an identical message schedule at
+//! `batch_slack = 0` and the same guarantee at near-equal cost with slack,
+//! and `certified_bound_holds_after_every_arrival` re-derives the
+//! invariant from a fresh eigensolve after every row.
 //!
 //! The paper's bounded-space variant (two Frequent Directions sketches
 //! with `ε' = ε/4m` per site) is subsumed by observation 1 — the `Σ Vᵀ`
@@ -48,14 +94,17 @@
 
 use super::{row_weight, MatrixEstimator, Row};
 use crate::config::MatrixConfig;
+use cma_linalg::cholesky::{certifies_lambda_max_below, lambda_max_upper_bound};
 use cma_linalg::eigen::jacobi_eigen_sym_with_basis_tol;
-use cma_linalg::{KernelPath, Matrix};
+use cma_linalg::matrix::accumulate_outer;
+use cma_linalg::{vector, KernelPath, Matrix};
 use cma_sketch::FrequentDirections;
 use cma_stream::{
     put_f64, put_usize, AggNode, Aggregator, BudgetShare, ChurnBudget, ChurnCoordinator, ChurnSite,
     Coordinator, MessageCost, MigratableAggregator, Runner, Site, SiteId, Topology, WireCodec,
     WireReader,
 };
+use std::borrow::Cow;
 
 /// Site → coordinator messages of protocol MT-P2.
 #[derive(Debug, Clone)]
@@ -89,15 +138,16 @@ impl MessageCost for MP2Msg {
     }
 }
 
-/// MT-P2 site: exact `Σ Vᵀ` representation.
+/// MT-P2 site state layout.
 ///
 /// The *representation* is the axis along which [`KernelPath`] selects
-/// the decomposition algorithm (module doc, observation 3): the naive
-/// path keeps the state in its own singular basis so the periodic
-/// decomposition is a warm-started full-`d` Jacobi on a near-diagonal
-/// matrix; the blocked path keeps the low-rank spectral form and
-/// decomposes on the small side of the stacked rows. Both maintain the
-/// same Gram and make the same send decisions (to solver tolerance).
+/// the decomposition algorithm (module doc, observations 3 and 4): the
+/// naive path keeps the state in its own singular basis and decomposes
+/// eagerly at every trigger — Algorithm 5.3 with only the Weyl elision,
+/// the reference the certified path is tested against; the blocked path
+/// keeps the withheld matrix on its small side and decomposes only when
+/// the Cholesky certificate cannot prove that nothing would ship. Both
+/// maintain the same Gram and apply the same send rule.
 #[derive(Debug, Clone)]
 enum Rep {
     /// [`KernelPath::Naive`]: explicit orthonormal basis of `R^d`,
@@ -118,27 +168,193 @@ enum Rep {
         /// Pending rows in `basis` coordinates.
         pending: Vec<Vec<f64>>,
     },
-    /// [`KernelPath::Blocked`]: only the nonzero directions are stored
-    /// (`r ≤ d` rows `σᵢ·vᵢᵀ` with `vᵢ` orthonormal) and pending rows
-    /// stay raw — appending a row is `O(d)` and the decomposition is
-    /// `O(s²d + s³)` on the stacked `s = r + k` rows.
-    Spectral {
-        /// Rows `σᵢ·vᵢᵀ` of the current `Σ Vᵀ` form (`r × d`).
-        dirs: Matrix,
-        /// Raw pending rows.
-        pending: Vec<Row>,
-    },
+    /// [`KernelPath::Blocked`]: the withheld matrix on its small side.
+    Spectral(Withheld),
 }
 
-/// MT-P2 site: exact `Σ Vᵀ` representation, in one of two
-/// kernel-selected layouts (`Rep` above; module doc, observation 3).
+/// The withheld matrix `Bj` of a [`KernelPath::Blocked`] node, held on
+/// whichever side is smaller (module doc, observations 3 and 4). Only
+/// its Gram matters, so neither form keeps the rows orthogonal between
+/// decompositions.
+#[derive(Debug, Clone)]
+enum Withheld {
+    /// `s ≤ d` rows whose Gram is the withheld Gram, in one contiguous
+    /// matrix — appending is `O(d)` and a check works on the `s×s` outer
+    /// Gram.
+    Rows {
+        rows: Matrix,
+        /// How many leading rows are the directions `σᵢ·vᵢᵀ` the last
+        /// decomposition handed back; the rest are raw rows absorbed
+        /// since.
+        directions: usize,
+    },
+    /// Rank saturated — a `d+1`-th row arrived: the `d×d` withheld Gram
+    /// itself (the same `d²` floats as the `d` rows it replaces), updated
+    /// by one rank-1 `accumulate_outer` per row until the next
+    /// decomposition hands back rows again.
+    Gram(Matrix),
+}
+
+impl Withheld {
+    fn empty(dim: usize) -> Self {
+        Withheld::Rows {
+            rows: Matrix::with_cols(dim),
+            directions: 0,
+        }
+    }
+
+    fn push(&mut self, row: &[f64]) {
+        match self {
+            Withheld::Rows { rows, .. } if rows.rows() < rows.cols() => rows.push_row(row),
+            Withheld::Rows { rows, .. } => {
+                let mut gram = rows.gram();
+                accumulate_outer(&mut gram, row);
+                *self = Withheld::Gram(gram);
+            }
+            Withheld::Gram(gram) => accumulate_outer(gram, row),
+        }
+    }
+
+    /// The withheld Gram on its small side — `S·Sᵀ` (`s×s`) of the rows,
+    /// or the saturated `d×d` Gram itself. Same nonzero spectrum either
+    /// way.
+    fn small_gram(&self) -> Cow<'_, Matrix> {
+        match self {
+            Withheld::Rows { rows, .. } => Cow::Owned(rows.outer_gram()),
+            Withheld::Gram(gram) => Cow::Borrowed(gram),
+        }
+    }
+
+    /// The certified trigger (module doc, observation 4). Returns an
+    /// upper bound on `λ_max` of what stays withheld: a certified one
+    /// below `send` when the certificate passes — nothing could ship, so
+    /// nothing is decomposed — and the exact one after a decomposition.
+    ///
+    /// A decomposition does a second job besides shipping: it compresses
+    /// `s` stacked rows to their rank. So the certificate may stand in
+    /// for it only while the raw rows do not outnumber the directions
+    /// they were stacked on — a stack that has more than doubled is
+    /// decomposed outright, which is what keeps a low-rank stream at
+    /// `s ≈ rank` instead of letting it grow to `d` one passed check at a
+    /// time (measured at d = 256, rank 3: 2.3× slower without this rule,
+    /// level with the eager layout with it). On a stream whose rank keeps
+    /// up with its rows the stack never doubles and every check asks the
+    /// certificate first.
+    fn check(&mut self, send: f64, out: &mut Vec<MP2Msg>) -> f64 {
+        let compressible = match &*self {
+            Withheld::Rows { rows, directions } => rows.rows() > 2 * directions,
+            Withheld::Gram(_) => false,
+        };
+        let small = self.small_gram();
+        if !compressible && certifies_lambda_max_below(&small, send) {
+            return lambda_max_upper_bound(&small, send);
+        }
+        let spectrum = self.spectrum(&small);
+        self.keep_below(send, spectrum, out)
+    }
+
+    /// The eager step of Algorithm 5.3: decomposes, ships every direction
+    /// with `σ² ≥ send`, re-expresses the rest as `Σ Vᵀ` rows and returns
+    /// their largest `σ²`.
+    fn decompose(&mut self, send: f64, out: &mut Vec<MP2Msg>) -> f64 {
+        let spectrum = self.spectrum(&self.small_gram());
+        self.keep_below(send, spectrum, out)
+    }
+
+    /// Eigen-directions of the withheld Gram, descending: `λᵢ = σᵢ²` and
+    /// the rows `σᵢ·vᵢᵀ`, from the eigenvectors `U` of the small-side
+    /// Gram `small`. 1e-9 relative eigensolver accuracy: ample for
+    /// threshold comparisons at scale `ε·F̂/m`, and materially faster than
+    /// full precision.
+    fn spectrum(&self, small: &Matrix) -> (Vec<f64>, Matrix) {
+        let eig = jacobi_eigen_sym_with_basis_tol(small, Matrix::identity(small.rows()), 1e-9)
+            .expect("MT-P2: eigensolver diverged");
+        let dirs = match self {
+            // P = Uᵀ·S has rows σᵢ·vᵢᵀ, and PᵀP = Sᵀ(UUᵀ)S = SᵀS to the
+            // orthonormality of the accumulated rotations (machine
+            // precision), so the re-expression is lossless independently
+            // of eigenvalue accuracy.
+            Withheld::Rows { rows, .. } => eig.vectors.matmul(rows),
+            Withheld::Gram(_) => {
+                let mut dirs = eig.vectors;
+                for (i, &lam) in eig.values.iter().enumerate() {
+                    vector::scale(lam.max(0.0).sqrt(), dirs.row_mut(i));
+                }
+                dirs
+            }
+        };
+        (eig.values, dirs)
+    }
+
+    /// Ships the directions at or above `send`, keeps the rest as rows.
+    fn keep_below(
+        &mut self,
+        send: f64,
+        spectrum: (Vec<f64>, Matrix),
+        out: &mut Vec<MP2Msg>,
+    ) -> f64 {
+        let (rows, smax2) = split_spectrum(send, spectrum, out);
+        *self = Withheld::Rows {
+            directions: rows.rows(),
+            rows,
+        };
+        smax2
+    }
+
+    /// Canonical withheld rows. A saturated node re-expresses its Gram
+    /// through one eigensolve — snapshot encode only, off the ingest
+    /// path.
+    fn to_rows(&self) -> Matrix {
+        match self {
+            Withheld::Rows { rows, .. } => rows.clone(),
+            Withheld::Gram(gram) => {
+                split_spectrum(f64::INFINITY, self.spectrum(gram), &mut Vec::new()).0
+            }
+        }
+    }
+}
+
+/// Splits eigen-directions `(λᵢ, σᵢ·vᵢᵀ)` at `send`: those at or above
+/// it become messages, the rest are returned with their largest `λ`.
+/// `λ ≤ ulp(trace)` is a structurally zero direction — dropping the row
+/// discards at most machine-noise mass, orders below the 1e-9 solver
+/// tolerance already accepted here.
+fn split_spectrum(
+    send: f64,
+    (values, dirs): (Vec<f64>, Matrix),
+    out: &mut Vec<MP2Msg>,
+) -> (Matrix, f64) {
+    let trace: f64 = values.iter().map(|l| l.max(0.0)).sum();
+    let floor = f64::EPSILON * trace;
+    let mut kept = Matrix::with_cols(dirs.cols());
+    let mut smax2 = 0.0_f64;
+    for (i, &lam) in values.iter().enumerate() {
+        let s2 = lam.max(0.0);
+        if s2 <= floor {
+            continue;
+        }
+        if s2 >= send {
+            out.push(MP2Msg::Direction(dirs.row(i).to_vec()));
+        } else {
+            kept.push_row(dirs.row(i));
+            smax2 = smax2.max(s2);
+        }
+    }
+    (kept, smax2)
+}
+
+/// MT-P2 site: the exact withheld matrix `Bj`, in one of two
+/// kernel-selected layouts (`Rep` above; module doc, observations 3
+/// and 4).
 #[derive(Debug, Clone)]
 pub struct MP2Site {
     /// Kernel-selected state layout.
     rep: Rep,
-    /// Total squared mass of the pending rows.
+    /// Total squared mass absorbed since the last check.
     pending_mass: f64,
-    /// Largest squared singular value retained by the last decomposition.
+    /// Upper bound on `λ_max` of the withheld Gram as of the last check:
+    /// exact after a decomposition, certified after a check that needed
+    /// none.
     smax2: f64,
     /// Scalar-report accumulator `Fj`.
     f_local: f64,
@@ -210,10 +426,7 @@ impl MP2Site {
                 sig2: vec![0.0; cfg.dim],
                 pending: Vec::new(),
             },
-            KernelPath::Blocked => Rep::Spectral {
-                dirs: Matrix::with_cols(cfg.dim),
-                pending: Vec::new(),
-            },
+            KernelPath::Blocked => Rep::Spectral(Withheld::empty(cfg.dim)),
         };
         MP2Site {
             rep,
@@ -239,11 +452,12 @@ impl MP2Site {
     }
 
     /// Buffers a single raw row: projected into basis coordinates on the
-    /// naive path, stored as-is (`O(d)`) on the spectral path.
+    /// naive path, appended as-is (`O(d)`; `O(d²)` once saturated) on the
+    /// spectral path.
     fn push_pending(&mut self, row: Row) {
         match &mut self.rep {
             Rep::Basis { basis, pending, .. } => pending.push(basis.apply(&row)),
-            Rep::Spectral { pending, .. } => pending.push(row),
+            Rep::Spectral(withheld) => withheld.push(&row),
         }
     }
 
@@ -251,7 +465,7 @@ impl MP2Site {
     /// projects them with one matrix product (`R·Vᵀ`, `k×d` by `d×d`)
     /// instead of `k` separate matrix–vector products — exactly
     /// `basis.apply` row-by-row, just batched. The spectral layout keeps
-    /// rows raw, so this is a plain move.
+    /// rows raw, so this is a plain append.
     fn project_rows(&mut self, raw: &mut Vec<Row>) {
         let kernels = self.kernels;
         match &mut self.rep {
@@ -273,21 +487,34 @@ impl MP2Site {
                     raw.clear();
                 }
             },
-            Rep::Spectral { pending, .. } => pending.append(raw),
+            Rep::Spectral(withheld) => raw.drain(..).for_each(|row| withheld.push(&row)),
+        }
+    }
+
+    /// The decomposition trigger's action, at all four call sites
+    /// (`observe`, `observe_batch`, its deferred variant and
+    /// `absorb_direction`): the blocked layout asks the certificate first
+    /// and decomposes only when something must ship or the stack is due
+    /// for compression (`Withheld::check`); the naive layout decomposes
+    /// eagerly.
+    fn check(&mut self, out: &mut Vec<MP2Msg>) {
+        let send = self.send_threshold();
+        match &mut self.rep {
+            Rep::Basis { .. } => self.decompose_and_send(send, out),
+            Rep::Spectral(withheld) => {
+                self.smax2 = withheld.check(send, out);
+                self.pending_mass = 0.0;
+            }
         }
     }
 
     /// Decomposes the site's withheld matrix, ships every direction at or
-    /// above the send threshold, and re-expresses the remainder as
-    /// `Σ Vᵀ`. Algorithm per [`Rep`] layout; identical send semantics.
-    fn decompose_and_send(&mut self, out: &mut Vec<MP2Msg>) {
+    /// above `send`, and re-expresses the remainder as `Σ Vᵀ`. Algorithm
+    /// per [`Rep`] layout; identical send semantics.
+    fn decompose_and_send(&mut self, send: f64, out: &mut Vec<MP2Msg>) {
         self.pending_mass = 0.0;
-        let send = self.send_threshold();
         let kernels = self.kernels;
         self.smax2 = 0.0;
-        // 1e-9 relative eigensolver accuracy throughout: ample for
-        // threshold comparisons at scale ε·F̂/m, and materially faster
-        // than full precision.
         match &mut self.rep {
             Rep::Basis {
                 basis,
@@ -296,7 +523,10 @@ impl MP2Site {
                 pending,
             } => {
                 // Warm full-d Jacobi on `diag(σ²) + Σ c cᵀ` in the
-                // site's own basis, co-rotating the basis.
+                // site's own basis, co-rotating the basis. 1e-9 relative
+                // eigensolver accuracy: ample for threshold comparisons
+                // at scale ε·F̂/m, and materially faster than full
+                // precision.
                 let d = basis.rows();
                 let mut g = Matrix::zeros(d, d);
                 for i in 0..d {
@@ -329,73 +559,7 @@ impl MP2Site {
                     }
                 }
             }
-            Rep::Spectral { dirs, pending } => {
-                // Stack the ΣVᵀ rows over the raw pending rows: an s×d
-                // matrix S whose Gram is exactly the withheld Gram.
-                let d = dirs.cols();
-                let mut stack = std::mem::replace(dirs, Matrix::with_cols(d));
-                for row in pending.drain(..) {
-                    stack.push_row(&row);
-                }
-                let s = stack.rows();
-                if s == 0 {
-                    return;
-                }
-                if s <= d {
-                    // Small side: eigen of S·Sᵀ (s×s, near-arrow — the
-                    // ΣVᵀ block is diagonal, so the warm Jacobi skips
-                    // most pairs), then P = Uᵀ·S has rows σᵢ·vᵢᵀ.
-                    // PᵀP = Sᵀ(UUᵀ)S = SᵀS to the orthonormality of the
-                    // accumulated rotations (machine precision), so the
-                    // re-expression is lossless independently of
-                    // eigenvalue accuracy.
-                    let outer = stack.outer_gram();
-                    let eig = jacobi_eigen_sym_with_basis_tol(&outer, Matrix::identity(s), 1e-9)
-                        .expect("MT-P2: eigensolver diverged");
-                    let p = eig.vectors.matmul(&stack);
-                    let trace: f64 = eig.values.iter().map(|l| l.max(0.0)).sum();
-                    let floor = f64::EPSILON * trace;
-                    for (i, &lam) in eig.values.iter().enumerate() {
-                        let s2 = lam.max(0.0);
-                        if s2 >= send {
-                            out.push(MP2Msg::Direction(p.row(i).to_vec()));
-                        } else if s2 > floor {
-                            dirs.push_row(p.row(i));
-                            self.smax2 = self.smax2.max(s2);
-                        }
-                        // λ ≤ ulp(trace): a structurally zero direction —
-                        // dropping the row discards at most machine-noise
-                        // mass, orders below the 1e-9 solver tolerance
-                        // already accepted here.
-                    }
-                } else {
-                    // Rank saturated (s > d): the small side is no longer
-                    // small — d-side Gram route, directions from the
-                    // eigenvectors.
-                    let g = stack.gram();
-                    let eig = jacobi_eigen_sym_with_basis_tol(&g, Matrix::identity(d), 1e-9)
-                        .expect("MT-P2: eigensolver diverged");
-                    let trace: f64 = eig.values.iter().map(|l| l.max(0.0)).sum();
-                    let floor = f64::EPSILON * trace;
-                    for (i, &lam) in eig.values.iter().enumerate() {
-                        let s2 = lam.max(0.0);
-                        if s2 <= floor {
-                            continue;
-                        }
-                        let sv = s2.sqrt();
-                        let mut row = eig.vectors.row(i).to_vec();
-                        for v in &mut row {
-                            *v *= sv;
-                        }
-                        if s2 >= send {
-                            out.push(MP2Msg::Direction(row));
-                        } else {
-                            dirs.push_row(&row);
-                            self.smax2 = self.smax2.max(s2);
-                        }
-                    }
-                }
-            }
+            Rep::Spectral(withheld) => self.smax2 = withheld.decompose(send, out),
         }
     }
 }
@@ -406,55 +570,51 @@ impl MP2Site {
     /// decomposition trigger as [`MP2Site::observe`] — but with **no**
     /// scalar (`F̂`-tracking) accounting, because the mass of a relayed
     /// direction was already reported by the leaf that observed it.
-    fn absorb_direction(&mut self, row: &Row, out: &mut Vec<MP2Msg>) {
-        let w = row_weight(row);
+    fn absorb_direction(&mut self, row: Row, out: &mut Vec<MP2Msg>) {
+        let w = row_weight(&row);
         if w == 0.0 {
             return;
         }
-        self.push_pending(row.clone());
+        self.push_pending(row);
         self.pending_mass += w;
         if self.smax2 + self.pending_mass >= self.threshold() {
-            self.decompose_and_send(out);
+            self.check(out);
         }
     }
 
     /// Migration hook: re-expresses the withheld matrix as `Σ Vᵀ` (one
-    /// decomposition, folding in any pending rows) and then ships
-    /// **every** remaining direction, leaving the state empty. Both
-    /// layouts emit rows in `R^d` coordinates — the basis layout's
-    /// pending rows are stored in its own basis, and the decomposition
-    /// is what rotates them back out.
+    /// decomposition, certificate or not) and ships **every** direction,
+    /// leaving the state empty. Both layouts emit rows in `R^d`
+    /// coordinates — the basis layout's pending rows are stored in its
+    /// own basis, and the decomposition is what rotates them back out.
     fn drain_all_directions(&mut self, out: &mut Vec<MP2Msg>) {
-        self.decompose_and_send(out);
+        let send = match self.rep {
+            Rep::Basis { .. } => self.send_threshold(),
+            // A zero send threshold ships everything in the one pass.
+            Rep::Spectral(_) => 0.0,
+        };
+        self.decompose_and_send(send, out);
         self.smax2 = 0.0;
-        match &mut self.rep {
-            Rep::Basis { basis, sig2, .. } => {
-                for (i, s2) in sig2.iter_mut().enumerate() {
-                    if *s2 > 0.0 {
-                        let s = s2.sqrt();
-                        let mut row = basis.row(i).to_vec();
-                        for v in &mut row {
-                            *v *= s;
-                        }
-                        out.push(MP2Msg::Direction(row));
-                        *s2 = 0.0;
+        if let Rep::Basis { basis, sig2, .. } = &mut self.rep {
+            for (i, s2) in sig2.iter_mut().enumerate() {
+                if *s2 > 0.0 {
+                    let s = s2.sqrt();
+                    let mut row = basis.row(i).to_vec();
+                    for v in &mut row {
+                        *v *= s;
                     }
-                }
-            }
-            Rep::Spectral { dirs, .. } => {
-                let d = dirs.cols();
-                let stack = std::mem::replace(dirs, Matrix::with_cols(d));
-                for row in stack.iter_rows() {
-                    out.push(MP2Msg::Direction(row.to_vec()));
+                    out.push(MP2Msg::Direction(row));
+                    *s2 = 0.0;
                 }
             }
         }
     }
 
-    /// Canonical withheld rows in `R^d` coordinates: the `Σ Vᵀ`
-    /// directions plus any pending rows, stacked. Both layouts produce
-    /// the same withheld Gram; the basis layout rotates its pending
-    /// coordinates back out (`x = Bᵀc` — the basis is orthonormal).
+    /// Canonical withheld rows in `R^d` coordinates: at most `d` rows
+    /// (plus the basis layout's pending ones) whose Gram is the withheld
+    /// Gram. The basis layout rotates its pending coordinates back out
+    /// (`x = Bᵀc` — the basis is orthonormal); a saturated blocked node
+    /// re-expresses its Gram (`Withheld::to_rows`).
     fn withheld_rows(&self) -> Matrix {
         match &self.rep {
             Rep::Basis {
@@ -482,32 +642,21 @@ impl MP2Site {
                 }
                 m
             }
-            Rep::Spectral { dirs, pending } => {
-                let mut m = dirs.clone();
-                for row in pending {
-                    m.push_row(row);
-                }
-                m
-            }
+            Rep::Spectral(withheld) => withheld.to_rows(),
         }
     }
 
     /// Rebuilds merge state from canonical withheld rows (snapshot
     /// decode). The kernel/layout profile is local configuration, not
-    /// sketch content — restored state uses the blocked spectral layout
-    /// with the rows pending, which preserves the withheld Gram exactly
-    /// and keeps the invariant (`max‖Bx‖² ≤ pending_mass`) trivially.
+    /// sketch content — restored state uses the blocked layout with the
+    /// rows unchecked, which preserves the withheld Gram exactly and
+    /// keeps the invariant (`max‖Bx‖² ≤ pending_mass`) trivially.
     fn from_withheld(thr_frac: f64, f_hat: f64, rows: Matrix) -> Self {
-        let pending_mass: f64 = rows
-            .iter_rows()
-            .map(|r| r.iter().map(|x| x * x).sum::<f64>())
-            .sum();
+        let mut withheld = Withheld::empty(rows.cols());
+        rows.iter_rows().for_each(|r| withheld.push(r));
         MP2Site {
-            rep: Rep::Spectral {
-                dirs: Matrix::with_cols(rows.cols()),
-                pending: rows.iter_rows().map(<[f64]>::to_vec).collect(),
-            },
-            pending_mass,
+            rep: Rep::Spectral(withheld),
+            pending_mass: rows.frob_norm_sq(),
             smax2: 0.0,
             f_local: 0.0,
             slack: MP2Options::default().batch_slack,
@@ -546,7 +695,7 @@ impl MP2Site {
         }
         self.project_rows(&mut raw);
         if self.smax2 + self.pending_mass >= threshold {
-            self.decompose_and_send(out);
+            self.check(out);
         }
     }
 }
@@ -571,7 +720,7 @@ impl Site for MP2Site {
         self.push_pending(row);
         self.pending_mass += w;
         if self.smax2 + self.pending_mass >= self.threshold() {
-            self.decompose_and_send(out);
+            self.check(out);
         }
     }
 
@@ -604,7 +753,7 @@ impl Site for MP2Site {
             self.pending_mass += w;
             if self.smax2 + self.pending_mass >= threshold {
                 self.project_rows(&mut raw);
-                self.decompose_and_send(out);
+                self.check(out);
             }
             if !out.is_empty() {
                 // Keep site state whole across the pause: everything
@@ -673,6 +822,11 @@ impl MatrixEstimator for MP2Coordinator {
     fn frob_estimate(&self) -> f64 {
         (self.f_hat - 1.0).max(0.0)
     }
+    /// Scans the received directions in place; the default would clone
+    /// the whole sketch per query.
+    fn direction_norm_sq(&self, x: &[f64]) -> f64 {
+        self.b.apply_norm_sq(x)
+    }
 }
 
 /// Interior tree node of an MT-P2 deployment: a full mergeable
@@ -704,7 +858,7 @@ impl Aggregator for MP2Aggregator {
         self.rep = from;
         match msg {
             MP2Msg::Scalar(f) => self.pending_scalar += f,
-            MP2Msg::Direction(row) => self.inner.absorb_direction(&row, &mut self.outbox),
+            MP2Msg::Direction(row) => self.inner.absorb_direction(row, &mut self.outbox),
         }
     }
 
@@ -956,11 +1110,9 @@ impl MP2BoundedSite {
         for _ in 0..self.fd_a.dim() {
             let diff = self.fd_a.sketch().gram().sub(&self.fd_s.sketch().gram());
             let eig = jacobi_eigen_sym(&diff).expect("MT-P2 bounded: eigensolver diverged");
-            let (top, rest) = match eig.values.first() {
-                Some(&l) => (l, eig.values.get(1).copied().unwrap_or(0.0)),
-                None => break,
+            let Some(&top) = eig.values.first() else {
+                break;
             };
-            let _ = rest;
             if top < threshold {
                 self.smax2 = top.max(0.0);
                 return;
@@ -1182,52 +1334,175 @@ mod tests {
 
     #[test]
     fn kernel_paths_agree_on_stream() {
-        // The same stream through both site layouts (naive = basis +
-        // warm full-d Jacobi, blocked = low-rank spectral): identical
-        // message schedule on a reference stream, and coordinator
-        // sketches whose Grams agree to solver tolerance.
+        // The same stream through both site layouts: naive = basis +
+        // eager warm full-d Jacobi (Algorithm 5.3 with only the Weyl
+        // elision), blocked = small-side layout behind the certificate.
         use cma_linalg::LinalgProfile;
         let dim = 7;
         let base = MatrixConfig::new(3, 0.25, dim);
-        let mut runners = [
-            deploy(&base.clone().with_profile(LinalgProfile::naive())),
-            deploy(&base.clone().with_profile(LinalgProfile::blocked())),
-        ];
-        let mut truth = StreamingGram::new(dim);
-        let mut rng = StdRng::seed_from_u64(12);
-        for i in 0..3_000 {
-            let row: Row = (0..dim)
-                .map(|_| random::standard_normal(&mut rng))
-                .collect();
-            truth.update(&row);
-            for r in &mut runners {
-                r.feed(i % 3, row.clone());
+        let run = |opts: &MP2Options| {
+            let mut runners = [
+                deploy_with(&base.clone().with_profile(LinalgProfile::naive()), opts),
+                deploy_with(&base.clone().with_profile(LinalgProfile::blocked()), opts),
+            ];
+            let mut truth = StreamingGram::new(dim);
+            let mut rng = StdRng::seed_from_u64(12);
+            for i in 0..3_000 {
+                let row: Row = (0..dim)
+                    .map(|_| random::standard_normal(&mut rng))
+                    .collect();
+                truth.update(&row);
+                for r in &mut runners {
+                    r.feed(i % 3, row.clone());
+                }
             }
-        }
+            for runner in &runners {
+                let err = truth
+                    .error_of_sketch(&runner.coordinator().sketch())
+                    .unwrap();
+                assert!(err <= base.epsilon, "covariance error {err} > ε");
+            }
+            (runners, truth)
+        };
+
+        // batch_slack = 0 is per-row Algorithm 5.3, and there a sound
+        // bound forces a check at the first row where λ_max reaches the
+        // threshold: certified-lazy ≡ eager, message for message.
+        let (runners, truth) = run(&MP2Options {
+            batch_slack: 0.0,
+            ..MP2Options::default()
+        });
         let [naive, blocked] = &runners;
         assert_eq!(
-            naive.stats().total(),
-            blocked.stats().total(),
+            (naive.stats().total(), naive.coordinator().rows_received()),
+            (
+                blocked.stats().total(),
+                blocked.coordinator().rows_received()
+            ),
             "kernel paths diverged in message schedule"
         );
         let gn = naive.coordinator().sketch().gram();
         let gb = blocked.coordinator().sketch().gram();
-        let mut diff = 0.0_f64;
-        for i in 0..dim {
-            for j in 0..dim {
-                diff = diff.max((gn[(i, j)] - gb[(i, j)]).abs());
-            }
-        }
+        let diff = gn.sub(&gb).max_abs();
         assert!(
             diff <= 1e-6 * truth.frob_sq(),
             "sketch Grams diverged: {diff}"
         );
-        for runner in &runners {
-            let err = truth
-                .error_of_sketch(&runner.coordinator().sketch())
-                .unwrap();
-            assert!(err <= base.epsilon, "covariance error {err} > ε");
+
+        // With slack a direction ships at the first *check* at which it
+        // has reached the send threshold, and the two layouts check at
+        // different rows (a certified bound sits up to one bisection
+        // step above the exact λ_max) — same guarantee, near-equal cost.
+        let (runners, _) = run(&MP2Options::default());
+        let [naive, blocked] = runners.map(|r| r.stats().total() as f64);
+        assert!(
+            (naive - blocked).abs() <= 0.02 * naive,
+            "message totals {naive} vs {blocked}"
+        );
+    }
+
+    /// Feeds `rows` round-robin and, after **every** arrival, checks the
+    /// receiving site against a fresh full-precision eigensolve of what
+    /// it withholds: the invariant `λ_max(Bj) < (ε/m)·F̂`, the recorded
+    /// bound `λ_max ≤ smax2 + mass since the check`, and `σ² ≥ send` for
+    /// every direction the arrival shipped. Returns how often a site
+    /// entered the saturated Gram layout and how often it left it.
+    fn assert_certified_after_every_arrival(
+        cfg: &MatrixConfig,
+        opts: &MP2Options,
+        rows: impl Iterator<Item = Row>,
+    ) -> (usize, usize) {
+        use cma_linalg::eigen::jacobi_eigen_sym;
+        let saturated = |s: &MP2Site| matches!(s.rep, Rep::Spectral(Withheld::Gram(_)));
+        let mut runner = deploy_with(cfg, opts);
+        let (mut entered, mut left) = (0, 0);
+        for (i, row) in rows.enumerate() {
+            let j = i % cfg.sites;
+            let before = &runner.sites()[j];
+            let (send, was_saturated) = (before.send_threshold(), saturated(before));
+            let received = runner.coordinator().rows_received();
+            runner.feed(j, row);
+
+            // 1e-9 is the relative accuracy the shipping decomposition
+            // itself runs at.
+            let site = &runner.sites()[j];
+            let tol = 1e-8 * site.threshold();
+            let gram = site.withheld_rows().gram();
+            let top = jacobi_eigen_sym(&gram).unwrap().values[0];
+            assert!(
+                top < site.threshold() + tol,
+                "row {i}: λ_max {top} ≥ threshold {}",
+                site.threshold()
+            );
+            assert!(
+                top <= site.smax2 + site.pending_mass + tol,
+                "row {i}: λ_max {top} > recorded bound {} + {}",
+                site.smax2,
+                site.pending_mass
+            );
+            let b = &runner.coordinator().b;
+            for shipped in (received..b.rows()).map(|k| b.row(k)) {
+                let sigma2 = vector::norm_sq(shipped);
+                assert!(
+                    sigma2 >= send - tol,
+                    "row {i}: shipped σ² {sigma2} < {send}"
+                );
+            }
+            entered += usize::from(!was_saturated && saturated(site));
+            left += usize::from(was_saturated && !saturated(site));
         }
+        (entered, left)
+    }
+
+    #[test]
+    fn certified_bound_holds_after_every_arrival() {
+        let gaussian = |seed: u64, dim: usize, n: usize| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..n).map(move |_| -> Row {
+                (0..dim)
+                    .map(|_| random::standard_normal(&mut rng))
+                    .collect()
+            })
+        };
+        let per_row = MP2Options {
+            batch_slack: 0.0,
+            ..MP2Options::default()
+        };
+        // Flat spectrum at d = 12 with ε/m < 1/d, so directions keep
+        // reaching the threshold: sites saturate within a few dozen rows
+        // and fall back to rows at every shipping decomposition.
+        for opts in [&MP2Options::default(), &per_row] {
+            let cfg = MatrixConfig::new(4, 0.05, 12);
+            let (entered, left) =
+                assert_certified_after_every_arrival(&cfg, opts, gaussian(21, 12, 2_000));
+            assert!(
+                entered >= 3 && left >= 3,
+                "rank saturation entered {entered}×, left {left}×"
+            );
+        }
+        // Rank 3 in d = 32: every doubling of the stack is decomposed
+        // back to three rows, so the site never saturates.
+        let cfg = MatrixConfig::new(4, 0.05, 32);
+        let low_rank = gaussian(22, 3, 1_500).map(|c| {
+            let mut row = vec![0.0; 32];
+            for (k, c) in c.into_iter().enumerate() {
+                row[k] = 2.0 * c;
+                row[k + 16] = -c;
+            }
+            row
+        });
+        let (entered, _) =
+            assert_certified_after_every_arrival(&cfg, &MP2Options::default(), low_rank);
+        assert_eq!(entered, 0, "rank-3 stream saturated");
+        // Rank 1: one repeated row.
+        let rank_one = (0..800).map(|_| vec![0.0, 2.0, 0.0, -1.0]);
+        let cfg = MatrixConfig::new(2, 0.2, 4);
+        assert_certified_after_every_arrival(&cfg, &MP2Options::default(), rank_one);
+        // d = 1: the second row already saturates (a 1×1 Gram).
+        let cfg = MatrixConfig::new(2, 0.2, 1);
+        let (entered, left) =
+            assert_certified_after_every_arrival(&cfg, &per_row, gaussian(23, 1, 600));
+        assert!(entered >= 3 && left >= 3, "d = 1 never cycled");
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!   sketches need (row append, products, Gram matrices, norms).
 //! * [`qr`] — Householder thin QR.
 //! * [`eigen`] — cyclic Jacobi eigendecomposition of symmetric matrices.
+//! * [`cholesky`] — the `λ_max(M) < c` certificate: one Cholesky sign test
+//!   where a caller must prove a spectral bound, not compute a spectrum.
 //! * [`svd`] — one-sided Jacobi SVD (reference-quality) and the Gram-based
 //!   fast path used by Frequent Directions, which only needs `Σ` and `V`.
 //! * [`norms`] — symmetric spectral norms (exact and power iteration).
@@ -31,6 +33,7 @@
 //! accurate to near machine precision and serves as the verification
 //! oracle for the faster Gram path in tests.
 
+pub mod cholesky;
 pub mod eigen;
 pub mod error;
 pub mod matrix;

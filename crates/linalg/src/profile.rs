@@ -33,21 +33,24 @@ use crate::svd::{gram_svd, gram_svd_blocked, SvdValuesVectors};
 /// Which implementation of the dense kernels the protocol hot paths use.
 ///
 /// Beyond swapping loop nests, the path also selects the *state layout*
-/// of MT-P2 sites: `Naive` keeps the explicit `d × d` basis with a
-/// warm-started full-`d` Jacobi per decomposition (the seed's measured
-/// implementation), while `Blocked` keeps the low-rank `Σ Vᵀ` form and
-/// decomposes on the small side of the stacked rows — `O(s²d + s³)` for
-/// `s = rank + pending ≤ d` instead of `O(d³)` (see the module docs of
-/// `cma-core`'s `matrix::p2`). That representation change, not the tiled
-/// loops, is where the large-`d` speedup comes from.
+/// of MT-P2 sites: `Naive` keeps the explicit `d × d` basis and runs a
+/// warm-started full-`d` Jacobi **eagerly at every trigger** — the seed's
+/// implementation, kept as the reference the production layout is tested
+/// against. `Blocked` keeps the withheld matrix on its small side (rows
+/// while `s ≤ d`, the `d×d` Gram once saturated), asks the
+/// [`crate::cholesky`] certificate whether anything could ship, and
+/// decomposes — `O(s²d + s³)` instead of `O(d³)` — only when the answer
+/// is not a proven no (see the module docs of `cma-core`'s
+/// `matrix::p2`). Those representation changes, not the tiled loops, are
+/// where the large-`d` speedup comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPath {
     /// The retained reference loops (ikj `matmul`, row-by-row `gram`,
-    /// two-pass Jacobi rotations, full-basis MT-P2 layout). The test
-    /// oracle.
+    /// two-pass Jacobi rotations, full-basis eager MT-P2 layout). The
+    /// test oracle.
     Naive,
     /// Cache-blocked kernels, the row-pair Jacobi rewrite, and the
-    /// low-rank spectral MT-P2 layout.
+    /// small-side, certificate-first MT-P2 layout.
     #[default]
     Blocked,
 }

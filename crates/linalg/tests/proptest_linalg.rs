@@ -2,6 +2,7 @@
 //! identities that must hold for *arbitrary* matrices, not just the
 //! Gaussian ensembles the unit tests draw.
 
+use cma_linalg::cholesky::{certifies_lambda_max_below, lambda_max_upper_bound};
 use cma_linalg::eigen::{
     jacobi_eigen_sym, jacobi_eigen_sym_with_basis, jacobi_eigen_sym_with_basis_tol,
     jacobi_eigen_sym_with_basis_tol_naive,
@@ -45,6 +46,40 @@ fn any_kernel_matrix() -> impl Strategy<Value = Matrix> {
             Matrix::from_vec(n, d, salted)
         })
     })
+}
+
+/// The matrices the `λ_max` certificate meets: Grams `AᵀA` of a `k × n`
+/// matrix, `n ∈ 1..24` (so `n = 1` too), with `k` from 0 (the zero
+/// matrix) through rank-deficient (`k < n`) to full rank — and, half the
+/// time, column `j` of `A` scaled by `10^eⱼ`, `eⱼ ∈ [−3, 3]`, so the
+/// entries of the Gram span twelve orders of magnitude.
+fn any_gram() -> impl Strategy<Value = Matrix> {
+    (1usize..24, 0usize..4).prop_flat_map(|(n, shape)| {
+        let k = [0, n.div_ceil(2), n, 2 * n][shape];
+        (
+            prop::collection::vec(-10.0f64..10.0, k * n),
+            prop::collection::vec(-3.0f64..3.0, n),
+            0u8..2,
+        )
+            .prop_map(move |(data, exponents, graded)| {
+                let mut a = Matrix::from_vec(k, n, data);
+                if graded == 1 {
+                    for i in 0..k {
+                        for (v, e) in a.row_mut(i).iter_mut().zip(&exponents) {
+                            *v *= 10f64.powf(*e);
+                        }
+                    }
+                }
+                a.gram()
+            })
+    })
+}
+
+/// `λ_max` by the full-precision Jacobi eigensolve — the oracle the
+/// certificate is judged against (relative error ≈ 10⁻¹², three orders
+/// inside the certificate's own margin).
+fn lambda_max(g: &Matrix) -> f64 {
+    jacobi_eigen_sym(g).unwrap().values[0]
 }
 
 /// Entry-wise bit equality (distinguishes `-0.0` from `0.0`).
@@ -205,6 +240,50 @@ proptest! {
         for (vf, vn) in fast.values.iter().zip(&naive.values) {
             prop_assert!((vf - vn).abs() <= 1e-7 * scale, "{vf} vs {vn}");
         }
+    }
+
+    /// Soundness — what the `ε‖A‖²_F` guarantee of MT-P2 rests on: the
+    /// certificate never passes at any `c ≤ λ_max`, however close.
+    #[test]
+    fn certificate_never_passes_at_or_below_lambda_max(g in any_gram(), t in 0.0f64..1.0) {
+        let top = lambda_max(&g);
+        for c in [top, top * (1.0 - 1e-12), top * (1.0 - 1e-6), top * t, 0.0, -top] {
+            prop_assert!(
+                !certifies_lambda_max_below(&g, c),
+                "n = {}: passed at c = {c:e} ≤ λ_max = {top:e}", g.rows()
+            );
+        }
+    }
+
+    /// Completeness — what the speed rests on: the certificate passes
+    /// at every `c ≥ λ_max·(1 + 10⁻⁶)` (any positive `c` for the zero
+    /// matrix).
+    #[test]
+    fn certificate_passes_just_above_lambda_max(g in any_gram(), t in 0.0f64..12.0) {
+        let top = lambda_max(&g);
+        let just_above = (top * (1.0 + 1e-6)).max(f64::MIN_POSITIVE);
+        for c in [just_above, just_above * 10f64.powf(t), just_above.max(1.0)] {
+            prop_assert!(
+                certifies_lambda_max_below(&g, c),
+                "n = {}: refused at c = {c:e}, λ_max = {top:e}", g.rows()
+            );
+        }
+    }
+
+    /// The bisected bound stays in `[λ_max, hi]` and lands within one
+    /// 32nd of the bracket it started from.
+    #[test]
+    fn upper_bound_brackets_lambda_max(g in any_gram(), t in 0.001f64..4.0) {
+        let top = lambda_max(&g);
+        let hi = (top * (1.0 + t)).max(1e-3);
+        prop_assert!(certifies_lambda_max_below(&g, hi));
+        let bound = lambda_max_upper_bound(&g, hi);
+        prop_assert!(top <= bound && bound <= hi, "{top:e} ≤ {bound:e} ≤ {hi:e}");
+        let max_diag = (0..g.rows()).map(|i| g[(i, i)]).fold(0.0, f64::max);
+        prop_assert!(
+            bound <= top * (1.0 + 1e-6) + (hi - max_diag) / 32.0,
+            "bound {bound:e} loose: λ_max {top:e}, bracket [{max_diag:e}, {hi:e}]"
+        );
     }
 
     /// `‖Ax‖ ≤ σ₁·‖x‖` for arbitrary x (operator-norm consistency).

@@ -245,3 +245,68 @@ fn site_scaling_matches_figure2() {
         "P2 messages should grow with m: {msgs:?}"
     );
 }
+
+/// MT-P2 through rank saturation at every level of a tree. Every other
+/// tree suite streams rank-3 rows, which no node ever saturates on; here
+/// the spectrum is flat in `d = 8`, so within a few hundred rows every
+/// leaf has stacked more rows than `d` and holds its withheld Gram
+/// instead. The interior `MP2Aggregator`s saturate too, but only inside
+/// `absorb_direction`: a relayed direction is already at its sender's
+/// send threshold, so the ninth stacked row converts the node to the
+/// Gram layout and the check in that same call decomposes it again
+/// (≈ 50 times in this run) — nothing an outside observer can see at
+/// rest, which is why only the leaves are asserted on. Both sides of
+/// Lemma 8, `0 ≤ ‖Ax‖² − ‖Bx‖² ≤ ε‖A‖²_F`, on 32 unit directions —
+/// checked along the stream as well as at its end.
+#[test]
+fn mt_p2_tree_keeps_two_sided_bound_through_rank_saturation() {
+    use cma::linalg::random::unit_vector;
+    use cma::stream::Topology;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let (m, eps, dim, n) = (16, 0.1, 8, 16 * 400);
+    let cfg = MatrixConfig::new(m, eps, dim).with_seed(8);
+    let mut rng = StdRng::seed_from_u64(98);
+    let directions: Vec<Vec<f64>> = (0..32).map(|_| unit_vector(&mut rng, dim)).collect();
+
+    for topology in [Topology::Star, Topology::Tree { fanout: 4 }] {
+        let mut runner = p2::deploy_topology(&cfg, topology);
+        let mut stream = SyntheticMatrixStream::new(dim, &[1.0; 8], 1e6, 18);
+        let mut truth = StreamingGram::new(dim);
+        let mut saturated = vec![false; m];
+        for i in 0..n {
+            let row = stream.next_row();
+            truth.update(&row);
+            runner.feed(i % m, row);
+            if i % 64 != 63 {
+                continue;
+            }
+            for (seen, site) in saturated.iter_mut().zip(runner.sites()) {
+                // The layout is private; its `Debug` form names it.
+                *seen |= format!("{site:?}").contains("Gram(");
+            }
+            let frob = truth.frob_sq();
+            for x in &directions {
+                let ax: f64 = truth
+                    .gram()
+                    .apply(x)
+                    .iter()
+                    .zip(x)
+                    .map(|(g, v)| g * v)
+                    .sum();
+                let gap = ax - runner.coordinator().direction_norm_sq(x);
+                assert!(
+                    gap >= -1e-9 * frob && gap <= (eps + 1e-9) * frob,
+                    "{topology:?} after {} rows: ‖Ax‖² − ‖Bx‖² = {gap}, ε‖A‖²_F = {}",
+                    i + 1,
+                    eps * frob
+                );
+            }
+        }
+        assert!(
+            saturated.iter().all(|&s| s),
+            "{topology:?}: leaves never seen saturated: {saturated:?}"
+        );
+    }
+}

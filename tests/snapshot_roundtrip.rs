@@ -240,6 +240,76 @@ proptest! {
     }
 }
 
+/// A rank-saturated MT-P2 interior node at capture. The rank-3 streams
+/// above never saturate anything, and in a live run an interior node
+/// holds the `d×d` Gram layout only inside one `absorb` call (a relayed
+/// direction is already at its sender's send threshold, so the check in
+/// that call decomposes it again). It rests in that layout when its `F̂`
+/// has run ahead of its children's — their directions then sit far below
+/// its own threshold and simply stack up — so that is the state built
+/// here, from rows of a full-rank stream. Such a node has no rows to
+/// encode: the snapshot re-expresses the Gram through one eigensolve,
+/// and what comes back must still withhold the same Gram.
+#[test]
+fn saturated_mt_p2_node_roundtrips_its_withheld_gram() {
+    use cma::protocols::matrix::p2::{MP2Aggregator, MP2Msg};
+    use cma::stream::{AggNode, Aggregator, MigratableAggregator, WireReader};
+
+    let (m, dim) = (16, 8);
+    let topo = Topology::Tree { fanout: 4 };
+    let cfg = MatrixConfig::new(m, 0.1, dim);
+    let (_, coordinator, _) = matrix::p2::deploy_topology(&cfg, topo).into_parts();
+    let mut make = matrix::p2::make_aggregator(&cfg, topo);
+    let mut aggregators: Vec<MP2Aggregator> = (0..4)
+        .map(|index| {
+            make(AggNode {
+                level: 1,
+                index,
+                leaves: 4,
+                total_levels: 1,
+            })
+        })
+        .collect();
+
+    let mut stream = SyntheticMatrixStream::new(dim, &[1.0; 8], 1e6, 19);
+    let mut truth = StreamingGram::new(dim);
+    aggregators[0].on_broadcast(&1e6);
+    for _ in 0..3 * dim {
+        let row = stream.next_row();
+        truth.update(&row);
+        aggregators[0].absorb(0, MP2Msg::Direction(row));
+    }
+    // The layout is private; its `Debug` form names it.
+    assert!(
+        format!("{:?}", aggregators[0]).contains("Gram("),
+        "node not saturated: the case would test nothing"
+    );
+    assert_snapshot_roundtrip(&coordinator, &aggregators, "mt-p2 saturated");
+
+    let wire = aggregators[0].to_wire();
+    let mut restored = MP2Aggregator::decode(&mut WireReader::new(&wire)).expect("decode");
+    for (what, node) in [
+        ("captured", &mut aggregators[0]),
+        ("restored", &mut restored),
+    ] {
+        // Everything the node withholds, thresholds ignored.
+        let mut drained = Vec::new();
+        node.split_for_migration(&mut drained);
+        let mut withheld = StreamingGram::new(dim);
+        for (_, msg) in &drained {
+            if let MP2Msg::Direction(v) = msg {
+                withheld.update(v);
+            }
+        }
+        let diff = withheld.gram().sub(truth.gram()).max_abs();
+        assert!(
+            diff <= 1e-9 * truth.frob_sq(),
+            "{what} node: withheld Gram off by {diff} (trace {})",
+            truth.frob_sq()
+        );
+    }
+}
+
 fn snap_only_cfg(crash: Option<usize>) -> ChurnConfig {
     ChurnConfig {
         segment_len: SEGMENT,
