@@ -7,10 +7,16 @@
 //! quantifies the price paid per fanout, while the communication-shape
 //! benefit (root fan-in, per-hop traffic) is pinned exactly by the
 //! golden table in `tests/comm_counts.rs`.
+//!
+//! `broadcast_disseminate` prints the per-event cost of the broadcast
+//! plane at the `hh-p1-bigm-gossip` deployment (m = 65 536 on a
+//! fanout-8 tree): the tree cascade as the control, push–pull gossip as
+//! the subject.
 
 use cma_core::{hh, matrix, HhConfig, MatrixConfig, Topology};
 use cma_data::{SyntheticMatrixStream, WeightedZipfStream};
 use cma_stream::partition::RoundRobin;
+use cma_stream::{BroadcastPlane, BroadcastState, ChannelTransport, CommStats};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -90,5 +96,36 @@ fn bench_matrix_topologies(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_hh_topologies, bench_matrix_topologies);
+fn bench_broadcast_disseminate(c: &mut Criterion) {
+    let m = 65_536;
+    let plan = Topology::Tree { fanout: 8 }.plan(m);
+    let mut g = c.benchmark_group("broadcast_disseminate");
+    g.sample_size(10);
+    let planes = [
+        ("cascade", BroadcastPlane::TreeCascade),
+        (
+            "gossip4x24",
+            BroadcastPlane::Gossip {
+                fanout: 4,
+                rounds: 24,
+                seed: 1,
+            },
+        ),
+    ];
+    for (name, plane) in planes {
+        let mut state = BroadcastState::new(plane, m);
+        let mut stats = CommStats::for_plan(&plan);
+        g.bench_function(format!("{name}/m{m}"), |b| {
+            b.iter(|| black_box(state.disseminate(&plan, 8, &mut stats, &ChannelTransport)))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_hh_topologies,
+    bench_matrix_topologies,
+    bench_broadcast_disseminate
+);
 criterion_main!(benches);

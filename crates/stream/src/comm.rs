@@ -16,8 +16,9 @@
 //!   over exactly one edge — `m` deliveries in a star; every interior
 //!   node *and* every leaf in a tree — so deliveries equal reach. Under
 //!   [`crate::BroadcastPlane::Gossip`] deliveries are the pushed frames
-//!   (bounded per node by `fanout · rounds`, independent of `m`) and
-//!   reach is tracked separately.
+//!   plus the pull digests plus the pull replies (at most `fanout` per
+//!   node per round, independent of `m`) and reach is tracked
+//!   separately.
 //!
 //! With a tree topology ([`crate::Topology`]) communication is *measured
 //! per hop, not guessed*: [`CommStats::per_level`] records the traffic
@@ -86,24 +87,27 @@ pub struct CommStats {
     /// Total broadcast deliveries: **edges actually crossed**, measured.
     /// Under the structural planes (root fan-out, tree cascade) every
     /// recipient is reached over exactly one edge, so this equals
-    /// [`CommStats::broadcast_reach`]; under a gossip plane one frame
-    /// per push is charged — including duplicates the simulated wire
-    /// manufactures and redundant pushes to already-current nodes — so
-    /// deliveries can exceed reach (redundancy) or trail the recipient
-    /// count (staleness).
+    /// [`CommStats::broadcast_reach`]; under a gossip plane deliveries
+    /// are pushed frames plus pull digests plus pull replies —
+    /// including duplicates the simulated wire manufactures, redundant
+    /// pushes to already-current nodes and digests from leaves that
+    /// turn out to be current — so deliveries can exceed reach
+    /// (redundancy) or trail the recipient count (staleness).
     pub broadcast_deliveries: u64,
     /// Total broadcast *reach*: recipients that actually adopted a
     /// fresh frame, summed over events. A node counts once per event no
     /// matter how many copies the wire delivered to it.
     pub broadcast_reach: u64,
-    /// The largest number of broadcast frames any single node pushed
-    /// out for one event, summed over events — the per-node out-degree
-    /// of the dissemination. Root fan-out charges the root `m + I` per
-    /// event; a gossip plane is bounded by `fanout · rounds`
-    /// (independent of `m`), which is the entire point of the plane.
+    /// The largest number of broadcast messages any single node sent
+    /// for one event, summed over events — the per-node out-degree of
+    /// the dissemination. Root fan-out charges the root `m + I` per
+    /// event; under a gossip plane each event's term is at most
+    /// `fanout · rounds` (independent of `m`), so the sum is at most
+    /// `events · fanout · rounds` — the entire point of the plane.
     pub broadcast_peak_out: u64,
-    /// Dissemination latency in rounds (hops for the cascade planes,
-    /// configured gossip rounds otherwise), summed over events —
+    /// Dissemination latency in rounds (hops for the cascade planes;
+    /// under gossip, the rounds actually run until every leaf adopted
+    /// or the round budget ran out), summed over events —
     /// `lag / events` is the mean convergence lag a leaf observes.
     pub broadcast_lag_rounds: u64,
     /// Leaves left *stale* (not reached) by each event, summed over
@@ -121,7 +125,7 @@ pub struct CommStats {
     /// Total encoded bytes of broadcast traffic, charged **per edge
     /// actually crossed** (mirroring `broadcast_deliveries`): one
     /// payload per structural fan-out delivery, one versioned frame per
-    /// gossip push.
+    /// gossip push or pull reply, 8 bytes per pull digest.
     pub bytes_down: u64,
     /// Number of sites `m`.
     pub sites: u64,
@@ -254,10 +258,10 @@ impl CommStats {
         self.bytes_down += receivers * bytes_each;
     }
 
-    /// Records one gossip frame crossing an edge at hop `level`
-    /// (`bytes` encoded bytes on the wire), *without* assuming the
-    /// receiver adopted it — adoption is recorded separately via
-    /// [`CommStats::record_broadcast_adopt`].
+    /// Records one gossip message (frame or digest) crossing an edge at
+    /// hop `level` (`bytes` encoded bytes on the wire), *without*
+    /// assuming the receiver adopted anything — adoption is recorded
+    /// separately via [`CommStats::record_broadcast_adopt`].
     pub fn record_broadcast_edge(&mut self, level: usize, bytes: u64) {
         self.per_level[level].broadcast_msgs += 1;
         self.broadcast_deliveries += 1;
@@ -271,7 +275,7 @@ impl CommStats {
     }
 
     /// Records the dissemination telemetry of one finished broadcast
-    /// event: the largest per-node outbound frame count, the rounds the
+    /// event: the largest per-node outbound message count, the rounds the
     /// event took to settle, and how many leaves it left stale.
     pub fn record_broadcast_shape(&mut self, peak_out: u64, lag_rounds: u64, stale: u64) {
         self.broadcast_peak_out += peak_out;

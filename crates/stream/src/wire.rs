@@ -204,10 +204,11 @@ pub struct GossipFrame<B> {
     pub payload: B,
 }
 
-/// A push–pull reconciliation request: a node that received a frame
-/// *older* than its own state answers the stale peer with its current
-/// [`GossipFrame`]; this digest is what rides the reverse direction of
-/// the exchange when only versions (not payloads) need comparing.
+/// The gossip plane's pull request: in a pull round every leaf sends
+/// its current version to one seeded peer, and a peer holding a newer
+/// version answers with its [`GossipFrame`]. Only versions cross in
+/// this direction, never payloads; it rides its own links, so it can
+/// never be mistaken for a frame. See [`crate::BroadcastPlane::Gossip`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GossipDigest {
     /// The sender's current version.

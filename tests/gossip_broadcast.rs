@@ -12,7 +12,8 @@
 //!    header of extra wire per delivery, and bit-identical estimates.
 //! 2. **Default is untouched.** [`BroadcastPlane::TreeCascade`] is
 //!    `Default::default()`: an explicit cascade run equals an implicit
-//!    one field for field.
+//!    one field for field — and gossip that reaches every leaf drives
+//!    the up direction exactly as the cascade does.
 //! 3. **Staleness is safe.** Sparse gossip leaves some sites an event
 //!    or more behind; monotone thresholds only make them send sooner
 //!    (εW holds with no new term), and the sliding-window bound already
@@ -140,6 +141,50 @@ fn tree_cascade_is_the_default_bit_for_bit() {
     let explicit = run_p1_inline(m, topo, &inputs, &cfg, BroadcastPlane::TreeCascade);
     assert_eq!(implicit.stats, explicit.stats, "CommStats diverged");
     assert_same_estimates(&implicit.coordinator, &explicit.coordinator, "default");
+}
+
+/// Claim 2 for gossip that reaches everyone: when push-then-pull covers
+/// every leaf on every event, sites see exactly the thresholds the
+/// cascade gives them, so the up direction is the cascade's bit for bit
+/// — the saving of the pull phase is pure dissemination, not changed
+/// protocol behaviour.
+#[test]
+fn full_coverage_gossip_matches_cascade_up_traffic_bit_for_bit() {
+    let m = 1024;
+    let stream = zipf_stream(60_000, 408);
+    let cfg = HhConfig::new(m, 0.1).with_seed(10);
+    let topo = Topology::Tree { fanout: 8 };
+    let inputs = partition(&stream, m);
+
+    let cascade = run_p1_inline(m, topo, &inputs, &cfg, BroadcastPlane::TreeCascade);
+    let gossip = run_p1_inline(
+        m,
+        topo,
+        &inputs,
+        &cfg,
+        BroadcastPlane::Gossip {
+            fanout: 4,
+            rounds: 24,
+            seed: 31,
+        },
+    );
+
+    let (sc, sg) = (&cascade.stats, &gossip.stats);
+    assert!(sg.broadcast_events > 0, "no broadcasts — vacuous");
+    assert_eq!(sg.broadcast_stale, 0, "gossip left a leaf stale");
+    assert_eq!(sc.broadcast_events, sg.broadcast_events, "events");
+    assert_eq!(sc.up_msgs, sg.up_msgs, "up msgs");
+    assert_eq!(sc.up_cost, sg.up_cost, "up cost");
+    assert_eq!(sc.bytes_up, sg.bytes_up, "up bytes");
+    for (hop, (a, b)) in sc.per_level.iter().zip(&sg.per_level).enumerate() {
+        assert_eq!(
+            (a.up_msgs, a.up_cost, a.up_bytes),
+            (b.up_msgs, b.up_cost, b.up_bytes),
+            "hop {hop} up traffic"
+        );
+    }
+    assert_eq!(sc.node_in_msgs, sg.node_in_msgs, "per-node fan-in");
+    assert_same_estimates(&cascade.coordinator, &gossip.coordinator, "full coverage");
 }
 
 /// Claim 3 for the monotone protocols: sparse gossip (fanout 2, three

@@ -461,6 +461,110 @@ fn gossip_duplicated_stale_frames_never_regress_thresholds() {
     assert_eq!(fstats, fstats_b, "FaultStats diverged between replays");
 }
 
+/// Gossip plane × a dropping, delaying wire through the pull phase: at
+/// M = 16 and fanout 4 pull rounds engage from 4 adopters, so digests
+/// and replies cross lossy links whose held copies release in later
+/// rounds and events. Digests ride their own links, so a late digest
+/// can never be adopted as a frame, and late frames lose the monotone
+/// check — the εW contract holds with no fault term on the undercount
+/// side, the mass ledger never overcounts, and a seed replays bit for
+/// bit.
+#[test]
+fn gossip_pull_phase_under_drop_and_delay_never_regresses_thresholds() {
+    use cma::stream::BroadcastPlane;
+    let stream = zipf_stream(8_000, 910);
+    let mut exact = ExactWeightedCounter::new();
+    for &(e, w) in &stream {
+        exact.update(e, w);
+    }
+    let w = exact.total_weight();
+    let cfg = HhConfig::new(M, 0.1).with_seed(12);
+    let topo = Topology::Tree { fanout: FANOUT };
+    let inputs = partition(&stream, M);
+    let gossip_cfg = ThreadedConfig {
+        plane: BroadcastPlane::Gossip {
+            fanout: 4,
+            rounds: 8,
+            seed: 19,
+        },
+        ..tcfg()
+    };
+    let faults = LinkFaults {
+        drop: 0.05,
+        delay: 0.2,
+        delay_hops: 3,
+        ..Default::default()
+    };
+
+    let run = |seed: u64| {
+        let net = SimNet::new(FaultPlan {
+            seed,
+            down: faults,
+            ..Default::default()
+        });
+        let (sites, coord, _) = hh::p1::deploy_topology(&cfg, topo).into_parts();
+        let parts = engine::run_partitioned_topology_parts_on(
+            sites,
+            coord,
+            inputs.clone(),
+            &gossip_cfg,
+            Executor::Inline,
+            topo,
+            hh::p1::make_aggregator(&cfg, topo),
+            &net,
+        );
+        (parts, net.stats())
+    };
+
+    let (parts, fstats) = run(85);
+    assert!(
+        fstats.dropped > 0 && fstats.delayed > 0,
+        "the cell never dropped or delayed a gossip message — vacuous"
+    );
+    // Frames are 16 bytes (version + f64 threshold), digests 8: less
+    // than 16 bytes per delivery means the pull phase ran.
+    assert!(
+        parts.stats.bytes_down < 16 * parts.stats.broadcast_deliveries,
+        "no digest crossed the wire — the pull phase never engaged"
+    );
+    assert_eq!(
+        fstats.overcount_mass(),
+        0.0,
+        "gossip traffic must carry no mass"
+    );
+    for (e, f) in exact.iter() {
+        let est = parts.coordinator.estimate(e);
+        assert!(
+            est - f <= 1e-6,
+            "pull cell: item {e} overcounts by {}",
+            est - f
+        );
+        assert!(
+            f - est <= cfg.epsilon * w + 1e-6,
+            "pull cell: item {e} undercount {} > εW {} — a late frame or \
+             digest regressed a threshold",
+            f - est,
+            cfg.epsilon * w
+        );
+    }
+
+    let (parts_b, fstats_b) = run(85);
+    assert_eq!(
+        parts.stats, parts_b.stats,
+        "CommStats diverged between replays"
+    );
+    assert_eq!(fstats, fstats_b, "FaultStats diverged between replays");
+    let mut items = parts.coordinator.tracked_items();
+    items.sort_unstable();
+    for &e in &items {
+        assert_eq!(
+            parts.coordinator.estimate(e).to_bits(),
+            parts_b.coordinator.estimate(e).to_bits(),
+            "estimate for {e} diverged between replays"
+        );
+    }
+}
+
 const CHURN_SEGMENT: usize = 64;
 
 /// Mirrors the churn driver's feeding discipline for a leave-only
