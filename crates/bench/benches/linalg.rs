@@ -1,19 +1,24 @@
 //! Criterion micro-benchmarks for the linear-algebra substrate: the two
 //! SVD routes at the shapes the sketches actually use, the symmetric
-//! eigensolver, the spectral-norm evaluators behind the error metric —
-//! and the blocked-vs-naive kernel A/B (`kernels` group) that measures
-//! what the cache-tiled `matmul`/`gram`/`apply_transpose` and the
-//! row-pair Jacobi buy over the retained reference implementations at
-//! the paper's d = 44 and the d-axis extremes 128/512, plus the
-//! `cholesky certificate` vs `jacobi eigen` pair at d = 90 — what MT-P2's
-//! certified trigger pays against what it skips.
+//! eigensolvers — the production Householder + QL against the Jacobi
+//! oracle at the two Gram shapes the protocols decompose (`eigen` group;
+//! `cargo bench -p cma-bench --bench linalg -- eigen`) — the
+//! spectral-norm evaluators behind the error metric, and the
+//! blocked-vs-naive kernel A/B (`kernels` group) that measures what the
+//! cache-tiled `matmul`/`gram`/`apply_transpose` and the row-pair Jacobi
+//! buy over the retained reference implementations at the paper's d = 44
+//! and the d-axis extremes 128/512, plus the `cholesky certificate` vs
+//! `ql eigen` pair at d = 90 — what MT-P2's certified trigger pays
+//! against what it skips.
 
+use cma_data::SyntheticMatrixStream;
 use cma_linalg::cholesky::{certifies_lambda_max_below, lambda_max_upper_bound};
 use cma_linalg::eigen::{
     jacobi_eigen_sym, jacobi_eigen_sym_with_basis_tol, jacobi_eigen_sym_with_basis_tol_naive,
 };
 use cma_linalg::matrix::{accumulate_outer, accumulate_outer_panel};
 use cma_linalg::norms::{spectral_norm_sym_exact, spectral_norm_sym_power};
+use cma_linalg::ql::ql_eigen_sym;
 use cma_linalg::svd::{gram_svd, jacobi_svd};
 use cma_linalg::{random, Matrix};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -64,6 +69,20 @@ fn bench_eigen(c: &mut Criterion) {
     g.bench_function("jacobi_sym/near_diagonal_90", |b| {
         b.iter(|| black_box(jacobi_eigen_sym(&s).unwrap().values[0]))
     });
+    // The production shapes, QL against Jacobi: the 44×44 Gram of an
+    // 80-row `pamap_like` buffer (every SwFd bucket merge and FD shrink
+    // of the window workload) and the 90×90 Gram of `msd_like` rows (a
+    // saturated MT-P2 node's decomposition).
+    let pamap = SyntheticMatrixStream::pamap_like(1).take_matrix(80).gram();
+    let msd = SyntheticMatrixStream::msd_like(1).take_matrix(180).gram();
+    for (name, gram) in [("pamap_gram_44", &pamap), ("msd_gram_90", &msd)] {
+        g.bench_function(format!("ql/{name}"), |b| {
+            b.iter(|| black_box(ql_eigen_sym(gram).unwrap().values[0]))
+        });
+        g.bench_function(format!("jacobi/{name}"), |b| {
+            b.iter(|| black_box(jacobi_eigen_sym(gram).unwrap().values[0]))
+        });
+    }
     g.finish();
 }
 
@@ -180,8 +199,8 @@ fn bench_kernel_ab(c: &mut Criterion) {
     }
     // The MT-P2 trigger at the MSD shape: proving `λ_max < send` on a
     // saturated d = 90 withheld Gram (a pass plus the five-halving bound)
-    // against the cold eigensolve a decomposition pays for the same
-    // answer.
+    // against the production eigensolve a decomposition pays for the
+    // same answer.
     let gram = random::gaussian(&mut rng, 200, 90).gram();
     let send = 1.25 * jacobi_eigen_sym(&gram).unwrap().values[0];
     g.bench_function("cholesky certificate/90", |b| {
@@ -190,15 +209,8 @@ fn bench_kernel_ab(c: &mut Criterion) {
             black_box(lambda_max_upper_bound(&gram, send))
         })
     });
-    g.bench_function("jacobi eigen/90", |b| {
-        b.iter(|| {
-            let basis = Matrix::identity(90);
-            black_box(
-                jacobi_eigen_sym_with_basis_tol(&gram, basis, 1e-9)
-                    .unwrap()
-                    .values[0],
-            )
-        })
+    g.bench_function("ql eigen/90", |b| {
+        b.iter(|| black_box(ql_eigen_sym(&gram).unwrap().values[0]))
     });
     g.finish();
 }

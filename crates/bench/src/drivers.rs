@@ -11,8 +11,6 @@ use cma_core::hh::{self, metrics};
 use cma_core::matrix::{self, MatrixEstimator};
 use cma_core::{HhConfig, MatrixConfig};
 use cma_data::StreamingGram;
-use cma_linalg::svd::gram_svd;
-use cma_linalg::Matrix;
 use cma_sketch::{ExactWeightedCounter, FrequentDirections};
 use cma_stream::partition::RoundRobin;
 use cma_stream::{CommStats, Topology};
@@ -316,19 +314,7 @@ where
         fd.update(&row);
         n += 1;
     }
-    // Rank-k truncation of the sketch.
-    let svd = gram_svd(fd.sketch()).expect("FD baseline svd");
-    let mut bk = Matrix::with_cols(dim);
-    for i in 0..k.min(svd.sigma.len()) {
-        if svd.sigma[i] == 0.0 {
-            break;
-        }
-        let mut r = svd.vt.row(i).to_vec();
-        for v in &mut r {
-            *v *= svd.sigma[i];
-        }
-        bk.push_row(&r);
-    }
+    let bk = fd.rank_k_sketch(k);
     let err = truth.error_of_sketch(&bk).expect("error metric eigensolve");
     MatrixRunResult {
         protocol: "FD",

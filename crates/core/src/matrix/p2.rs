@@ -35,12 +35,12 @@
 //!    far below `d`. Under [`KernelPath::Blocked`] the site therefore
 //!    keeps only the nonzero directions (`r ≤ d` rows `σᵢ·vᵢᵀ`) plus the
 //!    raw rows absorbed since, and decomposes the stacked `s × d` matrix
-//!    (`s = r + k`) on its *small side*: one `s×s` outer Gram `S·Sᵀ`, a
-//!    warm `s×s` Jacobi, and one `s×s · s×d` product recovering the
-//!    directions. At `s ≪ d` this replaces the `O(d³)` full-basis
-//!    eigensolve with `O(s²d + s³)` — the dominant cost of this protocol
-//!    at large `d` — and also deletes the per-row `O(d²)` basis
-//!    projection (raw rows need no projection).
+//!    (`s = r + k`) on its *small side*: one `s×s` outer Gram `S·Sᵀ`, one
+//!    `s×s` Householder + QL eigensolve ([`cma_linalg::ql`]), and one
+//!    `s×s · s×d` product recovering the directions. At `s ≪ d` this
+//!    replaces the `O(d³)` full-basis eigensolve with `O(s²d + s³)` — the
+//!    dominant cost of this protocol at large `d` — and also deletes the
+//!    per-row `O(d²)` basis projection (raw rows need no projection).
 //! 4. Deciding *whether* anything must be sent needs one sign, not a
 //!    spectrum. The Weyl bound of observation 2 is loose on a flat
 //!    spectrum — on the MSD-like benchmark stream 64 % of the triggered
@@ -95,8 +95,9 @@
 use super::{row_weight, MatrixEstimator, Row};
 use crate::config::MatrixConfig;
 use cma_linalg::cholesky::{certifies_lambda_max_below, lambda_max_upper_bound};
-use cma_linalg::eigen::jacobi_eigen_sym_with_basis_tol;
+use cma_linalg::eigen::jacobi_eigen_sym_with_basis_tol_naive;
 use cma_linalg::matrix::accumulate_outer;
+use cma_linalg::ql::ql_eigen_sym;
 use cma_linalg::{vector, KernelPath, Matrix};
 use cma_sketch::FrequentDirections;
 use cma_stream::{
@@ -263,17 +264,15 @@ impl Withheld {
 
     /// Eigen-directions of the withheld Gram, descending: `λᵢ = σᵢ²` and
     /// the rows `σᵢ·vᵢᵀ`, from the eigenvectors `U` of the small-side
-    /// Gram `small`. 1e-9 relative eigensolver accuracy: ample for
-    /// threshold comparisons at scale `ε·F̂/m`, and materially faster than
-    /// full precision.
+    /// Gram `small` — one Householder + QL eigensolve
+    /// ([`ql_eigen_sym`]), full precision at no tolerance.
     fn spectrum(&self, small: &Matrix) -> (Vec<f64>, Matrix) {
-        let eig = jacobi_eigen_sym_with_basis_tol(small, Matrix::identity(small.rows()), 1e-9)
-            .expect("MT-P2: eigensolver diverged");
+        let eig = ql_eigen_sym(small).expect("MT-P2: eigensolver failed");
         let dirs = match self {
             // P = Uᵀ·S has rows σᵢ·vᵢᵀ, and PᵀP = Sᵀ(UUᵀ)S = SᵀS to the
-            // orthonormality of the accumulated rotations (machine
-            // precision), so the re-expression is lossless independently
-            // of eigenvalue accuracy.
+            // orthonormality of the accumulated reflections and rotations
+            // (machine precision), so the re-expression is lossless
+            // independently of eigenvalue accuracy.
             Withheld::Rows { rows, .. } => eig.vectors.matmul(rows),
             Withheld::Gram(_) => {
                 let mut dirs = eig.vectors;
@@ -317,8 +316,8 @@ impl Withheld {
 /// Splits eigen-directions `(λᵢ, σᵢ·vᵢᵀ)` at `send`: those at or above
 /// it become messages, the rest are returned with their largest `λ`.
 /// `λ ≤ ulp(trace)` is a structurally zero direction — dropping the row
-/// discards at most machine-noise mass, orders below the 1e-9 solver
-/// tolerance already accepted here.
+/// discards at most machine-noise mass, the size of the eigensolver's own
+/// rounding.
 fn split_spectrum(
     send: f64,
     (values, dirs): (Vec<f64>, Matrix),
@@ -522,8 +521,10 @@ impl MP2Site {
                 sig2,
                 pending,
             } => {
-                // Warm full-d Jacobi on `diag(σ²) + Σ c cᵀ` in the
-                // site's own basis, co-rotating the basis. 1e-9 relative
+                // Warm full-d Jacobi (this layout exists only under the
+                // `Naive` oracle, so the reference two-pass rotations) on
+                // `diag(σ²) + Σ c cᵀ` in the site's own basis,
+                // co-rotating the basis. 1e-9 relative
                 // eigensolver accuracy: ample for threshold comparisons
                 // at scale ε·F̂/m, and materially faster than full
                 // precision.
@@ -538,8 +539,7 @@ impl MP2Site {
                     kernels.accumulate_outer_rows(&mut g, &pend);
                 }
                 let b = std::mem::replace(basis, Matrix::zeros(0, 0));
-                let eig = kernels
-                    .eigen_sym_with_basis_tol(&g, b, 1e-9)
+                let eig = jacobi_eigen_sym_with_basis_tol_naive(&g, b, 1e-9)
                     .expect("MT-P2: eigensolver diverged");
                 *basis = eig.vectors;
                 *basis_t = None; // rotated: the cached transpose is stale
@@ -1101,7 +1101,6 @@ impl MP2BoundedSite {
     }
 
     fn decompose_and_send(&mut self, out: &mut Vec<MP2Msg>) {
-        use cma_linalg::eigen::jacobi_eigen_sym;
         self.pending_mass = 0.0;
         let threshold = self.send_threshold();
         // Repeatedly peel the top direction of the difference Gram while
@@ -1109,7 +1108,7 @@ impl MP2BoundedSite {
         // moves that direction's mass into fd_s).
         for _ in 0..self.fd_a.dim() {
             let diff = self.fd_a.sketch().gram().sub(&self.fd_s.sketch().gram());
-            let eig = jacobi_eigen_sym(&diff).expect("MT-P2 bounded: eigensolver diverged");
+            let eig = ql_eigen_sym(&diff).expect("MT-P2 bounded: eigensolver failed");
             let Some(&top) = eig.values.first() else {
                 break;
             };

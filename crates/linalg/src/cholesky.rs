@@ -6,7 +6,7 @@
 //! definite", and a matrix is positive definite exactly when its Cholesky
 //! factorisation runs to completion on positive pivots. One factorisation
 //! is `n³/3` flops with no iteration and no eigenvectors (≈ 0.25 Mflop at
-//! `n = 90`, against a Jacobi eigensolve of several milliseconds), so a
+//! `n = 90`, against a full eigensolve of about a millisecond), so a
 //! caller that only has to *prove a bound* — protocol MT-P2 proving that
 //! nothing it withholds has reached the send threshold — can skip the
 //! decomposition whenever the certificate passes.

@@ -1,11 +1,14 @@
-//! Cyclic Jacobi eigendecomposition of symmetric matrices.
+//! Cyclic Jacobi eigendecomposition of symmetric matrices — the oracle.
 //!
-//! This powers the Gram fast path for SVD ([`crate::svd::gram_svd`]) and
-//! the exact evaluation of the paper's error metric
-//! `‖AᵀA − BᵀB‖₂ / ‖A‖²_F`: both reduce to the eigendecomposition of a
-//! small (`d×d`, `d ≲ 500`) symmetric matrix, a regime where Jacobi
-//! iteration is simple, embarrassingly robust and accurate to machine
-//! precision.
+//! Production decompositions run on Householder tridiagonalisation + QL
+//! ([`crate::ql::ql_eigen_sym`], 6–8× faster at the protocols'
+//! shapes). Jacobi stays as the reference they are judged against: it is
+//! the eigensolver of the [`crate::profile::KernelPath::Naive`] route
+//! ([`crate::svd::gram_svd`] and MT-P2's basis layout), of `cma-data`'s
+//! ground truth and of the exact evaluation of the paper's error metric
+//! `‖AᵀA − BᵀB‖₂ / ‖A‖²_F` — all eigendecompositions of a small (`d×d`,
+//! `d ≲ 500`) symmetric matrix, a regime where Jacobi iteration is simple,
+//! embarrassingly robust and accurate to machine precision.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
@@ -26,6 +29,17 @@ pub struct SymEigen {
     pub vectors: Matrix,
 }
 
+/// Rejects a NaN or infinite entry before an eigensolver starts: Jacobi's
+/// off-diagonal test reads NaN as converged, and no iteration count makes
+/// a non-finite input meaningful.
+pub(crate) fn check_finite(s: &Matrix, routine: &'static str) -> Result<(), LinalgError> {
+    if s.as_slice().iter().all(|x| x.is_finite()) {
+        Ok(())
+    } else {
+        Err(LinalgError::NonFinite { routine })
+    }
+}
+
 /// Computes the eigendecomposition of a symmetric `d × d` matrix with the
 /// cyclic Jacobi method.
 ///
@@ -34,6 +48,7 @@ pub struct SymEigen {
 /// point accumulation are harmless.
 ///
 /// # Errors
+/// [`LinalgError::NonFinite`] if any entry of `s` is NaN or infinite;
 /// [`LinalgError::NoConvergence`] if off-diagonal mass has not vanished
 /// after the internal sweep budget (practically unreachable for finite
 /// input).
@@ -59,7 +74,7 @@ pub fn jacobi_eigen_sym(s: &Matrix) -> Result<SymEigen, LinalgError> {
 /// of paying a dense `d×d · d×d` composition afterwards.
 ///
 /// # Errors
-/// [`LinalgError::NoConvergence`] as for [`jacobi_eigen_sym`].
+/// As for [`jacobi_eigen_sym`].
 ///
 /// # Panics
 /// Panics if `s` is not square or `basis.rows() != s.rows()`.
@@ -71,13 +86,13 @@ pub fn jacobi_eigen_sym_with_basis(s: &Matrix, basis: Matrix) -> Result<SymEigen
 ///
 /// Off-diagonal entries below `rel_tol · ‖S‖_F` are treated as converged;
 /// eigenvalues are then accurate to roughly `d · rel_tol · ‖S‖_F`.
-/// Protocol hot loops (MT-P2's per-batch decompositions) pass a looser
-/// tolerance than the 1e-14 default because their downstream use is a
-/// threshold comparison at scale `ε‖A‖²_F/m`, many orders above the
-/// solver noise either way.
+/// MT-P2's oracle layout (the `Naive` basis path, through the two-pass
+/// twin below) passes a looser tolerance than the 1e-14 default because
+/// its downstream use is a threshold comparison at scale `ε‖A‖²_F/m`,
+/// many orders above the solver noise either way.
 ///
 /// # Errors
-/// [`LinalgError::NoConvergence`] as for [`jacobi_eigen_sym`].
+/// As for [`jacobi_eigen_sym`].
 ///
 /// # Panics
 /// As for [`jacobi_eigen_sym_with_basis`].
@@ -96,6 +111,7 @@ pub fn jacobi_eigen_sym_with_basis_tol(
         s.rows(),
         "jacobi_eigen_sym: basis row-count mismatch"
     );
+    check_finite(s, "jacobi_eigen_sym")?;
     let d = s.rows();
     if d == 0 {
         return Ok(SymEigen {
@@ -217,7 +233,7 @@ fn off_diag_below(a: &Matrix, tol: f64) -> bool {
 /// ([`crate::profile::KernelPath::Naive`]).
 ///
 /// # Errors
-/// [`LinalgError::NoConvergence`] as for [`jacobi_eigen_sym`].
+/// As for [`jacobi_eigen_sym`].
 ///
 /// # Panics
 /// As for [`jacobi_eigen_sym_with_basis`].
@@ -236,6 +252,7 @@ pub fn jacobi_eigen_sym_with_basis_tol_naive(
         s.rows(),
         "jacobi_eigen_sym: basis row-count mismatch"
     );
+    check_finite(s, "jacobi_eigen_sym")?;
     let d = s.rows();
     if d == 0 {
         return Ok(SymEigen {
@@ -534,6 +551,22 @@ mod tests {
                 .map(|(x, y)| x * y)
                 .sum();
             assert!(dot.abs() > 1.0 - 1e-6, "row {i}: |dot| = {}", dot.abs());
+        }
+    }
+
+    #[test]
+    fn non_finite_input_is_an_error() {
+        // NaN used to pass the off-diagonal test as "converged" and then
+        // panic in the sort; ∞ made the tolerance infinite.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut s = Matrix::identity(4);
+            s[(2, 1)] = bad;
+            let want = LinalgError::NonFinite {
+                routine: "jacobi_eigen_sym",
+            };
+            assert_eq!(jacobi_eigen_sym(&s).unwrap_err(), want);
+            let naive = jacobi_eigen_sym_with_basis_tol_naive(&s, Matrix::identity(4), 1e-14);
+            assert_eq!(naive.unwrap_err(), want);
         }
     }
 

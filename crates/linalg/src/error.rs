@@ -9,7 +9,7 @@ use std::fmt;
 /// standard library's indexing conventions. `LinalgError` is reserved for
 /// *data-dependent* failures that a correct caller cannot rule out
 /// statically, such as an iteration failing to converge on pathological
-/// input.
+/// input or a NaN reaching an eigensolver.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LinalgError {
     /// An iterative decomposition did not converge within its sweep budget.
@@ -26,6 +26,12 @@ pub enum LinalgError {
         /// Name of the routine that rejected the input.
         routine: &'static str,
     },
+    /// The input matrix holds a NaN or infinite entry, on which an
+    /// iterative solver's convergence test is meaningless.
+    NonFinite {
+        /// Name of the routine that rejected the input.
+        routine: &'static str,
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -36,6 +42,9 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::EmptyInput { routine } => {
                 write!(f, "{routine}: empty input matrix")
+            }
+            LinalgError::NonFinite { routine } => {
+                write!(f, "{routine}: NaN or infinite input entry")
             }
         }
     }

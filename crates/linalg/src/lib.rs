@@ -12,7 +12,12 @@
 //! * [`Matrix`] — row-major dense matrix with the handful of operations the
 //!   sketches need (row append, products, Gram matrices, norms).
 //! * [`qr`] — Householder thin QR.
-//! * [`eigen`] — cyclic Jacobi eigendecomposition of symmetric matrices.
+//! * [`ql`] — the production symmetric eigensolver: Householder
+//!   tridiagonalisation + implicit-shift QL, under every
+//!   [`KernelPath::Blocked`] decomposition (FD shrinks and merges, MT-P2).
+//! * [`eigen`] — cyclic Jacobi eigendecomposition of symmetric matrices:
+//!   the oracle the QL solver is tested against, and the solver of the
+//!   [`KernelPath::Naive`] route and of exact ground truth.
 //! * [`cholesky`] — the `λ_max(M) < c` certificate: one Cholesky sign test
 //!   where a caller must prove a spectral bound, not compute a spectrum.
 //! * [`svd`] — one-sided Jacobi SVD (reference-quality) and the Gram-based
@@ -31,7 +36,8 @@
 //! (`matmul`, `gram`, `apply_transpose`) are cache-blocked with their
 //! naive loops retained as bit-exact oracles; the one-sided Jacobi SVD is
 //! accurate to near machine precision and serves as the verification
-//! oracle for the faster Gram path in tests.
+//! oracle for the faster Gram path in tests, as cyclic Jacobi does for the
+//! Householder + QL eigensolver.
 
 pub mod cholesky;
 pub mod eigen;
@@ -39,6 +45,7 @@ pub mod error;
 pub mod matrix;
 pub mod norms;
 pub mod profile;
+pub mod ql;
 pub mod qr;
 pub mod random;
 pub mod randomized;

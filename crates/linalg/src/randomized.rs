@@ -17,7 +17,7 @@ use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::qr::householder_qr;
 use crate::random::gaussian;
-use crate::svd::{gram_svd, jacobi_svd, Svd, SvdValuesVectors};
+use crate::svd::{gram_svd_blocked, jacobi_svd, Svd, SvdValuesVectors};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -150,7 +150,7 @@ pub fn randomized_project_svd(
     let q = householder_qr(&y).q; // n×l, orthonormal columns
     let c = q.transpose().matmul(a); // l×d
     let tail = (a.frob_norm_sq() - c.frob_norm_sq()).max(0.0);
-    let svd = gram_svd(&c)?;
+    let svd = gram_svd_blocked(&c)?;
     Ok(ProjectedSvd { svd, tail })
 }
 

@@ -22,14 +22,18 @@
 //!   this is what lets the coordinator of protocol MT-P1 fold in
 //!   per-site sketches.
 //! * The shrink step only needs `(Σ, V)` of the buffer, never `U`, so it
-//!   runs on the Gram fast path ([`cma_linalg::svd::gram_svd`] or its
-//!   blocked twin, selected by
-//!   [`cma_linalg::KernelPath::svd_values_vectors`]): `O(ℓ²d + ℓ³)` per
-//!   shrink for the wide buffers the protocols use (`ℓ < d`), amortised
-//!   `O(ℓd)` per appended row — the paper's `O(dℓ)` amortised update.
+//!   runs on the Gram fast path, selected by
+//!   [`cma_linalg::KernelPath::svd_values_vectors`]: by default
+//!   [`cma_linalg::svd::gram_svd_blocked`], which eigendecomposes the
+//!   smaller Gram of the buffer with Householder tridiagonalisation + QL
+//!   ([`cma_linalg::ql::ql_eigen_sym`]); the `Naive` oracle route
+//!   ([`cma_linalg::svd::gram_svd`]) uses cyclic Jacobi. `O(ℓ²d + ℓ³)` per
+//!   shrink, amortised `O(ℓd)` per appended row — the paper's `O(dℓ)`
+//!   amortised update. [`FrequentDirections::rank_k_sketch`] and
+//!   [`FrequentDirections::top_directions`] decompose through the same
+//!   route.
 
 use cma_linalg::randomized::randomized_project_svd;
-use cma_linalg::svd::gram_svd;
 use cma_linalg::{FdShrink, KernelPath, Matrix};
 
 /// Frequent Directions sketch with at most `ℓ` buffered rows.
@@ -46,7 +50,7 @@ pub struct FrequentDirections {
     shrink_loss: f64,
     /// Shrink strategy (exact SVD vs certified randomized projection).
     shrink: FdShrink,
-    /// Dense-kernel route for the shrink SVD (see
+    /// Dense-kernel route for every SVD of the sketch (see
     /// [`KernelPath::svd_values_vectors`]).
     kernels: KernelPath,
     /// Shrinks performed so far — also the deterministic seed counter for
@@ -130,10 +134,11 @@ impl FrequentDirections {
         self
     }
 
-    /// Selects the dense-kernel route for the shrink SVD (builder style).
-    /// Both routes are equivalent within solver tolerance
-    /// ([`KernelPath::svd_values_vectors`]); `Naive` exists as the
-    /// measured baseline of the bench A/B rows.
+    /// Selects the dense-kernel route for every SVD of the sketch —
+    /// shrinks, [`FrequentDirections::rank_k_sketch`],
+    /// [`FrequentDirections::top_directions`] — (builder style). Both
+    /// routes are equivalent within solver accuracy
+    /// ([`KernelPath::svd_values_vectors`]); `Naive` is the Jacobi oracle.
     #[must_use]
     pub fn using_kernels(mut self, kernels: KernelPath) -> Self {
         self.kernels = kernels;
@@ -217,9 +222,9 @@ impl FrequentDirections {
     /// Absorbs one row.
     ///
     /// # Panics
-    /// Panics if `row.len() != self.dim()`, or (never observed in
-    /// practice) if the Jacobi eigensolver fails to converge during a
-    /// shrink.
+    /// Panics if `row.len() != self.dim()`, or if the eigensolver of a
+    /// shrink fails — on a NaN or infinite entry, or (never observed on
+    /// finite input) by not converging.
     pub fn update(&mut self, row: &[f64]) {
         assert_eq!(
             row.len(),
@@ -452,7 +457,10 @@ impl FrequentDirections {
     /// # Panics
     /// Panics (never observed) if the eigensolver fails to converge.
     pub fn rank_k_sketch(&self, k: usize) -> Matrix {
-        let svd = gram_svd(&self.buf).expect("FrequentDirections: eigensolver diverged");
+        let svd = self
+            .kernels
+            .svd_values_vectors(&self.buf)
+            .expect("FrequentDirections: eigensolver diverged");
         let mut out = Matrix::with_cols(self.d);
         for i in 0..k.min(svd.sigma.len()) {
             if svd.sigma[i] <= 0.0 {
@@ -473,7 +481,10 @@ impl FrequentDirections {
     /// # Panics
     /// Panics (never observed) if the eigensolver fails to converge.
     pub fn top_directions(&self, k: usize) -> Matrix {
-        let svd = gram_svd(&self.buf).expect("FrequentDirections: eigensolver diverged");
+        let svd = self
+            .kernels
+            .svd_values_vectors(&self.buf)
+            .expect("FrequentDirections: eigensolver diverged");
         let mut out = Matrix::with_cols(self.d);
         for i in 0..k.min(svd.sigma.len()) {
             if svd.sigma[i] <= 0.0 {
@@ -574,6 +585,31 @@ mod tests {
         let v1 = svd.vt.row(0);
         let captured = fd.query(v1) / a.apply_norm_sq(v1);
         assert!(captured > 0.95, "top direction only {captured} captured");
+    }
+
+    #[test]
+    fn guarantee_under_blocked_kernels_at_production_shape() {
+        // The shape every SwFd bucket merge decomposes (two ℓ = 40
+        // sketches stacked at d = 44: an 80×44 buffer, a 44×44 Gram) on a
+        // flat spectrum, where the shrink's σ²_keep is an interior
+        // eigenvalue with no gap around it — through the production
+        // eigensolver, shrinks and merges alike.
+        let mut rng = StdRng::seed_from_u64(44);
+        let a = random::gaussian(&mut rng, 1_200, 44);
+        let mut whole = FrequentDirections::new(44, 80).using_kernels(KernelPath::Blocked);
+        let mut parts: Vec<FrequentDirections> = (0..3)
+            .map(|_| FrequentDirections::new(44, 40).using_kernels(KernelPath::Blocked))
+            .collect();
+        for (i, r) in a.iter_rows().enumerate() {
+            whole.update(r);
+            parts[i % 3].update(r);
+        }
+        assert_fd_guarantee(&a, &whole);
+        let mut merged = parts.remove(0);
+        for p in &parts {
+            merged.merge(p);
+        }
+        assert_fd_guarantee(&a, &merged);
     }
 
     #[test]
