@@ -45,13 +45,7 @@ fn ablation_lazy_svd(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("batched_slack_0.25", |b| {
         b.iter(|| {
-            let mut runner = mt_p2::deploy_with(
-                &cfg,
-                &MP2Options {
-                    batch_slack: 0.25,
-                    ..Default::default()
-                },
-            );
+            let mut runner = mt_p2::deploy_with(&cfg, &MP2Options { batch_slack: 0.25 });
             for (i, row) in rows.iter().enumerate() {
                 runner.feed(i % 5, row.clone());
             }
@@ -60,13 +54,7 @@ fn ablation_lazy_svd(c: &mut Criterion) {
     });
     g.bench_function("per_row_slack_0", |b| {
         b.iter(|| {
-            let mut runner = mt_p2::deploy_with(
-                &cfg,
-                &MP2Options {
-                    batch_slack: 0.0,
-                    ..Default::default()
-                },
-            );
+            let mut runner = mt_p2::deploy_with(&cfg, &MP2Options { batch_slack: 0.0 });
             for (i, row) in rows.iter().enumerate() {
                 runner.feed(i % 5, row.clone());
             }

@@ -100,24 +100,6 @@ fn bench_matrix_protocols(c: &mut Criterion) {
     bench_one!("p2", matrix::p2::deploy(&cfg));
     bench_one!("p3", matrix::p3::deploy(&cfg));
     bench_one!("p4", matrix::p4::deploy(&cfg));
-
-    // MT-P2's relaxed batch mode: one decomposition check per batch
-    // (bounded extra estimator slack — see MP2Options) instead of per
-    // row. This is where batch-first execution pays off for the
-    // eigensolve-dominated protocol.
-    let defer = matrix::p2::MP2Options {
-        deferred_batch_check: true,
-        ..Default::default()
-    };
-    for batch in BATCHES {
-        g.bench_function(format!("p2/batch{batch}+defer"), |b| {
-            b.iter(|| {
-                let mut runner = matrix::p2::deploy_with(&cfg, &defer);
-                runner.run_partitioned(rows.iter().cloned(), &mut RoundRobin::new(SITES), batch);
-                black_box(runner.stats().total())
-            })
-        });
-    }
     g.finish();
 }
 

@@ -90,11 +90,9 @@ pub struct MatrixConfig {
     pub seed: u64,
     /// Override for the sampling protocols' sample size.
     pub sample_size: Option<usize>,
-    /// Linear-algebra kernel/shrink selection for the math plane
-    /// (MT-P2's decompositions, every FD sketch's shrinks). The default
-    /// — blocked kernels, exact shrink — is what deployments want; the
-    /// alternatives exist for A/B benchmarking (`naive`) and the
-    /// certified randomized shrink (opt-in).
+    /// Single-value shim ([`LinalgProfile`]): the protocols have one
+    /// linalg route and read nothing here. Kept for the frozen
+    /// `benchmark/` package until ROADMAP item 4(d).
     pub profile: LinalgProfile,
 }
 
@@ -126,8 +124,8 @@ impl MatrixConfig {
         self
     }
 
-    /// Builder-style linalg-profile override (kernel path and FD shrink
-    /// strategy — every guarantee holds under every profile).
+    /// Sets the single-value [`MatrixConfig::profile`] shim. Kept for the
+    /// frozen `benchmark/` package until ROADMAP item 4(d).
     pub fn with_profile(mut self, profile: LinalgProfile) -> Self {
         self.profile = profile;
         self

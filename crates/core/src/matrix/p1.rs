@@ -68,9 +68,7 @@ impl MP1Site {
     fn with_tau_frac(cfg: &MatrixConfig, tau_frac: f64) -> Self {
         MP1Site {
             // ε' = ε/2 → ℓ = ⌈2/ε'⌉ = ⌈4/ε⌉ rows.
-            fd: FrequentDirections::with_error_bound(cfg.dim, cfg.epsilon / 2.0)
-                .using_shrink(cfg.profile.shrink)
-                .using_kernels(cfg.profile.kernels),
+            fd: FrequentDirections::with_error_bound(cfg.dim, cfg.epsilon / 2.0),
             tau_frac,
             f_hat: 1.0,
         }
@@ -140,9 +138,7 @@ pub struct MP1Coordinator {
 impl MP1Coordinator {
     fn new(cfg: &MatrixConfig) -> Self {
         MP1Coordinator {
-            fd: FrequentDirections::with_error_bound(cfg.dim, cfg.epsilon / 2.0)
-                .using_shrink(cfg.profile.shrink)
-                .using_kernels(cfg.profile.kernels),
+            fd: FrequentDirections::with_error_bound(cfg.dim, cfg.epsilon / 2.0),
             received: 0.0,
             f_hat: 1.0,
             epsilon: cfg.epsilon,
@@ -376,12 +372,8 @@ pub fn make_aggregator(
     let m = cfg.sites as f64;
     let eps = cfg.epsilon;
     let dim = cfg.dim;
-    let shrink = cfg.profile.shrink;
-    let kernels = cfg.profile.kernels;
     move |node| MP1Aggregator {
-        fd: FrequentDirections::with_error_bound(dim, eps / 2.0)
-            .using_shrink(shrink)
-            .using_kernels(kernels),
+        fd: FrequentDirections::with_error_bound(dim, eps / 2.0),
         mass: 0.0,
         hold_frac: eps / (4.0 * levels) * (node.leaves as f64 / m),
         f_hat: 1.0,

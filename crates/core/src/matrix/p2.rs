@@ -32,22 +32,22 @@
 //!    measures the gap.
 //! 3. The `Σ Vᵀ` form has rank at most the number of rows absorbed since
 //!    the sketch was last emptied, which on high-dimensional streams is
-//!    far below `d`. Under [`KernelPath::Blocked`] the site therefore
-//!    keeps only the nonzero directions (`r ≤ d` rows `σᵢ·vᵢᵀ`) plus the
-//!    raw rows absorbed since, and decomposes the stacked `s × d` matrix
-//!    (`s = r + k`) on its *small side*: one `s×s` outer Gram `S·Sᵀ`, one
-//!    `s×s` Householder + QL eigensolve ([`cma_linalg::ql`]), and one
-//!    `s×s · s×d` product recovering the directions. At `s ≪ d` this
-//!    replaces the `O(d³)` full-basis eigensolve with `O(s²d + s³)` — the
-//!    dominant cost of this protocol at large `d` — and also deletes the
-//!    per-row `O(d²)` basis projection (raw rows need no projection).
+//!    far below `d`. The site therefore keeps only the nonzero directions
+//!    (`r ≤ d` rows `σᵢ·vᵢᵀ`) plus the raw rows absorbed since, and
+//!    decomposes the stacked `s × d` matrix (`s = r + k`) on its *small
+//!    side*: one `s×s` outer Gram `S·Sᵀ`, one `s×s` Householder + QL
+//!    eigensolve ([`cma_linalg::ql`]), and one `s×s · s×d` product
+//!    recovering the directions. At `s ≪ d` this replaces the `O(d³)`
+//!    full-`d` eigensolve with `O(s²d + s³)` — the dominant cost of this
+//!    protocol at large `d` — and an arriving row is appended as it is,
+//!    with no per-row projection.
 //! 4. Deciding *whether* anything must be sent needs one sign, not a
 //!    spectrum. The Weyl bound of observation 2 is loose on a flat
 //!    spectrum — on the MSD-like benchmark stream 64 % of the triggered
 //!    decompositions shipped nothing and cost 89 % of the eigensolve
-//!    time — so a blocked node first asks
-//!    [`cma_linalg::cholesky`] to *prove* `λ_max(Bjᵀ Bj) < send` on the
-//!    small-side Gram: one `n³/3` Cholesky factorisation of
+//!    time — so a node first asks [`cma_linalg::cholesky`] to *prove*
+//!    `λ_max(Bjᵀ Bj) < send` on the small-side Gram: one `n³/3` Cholesky
+//!    factorisation of
 //!    `send·I − G`. **Refused** ⇒ the decomposition of observation 3
 //!    runs, and ships at least one direction. **Passed** ⇒ nothing could
 //!    ship, so nothing is decomposed: five bisection steps tighten the
@@ -78,14 +78,13 @@
 //!      `λ_max ∈ [send·(1 − 2·10⁻⁹), send)`; a refusal only costs the
 //!      decomposition that used to run anyway.
 //!
-//! [`KernelPath::Naive`] keeps the seed layout (explicit `d × d` basis,
-//! warm-started full-`d` Jacobi) and decomposes **eagerly** at every
-//! trigger — observations 1 and 2 only. It is the reference the certified
-//! path is tested against, not a second production path:
-//! `kernel_paths_agree_on_stream` pins an identical message schedule at
-//! `batch_slack = 0` and the same guarantee at near-equal cost with slack,
-//! and `certified_bound_holds_after_every_arrival` re-derives the
-//! invariant from a fresh eigensolve after every row.
+//! The seed's eager layout — the full `d×d` withheld Gram, decomposed
+//! with cyclic Jacobi at **every** trigger, observations 1 and 2 only —
+//! survives as the oracle of this module's tests:
+//! `kernel_paths_agree_on_stream` pins an identical message schedule
+//! against it at `batch_slack = 0` and the same guarantee at near-equal
+//! cost with slack, and `certified_bound_holds_after_every_arrival`
+//! re-derives the invariant from a fresh eigensolve after every row.
 //!
 //! The paper's bounded-space variant (two Frequent Directions sketches
 //! with `ε' = ε/4m` per site) is subsumed by observation 1 — the `Σ Vᵀ`
@@ -95,10 +94,9 @@
 use super::{row_weight, MatrixEstimator, Row};
 use crate::config::MatrixConfig;
 use cma_linalg::cholesky::{certifies_lambda_max_below, lambda_max_upper_bound};
-use cma_linalg::eigen::jacobi_eigen_sym_with_basis_tol_naive;
 use cma_linalg::matrix::accumulate_outer;
 use cma_linalg::ql::ql_eigen_sym;
-use cma_linalg::{vector, KernelPath, Matrix};
+use cma_linalg::{vector, Matrix};
 use cma_sketch::FrequentDirections;
 use cma_stream::{
     put_f64, put_usize, AggNode, Aggregator, BudgetShare, ChurnBudget, ChurnCoordinator, ChurnSite,
@@ -139,44 +137,9 @@ impl MessageCost for MP2Msg {
     }
 }
 
-/// MT-P2 site state layout.
-///
-/// The *representation* is the axis along which [`KernelPath`] selects
-/// the decomposition algorithm (module doc, observations 3 and 4): the
-/// naive path keeps the state in its own singular basis and decomposes
-/// eagerly at every trigger — Algorithm 5.3 with only the Weyl elision,
-/// the reference the certified path is tested against; the blocked path
-/// keeps the withheld matrix on its small side and decomposes only when
-/// the Cholesky certificate cannot prove that nothing would ship. Both
-/// maintain the same Gram and apply the same send rule.
-#[derive(Debug, Clone)]
-enum Rep {
-    /// [`KernelPath::Naive`]: explicit orthonormal basis of `R^d`,
-    /// squared singular values along it, pending rows *projected into
-    /// basis coordinates* (lossless — the basis spans `R^d`). The Gram
-    /// in basis coordinates is `diag(σ²) + Σ c cᵀ`, a small perturbation
-    /// of a diagonal matrix, so the eigensolve is warm-started and
-    /// co-rotates the basis directly
-    /// ([`cma_linalg::eigen::jacobi_eigen_sym_with_basis`]).
-    Basis {
-        /// Orthonormal basis rows (`d × d`).
-        basis: Matrix,
-        /// Cached `basisᵀ` for the batched projection path; invalidated
-        /// whenever a decomposition rotates the basis.
-        basis_t: Option<Matrix>,
-        /// Squared singular values of `Bj` along `basis` rows.
-        sig2: Vec<f64>,
-        /// Pending rows in `basis` coordinates.
-        pending: Vec<Vec<f64>>,
-    },
-    /// [`KernelPath::Blocked`]: the withheld matrix on its small side.
-    Spectral(Withheld),
-}
-
-/// The withheld matrix `Bj` of a [`KernelPath::Blocked`] node, held on
-/// whichever side is smaller (module doc, observations 3 and 4). Only
-/// its Gram matters, so neither form keeps the rows orthogonal between
-/// decompositions.
+/// The withheld matrix `Bj` of an MT-P2 node, held on whichever side is
+/// smaller (module doc, observations 3 and 4). Only its Gram matters, so
+/// neither form keeps the rows orthogonal between decompositions.
 #[derive(Debug, Clone)]
 enum Withheld {
     /// `s ≤ d` rows whose Gram is the withheld Gram, in one contiguous
@@ -342,13 +305,11 @@ fn split_spectrum(
     (kept, smax2)
 }
 
-/// MT-P2 site: the exact withheld matrix `Bj`, in one of two
-/// kernel-selected layouts (`Rep` above; module doc, observations 3
-/// and 4).
+/// MT-P2 site: the exact withheld matrix `Bj`, held on its small side
+/// (`Withheld`; module doc, observations 3 and 4).
 #[derive(Debug, Clone)]
 pub struct MP2Site {
-    /// Kernel-selected state layout.
-    rep: Rep,
+    withheld: Withheld,
     /// Total squared mass absorbed since the last check.
     pending_mass: f64,
     /// Upper bound on `λ_max` of the withheld Gram as of the last check:
@@ -359,15 +320,10 @@ pub struct MP2Site {
     f_local: f64,
     /// Batch slack (see [`MP2Options::batch_slack`]).
     slack: f64,
-    /// Deferred batch trigger (see [`MP2Options::deferred_batch_check`]).
-    deferred: bool,
     /// Invariant threshold as a fraction of `F̂`: `ε/m` in a star,
     /// `ε/(m+I)` in a tree with `I` interior nodes.
     thr_frac: f64,
     f_hat: f64,
-    /// Kernel dispatch (also the [`Rep`] selector). From
-    /// [`MatrixConfig::profile`].
-    kernels: KernelPath,
 }
 
 /// MT-P2 tuning knobs.
@@ -382,29 +338,11 @@ pub struct MP2Options {
     /// send threshold `3ε/4m`) and sends at most `1/(1−slack)`× more
     /// messages.
     pub batch_slack: f64,
-    /// Run the decomposition trigger **once per delivered batch** instead
-    /// of once per row (`false`, the default, is the exact per-item
-    /// semantics pinned down by the `batch_parity` suite).
-    ///
-    /// With the deferred check a site may exceed the
-    /// `max_x ‖Bjx‖² < (ε/m)·F̂` invariant *within* a batch by at most
-    /// the batch's squared-Frobenius mass, so the coordinator's error
-    /// bound relaxes from `ε‖A‖²_F` to `ε‖A‖²_F + Σⱼ(per-batch mass)` —
-    /// a slack that is fixed by the batch size and therefore vanishes
-    /// relative to `‖A‖²_F` as the stream grows. In exchange the
-    /// eigensolve count drops from one per
-    /// `slack·(ε/m)·F̂` of mass to at most one per batch, which is the
-    /// dominant cost of this protocol — the `protocols` benchmark's
-    /// `+defer` rows measure the resulting throughput win.
-    pub deferred_batch_check: bool,
 }
 
 impl Default for MP2Options {
     fn default() -> Self {
-        MP2Options {
-            batch_slack: 0.25,
-            deferred_batch_check: false,
-        }
+        MP2Options { batch_slack: 0.25 }
     }
 }
 
@@ -418,25 +356,14 @@ impl MP2Site {
             (0.0..1.0).contains(&opts.batch_slack),
             "MP2Options: batch_slack must be in [0, 1)"
         );
-        let rep = match cfg.profile.kernels {
-            KernelPath::Naive => Rep::Basis {
-                basis: Matrix::identity(cfg.dim),
-                basis_t: None,
-                sig2: vec![0.0; cfg.dim],
-                pending: Vec::new(),
-            },
-            KernelPath::Blocked => Rep::Spectral(Withheld::empty(cfg.dim)),
-        };
         MP2Site {
-            rep,
+            withheld: Withheld::empty(cfg.dim),
             pending_mass: 0.0,
             smax2: 0.0,
             f_local: 0.0,
             slack: opts.batch_slack,
-            deferred: opts.deferred_batch_check,
             thr_frac,
             f_hat: 1.0,
-            kernels: cfg.profile.kernels,
         }
     }
 
@@ -450,252 +377,56 @@ impl MP2Site {
         (1.0 - self.slack) * self.threshold()
     }
 
-    /// Buffers a single raw row: projected into basis coordinates on the
-    /// naive path, appended as-is (`O(d)`; `O(d²)` once saturated) on the
-    /// spectral path.
-    fn push_pending(&mut self, row: Row) {
-        match &mut self.rep {
-            Rep::Basis { basis, pending, .. } => pending.push(basis.apply(&row)),
-            Rep::Spectral(withheld) => withheld.push(&row),
-        }
-    }
-
-    /// Moves a run of raw rows into the pending buffer. The basis layout
-    /// projects them with one matrix product (`R·Vᵀ`, `k×d` by `d×d`)
-    /// instead of `k` separate matrix–vector products — exactly
-    /// `basis.apply` row-by-row, just batched. The spectral layout keeps
-    /// rows raw, so this is a plain append.
-    fn project_rows(&mut self, raw: &mut Vec<Row>) {
-        let kernels = self.kernels;
-        match &mut self.rep {
-            Rep::Basis {
-                basis,
-                basis_t,
-                pending,
-                ..
-            } => match raw.len() {
-                0 => {}
-                1 => {
-                    pending.push(basis.apply(&raw[0]));
-                    raw.clear();
-                }
-                _ => {
-                    let bt = basis_t.get_or_insert_with(|| basis.transpose());
-                    let prod = kernels.matmul(&Matrix::from_rows(raw), bt);
-                    pending.extend(prod.iter_rows().map(<[f64]>::to_vec));
-                    raw.clear();
-                }
-            },
-            Rep::Spectral(withheld) => raw.drain(..).for_each(|row| withheld.push(&row)),
-        }
-    }
-
-    /// The decomposition trigger's action, at all four call sites
-    /// (`observe`, `observe_batch`, its deferred variant and
-    /// `absorb_direction`): the blocked layout asks the certificate first
-    /// and decomposes only when something must ship or the stack is due
-    /// for compression (`Withheld::check`); the naive layout decomposes
-    /// eagerly.
-    fn check(&mut self, out: &mut Vec<MP2Msg>) {
-        let send = self.send_threshold();
-        match &mut self.rep {
-            Rep::Basis { .. } => self.decompose_and_send(send, out),
-            Rep::Spectral(withheld) => {
-                self.smax2 = withheld.check(send, out);
-                self.pending_mass = 0.0;
-            }
-        }
-    }
-
-    /// Decomposes the site's withheld matrix, ships every direction at or
-    /// above `send`, and re-expresses the remainder as `Σ Vᵀ`. Algorithm
-    /// per [`Rep`] layout; identical send semantics.
-    fn decompose_and_send(&mut self, send: f64, out: &mut Vec<MP2Msg>) {
-        self.pending_mass = 0.0;
-        let kernels = self.kernels;
-        self.smax2 = 0.0;
-        match &mut self.rep {
-            Rep::Basis {
-                basis,
-                basis_t,
-                sig2,
-                pending,
-            } => {
-                // Warm full-d Jacobi (this layout exists only under the
-                // `Naive` oracle, so the reference two-pass rotations) on
-                // `diag(σ²) + Σ c cᵀ` in the site's own basis,
-                // co-rotating the basis. 1e-9 relative
-                // eigensolver accuracy: ample for threshold comparisons
-                // at scale ε·F̂/m, and materially faster than full
-                // precision.
-                let d = basis.rows();
-                let mut g = Matrix::zeros(d, d);
-                for i in 0..d {
-                    g[(i, i)] = sig2[i];
-                }
-                if !pending.is_empty() {
-                    let pend = Matrix::from_rows(pending);
-                    pending.clear();
-                    kernels.accumulate_outer_rows(&mut g, &pend);
-                }
-                let b = std::mem::replace(basis, Matrix::zeros(0, 0));
-                let eig = jacobi_eigen_sym_with_basis_tol_naive(&g, b, 1e-9)
-                    .expect("MT-P2: eigensolver diverged");
-                *basis = eig.vectors;
-                *basis_t = None; // rotated: the cached transpose is stale
-                for (i, &lam) in eig.values.iter().enumerate() {
-                    let s2 = lam.max(0.0);
-                    if s2 >= send {
-                        let s = s2.sqrt();
-                        let mut row = basis.row(i).to_vec();
-                        for v in &mut row {
-                            *v *= s;
-                        }
-                        out.push(MP2Msg::Direction(row));
-                        sig2[i] = 0.0;
-                    } else {
-                        sig2[i] = s2;
-                        self.smax2 = self.smax2.max(s2);
-                    }
-                }
-            }
-            Rep::Spectral(withheld) => self.smax2 = withheld.decompose(send, out),
-        }
-    }
-}
-
-impl MP2Site {
-    /// Tree-aggregation path: absorbs a direction row relayed from a
-    /// child node into the pending buffer and runs the same lazy
-    /// decomposition trigger as [`MP2Site::observe`] — but with **no**
-    /// scalar (`F̂`-tracking) accounting, because the mass of a relayed
-    /// direction was already reported by the leaf that observed it.
-    fn absorb_direction(&mut self, row: Row, out: &mut Vec<MP2Msg>) {
-        let w = row_weight(&row);
-        if w == 0.0 {
-            return;
-        }
-        self.push_pending(row);
+    /// Withholds a row of squared mass `w` and runs the lazy trigger
+    /// (module doc, observations 2 and 4): once the bound could reach the
+    /// threshold, the certificate is asked first and a decomposition runs
+    /// only when something must ship or the stack is due for compression
+    /// (`Withheld::check`).
+    fn withhold(&mut self, row: &[f64], w: f64, out: &mut Vec<MP2Msg>) {
+        self.withheld.push(row);
         self.pending_mass += w;
         if self.smax2 + self.pending_mass >= self.threshold() {
-            self.check(out);
+            self.smax2 = self.withheld.check(self.send_threshold(), out);
+            self.pending_mass = 0.0;
         }
     }
 
-    /// Migration hook: re-expresses the withheld matrix as `Σ Vᵀ` (one
-    /// decomposition, certificate or not) and ships **every** direction,
-    /// leaving the state empty. Both layouts emit rows in `R^d`
-    /// coordinates — the basis layout's pending rows are stored in its
-    /// own basis, and the decomposition is what rotates them back out.
+    /// Tree-aggregation path: withholds a direction row relayed from a
+    /// child node under the same lazy trigger as [`MP2Site::observe`] —
+    /// but with **no** scalar (`F̂`-tracking) accounting, because the mass
+    /// of a relayed direction was already reported by the leaf that
+    /// observed it.
+    fn absorb_direction(&mut self, row: Row, out: &mut Vec<MP2Msg>) {
+        let w = row_weight(&row);
+        if w != 0.0 {
+            self.withhold(&row, w, out);
+        }
+    }
+
+    /// Migration hook: one decomposition at a zero send threshold,
+    /// certificate or not, ships **every** withheld direction and leaves
+    /// the state empty.
     fn drain_all_directions(&mut self, out: &mut Vec<MP2Msg>) {
-        let send = match self.rep {
-            Rep::Basis { .. } => self.send_threshold(),
-            // A zero send threshold ships everything in the one pass.
-            Rep::Spectral(_) => 0.0,
-        };
-        self.decompose_and_send(send, out);
+        self.withheld.decompose(0.0, out);
+        self.pending_mass = 0.0;
         self.smax2 = 0.0;
-        if let Rep::Basis { basis, sig2, .. } = &mut self.rep {
-            for (i, s2) in sig2.iter_mut().enumerate() {
-                if *s2 > 0.0 {
-                    let s = s2.sqrt();
-                    let mut row = basis.row(i).to_vec();
-                    for v in &mut row {
-                        *v *= s;
-                    }
-                    out.push(MP2Msg::Direction(row));
-                    *s2 = 0.0;
-                }
-            }
-        }
-    }
-
-    /// Canonical withheld rows in `R^d` coordinates: at most `d` rows
-    /// (plus the basis layout's pending ones) whose Gram is the withheld
-    /// Gram. The basis layout rotates its pending coordinates back out
-    /// (`x = Bᵀc` — the basis is orthonormal); a saturated blocked node
-    /// re-expresses its Gram (`Withheld::to_rows`).
-    fn withheld_rows(&self) -> Matrix {
-        match &self.rep {
-            Rep::Basis {
-                basis,
-                sig2,
-                pending,
-                ..
-            } => {
-                let mut m = Matrix::with_cols(basis.cols());
-                for (i, &s2) in sig2.iter().enumerate() {
-                    if s2 > 0.0 {
-                        let s = s2.sqrt();
-                        let mut row = basis.row(i).to_vec();
-                        for v in &mut row {
-                            *v *= s;
-                        }
-                        m.push_row(&row);
-                    }
-                }
-                if !pending.is_empty() {
-                    let bt = basis.transpose();
-                    for c in pending {
-                        m.push_row(&bt.apply(c));
-                    }
-                }
-                m
-            }
-            Rep::Spectral(withheld) => withheld.to_rows(),
-        }
     }
 
     /// Rebuilds merge state from canonical withheld rows (snapshot
-    /// decode). The kernel/layout profile is local configuration, not
-    /// sketch content — restored state uses the blocked layout with the
-    /// rows unchecked, which preserves the withheld Gram exactly and
-    /// keeps the invariant (`max‖Bx‖² ≤ pending_mass`) trivially.
+    /// decode), with the rows unchecked: that preserves the withheld Gram
+    /// exactly and keeps the invariant (`max‖Bx‖² ≤ pending_mass`)
+    /// trivially.
     fn from_withheld(thr_frac: f64, f_hat: f64, rows: Matrix) -> Self {
         let mut withheld = Withheld::empty(rows.cols());
         rows.iter_rows().for_each(|r| withheld.push(r));
         MP2Site {
-            rep: Rep::Spectral(withheld),
+            withheld,
             pending_mass: rows.frob_norm_sq(),
             smax2: 0.0,
             f_local: 0.0,
             slack: MP2Options::default().batch_slack,
-            deferred: false,
             thr_frac,
             f_hat,
-            kernels: KernelPath::Blocked,
-        }
-    }
-
-    /// [`MP2Options::deferred_batch_check`] batch path: per-row work is
-    /// scalar only (mass accounting and the `F̂` report), and the
-    /// decomposition trigger runs **once**, after the whole batch has
-    /// been absorbed. Consumes the entire iterator — messages are shipped
-    /// at the batch boundary, which is exactly the boundary-lag this mode
-    /// trades for eliding eigensolves.
-    fn observe_batch_deferred(
-        &mut self,
-        inputs: impl IntoIterator<Item = Row>,
-        out: &mut Vec<MP2Msg>,
-    ) {
-        let threshold = self.threshold();
-        let mut raw: Vec<Row> = Vec::new();
-        for row in inputs {
-            let w = row_weight(&row);
-            if w == 0.0 {
-                continue;
-            }
-            self.f_local += w;
-            if self.f_local >= threshold {
-                out.push(MP2Msg::Scalar(self.f_local));
-                self.f_local = 0.0;
-            }
-            raw.push(row);
-            self.pending_mass += w;
-        }
-        self.project_rows(&mut raw);
-        if self.smax2 + self.pending_mass >= threshold {
-            self.check(out);
         }
     }
 }
@@ -715,55 +446,7 @@ impl Site for MP2Site {
             out.push(MP2Msg::Scalar(self.f_local));
             self.f_local = 0.0;
         }
-        // Buffer the row (the basis layout projects it losslessly into
-        // its own coordinates; the spectral layout keeps it raw).
-        self.push_pending(row);
-        self.pending_mass += w;
-        if self.smax2 + self.pending_mass >= self.threshold() {
-            self.check(out);
-        }
-    }
-
-    /// Batched rows defer the `O(d²)` basis projection: both send
-    /// triggers (the scalar report and the decomposition) depend only on
-    /// row *masses*, so the batch runs on scalar arithmetic and the
-    /// buffered rows are projected in bulk — one `k×d · d×d` matrix
-    /// product per run (`MP2Site::project_rows`) — exactly when a
-    /// decomposition (or the end of the batch) needs them. Thresholds are
-    /// hoisted: `F̂` only changes on a broadcast, which only arrives
-    /// after a pause. Message contents and timing are identical to
-    /// per-item execution.
-    fn observe_batch(&mut self, inputs: impl IntoIterator<Item = Row>, out: &mut Vec<MP2Msg>) {
-        if self.deferred {
-            return self.observe_batch_deferred(inputs, out);
-        }
-        let threshold = self.threshold();
-        let mut raw: Vec<Row> = Vec::new();
-        for row in inputs {
-            let w = row_weight(&row);
-            if w == 0.0 {
-                continue;
-            }
-            self.f_local += w;
-            if self.f_local >= threshold {
-                out.push(MP2Msg::Scalar(self.f_local));
-                self.f_local = 0.0;
-            }
-            raw.push(row);
-            self.pending_mass += w;
-            if self.smax2 + self.pending_mass >= threshold {
-                self.project_rows(&mut raw);
-                self.check(out);
-            }
-            if !out.is_empty() {
-                // Keep site state whole across the pause: everything
-                // buffered so far must be in `pending` before broadcasts
-                // (and the next batch) arrive.
-                self.project_rows(&mut raw);
-                return; // pause-on-message
-            }
-        }
-        self.project_rows(&mut raw);
+        self.withhold(&row, w, out);
     }
 
     fn on_broadcast(&mut self, f_hat: &f64) {
@@ -835,8 +518,8 @@ impl MatrixEstimator for MP2Coordinator {
 /// Scalar (`F̂`-tracking) reports coalesce into one pending sum,
 /// forwarded at the shared node threshold. Direction rows `σℓ·vℓ` are
 /// *merged spectrally*: the node runs the same exact `Σ Vᵀ` machinery
-/// as a site ([`MP2Site`]), accumulating relayed directions in its own
-/// singular basis and re-emitting combined top directions once some
+/// as a site ([`MP2Site`]), withholding relayed directions in its own
+/// small-side matrix and re-emitting combined top directions once some
 /// squared singular value clears the threshold. Each node withholds a
 /// PSD Gram of spectral norm below `(ε/(m+I))·F̂`, so the tree-wide
 /// deterministic bound `0 ≤ ‖Ax‖² − ‖Bx‖² ≤ ε‖A‖²_F` is the star's
@@ -959,8 +642,7 @@ impl WireCodec for MP2Coordinator {
 
 impl WireCodec for MP2Aggregator {
     /// The spectral merge state is encoded as its canonical withheld
-    /// rows (`MP2Site::withheld_rows`); the kernel/layout profile is
-    /// local configuration and is not snapshotted.
+    /// rows (`Withheld::to_rows`).
     fn encode(&self, out: &mut Vec<u8>) {
         put_f64(out, self.pending_scalar);
         put_usize(out, self.rep);
@@ -970,7 +652,7 @@ impl WireCodec for MP2Aggregator {
         }
         put_f64(out, self.inner.thr_frac);
         put_f64(out, self.inner.f_hat);
-        crate::wire::put_matrix(out, &self.inner.withheld_rows());
+        crate::wire::put_matrix(out, &self.inner.withheld.to_rows());
     }
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
@@ -1075,12 +757,8 @@ impl MP2BoundedSite {
         // ε' = ε/4m.
         let eps_site = (cfg.epsilon / (4.0 * cfg.sites as f64)).min(1.0);
         MP2BoundedSite {
-            fd_a: FrequentDirections::with_error_bound(cfg.dim, eps_site)
-                .using_shrink(cfg.profile.shrink)
-                .using_kernels(cfg.profile.kernels),
-            fd_s: FrequentDirections::with_error_bound(cfg.dim, eps_site)
-                .using_shrink(cfg.profile.shrink)
-                .using_kernels(cfg.profile.kernels),
+            fd_a: FrequentDirections::with_error_bound(cfg.dim, eps_site),
+            fd_s: FrequentDirections::with_error_bound(cfg.dim, eps_site),
             smax2: 0.0,
             pending_mass: 0.0,
             f_local: 0.0,
@@ -1192,6 +870,7 @@ pub fn deploy_bounded(cfg: &MatrixConfig) -> Runner<MP2BoundedSite, MP2Coordinat
 mod tests {
     use super::*;
     use cma_data::StreamingGram;
+    use cma_linalg::eigen::jacobi_eigen_sym;
     use cma_linalg::random;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1331,19 +1010,87 @@ mod tests {
         }
     }
 
+    /// The seed's eager layout, kept as the oracle the certified site is
+    /// pinned against: the full `d×d` withheld Gram, decomposed with
+    /// cyclic Jacobi at every trigger — Algorithm 5.3 with only the Weyl
+    /// elision (module doc, observations 1 and 2).
+    #[derive(Debug, Clone)]
+    struct EagerSite {
+        gram: Matrix,
+        pending_mass: f64,
+        smax2: f64,
+        f_local: f64,
+        slack: f64,
+        thr_frac: f64,
+        f_hat: f64,
+    }
+
+    impl Site for EagerSite {
+        type Input = Row;
+        type UpMsg = MP2Msg;
+        type Broadcast = f64;
+
+        fn observe(&mut self, row: Row, out: &mut Vec<MP2Msg>) {
+            let w = row_weight(&row);
+            if w == 0.0 {
+                return;
+            }
+            let threshold = self.thr_frac * self.f_hat;
+            self.f_local += w;
+            if self.f_local >= threshold {
+                out.push(MP2Msg::Scalar(self.f_local));
+                self.f_local = 0.0;
+            }
+            accumulate_outer(&mut self.gram, &row);
+            self.pending_mass += w;
+            if self.smax2 + self.pending_mass < threshold {
+                return;
+            }
+            let send = (1.0 - self.slack) * threshold;
+            let eig = jacobi_eigen_sym(&self.gram).unwrap();
+            self.gram = Matrix::zeros(row.len(), row.len());
+            (self.pending_mass, self.smax2) = (0.0, 0.0);
+            for (i, &lam) in eig.values.iter().enumerate() {
+                let s2 = lam.max(0.0);
+                let mut dir = eig.vectors.row(i).to_vec();
+                vector::scale(s2.sqrt(), &mut dir);
+                if s2 >= send {
+                    out.push(MP2Msg::Direction(dir));
+                } else {
+                    accumulate_outer(&mut self.gram, &dir);
+                    self.smax2 = self.smax2.max(s2);
+                }
+            }
+        }
+
+        fn on_broadcast(&mut self, f_hat: &f64) {
+            self.f_hat = *f_hat;
+        }
+    }
+
+    fn deploy_eager(cfg: &MatrixConfig, opts: &MP2Options) -> Runner<EagerSite, MP2Coordinator> {
+        let site = EagerSite {
+            gram: Matrix::zeros(cfg.dim, cfg.dim),
+            pending_mass: 0.0,
+            smax2: 0.0,
+            f_local: 0.0,
+            slack: opts.batch_slack,
+            thr_frac: cfg.epsilon / cfg.sites as f64,
+            f_hat: 1.0,
+        };
+        Runner::new(vec![site; cfg.sites], MP2Coordinator::new(cfg))
+    }
+
     #[test]
     fn kernel_paths_agree_on_stream() {
-        // The same stream through both site layouts: naive = basis +
-        // eager warm full-d Jacobi (Algorithm 5.3 with only the Weyl
-        // elision), blocked = small-side layout behind the certificate.
-        use cma_linalg::LinalgProfile;
+        // The same stream through the eager oracle (Algorithm 5.3 with
+        // only the Weyl elision) and the production site (small-side
+        // layout behind the certificate).
         let dim = 7;
-        let base = MatrixConfig::new(3, 0.25, dim);
+        let cfg = MatrixConfig::new(3, 0.25, dim);
         let run = |opts: &MP2Options| {
-            let mut runners = [
-                deploy_with(&base.clone().with_profile(LinalgProfile::naive()), opts),
-                deploy_with(&base.clone().with_profile(LinalgProfile::blocked()), opts),
-            ];
+            let mut eager = deploy_eager(&cfg, opts);
+            let mut certified = deploy_with(&cfg, opts);
             let mut truth = StreamingGram::new(dim);
             let mut rng = StdRng::seed_from_u64(12);
             for i in 0..3_000 {
@@ -1351,52 +1098,51 @@ mod tests {
                     .map(|_| random::standard_normal(&mut rng))
                     .collect();
                 truth.update(&row);
-                for r in &mut runners {
-                    r.feed(i % 3, row.clone());
-                }
+                eager.feed(i % 3, row.clone());
+                certified.feed(i % 3, row);
             }
-            for runner in &runners {
-                let err = truth
-                    .error_of_sketch(&runner.coordinator().sketch())
-                    .unwrap();
-                assert!(err <= base.epsilon, "covariance error {err} > ε");
+            for sketch in [
+                eager.coordinator().sketch(),
+                certified.coordinator().sketch(),
+            ] {
+                let err = truth.error_of_sketch(&sketch).unwrap();
+                assert!(err <= cfg.epsilon, "covariance error {err} > ε");
             }
-            (runners, truth)
+            (eager, certified, truth)
         };
 
         // batch_slack = 0 is per-row Algorithm 5.3, and there a sound
         // bound forces a check at the first row where λ_max reaches the
         // threshold: certified-lazy ≡ eager, message for message.
-        let (runners, truth) = run(&MP2Options {
-            batch_slack: 0.0,
-            ..MP2Options::default()
-        });
-        let [naive, blocked] = &runners;
+        let (eager, certified, truth) = run(&MP2Options { batch_slack: 0.0 });
         assert_eq!(
-            (naive.stats().total(), naive.coordinator().rows_received()),
+            (eager.stats().total(), eager.coordinator().rows_received()),
             (
-                blocked.stats().total(),
-                blocked.coordinator().rows_received()
+                certified.stats().total(),
+                certified.coordinator().rows_received()
             ),
-            "kernel paths diverged in message schedule"
+            "certified site diverged from the eager oracle in message schedule"
         );
-        let gn = naive.coordinator().sketch().gram();
-        let gb = blocked.coordinator().sketch().gram();
-        let diff = gn.sub(&gb).max_abs();
+        let ge = eager.coordinator().sketch().gram();
+        let gc = certified.coordinator().sketch().gram();
+        let diff = ge.sub(&gc).max_abs();
         assert!(
             diff <= 1e-6 * truth.frob_sq(),
             "sketch Grams diverged: {diff}"
         );
 
         // With slack a direction ships at the first *check* at which it
-        // has reached the send threshold, and the two layouts check at
-        // different rows (a certified bound sits up to one bisection
-        // step above the exact λ_max) — same guarantee, near-equal cost.
-        let (runners, _) = run(&MP2Options::default());
-        let [naive, blocked] = runners.map(|r| r.stats().total() as f64);
+        // has reached the send threshold, and the two check at different
+        // rows (a certified bound sits up to one bisection step above
+        // the exact λ_max) — same guarantee, near-equal cost.
+        let (eager, certified, _) = run(&MP2Options::default());
+        let (eager, certified) = (
+            eager.stats().total() as f64,
+            certified.stats().total() as f64,
+        );
         assert!(
-            (naive - blocked).abs() <= 0.02 * naive,
-            "message totals {naive} vs {blocked}"
+            (eager - certified).abs() <= 0.02 * eager,
+            "message totals {eager} vs {certified}"
         );
     }
 
@@ -1411,8 +1157,7 @@ mod tests {
         opts: &MP2Options,
         rows: impl Iterator<Item = Row>,
     ) -> (usize, usize) {
-        use cma_linalg::eigen::jacobi_eigen_sym;
-        let saturated = |s: &MP2Site| matches!(s.rep, Rep::Spectral(Withheld::Gram(_)));
+        let saturated = |s: &MP2Site| matches!(s.withheld, Withheld::Gram(_));
         let mut runner = deploy_with(cfg, opts);
         let (mut entered, mut left) = (0, 0);
         for (i, row) in rows.enumerate() {
@@ -1426,7 +1171,7 @@ mod tests {
             // itself runs at.
             let site = &runner.sites()[j];
             let tol = 1e-8 * site.threshold();
-            let gram = site.withheld_rows().gram();
+            let gram = site.withheld.to_rows().gram();
             let top = jacobi_eigen_sym(&gram).unwrap().values[0];
             assert!(
                 top < site.threshold() + tol,
@@ -1463,10 +1208,7 @@ mod tests {
                     .collect()
             })
         };
-        let per_row = MP2Options {
-            batch_slack: 0.0,
-            ..MP2Options::default()
-        };
+        let per_row = MP2Options { batch_slack: 0.0 };
         // Flat spectrum at d = 12 with ε/m < 1/d, so directions keep
         // reaching the threshold: sites saturate within a few dozen rows
         // and fall back to rows at every shipping decomposition.

@@ -42,7 +42,7 @@ use super::{
     SwCoordinator, SwParams, SwSite, WindowKind,
 };
 use crate::matrix::{row_weight, Row};
-use cma_linalg::{FdShrink, KernelPath, LinalgProfile, Matrix};
+use cma_linalg::{LinalgProfile, Matrix};
 use cma_sketch::FrequentDirections;
 use cma_stream::{put_usize, AggNode, Runner, Topology, WireReader};
 
@@ -52,18 +52,6 @@ use cma_stream::{put_usize, AggNode, Runner, Topology, WireReader};
 pub struct FdKind {
     dim: usize,
     ell: usize,
-    /// Shrink strategy every bucket sketch is built with (from
-    /// [`SwFdConfig::profile`]). The window error bound's `summary_loss`
-    /// term is the a-priori `2·mass/ℓ`, which the certified randomized
-    /// shrink preserves unconditionally (its acceptance test enforces
-    /// exactly the telescoping inequality that bound rests on), so the
-    /// [`crate::window::WindowErrorBound`] certificate is valid under
-    /// every strategy.
-    shrink: FdShrink,
-    /// Dense-kernel route for every bucket shrink SVD (from
-    /// [`SwFdConfig::profile`]); equivalent within solver tolerance, so
-    /// the certificate is route-independent.
-    kernels: KernelPath,
 }
 
 impl WindowKind for FdKind {
@@ -72,16 +60,12 @@ impl WindowKind for FdKind {
 
     fn empty(&self) -> FrequentDirections {
         FrequentDirections::new(self.dim, self.ell)
-            .using_shrink(self.shrink)
-            .using_kernels(self.kernels)
     }
 
     fn singleton(&self, row: &Row) -> (FrequentDirections, f64) {
         assert_eq!(row.len(), self.dim, "FdKind: row dimension mismatch");
         let mass = row_weight(row);
-        let mut fd = FrequentDirections::new(self.dim, self.ell)
-            .using_shrink(self.shrink)
-            .using_kernels(self.kernels);
+        let mut fd = FrequentDirections::new(self.dim, self.ell);
         if mass > 0.0 {
             fd.update(row);
         }
@@ -95,9 +79,7 @@ impl WindowKind for FdKind {
 }
 
 impl SnapshotKind for FdKind {
-    /// Only `d` and `ℓ` are wire state; the shrink/kernel profile is
-    /// local configuration (same convention as
-    /// [`FrequentDirections::from_parts`]) and decodes to the defaults.
+    /// `d` and `ℓ` are the whole kind.
     fn encode_kind(&self, out: &mut Vec<u8>) {
         put_usize(out, self.dim);
         put_usize(out, self.ell);
@@ -109,13 +91,7 @@ impl SnapshotKind for FdKind {
         if dim == 0 || ell < 2 {
             return None;
         }
-        let profile = LinalgProfile::default();
-        Some(FdKind {
-            dim,
-            ell,
-            shrink: profile.shrink,
-            kernels: profile.kernels,
-        })
+        Some(FdKind { dim, ell })
     }
 
     fn encode_summary(summary: &FrequentDirections, out: &mut Vec<u8>) {
@@ -152,9 +128,6 @@ pub struct SwFdConfig {
     pub dim: usize,
     /// FD rows per bucket (`ℓ ≥ 2`; summary loss `2·mass/ℓ`).
     pub ell: usize,
-    /// Linalg kernel/shrink selection for the bucket sketches (see
-    /// [`crate::config::MatrixConfig::profile`]).
-    pub profile: LinalgProfile,
 }
 
 impl SwFdConfig {
@@ -169,14 +142,12 @@ impl SwFdConfig {
             params: SwParams::new(sites, epsilon, window),
             dim,
             ell,
-            profile: LinalgProfile::default(),
         }
     }
 
-    /// Builder-style linalg-profile override (the certified error bound
-    /// holds under every profile).
-    pub fn with_profile(mut self, profile: LinalgProfile) -> Self {
-        self.profile = profile;
+    /// Returns the config unchanged: [`LinalgProfile`] has one value.
+    /// Kept for the frozen `benchmark/` package until ROADMAP item 4(d).
+    pub fn with_profile(self, _profile: LinalgProfile) -> Self {
         self
     }
 
@@ -184,8 +155,6 @@ impl SwFdConfig {
         FdKind {
             dim: self.dim,
             ell: self.ell,
-            shrink: self.profile.shrink,
-            kernels: self.profile.kernels,
         }
     }
 }

@@ -144,11 +144,8 @@ pub trait WindowKind: Clone {
 /// own configuration and for its bucket summaries, from which the
 /// generic [`SwCoordinator`]/[`SwAggregator`] codecs are assembled.
 ///
-/// By repo convention (see
-/// [`cma_sketch::FrequentDirections::from_parts`]) only *sketch
-/// content* is snapshotted: locally-configured execution strategy
-/// (shrink profile, kernel route) is not wire state and decodes to the
-/// defaults.
+/// Only *sketch content* is snapshotted (see
+/// [`cma_sketch::FrequentDirections::from_parts`]).
 pub trait SnapshotKind: WindowKind {
     /// Encodes the kind's configuration (what [`WindowKind::empty`] and
     /// the error accounting need).

@@ -39,6 +39,17 @@ fn read_len(r: &mut WireReader<'_>) -> Option<usize> {
     (n <= MAX_SEQ).then_some(n)
 }
 
+/// A matrix or row entry: finite, or the decode fails — one NaN or ∞
+/// would silently void every bound computed from the payload.
+fn read_finite(r: &mut WireReader<'_>) -> Option<f64> {
+    r.f64().filter(|v| v.is_finite())
+}
+
+/// A squared-norm mass (`frob_sq`, `shrink_loss`): finite and `≥ 0`.
+fn read_mass(r: &mut WireReader<'_>) -> Option<f64> {
+    r.f64().filter(|v| v.is_finite() && *v >= 0.0)
+}
+
 // ---------------------------------------------------------------------
 // Payload helpers (sketches, matrices, rows) — free functions rather
 // than `WireCodec` impls because the payload types live in other
@@ -97,7 +108,7 @@ pub fn put_matrix(out: &mut Vec<u8>, m: &Matrix) {
     }
 }
 
-/// Inverse of [`put_matrix`].
+/// Inverse of [`put_matrix`]; `None` on a non-finite entry.
 pub fn read_matrix(r: &mut WireReader<'_>) -> Option<Matrix> {
     let rows = read_len(r)?;
     let cols = read_len(r)?;
@@ -107,7 +118,7 @@ pub fn read_matrix(r: &mut WireReader<'_>) -> Option<Matrix> {
     }
     let mut data = Vec::with_capacity(n);
     for _ in 0..n {
-        data.push(r.f64()?);
+        data.push(read_finite(r)?);
     }
     Some(Matrix::from_vec(rows, cols, data))
 }
@@ -126,13 +137,14 @@ pub fn put_fd(out: &mut Vec<u8>, fd: &FrequentDirections) {
     put_f64(out, fd.shrink_loss());
 }
 
-/// Inverse of [`put_fd`].
+/// Inverse of [`put_fd`]; `None` on a non-finite sketch entry or a
+/// negative or non-finite `frob_sq`/`shrink_loss`.
 pub fn read_fd(r: &mut WireReader<'_>) -> Option<FrequentDirections> {
     let d = read_len(r)?;
     let ell = read_len(r)?;
     let sketch = read_matrix(r)?;
-    let frob_sq = r.f64()?;
-    let shrink_loss = r.f64()?;
+    let frob_sq = read_mass(r)?;
+    let shrink_loss = read_mass(r)?;
     if d == 0 || ell < 2 || sketch.cols() != d || sketch.rows() > ell {
         return None;
     }
@@ -158,12 +170,12 @@ pub fn put_row(out: &mut Vec<u8>, row: &[f64]) {
     }
 }
 
-/// Inverse of [`put_row`].
+/// Inverse of [`put_row`]; `None` on a non-finite entry.
 pub fn read_row(r: &mut WireReader<'_>) -> Option<Row> {
     let n = read_len(r)?;
     let mut row = Vec::with_capacity(n);
     for _ in 0..n {
-        row.push(r.f64()?);
+        row.push(read_finite(r)?);
     }
     Some(row)
 }

@@ -3,9 +3,9 @@
 //! Production decompositions run on Householder tridiagonalisation + QL
 //! ([`crate::ql::ql_eigen_sym`], 6–8× faster at the protocols'
 //! shapes). Jacobi stays as the reference they are judged against: it is
-//! the eigensolver of the [`crate::profile::KernelPath::Naive`] route
-//! ([`crate::svd::gram_svd`] and MT-P2's basis layout), of `cma-data`'s
-//! ground truth and of the exact evaluation of the paper's error metric
+//! the eigensolver of the test oracles ([`crate::svd::gram_svd`] and
+//! MT-P2's eager reference site), of `cma-data`'s ground truth and of the
+//! exact evaluation of the paper's error metric
 //! `‖AᵀA − BᵀB‖₂ / ‖A‖²_F` — all eigendecompositions of a small (`d×d`,
 //! `d ≲ 500`) symmetric matrix, a regime where Jacobi iteration is simple,
 //! embarrassingly robust and accurate to machine precision.
@@ -67,11 +67,11 @@ pub fn jacobi_eigen_sym(s: &Matrix) -> Result<SymEigen, LinalgError> {
 /// `vectors` are therefore eigenvectors in **ambient** coordinates:
 /// `vectors = E · basis` where `E` are the eigenvectors of `s`.
 ///
-/// This is the warm-start path used by protocol MT-P2: a site keeps its
-/// buffer as `diag(σ²)` in its own singular basis, so after appending a
-/// few rows the operator is near-diagonal, Jacobi converges in a couple
-/// of sweeps, and the rotations are applied directly to the basis instead
-/// of paying a dense `d×d · d×d` composition afterwards.
+/// This is the warm-start path: a buffer kept as `diag(σ²)` in its own
+/// singular basis is near-diagonal after a few appended rows, so Jacobi
+/// converges in a couple of sweeps, and the rotations are applied directly
+/// to the basis instead of paying a dense `d×d · d×d` composition
+/// afterwards.
 ///
 /// # Errors
 /// As for [`jacobi_eigen_sym`].
@@ -86,10 +86,9 @@ pub fn jacobi_eigen_sym_with_basis(s: &Matrix, basis: Matrix) -> Result<SymEigen
 ///
 /// Off-diagonal entries below `rel_tol · ‖S‖_F` are treated as converged;
 /// eigenvalues are then accurate to roughly `d · rel_tol · ‖S‖_F`.
-/// MT-P2's oracle layout (the `Naive` basis path, through the two-pass
-/// twin below) passes a looser tolerance than the 1e-14 default because
-/// its downstream use is a threshold comparison at scale `ε‖A‖²_F/m`,
-/// many orders above the solver noise either way.
+/// A caller whose downstream use is a threshold comparison (at scale
+/// `ε‖A‖²_F/m` in the matrix protocols, many orders above the solver
+/// noise either way) can pass a looser tolerance than the 1e-14 default.
 ///
 /// # Errors
 /// As for [`jacobi_eigen_sym`].
@@ -228,9 +227,7 @@ fn off_diag_below(a: &Matrix, tol: f64) -> bool {
 
 /// Reference implementation of [`jacobi_eigen_sym_with_basis_tol`]: the
 /// textbook two-pass (column update then row update) rotation application.
-/// Kept as the equivalence oracle for the symmetric-storage rewrite and as
-/// the eigensolver of the `naive` kernel profile
-/// ([`crate::profile::KernelPath::Naive`]).
+/// Kept as the equivalence oracle for the symmetric-storage rewrite.
 ///
 /// # Errors
 /// As for [`jacobi_eigen_sym`].

@@ -13,11 +13,11 @@
 //!   sketches need (row append, products, Gram matrices, norms).
 //! * [`qr`] — Householder thin QR.
 //! * [`ql`] — the production symmetric eigensolver: Householder
-//!   tridiagonalisation + implicit-shift QL, under every
-//!   [`KernelPath::Blocked`] decomposition (FD shrinks and merges, MT-P2).
+//!   tridiagonalisation + implicit-shift QL, under every protocol
+//!   decomposition (FD shrinks and merges, MT-P2).
 //! * [`eigen`] — cyclic Jacobi eigendecomposition of symmetric matrices:
-//!   the oracle the QL solver is tested against, and the solver of the
-//!   [`KernelPath::Naive`] route and of exact ground truth.
+//!   the oracle the QL solver is tested against, and the solver of exact
+//!   ground truth.
 //! * [`cholesky`] — the `λ_max(M) < c` certificate: one Cholesky sign test
 //!   where a caller must prove a spectral bound, not compute a spectrum.
 //! * [`svd`] — one-sided Jacobi SVD (reference-quality) and the Gram-based
@@ -25,19 +25,20 @@
 //! * [`norms`] — symmetric spectral norms (exact and power iteration).
 //! * [`random`] — random test matrices: Gaussian, Haar-orthogonal and
 //!   low-rank-plus-noise constructions.
-//! * [`profile`] — the [`LinalgProfile`] configuration surface through
-//!   which the protocol layers select kernels (blocked vs naive) and the
-//!   Frequent Directions shrink strategy (exact vs randomized).
+//! * [`profile`] — single-value shims ([`LinalgProfile`], [`KernelPath`],
+//!   [`FdShrink`]) for the frozen `benchmark/` package; nothing selects
+//!   among linalg routes.
 //!
 //! # Numerical conventions
 //!
 //! Everything is `f64`. Decompositions are written for the regime the
-//! protocols occupy (tall-thin or square, `d ≲ 500`). The hot kernels
-//! (`matmul`, `gram`, `apply_transpose`) are cache-blocked with their
-//! naive loops retained as bit-exact oracles; the one-sided Jacobi SVD is
-//! accurate to near machine precision and serves as the verification
-//! oracle for the faster Gram path in tests, as cyclic Jacobi does for the
-//! Householder + QL eigensolver.
+//! protocols occupy (tall-thin or square, `d ≲ 500`). There is one
+//! production route: the hot kernels (`matmul`, `gram`, `apply_transpose`)
+//! are cache-blocked and every decomposition runs on Householder + QL. The
+//! naive loops (`*_naive`) stay as bit-exact oracles of the blocked
+//! kernels; the one-sided Jacobi SVD is accurate to near machine precision
+//! and serves as the verification oracle for the faster Gram path in
+//! tests, as cyclic Jacobi does for the QL eigensolver.
 
 pub mod cholesky;
 pub mod eigen;
@@ -48,7 +49,6 @@ pub mod profile;
 pub mod ql;
 pub mod qr;
 pub mod random;
-pub mod randomized;
 pub mod svd;
 pub mod vector;
 

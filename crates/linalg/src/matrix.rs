@@ -255,8 +255,7 @@ impl Matrix {
     }
 
     /// Reference ikj triple-loop matrix product — the oracle the blocked
-    /// [`Matrix::matmul`] is pinned against, and the kernel the `naive`
-    /// bench profile routes through.
+    /// [`Matrix::matmul`] is pinned against.
     ///
     /// # Panics
     /// Panics if `self.cols() != b.rows()`.
@@ -289,8 +288,7 @@ impl Matrix {
     }
 
     /// Reference row-by-row Gram accumulation `AᵀA = Σᵢ aᵢ aᵢᵀ` — the
-    /// oracle the panel-blocked [`Matrix::gram`] is pinned against, and
-    /// the kernel the `naive` bench profile routes through.
+    /// oracle the panel-blocked [`Matrix::gram`] is pinned against.
     pub fn gram_naive(&self) -> Matrix {
         let d = self.cols;
         let mut g = Matrix::zeros(d, d);

@@ -11,11 +11,11 @@
 //!   only, in `O(n d² + d³)` instead of Jacobi's larger constant.
 //!   Frequent Directions only ever needs `Σ Vᵀ`, so this is its fast path:
 //!   [`gram_svd_blocked`] (the production route) on the Householder + QL
-//!   solver ([`crate::ql::ql_eigen_sym`]), [`gram_svd`] (the
-//!   [`crate::profile::KernelPath::Naive`] oracle) on cyclic Jacobi
-//!   ([`crate::eigen::jacobi_eigen_sym`]). The price is the classic `κ²`
-//!   accuracy loss, irrelevant at the `ε ≥ 5·10⁻³` accuracy targets of the
-//!   protocols and bounded in tests against the one-sided Jacobi oracle.
+//!   solver ([`crate::ql::ql_eigen_sym`]), [`gram_svd`] (its test oracle)
+//!   on cyclic Jacobi ([`crate::eigen::jacobi_eigen_sym`]). The price is
+//!   the classic `κ²` accuracy loss, irrelevant at the `ε ≥ 5·10⁻³`
+//!   accuracy targets of the protocols and bounded in tests against the
+//!   one-sided Jacobi oracle.
 
 use crate::eigen::{jacobi_eigen_sym, SymEigen};
 use crate::error::LinalgError;
@@ -202,7 +202,7 @@ fn rotate_rows(m: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
 }
 
 /// `(Σ, V)` of `A` via Jacobi eigendecomposition of a Gram matrix — the
-/// [`crate::profile::KernelPath::Naive`] oracle of [`gram_svd_blocked`].
+/// test oracle of [`gram_svd_blocked`].
 ///
 /// Returns `min(n, d)` singular values (descending, clamped at zero) and
 /// the matching right singular vectors as rows. For tall inputs it
@@ -256,8 +256,7 @@ fn from_gram_eigen(eig: SymEigen) -> SvdValuesVectors {
     }
 }
 
-/// `(Σ, V)` of `A` through the production kernels — the
-/// [`crate::profile::KernelPath::Blocked`] route of the sketching SVD,
+/// `(Σ, V)` of `A` through the production kernels — the sketching SVD
 /// behind every Frequent Directions shrink and merge.
 ///
 /// Same Gram choice and same zero-σ floor as [`gram_svd`], with two

@@ -22,18 +22,17 @@
 //!   this is what lets the coordinator of protocol MT-P1 fold in
 //!   per-site sketches.
 //! * The shrink step only needs `(Σ, V)` of the buffer, never `U`, so it
-//!   runs on the Gram fast path, selected by
-//!   [`cma_linalg::KernelPath::svd_values_vectors`]: by default
-//!   [`cma_linalg::svd::gram_svd_blocked`], which eigendecomposes the
-//!   smaller Gram of the buffer with Householder tridiagonalisation + QL
-//!   ([`cma_linalg::ql::ql_eigen_sym`]); the `Naive` oracle route
-//!   ([`cma_linalg::svd::gram_svd`]) uses cyclic Jacobi. `O(ℓ²d + ℓ³)` per
-//!   shrink, amortised `O(ℓd)` per appended row — the paper's `O(dℓ)`
-//!   amortised update. [`FrequentDirections::rank_k_sketch`] and
+//!   runs on the Gram fast path [`cma_linalg::svd::gram_svd_blocked`],
+//!   which eigendecomposes the smaller Gram of the buffer with Householder
+//!   tridiagonalisation + QL ([`cma_linalg::ql::ql_eigen_sym`]).
+//!   `O(ℓ²d + ℓ³)` per shrink, amortised `O(ℓd)` per appended row — the
+//!   paper's `O(dℓ)` amortised update. Every shrink is the exact one, so
+//!   `Δ ≤ 2‖A‖²_F/ℓ` holds by the textbook argument.
+//!   [`FrequentDirections::rank_k_sketch`] and
 //!   [`FrequentDirections::top_directions`] decompose through the same
 //!   route.
 
-use cma_linalg::randomized::randomized_project_svd;
+use cma_linalg::svd::gram_svd_blocked;
 use cma_linalg::{FdShrink, KernelPath, Matrix};
 
 /// Frequent Directions sketch with at most `ℓ` buffered rows.
@@ -48,18 +47,6 @@ pub struct FrequentDirections {
     /// Total shrinkage `Δ = Σ δ`: a valid upper bound on
     /// `‖Ax‖² − ‖Bx‖²` for every unit `x`, and `≤ 2‖A‖²_F/ℓ`.
     shrink_loss: f64,
-    /// Shrink strategy (exact SVD vs certified randomized projection).
-    shrink: FdShrink,
-    /// Dense-kernel route for every SVD of the sketch (see
-    /// [`KernelPath::svd_values_vectors`]).
-    kernels: KernelPath,
-    /// Shrinks performed so far — also the deterministic seed counter for
-    /// the randomized path (each attempt draws a fresh, reproducible
-    /// sketch matrix).
-    shrink_count: u64,
-    /// How many shrinks went through the randomized path's acceptance
-    /// test (the rest fell back to the exact shrink).
-    randomized_accepted: u64,
 }
 
 impl FrequentDirections {
@@ -77,10 +64,6 @@ impl FrequentDirections {
             buf: Matrix::with_cols(d),
             frob_sq: 0.0,
             shrink_loss: 0.0,
-            shrink: FdShrink::Exact,
-            kernels: KernelPath::default(),
-            shrink_count: 0,
-            randomized_accepted: 0,
         }
     }
 
@@ -98,9 +81,7 @@ impl FrequentDirections {
     }
 
     /// Reassembles a sketch from its transported parts: the current
-    /// sketch rows plus the two error-carrying scalars. The shrink
-    /// strategy and kernel route are *local configuration*, not sketch
-    /// content, so a reassembled sketch starts from the defaults.
+    /// sketch rows plus the two error-carrying scalars.
     ///
     /// # Panics
     /// Panics if `ell < 2`, `d == 0`, or `sketch` has a different
@@ -125,57 +106,18 @@ impl FrequentDirections {
         fd
     }
 
-    /// Selects the shrink strategy (builder style). See
-    /// [`FrequentDirections::set_shrink`] for the correctness contract of
-    /// the randomized strategy.
+    /// Returns the sketch unchanged: [`FdShrink`] has one value. Kept for
+    /// the frozen `benchmark/` package until ROADMAP item 4(d).
     #[must_use]
-    pub fn using_shrink(mut self, shrink: FdShrink) -> Self {
-        self.set_shrink(shrink);
+    pub fn using_shrink(self, _shrink: FdShrink) -> Self {
         self
     }
 
-    /// Selects the dense-kernel route for every SVD of the sketch —
-    /// shrinks, [`FrequentDirections::rank_k_sketch`],
-    /// [`FrequentDirections::top_directions`] — (builder style). Both
-    /// routes are equivalent within solver accuracy
-    /// ([`KernelPath::svd_values_vectors`]); `Naive` is the Jacobi oracle.
+    /// Returns the sketch unchanged: [`KernelPath`] has one value. Kept
+    /// for the frozen `benchmark/` package until ROADMAP item 4(d).
     #[must_use]
-    pub fn using_kernels(mut self, kernels: KernelPath) -> Self {
-        self.kernels = kernels;
+    pub fn using_kernels(self, _kernels: KernelPath) -> Self {
         self
-    }
-
-    /// Selects the shrink strategy.
-    ///
-    /// `FdShrink::Exact` (the default) is the textbook shrink. With
-    /// `FdShrink::Randomized`, each shrink first *attempts* a seeded
-    /// range-finder projection ([`randomized_project_svd`]) and charges the
-    /// **certified** per-direction loss `σ̂²_keep + tail` to
-    /// [`FrequentDirections::shrink_loss`]; the attempt is accepted only
-    /// when `(keep+1)·charged ≤ destroyed` (the Frobenius mass the shrink
-    /// actually removed), which is exactly the inequality the a-priori
-    /// `Δ ≤ 2‖A‖²_F/ℓ` telescoping argument needs — otherwise the shrink
-    /// silently falls back to the exact path. Every guarantee consumers
-    /// rely on (`0 ≤ ‖Ax‖²−‖Bx‖² ≤ shrink_loss ≤ error_bound`, window
-    /// error bounds, MT-P1 thresholds) therefore holds *unconditionally*,
-    /// not in expectation: the projection can only under-estimate
-    /// (`CᵀC ⪯ BᵀB`) and the charge is a deterministic upper bound on the
-    /// per-direction loss. Switching strategy mid-stream is safe for the
-    /// same reason.
-    pub fn set_shrink(&mut self, shrink: FdShrink) {
-        self.shrink = shrink;
-    }
-
-    /// The active shrink strategy.
-    pub fn shrink_strategy(&self) -> FdShrink {
-        self.shrink
-    }
-
-    /// How many shrinks ran end-to-end through the randomized path
-    /// (attempts that failed the acceptance test fell back to exact and
-    /// are not counted).
-    pub fn randomized_shrinks_accepted(&self) -> u64 {
-        self.randomized_accepted
     }
 
     /// Row dimensionality `d`.
@@ -222,130 +164,28 @@ impl FrequentDirections {
     /// Absorbs one row.
     ///
     /// # Panics
-    /// Panics if `row.len() != self.dim()`, or if the eigensolver of a
-    /// shrink fails — on a NaN or infinite entry, or (never observed on
-    /// finite input) by not converging.
+    /// Panics if `row.len() != self.dim()`, if the row's squared norm is
+    /// not finite (a NaN or infinite entry, or an overflow) — it would
+    /// void `frob_sq_seen` and every bound derived from it — or (never
+    /// observed) if the eigensolver of a shrink does not converge.
     pub fn update(&mut self, row: &[f64]) {
         assert_eq!(
             row.len(),
             self.d,
             "FrequentDirections: row dimension mismatch"
         );
-        self.frob_sq += row.iter().map(|v| v * v).sum::<f64>();
+        self.frob_sq += finite_norm_sq(row);
         self.buf.push_row(row);
         if self.buf.rows() >= self.ell {
             self.shrink(self.ell.div_ceil(2) - 1);
         }
     }
 
-    /// Shrinks the buffer so at most `keep` rows survive, through the
-    /// configured strategy.
+    /// The textbook shrink, leaving at most `keep` rows: rotates into the
+    /// singular basis and subtracts `δ = σ²_{keep}` (0-indexed) from every
+    /// squared singular value.
     fn shrink(&mut self, keep: usize) {
-        self.shrink_count += 1;
-        if let FdShrink::Randomized {
-            oversample,
-            power_iters,
-        } = self.shrink
-        {
-            // Only worth attempting when the sketch width l = keep+p is
-            // strictly below the row count (otherwise the projection is a
-            // full-rank no-op) and keep ≥ 1 (the range finder needs a
-            // target rank).
-            if keep >= 1
-                && keep + oversample < self.buf.rows()
-                && self.try_shrink_randomized(keep, oversample, power_iters)
-            {
-                self.randomized_accepted += 1;
-                return;
-            }
-        }
-        self.shrink_exact(keep);
-    }
-
-    /// Certified randomized shrink attempt. Returns `false` (leaving all
-    /// state untouched) when the certificate cannot cover the a-priori
-    /// budget, so the caller falls back to [`FrequentDirections::shrink_exact`].
-    ///
-    /// Correctness argument, step by step (`B` = buffer, `n×d`):
-    ///
-    /// 1. [`randomized_project_svd`] returns the SVD of `C = QᵀB` (`l×d`,
-    ///    `l = keep+oversample`) plus `tail = ‖B‖²_F − ‖C‖²_F`. Because
-    ///    `CᵀC = Bᵀ QQᵀ B ⪯ BᵀB`, replacing `B` by any row-space
-    ///    compression of `C` can never over-estimate a query — the FD
-    ///    lower bound `‖B'x‖² ≤ ‖Ax‖²` is structural, not probabilistic.
-    /// 2. The deficit `E = BᵀB − CᵀC` is PSD with `trace(E) = tail`, so
-    ///    `xᵀEx ≤ ‖E‖₂ ≤ tail` for every unit `x`: the projection loses at
-    ///    most `tail` per direction.
-    /// 3. The usual shrink of `C` by `δ̂ = σ̂²_keep` loses at most `δ̂` per
-    ///    direction (same argument as exact FD). Chaining 2 and 3:
-    ///    `‖Bx‖² − ‖B'x‖² ≤ charged = δ̂ + tail`, a *deterministic* bound.
-    /// 4. The a-priori `Δ ≤ 2‖A‖²_F/ℓ` proof needs every shrink to destroy
-    ///    at least `(keep+1)` times what it charges, so that the charges
-    ///    telescope against `‖A‖²_F` (see `shrink_loss` docs). We check
-    ///    `(keep+1)·charged ≤ destroyed` **explicitly** and reject the
-    ///    attempt when it fails — randomness can waste work, never
-    ///    validity. Exact shrinks satisfy the same inequality by
-    ///    construction, so mixed exact/randomized histories telescope too.
-    fn try_shrink_randomized(
-        &mut self,
-        keep: usize,
-        oversample: usize,
-        power_iters: usize,
-    ) -> bool {
-        // splitmix64 finalizer over the shrink counter: deterministic,
-        // distinct per shrink, independent of data values.
-        let mut seed = self
-            .shrink_count
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(0x243F_6A88_85A3_08D3);
-        seed ^= seed >> 30;
-        seed = seed.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        seed ^= seed >> 27;
-
-        let Ok(proj) = randomized_project_svd(&self.buf, keep, oversample, power_iters, seed)
-        else {
-            return false;
-        };
-        let svd = &proj.svd;
-        if svd.sigma.len() <= keep {
-            // Projection found fewer than keep+1 directions: the exact
-            // path re-expresses losslessly, strictly better. Reject.
-            return false;
-        }
-        let delta = svd.sigma[keep] * svd.sigma[keep];
-        let charged = delta + proj.tail;
-        let before = self.buf.frob_norm_sq();
-        let mut out = Matrix::with_cols(self.d);
-        for i in 0..keep {
-            let s2 = svd.sigma[i] * svd.sigma[i] - delta;
-            if s2 <= 0.0 {
-                continue;
-            }
-            let s = s2.sqrt();
-            let mut row = svd.vt.row(i).to_vec();
-            for v in &mut row {
-                *v *= s;
-            }
-            out.push_row(&row);
-        }
-        let destroyed = before - out.frob_norm_sq();
-        if (keep + 1) as f64 * charged > destroyed {
-            // Certificate too loose for the telescoping budget (flat
-            // spectra, unlucky sketch): keep state, use the exact path.
-            return false;
-        }
-        self.shrink_loss += charged;
-        self.buf = out;
-        true
-    }
-
-    /// The textbook shrink: rotates into the singular basis and subtracts
-    /// `δ = σ²_{keep}` (0-indexed) from every squared singular value.
-    fn shrink_exact(&mut self, keep: usize) {
-        let svd = self
-            .kernels
-            .svd_values_vectors(&self.buf)
-            .expect("FrequentDirections: eigensolver diverged");
+        let svd = gram_svd_blocked(&self.buf).expect("FrequentDirections: eigensolver diverged");
         let r = svd.sigma.len();
         if r <= keep {
             // Fewer directions than the cut point — just re-express
@@ -418,7 +258,8 @@ impl FrequentDirections {
     /// the eigensolves.
     ///
     /// # Panics
-    /// Panics if `rows` has a different column count.
+    /// Panics if `rows` has a different column count or a row whose
+    /// squared norm is not finite (as [`FrequentDirections::update`]).
     pub fn merge_rows(&mut self, rows: &Matrix) {
         assert_eq!(
             rows.cols(),
@@ -426,7 +267,7 @@ impl FrequentDirections {
             "FrequentDirections::merge_rows: dimension mismatch"
         );
         for row in rows.iter_rows() {
-            self.frob_sq += row.iter().map(|v| v * v).sum::<f64>();
+            self.frob_sq += finite_norm_sq(row);
             self.buf.push_row(row);
         }
         if self.buf.rows() >= self.ell {
@@ -457,10 +298,7 @@ impl FrequentDirections {
     /// # Panics
     /// Panics (never observed) if the eigensolver fails to converge.
     pub fn rank_k_sketch(&self, k: usize) -> Matrix {
-        let svd = self
-            .kernels
-            .svd_values_vectors(&self.buf)
-            .expect("FrequentDirections: eigensolver diverged");
+        let svd = gram_svd_blocked(&self.buf).expect("FrequentDirections: eigensolver diverged");
         let mut out = Matrix::with_cols(self.d);
         for i in 0..k.min(svd.sigma.len()) {
             if svd.sigma[i] <= 0.0 {
@@ -481,10 +319,7 @@ impl FrequentDirections {
     /// # Panics
     /// Panics (never observed) if the eigensolver fails to converge.
     pub fn top_directions(&self, k: usize) -> Matrix {
-        let svd = self
-            .kernels
-            .svd_values_vectors(&self.buf)
-            .expect("FrequentDirections: eigensolver diverged");
+        let svd = gram_svd_blocked(&self.buf).expect("FrequentDirections: eigensolver diverged");
         let mut out = Matrix::with_cols(self.d);
         for i in 0..k.min(svd.sigma.len()) {
             if svd.sigma[i] <= 0.0 {
@@ -494,6 +329,18 @@ impl FrequentDirections {
         }
         out
     }
+}
+
+/// `‖row‖²`, asserted finite: a NaN or infinite entry (or an overflow)
+/// would otherwise turn `frob_sq_seen` and `error_bound` into NaN and
+/// surface only at the next shrink, as a failing eigensolver.
+fn finite_norm_sq(row: &[f64]) -> f64 {
+    let sq = row.iter().map(|v| v * v).sum::<f64>();
+    assert!(
+        sq.is_finite(),
+        "FrequentDirections: non-finite row (squared norm {sq}: a NaN or infinite entry, or overflow)"
+    );
+    sq
 }
 
 #[cfg(test)]
@@ -596,10 +443,9 @@ mod tests {
         // eigensolver, shrinks and merges alike.
         let mut rng = StdRng::seed_from_u64(44);
         let a = random::gaussian(&mut rng, 1_200, 44);
-        let mut whole = FrequentDirections::new(44, 80).using_kernels(KernelPath::Blocked);
-        let mut parts: Vec<FrequentDirections> = (0..3)
-            .map(|_| FrequentDirections::new(44, 40).using_kernels(KernelPath::Blocked))
-            .collect();
+        let mut whole = FrequentDirections::new(44, 80);
+        let mut parts: Vec<FrequentDirections> =
+            (0..3).map(|_| FrequentDirections::new(44, 40)).collect();
         for (i, r) in a.iter_rows().enumerate() {
             whole.update(r);
             parts[i % 3].update(r);
@@ -685,6 +531,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "non-finite row")]
+    fn nan_row_panics_at_update() {
+        // The buffer is far from full, so no shrink runs: without the
+        // check the NaN would only surface in the bounds.
+        let mut fd = FrequentDirections::new(3, 8);
+        fd.update(&[1.0, 2.0, 3.0]);
+        fd.update(&[f64::NAN, 0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite row")]
+    fn infinite_row_panics_at_merge_rows() {
+        let rows = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, f64::INFINITY]]);
+        FrequentDirections::new(2, 8).merge_rows(&rows);
+    }
+
+    #[test]
     fn rank_k_sketch_has_k_rows_and_top_energy() {
         let mut rng = StdRng::seed_from_u64(6);
         let a = random::with_spectrum(&mut rng, 150, 10, &[30.0, 10.0, 3.0, 1.0]);
@@ -719,97 +582,6 @@ mod tests {
                 assert!((vvt[(i, j)] - want).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn randomized_guarantee_on_decaying_spectrum() {
-        // Sharply decaying spectrum: the favorable case where the
-        // randomized certificate is tight enough to be accepted. The FD
-        // guarantee must hold with the *tracked* loss, and the loss must
-        // stay inside the a-priori budget — assert_fd_guarantee checks
-        // both, against random directions AND the singular directions of
-        // A (the adversarial queries).
-        let mut rng = StdRng::seed_from_u64(40);
-        let spectrum: Vec<f64> = (0..12).map(|i| 100.0 * 0.6_f64.powi(i)).collect();
-        let a = random::with_spectrum(&mut rng, 400, 30, &spectrum);
-        let mut fd = FrequentDirections::new(30, 20).using_shrink(FdShrink::Randomized {
-            oversample: 6,
-            power_iters: 1,
-        });
-        for r in a.iter_rows() {
-            fd.update(r);
-        }
-        assert!(
-            fd.randomized_shrinks_accepted() > 0,
-            "randomized path never engaged on a decaying spectrum"
-        );
-        assert_fd_guarantee(&a, &fd);
-    }
-
-    #[test]
-    fn randomized_guarantee_on_flat_spectrum() {
-        // Flat (Gaussian) spectrum: the adversarial case for a randomized
-        // projection — the tail certificate is large, so most attempts
-        // must be rejected in favor of the exact fallback, and the
-        // guarantee must survive regardless of the accept/reject mix.
-        let mut rng = StdRng::seed_from_u64(41);
-        let a = random::gaussian(&mut rng, 300, 10);
-        let mut fd = FrequentDirections::new(10, 12).using_shrink(FdShrink::Randomized {
-            oversample: 4,
-            power_iters: 0,
-        });
-        for r in a.iter_rows() {
-            fd.update(r);
-        }
-        assert_fd_guarantee(&a, &fd);
-    }
-
-    #[test]
-    fn randomized_is_deterministic() {
-        // Counter-seeded sketching: two identical runs must produce
-        // bit-identical sketches and loss accounting.
-        let mut rng = StdRng::seed_from_u64(42);
-        let spectrum: Vec<f64> = (0..10).map(|i| 50.0 * 0.5_f64.powi(i)).collect();
-        let a = random::with_spectrum(&mut rng, 250, 24, &spectrum);
-        let shrink = FdShrink::Randomized {
-            oversample: 6,
-            power_iters: 1,
-        };
-        let mut fd1 = FrequentDirections::new(24, 16).using_shrink(shrink);
-        let mut fd2 = FrequentDirections::new(24, 16).using_shrink(shrink);
-        for r in a.iter_rows() {
-            fd1.update(r);
-            fd2.update(r);
-        }
-        assert_eq!(fd1.sketch().as_slice(), fd2.sketch().as_slice());
-        assert_eq!(fd1.shrink_loss(), fd2.shrink_loss());
-        assert_eq!(
-            fd1.randomized_shrinks_accepted(),
-            fd2.randomized_shrinks_accepted()
-        );
-    }
-
-    #[test]
-    fn randomized_merge_preserves_guarantee() {
-        let mut rng = StdRng::seed_from_u64(43);
-        let spectrum: Vec<f64> = (0..8).map(|i| 80.0 * 0.55_f64.powi(i)).collect();
-        let a = random::with_spectrum(&mut rng, 320, 20, &spectrum);
-        let shrink = FdShrink::Randomized {
-            oversample: 5,
-            power_iters: 1,
-        };
-        let mut parts: Vec<FrequentDirections> = (0..4)
-            .map(|_| FrequentDirections::new(20, 14).using_shrink(shrink))
-            .collect();
-        for (i, r) in a.iter_rows().enumerate() {
-            parts[i % 4].update(r);
-        }
-        let mut merged = parts.remove(0);
-        for p in &parts {
-            merged.merge(p);
-        }
-        assert!(merged.sketch().rows() <= 14);
-        assert_fd_guarantee(&a, &merged);
     }
 
     #[test]

@@ -128,9 +128,7 @@
 //!
 //! Protocols opt into faster batched math by overriding
 //! [`site::Site::observe_batch`] — hoisting threshold computations out
-//! of the loop, projecting runs of matrix rows with one matrix product
-//! instead of row-by-row matrix–vector products, deferring Gram
-//! accumulation to batch boundaries — while the default implementation
+//! of the loop, fusing sampler loops — while the default implementation
 //! simply loops over [`site::Site::observe`], so every `Site` is
 //! batch-drivable from day one.
 

@@ -73,8 +73,7 @@ pub trait Site {
     ///   when `out` is non-empty; conversely, a return without any
     ///   message pushed means the iterator is exhausted. This is the one
     ///   rule drivers rely on to know when a batch is done.
-    /// * The default discipline — and what every protocol implements
-    ///   unless explicitly configured otherwise — is *pause-on-message*:
+    /// * The discipline every protocol implements is *pause-on-message*:
     ///   stop at the first arrival that produces messages and produce
     ///   exactly the messages repeated [`Site::observe`] calls would.
     ///   The driver then routes the pending messages (and delivers any
@@ -82,19 +81,14 @@ pub trait Site {
     ///   remaining iterator, so batched execution is observably
     ///   identical to per-item execution — same messages, same
     ///   [`crate::CommStats`] — at every batch size.
-    /// * A protocol may offer a documented *relaxed* batching mode that
-    ///   keeps processing past a message within the batch (e.g. MT-P2's
-    ///   deferred decomposition check), shipping everything at the batch
-    ///   boundary. Such modes trade bounded extra estimator slack for
-    ///   throughput and must be explicit opt-ins.
     ///
     /// Between messages — the overwhelmingly common case, since the
     /// protocols' whole point is sublinear communication — the site runs
     /// one tight loop over the batch with no per-item driver round-trip.
     /// Protocols override this method when the math allows a genuinely
-    /// faster batched step (hoisted threshold computation, batched
-    /// projections, deferred Gram accumulation); the default simply
-    /// loops over [`Site::observe`], pausing at the first message.
+    /// faster batched step (hoisted threshold computation, fused sampler
+    /// loops); the default simply loops over [`Site::observe`], pausing
+    /// at the first message.
     fn observe_batch(
         &mut self,
         inputs: impl IntoIterator<Item = Self::Input>,

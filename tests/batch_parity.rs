@@ -324,101 +324,6 @@ fn matrix_error_within_epsilon_at_every_batch_size() {
     }
 }
 
-/// The full parity + error-contract pass under the *randomized* linalg
-/// profile (blocked kernels + certified randomized FD shrink). Parity
-/// holds because the randomized shrink is deterministic — its seed
-/// derives from the per-sketch shrink counter, never from wall clock —
-/// so identical delivery order yields bit-identical sketches; the ε
-/// contract holds because the shrink only accepts a random projection
-/// whose certified loss keeps the exact accounting
-/// (`(keep+1)·charged ≤ destroyed`), falling back to the exact shrink
-/// otherwise.
-#[test]
-fn matrix_protocols_under_randomized_profile() {
-    use cma::linalg::LinalgProfile;
-
-    let dim = 6;
-    let cfg = MatrixConfig::new(4, 0.2, dim)
-        .with_seed(7)
-        .with_profile(LinalgProfile::randomized());
-    for batch in [1usize, 64] {
-        assert_matrix_parity!(
-            matrix::p1::deploy(&cfg),
-            matrix_stream(3_000, dim, 22),
-            batch
-        );
-        assert_matrix_parity!(
-            matrix::p2::deploy(&cfg),
-            matrix_stream(3_000, dim, 22),
-            batch
-        );
-    }
-
-    let stream = matrix_stream(4_000, dim, 36);
-    let mut truth = StreamingGram::new(dim);
-    for row in &stream {
-        truth.update(row);
-    }
-    for batch in [64usize, 1024] {
-        macro_rules! check {
-            ($name:literal, $deploy:expr) => {{
-                let mut runner = $deploy;
-                runner.run_partitioned(stream.iter().cloned(), &mut RoundRobin::new(4), batch);
-                let err = truth
-                    .error_of_sketch(&runner.coordinator().sketch())
-                    .unwrap();
-                assert!(
-                    err <= cfg.epsilon,
-                    "{} batch {batch} (randomized profile): err {err} > ε",
-                    $name
-                );
-            }};
-        }
-        check!("mt-p1", matrix::p1::deploy(&cfg));
-        check!("mt-p2", matrix::p2::deploy(&cfg));
-    }
-}
-
-/// MT-P2's relaxed mode (one decomposition check per batch) is *not*
-/// message-identical to per-item execution — that is its point — but its
-/// error bound only relaxes by the per-batch mass, so the ε contract
-/// must still hold comfortably at practical batch sizes.
-#[test]
-fn matrix_p2_deferred_check_keeps_error_contract() {
-    let dim = 6;
-    let stream = matrix_stream(4_000, dim, 35);
-    let mut truth = StreamingGram::new(dim);
-    for row in &stream {
-        truth.update(row);
-    }
-    let cfg = MatrixConfig::new(4, 0.2, dim).with_seed(43);
-    let opts = matrix::p2::MP2Options {
-        deferred_batch_check: true,
-        ..Default::default()
-    };
-
-    let mut exact_msgs = None;
-    for batch in [64usize, 1024] {
-        let mut runner = matrix::p2::deploy_with(&cfg, &opts);
-        runner.run_partitioned(stream.iter().cloned(), &mut RoundRobin::new(4), batch);
-        let err = truth
-            .error_of_sketch(&runner.coordinator().sketch())
-            .unwrap();
-        assert!(err <= cfg.epsilon, "deferred batch {batch}: err {err} > ε");
-        // Deferred batching must not blow up communication either.
-        let msgs = runner.stats().total();
-        let exact = *exact_msgs.get_or_insert_with(|| {
-            let mut r = matrix::p2::deploy(&cfg);
-            r.run_partitioned(stream.iter().cloned(), &mut RoundRobin::new(4), batch);
-            r.stats().total()
-        });
-        assert!(
-            msgs <= 2 * exact,
-            "deferred batch {batch}: {msgs} msgs vs exact {exact}"
-        );
-    }
-}
-
 /// `(batch_size, pool workers)` cells of the pooled error-contract
 /// tests: several batch sizes, each at a single worker, at two, and at
 /// more workers than the deployments have sites.

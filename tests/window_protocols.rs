@@ -15,7 +15,7 @@
 //!    withheld budget (re-split across the `m + I` withholding nodes),
 //!    at a mid-stream query point and at the end of the stream.
 
-use cma::linalg::{random, LinalgProfile, Matrix};
+use cma::linalg::{random, Matrix};
 use cma::protocols::window::{fd, mg, SwFdConfig, SwMgConfig};
 use cma::stream::partition::RoundRobin;
 use cma::stream::Topology;
@@ -185,44 +185,35 @@ fn swfd_two_part_bound_across_windows_and_fanouts() {
     let m = 16;
     let d = 6;
     let mut rng = StdRng::seed_from_u64(77);
-    // Both linalg profiles: the window bound's summary_loss term uses
-    // the a-priori 2·mass/ℓ, which the certified randomized shrink
-    // preserves (it only accepts a projection whose charged loss keeps
-    // the exact telescoping argument) — so the identical component-wise
-    // assertions must hold under either profile.
-    for profile in [LinalgProfile::default(), LinalgProfile::randomized()] {
-        for &window in &WINDOWS {
-            let rows = matrix_stream(3 * window, d, 44 + window as u64);
-            let stamped = stamp(&rows);
-            for &fanout in &FANOUTS {
-                let cfg = SwFdConfig::new(m, 0.15, window as u64, d, 24).with_profile(profile);
-                let mut runner = fd::deploy_topology(&cfg, Topology::Tree { fanout });
-                runner.run_partitioned(stamped.iter().cloned(), &mut RoundRobin::new(m), 64);
-                let t_now = rows.len();
-                let a = window_matrix(&rows, t_now, window, d);
-                let coord = runner.coordinator();
-                let sketch = coord.sketch_at(t_now as u64);
-                let bound = coord.error_bound_at(t_now as u64);
-                for _ in 0..15 {
-                    let x = random::unit_vector(&mut rng, d);
-                    let ax = a.apply_norm_sq(&x);
-                    let bx = sketch.apply_norm_sq(&x);
-                    assert!(
-                        bx - ax <= bound.straddle + 1e-9,
-                        "{} W={window} k={fanout}: overcount {} > straddle {}",
-                        profile.name(),
-                        bx - ax,
-                        bound.straddle
-                    );
-                    assert!(
-                        ax - bx <= bound.summary_loss + bound.withheld + 1e-9,
-                        "{} W={window} k={fanout}: undercount {} > summary {} + withheld {}",
-                        profile.name(),
-                        ax - bx,
-                        bound.summary_loss,
-                        bound.withheld
-                    );
-                }
+    for &window in &WINDOWS {
+        let rows = matrix_stream(3 * window, d, 44 + window as u64);
+        let stamped = stamp(&rows);
+        for &fanout in &FANOUTS {
+            let cfg = SwFdConfig::new(m, 0.15, window as u64, d, 24);
+            let mut runner = fd::deploy_topology(&cfg, Topology::Tree { fanout });
+            runner.run_partitioned(stamped.iter().cloned(), &mut RoundRobin::new(m), 64);
+            let t_now = rows.len();
+            let a = window_matrix(&rows, t_now, window, d);
+            let coord = runner.coordinator();
+            let sketch = coord.sketch_at(t_now as u64);
+            let bound = coord.error_bound_at(t_now as u64);
+            for _ in 0..15 {
+                let x = random::unit_vector(&mut rng, d);
+                let ax = a.apply_norm_sq(&x);
+                let bx = sketch.apply_norm_sq(&x);
+                assert!(
+                    bx - ax <= bound.straddle + 1e-9,
+                    "W={window} k={fanout}: overcount {} > straddle {}",
+                    bx - ax,
+                    bound.straddle
+                );
+                assert!(
+                    ax - bx <= bound.summary_loss + bound.withheld + 1e-9,
+                    "W={window} k={fanout}: undercount {} > summary {} + withheld {}",
+                    ax - bx,
+                    bound.summary_loss,
+                    bound.withheld
+                );
             }
         }
     }

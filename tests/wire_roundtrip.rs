@@ -19,6 +19,7 @@ use cma::protocols::matrix::p3wr::MP3wrMsg;
 use cma::protocols::matrix::p4::MP4Msg;
 use cma::protocols::sampling::WrHit;
 use cma::protocols::window::SwMsg;
+use cma::protocols::wire::{put_fd, read_fd};
 use cma::sketch::sliding_window::WinBucket;
 use cma::sketch::{FrequentDirections, MgSummary};
 use cma::stream::{GossipDigest, GossipFrame, MessageCost, WireCodec, WireReader, WireSized};
@@ -50,6 +51,58 @@ fn fd_from(d: usize, ell: usize, cells: &[f64]) -> FrequentDirections {
         fd.update(row);
     }
     fd
+}
+
+/// `buf` with the little-endian `f64` at byte offset `at` replaced by `v`.
+fn poison(buf: &[u8], at: usize, v: f64) -> Vec<u8> {
+    let mut out = buf.to_vec();
+    out[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    out
+}
+
+/// Hostile bytes: a row, matrix or sketch carrying a NaN or ∞ entry, or
+/// a sketch whose `frob_sq`/`shrink_loss` is non-finite or negative,
+/// decodes to `None` instead of a summary whose bound is NaN.
+#[test]
+fn non_finite_values_fail_to_decode() {
+    let row = vec![1.0, -2.0, 3.0];
+    let direction = MP2Msg::Direction(row.clone()).to_wire();
+    let flush = MP1Msg {
+        rows: Matrix::from_vec(1, 3, row.clone()),
+        mass: 14.0,
+    }
+    .to_wire();
+    let fd = fd_from(3, 4, &[1.0, 0.0, 2.0, 0.0, -1.0, 0.5]);
+    let mut sketch = Vec::new();
+    put_fd(&mut sketch, &fd);
+    // Layouts: direction = tag, len, entries; flush = rows, cols,
+    // entries, mass; sketch = d, ell, rows, cols, entries, frob_sq,
+    // shrink_loss.
+    let entries = 8 * fd.sketch().rows() * fd.dim();
+    let (frob_at, loss_at) = (32 + entries, 40 + entries);
+    assert!(MP2Msg::decode(&mut WireReader::new(&direction)).is_some());
+    assert!(MP1Msg::decode(&mut WireReader::new(&flush)).is_some());
+    assert!(read_fd(&mut WireReader::new(&sketch)).is_some());
+
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for k in 0..row.len() {
+            let buf = poison(&direction, 9 + 8 * k, bad);
+            assert!(MP2Msg::decode(&mut WireReader::new(&buf)).is_none());
+            let buf = poison(&flush, 16 + 8 * k, bad);
+            assert!(MP1Msg::decode(&mut WireReader::new(&buf)).is_none());
+        }
+        for at in [32, frob_at, loss_at] {
+            let buf = poison(&sketch, at, bad);
+            assert!(
+                read_fd(&mut WireReader::new(&buf)).is_none(),
+                "{bad} at {at}"
+            );
+        }
+    }
+    for at in [frob_at, loss_at] {
+        let buf = poison(&sketch, at, -1.0);
+        assert!(read_fd(&mut WireReader::new(&buf)).is_none(), "-1 at {at}");
+    }
 }
 
 proptest! {
