@@ -1,7 +1,5 @@
-//! Ablation benchmarks for the design choices called out in `DESIGN.md`:
+//! Ablation benchmarks for the protocols' design choices:
 //!
-//! * `gram_vs_jacobi` — Frequent Directions' Gram-eigen fast path vs. the
-//!   full one-sided Jacobi SVD at the shrink step's shape.
 //! * `lazy_svd` — MT-P2's batched decomposition (`batch_slack = 0.25`) vs.
 //!   the paper's literal per-row Algorithm 5.3 (`batch_slack = 0`).
 //! * `site_sketch` — HH-P2 with exact per-site delta maps vs. the paper's
@@ -14,26 +12,8 @@ use cma_core::hh::p2::{self as hh_p2, P2Options};
 use cma_core::matrix::p2::{self as mt_p2, MP2Options};
 use cma_core::{hh, matrix, HhConfig, MatrixConfig};
 use cma_data::{SyntheticMatrixStream, WeightedZipfStream};
-use cma_linalg::random;
-use cma_linalg::svd::{gram_svd, jacobi_svd};
 use criterion::{criterion_group, criterion_main, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::hint::black_box;
-
-fn ablation_gram_vs_jacobi(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let a = random::gaussian(&mut rng, 40, 44); // an FD shrink buffer
-    let mut g = c.benchmark_group("ablation_gram_vs_jacobi");
-    g.sample_size(20);
-    g.bench_function("gram_path", |b| {
-        b.iter(|| black_box(gram_svd(&a).unwrap().sigma[0]))
-    });
-    g.bench_function("jacobi_path", |b| {
-        b.iter(|| black_box(jacobi_svd(&a).unwrap().sigma[0]))
-    });
-    g.finish();
-}
 
 fn ablation_lazy_svd(c: &mut Criterion) {
     let rows: Vec<Vec<f64>> = {
@@ -155,7 +135,6 @@ fn ablation_p3_replacement(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    ablation_gram_vs_jacobi,
     ablation_lazy_svd,
     ablation_site_sketch,
     ablation_p3_replacement

@@ -44,31 +44,8 @@ fn bench_svd_routes(c: &mut Criterion) {
 }
 
 fn bench_eigen(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(2);
     let mut g = c.benchmark_group("eigen");
     g.sample_size(20);
-    for &d in &[44usize, 90] {
-        let a = random::gaussian(&mut rng, d, d);
-        let s = a.add(&a.transpose()).scaled(0.5);
-        g.bench_function(format!("jacobi_sym/{d}"), |b| {
-            b.iter(|| black_box(jacobi_eigen_sym(&s).unwrap().values[0]))
-        });
-    }
-    // Near-diagonal warm start (the MT-P2 shape): diag + rank-1.
-    let d = 90;
-    let mut s = Matrix::zeros(d, d);
-    for i in 0..d {
-        s[(i, i)] = (d - i) as f64;
-    }
-    let cvec: Vec<f64> = (0..d).map(|i| 0.05 * ((i % 7) as f64 + 1.0)).collect();
-    for i in 0..d {
-        for j in 0..d {
-            s[(i, j)] += cvec[i] * cvec[j];
-        }
-    }
-    g.bench_function("jacobi_sym/near_diagonal_90", |b| {
-        b.iter(|| black_box(jacobi_eigen_sym(&s).unwrap().values[0]))
-    });
     // The production shapes, QL against Jacobi: the 44×44 Gram of an
     // 80-row `pamap_like` buffer (every SwFd bucket merge and FD shrink
     // of the window workload) and the 90×90 Gram of `msd_like` rows (a
@@ -97,21 +74,6 @@ fn bench_spectral_norm(c: &mut Criterion) {
     });
     g.bench_function("power_iteration/90", |b| {
         b.iter(|| black_box(spectral_norm_sym_power(&s, 200)))
-    });
-    g.finish();
-}
-
-fn bench_matmul_gram(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(4);
-    let a = random::gaussian(&mut rng, 500, 44);
-    let mut g = c.benchmark_group("matrix");
-    g.sample_size(20);
-    g.bench_function("gram/500x44", |b| {
-        b.iter(|| black_box(a.gram().frob_norm_sq()))
-    });
-    let b500 = random::gaussian(&mut rng, 44, 44);
-    g.bench_function("matmul/500x44x44", |bch| {
-        bch.iter(|| black_box(a.matmul(&b500).frob_norm_sq()))
     });
     g.finish();
 }
@@ -220,7 +182,6 @@ criterion_group!(
     bench_svd_routes,
     bench_eigen,
     bench_spectral_norm,
-    bench_matmul_gram,
     bench_kernel_ab
 );
 criterion_main!(benches);

@@ -1,9 +1,10 @@
-//! Criterion micro-benchmarks for the centralized sketches: update and
-//! merge throughput of Misra–Gries, SpaceSaving, Frequent Directions and
-//! the priority sampler.
+//! Criterion micro-benchmarks for the centralized sketches the repo
+//! benchmark's layer rows do not already time (`sketch.mg_*` and
+//! `sketch.fd_*` cover Misra–Gries and Frequent Directions): SpaceSaving,
+//! the priority sampler and the sliding-window sketches.
 
 use cma_data::WeightedZipfStream;
-use cma_sketch::{FrequentDirections, MgSummary, PrioritySampler, SpaceSaving};
+use cma_sketch::{PrioritySampler, SpaceSaving};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -13,49 +14,6 @@ const STREAM_LEN: usize = 20_000;
 
 fn zipf_stream() -> Vec<(u64, f64)> {
     WeightedZipfStream::new(10_000, 2.0, 1_000.0, 42).take_vec(STREAM_LEN)
-}
-
-fn bench_mg_update(c: &mut Criterion) {
-    let stream = zipf_stream();
-    let mut g = c.benchmark_group("misra_gries");
-    g.throughput(Throughput::Elements(STREAM_LEN as u64));
-    for cap in [64usize, 1024] {
-        g.bench_function(format!("update/cap={cap}"), |b| {
-            b.iter_batched(
-                || MgSummary::new(cap),
-                |mut mg| {
-                    for &(e, w) in &stream {
-                        mg.update(e, w);
-                    }
-                    black_box(mg.len())
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    g.finish();
-}
-
-fn bench_mg_merge(c: &mut Criterion) {
-    let stream = zipf_stream();
-    let cap = 256;
-    let mut parts: Vec<MgSummary> = (0..8).map(|_| MgSummary::new(cap)).collect();
-    for (i, &(e, w)) in stream.iter().enumerate() {
-        parts[i % 8].update(e, w);
-    }
-    c.bench_function("misra_gries/merge8", |b| {
-        b.iter_batched(
-            || parts.clone(),
-            |mut ps| {
-                let mut acc = ps.remove(0);
-                for p in &ps {
-                    acc.merge(p);
-                }
-                black_box(acc.len())
-            },
-            BatchSize::SmallInput,
-        )
-    });
 }
 
 fn bench_space_saving(c: &mut Criterion) {
@@ -77,55 +35,6 @@ fn bench_space_saving(c: &mut Criterion) {
         });
     }
     g.finish();
-}
-
-fn bench_fd_update(c: &mut Criterion) {
-    let d = 44;
-    let n = 4_000;
-    let mut stream = cma_data::SyntheticMatrixStream::pamap_like(7);
-    let rows: Vec<Vec<f64>> = (0..n).map(|_| stream.next_row()).collect();
-    let mut g = c.benchmark_group("frequent_directions");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(n as u64));
-    for ell in [20usize, 80] {
-        g.bench_function(format!("update/ell={ell}"), |b| {
-            b.iter_batched(
-                || FrequentDirections::new(d, ell),
-                |mut fd| {
-                    for r in &rows {
-                        fd.update(r);
-                    }
-                    black_box(fd.sketch().rows())
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    g.finish();
-}
-
-fn bench_fd_merge(c: &mut Criterion) {
-    let d = 44;
-    let ell = 40;
-    let mut stream = cma_data::SyntheticMatrixStream::pamap_like(8);
-    let mut parts: Vec<FrequentDirections> =
-        (0..4).map(|_| FrequentDirections::new(d, ell)).collect();
-    for i in 0..2_000 {
-        parts[i % 4].update(&stream.next_row());
-    }
-    c.bench_function("frequent_directions/merge4", |b| {
-        b.iter_batched(
-            || parts.clone(),
-            |mut ps| {
-                let mut acc = ps.remove(0);
-                for p in &ps {
-                    acc.merge(p);
-                }
-                black_box(acc.sketch().rows())
-            },
-            BatchSize::SmallInput,
-        )
-    });
 }
 
 fn bench_priority_sampler(c: &mut Criterion) {
@@ -183,11 +92,7 @@ fn bench_sliding_window(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_mg_update,
-    bench_mg_merge,
     bench_space_saving,
-    bench_fd_update,
-    bench_fd_merge,
     bench_priority_sampler,
     bench_sliding_window
 );

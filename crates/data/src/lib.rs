@@ -10,9 +10,9 @@
 //! 3. **YearPredictionMSD** (UCI, 300,000 × 90, high rank): reproduced as
 //!    a slowly-decaying full-rank stream by [`SyntheticMatrixStream::msd_like`].
 //!
-//! The substitutions are justified in `DESIGN.md`: the evaluation only
-//! exercises the spectrum shape and the row-norm bound `β`, both of which
-//! the surrogates match. [`loader`] reads the real UCI CSV files for
+//! The evaluation only exercises the spectrum shape and the row-norm
+//! bound `β`, both of which the surrogates match (the argument is in the
+//! [`synthetic`] module docs). [`loader`] reads the real UCI CSV files for
 //! users who have them, producing streams interchangeable with the
 //! synthetic ones.
 //!

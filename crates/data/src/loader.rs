@@ -1,6 +1,6 @@
 //! CSV loading for users running the harnesses on the real UCI datasets.
 //!
-//! The experiment binaries accept `--csv <path>` to replace the synthetic
+//! The `repro` harness accepts `--data <path>` to replace the synthetic
 //! surrogates with the actual PAMAP / YearPredictionMSD files. The parser
 //! is deliberately small: numeric CSV with a configurable delimiter,
 //! optional header, rows with missing values (empty fields or `NaN`)

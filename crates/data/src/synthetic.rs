@@ -14,7 +14,7 @@
 //! chosen per dataset. `E[AᵀA] = n·Σⱼ σⱼ² vⱼvⱼᵀ`, so the spectrum directly
 //! controls effective rank — the only dataset property the paper's
 //! experiments depend on (plus the row-norm bound `β`, enforced by
-//! clipping). See `DESIGN.md` §4 for the substitution argument.
+//! clipping).
 //!
 //! Rows are generated *streaming* (`O(k·d)` per row, nothing
 //! materialised), so the full 629k-row PAMAP-scale run fits in constant

@@ -22,13 +22,58 @@
 //!    `max_fan_in` ≤ 8 and whose root fan-in is within 10% of the best
 //!    static fanout in {2, 4, 8, 16}.
 
-use cma::protocols::hh::{self, HhConfig};
-use cma::stream::{CommStats, Topology};
-use cma_bench::{calibrate_hh, resolve_hh_adaptive, run_hh_topology, HhProtocol};
-use cma_data::WeightedZipfStream;
+use cma::data::WeightedZipfStream;
+use cma::protocols::hh::p1::{P1Aggregator, P1Coordinator, P1Site};
+use cma::protocols::hh::{self, metrics, HhConfig};
+use cma::sketch::ExactWeightedCounter;
+use cma::stream::partition::RoundRobin;
+use cma::stream::{CommStats, Runner, Topology};
+
+/// Arrivals per epoch of every probe and run.
+const BATCH: usize = 64;
 
 fn zipf_stream(n: usize, seed: u64) -> Vec<(u64, f64)> {
     WeightedZipfStream::new(2_000, 2.0, 50.0, seed).take_vec(n)
+}
+
+/// An HH-P1 deployment on `topology` after `stream`, round-robin.
+fn p1_run(
+    cfg: &HhConfig,
+    stream: &[(u64, f64)],
+    topology: Topology,
+) -> Runner<P1Site, P1Coordinator, P1Aggregator> {
+    let mut runner = hh::p1::deploy_topology(cfg, topology);
+    runner.run_partitioned(
+        stream.iter().copied(),
+        &mut RoundRobin::new(cfg.sites),
+        BATCH,
+    );
+    runner
+}
+
+/// [`CommStats`] of an HH-P2 deployment on `topology` after `stream`.
+fn p2_stats(cfg: &HhConfig, stream: &[(u64, f64)], topology: Topology) -> CommStats {
+    let mut runner = hh::p2::deploy_topology(cfg, topology);
+    runner.run_partitioned(
+        stream.iter().copied(),
+        &mut RoundRobin::new(cfg.sites),
+        BATCH,
+    );
+    runner.stats().clone()
+}
+
+/// Resolves `topology` by the two-pass planner over HH-P1 probes on
+/// `prefix`: a star probe first, then — only if its measured fan-in is
+/// over budget — one probe per candidate fanout.
+fn resolve_p1(cfg: &HhConfig, prefix: &[(u64, f64)], topology: Topology) -> Topology {
+    topology.resolve_calibrated(cfg.sites, |candidate| {
+        p1_run(cfg, prefix, candidate).stats().clone()
+    })
+}
+
+/// Messages the root coordinator received.
+fn root_in(stats: &CommStats) -> u64 {
+    *stats.node_in_msgs.last().expect("root receive counter")
 }
 
 /// Calibration probe for a *skewed* workload: the whole stream lands on
@@ -83,7 +128,7 @@ fn planner_splits_levels_when_measured_fan_in_is_over_budget() {
     let adaptive = Topology::Adaptive { max_fan_in: 8 };
 
     // Round-robin: all 64 leaves press on the root — over budget.
-    let resolved = resolve_hh_adaptive(HhProtocol::P1, &cfg, &stream, adaptive, 64);
+    let resolved = resolve_p1(&cfg, &stream, adaptive);
     let Topology::Tree { fanout } = resolved else {
         panic!("over-budget measured fan-in must split, got {resolved:?}");
     };
@@ -97,7 +142,7 @@ fn planner_splits_levels_when_measured_fan_in_is_over_budget() {
     assert!(plan.internal_levels() >= 1);
 
     // The single-stats resolver splits too (at the budget fanout).
-    let star_stats = calibrate_hh(HhProtocol::P1, &cfg, &stream, Topology::Star, 64);
+    let star_stats = p1_run(&cfg, &stream, Topology::Star).stats().clone();
     assert_eq!(star_stats.active_leaves(), m);
     assert_eq!(
         adaptive.resolve_with(m, &star_stats),
@@ -116,30 +161,29 @@ fn adaptive_resolved_tree_is_message_identical_to_explicit_tree() {
     let cfg = HhConfig::new(m, 0.1).with_seed(9);
     let adaptive = Topology::Adaptive { max_fan_in: 8 };
 
-    let resolved = resolve_hh_adaptive(HhProtocol::P1, &cfg, &stream[..2_000], adaptive, 64);
+    let resolved = resolve_p1(&cfg, &stream[..2_000], adaptive);
     let Topology::Tree { fanout } = resolved else {
         panic!("round-robin m = 64 must split");
     };
 
-    let (adaptive_run, adaptive_comm) =
-        run_hh_topology(HhProtocol::P1, &cfg, &stream, 0.05, resolved, 64);
-    let (explicit_run, explicit_comm) = run_hh_topology(
-        HhProtocol::P1,
-        &cfg,
-        &stream,
-        0.05,
-        Topology::Tree { fanout },
-        64,
-    );
-    assert_eq!(adaptive_comm.total, explicit_comm.total);
+    let mut exact = ExactWeightedCounter::new();
+    for &(e, w) in &stream {
+        exact.update(e, w);
+    }
+    let adaptive_run = p1_run(&cfg, &stream, resolved);
+    let explicit_run = p1_run(&cfg, &stream, Topology::Tree { fanout });
+    let (adaptive_comm, explicit_comm) = (adaptive_run.stats(), explicit_run.stats());
+    assert_eq!(adaptive_comm.total(), explicit_comm.total());
     assert_eq!(adaptive_comm.up_msgs, explicit_comm.up_msgs);
     assert_eq!(
         adaptive_comm.broadcast_deliveries,
         explicit_comm.broadcast_deliveries
     );
-    assert_eq!(adaptive_comm.root_in_msgs, explicit_comm.root_in_msgs);
-    assert_eq!(adaptive_run.msgs, explicit_run.msgs);
-    assert_eq!(adaptive_run.eval.avg_rel_err, explicit_run.eval.avg_rel_err);
+    assert_eq!(root_in(adaptive_comm), root_in(explicit_comm));
+    let avg_rel_err = |runner: &Runner<P1Site, P1Coordinator, P1Aggregator>| {
+        metrics::evaluate(runner.coordinator(), &exact, 0.05, cfg.epsilon).avg_rel_err
+    };
+    assert_eq!(avg_rel_err(&adaptive_run), avg_rel_err(&explicit_run));
 
     // Structural resolution (no measurements yet): Adaptive plans as
     // the budget-fanout tree, so even an uncalibrated deployment is
@@ -149,17 +193,10 @@ fn adaptive_resolved_tree_is_message_identical_to_explicit_tree() {
         Topology::Tree { fanout: 8 }.plan(m),
         "structural resolution"
     );
-    let (a, ac) = run_hh_topology(HhProtocol::P2, &cfg, &stream, 0.05, adaptive, 64);
-    let (b, bc) = run_hh_topology(
-        HhProtocol::P2,
-        &cfg,
-        &stream,
-        0.05,
-        Topology::Tree { fanout: 8 },
-        64,
-    );
-    assert_eq!(a.msgs, b.msgs);
-    assert_eq!(ac.root_in_msgs, bc.root_in_msgs);
+    let a = p2_stats(&cfg, &stream, adaptive);
+    let b = p2_stats(&cfg, &stream, Topology::Tree { fanout: 8 });
+    assert_eq!(a.total(), b.total());
+    assert_eq!(root_in(&a), root_in(&b));
 }
 
 /// The acceptance sweep at m = 256: the resolved plan's measured
@@ -173,9 +210,9 @@ fn adaptive_m256_is_within_ten_percent_of_best_static_fanout() {
     let adaptive = Topology::Adaptive { max_fan_in: 8 };
 
     // Two-pass planner on a calibration prefix (1/6 of the stream).
-    let resolved = resolve_hh_adaptive(HhProtocol::P1, &cfg, &stream[..4_000], adaptive, 64);
+    let resolved = resolve_p1(&cfg, &stream[..4_000], adaptive);
 
-    let (_, adaptive_comm) = run_hh_topology(HhProtocol::P1, &cfg, &stream, 0.05, resolved, 64);
+    let adaptive_comm = p1_run(&cfg, &stream, resolved).stats().clone();
     assert!(
         adaptive_comm.max_fan_in <= 8,
         "resolved plan over budget: measured max_fan_in {}",
@@ -185,21 +222,14 @@ fn adaptive_m256_is_within_ten_percent_of_best_static_fanout() {
     let mut best_root = u64::MAX;
     let mut roots = Vec::new();
     for fanout in [2usize, 4, 8, 16] {
-        let (_, comm) = run_hh_topology(
-            HhProtocol::P1,
-            &cfg,
-            &stream,
-            0.05,
-            Topology::Tree { fanout },
-            64,
-        );
-        roots.push((fanout, comm.root_in_msgs));
-        best_root = best_root.min(comm.root_in_msgs);
+        let root = root_in(p1_run(&cfg, &stream, Topology::Tree { fanout }).stats());
+        roots.push((fanout, root));
+        best_root = best_root.min(root);
     }
     assert!(
-        adaptive_comm.root_in_msgs as f64 <= 1.1 * best_root as f64,
+        root_in(&adaptive_comm) as f64 <= 1.1 * best_root as f64,
         "adaptive root fan-in {} vs best static {} ({roots:?}, resolved {resolved:?})",
-        adaptive_comm.root_in_msgs,
+        root_in(&adaptive_comm),
         best_root
     );
 }

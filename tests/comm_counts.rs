@@ -129,9 +129,10 @@ const GOLDEN: &[Cell] = &[
     ("MT-P3wr", "tree8", 1024, [19327, 10420, 7971, 6915016, 936]),
 ];
 
-/// `(m/ε)·log₂(βn)` — the paper's form with constant 1.
+/// `(m/ε)·log₂(βn)` — the paper's form with constant 1, the same unit
+/// as `repro`'s `msgs_per_unit` column.
 fn unit(eps: f64, n: f64) -> f64 {
-    SITES as f64 / eps * (BETA * n).log2()
+    cma_bench::paper_unit(SITES, eps, BETA, n)
 }
 
 /// `(protocol, the paper's bound, unit, row dimension, c_p)`: every
