@@ -451,7 +451,7 @@ fn read_coord_store(r: &mut WireReader<'_>) -> Option<CoordStore> {
     match r.u8()? {
         0 => {
             let n = r.usize()?;
-            let mut map = HashMap::with_capacity(n);
+            let mut map = HashMap::with_capacity(r.capacity_for(n));
             for _ in 0..n {
                 let e = r.u64()?;
                 map.insert(e, r.f64()?);
@@ -500,7 +500,7 @@ impl WireCodec for P2Aggregator {
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         let pending_total = r.f64()?;
         let n = r.usize()?;
-        let mut pending_deltas = HashMap::with_capacity(n);
+        let mut pending_deltas = HashMap::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             let e = r.u64()?;
             pending_deltas.insert(e, r.f64()?);

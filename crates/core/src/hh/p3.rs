@@ -223,7 +223,7 @@ fn put_entries(out: &mut Vec<u8>, entries: &[SampleEntry<Item>]) {
 
 fn read_entries(r: &mut WireReader<'_>) -> Option<Vec<SampleEntry<Item>>> {
     let n = r.usize()?;
-    let mut entries = Vec::with_capacity(n);
+    let mut entries = Vec::with_capacity(r.capacity_for(n));
     for _ in 0..n {
         entries.push(SampleEntry {
             payload: r.u64()?,

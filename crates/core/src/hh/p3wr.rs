@@ -221,7 +221,7 @@ impl WireCodec for P3wrCoordinator {
         if n == 0 {
             return None;
         }
-        let mut slots = Vec::with_capacity(n);
+        let mut slots = Vec::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             let rho1 = r.f64()?;
             let rho2 = r.f64()?;
@@ -250,7 +250,7 @@ impl WireCodec for P3wrFilter {
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         let n = r.usize()?;
-        let mut top2 = Vec::with_capacity(n);
+        let mut top2 = Vec::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             let r1 = r.f64()?;
             top2.push((r1, r.f64()?));

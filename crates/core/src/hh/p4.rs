@@ -391,7 +391,7 @@ impl WireCodec for P4Coordinator {
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         let n = r.usize()?;
-        let mut reports = HashMap::with_capacity(n);
+        let mut reports = HashMap::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             let e = r.u64()?;
             let j = r.usize()?;
@@ -429,7 +429,7 @@ impl WireCodec for P4Aggregator {
         let unreported = r.f64()?;
         let w_hat = r.f64()?;
         let n = r.usize()?;
-        let mut pending = Vec::with_capacity(n);
+        let mut pending = Vec::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             let origin = r.usize()?;
             pending.push((origin, P4Msg::decode(r)?));

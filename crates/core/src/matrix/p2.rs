@@ -659,7 +659,7 @@ impl WireCodec for MP2Aggregator {
         let pending_scalar = r.f64()?;
         let rep = r.usize()?;
         let n = r.usize()?;
-        let mut outbox = Vec::with_capacity(n);
+        let mut outbox = Vec::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             outbox.push(MP2Msg::decode(r)?);
         }

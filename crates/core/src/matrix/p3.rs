@@ -191,7 +191,7 @@ fn put_row_entries(out: &mut Vec<u8>, entries: &[SampleEntry<Row>]) {
 
 fn read_row_entries(r: &mut WireReader<'_>) -> Option<Vec<SampleEntry<Row>>> {
     let n = r.usize()?;
-    let mut entries = Vec::with_capacity(n);
+    let mut entries = Vec::with_capacity(r.capacity_for(n));
     for _ in 0..n {
         entries.push(SampleEntry {
             payload: crate::wire::read_row(r)?,

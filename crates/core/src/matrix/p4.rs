@@ -339,7 +339,7 @@ impl WireCodec for MP4Coordinator {
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         let dim = r.usize()?;
         let n = r.usize()?;
-        let mut z = Vec::with_capacity(n);
+        let mut z = Vec::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             z.push(match r.u8()? {
                 0 => None,
@@ -378,7 +378,7 @@ impl WireCodec for MP4Aggregator {
         let unreported = r.f64()?;
         let w_hat = r.f64()?;
         let n = r.usize()?;
-        let mut pending = Vec::with_capacity(n);
+        let mut pending = Vec::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             let from = r.usize()?;
             pending.push((from, MP4Msg::decode(r)?));

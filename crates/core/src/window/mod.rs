@@ -24,6 +24,25 @@
 //! * the [`SwCoordinator`] maintains the global histogram and answers
 //!   window queries at any clock `t_now` with a certified error bound.
 //!
+//! # The root defers its merges; the wire settles them
+//!
+//! Sites and aggregators ship their buckets, so they merge eagerly and
+//! every shipped FD bucket holds fewer than `ℓ` rows. The root ships
+//! nothing: it ingests with
+//! [`ExpHistogram::insert_buckets_deferred`], whose level compaction is
+//! the eager one (masses, `[oldest, newest]` ranges — hence `Ŵ`,
+//! broadcasts, expiry, straddling and every message — are identical)
+//! but whose FD merges stack rows up to `2ℓ` before one shrink. A query
+//! stacks every live bucket and shrinks once
+//! ([`SwCoordinator::window_summary_at`]); by FD mergeability the
+//! stack's loss still telescopes to `Σδ ≤ 2·mass/ℓ`, the summary-loss
+//! term below. The snapshot encoding writes every bucket *settled* (one
+//! shrink for a bucket at `≥ ℓ` rows), so decoders keep refusing
+//! sketches over `ℓ` rows and the encoded state shrinks; and the churn
+//! driver settles the live root just before capture
+//! ([`ChurnCoordinator::settle_for_snapshot`]), so a snapshot is exactly
+//! the state the live root goes on from.
+//!
 //! # The two-part window error, re-split over `m + I` nodes
 //!
 //! A query at clock `t_now` returns the fold of the live buckets. Its
@@ -162,7 +181,9 @@ pub trait SnapshotKind: WindowKind {
 }
 
 /// Encodes an exponential histogram: shape, clock, then every live
-/// bucket (`[oldest, newest]`, mass, summary).
+/// bucket (`[oldest, newest]`, mass, summary). Summaries are written
+/// [settled](WindowSummary::settled), so a root that merges with
+/// deferral encodes to the shape an eager histogram would hold.
 fn put_hist<K: SnapshotKind>(out: &mut Vec<u8>, hist: &ExpHistogram<K::Summary>) {
     put_u64(out, hist.window());
     put_usize(out, hist.per_level());
@@ -172,7 +193,7 @@ fn put_hist<K: SnapshotKind>(out: &mut Vec<u8>, hist: &ExpHistogram<K::Summary>)
         put_u64(out, b.oldest);
         put_u64(out, b.newest);
         put_f64(out, b.mass);
-        K::encode_summary(&b.summary, out);
+        K::encode_summary(&b.summary.settled(), out);
     }
 }
 
@@ -189,7 +210,7 @@ fn read_hist<K: SnapshotKind>(r: &mut WireReader<'_>) -> Option<ExpHistogram<K::
     let n = r.usize()?;
     let mut hist = ExpHistogram::new(window, per_level);
     hist.advance(now);
-    let mut buckets = Vec::with_capacity(n);
+    let mut buckets = Vec::with_capacity(r.capacity_for(n));
     for _ in 0..n {
         let oldest = r.u64()?;
         let newest = r.u64()?;
@@ -608,9 +629,13 @@ impl<K: WindowKind> Coordinator for SwCoordinator<K> {
     type UpMsg = SwMsg<K::Summary>;
     type Broadcast = f64;
 
+    /// The root never ships its buckets, so it merges them with
+    /// deferral ([`ExpHistogram::insert_buckets_deferred`]): the level
+    /// bookkeeping — and with it `Ŵ`, every broadcast and expiry — is
+    /// the eager histogram's; only the summaries settle later.
     fn receive(&mut self, _from: SiteId, msg: SwMsg<K::Summary>, out: &mut Vec<f64>) {
         self.hist.advance(msg.latest);
-        self.hist.insert_buckets(msg.buckets);
+        self.hist.insert_buckets_deferred(msg.buckets);
         // Window mass is not monotone: refresh Ŵ on drift in either
         // direction, so thresholds track expiry as well as growth.
         let w = self.hist.mass().max(1.0);
@@ -671,6 +696,12 @@ impl<K: WindowKind> ChurnBudget for SwCoordinator<K> {}
 impl<K: WindowKind> ChurnCoordinator for SwCoordinator<K> {
     fn current_broadcast(&self) -> Option<f64> {
         (self.w_hat > 1.0).then_some(self.w_hat)
+    }
+
+    /// Settles every bucket, so the live root is exactly what its
+    /// (settled) encoding restores to.
+    fn settle_for_snapshot(&mut self) {
+        self.hist.settle();
     }
 }
 

@@ -80,7 +80,7 @@ pub fn read_mg(r: &mut WireReader<'_>) -> Option<MgSummary> {
     if capacity == 0 || len > capacity {
         return None;
     }
-    let mut counters = Vec::with_capacity(len);
+    let mut counters = Vec::with_capacity(r.capacity_for(len));
     for _ in 0..len {
         counters.push((r.u64()?, r.f64()?));
     }
@@ -116,7 +116,7 @@ pub fn read_matrix(r: &mut WireReader<'_>) -> Option<Matrix> {
     if n > MAX_SEQ {
         return None;
     }
-    let mut data = Vec::with_capacity(n);
+    let mut data = Vec::with_capacity(r.capacity_for(n));
     for _ in 0..n {
         data.push(read_finite(r)?);
     }
@@ -173,7 +173,7 @@ pub fn put_row(out: &mut Vec<u8>, row: &[f64]) {
 /// Inverse of [`put_row`]; `None` on a non-finite entry.
 pub fn read_row(r: &mut WireReader<'_>) -> Option<Row> {
     let n = read_len(r)?;
-    let mut row = Vec::with_capacity(n);
+    let mut row = Vec::with_capacity(r.capacity_for(n));
     for _ in 0..n {
         row.push(read_finite(r)?);
     }
@@ -497,7 +497,7 @@ impl<S: SummaryCodec> WireCodec for SwMsg<S> {
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         let latest = r.u64()?;
         let n = read_len(r)?;
-        let mut buckets = Vec::with_capacity(n);
+        let mut buckets = Vec::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             let oldest = r.u64()?;
             let newest = r.u64()?;

@@ -31,11 +31,22 @@
 //!   [`FrequentDirections::rank_k_sketch`] and
 //!   [`FrequentDirections::top_directions`] decompose through the same
 //!   route.
+//! * The argument behind `Δ ≤ 2‖A‖²_F/ℓ` — each shrink's `δ` comes off at
+//!   least `⌈ℓ/2⌉` squared singular values — does not care how tall the
+//!   buffer was. So a holder that never ships its sketch may shrink
+//!   less often: [`FrequentDirections::merge_deferred`] lets rows stack
+//!   up to `2ℓ` (the double-buffered FD), [`FrequentDirections::stack`]
+//!   stacks without bound for a one-shot fold, and
+//!   [`FrequentDirections::settle`] brings either back under `ℓ` rows
+//!   with one shrink.
 
 use cma_linalg::svd::gram_svd_blocked;
 use cma_linalg::{FdShrink, KernelPath, Matrix};
+use std::borrow::Cow;
 
-/// Frequent Directions sketch with at most `ℓ` buffered rows.
+/// Frequent Directions sketch with at most `ℓ` buffered rows (fewer
+/// than `2ℓ` under [`FrequentDirections::merge_deferred`], any number
+/// under [`FrequentDirections::stack`] until the next settle).
 #[derive(Debug, Clone)]
 pub struct FrequentDirections {
     d: usize,
@@ -151,7 +162,8 @@ impl FrequentDirections {
         2.0 * self.frob_sq / self.ell as f64
     }
 
-    /// The current sketch matrix `B` (`≤ ℓ` rows, `d` columns).
+    /// The current sketch matrix `B` (`< ℓ` rows when settled, `d`
+    /// columns).
     pub fn sketch(&self) -> &Matrix {
         &self.buf
     }
@@ -176,27 +188,46 @@ impl FrequentDirections {
         );
         self.frob_sq += finite_norm_sq(row);
         self.buf.push_row(row);
-        if self.buf.rows() >= self.ell {
-            self.shrink(self.ell.div_ceil(2) - 1);
-        }
+        self.settle();
     }
 
-    /// The textbook shrink, leaving at most `keep` rows: rotates into the
-    /// singular basis and subtracts `δ = σ²_{keep}` (0-indexed) from every
-    /// squared singular value.
-    fn shrink(&mut self, keep: usize) {
-        let svd = gram_svd_blocked(&self.buf).expect("FrequentDirections: eigensolver diverged");
-        let r = svd.sigma.len();
-        if r <= keep {
-            // Fewer directions than the cut point — just re-express
-            // compactly (no error introduced).
-            self.buf = svd.sigma_vt();
-            self.compact();
+    /// The textbook shrink to `⌈ℓ/2⌉ − 1` rows, in place.
+    fn shrink(&mut self) {
+        let rows = std::mem::replace(&mut self.buf, Matrix::with_cols(self.d));
+        self.shrink_from(&rows);
+    }
+
+    /// Replaces the buffer with the textbook shrink of `rows`: rotated
+    /// into their singular basis with `δ = σ²_{keep}` (0-indexed,
+    /// `keep = ⌈ℓ/2⌉ − 1`) subtracted from every squared singular value,
+    /// `δ` charged to the loss. With no more than `keep` directions the
+    /// rows are only re-expressed compactly, at no loss.
+    fn shrink_from(&mut self, rows: &Matrix) {
+        let keep = self.ell.div_ceil(2) - 1;
+        let svd = gram_svd_blocked(rows).expect("FrequentDirections: eigensolver diverged");
+        let mut out = Matrix::with_cols(self.d);
+        if svd.sigma.len() <= keep {
+            for row in svd.sigma_vt().iter_rows() {
+                if row.iter().any(|&v| v != 0.0) {
+                    out.push_row(row);
+                }
+            }
+            self.buf = out;
             return;
         }
         let delta = svd.sigma[keep] * svd.sigma[keep];
+        // Δ ≤ 2‖A‖²_F/ℓ however many rows the buffer held: a sketch built
+        // from rows keeps ‖B‖²_F + ⌈ℓ/2⌉·Δ ≤ ‖A‖²_F (a decoded one need
+        // not), and δ comes off at least ⌈ℓ/2⌉ squared singular values.
+        debug_assert!(
+            rows.frob_norm_sq() + (keep + 1) as f64 * self.shrink_loss
+                > self.frob_sq * (1.0 + 1e-9)
+                || self.shrink_loss + delta <= self.error_bound() + 1e-9 * self.frob_sq,
+            "FrequentDirections: Δ = {} exceeds 2‖A‖²_F/ℓ = {}",
+            self.shrink_loss + delta,
+            self.error_bound()
+        );
         self.shrink_loss += delta;
-        let mut out = Matrix::with_cols(self.d);
         for i in 0..keep {
             let s2 = svd.sigma[i] * svd.sigma[i] - delta;
             if s2 <= 0.0 {
@@ -212,17 +243,6 @@ impl FrequentDirections {
         self.buf = out;
     }
 
-    /// Drops all-zero rows after a lossless re-expression.
-    fn compact(&mut self) {
-        let mut out = Matrix::with_cols(self.d);
-        for row in self.buf.iter_rows() {
-            if row.iter().any(|&v| v != 0.0) {
-                out.push_row(row);
-            }
-        }
-        self.buf = out;
-    }
-
     /// Merges another sketch of the same shape into this one: stacks the
     /// buffers and, if more than `ℓ − 1` rows survive, performs one shrink
     /// to `⌈ℓ/2⌉ − 1` rows. The combined sketch keeps the FD guarantee
@@ -231,6 +251,34 @@ impl FrequentDirections {
     /// # Panics
     /// Panics if dimensions or `ℓ` differ.
     pub fn merge(&mut self, other: &FrequentDirections) {
+        self.stack(other);
+        self.settle();
+    }
+
+    /// [`FrequentDirections::merge`] for a holder that never ships the
+    /// result: rows stack up to `2ℓ` before one shrink to `⌈ℓ/2⌉ − 1`
+    /// rows (the double-buffered FD), so a run of merges pays a fraction
+    /// of the eigensolves. The guarantee is the same, by the same
+    /// argument — a shrink charges its `δ` against `⌈ℓ/2⌉` squared
+    /// singular values whatever the buffer's height — but the sketch may
+    /// hold up to `2ℓ − 1` rows until [`FrequentDirections::settle`].
+    ///
+    /// # Panics
+    /// As [`FrequentDirections::merge`].
+    pub fn merge_deferred(&mut self, other: &FrequentDirections) {
+        self.stack(other);
+        if self.buf.rows() >= 2 * self.ell {
+            self.shrink();
+        }
+    }
+
+    /// Stacks another sketch's rows and error scalars with no shrink at
+    /// all: the accumulator of a one-shot fold over many sketches, which
+    /// one [`FrequentDirections::settle`] then brings back to size.
+    ///
+    /// # Panics
+    /// Panics if dimensions or `ℓ` differ.
+    pub fn stack(&mut self, other: &FrequentDirections) {
         assert_eq!(
             self.d, other.d,
             "FrequentDirections::merge: dimension mismatch"
@@ -242,9 +290,44 @@ impl FrequentDirections {
         self.buf.stack(&other.buf);
         self.frob_sq += other.frob_sq;
         self.shrink_loss += other.shrink_loss;
-        if self.buf.rows() >= self.ell {
-            self.shrink(self.ell.div_ceil(2) - 1);
+    }
+
+    /// `true` when the sketch holds fewer than `ℓ` rows — the shape
+    /// [`FrequentDirections::update`] and [`FrequentDirections::merge`]
+    /// leave, and the only one [`FrequentDirections::from_parts`] (and
+    /// so the wire decoder) accepts.
+    pub fn is_settled(&self) -> bool {
+        self.buf.rows() < self.ell
+    }
+
+    /// Brings a sketch grown by [`FrequentDirections::merge_deferred`]
+    /// or [`FrequentDirections::stack`] back to fewer than `ℓ` rows with
+    /// one shrink (none when it is already settled).
+    ///
+    /// # Panics
+    /// Panics (never observed) if the eigensolver fails to converge.
+    pub fn settle(&mut self) {
+        if !self.is_settled() {
+            self.shrink();
         }
+    }
+
+    /// [`FrequentDirections::settle`] as a value, leaving this sketch as
+    /// it is: borrowed when already settled, otherwise shrunk straight
+    /// from this sketch's rows (bit-identical to settling in place).
+    ///
+    /// # Panics
+    /// Panics (never observed) if the eigensolver fails to converge.
+    pub fn settled(&self) -> Cow<'_, FrequentDirections> {
+        if self.is_settled() {
+            return Cow::Borrowed(self);
+        }
+        let mut out = FrequentDirections {
+            buf: Matrix::with_cols(self.d),
+            ..*self
+        };
+        out.shrink_from(&self.buf);
+        Cow::Owned(out)
     }
 
     /// Merges a *flushed sketch* — a stack of rows already summarising
@@ -270,9 +353,7 @@ impl FrequentDirections {
             self.frob_sq += finite_norm_sq(row);
             self.buf.push_row(row);
         }
-        if self.buf.rows() >= self.ell {
-            self.shrink(self.ell.div_ceil(2) - 1);
-        }
+        self.settle();
     }
 
     /// Extracts the current sketch and resets the state (keeping `d`, `ℓ`).
@@ -495,6 +576,44 @@ mod tests {
         }
         assert!(merged.sketch().rows() <= 10);
         assert_fd_guarantee(&a, &merged);
+    }
+
+    #[test]
+    fn deferred_merges_and_one_shot_stack_keep_guarantee() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let a = random::gaussian(&mut rng, 600, 12);
+        let ell = 6;
+        let mut parts: Vec<FrequentDirections> =
+            (0..20).map(|_| FrequentDirections::new(12, ell)).collect();
+        for (i, r) in a.iter_rows().enumerate() {
+            parts[i % 20].update(r);
+        }
+        let mut deferred = parts[0].clone();
+        for p in &parts[1..] {
+            deferred.merge_deferred(p);
+            assert!(deferred.sketch().rows() < 2 * ell);
+        }
+        assert_fd_guarantee(&a, &deferred);
+        // Settling a copy and settling in place agree bit for bit.
+        let copy = deferred.settled().into_owned();
+        deferred.settle();
+        assert!(deferred.is_settled());
+        assert!(matches!(deferred.settled(), Cow::Borrowed(_)));
+        assert_eq!(copy.sketch().as_slice(), deferred.sketch().as_slice());
+        assert_eq!(copy.shrink_loss(), deferred.shrink_loss());
+        assert_fd_guarantee(&a, &deferred);
+
+        let mut stacked = FrequentDirections::new(12, ell);
+        for p in &parts {
+            stacked.stack(p);
+        }
+        assert_eq!(
+            stacked.sketch().rows(),
+            parts.iter().map(|p| p.sketch().rows()).sum()
+        );
+        stacked.settle();
+        assert!(stacked.is_settled());
+        assert_fd_guarantee(&a, &stacked);
     }
 
     #[test]

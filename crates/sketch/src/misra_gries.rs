@@ -66,6 +66,10 @@ impl MgSummary {
     /// from the counters alone (`total_weight` includes decremented
     /// mass; `decrement_total` is the a-posteriori error bound).
     ///
+    /// The map is sized by the counters given, not by `capacity`: a
+    /// decoded capacity may be corrupt, and pre-allocating it could
+    /// abort the process before the decode had a chance to fail.
+    ///
     /// # Panics
     /// Panics if `capacity == 0` or more than `capacity` counters are
     /// given.
@@ -75,15 +79,18 @@ impl MgSummary {
         total_weight: f64,
         decrement_total: f64,
     ) -> Self {
-        let mut s = Self::new(capacity);
-        s.counters.extend(counters);
+        assert!(capacity >= 1, "MgSummary: capacity must be at least 1");
+        let counters: HashMap<Item, f64> = counters.into_iter().collect();
         assert!(
-            s.counters.len() <= capacity,
+            counters.len() <= capacity,
             "MgSummary::from_parts: more counters than capacity"
         );
-        s.total_weight = total_weight;
-        s.decrement_total = decrement_total;
-        s
+        MgSummary {
+            capacity,
+            counters,
+            total_weight,
+            decrement_total,
+        }
     }
 
     /// Number of counters the summary may hold.

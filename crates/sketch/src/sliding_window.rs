@@ -15,10 +15,15 @@
 //!   expired, and their total mass (`≈ mass/r` thanks to the level
 //!   structure) is the window-boundary error term.
 //!
-//! Querying merges all live buckets. The error against the true window
-//! content has two parts: the summaries' own loss (inherited from the
-//! mergeable summary) and the straddling mass. Two instantiations are
-//! provided:
+//! Querying merges all live buckets in **one shot**
+//! ([`ExpHistogram::fold_live_at`]): every summary is stacked
+//! ([`WindowSummary::stack`]) and the stack is compressed once
+//! ([`WindowSummary::settle`]) — for Frequent Directions one shrink per
+//! query instead of one per bucket. By mergeability the stacked sketch's
+//! loss still telescopes to at most `2·mass/ℓ`. The error against the
+//! true window content has two parts: the summaries' own loss (inherited
+//! from the mergeable summary) and the straddling mass. Two
+//! instantiations are provided:
 //!
 //! * [`SwFd`] — matrix tracking over the last `W` rows (buckets are
 //!   Frequent Directions sketches);
@@ -41,11 +46,30 @@
 //! age ranges from different sites interleave, so more than one bucket
 //! can straddle the boundary, and [`ExpHistogram::straddle_mass`] sums
 //! them all.
+//!
+//! # Deferred merges at the root
+//!
+//! A node that ships its buckets must keep them settled (an FD bucket
+//! under `ℓ` rows), so sites and aggregators merge eagerly
+//! ([`ExpHistogram::insert_buckets`]). The coordinator never ships its
+//! buckets; it ingests with [`ExpHistogram::insert_buckets_deferred`],
+//! which runs the same level compaction — same masses, same
+//! `[oldest, newest]` ranges, so levels, expiry and straddling are
+//! bit-identical — but merges summaries with
+//! [`WindowSummary::merge_deferred`]. For FD that is the double-buffered
+//! sketch: rows stack up to `2ℓ` and only then shrink to `⌈ℓ/2⌉ − 1`
+//! rows (a constant of the sketch, not a knob). Whoever needs the
+//! settled form asks for it: a fold settles its accumulator, an encoder
+//! writes [`WindowSummary::settled`] copies, and [`ExpHistogram::settle`]
+//! settles every bucket in place (before a snapshot, so the live root is
+//! exactly what its encoding restores to). Misra–Gries buckets keep the
+//! trait's eager defaults.
 
 use crate::frequent_directions::FrequentDirections;
 use crate::misra_gries::MgSummary;
 use crate::Item;
 use cma_linalg::Matrix;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// A summary that can absorb another of its kind — the only capability
@@ -82,11 +106,54 @@ pub trait WindowSummary: Clone {
     /// Folds `other` into `self`, preserving the summary's guarantee
     /// with respect to the union of both inputs.
     fn merge_from(&mut self, other: &Self);
+
+    /// [`WindowSummary::merge_from`] for a holder that never ships the
+    /// result (the root of a distributed deployment): the summary may
+    /// grow past its settled size, within a fixed constant, to amortise
+    /// its compression. The default merges eagerly.
+    fn merge_deferred(&mut self, other: &Self) {
+        self.merge_from(other);
+    }
+
+    /// Folds `other` in with no compression at all — the accumulator of
+    /// a one-shot fold, settled once at the end. The default merges
+    /// eagerly.
+    fn stack(&mut self, other: &Self) {
+        self.merge_from(other);
+    }
+
+    /// The summary at its settled size (what [`WindowSummary::merge_from`]
+    /// leaves): borrowed when already there. The default is always
+    /// settled.
+    fn settled(&self) -> Cow<'_, Self> {
+        Cow::Borrowed(self)
+    }
+
+    /// [`WindowSummary::settled`] in place.
+    fn settle(&mut self) {
+        if let Cow::Owned(s) = self.settled() {
+            *self = s;
+        }
+    }
 }
 
+/// Frequent Directions defers by double-buffering: rows stack up to `2ℓ`
+/// before a shrink, and a settled sketch holds fewer than `ℓ`.
 impl WindowSummary for FrequentDirections {
     fn merge_from(&mut self, other: &Self) {
         self.merge(other);
+    }
+
+    fn merge_deferred(&mut self, other: &Self) {
+        FrequentDirections::merge_deferred(self, other);
+    }
+
+    fn stack(&mut self, other: &Self) {
+        FrequentDirections::stack(self, other);
+    }
+
+    fn settled(&self) -> Cow<'_, Self> {
+        FrequentDirections::settled(self)
     }
 }
 
@@ -142,7 +209,11 @@ impl<S: WindowSummary> WinBucket<S> {
     /// Folds `other` into this bucket: summaries merge, masses add, the
     /// covered arrival range becomes the union `[min, max]`.
     pub fn absorb(&mut self, other: &WinBucket<S>) {
-        self.summary.merge_from(&other.summary);
+        self.absorb_with(other, S::merge_from);
+    }
+
+    fn absorb_with(&mut self, other: &WinBucket<S>, merge: fn(&mut S, &S)) {
+        merge(&mut self.summary, &other.summary);
         self.mass += other.mass;
         self.oldest = self.oldest.min(other.oldest);
         self.newest = self.newest.max(other.newest);
@@ -290,9 +361,27 @@ impl<S: WindowSummary> ExpHistogram<S> {
 
     /// Bulk [`ExpHistogram::insert_bucket`]: positions every bucket
     /// first and compacts once — what aggregation nodes use to ingest a
-    /// whole message, since per-bucket compaction would redo the level
-    /// census for each of the `O(r · log W)` buckets a drain carries.
+    /// whole message.
     pub fn insert_buckets(&mut self, buckets: impl IntoIterator<Item = WinBucket<S>>) {
+        self.insert_with(buckets, S::merge_from);
+    }
+
+    /// [`ExpHistogram::insert_buckets`] for a histogram whose buckets are
+    /// never shipped (the root of a distributed deployment): compaction
+    /// merges with [`WindowSummary::merge_deferred`]. Masses and
+    /// `[oldest, newest]` ranges — hence levels, expiry, straddling and
+    /// every bound read from them — are exactly those of the eager
+    /// histogram; only the summaries inside may sit unsettled until
+    /// [`ExpHistogram::settle`] or a fold.
+    pub fn insert_buckets_deferred(&mut self, buckets: impl IntoIterator<Item = WinBucket<S>>) {
+        self.insert_with(buckets, S::merge_deferred);
+    }
+
+    fn insert_with(
+        &mut self,
+        buckets: impl IntoIterator<Item = WinBucket<S>>,
+        merge: fn(&mut S, &S),
+    ) {
         let h = self.horizon();
         for b in buckets {
             if b.newest < h {
@@ -301,7 +390,16 @@ impl<S: WindowSummary> ExpHistogram<S> {
             let pos = self.buckets.partition_point(|x| x.newest <= b.newest);
             self.buckets.insert(pos, b);
         }
-        self.compact();
+        self.compact(merge);
+    }
+
+    /// Brings every bucket's summary to its settled size
+    /// ([`WindowSummary::settle`]) — after deferred insertion, the state
+    /// an eager histogram's encoding would carry.
+    pub fn settle(&mut self) {
+        for b in &mut self.buckets {
+            b.summary.settle();
+        }
     }
 
     /// Removes and returns every live bucket (the clock is kept) — how a
@@ -325,20 +423,19 @@ impl<S: WindowSummary> ExpHistogram<S> {
     /// most `per_level` buckets. Levels are visited lowest-first
     /// (deterministically — a `BTreeMap`, not a `HashMap`, so two
     /// deployments compact identically and the topology-parity suites
-    /// can compare executions message for message).
-    fn compact(&mut self) {
-        loop {
-            let mut counts: BTreeMap<i32, usize> = BTreeMap::new();
-            for b in &self.buckets {
-                *counts.entry(b.level()).or_insert(0) += 1;
-            }
-            let Some(lvl) = counts
-                .into_iter()
-                .find(|&(_, c)| c > self.per_level)
-                .map(|(l, _)| l)
-            else {
-                break;
-            };
+    /// can compare executions message for message). The level census is
+    /// taken once per call and updated per merge: a merge takes two
+    /// buckets off its level and puts one back at the merged mass's.
+    fn compact(&mut self, merge: fn(&mut S, &S)) {
+        let mut census: BTreeMap<i32, usize> = BTreeMap::new();
+        for b in &self.buckets {
+            *census.entry(b.level()).or_insert(0) += 1;
+        }
+        while let Some(lvl) = census
+            .iter()
+            .find(|&(_, &c)| c > self.per_level)
+            .map(|(&l, _)| l)
+        {
             // The two oldest buckets of the overfull level (the vec is
             // age-ordered by `newest`).
             let mut idx = self
@@ -351,30 +448,36 @@ impl<S: WindowSummary> ExpHistogram<S> {
             let j = idx.next().expect("overfull level has a pair");
             let newer = self.buckets.remove(j);
             let mut older = self.buckets.remove(i);
-            older.absorb(&newer);
-            // Re-insert at the merged bucket's age position: its level
-            // may have grown and its `newest` is the max of the pair, so
-            // both the level census and the ordering must be redone.
+            older.absorb_with(&newer, merge);
+            *census.get_mut(&lvl).expect("census holds the level") -= 2;
+            *census.entry(older.level()).or_insert(0) += 1;
+            // Re-insert at the merged bucket's age position: its `newest`
+            // is the max of the pair.
             let pos = self.buckets.partition_point(|x| x.newest <= older.newest);
             self.buckets.insert(pos, older);
         }
     }
 
-    /// Merges all live buckets into `acc` (oldest first).
+    /// Merges all live buckets into `acc` (oldest first) in one shot:
+    /// every summary is [stacked](WindowSummary::stack), then `acc` is
+    /// settled once.
     pub fn fold_into(&self, acc: &mut S) {
-        for b in &self.buckets {
-            acc.merge_from(&b.summary);
-        }
+        self.fold(0, acc);
     }
 
     /// Merges the buckets live for a query at clock `t_now` into `acc`
-    /// (oldest first), skipping buckets that are fully expired at
-    /// `t_now` even if this histogram's own clock has not caught up.
+    /// (oldest first, one shot as [`ExpHistogram::fold_into`]), skipping
+    /// buckets that are fully expired at `t_now` even if this
+    /// histogram's own clock has not caught up.
     pub fn fold_live_at(&self, t_now: u64, acc: &mut S) {
-        let h = t_now.saturating_sub(self.window);
-        for b in self.buckets.iter().filter(|b| b.newest >= h) {
-            acc.merge_from(&b.summary);
+        self.fold(t_now.saturating_sub(self.window), acc);
+    }
+
+    fn fold(&self, horizon: u64, acc: &mut S) {
+        for b in self.buckets.iter().filter(|b| b.newest >= horizon) {
+            acc.stack(&b.summary);
         }
+        acc.settle();
     }
 }
 
@@ -818,6 +921,60 @@ mod tests {
         let mut live = Count(0.0);
         c.fold_live_at(c.now(), &mut live);
         assert_eq!(live.0, total.0);
+    }
+
+    /// Deferred insertion moves only *when* summaries shrink: every
+    /// bucket's mass and `[oldest, newest]` range — so levels, expiry and
+    /// straddling — match the eager histogram's exactly, and the one-shot
+    /// fold of either keeps the window bound.
+    #[test]
+    fn deferred_insertion_keeps_eager_bookkeeping() {
+        let (d, ell, window) = (10, 4, 200usize);
+        let rows = random_rows(1_000, d, 11);
+        let mut eager: ExpHistogram<FrequentDirections> = ExpHistogram::new(window as u64, 2);
+        let mut deferred = eager.clone();
+        for (c, chunk) in rows.chunks(5).enumerate() {
+            let buckets: Vec<WinBucket<FrequentDirections>> = chunk
+                .iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    let mut fd = FrequentDirections::new(d, ell);
+                    fd.update(r);
+                    WinBucket::singleton((5 * c + i) as u64, fd, r.iter().map(|v| v * v).sum())
+                })
+                .collect();
+            let now = (5 * (c + 1)) as u64;
+            eager.advance(now);
+            eager.insert_buckets(buckets.clone());
+            deferred.advance(now);
+            deferred.insert_buckets_deferred(buckets);
+            let shape = |h: &ExpHistogram<FrequentDirections>| -> Vec<(f64, u64, u64)> {
+                h.buckets()
+                    .iter()
+                    .map(|b| (b.mass, b.oldest, b.newest))
+                    .collect()
+            };
+            assert_eq!(shape(&eager), shape(&deferred), "bookkeeping diverged");
+        }
+        assert!(
+            deferred.buckets().iter().any(|b| !b.summary.is_settled()),
+            "nothing deferred: the case tests nothing"
+        );
+        let a = window_matrix(&rows, rows.len(), window, d);
+        let bound = 2.0 * eager.mass() / ell as f64 + eager.straddle_mass() + 1e-9;
+        let mut rng = StdRng::seed_from_u64(12);
+        for h in [&eager, &deferred] {
+            let mut acc = FrequentDirections::new(d, ell);
+            h.fold_into(&mut acc);
+            assert!(acc.is_settled());
+            for _ in 0..10 {
+                let x = random::unit_vector(&mut rng, d);
+                let diff = (a.apply_norm_sq(&x) - acc.query(&x)).abs();
+                assert!(diff <= bound, "diff {diff} > bound {bound}");
+            }
+        }
+        deferred.settle();
+        assert!(deferred.buckets().iter().all(|b| b.summary.is_settled()));
     }
 
     /// A bucket whose newest index is already outside the receiver's

@@ -260,7 +260,7 @@ where
     fn decode(r: &mut crate::wire::WireReader<'_>) -> Option<Self> {
         let filter = F::decode(r)?;
         let n = r.usize()?;
-        let mut pending = Vec::with_capacity(n);
+        let mut pending = Vec::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             let origin = r.usize()?;
             pending.push((origin, F::UpMsg::decode(r)?));

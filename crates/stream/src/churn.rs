@@ -136,6 +136,14 @@ pub trait ChurnCoordinator: Coordinator + ChurnBudget {
     /// the deployment default. `None` before the first broadcast-worthy
     /// state exists.
     fn current_broadcast(&self) -> Option<Self::Broadcast>;
+
+    /// Brings the live state to the form its [`crate::WireCodec`]
+    /// encoding restores to, just before a snapshot captures it — for a
+    /// coordinator whose encoding normalises state it holds in a cheaper
+    /// unsettled form. Without this a crash at the snapshot boundary
+    /// would resume from a different (equally certified) state than the
+    /// crash-free run. The default does nothing.
+    fn settle_for_snapshot(&mut self) {}
 }
 
 /// One membership event at a churn boundary.

@@ -544,7 +544,8 @@ where
 
         // (2) Snapshot: flush the interior fully into the root first so
         // snapshot + WAL suffix is exact (nothing in flight below the
-        // root at capture time), then capture and arm the WAL.
+        // root at capture time), settle the root so it is exactly what
+        // the snapshot restores to, then capture and arm the WAL.
         if churn_cfg.snapshot_at == Some(boundary) {
             let mut drained: Vec<(SiteId, S::UpMsg)> = Vec::new();
             for a in &mut aggs {
@@ -564,6 +565,7 @@ where
                     }
                 }
             }
+            wal.inner.settle_for_snapshot();
             let snap = Snapshot::capture(&wal.inner, &aggs);
             report.snapshot_bytes = Some(snap.len() as u64);
             sidecar = Some((snap.clone(), current_topology, cur_mem));

@@ -54,7 +54,7 @@ impl Snapshot {
         }
         let n = r.usize()?;
         let coordinator = C::decode(&mut r)?;
-        let mut aggs = Vec::with_capacity(n);
+        let mut aggs = Vec::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             aggs.push(A::decode(&mut r)?);
         }

@@ -82,6 +82,15 @@ impl<'a> WireReader<'a> {
         self.buf.len() - self.pos.min(self.buf.len())
     }
 
+    /// A safe pre-allocation for `n` decoded elements: `n` capped by the
+    /// bytes left. Every element of this crate's and `cma-core`'s codecs
+    /// takes at least one byte, so a larger count is corrupt and fails
+    /// the decode once the bytes run out — the cap keeps it from
+    /// aborting the process on an allocation first.
+    pub fn capacity_for(&self, n: usize) -> usize {
+        n.min(self.remaining())
+    }
+
     /// Reads one byte (codecs use this for discriminant tags).
     pub fn u8(&mut self) -> Option<u8> {
         let b = *self.buf.get(self.pos)?;

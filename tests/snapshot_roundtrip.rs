@@ -553,6 +553,134 @@ fn crash_at_snapshot_boundary_is_invisible() {
     }
 }
 
+/// The windowed-FD root stacks bucket rows up to `2ℓ` and its encoding
+/// writes every bucket settled (fewer than `ℓ` rows), so the snapshot
+/// equals the live root only because the driver settles the live root
+/// just before capture. The cell above runs `d = 5 < ℓ = 20`, where a
+/// settle merely re-expresses a bucket in at most five rows and neither
+/// side of the crash ever shrinks at a different point; here `d > ℓ`, a
+/// settle is a lossy shrink, and a crash-free run that kept its
+/// unsettled buckets would drift from the recovered one. The window
+/// spans the whole stream, so the buckets held at capture are still
+/// live (and compared) at the end.
+#[test]
+fn swfd_crash_at_snapshot_boundary_is_invisible_with_d_above_ell() {
+    let m = 16;
+    let dim = 24;
+    let rows = matrix_stream(m * PER_SLOT, dim, 12_002);
+    let inputs = partition(&stamp(&rows), m);
+    let cfg = SwFdConfig::new(m, 0.15, 4_096, dim, 8);
+    let run = |ccfg: &ChurnConfig| {
+        let (sites, coord, _) = fd::deploy(&cfg).into_parts();
+        run_churn(
+            sites,
+            coord,
+            inputs.clone(),
+            &tcfg(),
+            Executor::Inline,
+            Topology::Star,
+            |t| fd::make_aggregator(&cfg, t),
+            ccfg,
+            &ChannelTransport,
+        )
+    };
+    assert_invisible(
+        run(&snap_only_cfg(Some(2))),
+        run(&snap_only_cfg(None)),
+        true,
+        "sw-fd d > ℓ star mid-run",
+    );
+}
+
+/// Overwrites the eight bytes at every offset of a captured root complex
+/// with a huge count and restores: every decoder must return — `Some`
+/// or `None` — rather than abort the process on a pre-allocation sized
+/// by the corrupted count. 2³² is the largest sequence length the
+/// message codecs accept; 2⁴⁰ passes only unchecked counts.
+fn assert_huge_counts_fail_closed<C: WireCodec, A: WireCodec>(coordinator: &C, aggregators: &[A]) {
+    let bytes = Snapshot::capture(coordinator, aggregators)
+        .as_bytes()
+        .to_vec();
+    for huge in [1u64 << 32, 1u64 << 40] {
+        for at in 0..=bytes.len() - 8 {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&huge.to_le_bytes());
+            let _ = Snapshot::from_bytes(bad).restore::<C, A>();
+        }
+    }
+}
+
+macro_rules! sweep_counts {
+    ($($proto:ident)::+, $cfg:expr, $inputs:expr) => {{
+        let cfg = $cfg;
+        let topo = Topology::Tree { fanout: 2 };
+        let (sites, coord, _) = $($proto)::+::deploy_topology(&cfg, topo).into_parts();
+        let parts = engine::run_partitioned_topology_parts(
+            sites,
+            coord,
+            $inputs.clone(),
+            &tcfg(),
+            Executor::Inline,
+            topo,
+            $($proto)::+::make_aggregator(&cfg, topo),
+        );
+        assert_huge_counts_fail_closed(&parts.coordinator, &parts.aggregators);
+    }};
+}
+
+/// A corrupted count in a snapshot is a decode failure, not an abort:
+/// first the case that used to die allocating 2⁴⁰ buckets (the windowed
+/// FD root's bucket count), then a huge count at every offset of all
+/// twelve root complexes.
+#[test]
+fn corrupted_counts_fail_to_decode() {
+    let m = 4;
+    let dim = 4;
+    let rows = matrix_stream(m * 32, dim, 5);
+    let winputs = partition(&stamp(&rows), m);
+    let fcfg = SwFdConfig::new(m, 0.15, 64, dim, 8);
+    let (sites, coord, _) = fd::deploy(&fcfg).into_parts();
+    let parts = engine::run_partitioned_topology_parts(
+        sites,
+        coord,
+        winputs.clone(),
+        &tcfg(),
+        Executor::Inline,
+        Topology::Star,
+        fd::make_aggregator(&fcfg, Topology::Star),
+    );
+    let mut bytes = Snapshot::capture(&parts.coordinator, &parts.aggregators)
+        .as_bytes()
+        .to_vec();
+    // Header (16) + kind (d, ℓ: 16) + window, per_level, clock (24).
+    bytes[56..64].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    assert!(Snapshot::from_bytes(bytes)
+        .restore::<fd::SwFdCoordinator, fd::SwFdAggregator>()
+        .is_none());
+
+    let stream = zipf_stream(m * 32, 5);
+    let inputs = partition(&stream, m);
+    let cfg = HhConfig::new(m, 0.2).with_seed(3);
+    sweep_counts!(hh::p1, cfg.clone(), inputs);
+    sweep_counts!(hh::p2, cfg.clone(), inputs);
+    sweep_counts!(hh::p3, cfg.clone().with_sample_size(16), inputs);
+    sweep_counts!(hh::p3wr, cfg.clone().with_sample_size(16), inputs);
+    sweep_counts!(hh::p4, cfg, inputs);
+    let minputs = partition(&rows, m);
+    let mcfg = MatrixConfig::new(m, 0.25, dim).with_seed(3);
+    sweep_counts!(matrix::p1, mcfg.clone(), minputs);
+    sweep_counts!(matrix::p2, mcfg.clone(), minputs);
+    sweep_counts!(matrix::p3, mcfg.clone().with_sample_size(16), minputs);
+    sweep_counts!(matrix::p3wr, mcfg.clone().with_sample_size(16), minputs);
+    sweep_counts!(matrix::p4, mcfg, minputs);
+    sweep_counts!(
+        mg,
+        SwMgConfig::new(m, 0.1, 64, 8),
+        partition(&stamp(&stream), m)
+    );
+    sweep_counts!(fd, fcfg, winputs);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -14,11 +14,18 @@
 //!    the straddling mass alone, undercount by summary loss plus the
 //!    withheld budget (re-split across the `m + I` withholding nodes),
 //!    at a mid-stream query point and at the end of the stream.
+//! 3. **Deferral at the root is sound** — a generated sweep over
+//!    deployments whose root stacks bucket rows up to `2ℓ` and answers
+//!    with one shrink keeps the same bound against the exact window
+//!    Gram, in the worst direction, with the fold's tracked loss inside
+//!    its a-priori `2·mass/ℓ`.
 
+use cma::linalg::eigen::jacobi_eigen_sym;
 use cma::linalg::{random, Matrix};
 use cma::protocols::window::{fd, mg, SwFdConfig, SwMgConfig};
 use cma::stream::partition::RoundRobin;
 use cma::stream::Topology;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -269,4 +276,76 @@ fn swmg_distributed_window_forgets_expired_regime() {
     assert!((coord.estimate_at(t_now, 5) - 3.0 * window as f64).abs() <= bound);
     // The coordinator's histogram stays logarithmic, not O(W).
     assert!(coord.bucket_count() <= 96);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The root merges its buckets with deferral (rows stack up to `2ℓ`
+    /// before a shrink) and a query stacks every live bucket and shrinks
+    /// once. Over generated deployments — star or tree, `d` on both sides
+    /// of `ℓ`, rows whose norms span two orders of magnitude — the
+    /// answer keeps the two-sided window bound in the *worst* direction
+    /// (the extreme eigenvalues of `A_WᵀA_W − BᵀB`, not sampled
+    /// directions): undercount ≤ the fold's tracked loss + withheld ≤
+    /// summary loss + withheld, overcount ≤ straddle. The tracked loss
+    /// itself stays inside `2·mass/ℓ`, the telescoping bound the
+    /// certificate states.
+    #[test]
+    fn swfd_deferred_root_keeps_window_bound(
+        seed in 0u64..1_000_000,
+        m in 1usize..9,
+        fanout in 1usize..5,
+        ell in 2usize..13,
+        d in 1usize..17,
+        window in 16usize..320,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows: Vec<Vec<f64>> = (0..3 * window)
+            .map(|_| {
+                let scale = rng.gen_range(0.1..10.0);
+                (0..d).map(|_| scale * random::standard_normal(&mut rng)).collect()
+            })
+            .collect();
+        let stamped = stamp(&rows);
+        let cfg = SwFdConfig::new(m, 0.15, window as u64, d, ell);
+        // Fanout 1 stands for the star.
+        let topology = if fanout == 1 { Topology::Star } else { Topology::Tree { fanout } };
+        let mut runner = fd::deploy_topology(&cfg, topology);
+        let mut partitioner = RoundRobin::new(m);
+        let checkpoints = 6;
+        let step = rows.len().div_ceil(checkpoints);
+        for start in (0..rows.len()).step_by(step) {
+            let t_now = (start + step).min(rows.len());
+            runner.run_partitioned(stamped[start..t_now].iter().cloned(), &mut partitioner, 16);
+            let coord = runner.coordinator();
+            let bound = coord.error_bound_at(t_now as u64);
+            let fold = coord.window_summary_at(t_now as u64);
+            prop_assert!(fold.sketch().rows() < ell, "t={}: fold left unsettled", t_now);
+            let exact = window_matrix(&rows, t_now, window, d).gram();
+            let slack = 1e-9 * (exact.max_abs() + fold.frob_sq_seen()).max(1.0) * d as f64;
+            prop_assert!(
+                fold.shrink_loss() <= bound.summary_loss + slack,
+                "t={}: tracked loss {} > 2·mass/ℓ = {}",
+                t_now, fold.shrink_loss(), bound.summary_loss
+            );
+            let gap = jacobi_eigen_sym(&exact.sub(&fold.sketch().gram())).unwrap().values;
+            let (under, over) = (gap[0], -gap[d - 1]);
+            prop_assert!(
+                under <= fold.shrink_loss() + bound.withheld + slack,
+                "t={}: undercount {} > tracked loss {} + withheld {}",
+                t_now, under, fold.shrink_loss(), bound.withheld
+            );
+            prop_assert!(
+                under <= bound.summary_loss + bound.withheld + slack,
+                "t={}: undercount {} > summary {} + withheld {}",
+                t_now, under, bound.summary_loss, bound.withheld
+            );
+            prop_assert!(
+                over <= bound.straddle + slack,
+                "t={}: overcount {} > straddle {}",
+                t_now, over, bound.straddle
+            );
+        }
+    }
 }
