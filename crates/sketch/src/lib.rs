@@ -18,17 +18,12 @@
 //! * [`PrioritySampler`] — Duffield–Lund–Thorup priority sampling without
 //!   replacement with the Szegedy estimator; the centralized counterpart
 //!   of protocols HH-P3/MT-P3.
-//! * [`CountMin`] — the randomized hash-based baseline the paper
-//!   contrasts MG against in §3; provided for completeness and the
-//!   benchmark suite.
 //! * [`SwMg`] / [`SwFd`] — sliding-window variants (exponential
 //!   histograms over MG / FD blocks) for the paper's stated open
 //!   problem. The underlying [`ExpHistogram`] ships whole mergeable
 //!   buckets ([`WinBucket`]) — the transport unit of the *distributed*
 //!   sliding-window protocols in `cma-core`'s `window` module; see the
 //!   `sliding_window` example.
-//! * [`WeightedReservoir`] — weighted reservoir sampling, a baseline
-//!   for the sampling protocols.
 //! * [`exact`] — exact (hash-map) weighted counters, the ground truth all
 //!   evaluations compare against.
 //!
@@ -62,23 +57,19 @@
 //! assert!(a.estimate(7) >= 1000.0 - err_bound);
 //! ```
 
-pub mod count_min;
 pub mod exact;
 pub mod frequent_directions;
 pub mod misra_gries;
 pub mod ord;
 pub mod priority;
-pub mod reservoir;
 pub mod sliding_window;
 pub mod space_saving;
 
-pub use count_min::CountMin;
 pub use exact::ExactWeightedCounter;
 pub use frequent_directions::FrequentDirections;
 pub use misra_gries::MgSummary;
 pub use ord::OrdF64;
 pub use priority::PrioritySampler;
-pub use reservoir::WeightedReservoir;
 pub use sliding_window::{ExpHistogram, SwFd, SwMg, WinBucket, WindowSummary};
 pub use space_saving::SpaceSaving;
 

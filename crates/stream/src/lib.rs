@@ -31,9 +31,9 @@
 //!   broadcasts arrive with real lag — used to demonstrate that the
 //!   protocols tolerate the asynchrony of an actual deployment, to
 //!   measure deployment-shaped throughput and *real* root fan-in
-//!   relief — or run deterministically on the calling thread
-//!   ([`Executor::Inline`]) as the reference the pool is audited
-//!   against.
+//!   relief — or run synchronously on the calling thread
+//!   ([`Executor::Inline`], the [`Runner`] fed one batch per site per
+//!   round) as the reference the pool is audited against.
 //!   [`Topology::Adaptive`] closes the loop the other way: the
 //!   deployment *measures* fan-in pressure ([`CommStats`]) and picks
 //!   its own fanout within a budget.

@@ -1,38 +1,37 @@
-//! Protocol drivers.
+//! Protocol drivers: one synchronous schedule and one pooled schedule.
 //!
-//! [`Runner`] is the deterministic driver used by all experiments and
-//! tests. It accepts arrivals one at a time ([`Runner::feed`]), in
-//! per-site batches ([`Runner::feed_batch`]) or as a whole partitioned
-//! stream slice ([`Runner::run_partitioned`]); in every mode it routes
-//! the resulting messages to the coordinator and applies broadcasts to
-//! every site *before the emitting site observes its next arrival* — the
-//! synchronous-communication idealisation under which the paper states
-//! its guarantees. Thanks to the pause-on-message contract of
-//! [`Site::observe_batch`], the three feeding modes are observably
-//! identical: same messages, same [`CommStats`], at every batch size.
+//! [`Runner`] is the synchronous schedule, the deterministic driver used
+//! by all experiments and tests. It accepts arrivals one at a time
+//! ([`Runner::feed`]), in per-site batches ([`Runner::feed_batch`]) or
+//! as a whole partitioned stream slice ([`Runner::run_partitioned`]); in
+//! every mode it routes the resulting messages to the coordinator and
+//! applies broadcasts to every site *before the emitting site observes
+//! its next arrival* — the synchronous-communication idealisation under
+//! which the paper states its guarantees. Thanks to the pause-on-message
+//! contract of [`Site::observe_batch`], the three feeding modes are
+//! observably identical: same messages, same [`CommStats`], at every
+//! batch size.
 //!
-//! Since PR 2 the aggregation topology is pluggable: [`Runner::new`]
-//! builds the paper's flat star, while [`Runner::with_topology`] routes
-//! traffic through a k-ary tree of [`Aggregator`] nodes
-//! ([`crate::Topology`]) — upward messages hop leaf → interior →
-//! root with per-hop accounting, and broadcasts fan out down the same
-//! tree. A tree with `fanout ≥ m` is *execution-identical* to the star
-//! (pinned by the `topology_parity` suite).
+//! The aggregation topology is pluggable: [`Runner::new`] builds the
+//! paper's flat star, while [`Runner::with_topology`] routes traffic
+//! through a k-ary tree of [`Aggregator`] nodes ([`crate::Topology`]) —
+//! upward messages hop leaf → interior → root with per-hop accounting,
+//! and broadcasts reach the nodes over the configured
+//! [`BroadcastPlane`]. A tree with `fanout ≥ m` is *execution-identical*
+//! to the star (pinned by the `topology_parity` suite).
 //!
-//! [`engine`] is the concurrent runtime: sites and interior
-//! [`Aggregator`] nodes are tasks with bounded inboxes carrying whole
-//! *batches* of messages, scheduled as level-chunked work onto a
-//! bounded worker pool ([`engine::Executor::Pool`]), so broadcasts
-//! arrive with genuine lag. The protocols remain correct under lag — a
-//! stale (smaller) threshold only makes sites send *sooner* — so this
-//! driver demonstrates deployment behaviour and feeds the throughput
-//! benchmarks. Upward traffic hops leaf → interior → root over bounded
-//! channels, broadcasts cascade back down the same tree, and each task
-//! keeps its own [`CommStats`] which are merged (without
-//! double-counting) when the run drains.
-//! [`engine::Executor::Inline`] runs the identical task plan on the
-//! calling thread, deterministically, for parity and conservation
-//! audits.
+//! [`engine`] runs a deployment from pre-partitioned per-site streams
+//! under either schedule. [`engine::Executor::Inline`] is this `Runner`
+//! around the given plan, aggregators and coordinator, fed one batch per
+//! site per round in id order, over any [`Transport`].
+//! [`engine::Executor::Pool`] is the concurrent schedule: sites and
+//! interior nodes are tasks with bounded inboxes carrying whole
+//! *batches* of messages, scheduled as level-chunked work onto a bounded
+//! worker pool, so broadcasts arrive with genuine lag. The protocols
+//! remain correct under lag — a stale (smaller) threshold only makes
+//! sites send *sooner*. Both schedules take the link every hop and
+//! broadcast crosses from one edge rule (`TopologyPlan::edges`), so a
+//! fault plan means the same thing under either.
 //!
 //! [`churn`] is the segmented driver
 //! ([`churn::run_churn_partitioned_topology_parts_on`]): it runs the
@@ -49,20 +48,17 @@ use crate::comm::{CommStats, MessageCost};
 use crate::coordinator::Coordinator;
 use crate::partition::Partitioner;
 use crate::site::Site;
-use crate::topology::{Topology, TopologyPlan};
-use crate::transport::{FaultLink, Transport};
+use crate::topology::{NodeEdges, Topology, TopologyPlan};
+use crate::transport::{ChannelTransport, FaultLink, Transport};
 use crate::wire::WireSized;
 use crate::SiteId;
 
-/// Upward fault links keyed by `(from, to)` transport node ids; each
-/// value carries the hop level of the receiving side so close-time
-/// releases can resume the climb where the message was in flight.
-type UpLinks<M> = BTreeMap<(usize, usize), (usize, FaultLink<(SiteId, M)>)>;
+/// Upward fault links keyed by `(from, to)` transport node ids.
+type UpLinks<M> = BTreeMap<(usize, usize), FaultLink<(SiteId, M)>>;
 
-/// The aggregation layer shared by the sequential [`Runner`] and the
-/// engine's [`engine::Executor::Inline`] path: the resolved topology,
-/// the interior aggregator nodes and the root coordinator, plus the
-/// routing logic that moves messages between them.
+/// The aggregation layer of the synchronous [`Runner`]: the resolved
+/// topology, the interior aggregator nodes and the root coordinator,
+/// plus the routing logic that moves messages between them.
 ///
 /// The layer is transport-aware: [`AggCore::install_net`] threads every
 /// hop it routes through the [`Transport`]'s per-link [`FaultLink`]s, so
@@ -81,9 +77,13 @@ struct AggCore<A: Aggregator, C> {
     faulty: bool,
     /// Upward fault links; see [`UpLinks`].
     up_links: UpLinks<A::UpMsg>,
-    /// Downward fault links, one per interior node (from its broadcast
-    /// parent); empty on a transparent transport.
-    down_links: Vec<FaultLink<(SiteId, A::UpMsg)>>,
+    /// Downward links indexed by receiving node id, each with the node
+    /// its broadcasts come from ([`TopologyPlan::edges`]); empty unless
+    /// some downward link can fault.
+    down_links: Vec<(Option<usize>, FaultLink<()>)>,
+    /// Scratch: which nodes heard the current broadcast (node-id
+    /// indexed, root last); sized only alongside `down_links`.
+    heard: Vec<bool>,
     /// Scratch buffer for fault filtering (kept for capacity).
     wave_buf: Vec<(SiteId, A::UpMsg)>,
     /// The broadcast plane: how coordinator broadcasts reach the
@@ -99,29 +99,9 @@ where
     A::Broadcast: WireSized,
     C: Coordinator<UpMsg = A::UpMsg, Broadcast = A::Broadcast>,
 {
-    /// Builds the flat star layer (no interior nodes; `A` is never
-    /// instantiated).
-    fn star(m: usize, coordinator: C) -> Self {
-        Self::from_parts(Topology::Star.plan(m), Vec::new(), coordinator)
-    }
-
-    /// Builds the layer for an arbitrary topology, constructing one
-    /// aggregator per interior node via `make_agg`.
-    fn build(
-        m: usize,
-        coordinator: C,
-        topology: Topology,
-        make_agg: &mut dyn FnMut(crate::topology::AggNode) -> A,
-    ) -> Self {
-        let plan = topology.plan(m);
-        let aggs = plan.agg_nodes().map(&mut *make_agg).collect();
-        Self::from_parts(plan, aggs, coordinator)
-    }
-
-    /// Re-assembles the layer around *pre-built* aggregator nodes (in
-    /// [`TopologyPlan::agg_nodes`] order) — the resume path used when a
-    /// re-split migrates interior state into a new plan without
-    /// restarting the deployment.
+    /// Assembles the layer around aggregator nodes built in
+    /// [`TopologyPlan::agg_nodes`] order — fresh, or migrated into a new
+    /// plan by a re-split.
     fn from_parts(plan: TopologyPlan, aggs: Vec<A>, coordinator: C) -> Self {
         assert_eq!(
             aggs.len(),
@@ -137,6 +117,7 @@ where
             faulty: false,
             up_links: BTreeMap::new(),
             down_links: Vec::new(),
+            heard: Vec::new(),
             wave_buf: Vec::new(),
             bcast: BroadcastState::new(BroadcastPlane::default(), m),
         }
@@ -148,52 +129,32 @@ where
         self.bcast = BroadcastState::new(plane, self.plan.sites());
     }
 
-    /// Installs a transport: builds one [`FaultLink`] per edge of the
-    /// plan (upward links for every hop, downward links into every
-    /// interior node). A transparent transport installs nothing and the
-    /// routing fast paths stay untouched.
+    /// Installs a transport: builds one [`FaultLink`] per edge the edge
+    /// rule ([`TopologyPlan::edges`]) names — every node's upward hop
+    /// and the downward link it hears broadcasts on — under the current
+    /// plane, so call it after [`AggCore::set_plane`]. A transparent
+    /// transport installs nothing, and downward links are kept only if
+    /// one of them can fault, so the routing fast paths stay untouched.
     fn install_net(&mut self, net: &dyn Transport) {
         if net.is_transparent() {
             return;
         }
         self.faulty = true;
-        let plan = &self.plan;
-        let m = plan.sites();
-        let root = plan.root_node_id();
-        if plan.is_flat() {
-            for sid in 0..m {
-                self.up_links
-                    .insert((sid, root), (0, FaultLink::new(net.link(sid, root, true))));
-            }
-            return;
+        let plane = self.bcast.plane();
+        let root = self.plan.root_node_id();
+        for node in 0..root {
+            let NodeEdges { up, bc_from, .. } = self.plan.edges(plane, node);
+            self.up_links
+                .insert((node, up), FaultLink::new(net.link(node, up, true)));
+            let down = bc_from.map_or_else(FaultLink::transparent, |from| {
+                FaultLink::new(net.link(from, node, false))
+            });
+            self.down_links.push((bc_from, down));
         }
-        let levels = plan.levels().to_vec();
-        let n_levels = levels.len();
-        let offset = |li: usize| -> usize { levels[..li].iter().sum() };
-        for sid in 0..m {
-            let parent = plan.agg_node_id(plan.parent_of(0, sid).0);
-            self.up_links.insert(
-                (sid, parent),
-                (0, FaultLink::new(net.link(sid, parent, true))),
-            );
-        }
-        for (li, &level_nodes) in levels.iter().enumerate() {
-            for j in 0..level_nodes {
-                let g = offset(li) + j;
-                let from = plan.agg_node_id(g);
-                let (to, level) = if li + 1 < n_levels {
-                    (plan.agg_node_id(plan.parent_of(li + 1, j).0), li + 1)
-                } else {
-                    (root, n_levels)
-                };
-                self.up_links.insert(
-                    (from, to),
-                    (level, FaultLink::new(net.link(from, to, true))),
-                );
-                // The downward link this node hears broadcasts on.
-                self.down_links
-                    .push(FaultLink::new(net.link(to, from, false)));
-            }
+        if self.down_links.iter().all(|(_, l)| l.is_transparent()) {
+            self.down_links.clear();
+        } else {
+            self.heard = vec![false; root + 1];
         }
     }
 
@@ -203,7 +164,7 @@ where
         if !self.faulty {
             return;
         }
-        let Some((_, link)) = self.up_links.get_mut(&(from, to)) else {
+        let Some(link) = self.up_links.get_mut(&(from, to)) else {
             return;
         };
         if link.is_transparent() {
@@ -231,75 +192,65 @@ where
     ) {
         let mut pending = std::mem::take(&mut self.relay);
         pending.push((origin, msg));
-        self.climb(0, origin, origin, pending, stats, bc_out);
+        self.climb(origin, pending, stats, bc_out);
     }
 
-    /// Climbs a wave from hop `level` upward: `from_node` is the
-    /// transport node id of the sending side, `child` the child index
-    /// [`TopologyPlan::parent_of`] expects at that level (the origin
-    /// leaf id for level 0). Each interior node absorbs whatever the
-    /// wire delivers and flushes what it is ready to pass on.
+    /// Climbs a wave upward from transport node `from`, one hop of the
+    /// edge rule at a time: each interior node absorbs whatever the
+    /// wire delivers and flushes what it is ready to pass on, and the
+    /// root hands what reaches it to the coordinator.
     fn climb(
         &mut self,
-        start_level: usize,
-        mut from_node: usize,
-        mut child: usize,
+        mut from: usize,
         mut pending: Vec<(SiteId, A::UpMsg)>,
         stats: &mut CommStats,
         bc_out: &mut Vec<A::Broadcast>,
     ) {
-        if self.plan.is_flat() {
-            let root = self.plan.root_node_id();
-            self.filter_wave(from_node, root, &mut pending);
-            for (sid, m) in pending.drain(..) {
-                stats.record_hop(0, m.cost(), m.wire_bytes());
-                stats.record_recv(self.plan.root_index());
-                stats.record_leaf_send(sid);
-                self.coordinator.receive(sid, m, bc_out);
-            }
-            self.relay = pending;
-            return;
-        }
-        for level in start_level..self.plan.internal_levels() {
-            let (node, local) = self.plan.parent_of(level, child);
-            self.filter_wave(from_node, self.plan.agg_node_id(node), &mut pending);
-            for (from, m) in pending.drain(..) {
-                stats.record_hop(level, m.cost(), m.wire_bytes());
+        let plane = self.bcast.plane();
+        let root = self.plan.root_node_id();
+        loop {
+            let NodeEdges { hop, up, .. } = self.plan.edges(plane, from);
+            self.filter_wave(from, up, &mut pending);
+            // Stats index of the receiver: interior `g`, or the root's.
+            let node = up - self.plan.sites();
+            for (sid, msg) in pending.drain(..) {
+                stats.record_hop(hop, msg.cost(), msg.wire_bytes());
                 stats.record_recv(node);
-                if level == 0 {
-                    stats.record_leaf_send(from);
+                if hop == 0 {
+                    stats.record_leaf_send(sid);
                 }
-                self.aggs[node].absorb(from, m);
+                if up == root {
+                    self.coordinator.receive(sid, msg, bc_out);
+                } else {
+                    self.aggs[node].absorb(sid, msg);
+                }
+            }
+            if up == root {
+                break;
             }
             self.aggs[node].flush(&mut pending);
             if pending.is_empty() {
-                self.relay = pending;
-                return; // the node is holding its partial
+                break; // the node is holding its partial
             }
-            child = local;
-            from_node = self.plan.agg_node_id(node);
-        }
-        let root = self.plan.root_node_id();
-        self.filter_wave(from_node, root, &mut pending);
-        let last_hop = self.plan.internal_levels();
-        for (from, m) in pending.drain(..) {
-            stats.record_hop(last_hop, m.cost(), m.wire_bytes());
-            stats.record_recv(self.plan.root_index());
-            self.coordinator.receive(from, m, bc_out);
+            from = up;
         }
         self.relay = pending;
     }
 
     /// Disseminates one broadcast through the configured
-    /// [`BroadcastPlane`]: every interior node observes it (and is
-    /// charged as a recipient on every plane — interiors are `O(I)`
-    /// relay infrastructure), leaf charging follows the plane (one
-    /// delivery per edge actually crossed), and the returned [`LeafSet`]
-    /// tells the caller which leaves to deliver the payload to. Under a
-    /// faulty transport each interior node's downward link may drop the
-    /// delivery — a dropped broadcast only leaves a *stale, smaller*
-    /// threshold behind, which makes subtrees send sooner, never later,
-    /// so every guarantee survives it.
+    /// [`BroadcastPlane`]: every interior node is charged as a recipient
+    /// on every plane (interiors are `O(I)` relay infrastructure), leaf
+    /// charging follows the plane (one delivery per edge actually
+    /// crossed), and the returned [`LeafSet`] names the leaves the plane
+    /// reached.
+    ///
+    /// Under a faulty transport adoption runs top-down: a node hears the
+    /// broadcast only if its source (the edge rule's `bc_from`) did and
+    /// its own downward link delivered it, so one drop starves the whole
+    /// subtree the link feeds; [`AggCore::leaf_heard`] then names the
+    /// leaves that heard. A dropped broadcast only leaves a *stale,
+    /// smaller* threshold behind, which makes subtrees send sooner,
+    /// never later, so every guarantee survives it.
     fn route_broadcast(
         &mut self,
         bc: &A::Broadcast,
@@ -309,63 +260,64 @@ where
         let set = self
             .bcast
             .disseminate(&self.plan, bc.wire_size(), stats, net);
-        if !self.faulty {
+        if self.down_links.is_empty() {
             for agg in &mut self.aggs {
                 agg.on_broadcast(bc);
             }
             return set;
         }
-        for (g, agg) in self.aggs.iter_mut().enumerate() {
-            let deliver = match self.down_links.get_mut(g) {
-                Some(l) => l.deliver_now(0.0),
+        // A source always has a larger node id than the nodes it feeds,
+        // so one descending sweep settles every node after its source.
+        let heard = &mut self.heard;
+        heard[self.plan.root_node_id()] = true;
+        for (node, (from, link)) in self.down_links.iter_mut().enumerate().rev() {
+            heard[node] = match *from {
+                Some(src) => heard[src] && link.deliver_now(0.0),
                 None => true,
             };
-            if deliver {
+        }
+        let m = self.plan.sites();
+        for (agg, &h) in self.aggs.iter_mut().zip(&heard[m..]) {
+            if h {
                 agg.on_broadcast(bc);
             }
         }
         set
     }
 
+    /// The leaves that heard the last broadcast over their downward
+    /// links, indexed by site id; `None` when no downward link can fault
+    /// and every leaf the plane reached hears it.
+    fn leaf_heard(&self) -> Option<&[bool]> {
+        (!self.down_links.is_empty()).then(|| &self.heard[..self.plan.sites()])
+    }
+
     /// Closes every fault link (end of run): messages still held by the
     /// simulated wire are released and complete their climb — late, but
     /// never silently lost — and per-link fault tallies flush into the
     /// network's [`crate::SimNet::stats`]. Broadcasts triggered by the
-    /// released traffic land in `bc_out`; at this point every leaf has
-    /// finished streaming, so the caller only needs to charge them.
+    /// released traffic land in `bc_out`, for a network that is now
+    /// fault-free.
     fn close_links(&mut self, stats: &mut CommStats, bc_out: &mut Vec<A::Broadcast>) {
         if !self.faulty {
             return;
         }
         // Released messages travel the already-shut-down network's last
-        // flush: they climb fault-free from where they were in flight.
+        // flush: they climb fault-free from the link that held them.
         self.faulty = false;
-        let links = std::mem::take(&mut self.up_links);
-        type Released<M> = Vec<(usize, Vec<(SiteId, M)>)>;
-        let mut released: Released<A::UpMsg> = Vec::new();
-        for (_, (level, mut link)) in links {
+        let mut released = Vec::new();
+        for ((from, _), mut link) in std::mem::take(&mut self.up_links) {
             let mut out = Vec::new();
             link.close(&mut out);
             if !out.is_empty() {
-                released.push((level, out));
+                released.push((from, out));
             }
         }
-        for (level, wave) in released {
-            let sid = wave[0].0;
-            if self.plan.is_flat() || level == 0 {
-                self.climb(0, sid, sid, wave, stats, bc_out);
-            } else {
-                // The sender was the origin leaf's ancestor at the level
-                // below the hop the wave was in flight on.
-                let sender = self.plan.ancestor_of(level - 1, sid);
-                let offset: usize = self.plan.levels()[..level - 1].iter().sum();
-                let child = sender - offset;
-                let from_node = self.plan.agg_node_id(sender);
-                self.climb(level, from_node, child, wave, stats, bc_out);
-            }
+        for (from, wave) in released {
+            self.climb(from, wave, stats, bc_out);
         }
         let mut sink = Vec::new();
-        for mut l in self.down_links.drain(..) {
+        for (_, mut l) in self.down_links.drain(..) {
             l.close(&mut sink);
         }
         // Frames the gossip plane's links still held release now too.
@@ -373,9 +325,9 @@ where
     }
 }
 
-/// Deterministic protocol driver (sequential; batch-first), generic over
-/// the aggregation topology: `A` is the interior-node type, defaulting
-/// to the pass-through [`Relay`] a star never instantiates.
+/// Deterministic protocol driver — the synchronous schedule — generic
+/// over the aggregation topology: `A` is the interior-node type,
+/// defaulting to the pass-through [`Relay`] a star never instantiates.
 pub struct Runner<S, C, A = Relay<<S as Site>::UpMsg, <S as Site>::Broadcast>>
 where
     S: Site,
@@ -402,21 +354,13 @@ where
     S::Broadcast: WireSized,
 {
     /// Creates a flat-star driver over the given sites and coordinator —
-    /// the paper's deployment shape.
+    /// the paper's deployment shape; [`Runner::with_topology`] on
+    /// [`Topology::Star`].
     ///
     /// # Panics
     /// Panics if `sites` is empty.
     pub fn new(sites: Vec<S>, coordinator: C) -> Self {
-        assert!(!sites.is_empty(), "Runner: need at least one site");
-        let m = sites.len();
-        Runner {
-            sites,
-            core: AggCore::star(m, coordinator),
-            stats: CommStats::new(m),
-            up_buf: Vec::new(),
-            bc_buf: Vec::new(),
-            stage: Vec::new(),
-        }
+        Self::with_topology(sites, coordinator, Topology::Star, |_| Relay::new())
     }
 }
 
@@ -439,11 +383,20 @@ where
         sites: Vec<S>,
         coordinator: C,
         topology: Topology,
-        mut make_agg: impl FnMut(crate::topology::AggNode) -> A,
+        make_agg: impl FnMut(crate::topology::AggNode) -> A,
     ) -> Self {
         assert!(!sites.is_empty(), "Runner: need at least one site");
-        let m = sites.len();
-        let core = AggCore::build(m, coordinator, topology, &mut make_agg);
+        let plan = topology.plan(sites.len());
+        let aggs = plan.agg_nodes().map(make_agg).collect();
+        Self::from_parts(sites, coordinator, plan, aggs)
+    }
+
+    /// Assembles a driver around a resolved plan and its interior nodes,
+    /// built in [`TopologyPlan::agg_nodes`] order — fresh, or migrated
+    /// by a re-split. The engine's [`engine::Executor::Inline`] starts
+    /// here.
+    fn from_parts(sites: Vec<S>, coordinator: C, plan: TopologyPlan, aggs: Vec<A>) -> Self {
+        let core = AggCore::from_parts(plan, aggs, coordinator);
         let stats = CommStats::for_plan(&core.plan);
         Runner {
             sites,
@@ -491,7 +444,7 @@ where
         );
         self.stats.arrivals += 1;
         self.sites[site].observe(input, &mut self.up_buf);
-        self.route(site);
+        self.route(site, &ChannelTransport);
     }
 
     /// Delivers a batch of arrivals to `site`.
@@ -514,15 +467,16 @@ where
         );
         let mut delivered = 0u64;
         let inputs = inputs.into_iter().inspect(|_| delivered += 1);
-        self.feed_batch_inner(site, inputs);
+        self.feed_batch_inner(site, inputs, &ChannelTransport);
         self.stats.arrivals += delivered;
     }
 
-    /// [`Runner::feed_batch`] without the bounds check and arrival
-    /// accounting — the hot inner loop shared with
-    /// [`Runner::run_partitioned`], which validates and counts at epoch
-    /// granularity instead of wrapping every item.
-    fn feed_batch_inner<I>(&mut self, site: SiteId, mut inputs: I)
+    /// [`Runner::feed_batch`] over transport `net`, without the bounds
+    /// check and arrival accounting — the hot inner loop shared with
+    /// [`Runner::run_partitioned`] and the engine's
+    /// [`engine::Executor::Inline`] rounds, which validate and count at
+    /// coarser granularity instead of wrapping every item.
+    fn feed_batch_inner<I>(&mut self, site: SiteId, mut inputs: I, net: &dyn Transport)
     where
         I: Iterator<Item = S::Input>,
     {
@@ -532,7 +486,7 @@ where
                 // No message ⇒ (contract) the iterator is exhausted.
                 return;
             }
-            self.route(site);
+            self.route(site, net);
         }
     }
 
@@ -590,42 +544,58 @@ where
                     continue;
                 }
                 std::mem::swap(&mut self.stage[site], &mut scratch);
-                self.feed_batch_inner(site, scratch.drain(..));
+                self.feed_batch_inner(site, scratch.drain(..), &ChannelTransport);
             }
             self.stats.arrivals += n;
         }
     }
 
     /// Routes every pending message from `site` up through the
-    /// aggregation layer, fanning any triggered broadcasts down the tree
-    /// and into all sites.
-    fn route(&mut self, site: SiteId) {
+    /// aggregation layer over `net`; the broadcasts each message
+    /// triggers reach the deployment before the next one climbs.
+    fn route(&mut self, site: SiteId, net: &dyn Transport) {
         while let Some(msg) = pop_front(&mut self.up_buf) {
             self.core
                 .route_up(site, msg, &mut self.stats, &mut self.bc_buf);
-            while let Some(bc) = pop_front(&mut self.bc_buf) {
-                // The sequential driver runs on the perfect in-process
-                // plane; gossip edges are fault-free here (the engine's
-                // inline/pooled drivers compose gossip with SimNet).
-                let set = self.core.route_broadcast(
-                    &bc,
-                    &mut self.stats,
-                    &crate::transport::ChannelTransport,
-                );
-                match set {
-                    LeafSet::All => {
-                        for s in &mut self.sites {
-                            s.on_broadcast(&bc);
-                        }
+            self.deliver_broadcasts(net);
+        }
+    }
+
+    /// Disseminates every pending broadcast over `net` and applies it to
+    /// the nodes that hear it — the one place a broadcast reaches a
+    /// site: the plane's [`LeafSet`], narrowed to the leaves whose
+    /// downward links delivered it when one of those links can fault.
+    fn deliver_broadcasts(&mut self, net: &dyn Transport) {
+        while let Some(bc) = pop_front(&mut self.bc_buf) {
+            let set = self.core.route_broadcast(&bc, &mut self.stats, net);
+            match (set, self.core.leaf_heard()) {
+                (LeafSet::Subset(adopters), _) => {
+                    for sid in adopters {
+                        self.sites[sid].on_broadcast(&bc);
                     }
-                    LeafSet::Subset(adopters) => {
-                        for sid in adopters {
-                            self.sites[sid].on_broadcast(&bc);
+                }
+                (LeafSet::All, None) => {
+                    for s in &mut self.sites {
+                        s.on_broadcast(&bc);
+                    }
+                }
+                (LeafSet::All, Some(heard)) => {
+                    for (s, &h) in self.sites.iter_mut().zip(heard) {
+                        if h {
+                            s.on_broadcast(&bc);
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Ends a run: closes every fault link, and the broadcasts the
+    /// released traffic triggers reach the deployment over the
+    /// shut-down, fault-free network.
+    fn close_links(&mut self) {
+        self.core.close_links(&mut self.stats, &mut self.bc_buf);
+        self.deliver_broadcasts(&ChannelTransport);
     }
 
     /// The coordinator, for continuous queries.

@@ -1,5 +1,5 @@
 //! The segmented driver: measured re-planning, membership churn and
-//! coordinator snapshot/recovery over the pooled execution engine.
+//! coordinator snapshot/recovery over the execution engine.
 //!
 //! The stream is driven through [`engine`] in **segments** of
 //! [`ChurnConfig::segment_len`] arrivals per site; sites, interior

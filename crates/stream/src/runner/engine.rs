@@ -14,11 +14,15 @@
 //!
 //! [`Executor`] names the scheduling policy:
 //!
-//! * [`Executor::Inline`] runs the whole task plan on the calling
-//!   thread, deterministically (sites round-robin in id order, one
-//!   batch per turn, broadcasts applied synchronously). This is the
-//!   reference execution that the conservation audits compare the pool
-//!   against.
+//! * [`Executor::Inline`] is the synchronous schedule: a
+//!   [`crate::Runner`] around the plan, the aggregators and the
+//!   coordinator, fed one batch per site per round in id order on the
+//!   calling thread, every broadcast reaching the nodes that hear it
+//!   before the next observation. Its counts are deterministic, so the
+//!   conservation audits compare the pool against it. (It is not a
+//!   fixed-order walk of the pool's slots: a leaf slot observes a whole
+//!   batch before it drains a broadcast, so such a walk would apply
+//!   broadcasts a batch late.)
 //! * [`Executor::Pool { workers }`](Executor::Pool) runs the task plan
 //!   on `workers` OS threads. Total thread count is `workers + 1` (the
 //!   calling thread plays root coordinator), independent of `m` and of
@@ -71,13 +75,13 @@
 //! parks and wakeups per worker, so the scheduling win is measurable
 //! rather than asserted.
 
-use super::AggCore;
+use super::Runner;
 use crate::aggregator::Aggregator;
 use crate::broadcast::{BroadcastPlane, BroadcastState, LeafSet};
 use crate::comm::{CommStats, MessageCost};
 use crate::coordinator::Coordinator;
 use crate::site::Site;
-use crate::topology::{Topology, TopologyPlan};
+use crate::topology::{NodeEdges, Topology, TopologyPlan};
 use crate::transport::{ChannelTransport, FaultLink, Transport};
 use crate::wire::WireSized;
 use crate::SiteId;
@@ -201,11 +205,12 @@ pub struct TreeRunParts<S, C, A> {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
-    /// Everything on the calling thread, deterministically: sites are
-    /// served round-robin in id order (one batch per turn), messages
-    /// route through the aggregation layer synchronously, and
-    /// broadcasts reach every node before the next observation — the
-    /// same idealisation as [`crate::Runner`].
+    /// The synchronous schedule on the calling thread: a
+    /// [`crate::Runner`] around the given plan, aggregators and
+    /// coordinator, fed one `batch_size` batch per site per round in id
+    /// order. Messages route synchronously and every broadcast reaches
+    /// the nodes that hear it before the next observation — the
+    /// idealisation the paper states its guarantees under.
     Inline,
     /// A bounded pool of `workers` OS threads executing the
     /// level-chunked task plan; the calling thread plays the root.
@@ -237,6 +242,9 @@ const ROOT_POLL: std::time::Duration = std::time::Duration::from_millis(1);
 
 /// One upward wave: origin-tagged messages shipped as a single send.
 type Wave<M> = Vec<(SiteId, M)>;
+
+/// What a pooled slot asks the edge rule with: the run's plan and plane.
+type Wiring<'a> = (&'a TopologyPlan, BroadcastPlane);
 
 /// Scheduling counters for one pool worker (see [`EngineStats`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -367,19 +375,19 @@ impl Waker {
     }
 }
 
-/// Runs pre-partitioned per-site streams through the pooled execution
-/// engine over an arbitrary aggregation topology, returning the
+/// Runs pre-partitioned per-site streams through the execution engine
+/// over an arbitrary aggregation topology, returning the
 /// complete [`TreeRunParts`] — sites, **interior aggregator nodes**
 /// (still holding their sub-threshold partials; both executors return
 /// them, so ragged-shutdown / silent-subtree conservation audits cover
 /// either), the drained coordinator, and the merged [`CommStats`].
 ///
 /// Waves climb leaf → interior → root with per-hop accounting recorded
-/// by the receiving node, broadcasts cascade down through
-/// [`Aggregator::on_broadcast`], shutdown drains bottom-up and never
-/// forces a flush, and the call returns only after the root has drained
-/// every in-flight message. Only the *scheduling* depends on the
-/// [`Executor`].
+/// by the receiving node, broadcasts reach interior nodes through
+/// [`Aggregator::on_broadcast`] over the links the plane names,
+/// shutdown never forces a flush, and the call returns only after the
+/// root has drained every in-flight message. Only the *scheduling*
+/// depends on the [`Executor`].
 ///
 /// # Panics
 /// Panics if `inputs.len() != sites.len()`, if the configured batch
@@ -514,8 +522,33 @@ where
     );
     match executor {
         Executor::Inline => {
-            let core = AggCore::from_parts(plan, aggs, coordinator);
-            run_inline(sites, core, inputs, cfg, net)
+            let mut runner = Runner::from_parts(sites, coordinator, plan, aggs);
+            runner.set_broadcast_plane(cfg.plane);
+            runner.core.install_net(net);
+            let mut feeds: Vec<_> = inputs.into_iter().map(Vec::into_iter).collect();
+            let arrivals: usize = feeds.iter().map(ExactSizeIterator::len).sum();
+            let mut live = true;
+            while live {
+                live = false;
+                for (site, feed) in feeds.iter_mut().enumerate() {
+                    if feed.len() > 0 {
+                        live = true;
+                        let batch = feed.by_ref().take(cfg.batch_size);
+                        runner.feed_batch_inner(site, batch, net);
+                    }
+                }
+            }
+            runner.stats.arrivals += arrivals as u64;
+            // The stream is exhausted: anything the simulated network
+            // still holds in flight is released — late, never lost.
+            runner.close_links();
+            TreeRunParts {
+                sites: runner.sites,
+                aggregators: runner.core.aggs,
+                coordinator: runner.core.coordinator,
+                stats: runner.stats,
+                engine: EngineStats::default(),
+            }
         }
         Executor::Pool { workers } => {
             assert!(workers >= 1, "engine: pool needs at least one worker");
@@ -524,128 +557,16 @@ where
     }
 }
 
-/// The deterministic reference executor: the identical wave/broadcast
-/// contracts, driven synchronously on the calling thread.
-fn run_inline<S, C, A>(
-    mut sites: Vec<S>,
-    mut core: AggCore<A, C>,
-    inputs: Vec<Vec<S::Input>>,
-    cfg: &ThreadedConfig,
-    net: &dyn Transport,
-) -> TreeRunParts<S, C, A>
-where
-    S: Site,
-    S::UpMsg: MessageCost + Clone,
-    S::Broadcast: WireSized,
-    C: Coordinator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>,
-    A: Aggregator<UpMsg = S::UpMsg, Broadcast = S::Broadcast>,
-{
-    let m = sites.len();
-    let total_arrivals: u64 = inputs.iter().map(|v| v.len() as u64).sum();
-    core.set_plane(cfg.plane);
-    core.install_net(net);
-    // The downward links each leaf hears broadcasts on (interior nodes'
-    // down-links live inside the core). Empty under a transparent net,
-    // and under gossip, whose plane faults its own edges during
-    // dissemination.
-    let mut leaf_bc_links: Vec<FaultLink<S::Broadcast>> =
-        if net.is_transparent() || cfg.plane.is_gossip() {
-            Vec::new()
-        } else {
-            (0..m)
-                .map(|sid| {
-                    let parent = if core.plan.internal_levels() == 0 {
-                        core.plan.root_node_id()
-                    } else {
-                        core.plan.agg_node_id(core.plan.parent_of(0, sid).0)
-                    };
-                    FaultLink::new(net.link(parent, sid, false))
-                })
-                .collect()
-        };
-    let mut stats = CommStats::for_plan(&core.plan);
-    let mut its: Vec<std::vec::IntoIter<S::Input>> =
-        inputs.into_iter().map(|v| v.into_iter()).collect();
-    let mut up_buf: Vec<S::UpMsg> = Vec::new();
-    let mut bc_buf: Vec<S::Broadcast> = Vec::new();
+/// The child of `to` that relays `origin`'s messages into it: the edge
+/// rule's upward hops, walked from the origin leaf.
+fn relay_child(plan: &TopologyPlan, plane: BroadcastPlane, origin: SiteId, to: usize) -> usize {
+    let mut from = origin;
     loop {
-        let mut progressed = false;
-        for sid in 0..m {
-            let before = its[sid].len();
-            if before == 0 {
-                continue;
-            }
-            progressed = true;
-            // Exactly one batch per turn (round-robin in id order), with
-            // pause-on-message resumes *within* the batch.
-            let target = cfg.batch_size.min(before);
-            loop {
-                let consumed = before - its[sid].len();
-                if consumed >= target {
-                    break;
-                }
-                {
-                    let mut batch = its[sid].by_ref().take(target - consumed);
-                    sites[sid].observe_batch(&mut batch, &mut up_buf);
-                }
-                if up_buf.is_empty() {
-                    break; // pause-on-message contract: batch exhausted
-                }
-                while let Some(msg) = super::pop_front(&mut up_buf) {
-                    core.route_up(sid, msg, &mut stats, &mut bc_buf);
-                    while let Some(bc) = super::pop_front(&mut bc_buf) {
-                        match core.route_broadcast(&bc, &mut stats, net) {
-                            LeafSet::All => {
-                                for (target_sid, s) in sites.iter_mut().enumerate() {
-                                    let delivered = match leaf_bc_links.get_mut(target_sid) {
-                                        Some(link) => link.deliver_now(0.0),
-                                        None => true,
-                                    };
-                                    if delivered {
-                                        s.on_broadcast(&bc);
-                                    }
-                                }
-                            }
-                            LeafSet::Subset(adopters) => {
-                                for target_sid in adopters {
-                                    sites[target_sid].on_broadcast(&bc);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        let up = plan.edges(plane, from).up;
+        if up == to {
+            return from;
         }
-        if !progressed {
-            break;
-        }
-    }
-    // The stream is exhausted: the simulated network's links close,
-    // releasing anything still held in flight (delayed/reordered past
-    // the final wave) — delivered late, never lost. The post-shutdown
-    // flush is fault-free, leaves included.
-    core.close_links(&mut stats, &mut bc_buf);
-    while let Some(bc) = super::pop_front(&mut bc_buf) {
-        match core.route_broadcast(&bc, &mut stats, &ChannelTransport) {
-            LeafSet::All => {
-                for s in &mut sites {
-                    s.on_broadcast(&bc);
-                }
-            }
-            LeafSet::Subset(adopters) => {
-                for sid in adopters {
-                    sites[sid].on_broadcast(&bc);
-                }
-            }
-        }
-    }
-    stats.arrivals = total_arrivals;
-    TreeRunParts {
-        sites,
-        aggregators: core.aggs,
-        coordinator: core.coordinator,
-        stats,
-        engine: EngineStats::default(),
+        from = up;
     }
 }
 
@@ -682,9 +603,6 @@ struct AggSlot<A: Aggregator> {
     /// Incoming fault links, keyed by the child's transport node id
     /// (empty under a transparent net).
     up_links: BTreeMap<usize, FaultLink<(SiteId, A::UpMsg)>>,
-    /// Origin sid → transport node id of the child that relays its
-    /// messages here (empty under a transparent net).
-    sender_of: Vec<usize>,
     /// The downward link broadcasts arrive on.
     bc_link: FaultLink<A::Broadcast>,
     child_bcs: Vec<mpsc::Sender<A::Broadcast>>,
@@ -792,15 +710,17 @@ where
     /// Absorbs one wave, passing it through the per-child fault links
     /// first (a dropped message is never recorded; a duplicated one is
     /// recorded twice).
-    fn absorb_wave(&mut self, wave: Wave<A::UpMsg>, stats: &mut CommStats) {
+    fn absorb_wave(&mut self, wave: Wave<A::UpMsg>, stats: &mut CommStats, wiring: Wiring) {
         let mut delivered: Wave<A::UpMsg>;
         if self.up_links.is_empty() {
             delivered = wave;
         } else {
             delivered = Vec::with_capacity(wave.len());
+            let (plan, plane) = wiring;
+            let node = plan.agg_node_id(self.g);
             for (from, msg) in wave {
                 let mass = msg.mass();
-                match self.up_links.get_mut(&self.sender_of[from]) {
+                match self.up_links.get_mut(&relay_child(plan, plane, from, node)) {
                     Some(l) => l.receive((from, msg), mass, &mut delivered),
                     None => delivered.push((from, msg)),
                 }
@@ -819,7 +739,7 @@ where
     /// One turn: freshen broadcast state, ship any held wave, absorb
     /// every queued wave (flushing once per wave), retire when the
     /// children have hung up and everything queued has drained.
-    fn quantum(&mut self, stats: &mut CommStats) -> bool {
+    fn quantum(&mut self, stats: &mut CommStats, wiring: Wiring) -> bool {
         if self.done {
             return false;
         }
@@ -841,7 +761,7 @@ where
             match self.up_rx.try_recv() {
                 Ok(wave) => {
                     progress = true;
-                    self.absorb_wave(wave, stats);
+                    self.absorb_wave(wave, stats, wiring);
                     self.agg.flush(&mut self.pending);
                     if !self.pending.is_empty() {
                         let tx = self.up_tx.as_ref().expect("undone slot keeps its sender");
@@ -865,7 +785,7 @@ where
                                 link.close(&mut late);
                             }
                             if !late.is_empty() {
-                                self.absorb_wave(late, stats);
+                                self.absorb_wave(late, stats, wiring);
                                 self.agg.flush(&mut self.pending);
                             }
                         }
@@ -902,7 +822,7 @@ where
     S::UpMsg: MessageCost + Clone,
     S::Broadcast: Clone,
 {
-    fn quantum(&mut self, batch_size: usize) -> bool {
+    fn quantum(&mut self, batch_size: usize, wiring: Wiring) -> bool {
         match self {
             Chunk::Leaves(slots) => {
                 let mut progress = false;
@@ -914,7 +834,7 @@ where
             Chunk::Aggs { slots, stats } => {
                 let mut progress = false;
                 for slot in slots {
-                    progress |= slot.quantum(stats);
+                    progress |= slot.quantum(stats, wiring);
                 }
                 progress
             }
@@ -990,157 +910,91 @@ where
     let levels: Vec<usize> = plan.levels().to_vec();
     let n_levels = levels.len();
     let i_total = plan.internal_nodes();
-    let level_offset = |li: usize| -> usize { levels[..li].iter().sum() };
-
-    // Bounded upward inboxes (one per interior node, one for the root)
-    // and unbounded broadcast channels.
-    let mut agg_up_tx = Vec::with_capacity(i_total);
-    let mut agg_up_rx = Vec::with_capacity(i_total);
-    for _ in 0..i_total {
-        let (tx, rx) = mpsc::sync_channel::<Wave<S::UpMsg>>(cfg.channel_capacity);
-        agg_up_tx.push(tx);
-        agg_up_rx.push(Some(rx));
-    }
-    let (root_tx, root_rx) = mpsc::sync_channel::<Wave<S::UpMsg>>(cfg.channel_capacity);
-
-    let mut agg_bc_tx = Vec::with_capacity(i_total);
-    let mut agg_bc_rx = Vec::with_capacity(i_total);
-    for _ in 0..i_total {
-        let (tx, rx) = mpsc::channel::<S::Broadcast>();
-        agg_bc_tx.push(tx);
-        agg_bc_rx.push(Some(rx));
-    }
-    let mut leaf_bc_tx = Vec::with_capacity(m);
-    let mut leaf_bc_rx = Vec::with_capacity(m);
-    for _ in 0..m {
-        let (tx, rx) = mpsc::channel::<S::Broadcast>();
-        leaf_bc_tx.push(tx);
-        leaf_bc_rx.push(Some(rx));
-    }
-
-    let faulty = !net.is_transparent();
-    // How broadcasts travel (see `crate::broadcast`): cascade forwards
-    // hop by hop, root fan-out serves every node from the root, gossip
-    // routes leaf delivery through the plane's adopter set (with faults
-    // applied in-plane, so the leaf channels here are transparent).
+    let root = plan.root_node_id();
     let plane = cfg.plane;
-    let gossip = plane.is_gossip();
-    let cascade = plane == BroadcastPlane::TreeCascade;
+    let faulty = !net.is_transparent();
+
+    // Bounded upward inboxes, one per aggregation point (interior `g` at
+    // index `g`, the root last), and an unbounded broadcast channel per
+    // non-root node (by transport node id).
+    let (up_tx, mut up_rx): (Vec<_>, Vec<_>) = (0..=i_total)
+        .map(|_| {
+            let (tx, rx) = mpsc::sync_channel::<Wave<S::UpMsg>>(cfg.channel_capacity);
+            (tx, Some(rx))
+        })
+        .unzip();
+    let (bc_tx, mut bc_rx): (Vec<_>, Vec<_>) = (0..root)
+        .map(|_| {
+            let (tx, rx) = mpsc::channel::<S::Broadcast>();
+            (tx, Some(rx))
+        })
+        .unzip();
+
+    // Every link comes from the edge rule. Under a faulty net each
+    // aggregation point owns the incoming fault links of its children,
+    // and each node's broadcast sender is held by the node it hears
+    // broadcasts from. Gossip leaves have no source: the root serves
+    // them the plane's adopter set, with faults applied in-plane.
+    // Interiors come first, so root fan-out serves them before leaves.
+    let edges: Vec<NodeEdges> = (0..root).map(|node| plan.edges(plane, node)).collect();
+    let mut in_links: Vec<BTreeMap<usize, _>> = (0..=i_total).map(|_| BTreeMap::new()).collect();
+    let mut outlets: Vec<Vec<mpsc::Sender<S::Broadcast>>> =
+        (0..=i_total).map(|_| Vec::new()).collect();
+    for node in (m..root).chain(0..m) {
+        let NodeEdges { up, bc_from, .. } = edges[node];
+        if faulty {
+            in_links[up - m].insert(node, FaultLink::new(net.link(node, up, true)));
+        }
+        if let Some(from) = bc_from {
+            outlets[from - m].push(bc_tx[node].clone());
+        }
+    }
+    let bc_link = |node: usize| match edges[node].bc_from {
+        Some(from) => FaultLink::new(net.link(from, node, false)),
+        None => FaultLink::transparent(),
+    };
 
     // Leaf slots, in site order.
     let mut leaf_slots: Vec<LeafSlot<S>> = sites
         .drain(..)
         .zip(inputs)
         .enumerate()
-        .map(|(sid, (site, local))| {
-            let parent_id = if n_levels == 0 || !cascade {
-                plan.root_node_id()
-            } else {
-                plan.agg_node_id(plan.parent_of(0, sid).0)
-            };
-            LeafSlot {
-                sid,
-                site,
-                input: local.into_iter(),
-                bc_rx: leaf_bc_rx[sid].take().expect("leaf bc receiver"),
-                bc_link: if gossip {
-                    FaultLink::transparent()
-                } else {
-                    FaultLink::new(net.link(parent_id, sid, false))
-                },
-                up_tx: Some(if n_levels == 0 {
-                    root_tx.clone()
-                } else {
-                    agg_up_tx[plan.parent_of(0, sid).0].clone()
-                }),
-                pending: Vec::new(),
-                done: false,
-            }
+        .map(|(sid, (site, local))| LeafSlot {
+            sid,
+            site,
+            input: local.into_iter(),
+            bc_rx: bc_rx[sid].take().expect("leaf bc receiver"),
+            bc_link: bc_link(sid),
+            up_tx: Some(up_tx[edges[sid].up - m].clone()),
+            pending: Vec::new(),
+            done: false,
         })
         .collect();
 
     // Interior slots, global (level-major bottom-up) order — the
     // caller-provided `aggs` (built or migrated) arrive in exactly the
     // `agg_nodes` construction order.
-    let mut agg_slots: Vec<AggSlot<A>> = Vec::with_capacity(i_total);
-    let mut aggs = aggs.into_iter();
-    for li in 0..n_levels {
-        let offset = level_offset(li);
-        for j in 0..levels[li] {
-            let g = offset + j;
-            // Broadcast outlets on the cascade. Root fan-out forwards
-            // nothing; gossip cascades among interiors only (leaf
-            // delivery is the plane's job).
-            let child_bcs: Vec<mpsc::Sender<S::Broadcast>> = if li == 0 {
-                if cascade {
-                    (j * fanout..((j + 1) * fanout).min(m))
-                        .map(|c| leaf_bc_tx[c].clone())
-                        .collect()
-                } else {
-                    Vec::new()
-                }
-            } else if cascade || gossip {
-                let lower = level_offset(li - 1);
-                (j * fanout..((j + 1) * fanout).min(levels[li - 1]))
-                    .map(|c| agg_bc_tx[lower + c].clone())
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let node_id = plan.agg_node_id(g);
-            let mut up_links: BTreeMap<usize, FaultLink<(SiteId, S::UpMsg)>> = BTreeMap::new();
-            let sender_of: Vec<usize> = if faulty {
-                if li == 0 {
-                    for c in j * fanout..((j + 1) * fanout).min(m) {
-                        up_links.insert(c, FaultLink::new(net.link(c, node_id, true)));
-                    }
-                    (0..m).collect()
-                } else {
-                    let lower = level_offset(li - 1);
-                    for c in j * fanout..((j + 1) * fanout).min(levels[li - 1]) {
-                        let child = plan.agg_node_id(lower + c);
-                        up_links.insert(child, FaultLink::new(net.link(child, node_id, true)));
-                    }
-                    (0..m)
-                        .map(|sid| plan.agg_node_id(plan.ancestor_of(li - 1, sid)))
-                        .collect()
-                }
-            } else {
-                Vec::new()
-            };
-            let parent_id = if li + 1 < n_levels {
-                plan.agg_node_id(plan.parent_of(li + 1, j).0)
-            } else {
-                plan.root_node_id()
-            };
-            // Broadcast edge into this node: its cascade parent, or the
-            // root directly under root fan-out.
-            let bc_from = if cascade || gossip {
-                parent_id
-            } else {
-                plan.root_node_id()
-            };
-            agg_slots.push(AggSlot {
+    let agg_slots: Vec<AggSlot<A>> = aggs
+        .into_iter()
+        .enumerate()
+        .map(|(g, agg)| {
+            let node = plan.agg_node_id(g);
+            AggSlot {
                 g,
-                level: li,
-                agg: aggs.next().expect("one aggregator per interior node"),
-                up_rx: agg_up_rx[g].take().expect("agg up receiver"),
-                bc_rx: agg_bc_rx[g].take().expect("agg bc receiver"),
-                up_links,
-                sender_of,
-                bc_link: FaultLink::new(net.link(bc_from, node_id, false)),
-                child_bcs,
-                up_tx: Some(if li + 1 < n_levels {
-                    agg_up_tx[plan.parent_of(li + 1, j).0].clone()
-                } else {
-                    root_tx.clone()
-                }),
+                level: edges[node].hop - 1,
+                agg,
+                up_rx: up_rx[g].take().expect("agg up receiver"),
+                bc_rx: bc_rx[node].take().expect("agg bc receiver"),
+                up_links: std::mem::take(&mut in_links[g]),
+                bc_link: bc_link(node),
+                child_bcs: std::mem::take(&mut outlets[g]),
+                up_tx: Some(up_tx[edges[node].up - m].clone()),
                 pending: Vec::new(),
                 closed: false,
                 done: false,
-            });
-        }
-    }
+            }
+        })
+        .collect();
 
     // Level-chunked task plan: leaves first (aligned to fanout so each
     // level-1 parent's child range stays within one chunk — align 1 for
@@ -1165,32 +1019,23 @@ where
     }
     debug_assert!(remaining.is_empty());
 
-    // The root keeps the broadcast senders its plane serves directly:
-    // its cascade children, every node under root fan-out, and (under
-    // gossip) every leaf so adopter sets can be delivered. Dropping
-    // everything else lets disconnection cascade bottom-up — retirement
-    // is driven by input exhaustion and up-channel disconnection, so
-    // keeping broadcast senders alive never stalls shutdown.
-    let structural_txs: Vec<mpsc::Sender<S::Broadcast>> = if n_levels == 0 {
-        if gossip {
-            Vec::new()
-        } else {
-            leaf_bc_tx.clone()
-        }
-    } else if plane == BroadcastPlane::RootFanOut {
-        agg_bc_tx.iter().chain(leaf_bc_tx.iter()).cloned().collect()
-    } else {
-        agg_bc_tx[level_offset(n_levels - 1)..].to_vec()
-    };
-    let gossip_leaf_txs: Vec<mpsc::Sender<S::Broadcast>> = if gossip {
-        leaf_bc_tx.clone()
+    // The root keeps the broadcast senders it serves directly, plus
+    // (under gossip) every leaf's so adopter sets can be delivered.
+    // Dropping everything else lets disconnection cascade bottom-up —
+    // retirement is driven by input exhaustion and up-channel
+    // disconnection, so keeping broadcast senders alive never stalls
+    // shutdown.
+    let root_bcs = std::mem::take(&mut outlets[i_total]);
+    let gossip_bcs: Vec<mpsc::Sender<S::Broadcast>> = if plane.is_gossip() {
+        bc_tx[..m].to_vec()
     } else {
         Vec::new()
     };
-    drop(agg_bc_tx);
-    drop(agg_up_tx);
-    drop(leaf_bc_tx);
-    drop(root_tx);
+    let mut root_links = std::mem::take(&mut in_links[i_total]);
+    let root_rx = up_rx[i_total].take().expect("root inbox");
+    drop(bc_tx);
+    drop(up_tx);
+    let wiring: Wiring = (&plan, plane);
 
     let n_tasks = tasks.len();
     // Per-worker work-stealing deques, chunks dealt round-robin so the
@@ -1259,7 +1104,7 @@ where
                     if let Some(mut chunk) = next {
                         me.tasks += 1;
                         me.steals += stolen as u64;
-                        let progress = chunk.quantum(batch_size);
+                        let progress = chunk.quantum(batch_size, wiring);
                         if chunk.done() {
                             finish(chunk);
                         } else if progress {
@@ -1277,7 +1122,7 @@ where
                     let mut still_held = Vec::with_capacity(held.len());
                     for mut chunk in held.drain(..) {
                         me.tasks += 1;
-                        let progress = chunk.quantum(batch_size);
+                        let progress = chunk.quantum(batch_size, wiring);
                         if chunk.done() {
                             advanced = true;
                             finish(chunk);
@@ -1317,23 +1162,6 @@ where
         let mut stats = CommStats::for_plan(&plan);
         let last_hop = plan.internal_levels();
         let root_idx = plan.root_index();
-        // Incoming fault links for the root's direct children: the
-        // leaves themselves on a flat plan, the top interior level
-        // otherwise. Empty under a transparent net.
-        let root_id = plan.root_node_id();
-        let mut root_links: BTreeMap<usize, FaultLink<(SiteId, S::UpMsg)>> = BTreeMap::new();
-        if faulty {
-            if n_levels == 0 {
-                for sid in 0..m {
-                    root_links.insert(sid, FaultLink::new(net.link(sid, root_id, true)));
-                }
-            } else {
-                for g in level_offset(n_levels - 1)..i_total {
-                    let child = plan.agg_node_id(g);
-                    root_links.insert(child, FaultLink::new(net.link(child, root_id, true)));
-                }
-            }
-        }
         let mut bc_buf: Vec<S::Broadcast> = Vec::new();
         let mut delivered: Wave<S::UpMsg> = Vec::new();
         let mut bcast = BroadcastState::new(plane, m);
@@ -1355,13 +1183,13 @@ where
                     // crossed and reports which leaves to serve;
                     // down-link faults apply at each receiving node.
                     let set = bcast.disseminate(plan_ref, bc.wire_size(), stats, net);
-                    for tx in &structural_txs {
+                    for tx in &root_bcs {
                         let _ = tx.send(bc.clone());
                     }
                     if let LeafSet::Subset(adopters) = set {
                         for sid in adopters {
                             // A leaf may already have retired; fine.
-                            let _ = gossip_leaf_txs[sid].send(bc.clone());
+                            let _ = gossip_bcs[sid].send(bc.clone());
                         }
                     }
                 }
@@ -1380,13 +1208,8 @@ where
             };
             if faulty {
                 for (from, msg) in wave {
-                    let sender = if n_levels == 0 {
-                        from
-                    } else {
-                        plan.agg_node_id(plan.ancestor_of(n_levels - 1, from))
-                    };
                     let mass = msg.mass();
-                    match root_links.get_mut(&sender) {
+                    match root_links.get_mut(&relay_child(&plan, plane, from, root)) {
                         Some(l) => l.receive((from, msg), mass, &mut delivered),
                         None => delivered.push((from, msg)),
                     }
@@ -1720,6 +1543,66 @@ mod tests {
         assert_eq!(inline.stats.up_msgs, pooled.stats.up_msgs);
         assert_eq!(inline.stats.broadcast_events, pooled.stats.broadcast_events);
         assert_eq!(inline.coordinator.sum, pooled.coordinator.sum);
+    }
+
+    /// A broadcast crosses the link the edge rule names, and a node hears
+    /// it only if its source did. On `m = 16`, `Tree{4}` a dropping
+    /// `root → leaf 5` link starves exactly leaf 5 under root fan-out,
+    /// and a dropping `root → interior 1` link starves exactly that
+    /// interior's leaves 4..8 under the cascade — on either executor.
+    #[test]
+    fn dropped_broadcast_link_starves_exactly_the_subtree_it_feeds() {
+        use crate::transport::{FaultPlan, LinkFaults, SimNet};
+        let (m, topo) = (16, Topology::Tree { fanout: 4 });
+        let plan = topo.plan(m);
+        let root = plan.root_node_id();
+        let cells = [
+            (BroadcastPlane::RootFanOut, 5, 5..6),
+            (BroadcastPlane::TreeCascade, plan.agg_node_id(1), 4..8),
+        ];
+        for (plane, to, starved) in cells {
+            for executor in [Executor::Inline, Executor::Pool { workers: 2 }] {
+                let drop_all = LinkFaults {
+                    drop: 1.0,
+                    ..Default::default()
+                };
+                let net = SimNet::new(FaultPlan {
+                    overrides: vec![((root, to), drop_all)],
+                    ..FaultPlan::clean(7)
+                });
+                let sites = (0..m)
+                    .map(|_| EchoSite {
+                        seen: 0,
+                        broadcasts: 0,
+                    })
+                    .collect();
+                let parts = run_partitioned_topology_parts_on(
+                    sites,
+                    CountCoord {
+                        received: 0,
+                        sum: 0,
+                        every: 16,
+                    },
+                    (0..m).map(|_| vec![1; 1_000]).collect(),
+                    &ThreadedConfig {
+                        plane,
+                        ..ThreadedConfig::default()
+                    },
+                    executor,
+                    topo,
+                    |_| EchoRelay::new(),
+                    &net,
+                );
+                for (sid, site) in parts.sites.iter().enumerate() {
+                    let at = format!("{plane:?} {executor:?} leaf {sid}");
+                    if starved.contains(&sid) {
+                        assert_eq!(site.broadcasts, 0, "{at} heard through a dropping link");
+                    } else {
+                        assert!(site.broadcasts > 0, "{at} never heard a broadcast");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! `topology_parity` suite pin tree execution against star execution
 //! message-for-message.
 
+use crate::broadcast::BroadcastPlane;
+
 /// The shape of the aggregation layer between sites and coordinator.
 ///
 /// # Example
@@ -301,6 +303,19 @@ pub struct AggNode {
     pub total_levels: usize,
 }
 
+/// The links one non-root node sits on, as named by
+/// [`TopologyPlan::edges`] (transport node ids throughout).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct NodeEdges {
+    /// Hop index of the upward link (`0` for a leaf's) — the
+    /// [`crate::CommStats::per_level`] slot its traffic is charged to.
+    pub hop: usize,
+    /// The node upward messages cross to: an interior node or the root.
+    pub up: usize,
+    /// The node broadcasts arrive from; `None` for a gossip leaf.
+    pub bc_from: Option<usize>,
+}
+
 /// The resolved aggregation layout for `m` sites: how many interior
 /// nodes exist per level and how children map to parents.
 ///
@@ -385,20 +400,6 @@ impl TopologyPlan {
         (offset + local, local)
     }
 
-    /// Global aggregator index of leaf `sid`'s ancestor at 0-based
-    /// interior level `level_idx` (level 0 is the leaf's direct
-    /// parent). Walks the contiguous-block layout the same way
-    /// [`TopologyPlan::parent_of`] does.
-    pub fn ancestor_of(&self, level_idx: usize, sid: usize) -> usize {
-        let (mut node, mut local) = self.parent_of(0, sid);
-        for l in 1..=level_idx {
-            let (n, loc) = self.parent_of(l, local);
-            node = n;
-            local = loc;
-        }
-        node
-    }
-
     /// Transport node id of leaf site `sid` (the leaves occupy
     /// `0..m`).
     pub fn leaf_node_id(&self, sid: usize) -> usize {
@@ -427,6 +428,47 @@ impl TopologyPlan {
         let lo = index.saturating_mul(span).min(self.m);
         let hi = (index + 1).saturating_mul(span).min(self.m);
         hi - lo
+    }
+
+    /// The edge rule: the links non-root transport node `node` sits on
+    /// under broadcast plane `plane` — the one place every driver asks
+    /// which link a hop or a broadcast crosses.
+    ///
+    /// The upward hop runs to the node's tree parent (the root on a flat
+    /// plan). A broadcast reaches the node from the root under
+    /// [`BroadcastPlane::RootFanOut`] or on a flat plan, otherwise from
+    /// its cascade parent; gossip leaves have no source, because the
+    /// plane carries (and faults) their frames itself.
+    pub(crate) fn edges(&self, plane: BroadcastPlane, node: usize) -> NodeEdges {
+        let root = self.root_node_id();
+        debug_assert!(node < root, "the root has no upward edge");
+        let (hop, up) = if node < self.m {
+            let up = if self.is_flat() {
+                root
+            } else {
+                self.m + node / self.fanout
+            };
+            (0, up)
+        } else {
+            let (mut li, mut offset) = (0, 0);
+            let g = node - self.m;
+            while g >= offset + self.levels[li] {
+                offset += self.levels[li];
+                li += 1;
+            }
+            let up = if li + 1 < self.levels.len() {
+                self.m + offset + self.levels[li] + (g - offset) / self.fanout
+            } else {
+                root
+            };
+            (li + 1, up)
+        };
+        let bc_from = match plane {
+            BroadcastPlane::Gossip { .. } if node < self.m => None,
+            BroadcastPlane::RootFanOut => Some(root),
+            _ => Some(up),
+        };
+        NodeEdges { hop, up, bc_from }
     }
 
     /// Iterates the [`AggNode`] descriptors in global index order
@@ -518,20 +560,68 @@ mod tests {
     fn ancestors_climb_contiguous_blocks() {
         // m = 16, k = 2: levels [8, 4, 2]; global indices 0..14.
         let p = Topology::Tree { fanout: 2 }.plan(16);
-        // Leaf 5: parents 2 (level 0), 8+1=9 (level 1), 12+0=12 (level 2).
-        assert_eq!(p.ancestor_of(0, 5), 2);
-        assert_eq!(p.ancestor_of(1, 5), 9);
-        assert_eq!(p.ancestor_of(2, 5), 12);
-        // Level-0 ancestor agrees with parent_of for every leaf.
-        for sid in 0..16 {
-            assert_eq!(p.ancestor_of(0, sid), p.parent_of(0, sid).0);
-        }
+        // Leaf 5 climbs through interiors 2 (level 0), 8+1=9 (level 1)
+        // and 12+0=12 (level 2) to the root.
+        let up = |node| p.edges(BroadcastPlane::TreeCascade, node).up;
+        assert_eq!(up(5), p.agg_node_id(2));
+        assert_eq!(up(p.agg_node_id(2)), p.agg_node_id(9));
+        assert_eq!(up(p.agg_node_id(9)), p.agg_node_id(12));
+        assert_eq!(up(p.agg_node_id(12)), p.root_node_id());
         // Node-id scheme: leaves, then interior nodes, then the root.
         assert_eq!(p.leaf_node_id(5), 5);
         assert_eq!(p.agg_node_id(9), 16 + 9);
         assert_eq!(p.root_node_id(), 16 + 14);
         let star = Topology::Star.plan(4);
         assert_eq!(star.root_node_id(), 4);
+    }
+
+    /// The edge rule names, at every hop of every leaf's climb, the same
+    /// `(from, to)` pair as walking `parent_of`, and each node's
+    /// broadcast source follows its plane.
+    #[test]
+    fn edge_rule_matches_parent_walk_at_every_hop() {
+        let gossip = BroadcastPlane::Gossip {
+            fanout: 2,
+            rounds: 4,
+            seed: 1,
+        };
+        let planes = [
+            BroadcastPlane::RootFanOut,
+            BroadcastPlane::TreeCascade,
+            gossip,
+        ];
+        for m in [1usize, 7, 64] {
+            for fanout in [2usize, 4] {
+                let p = Topology::Tree { fanout }.plan(m);
+                let root = p.root_node_id();
+                for sid in 0..m {
+                    // Walk parent_of: leaf → level-0 parent → … → root.
+                    let mut from = p.leaf_node_id(sid);
+                    let mut child = sid;
+                    for hop in 0..p.hops() {
+                        let to = if hop < p.internal_levels() {
+                            let (g, local) = p.parent_of(hop, child);
+                            child = local;
+                            p.agg_node_id(g)
+                        } else {
+                            root
+                        };
+                        for plane in planes {
+                            let e = p.edges(plane, from);
+                            assert_eq!((e.hop, e.up), (hop, to), "m={m} k={fanout} sid={sid}");
+                            let want = match plane {
+                                BroadcastPlane::Gossip { .. } if hop == 0 => None,
+                                BroadcastPlane::RootFanOut => Some(root),
+                                _ => Some(to),
+                            };
+                            assert_eq!(e.bc_from, want, "m={m} k={fanout} {plane:?}");
+                        }
+                        from = to;
+                    }
+                    assert_eq!(from, root);
+                }
+            }
+        }
     }
 
     #[test]

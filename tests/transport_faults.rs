@@ -14,8 +14,8 @@
 //!    bound absorbs faults via `SwCoordinator::charge_faults`, and
 //!    P4's weight-tracker 2-approximation degrades by no more than
 //!    the lost mass.
-//! 2. **Seed replay is bit-identical.** The inline engine is a
-//!    deterministic quantum scheduler and every SimNet link RNG is
+//! 2. **Seed replay is bit-identical.** The inline engine is the
+//!    deterministic sequential `Runner` and every SimNet link RNG is
 //!    seeded from `(plan seed, from, to, direction)` — so the same
 //!    seed reproduces the same [`cma::stream::CommStats`], the same
 //!    [`cma::stream::FaultStats`], and the same estimates, field for

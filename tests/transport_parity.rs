@@ -144,6 +144,74 @@ fn byte_counters_are_internally_consistent() {
     );
 }
 
+/// `Executor::Inline` *is* the sequential [`Runner`]: fed one batch of
+/// `b` per site per round on a round-robin partition, it equals
+/// `Runner::run_partitioned` in epochs of `m·b` field for field —
+/// `CommStats` with its per-level rows, and the estimates bit for bit.
+/// `N` is not a multiple of `m·b`, so the ragged last round is covered.
+#[test]
+fn inline_engine_is_the_sequential_runner() {
+    use cma::protocols::window::{fd, SwFdConfig};
+    let (m, b) = (16, tcfg().batch_size);
+    let stream = zipf_stream(10_000, 306);
+    assert_ne!(stream.len() % (m * b), 0);
+    let cfg = HhConfig::new(m, 0.1).with_seed(7);
+    let topo = Topology::Tree { fanout: 4 };
+    let mut seq = hh::p1::deploy_topology(&cfg, topo);
+    seq.run_partitioned(stream.iter().cloned(), &mut RoundRobin::new(m), m * b);
+    let (sites, coord, _) = hh::p1::deploy_topology(&cfg, topo).into_parts();
+    let inline = engine::run_partitioned_topology_parts(
+        sites,
+        coord,
+        partition(&stream, m),
+        &tcfg(),
+        Executor::Inline,
+        topo,
+        hh::p1::make_aggregator(&cfg, topo),
+    );
+    assert_stats_identical(seq.stats(), &inline.stats, "hh-p1 tree4");
+    let mut items = seq.coordinator().tracked_items();
+    let mut inline_items = inline.coordinator.tracked_items();
+    items.sort_unstable();
+    inline_items.sort_unstable();
+    assert_eq!(items, inline_items, "tracked sets diverged");
+    for &e in &items {
+        assert_eq!(
+            seq.coordinator().estimate(e).to_bits(),
+            inline.coordinator.estimate(e).to_bits(),
+            "estimate for {e} diverged"
+        );
+    }
+
+    let (m, n, dim) = (8, 1_000, 6);
+    assert_ne!(n % (m * b), 0);
+    let mut rows = cma::data::SyntheticMatrixStream::new(dim, &[4.0, 2.0, 1.0], 1e6, 306);
+    let stamped: Vec<(u64, Vec<f64>)> = (0..n).map(|t| (t as u64, rows.next_row())).collect();
+    let cfg = SwFdConfig::new(m, 0.15, 256, dim, 8);
+    let mut seq = fd::deploy(&cfg);
+    seq.run_partitioned(stamped.iter().cloned(), &mut RoundRobin::new(m), m * b);
+    let inline = fd::run_engine(
+        &cfg,
+        partition(&stamped, m),
+        &tcfg(),
+        Executor::Inline,
+        Topology::Star,
+    );
+    assert_stats_identical(seq.stats(), &inline.stats, "swfd star");
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let now = n as u64;
+    assert_eq!(
+        bits(seq.coordinator().sketch_at(now).as_slice()),
+        bits(inline.coordinator.sketch_at(now).as_slice()),
+        "window sketch diverged"
+    );
+    assert_eq!(
+        seq.coordinator().error_bound_at(now).total().to_bits(),
+        inline.coordinator.error_bound_at(now).total().to_bits(),
+        "certified window bound diverged"
+    );
+}
+
 /// Sliding-window runs measure bucket traffic in bytes on both the
 /// sequential and the engine path, and the clean-SimNet engine run is
 /// bit-exact with the channel-transport engine run.
