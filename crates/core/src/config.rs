@@ -58,20 +58,30 @@ impl HhConfig {
     /// The sampling protocols' sample size `s = ⌈(1/ε²)·ln(1/ε)⌉` unless
     /// overridden.
     pub fn sample_size(&self) -> usize {
-        self.sample_size.unwrap_or_else(|| {
-            let e = self.epsilon;
-            (((1.0 / (e * e)) * (1.0 / e).ln()).ceil() as usize).max(1)
-        })
+        sample_size(self.epsilon, self.sample_size)
     }
 
     /// Per-site RNG seed: decorrelated across sites, reproducible.
     pub fn site_seed(&self, site: usize) -> u64 {
-        // SplitMix-style mix keeps site streams independent.
-        let mut z = self.seed ^ (site as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        site_seed(self.seed, site)
     }
+}
+
+/// `s = ⌈(1/ε²)·ln(1/ε)⌉` unless `overridden` — the rule both families
+/// share.
+fn sample_size(epsilon: f64, overridden: Option<usize>) -> usize {
+    overridden.unwrap_or_else(|| {
+        (((1.0 / (epsilon * epsilon)) * (1.0 / epsilon).ln()).ceil() as usize).max(1)
+    })
+}
+
+/// Per-site RNG seed derived from the deployment seed.
+fn site_seed(seed: u64, site: usize) -> u64 {
+    // SplitMix-style mix keeps site streams independent.
+    let mut z = seed ^ (site as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 use cma_linalg::LinalgProfile;
@@ -140,18 +150,12 @@ impl MatrixConfig {
 
     /// Sample size `s = ⌈(1/ε²)·ln(1/ε)⌉` unless overridden.
     pub fn sample_size(&self) -> usize {
-        self.sample_size.unwrap_or_else(|| {
-            let e = self.epsilon;
-            (((1.0 / (e * e)) * (1.0 / e).ln()).ceil() as usize).max(1)
-        })
+        sample_size(self.epsilon, self.sample_size)
     }
 
     /// Per-site RNG seed (see [`HhConfig::site_seed`]).
     pub fn site_seed(&self, site: usize) -> u64 {
-        let mut z = self.seed ^ (site as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        site_seed(self.seed, site)
     }
 }
 

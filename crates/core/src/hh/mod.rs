@@ -17,9 +17,14 @@
 //! * [`p4`] — probabilistic count reports, `O((√m/ε) log(βN))` messages;
 //!   randomized, constant failure probability.
 //!
-//! All coordinators implement [`HhEstimator`], which includes the paper's
-//! query rule (Lemma 1): report `e` as a `φ`-heavy hitter iff
-//! `Ŵe/Ŵ ≥ φ − ε/2`.
+//! P3 and P3wr are not written here: each is one deployment of
+//! [`crate::sampling`], shared with its matrix twin, over weighted items.
+//! Their modules hold only the estimator and the type names.
+//!
+//! All coordinators implement [`HhEstimator`], whose default
+//! [`HhEstimator::heavy_hitters`] is the one place the paper's query
+//! rule (Lemma 1) is written: report `e` as a `φ`-heavy hitter iff
+//! `Ŵe/Ŵ ≥ φ − ε/2`. Protocols supply estimates, not the rule.
 
 pub mod metrics;
 pub mod p1;
@@ -49,8 +54,21 @@ pub trait HhEstimator {
     /// Items with a nonzero estimate, in unspecified order.
     fn tracked_items(&self) -> Vec<Item>;
 
+    /// `(e, Ŵe)` for every tracked item, in unspecified order. The
+    /// default asks [`HhEstimator::estimate`] once per tracked item;
+    /// coordinators whose per-item estimate rescans their state build
+    /// every estimate in one pass instead, summing each item's terms in
+    /// the order `estimate` would.
+    fn estimates(&self) -> Vec<(Item, f64)> {
+        self.tracked_items()
+            .into_iter()
+            .map(|e| (e, self.estimate(e)))
+            .collect()
+    }
+
     /// The paper's reporting rule: return `e` iff `Ŵe/Ŵ ≥ φ − ε/2`,
-    /// sorted by descending estimate.
+    /// sorted by descending estimate. The one place the threshold is
+    /// written; protocols supply [`HhEstimator::estimates`], not this.
     ///
     /// Guarantees (Lemma 1): all true `φ`-heavy hitters are returned, and
     /// nothing below `(φ − ε)W` is, provided the protocol meets its
@@ -62,9 +80,8 @@ pub trait HhEstimator {
         }
         let threshold = (phi - epsilon / 2.0) * w_hat;
         let mut out: Vec<(Item, f64)> = self
-            .tracked_items()
+            .estimates()
             .into_iter()
-            .map(|e| (e, self.estimate(e)))
             .filter(|&(_, w)| w >= threshold)
             .collect();
         out.sort_by(|a, b| {
@@ -131,6 +148,55 @@ mod tests {
             items: vec![],
         };
         assert!(f.heavy_hitters(0.1, 0.01).is_empty());
+    }
+
+    /// P3, P3wr and P4 supply one-pass `estimates()`; the one reporting
+    /// rule over them must equal the brute-force filter over
+    /// `tracked_items × estimate`, bit for bit.
+    #[test]
+    fn one_pass_estimates_report_like_brute_force() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn brute(c: &impl HhEstimator, phi: f64, epsilon: f64) -> Vec<(Item, f64)> {
+            let threshold = (phi - epsilon / 2.0) * c.total_weight();
+            let mut out: Vec<(Item, f64)> = c
+                .tracked_items()
+                .into_iter()
+                .map(|e| (e, c.estimate(e)))
+                .filter(|&(_, w)| w >= threshold)
+                .collect();
+            out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            out
+        }
+
+        let cfg = HhConfig::new(4, 0.1).with_seed(17);
+        let mut r3 = p3::deploy(&cfg);
+        let mut r3wr = p3wr::deploy(&cfg);
+        let mut r4 = p4::deploy(&cfg);
+        let mut rng = StdRng::seed_from_u64(3);
+        for i in 0..20_000u64 {
+            let item: Item = match rng.gen_range(0..10) {
+                0..=2 => 1,
+                3 => 2,
+                _ => rng.gen_range(3..60),
+            };
+            let w: f64 = rng.gen_range(1.0..6.0);
+            let site = (i % 4) as usize;
+            r3.feed(site, (item, w));
+            r3wr.feed(site, (item, w));
+            r4.feed(site, (item, w));
+        }
+        for (phi, eps) in [(0.02, 0.02), (0.05, 0.04), (0.25, 0.1)] {
+            let p3_hh = r3.coordinator().heavy_hitters(phi, eps);
+            assert!(!p3_hh.is_empty());
+            assert_eq!(p3_hh, brute(r3.coordinator(), phi, eps), "P3 φ={phi}");
+            let p3wr_hh = r3wr.coordinator().heavy_hitters(phi, eps);
+            assert_eq!(p3wr_hh, brute(r3wr.coordinator(), phi, eps), "P3wr φ={phi}");
+            let p4_hh = r4.coordinator().heavy_hitters(phi, eps);
+            assert_eq!(p4_hh, brute(r4.coordinator(), phi, eps), "P4 φ={phi}");
+        }
+        assert!(r3.coordinator().heavy_hitters(0.02, 0.02).len() > 2);
     }
 
     #[test]

@@ -252,25 +252,15 @@ impl HhEstimator for P4Coordinator {
         items
     }
 
-    fn heavy_hitters(&self, phi: f64, epsilon: f64) -> Vec<(Item, f64)> {
-        // One pass instead of per-item rescans of the report table.
-        let w_hat = self.total_weight();
-        if w_hat <= 0.0 {
-            return Vec::new();
-        }
+    /// One pass instead of per-item rescans of the report table; each
+    /// item's reports are summed in the table order `estimate` walks.
+    fn estimates(&self) -> Vec<(Item, f64)> {
         let adjust = 1.0 / self.p();
         let mut sums: HashMap<Item, f64> = HashMap::new();
         for ((e, _), &count) in &self.reports {
             *sums.entry(*e).or_insert(0.0) += count + adjust;
         }
-        let threshold = (phi - epsilon / 2.0) * w_hat;
-        let mut out: Vec<(Item, f64)> = sums.into_iter().filter(|&(_, w)| w >= threshold).collect();
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("NaN estimate")
-                .then(a.0.cmp(&b.0))
-        });
-        out
+        sums.into_iter().collect()
     }
 }
 

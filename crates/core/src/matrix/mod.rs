@@ -13,8 +13,9 @@
 //! * [`p2`] — sites send `σℓ·vℓ` whenever some direction's squared norm
 //!   reaches `(ε/m)F̂` (the analogue of HH-P2). Deterministic,
 //!   `O((m/ε) log(βN))` rows — the paper's best deterministic protocol.
-//! * [`p3`] / [`p3wr`] — row priority sampling by squared norm
-//!   (the analogue of HH-P3/P3wr).
+//! * [`p3`] / [`p3wr`] — row priority sampling by squared norm: the
+//!   same deployments as HH-P3/P3wr ([`crate::sampling`]) over rows,
+//!   each module adding only the sketch estimator and the type names.
 //! * [`p4`] — Appendix C: the attempted analogue of HH-P4, which
 //!   **cannot work**: per-site updates are only exact along the fixed
 //!   right-singular basis of the site's approximation, so error in other

@@ -11,123 +11,40 @@
 //! The paper's finding, which our Table 1 harness reproduces: dominated
 //! by the without-replacement protocol ([`super::p3`]) in both error and
 //! message count.
+//!
+//! The protocol is [`crate::sampling::wr`] over rows ([`RowKind`]),
+//! shared with HH-P3wr; this module adds the matrix estimator and names
+//! the deployment's types.
 
-use super::{row_weight, MatrixEstimator, Row};
-use crate::config::MatrixConfig;
-use crate::sampling::WrSlot;
-use crate::sampling::{WrAggState, WrCoordinator, WrHit, WrSite};
+use super::MatrixEstimator;
+use crate::sampling::{RowKind, WrAggregator, WrCoordinator, WrFilter, WrMsg, WrSite};
 use cma_linalg::Matrix;
-use cma_stream::{
-    put_f64, put_usize, AggNode, ChurnBudget, ChurnCoordinator, ChurnSite, Coordinator,
-    FilteredRelay, MessageCost, RelayFilter, Runner, Site, SiteId, Topology, WireCodec, WireReader,
-};
 
-/// Site → coordinator message: one sampler hit carrying the row.
-#[derive(Debug, Clone)]
-pub struct MP3wrMsg {
-    /// Which sampler fired, and with what priority.
-    pub hit: WrHit,
-    /// The sampled row.
-    pub row: Row,
-}
+pub use crate::sampling::wr::{deploy, deploy_topology, make_aggregator};
 
-impl MessageCost for MP3wrMsg {
-    fn cost(&self) -> u64 {
-        1
-    }
-
-    /// Exact size of the [`crate::wire`] encoding: hit plus row.
-    fn wire_bytes(&self) -> u64 {
-        16 + crate::wire::row_bytes(&self.row)
-    }
-
-    /// A lost sample loses its row's squared norm.
-    fn mass(&self) -> f64 {
-        self.row.iter().map(|x| x * x).sum()
-    }
-}
-
+/// Site → coordinator message: one sampler hit carrying the row (its
+/// weight `‖row‖²` is recomputed on decode, not sent).
+pub type MP3wrMsg = WrMsg<RowKind>;
 /// MT-P3wr site.
-#[derive(Debug, Clone)]
-pub struct MP3wrSite {
-    inner: WrSite,
-    scratch: Vec<WrHit>,
-}
-
-impl Site for MP3wrSite {
-    type Input = Row;
-    type UpMsg = MP3wrMsg;
-    type Broadcast = f64;
-
-    fn observe(&mut self, row: Row, out: &mut Vec<MP3wrMsg>) {
-        let w = row_weight(&row);
-        if w == 0.0 {
-            return;
-        }
-        self.inner.observe(w, &mut self.scratch);
-        for hit in self.scratch.drain(..) {
-            out.push(MP3wrMsg {
-                hit,
-                row: row.clone(),
-            });
-        }
-    }
-
-    /// Batched rows run the geometric-gap sampler in one tight loop; RNG
-    /// order and hit production match per-item execution exactly.
-    fn observe_batch(&mut self, inputs: impl IntoIterator<Item = Row>, out: &mut Vec<MP3wrMsg>) {
-        for row in inputs {
-            let w = row_weight(&row);
-            if w == 0.0 {
-                continue;
-            }
-            self.inner.observe(w, &mut self.scratch);
-            if !self.scratch.is_empty() {
-                for hit in self.scratch.drain(..) {
-                    out.push(MP3wrMsg {
-                        hit,
-                        row: row.clone(),
-                    });
-                }
-                return; // pause-on-message
-            }
-        }
-    }
-
-    fn on_broadcast(&mut self, tau: &f64) {
-        self.inner.set_tau(*tau);
-    }
-}
-
+pub type MP3wrSite = WrSite<RowKind>;
 /// MT-P3wr coordinator.
-#[derive(Debug)]
-pub struct MP3wrCoordinator {
-    inner: WrCoordinator<Row>,
-    dim: usize,
-}
-
-impl Coordinator for MP3wrCoordinator {
-    type UpMsg = MP3wrMsg;
-    type Broadcast = f64;
-
-    fn receive(&mut self, _from: SiteId, msg: MP3wrMsg, out: &mut Vec<f64>) {
-        let weight = row_weight(&msg.row);
-        if let Some(new_tau) = self.inner.receive(msg.hit, msg.row, weight) {
-            out.push(new_tau);
-        }
-    }
-}
+pub type MP3wrCoordinator = WrCoordinator<RowKind>;
+/// Per-sampler top-two dominance filter of an MT-P3wr interior node.
+pub type MP3wrFilter = WrFilter<RowKind>;
+/// Interior tree node of an MT-P3wr deployment: a dominance-filtering
+/// relay.
+pub type MP3wrAggregator = WrAggregator<RowKind>;
 
 impl MatrixEstimator for MP3wrCoordinator {
     /// One row per sampler, rescaled to squared norm `Ŵ/s`.
     fn sketch(&self) -> Matrix {
-        let s = self.inner.slots().len() as f64;
-        let per_sample = self.inner.estimate_total() / s;
-        let mut b = Matrix::with_cols(self.dim);
+        let s = self.slots().len() as f64;
+        let per_sample = self.estimate_total() / s;
+        let mut b = Matrix::with_cols(self.header());
         if per_sample <= 0.0 {
             return b;
         }
-        for slot in self.inner.slots() {
+        for slot in self.slots() {
             if let Some((row, w)) = &slot.top {
                 if *w == 0.0 {
                     continue;
@@ -144,178 +61,18 @@ impl MatrixEstimator for MP3wrCoordinator {
     }
 
     fn frob_estimate(&self) -> f64 {
-        self.inner.estimate_total()
+        self.estimate_total()
     }
-}
-
-/// Per-sampler top-two dominance filter of an MT-P3wr interior node
-/// over sampled rows (see [`WrAggState`]); exact, and strictly thins
-/// upper-level traffic.
-#[derive(Debug, Clone)]
-pub struct MP3wrFilter {
-    state: WrAggState,
-}
-
-impl RelayFilter for MP3wrFilter {
-    type UpMsg = MP3wrMsg;
-    type Broadcast = f64;
-
-    fn admit(&mut self, msg: &MP3wrMsg) -> bool {
-        self.state.admit(msg.hit.sampler, msg.hit.rho)
-    }
-}
-
-/// Interior tree node of an MT-P3wr deployment: a dominance-filtering
-/// relay.
-pub type MP3wrAggregator = FilteredRelay<MP3wrFilter>;
-
-// As in HH-P3wr: `τ` is global and sites withhold nothing.
-impl ChurnBudget for MP3wrSite {}
-
-impl ChurnSite for MP3wrSite {
-    fn depart(&mut self, _out: &mut Vec<MP3wrMsg>) {}
-}
-
-impl ChurnBudget for MP3wrCoordinator {}
-
-impl ChurnCoordinator for MP3wrCoordinator {
-    fn current_broadcast(&self) -> Option<f64> {
-        Some(self.inner.tau())
-    }
-}
-
-impl WireCodec for MP3wrCoordinator {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_usize(out, self.dim);
-        put_f64(out, self.inner.tau());
-        let slots = self.inner.slots();
-        put_usize(out, slots.len());
-        for slot in slots {
-            put_f64(out, slot.rho1);
-            put_f64(out, slot.rho2);
-            match &slot.top {
-                Some((row, w)) => {
-                    out.push(1);
-                    crate::wire::put_row(out, row);
-                    put_f64(out, *w);
-                }
-                None => out.push(0),
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        let dim = r.usize()?;
-        let tau = r.f64()?;
-        let n = r.usize()?;
-        if n == 0 {
-            return None;
-        }
-        let mut slots = Vec::with_capacity(r.capacity_for(n));
-        for _ in 0..n {
-            let rho1 = r.f64()?;
-            let rho2 = r.f64()?;
-            let top = match r.u8()? {
-                0 => None,
-                1 => Some((crate::wire::read_row(r)?, r.f64()?)),
-                _ => return None,
-            };
-            slots.push(WrSlot { rho1, rho2, top });
-        }
-        Some(MP3wrCoordinator {
-            inner: WrCoordinator::from_parts(tau, slots),
-            dim,
-        })
-    }
-}
-
-impl WireCodec for MP3wrFilter {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let top2 = self.state.top2();
-        put_usize(out, top2.len());
-        for &(r1, r2) in top2 {
-            put_f64(out, r1);
-            put_f64(out, r2);
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        let n = r.usize()?;
-        let mut top2 = Vec::with_capacity(r.capacity_for(n));
-        for _ in 0..n {
-            let r1 = r.f64()?;
-            top2.push((r1, r.f64()?));
-        }
-        Some(MP3wrFilter {
-            state: WrAggState::from_parts(top2),
-        })
-    }
-
-    fn encoded_len(&self) -> u64 {
-        8 + 16 * self.state.top2().len() as u64
-    }
-}
-
-/// Builds an MT-P3wr deployment over an arbitrary aggregation topology;
-/// with no interior nodes this is *identical* to [`deploy`].
-pub fn deploy_topology(
-    cfg: &MatrixConfig,
-    topology: Topology,
-) -> Runner<MP3wrSite, MP3wrCoordinator, MP3wrAggregator> {
-    let s = cfg.sample_size();
-    let sites = (0..cfg.sites)
-        .map(|i| MP3wrSite {
-            inner: WrSite::new(s, cfg.site_seed(i)),
-            scratch: Vec::new(),
-        })
-        .collect();
-    Runner::with_topology(
-        sites,
-        MP3wrCoordinator {
-            inner: WrCoordinator::new(s),
-            dim: cfg.dim,
-        },
-        topology,
-        make_aggregator(cfg, topology),
-    )
-}
-
-/// Aggregator factory (for the engine's topology drivers).
-pub fn make_aggregator(
-    cfg: &MatrixConfig,
-    _topology: Topology,
-) -> impl FnMut(AggNode) -> MP3wrAggregator {
-    let s = cfg.sample_size();
-    move |_| {
-        FilteredRelay::new(MP3wrFilter {
-            state: WrAggState::new(s),
-        })
-    }
-}
-
-/// Builds an MT-P3wr deployment (sample size from the config).
-pub fn deploy(cfg: &MatrixConfig) -> Runner<MP3wrSite, MP3wrCoordinator> {
-    let s = cfg.sample_size();
-    let sites = (0..cfg.sites)
-        .map(|i| MP3wrSite {
-            inner: WrSite::new(s, cfg.site_seed(i)),
-            scratch: Vec::new(),
-        })
-        .collect();
-    Runner::new(
-        sites,
-        MP3wrCoordinator {
-            inner: WrCoordinator::new(s),
-            dim: cfg.dim,
-        },
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MatrixConfig;
+    use crate::matrix::Row;
     use cma_data::StreamingGram;
     use cma_linalg::random;
+    use cma_stream::Runner;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

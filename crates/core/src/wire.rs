@@ -13,16 +13,12 @@
 
 use crate::hh::p1::P1Msg;
 use crate::hh::p2::P2Msg;
-use crate::hh::p3::P3Msg;
-use crate::hh::p3wr::P3wrMsg;
 use crate::hh::p4::P4Msg;
 use crate::matrix::p1::MP1Msg;
 use crate::matrix::p2::MP2Msg;
-use crate::matrix::p3::MP3Msg;
-use crate::matrix::p3wr::MP3wrMsg;
 use crate::matrix::p4::MP4Msg;
 use crate::matrix::Row;
-use crate::sampling::WrHit;
+use crate::sampling::{SampleEntry, SampleKind, WrHit, WrMsg};
 use crate::window::SwMsg;
 use cma_linalg::Matrix;
 use cma_sketch::sliding_window::WinBucket;
@@ -185,18 +181,6 @@ pub fn row_bytes(row: &[f64]) -> u64 {
     8 + 8 * row.len() as u64
 }
 
-fn put_hit(out: &mut Vec<u8>, hit: &WrHit) {
-    put_usize(out, hit.sampler);
-    put_f64(out, hit.rho);
-}
-
-fn read_hit(r: &mut WireReader<'_>) -> Option<WrHit> {
-    Some(WrHit {
-        sampler: r.usize()?,
-        rho: r.f64()?,
-    })
-}
-
 // ---------------------------------------------------------------------
 // Heavy-hitter messages
 // ---------------------------------------------------------------------
@@ -245,46 +229,6 @@ impl WireCodec for P2Msg {
             P2Msg::Total(_) => 9,
             P2Msg::Element(..) => 17,
         }
-    }
-}
-
-impl WireCodec for P3Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.item);
-        put_f64(out, self.weight);
-        put_f64(out, self.rho);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(P3Msg {
-            item: r.u64()?,
-            weight: r.f64()?,
-            rho: r.f64()?,
-        })
-    }
-
-    fn encoded_len(&self) -> u64 {
-        24
-    }
-}
-
-impl WireCodec for P3wrMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_hit(out, &self.hit);
-        put_u64(out, self.item);
-        put_f64(out, self.weight);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(P3wrMsg {
-            hit: read_hit(r)?,
-            item: r.u64()?,
-            weight: r.f64()?,
-        })
-    }
-
-    fn encoded_len(&self) -> u64 {
-        32
     }
 }
 
@@ -371,42 +315,6 @@ impl WireCodec for MP2Msg {
     }
 }
 
-impl WireCodec for MP3Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_row(out, &self.row);
-        put_f64(out, self.rho);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(MP3Msg {
-            row: read_row(r)?,
-            rho: r.f64()?,
-        })
-    }
-
-    fn encoded_len(&self) -> u64 {
-        row_bytes(&self.row) + 8
-    }
-}
-
-impl WireCodec for MP3wrMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_hit(out, &self.hit);
-        put_row(out, &self.row);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(MP3wrMsg {
-            hit: read_hit(r)?,
-            row: read_row(r)?,
-        })
-    }
-
-    fn encoded_len(&self) -> u64 {
-        16 + row_bytes(&self.row)
-    }
-}
-
 impl WireCodec for MP4Msg {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -434,6 +342,83 @@ impl WireCodec for MP4Msg {
             MP4Msg::Total(_) => 9,
             MP4Msg::Z(z) => 1 + row_bytes(z),
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Sampling messages: one codec per scheme, over the payload kind
+// ---------------------------------------------------------------------
+
+/// Appends a record's weight unless its payload implies it.
+fn put_weight<K: SampleKind>(out: &mut Vec<u8>, weight: f64) {
+    if K::IMPLIED_WEIGHT.is_none() {
+        put_f64(out, weight);
+    }
+}
+
+/// Reads a record's weight, or recomputes it from the payload.
+fn read_weight<K: SampleKind>(r: &mut WireReader<'_>, payload: &K::Payload) -> Option<f64> {
+    match K::IMPLIED_WEIGHT {
+        Some(implied) => Some(implied(payload)),
+        None => r.f64(),
+    }
+}
+
+/// Encoded size of a record: payload, plus its weight unless implied.
+fn record_bytes<K: SampleKind>(payload: &K::Payload) -> u64 {
+    K::payload_bytes(payload) + if K::IMPLIED_WEIGHT.is_none() { 8 } else { 0 }
+}
+
+/// `payload, weight, ρ` — the weight only where the kind sends it:
+/// HH-P3 24 bytes, MT-P3 `16 + 8d`.
+impl<K: SampleKind> WireCodec for SampleEntry<K> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        K::put_payload(out, &self.payload);
+        put_weight::<K>(out, self.weight);
+        put_f64(out, self.rho);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        let payload = K::read_payload(r)?;
+        let weight = read_weight::<K>(r, &payload)?;
+        Some(SampleEntry {
+            payload,
+            weight,
+            rho: r.f64()?,
+        })
+    }
+
+    fn encoded_len(&self) -> u64 {
+        record_bytes::<K>(&self.payload) + 8
+    }
+}
+
+/// `sampler, ρ, payload, weight` — the weight only where the kind sends
+/// it: HH-P3wr 32 bytes, MT-P3wr `24 + 8d`.
+impl<K: SampleKind> WireCodec for WrMsg<K> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_usize(out, self.hit.sampler);
+        put_f64(out, self.hit.rho);
+        K::put_payload(out, &self.payload);
+        put_weight::<K>(out, self.weight);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        let hit = WrHit {
+            sampler: r.usize()?,
+            rho: r.f64()?,
+        };
+        let payload = K::read_payload(r)?;
+        let weight = read_weight::<K>(r, &payload)?;
+        Some(WrMsg {
+            hit,
+            payload,
+            weight,
+        })
+    }
+
+    fn encoded_len(&self) -> u64 {
+        16 + record_bytes::<K>(&self.payload)
     }
 }
 
@@ -525,6 +510,7 @@ impl<S: SummaryCodec> WireCodec for SwMsg<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hh::p3::P3Msg;
 
     #[test]
     fn mg_roundtrip_preserves_bounds() {
@@ -569,7 +555,7 @@ mod tests {
     #[test]
     fn malformed_buffers_decode_to_none() {
         let msg = P3Msg {
-            item: 5,
+            payload: 5,
             weight: 2.0,
             rho: 0.25,
         };

@@ -323,19 +323,7 @@ where
     }
     report.migrated_msgs += migrated.len() as u64;
     if new_plan.is_flat() {
-        let mut bcasts = Vec::new();
-        for (origin, msg) in migrated {
-            wal.receive(origin, msg, &mut bcasts);
-            for b in bcasts.drain(..) {
-                report.migration_broadcasts += 1;
-                for a in &mut new_aggs {
-                    a.on_broadcast(&b);
-                }
-                for s in sites.iter_mut() {
-                    s.on_broadcast(&b);
-                }
-            }
-        }
+        report.migration_broadcasts += deliver_to_root(wal, migrated, &mut new_aggs, sites);
     } else {
         for (origin, msg) in migrated {
             let (parent, _) = new_plan.parent_of(0, origin);
@@ -343,6 +331,39 @@ where
         }
     }
     new_aggs
+}
+
+/// Delivers `msgs` straight to the root, outside the transport, and
+/// fans every broadcast they provoke out to `aggs` and `sites`; returns
+/// how many broadcasts that was. Departure flushes, the pre-snapshot
+/// drain and a migration into a flat plan reach every node; a WAL
+/// replay passes no sites — they already heard its broadcasts live.
+fn deliver_to_root<R, A, S>(
+    root: &mut R,
+    msgs: impl IntoIterator<Item = (SiteId, R::UpMsg)>,
+    aggs: &mut [A],
+    sites: &mut [S],
+) -> u64
+where
+    R: Coordinator,
+    A: MigratableAggregator<Broadcast = R::Broadcast>,
+    S: ChurnSite<Broadcast = R::Broadcast>,
+{
+    let mut bcasts = Vec::new();
+    let mut count = 0;
+    for (from, msg) in msgs {
+        root.receive(from, msg, &mut bcasts);
+        for b in bcasts.drain(..) {
+            count += 1;
+            for a in aggs.iter_mut() {
+                a.on_broadcast(&b);
+            }
+            for site in sites.iter_mut() {
+                site.on_broadcast(&b);
+            }
+        }
+    }
+    count
 }
 
 /// Rejects a malformed schedule before any input is fed: every event
@@ -519,24 +540,15 @@ where
                     let mut final_flush: Vec<S::UpMsg> = Vec::new();
                     sites[s].depart(&mut final_flush);
                     report.departed_msgs += final_flush.len() as u64;
-                    // Delivered straight to the root, outside the
-                    // transport: the withheld mass re-enters the
-                    // certified bound, never the fault ledger.
-                    let mut bcasts = Vec::new();
-                    for msg in final_flush {
+                    for msg in &final_flush {
                         report.departed_mass += msg.mass();
-                        wal.receive(s, msg, &mut bcasts);
-                        for b in bcasts.drain(..) {
-                            report.departure_broadcasts += 1;
-                            departure_bcasts_here += 1;
-                            for a in &mut aggs {
-                                a.on_broadcast(&b);
-                            }
-                            for site in &mut sites {
-                                site.on_broadcast(&b);
-                            }
-                        }
                     }
+                    // The withheld mass re-enters the certified bound,
+                    // never the fault ledger.
+                    let flush = final_flush.into_iter().map(|msg| (s, msg));
+                    let bcasts = deliver_to_root(&mut wal, flush, &mut aggs, &mut sites);
+                    report.departure_broadcasts += bcasts;
+                    departure_bcasts_here += bcasts;
                     membership_dirty = true;
                 }
             }
@@ -552,19 +564,8 @@ where
                 a.split_for_migration(&mut drained);
             }
             report.migrated_msgs += drained.len() as u64;
-            let mut bcasts = Vec::new();
-            for (origin, msg) in drained {
-                wal.receive(origin, msg, &mut bcasts);
-                for b in bcasts.drain(..) {
-                    report.migration_broadcasts += 1;
-                    for a in &mut aggs {
-                        a.on_broadcast(&b);
-                    }
-                    for site in &mut sites {
-                        site.on_broadcast(&b);
-                    }
-                }
-            }
+            report.migration_broadcasts +=
+                deliver_to_root(&mut wal, drained, &mut aggs, &mut sites);
             wal.inner.settle_for_snapshot();
             let snap = Snapshot::capture(&wal.inner, &aggs);
             report.snapshot_bytes = Some(snap.len() as u64);
@@ -600,18 +601,10 @@ where
             // reach the restored interior nodes only — the sites
             // already heard this sequence live.
             let log = wal.take_log();
+            report.replayed_msgs += log.len() as u64;
             let mut inner = restored;
-            let mut bcasts = Vec::new();
-            for (from, msg) in log {
-                report.replayed_msgs += 1;
-                inner.receive(from, msg, &mut bcasts);
-                for b in bcasts.drain(..) {
-                    report.replay_broadcasts += 1;
-                    for a in &mut aggs {
-                        a.on_broadcast(&b);
-                    }
-                }
-            }
+            let no_sites: &mut [S] = &mut [];
+            report.replay_broadcasts += deliver_to_root(&mut inner, log, &mut aggs, no_sites);
             wal = WalCoordinator::new(inner); // disarmed: recovery done
         }
 

@@ -310,3 +310,68 @@ fn mt_p2_tree_keeps_two_sided_bound_through_rank_saturation() {
         );
     }
 }
+
+/// MT-P3 is HH-P3 with each row `a` read as an element of weight `‖a‖²`
+/// (§5.3), and MT-P3wr is HH-P3wr the same way. Fed the weights `k²`
+/// and the one-dimensional rows `[k]` under one seed and ε, each pair
+/// makes the same draws: the same messages over the same hops, the same
+/// rounds, and the same total-weight estimate, bit for bit — at `m = 1`
+/// and `d = 1` too.
+#[test]
+fn sampling_protocols_agree_across_payloads() {
+    use cma::protocols::hh::{self, HhConfig, HhEstimator};
+    use cma::stream::{CommStats, Topology};
+
+    fn hops(stats: &CommStats) -> Vec<(u64, u64)> {
+        stats
+            .per_level
+            .iter()
+            .map(|l| (l.up_msgs, l.broadcast_msgs))
+            .collect()
+    }
+
+    let n = 6_000u64;
+    for m in [1usize, 5, 16] {
+        for topology in [Topology::Star, Topology::Tree { fanout: 4 }] {
+            let hh_cfg = HhConfig::new(m, 0.1).with_seed(29);
+            let mt_cfg = MatrixConfig::new(m, 0.1, 1).with_seed(29);
+            macro_rules! agree {
+                ($name:literal, $hh:expr, $mt:expr) => {{
+                    let (mut hh_run, mut mt_run) = ($hh, $mt);
+                    for i in 0..n {
+                        let k = (1 + i % 40) as f64;
+                        let site = (i % m as u64) as usize;
+                        hh_run.feed(site, (i, k * k));
+                        mt_run.feed(site, vec![k]);
+                    }
+                    let (hs, ms) = (hh_run.stats(), mt_run.stats());
+                    let cell = format!("{} m={m} {topology:?}", $name);
+                    assert!(hs.broadcast_events > 0, "{cell}: no round ended");
+                    assert_eq!(hs.up_msgs, ms.up_msgs, "{cell}: up_msgs");
+                    assert_eq!(
+                        hs.broadcast_events, ms.broadcast_events,
+                        "{cell}: broadcast_events"
+                    );
+                    assert_eq!(hops(hs), hops(ms), "{cell}: per-level hops");
+                    let w_hat = hh_run.coordinator().total_weight();
+                    let f_hat = mt_run.coordinator().frob_estimate();
+                    assert_eq!(
+                        w_hat.to_bits(),
+                        f_hat.to_bits(),
+                        "{cell}: Ŵ {w_hat} vs F̂ {f_hat}"
+                    );
+                }};
+            }
+            agree!(
+                "P3",
+                hh::p3::deploy_topology(&hh_cfg, topology),
+                p3::deploy_topology(&mt_cfg, topology)
+            );
+            agree!(
+                "P3wr",
+                hh::p3wr::deploy_topology(&hh_cfg, topology),
+                p3wr::deploy_topology(&mt_cfg, topology)
+            );
+        }
+    }
+}

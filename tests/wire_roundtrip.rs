@@ -125,7 +125,7 @@ proptest! {
 
     #[test]
     fn p3_roundtrips(item in 0u64..10_000, weight in 0.0f64..1e9, rho in 0.0f64..1.0) {
-        assert_roundtrip(&P3Msg { item, weight, rho }, "P3Msg");
+        assert_roundtrip(&P3Msg { payload: item, weight, rho }, "P3Msg");
     }
 
     #[test]
@@ -135,7 +135,7 @@ proptest! {
         item in 0u64..10_000,
         weight in 0.0f64..1e9,
     ) {
-        let msg = P3wrMsg { hit: WrHit { sampler, rho }, item, weight };
+        let msg = P3wrMsg { hit: WrHit { sampler, rho }, payload: item, weight };
         assert_roundtrip(&msg, "P3wrMsg");
     }
 
@@ -174,7 +174,8 @@ proptest! {
         row in prop::collection::vec(-100.0f64..100.0, 0..16),
         rho in 0.0f64..1.0,
     ) {
-        assert_roundtrip(&MP3Msg { row, rho }, "MP3Msg");
+        let weight = row.iter().map(|x| x * x).sum();
+        assert_roundtrip(&MP3Msg { payload: row, weight, rho }, "MP3Msg");
     }
 
     #[test]
@@ -183,7 +184,8 @@ proptest! {
         rho in 0.0f64..1.0,
         row in prop::collection::vec(-100.0f64..100.0, 0..16),
     ) {
-        let msg = MP3wrMsg { hit: WrHit { sampler, rho }, row };
+        let weight = row.iter().map(|x| x * x).sum();
+        let msg = MP3wrMsg { hit: WrHit { sampler, rho }, payload: row, weight };
         assert_roundtrip(&msg, "MP3wrMsg");
     }
 
