@@ -16,16 +16,19 @@
 //! `broadcast_disseminate` prints the per-event cost of the broadcast
 //! plane at the `hh-p1-bigm-gossip` deployment (m = 65 536 on a
 //! fanout-8 tree): the tree cascade as the control, push–pull gossip as
-//! the subject.
+//! the subject, on a transparent wire and over a faulty `SimNet`.
 
 use cma_core::{hh, matrix, HhConfig, MatrixConfig, Topology};
 use cma_data::{SyntheticMatrixStream, WeightedZipfStream};
 use cma_stream::partition::RoundRobin;
 use cma_stream::{
     Aggregator, BroadcastPlane, BroadcastState, ChannelTransport, CommStats, Coordinator,
-    MessageCost, Runner, Site, WireSized,
+    FaultPlan, LinkFaults, MessageCost, Runner, SimNet, Site, WireSized,
 };
-use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion, Throughput};
+use criterion::{
+    criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion, Throughput,
+};
+use std::cell::RefCell;
 use std::hint::black_box;
 
 const HH_N: usize = 20_000;
@@ -116,16 +119,14 @@ fn bench_broadcast_disseminate(c: &mut Criterion) {
     let plan = Topology::Tree { fanout: 8 }.plan(m);
     let mut g = c.benchmark_group("broadcast_disseminate");
     g.sample_size(10);
+    let gossip = BroadcastPlane::Gossip {
+        fanout: 4,
+        rounds: 24,
+        seed: 1,
+    };
     let planes = [
         ("cascade", BroadcastPlane::TreeCascade),
-        (
-            "gossip4x24",
-            BroadcastPlane::Gossip {
-                fanout: 4,
-                rounds: 24,
-                seed: 1,
-            },
-        ),
+        ("gossip4x24", gossip),
     ];
     for (name, plane) in planes {
         let mut state = BroadcastState::new(plane, m);
@@ -134,6 +135,37 @@ fn bench_broadcast_disseminate(c: &mut Criterion) {
             b.iter(|| black_box(state.disseminate(&plan, 8, &mut stats, &ChannelTransport)))
         });
     }
+    // The same gossip over a dropping, duplicating, delaying and
+    // reordering wire. Every event caches a fault link per edge it
+    // crosses (≈ 350 k at this m), so each sample is the first event of
+    // a fresh plane, and its links are dropped outside the timed region.
+    let net = SimNet::new(FaultPlan {
+        seed: 13,
+        down: LinkFaults {
+            drop: 0.05,
+            duplicate: 0.05,
+            delay: 0.2,
+            delay_hops: 3,
+            reorder: 0.05,
+        },
+        ..Default::default()
+    });
+    let spent = RefCell::new(None);
+    g.bench_function(format!("gossip4x24_simnet/m{m}"), |b| {
+        b.iter_batched(
+            || {
+                spent.take();
+                BroadcastState::new(gossip, m)
+            },
+            |mut state| {
+                let mut stats = CommStats::for_plan(&plan);
+                let set = black_box(state.disseminate(&plan, 8, &mut stats, &net));
+                spent.replace(Some(state));
+                set
+            },
+            BatchSize::LargeInput,
+        )
+    });
     g.finish();
 }
 

@@ -92,6 +92,16 @@
 //! asker a reply that the monotone check refuses. Replies ride the
 //! ordinary frame link of the (responder, asker) edge.
 //!
+//! # Cost of an event
+//!
+//! At `m = 65536`, `Gossip{4, 24, 1}`, an event sends ≈ 70 k pushes,
+//! four pull rounds of `m` digests and ≈ 22.6 k replies, so a message
+//! costs little more than its seeded draw: tallies stay in locals, an
+//! adoption reads only `adopted_round` and is written without a branch,
+//! and a pull round charges every digest, then answers only the askers
+//! that can earn a reply. A current asker just needs to know if its draw
+//! hit itself, which an exact divisibility test tells without a division.
+//!
 //! [`CommStats::broadcast_deliveries`]: crate::CommStats::broadcast_deliveries
 //! [`CommStats::broadcast_reach`]: crate::CommStats::broadcast_reach
 //! [`CommStats::broadcast_stale`]: crate::CommStats::broadcast_stale
@@ -122,13 +132,13 @@ pub enum BroadcastPlane {
     /// `O(fanout · rounds)`, independent of `m`.
     Gossip {
         /// Peers each holder pushes to per round, and the per-round cap
-        /// on any node's messages (`≥ m` pushes to every leaf,
-        /// degenerating round 1 to [`BroadcastPlane::RootFanOut`]
+        /// on any node's messages; at least 1 (`≥ m` pushes to every
+        /// leaf, degenerating round 1 to [`BroadcastPlane::RootFanOut`]
         /// message-for-message).
         fanout: usize,
-        /// Maximum rounds per event; dissemination stops early once
-        /// every leaf adopted. Residual staleness is measured in
-        /// [`crate::CommStats::broadcast_stale`].
+        /// Maximum rounds per event, at least 1; dissemination stops
+        /// early once every leaf adopted. Residual staleness is measured
+        /// in [`crate::CommStats::broadcast_stale`].
         rounds: usize,
         /// Seed of the deterministic peer selection.
         seed: u64,
@@ -186,6 +196,38 @@ const DIGEST_BYTES: u64 = 8;
 /// `adopted_round` of a leaf that has not adopted the current event.
 const NOT_ADOPTED: u32 = u32::MAX;
 
+/// Writes `v` over a leaf's version; a leaf's version never decreases.
+fn raise(lv: &mut u64, v: u64) {
+    debug_assert!(v >= *lv, "leaf version regressed from {} to {v}", *lv);
+    *lv = v;
+}
+
+/// `(x, r) ↦ x % m == r` for `r < m` without a division (Granlund–Montgomery):
+/// with `m = 2^k·d`, `d` odd, `x − r` is a multiple of `m` iff
+/// `(x − r)·d⁻¹ mod 2⁶⁴` rotated right by `k` is at most `(2⁶⁴ − 1) / m`.
+fn self_draw(m: usize) -> impl Fn(u64, usize) -> bool {
+    let (k, max) = (m.trailing_zeros(), u64::MAX / m as u64);
+    let d = m as u64 >> k;
+    // `d·d ≡ 1 (mod 8)`, and each Newton step doubles the exact bits.
+    let inv = (0..5).fold(d, |i, _| {
+        i.wrapping_mul(2u64.wrapping_sub(d.wrapping_mul(i)))
+    });
+    move |x, r| x >= r as u64 && (x - r as u64).wrapping_mul(inv).rotate_right(k) <= max
+}
+
+/// One gossip event: wire (`None` if transparent), round, frame bytes, tallies
+/// (added to [`CommStats`] at its end), adopters with a spare slot past `m`.
+#[derive(Default)]
+struct Event<'a> {
+    net: Option<&'a dyn Transport>,
+    round: u32,
+    frame: u64,
+    msgs: u64,
+    bytes: u64,
+    adopters: Vec<SiteId>,
+    adopted: usize,
+}
+
 /// Per-run dissemination state of the broadcast plane.
 ///
 /// Owned by whatever plays the root (the sequential runner's core, the
@@ -222,6 +264,8 @@ pub struct BroadcastState {
     out_leaf: Vec<u32>,
     /// Scratch: per-leaf replies sent in the current pull round.
     replies: Vec<u32>,
+    /// Scratch: bit set of this pull round's askers that can earn a reply.
+    asking: Vec<u64>,
     /// Scratch: frame wire delivery buffer.
     wire_buf: Vec<(u64, u64)>,
     /// Scratch: digest wire delivery buffer.
@@ -229,8 +273,13 @@ pub struct BroadcastState {
 }
 
 impl BroadcastState {
-    /// Fresh state for an `m`-leaf deployment.
+    /// Fresh state for an `m`-leaf deployment. Panics on a
+    /// [`BroadcastPlane::Gossip`] with zero `fanout` or `rounds`.
     pub fn new(plane: BroadcastPlane, m: usize) -> Self {
+        if let BroadcastPlane::Gossip { fanout, rounds, .. } = plane {
+            assert!(fanout >= 1, "broadcast: gossip fanout must be positive");
+            assert!(rounds >= 1, "broadcast: gossip rounds must be positive");
+        }
         BroadcastState {
             plane,
             version: 0,
@@ -240,6 +289,7 @@ impl BroadcastState {
             adopted_round: vec![NOT_ADOPTED; m],
             out_leaf: vec![0; m],
             replies: vec![0; m],
+            asking: vec![0; m.div_ceil(64)],
             wire_buf: Vec::new(),
             digest_buf: Vec::new(),
         }
@@ -296,7 +346,7 @@ impl BroadcastState {
                 }
                 stats.record_broadcast_level(0, m as u64, payload_bytes);
                 for lv in &mut self.leaf_version {
-                    *lv = v;
+                    raise(lv, v);
                 }
                 let interior = plan.internal_nodes() as u64;
                 let (peak, lag) = match self.plane {
@@ -317,7 +367,7 @@ impl BroadcastState {
                     stats.record_broadcast_level(li + 1, count as u64, frame);
                 }
                 let net = (!net.is_transparent()).then_some(net);
-                self.gossip_leaves(plan, fanout.max(1), rounds, seed, frame, stats, net)
+                self.gossip_leaves(plan, fanout, rounds, seed, frame, stats, net)
             }
         }
     }
@@ -340,7 +390,12 @@ impl BroadcastState {
         let root_id = plan.root_node_id();
         self.adopted_round.fill(NOT_ADOPTED);
         self.out_leaf.fill(0);
-        let mut adopters: Vec<SiteId> = Vec::new();
+        let mut ev = Event {
+            net,
+            frame,
+            adopters: vec![0; m + 1],
+            ..Default::default()
+        };
         // The interior cascade the root also feeds (charged in
         // `disseminate`): its top-level children count toward the
         // root's out-degree.
@@ -348,33 +403,55 @@ impl BroadcastState {
         let mut rounds_run: u64 = 0;
         let v_mix = version_mix(self.version);
         for round in 0..rounds {
-            if adopters.len() == m {
+            if ev.adopted == m {
                 break;
             }
             rounds_run += 1;
+            ev.round = round as u32;
             // Holders this round: every leaf that adopted in an earlier
             // round (nodes adopting *this* round act from the next).
-            let frontier = adopters.len();
+            let frontier = ev.adopted;
             if frontier.saturating_mul(fanout) >= m {
                 // Pull round — a push round would now cost ≥ m: each
                 // leaf asks one peer, and a holder answers a stale
                 // asker at most `fanout − 1` times, so with its own
                 // digest no leaf sends more than `fanout` this round.
-                self.replies.fill(0);
-                for asker in 0..m {
-                    let mut rng = draw_seed(seed ^ PULL_SALT, v_mix, round, asker);
-                    let r = (splitmix(&mut rng) % m as u64) as usize;
-                    if r == asker {
-                        continue;
+                // Askers that can earn a reply — the stale ones on a
+                // transparent wire, all of them on a faulty one — are
+                // marked, then answered in id order.
+                let draw = |asker| splitmix(&mut draw_seed(seed ^ PULL_SALT, v_mix, round, asker));
+                let hits_self = self_draw(m);
+                let mut digests = 0;
+                let (out, held) = (&mut self.out_leaf[..m], &self.adopted_round[..m]);
+                for (w, bits) in self.asking.iter_mut().enumerate() {
+                    let mut word = 0;
+                    for asker in w * 64..m.min(w * 64 + 64) {
+                        let asks = net.is_some() || {
+                            let sent = !hits_self(draw(asker), asker);
+                            out[asker] += sent as u32;
+                            digests += sent as u64;
+                            sent && held[asker] == NOT_ADOPTED
+                        };
+                        word |= (asks as u64) << (asker % 64);
                     }
-                    self.out_leaf[asker] += 1;
-                    if self.send_digest(asker, r, stats, net)
-                        && self.adopted_round[r] < round as u32
-                        && (self.replies[r] as usize) + 1 < fanout
-                    {
-                        self.replies[r] += 1;
-                        self.out_leaf[r] += 1;
-                        self.send_frame(r, asker, frame, round, &mut adopters, stats, net);
+                    *bits = word;
+                }
+                ev.msgs += digests;
+                ev.bytes += digests * DIGEST_BYTES;
+                self.replies.fill(0);
+                for w in 0..self.asking.len() {
+                    let mut bits = self.asking[w];
+                    while bits != 0 {
+                        let asker = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let r = (draw(asker) % m as u64) as usize;
+                        let answer = net
+                            .is_none_or(|n| r != asker && self.wire_digest(asker, r, &mut ev, n))
+                            & (self.adopted_round[r] < ev.round)
+                            & ((self.replies[r] as usize) + 1 < fanout);
+                        self.replies[r] += answer as u32;
+                        self.out_leaf[r] += answer as u32;
+                        self.send_frame(r, asker, answer, &mut ev);
                     }
                 }
                 continue;
@@ -385,27 +462,25 @@ impl BroadcastState {
             let exhaustive = fanout >= m;
             let draws = if exhaustive { m } else { fanout };
             for pi in 0..=frontier {
-                let (pid, is_root) = if pi == 0 {
-                    (root_id, true)
-                } else {
-                    (adopters[pi - 1], false)
-                };
+                let pid = if pi > 0 { ev.adopters[pi - 1] } else { root_id };
                 let mut rng = draw_seed(seed, v_mix, round, pid);
+                let mut sent = 0;
                 for k in 0..draws {
                     let q = if exhaustive {
                         k
                     } else {
                         (splitmix(&mut rng) % m as u64) as usize
                     };
-                    if !is_root && q == pid {
+                    if pi > 0 && q == pid {
                         continue;
                     }
-                    if is_root {
-                        root_out += 1;
-                    } else {
-                        self.out_leaf[pid] += 1;
-                    }
-                    self.send_frame(pid, q, frame, round, &mut adopters, stats, net);
+                    sent += 1;
+                    self.send_frame(pid, q, true, &mut ev);
+                }
+                if pi == 0 {
+                    root_out += sent as u64;
+                } else {
+                    self.out_leaf[pid] += sent;
                 }
             }
         }
@@ -418,86 +493,74 @@ impl BroadcastState {
             0
         };
         let peak = root_out.max(leaf_peak).max(interior_peak);
-        let stale = (m - adopters.len()) as u64;
+        let stale = (m - ev.adopted) as u64;
+        stats.record_broadcast_edges(0, ev.msgs, ev.bytes);
+        stats.record_broadcast_adopt(ev.adopted as u64);
         stats.record_broadcast_shape(peak, rounds_run, stale);
-        LeafSet::Subset(adopters)
+        ev.adopters.truncate(ev.adopted);
+        for (lv, &r) in self.leaf_version.iter_mut().zip(&self.adopted_round) {
+            raise(lv, if r == NOT_ADOPTED { *lv } else { self.version });
+        }
+        LeafSet::Subset(ev.adopters)
     }
 
-    /// Sends the current frame `from → to` and applies whatever the wire
-    /// delivers *now* (on a faulty wire possibly nothing, a duplicate, or
-    /// a frame held from an earlier event) under the monotone version
-    /// check; a fresh adoption is stamped with `round`.
-    #[allow(clippy::too_many_arguments)]
-    fn send_frame(
-        &mut self,
-        from: usize,
-        to: SiteId,
-        frame: u64,
-        round: usize,
-        adopters: &mut Vec<SiteId>,
-        stats: &mut CommStats,
-        net: Option<&dyn Transport>,
-    ) {
-        let v = self.version;
-        let Some(net) = net else {
-            stats.record_broadcast_edge(0, frame);
-            if self.leaf_version[to] < v {
-                self.leaf_version[to] = v;
-                self.adopted_round[to] = round as u32;
-                adopters.push(to);
-                stats.record_broadcast_adopt(1);
-            }
-            return;
+    /// Adopts `v` at leaf `to` if it `heard` the frame, without a branch:
+    /// `leaf_version[to] < v` iff `to` has not adopted `v` this event, so
+    /// `adopted_round` decides and a repeat rewrites it; `leaf_version` follows at the end.
+    fn adopt(&mut self, to: SiteId, heard: bool, ev: &mut Event) {
+        let fresh = heard & (self.adopted_round[to] == NOT_ADOPTED);
+        let round = if heard { ev.round } else { NOT_ADOPTED };
+        self.adopted_round[to] = self.adopted_round[to].min(round);
+        ev.adopters[ev.adopted] = to;
+        ev.adopted += fresh as usize;
+    }
+
+    /// Sends the current frame `from → to` if `sent` (else, branch-free, nothing
+    /// happens) and applies what the wire delivers *now* — on a faulty wire
+    /// nothing, a duplicate, or a frame held from an earlier event — under the monotone check.
+    #[inline(always)]
+    fn send_frame(&mut self, from: usize, to: SiteId, sent: bool, ev: &mut Event) {
+        let Some(net) = ev.net.filter(|_| sent) else {
+            ev.msgs += sent as u64;
+            ev.bytes += sent as u64 * ev.frame;
+            return self.adopt(to, sent, ev);
         };
         let mut wire = std::mem::take(&mut self.wire_buf);
         wire.clear();
         self.links
             .entry((from, to))
             .or_insert_with(|| FaultLink::new(net.link(from, to, false)))
-            .receive((v, frame), 0.0, &mut wire);
+            .receive((self.version, ev.frame), 0.0, &mut wire);
         for &(vd, fb) in &wire {
-            stats.record_broadcast_edge(0, fb);
-            if vd > self.leaf_version[to] {
-                self.leaf_version[to] = vd;
-                if vd == v {
-                    self.adopted_round[to] = round as u32;
-                    adopters.push(to);
-                    stats.record_broadcast_adopt(1);
-                }
-                // vd < v: a late frame advanced the version
-                // bookkeeping, but its payload is superseded — the node
-                // stays stale until a fresh frame reaches it (safe).
+            ev.msgs += 1;
+            ev.bytes += fb;
+            if vd == self.version {
+                self.adopt(to, true, ev);
+                raise(&mut self.leaf_version[to], vd);
+            } else if vd > self.leaf_version[to] {
+                // A late frame advances the version bookkeeping, but its
+                // payload is superseded — the node stays stale until a
+                // fresh frame reaches it (safe).
+                raise(&mut self.leaf_version[to], vd);
             }
         }
         self.wire_buf = wire;
     }
 
-    /// Sends `asker`'s digest to `responder`, charging every copy the
-    /// wire delivers, and returns whether a delivered digest shows the
-    /// asker behind the current version.
-    fn send_digest(
-        &mut self,
-        asker: SiteId,
-        responder: SiteId,
-        stats: &mut CommStats,
-        net: Option<&dyn Transport>,
-    ) -> bool {
-        let v = self.version;
-        let Some(net) = net else {
-            stats.record_broadcast_edge(0, DIGEST_BYTES);
-            return self.leaf_version[asker] < v;
-        };
+    /// Sends asker `from`'s digest to `to` over a faulty wire, charging
+    /// every copy it delivers, and returns whether a delivered digest
+    /// shows the asker behind the current version.
+    fn wire_digest(&mut self, from: usize, to: usize, ev: &mut Event, net: &dyn Transport) -> bool {
+        self.out_leaf[from] += 1;
         let mut wire = std::mem::take(&mut self.digest_buf);
         wire.clear();
         self.digest_links
-            .entry((asker, responder))
-            .or_insert_with(|| FaultLink::new(net.link(asker, responder, false)))
-            .receive(self.leaf_version[asker], 0.0, &mut wire);
-        let mut stale = false;
-        for &dv in &wire {
-            stats.record_broadcast_edge(0, DIGEST_BYTES);
-            stale |= dv < v;
-        }
+            .entry((from, to))
+            .or_insert_with(|| FaultLink::new(net.link(from, to, false)))
+            .receive(self.leaf_version[from], 0.0, &mut wire);
+        ev.msgs += wire.len() as u64;
+        ev.bytes += wire.len() as u64 * DIGEST_BYTES;
+        let stale = wire.iter().any(|&dv| dv < self.version);
         self.digest_buf = wire;
         stale
     }
@@ -514,10 +577,8 @@ impl BroadcastState {
             link.close(&mut wire);
             for &(vd, fb) in wire.iter() {
                 stats.record_broadcast_edge(0, fb);
-                if let Some(lv) = self.leaf_version.get_mut(to) {
-                    if vd > *lv {
-                        *lv = vd;
-                    }
+                if let Some(lv) = self.leaf_version.get_mut(to).filter(|lv| vd > **lv) {
+                    raise(lv, vd);
                 }
             }
         }
@@ -526,9 +587,8 @@ impl BroadcastState {
         for (_, mut link) in std::mem::take(&mut self.digest_links) {
             digests.clear();
             link.close(&mut digests);
-            for _ in &digests {
-                stats.record_broadcast_edge(0, DIGEST_BYTES);
-            }
+            let n = digests.len() as u64;
+            stats.record_broadcast_edges(0, n, n * DIGEST_BYTES);
         }
         self.digest_buf = digests;
     }
@@ -538,7 +598,8 @@ impl BroadcastState {
 mod tests {
     use super::*;
     use crate::topology::Topology;
-    use crate::transport::ChannelTransport;
+    use crate::transport::{ChannelTransport, FaultPlan, LinkFaults, SimNet};
+    use proptest::prelude::*;
 
     fn stats_for(plan: &TopologyPlan) -> CommStats {
         CommStats::for_plan(plan)
@@ -801,4 +862,219 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    #[should_panic(expected = "broadcast: gossip fanout must be positive")]
+    fn gossip_rejects_zero_fanout() {
+        let plane = BroadcastPlane::Gossip {
+            fanout: 0,
+            rounds: 24,
+            seed: 1,
+        };
+        BroadcastState::new(plane, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "broadcast: gossip rounds must be positive")]
+    fn gossip_rejects_zero_rounds() {
+        let plane = BroadcastPlane::Gossip {
+            fanout: 4,
+            rounds: 0,
+            seed: 1,
+        };
+        BroadcastState::new(plane, 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200_000))]
+
+        /// The division-free self-draw check agrees with `%` on the edge
+        /// moduli, for draws that hit `r`, miss it by one either way, or
+        /// are arbitrary.
+        #[test]
+        fn self_draw_matches_remainder(
+            mi in 0usize..7,
+            x in 0u64..u64::MAX,
+            r in 0u64..u64::MAX,
+            shape in 0u8..4,
+        ) {
+            let m = [1, 3, 65_535, 65_536, 65_537, u32::MAX as usize, 1 << 32][mi];
+            let r = r % m as u64;
+            let hit = (x - x % m as u64).checked_add(r).unwrap_or(r);
+            let x = [hit, hit.wrapping_add(1), hit.wrapping_sub(1), x][shape as usize];
+            prop_assert_eq!(self_draw(m)(x, r as usize), x % m as u64 == r);
+        }
+    }
+
+    /// Order-free hash of a set of leaf ids.
+    fn set_hash(ids: &[SiteId]) -> u64 {
+        ids.iter()
+            .fold(0, |h: u64, &id| h.wrapping_add(version_mix(id as u64)))
+    }
+
+    /// One row per event, then one for `close` on a faulty wire:
+    /// `[deliveries, bytes_down, reach, peak_out, lag_rounds, stale,
+    /// level-0 msgs, adopter-set hash]`. The last value is a hash of
+    /// every leaf's version after the run.
+    fn pinned_run(
+        plan: &TopologyPlan,
+        plane: BroadcastPlane,
+        events: usize,
+        net: Option<&SimNet>,
+    ) -> (Vec<[u64; 8]>, u64) {
+        let m = plan.sites();
+        let mut st = BroadcastState::new(plane, m);
+        let row = |s: &CommStats, adopters: &[SiteId]| {
+            [
+                s.broadcast_deliveries,
+                s.bytes_down,
+                s.broadcast_reach,
+                s.broadcast_peak_out,
+                s.broadcast_lag_rounds,
+                s.broadcast_stale,
+                s.per_level[0].broadcast_msgs,
+                set_hash(adopters),
+            ]
+        };
+        let mut rows = Vec::new();
+        for _ in 0..events {
+            let mut s = stats_for(plan);
+            let set = match net {
+                Some(net) => st.disseminate(plan, 8, &mut s, net),
+                None => st.disseminate(plan, 8, &mut s, &ChannelTransport),
+            };
+            let LeafSet::Subset(adopters) = set else {
+                panic!("gossip returns a subset");
+            };
+            rows.push(row(&s, &adopters));
+        }
+        if net.is_some() {
+            let mut s = stats_for(plan);
+            st.close(&mut s);
+            rows.push(row(&s, &[]));
+        }
+        let versions = (0..m).fold(0, |h, sid| version_mix(h ^ st.leaf_version(sid)));
+        (rows, versions)
+    }
+
+    /// Every count, adopter set and leaf version the gossip plane
+    /// produces, pinned per event on three transparent deployments and
+    /// one faulty one. Any rewrite of the round loop must reproduce
+    /// them bit for bit.
+    #[test]
+    fn gossip_events_are_pinned() {
+        let faulty = SimNet::new(FaultPlan {
+            seed: 13,
+            down: LinkFaults {
+                drop: 0.05,
+                duplicate: 0.05,
+                delay: 0.2,
+                delay_hops: 3,
+                reorder: 0.05,
+            },
+            ..Default::default()
+        });
+        let gossip = |fanout, rounds, seed| BroadcastPlane::Gossip {
+            fanout,
+            rounds,
+            seed,
+        };
+        let cases: [(&str, TopologyPlan, BroadcastPlane, Option<&SimNet>); 4] = [
+            (
+                "m65536 tree8",
+                Topology::Tree { fanout: 8 }.plan(65_536),
+                gossip(4, 24, 1),
+                None,
+            ),
+            (
+                "m1000 tree4",
+                Topology::Tree { fanout: 4 }.plan(1_000),
+                gossip(3, 16, 5),
+                None,
+            ),
+            (
+                "m4096 star",
+                Topology::Star.plan(4_096),
+                gossip(4, 24, 7),
+                None,
+            ),
+            (
+                "m4096 tree8 simnet",
+                Topology::Tree { fanout: 8 }.plan(4_096),
+                gossip(4, 24, 11),
+                Some(&faulty),
+            ),
+        ];
+        let mut fresh = String::new();
+        let mut ok = true;
+        for ((name, plan, plane, net), (rows, versions)) in cases.into_iter().zip(PINNED) {
+            let got = pinned_run(&plan, plane, 8, net);
+            ok &= got.0 == rows && got.1 == versions;
+            fresh += "    (\n        &[\n";
+            for r in &got.0 {
+                fresh += &format!("            {r:?},\n");
+            }
+            fresh += &format!("        ],\n        {:#x},\n    ), // {name}\n", got.1);
+        }
+        assert!(ok, "gossip counts moved; fresh table:\n{fresh}");
+    }
+
+    /// What [`gossip_events_are_pinned`] expects, case by case: the rows of
+    /// `pinned_run` and its leaf-version hash.
+    #[rustfmt::skip]
+    const PINNED: [(&[[u64; 8]], u64); 4] = [
+    (
+        &[
+            [363912, 3725472, 74898, 30, 11, 0, 354550, 1073065775518551502],
+            [363465, 3718320, 74898, 30, 11, 0, 354103, 1073065775518551502],
+            [363676, 3721680, 74898, 30, 11, 0, 354314, 1073065775518551502],
+            [363997, 3726816, 74898, 30, 11, 0, 354635, 1073065775518551502],
+            [363894, 3725176, 74898, 30, 11, 0, 354532, 1073065775518551502],
+            [363908, 3725408, 74898, 30, 11, 0, 354546, 1073065775518551502],
+            [364098, 3728456, 74898, 30, 11, 0, 354736, 1073065775518551502],
+            [364121, 3728832, 74898, 30, 11, 0, 354759, 1073065775518551502],
+        ],
+        0x4209f7c681dbc5c6,
+    ), // m65536 tree8
+    (
+        &[
+            [4649, 50408, 1333, 19, 8, 0, 4316, 17643089794347511138],
+            [4634, 50152, 1333, 19, 8, 0, 4301, 17643089794347511138],
+            [4655, 50496, 1333, 19, 8, 0, 4322, 17643089794347511138],
+            [4650, 50424, 1333, 19, 8, 0, 4317, 17643089794347511138],
+            [4640, 50280, 1333, 19, 8, 0, 4307, 17643089794347511138],
+            [4632, 50128, 1333, 19, 8, 0, 4299, 17643089794347511138],
+            [5638, 58248, 1333, 19, 9, 0, 5305, 17643089794347511138],
+            [5643, 58328, 1333, 19, 9, 0, 5310, 17643089794347511138],
+        ],
+        0xa2fbca3350934d9d,
+    ), // m1000 tree4
+    (
+        &[
+            [21298, 209736, 4096, 22, 9, 0, 21298, 8099791680467470469],
+            [25412, 242760, 4096, 24, 10, 0, 25412, 8099791680467470469],
+            [25405, 242696, 4096, 23, 10, 0, 25405, 8099791680467470469],
+            [21327, 210184, 4096, 23, 9, 0, 21327, 8099791680467470469],
+            [21251, 209000, 4096, 21, 9, 0, 21251, 8099791680467470469],
+            [21342, 210432, 4096, 20, 9, 0, 21342, 8099791680467470469],
+            [21293, 209664, 4096, 23, 9, 0, 21293, 8099791680467470469],
+            [21304, 209848, 4096, 21, 9, 0, 21304, 8099791680467470469],
+        ],
+        0x3e907dbf0e7fc6f9,
+    ), // m4096 star
+    (
+        &[
+            [43134, 394904, 4680, 35, 18, 0, 42550, 8099791680467470469],
+            [49509, 446632, 4680, 35, 20, 0, 48925, 8099791680467470469],
+            [52077, 462880, 4680, 37, 21, 0, 51493, 8099791680467470469],
+            [51715, 455848, 4680, 37, 21, 0, 51131, 8099791680467470469],
+            [51784, 459816, 4680, 37, 21, 0, 51200, 8099791680467470469],
+            [46115, 417160, 4680, 34, 19, 0, 45531, 8099791680467470469],
+            [55118, 488904, 4680, 39, 22, 0, 54534, 8099791680467470469],
+            [60904, 531984, 4679, 39, 24, 1, 60320, 12510609696473814089],
+            [134075, 1184816, 0, 0, 0, 0, 134075, 0],
+        ],
+        0x3e907dbf0e7fc6f9,
+    ), // m4096 tree8 simnet
+    ];
 }

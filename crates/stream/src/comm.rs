@@ -263,8 +263,15 @@ impl CommStats {
     /// assuming the receiver adopted anything — adoption is recorded
     /// separately via [`CommStats::record_broadcast_adopt`].
     pub fn record_broadcast_edge(&mut self, level: usize, bytes: u64) {
-        self.per_level[level].broadcast_msgs += 1;
-        self.broadcast_deliveries += 1;
+        self.record_broadcast_edges(level, 1, bytes);
+    }
+
+    /// Records `msgs` gossip messages crossing edges at hop `level`,
+    /// `bytes` encoded bytes in all — [`CommStats::record_broadcast_edge`]
+    /// summed over a batch.
+    pub fn record_broadcast_edges(&mut self, level: usize, msgs: u64, bytes: u64) {
+        self.per_level[level].broadcast_msgs += msgs;
+        self.broadcast_deliveries += msgs;
         self.bytes_down += bytes;
     }
 

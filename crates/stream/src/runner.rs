@@ -569,12 +569,14 @@ where
         while let Some(bc) = pop_front(&mut self.bc_buf) {
             let set = self.core.route_broadcast(&bc, &mut self.stats, net);
             match (set, self.core.leaf_heard()) {
-                (LeafSet::Subset(adopters), _) => {
+                (LeafSet::Subset(adopters), _) if adopters.len() < self.sites.len() => {
                     for sid in adopters {
                         self.sites[sid].on_broadcast(&bc);
                     }
                 }
-                (LeafSet::All, None) => {
+                // Adopters are distinct, so a full subset is every site:
+                // one pass in id order instead of `m` scattered calls.
+                (LeafSet::Subset(_), _) | (LeafSet::All, None) => {
                     for s in &mut self.sites {
                         s.on_broadcast(&bc);
                     }
