@@ -1,10 +1,12 @@
-//! Criterion micro-benchmarks for the centralized sketches the repo
-//! benchmark's layer rows do not already time (`sketch.mg_*` and
-//! `sketch.fd_*` cover Misra–Gries and Frequent Directions): SpaceSaving,
-//! the priority sampler and the sliding-window sketches.
+//! Criterion micro-benchmarks for the centralized sketches: SpaceSaving,
+//! the priority sampler, the sliding-window sketches, and the Misra–Gries
+//! flush hand-off. The repo benchmark's `sketch.mg_*` rows time MG updates
+//! and merges into one fresh table, not a small flush handed off and
+//! merged into a large table; `misra_gries/flush_merge` times that.
+//! Frequent Directions is timed by the repo benchmark's `sketch.fd_*` rows.
 
 use cma_data::WeightedZipfStream;
-use cma_sketch::{PrioritySampler, SpaceSaving};
+use cma_sketch::{MgSummary, PrioritySampler, SpaceSaving};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,6 +55,30 @@ fn bench_priority_sampler(c: &mut Criterion) {
     });
 }
 
+/// HH-P1's shape at ε = 10⁻³: 2 000-counter tables, a site flush every
+/// four arrivals, each handed off and merged into its aggregator's table.
+fn bench_misra_gries(c: &mut Criterion) {
+    let stream = zipf_stream();
+    let mut g = c.benchmark_group("misra_gries");
+    g.throughput(Throughput::Elements(STREAM_LEN as u64));
+    g.bench_function("flush_merge", |b| {
+        b.iter_batched(
+            || (MgSummary::new(2_000), MgSummary::new(2_000)),
+            |(mut site, mut agg)| {
+                for (i, &(e, w)) in stream.iter().enumerate() {
+                    site.update(e, w);
+                    if i % 4 == 3 {
+                        agg.absorb(site.take_all());
+                    }
+                }
+                black_box(agg.len())
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+}
+
 fn bench_sliding_window(c: &mut Criterion) {
     use cma_sketch::{SwFd, SwMg};
     let stream = zipf_stream();
@@ -94,6 +120,7 @@ criterion_group!(
     benches,
     bench_space_saving,
     bench_priority_sampler,
+    bench_misra_gries,
     bench_sliding_window
 );
 criterion_main!(benches);

@@ -150,7 +150,7 @@ mod tests {
         assert!(f.heavy_hitters(0.1, 0.01).is_empty());
     }
 
-    /// P3, P3wr and P4 supply one-pass `estimates()`; the one reporting
+    /// P1, P3, P3wr and P4 supply one-pass `estimates()`; the one reporting
     /// rule over them must equal the brute-force filter over
     /// `tracked_items × estimate`, bit for bit.
     #[test]
@@ -171,6 +171,7 @@ mod tests {
         }
 
         let cfg = HhConfig::new(4, 0.1).with_seed(17);
+        let mut r1 = p1::deploy(&cfg);
         let mut r3 = p3::deploy(&cfg);
         let mut r3wr = p3wr::deploy(&cfg);
         let mut r4 = p4::deploy(&cfg);
@@ -183,11 +184,15 @@ mod tests {
             };
             let w: f64 = rng.gen_range(1.0..6.0);
             let site = (i % 4) as usize;
+            r1.feed(site, (item, w));
             r3.feed(site, (item, w));
             r3wr.feed(site, (item, w));
             r4.feed(site, (item, w));
         }
         for (phi, eps) in [(0.02, 0.02), (0.05, 0.04), (0.25, 0.1)] {
+            let p1_hh = r1.coordinator().heavy_hitters(phi, eps);
+            assert!(!p1_hh.is_empty());
+            assert_eq!(p1_hh, brute(r1.coordinator(), phi, eps), "P1 φ={phi}");
             let p3_hh = r3.coordinator().heavy_hitters(phi, eps);
             assert!(!p3_hh.is_empty());
             assert_eq!(p3_hh, brute(r3.coordinator(), phi, eps), "P3 φ={phi}");

@@ -87,9 +87,8 @@ impl Site for P1Site {
         validate_weight(weight);
         self.summary.update(item, weight);
         if self.summary.total_weight() >= self.tau() {
-            let mut flushed = MgSummary::new(self.summary.capacity());
-            std::mem::swap(&mut flushed, &mut self.summary);
-            out.push(P1Msg { summary: flushed });
+            let summary = self.summary.take_all();
+            out.push(P1Msg { summary });
         }
     }
 
@@ -107,9 +106,8 @@ impl Site for P1Site {
             validate_weight(weight);
             self.summary.update(item, weight);
             if self.summary.total_weight() >= tau {
-                let mut flushed = MgSummary::new(self.summary.capacity());
-                std::mem::swap(&mut flushed, &mut self.summary);
-                out.push(P1Msg { summary: flushed });
+                let summary = self.summary.take_all();
+                out.push(P1Msg { summary });
                 return; // pause-on-message
             }
         }
@@ -148,7 +146,7 @@ impl Coordinator for P1Coordinator {
 
     fn receive(&mut self, _from: SiteId, msg: P1Msg, out: &mut Vec<f64>) {
         self.received += msg.summary.total_weight();
-        self.merged.merge(&msg.summary);
+        self.merged.absorb(msg.summary);
         if self.received / self.w_hat > 1.0 + self.epsilon / 2.0 {
             self.w_hat = self.received;
             out.push(self.w_hat);
@@ -165,6 +163,10 @@ impl HhEstimator for P1Coordinator {
     }
     fn tracked_items(&self) -> Vec<Item> {
         self.merged.counters().map(|(e, _)| e).collect()
+    }
+    /// One pass over the merged counters, not a lookup per item.
+    fn estimates(&self) -> Vec<(Item, f64)> {
+        self.merged.counters().collect()
     }
 }
 
@@ -194,14 +196,13 @@ impl Aggregator for P1Aggregator {
         if self.merged.is_empty() {
             self.rep = from;
         }
-        self.merged.merge(&msg.summary);
+        self.merged.absorb(msg.summary);
     }
 
     fn flush(&mut self, out: &mut Vec<(SiteId, P1Msg)>) {
         if self.merged.total_weight() >= self.hold_frac * self.w_hat {
-            let mut flushed = MgSummary::new(self.merged.capacity());
-            std::mem::swap(&mut flushed, &mut self.merged);
-            out.push((self.rep, P1Msg { summary: flushed }));
+            let summary = self.merged.take_all();
+            out.push((self.rep, P1Msg { summary }));
         }
     }
 
@@ -216,9 +217,8 @@ impl MigratableAggregator for P1Aggregator {
     /// nothing may stay behind.
     fn split_for_migration(&mut self, out: &mut Vec<(SiteId, P1Msg)>) {
         if !self.merged.is_empty() {
-            let mut flushed = MgSummary::new(self.merged.capacity());
-            std::mem::swap(&mut flushed, &mut self.merged);
-            out.push((self.rep, P1Msg { summary: flushed }));
+            let summary = self.merged.take_all();
+            out.push((self.rep, P1Msg { summary }));
         }
     }
 }
@@ -252,9 +252,8 @@ impl ChurnSite for P1Site {
     /// — the departing site's withheld mass re-enters the bound.
     fn depart(&mut self, out: &mut Vec<P1Msg>) {
         if !self.summary.is_empty() {
-            let mut flushed = MgSummary::new(self.summary.capacity());
-            std::mem::swap(&mut flushed, &mut self.summary);
-            out.push(P1Msg { summary: flushed });
+            let summary = self.summary.take_all();
+            out.push(P1Msg { summary });
         }
     }
 }
@@ -442,6 +441,21 @@ mod tests {
         let hh = runner.coordinator().heavy_hitters(0.2, cfg.epsilon);
         assert!(!hh.is_empty());
         assert_eq!(hh[0].0, 42);
+    }
+
+    /// ε = 10⁻¹² asks for 2·10¹² counters per node. Capacity bounds the
+    /// counters and is never reserved, so the deployment runs instead
+    /// of aborting the process on allocation.
+    #[test]
+    fn hostile_capacity_deploys_and_runs() {
+        let cfg = HhConfig::new(4, 1e-12);
+        let mut runner = deploy(&cfg);
+        for i in 0..1_000u64 {
+            runner.feed((i % 4) as usize, (i % 10, 1.0));
+        }
+        let coord = runner.coordinator();
+        assert_eq!(coord.total_weight(), 1_000.0);
+        assert_eq!(coord.estimate(3), 100.0);
     }
 
     #[test]

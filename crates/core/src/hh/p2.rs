@@ -687,6 +687,23 @@ mod tests {
         assert_eq!(hh[0].0, 7);
     }
 
+    /// MG stores of capacity `usize::MAX` reserve nothing and never
+    /// decrement, so the deployment runs and keeps its `εW` contract.
+    #[test]
+    fn hostile_mg_capacities_run() {
+        let cfg = HhConfig::new(4, 0.05);
+        let opts = P2Options {
+            mg_site_capacity: Some(usize::MAX),
+            mg_coordinator_capacity: Some(usize::MAX),
+        };
+        let (runner, exact) = run_random(&cfg, &opts, 5_000, 9);
+        let w = exact.total_weight();
+        for (e, f) in exact.iter() {
+            let err = (runner.coordinator().estimate(e) - f).abs();
+            assert!(err <= cfg.epsilon * w + 1e-6, "item {e}: {err}");
+        }
+    }
+
     #[test]
     fn broadcast_after_m_scalar_messages() {
         let cfg = HhConfig::new(2, 0.5);

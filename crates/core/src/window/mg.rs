@@ -217,9 +217,18 @@ mod tests {
 
     #[test]
     fn window_estimates_within_certified_bound() {
+        for capacity in [32, usize::MAX] {
+            estimates_within_certified_bound(capacity);
+        }
+    }
+
+    /// Every window estimate within the certified bound, at a bucket
+    /// capacity of `capacity` counters (`usize::MAX` checks that every
+    /// singleton and merged bucket reserves nothing up front).
+    fn estimates_within_certified_bound(capacity: usize) {
         let window = 600usize;
         let stream = zipfish_stream(4 * window, 1);
-        let cfg = SwMgConfig::new(4, 0.1, window as u64, 32);
+        let cfg = SwMgConfig::new(4, 0.1, window as u64, capacity);
         let mut runner = deploy(&cfg);
         runner.run_partitioned(
             stream

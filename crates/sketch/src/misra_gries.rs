@@ -22,6 +22,13 @@ use std::collections::HashMap;
 /// Estimates are **underestimates**:
 /// `0 ≤ fe(A) − f̂e ≤ W/(ℓ+1)` for every item `e`, where `W` is the total
 /// weight fed to (all summaries merged into) this one.
+///
+/// # Allocation
+/// The capacity `ℓ` bounds the live counters; it is not allocated up
+/// front. The table grows with its live counters, so an empty summary
+/// costs no heap and a flushed summary of a few counters costs a few
+/// buckets, whatever `ℓ` is. A merge walks the table it folds in, so
+/// [`MgSummary::absorb`] folds the smaller table into the larger one.
 #[derive(Debug, Clone)]
 pub struct MgSummary {
     capacity: usize,
@@ -34,7 +41,9 @@ pub struct MgSummary {
 }
 
 impl MgSummary {
-    /// Creates a summary with `capacity` counters (`ℓ ≥ 1`).
+    /// Creates an empty summary of at most `capacity` counters (`ℓ ≥ 1`).
+    /// Nothing is allocated: `capacity` bounds the counters, it is not
+    /// reserved, so any `capacity` — even `usize::MAX` — is cheap.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
@@ -42,7 +51,7 @@ impl MgSummary {
         assert!(capacity >= 1, "MgSummary: capacity must be at least 1");
         MgSummary {
             capacity,
-            counters: HashMap::with_capacity(capacity + 1),
+            counters: HashMap::new(),
             total_weight: 0.0,
             decrement_total: 0.0,
         }
@@ -206,12 +215,25 @@ impl MgSummary {
         debug_assert!(self.counters.len() <= self.capacity);
     }
 
-    /// Empties the summary, keeping the configured capacity. Used by HH-P1
-    /// sites after flushing their state to the coordinator.
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.total_weight = 0.0;
-        self.decrement_total = 0.0;
+    /// Merges `other` into `self` by value: the same result as
+    /// [`MgSummary::merge`], bit for bit, but the smaller table is the one
+    /// walked — when `other` holds more counters the two swap first.
+    /// Per-key IEEE addition and both totals commute, and the
+    /// `(ℓ+1)`-th-largest decrement depends only on the summed multiset.
+    ///
+    /// # Panics
+    /// Panics if capacities differ.
+    pub fn absorb(&mut self, mut other: MgSummary) {
+        if other.counters.len() > self.counters.len() {
+            std::mem::swap(self, &mut other);
+        }
+        self.merge(&other);
+    }
+
+    /// Hands the whole summary off and leaves an empty one of the same
+    /// capacity behind — how a protocol node ships its state.
+    pub fn take_all(&mut self) -> MgSummary {
+        std::mem::replace(self, MgSummary::new(self.capacity))
     }
 
     /// Removes `item`'s counter and returns its value (zero if
@@ -377,13 +399,35 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets() {
+    fn take_all_hands_off_and_resets() {
         let mut mg = MgSummary::new(2);
         mg.update(1, 5.0);
-        mg.clear();
+        mg.update(2, 1.0);
+        mg.update(3, 2.0);
+        let shipped = mg.take_all();
+        assert_eq!(shipped.estimate(3), 1.0);
+        assert_eq!(shipped.total_weight(), 8.0);
+        assert_eq!(shipped.observed_error_bound(), 1.0);
         assert!(mg.is_empty());
         assert_eq!(mg.total_weight(), 0.0);
+        assert_eq!(mg.observed_error_bound(), 0.0);
         assert_eq!(mg.capacity(), 2);
+    }
+
+    /// Capacity bounds the counters and is never reserved, so a hostile
+    /// capacity neither overflows nor aborts on allocation.
+    #[test]
+    fn huge_capacity_allocates_lazily() {
+        let mut mg = MgSummary::new(usize::MAX);
+        for e in 0..100 {
+            mg.update(e, 1.0);
+        }
+        let mut other = MgSummary::new(usize::MAX);
+        other.update(7, 2.0);
+        mg.absorb(other.take_all());
+        assert_eq!(mg.len(), 100);
+        assert_eq!(mg.estimate(7), 3.0);
+        assert_eq!(mg.observed_error_bound(), 0.0);
     }
 
     #[test]

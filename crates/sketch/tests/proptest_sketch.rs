@@ -9,6 +9,27 @@ fn weighted_stream() -> impl Strategy<Value = Vec<(u64, f64)>> {
     prop::collection::vec((0u64..25, 1.0f64..100.0), 1..300)
 }
 
+/// An MG summary of capacity `cap` fed `items` in order.
+fn mg_from(cap: usize, items: impl IntoIterator<Item = (u64, f64)>) -> MgSummary {
+    let mut mg = MgSummary::new(cap);
+    for (e, w) in items {
+        mg.update(e, w);
+    }
+    mg
+}
+
+/// An MG summary's whole state, bit for bit: both totals and the
+/// counters in item order.
+fn mg_bits(mg: &MgSummary) -> (u64, u64, Vec<(u64, u64)>) {
+    let mut counters: Vec<(u64, u64)> = mg.counters().map(|(e, c)| (e, c.to_bits())).collect();
+    counters.sort_unstable();
+    (
+        mg.total_weight().to_bits(),
+        mg.observed_error_bound().to_bits(),
+        counters,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -115,6 +136,39 @@ proptest! {
                 prop_assert!(f - est <= m.error_bound() + 1e-9, "{}: bound on {}", name, e);
             }
         }
+    }
+
+    /// The by-value merge folds the smaller table into the larger one,
+    /// so it runs `merge` either way round; both must equal `a.merge(&b)`
+    /// bit for bit. Per-key IEEE addition and the two totals commute,
+    /// and the `(ℓ+1)`-th-largest decrement is a function of the summed
+    /// multiset. Keys fully overlap, partly overlap or are disjoint;
+    /// either side may be empty, larger, or past capacity. A decrement
+    /// usually leaves exactly `ℓ` counters, so `a` is a merge of
+    /// integer-weighted summaries: ties at the decrement leave it under
+    /// capacity while it carries a decrement total, and a swap must keep
+    /// that total on either side.
+    #[test]
+    fn mg_absorb_equals_merge_bitwise(
+        s1 in prop::collection::vec((0u64..25, 1u8..4), 0..300),
+        s2 in prop::collection::vec((0u64..25, 1.0f64..100.0), 0..300),
+        s3 in prop::collection::vec((0u64..25, 1u8..4), 0..300),
+        overlap in 0usize..3,
+        cap in 1usize..16,
+    ) {
+        let ints = |s: &[(u64, u8)]| mg_from(cap, s.iter().map(|&(e, w)| (e, f64::from(w))));
+        let mut a = ints(&s1);
+        a.merge(&ints(&s3));
+        let shift = [0, 10, 100][overlap];
+        let b = mg_from(cap, s2.iter().map(|&(e, w)| (e + shift, w)));
+        let mut want = a.clone();
+        want.merge(&b);
+        let mut ab = a.clone();
+        ab.absorb(b.clone());
+        let mut ba = b;
+        ba.absorb(a);
+        prop_assert_eq!(mg_bits(&ab), mg_bits(&want));
+        prop_assert_eq!(mg_bits(&ba), mg_bits(&want));
     }
 
     /// SpaceSaving merge: any merge order/association keeps monitored

@@ -226,3 +226,78 @@ fn skewed_placement_keeps_guarantee() {
         assert!(err <= eps * w + 1e-9, "item {e}: {err} > εW under skew");
     }
 }
+
+/// FNV-1a (64-bit) of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// HH-P1's traffic and every node's final state, pinned on seeded
+/// m = 256 runs: the star fed item by item (`observe`, coordinator
+/// merges) and a fanout-4 tree fed in batches (`observe_batch`,
+/// aggregator merges and forwards). ε = 0.2 keeps ten counters per
+/// summary, so forwarded partials, not only the root, overflow and
+/// carry decrement totals. The MG wire encoding sorts its counters, so the
+/// state hashes are deterministic; any change to what a flush ships,
+/// or to a merged counter's or total's last bit, moves them.
+#[test]
+fn p1_traffic_and_state_are_pinned() {
+    use cma::stream::partition::RoundRobin;
+    use cma::stream::{Topology, WireCodec};
+
+    let m = 256;
+    let cfg = HhConfig::new(m, 0.2);
+    let (stream, _) = zipf(200_000, 1000.0, 7);
+    // (up_msgs, total, bytes_up, bytes_down, broadcast_events,
+    //  coordinator hash, aggregators hash)
+    let golden: [(Topology, [u64; 7]); 2] = [
+        (
+            Topology::Star,
+            [
+                12282,
+                89710,
+                1185408,
+                223232,
+                109,
+                4730819539100614963,
+                14695981039346656037,
+            ],
+        ),
+        (
+            Topology::Tree { fanout: 4 },
+            [
+                21271,
+                232706,
+                3798496,
+                291040,
+                107,
+                9937193394709118906,
+                1203948896162285357,
+            ],
+        ),
+    ];
+    for (topology, want) in golden {
+        let mut r = p1::deploy_topology(&cfg, topology);
+        if topology == Topology::Star {
+            for (i, &a) in stream.iter().enumerate() {
+                r.feed(i % m, a);
+            }
+        } else {
+            r.run_partitioned(stream.iter().copied(), &mut RoundRobin::new(m), 64);
+        }
+        let s = r.stats();
+        let aggs: Vec<u8> = r.aggregators().iter().flat_map(|a| a.to_wire()).collect();
+        let got = [
+            s.up_msgs,
+            s.total(),
+            s.bytes_up,
+            s.bytes_down,
+            s.broadcast_events,
+            fnv1a(&r.coordinator().to_wire()),
+            fnv1a(&aggs),
+        ];
+        assert_eq!(got, want, "{topology:?}");
+    }
+}
