@@ -38,20 +38,21 @@
 //! ```
 
 use super::{
-    deploy_kind, deploy_kind_topology, make_kind_aggregator, SnapshotKind, SwAggregator,
-    SwCoordinator, SwParams, SwSite, WindowKind,
+    SnapshotKind, SwAggregator, SwCoordinator, SwParams, SwSite, WindowConfig, WindowKind,
 };
 use crate::matrix::{row_weight, Row};
 use cma_linalg::{LinalgProfile, Matrix};
 use cma_sketch::FrequentDirections;
-use cma_stream::{put_usize, AggNode, Runner, Topology, WireReader};
+use cma_stream::{put_usize, WireReader};
+
+pub use super::{deploy, deploy_topology, make_aggregator, run_engine};
 
 /// The Frequent Directions instantiation of the windowed protocol
 /// family.
 #[derive(Debug, Clone)]
 pub struct FdKind {
-    dim: usize,
-    ell: usize,
+    pub(crate) dim: usize,
+    pub(crate) ell: usize,
 }
 
 impl WindowKind for FdKind {
@@ -92,14 +93,6 @@ impl SnapshotKind for FdKind {
             return None;
         }
         Some(FdKind { dim, ell })
-    }
-
-    fn encode_summary(summary: &FrequentDirections, out: &mut Vec<u8>) {
-        crate::wire::put_fd(out, summary);
-    }
-
-    fn decode_summary(r: &mut WireReader<'_>) -> Option<FrequentDirections> {
-        crate::wire::read_fd(r)
     }
 }
 
@@ -150,6 +143,14 @@ impl SwFdConfig {
     pub fn with_profile(self, _profile: LinalgProfile) -> Self {
         self
     }
+}
+
+impl WindowConfig for SwFdConfig {
+    type Kind = FdKind;
+
+    fn params(&self) -> &SwParams {
+        &self.params
+    }
 
     fn kind(&self) -> FdKind {
         FdKind {
@@ -159,49 +160,12 @@ impl SwFdConfig {
     }
 }
 
-/// Builds a flat-star windowed matrix deployment.
-pub fn deploy(cfg: &SwFdConfig) -> Runner<SwFdSite, SwFdCoordinator> {
-    deploy_kind(cfg.kind(), &cfg.params)
-}
-
-/// Builds a windowed matrix deployment over an arbitrary aggregation
-/// topology; with no interior nodes this is *identical* to [`deploy`].
-pub fn deploy_topology(
-    cfg: &SwFdConfig,
-    topology: Topology,
-) -> Runner<SwFdSite, SwFdCoordinator, SwFdAggregator> {
-    deploy_kind_topology(cfg.kind(), &cfg.params, topology)
-}
-
-/// Aggregator factory matching [`deploy_topology`]'s budget split — the
-/// entry point for driving a tree deployment through
-/// [`cma_stream::runner::engine::run_partitioned_topology_parts`].
-pub fn make_aggregator(
-    cfg: &SwFdConfig,
-    topology: Topology,
-) -> impl FnMut(AggNode) -> SwFdAggregator {
-    make_kind_aggregator(&cfg.params, topology)
-}
-
-/// Runs a complete windowed matrix deployment — pre-partitioned
-/// per-site streams of stamped rows — through the pooled execution
-/// engine (`cma_stream::runner::engine`); see
-/// [`crate::window::mg::run_engine`] for the contract.
-pub fn run_engine(
-    cfg: &SwFdConfig,
-    inputs: Vec<Vec<super::Stamped<Row>>>,
-    tcfg: &cma_stream::runner::engine::ThreadedConfig,
-    executor: cma_stream::Executor,
-    topology: Topology,
-) -> cma_stream::runner::engine::TreeRunParts<SwFdSite, SwFdCoordinator, SwFdAggregator> {
-    super::run_kind_engine(cfg.kind(), &cfg.params, inputs, tcfg, executor, topology)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cma_linalg::random;
     use cma_stream::partition::RoundRobin;
+    use cma_stream::Topology;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

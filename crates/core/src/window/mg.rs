@@ -31,17 +31,18 @@
 //! ```
 
 use super::{
-    deploy_kind, deploy_kind_topology, make_kind_aggregator, SnapshotKind, SwAggregator,
-    SwCoordinator, SwParams, SwSite, WindowKind,
+    SnapshotKind, SwAggregator, SwCoordinator, SwParams, SwSite, WindowConfig, WindowKind,
 };
 use crate::hh::{validate_weight, Item, WeightedItem};
 use cma_sketch::MgSummary;
-use cma_stream::{put_usize, AggNode, Runner, Topology, WireReader};
+use cma_stream::{put_usize, WireReader};
+
+pub use super::{deploy, deploy_topology, make_aggregator, run_engine};
 
 /// The Misra–Gries instantiation of the windowed protocol family.
 #[derive(Debug, Clone)]
 pub struct MgKind {
-    capacity: usize,
+    pub(crate) capacity: usize,
 }
 
 impl WindowKind for MgKind {
@@ -73,14 +74,6 @@ impl SnapshotKind for MgKind {
     fn decode_kind(r: &mut WireReader<'_>) -> Option<Self> {
         let capacity = r.usize()?;
         (capacity >= 1).then_some(MgKind { capacity })
-    }
-
-    fn encode_summary(summary: &MgSummary, out: &mut Vec<u8>) {
-        crate::wire::put_mg(out, summary);
-    }
-
-    fn decode_summary(r: &mut WireReader<'_>) -> Option<MgSummary> {
-        crate::wire::read_mg(r)
     }
 }
 
@@ -132,6 +125,14 @@ impl SwMgConfig {
             capacity,
         }
     }
+}
+
+impl WindowConfig for SwMgConfig {
+    type Kind = MgKind;
+
+    fn params(&self) -> &SwParams {
+        &self.params
+    }
 
     fn kind(&self) -> MgKind {
         MgKind {
@@ -140,55 +141,11 @@ impl SwMgConfig {
     }
 }
 
-/// Builds a flat-star windowed heavy-hitter deployment.
-pub fn deploy(cfg: &SwMgConfig) -> Runner<SwMgSite, SwMgCoordinator> {
-    deploy_kind(cfg.kind(), &cfg.params)
-}
-
-/// Builds a windowed heavy-hitter deployment over an arbitrary
-/// aggregation topology; with no interior nodes this is *identical* to
-/// [`deploy`].
-pub fn deploy_topology(
-    cfg: &SwMgConfig,
-    topology: Topology,
-) -> Runner<SwMgSite, SwMgCoordinator, SwMgAggregator> {
-    deploy_kind_topology(cfg.kind(), &cfg.params, topology)
-}
-
-/// Aggregator factory matching [`deploy_topology`]'s budget split — the
-/// entry point for driving a tree deployment through
-/// [`cma_stream::runner::engine::run_partitioned_topology_parts`].
-pub fn make_aggregator(
-    cfg: &SwMgConfig,
-    topology: Topology,
-) -> impl FnMut(AggNode) -> SwMgAggregator {
-    make_kind_aggregator(&cfg.params, topology)
-}
-
-/// Runs a complete windowed heavy-hitter deployment — pre-partitioned
-/// per-site streams of stamped arrivals — through the pooled execution
-/// engine (`cma_stream::runner::engine`). The deployment and budget
-/// split are identical to [`deploy_topology`]; the executor only
-/// decides scheduling: a bounded worker pool
-/// ([`cma_stream::Executor::Pool`], thread count `workers + 1`
-/// regardless of `m`) or the deterministic calling-thread reference
-/// ([`cma_stream::Executor::Inline`]). Returns the finished sites, the
-/// interior aggregators (still holding their sub-threshold buckets),
-/// the drained coordinator and the merged stats.
-pub fn run_engine(
-    cfg: &SwMgConfig,
-    inputs: Vec<Vec<super::Stamped<WeightedItem>>>,
-    tcfg: &cma_stream::runner::engine::ThreadedConfig,
-    executor: cma_stream::Executor,
-    topology: Topology,
-) -> cma_stream::runner::engine::TreeRunParts<SwMgSite, SwMgCoordinator, SwMgAggregator> {
-    super::run_kind_engine(cfg.kind(), &cfg.params, inputs, tcfg, executor, topology)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cma_stream::partition::RoundRobin;
+    use cma_stream::Topology;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -74,13 +74,14 @@
 //! Two instantiations: [`mg`] (windowed weighted heavy hitters over
 //! Misra–Gries buckets) and [`fd`] (windowed matrix tracking over
 //! Frequent Directions buckets). Both run through every driver:
-//! [`Runner`] star and tree, and — via [`mg::run_engine`] /
-//! [`fd::run_engine`] — the execution engine (`runner::engine`), inline
-//! or on a worker pool whose thread count is the pool size, not `m +`
-//! interior nodes.
+//! [`Runner`] star and tree, and — via [`run_engine`] — the execution
+//! engine (`runner::engine`), inline or on a worker pool whose thread
+//! count is the pool size, not `m +` interior nodes. The config type
+//! picks the kind ([`WindowConfig`]), so [`deploy`], [`deploy_topology`],
+//! [`make_aggregator`] and [`run_engine`] are written once for both.
 
+use crate::wire::SummaryCodec;
 use cma_sketch::sliding_window::{ExpHistogram, WinBucket, WindowSummary};
-use cma_sketch::{FrequentDirections, MgSummary};
 use cma_stream::runner::engine::{self, Executor, ThreadedConfig, TreeRunParts};
 use cma_stream::{
     put_f64, put_u64, put_usize, AggNode, Aggregator, BudgetShare, ChurnBudget, ChurnCoordinator,
@@ -101,41 +102,6 @@ pub use mg::SwMgConfig;
 /// drivers stamp with `enumerate()` before partitioning.
 pub type Stamped<T> = (u64, T);
 
-/// Per-bucket element cost of a shipped summary, in the paper's message
-/// units (elements inside the summary, plus one for the bucket's
-/// mass/age tag).
-pub trait BucketCost {
-    /// Unit-message charge for shipping this summary as one bucket.
-    fn bucket_cost(&self) -> u64;
-
-    /// Exact size of the summary's [`crate::wire`] encoding in bytes
-    /// (pinned equal to the codec's output by the `wire_roundtrip`
-    /// suite).
-    fn bucket_bytes(&self) -> u64;
-}
-
-impl BucketCost for MgSummary {
-    /// One element per live counter plus the bucket tag.
-    fn bucket_cost(&self) -> u64 {
-        self.len() as u64 + 1
-    }
-
-    fn bucket_bytes(&self) -> u64 {
-        crate::wire::mg_bytes(self)
-    }
-}
-
-impl BucketCost for FrequentDirections {
-    /// One element per sketch row plus the bucket tag.
-    fn bucket_cost(&self) -> u64 {
-        self.sketch().rows() as u64 + 1
-    }
-
-    fn bucket_bytes(&self) -> u64 {
-        crate::wire::fd_bytes(self)
-    }
-}
-
 /// What differs between the windowed heavy-hitter and windowed matrix
 /// protocols: the arrival payload, the bucket summary, and the summary's
 /// a-priori loss. Everything else — histogram maintenance, flush/hold
@@ -145,7 +111,7 @@ pub trait WindowKind: Clone {
     /// Arrival payload (a weighted item, a matrix row, …).
     type Input;
     /// Bucket summary type.
-    type Summary: WindowSummary + BucketCost;
+    type Summary: WindowSummary + SummaryCodec;
 
     /// An empty summary (the fold accumulator).
     fn empty(&self) -> Self::Summary;
@@ -159,9 +125,9 @@ pub trait WindowKind: Clone {
     fn summary_loss(&self, mass: f64) -> f64;
 }
 
-/// Snapshot support for a [`WindowKind`]: wire codecs for the kind's
-/// own configuration and for its bucket summaries, from which the
-/// generic [`SwCoordinator`]/[`SwAggregator`] codecs are assembled.
+/// Snapshot support for a [`WindowKind`]: a wire codec for the kind's
+/// own configuration, from which, with the summaries' [`SummaryCodec`],
+/// the generic [`SwCoordinator`]/[`SwAggregator`] codecs are assembled.
 ///
 /// Only *sketch content* is snapshotted (see
 /// [`cma_sketch::FrequentDirections::from_parts`]).
@@ -172,12 +138,6 @@ pub trait SnapshotKind: WindowKind {
 
     /// Decodes a kind configuration. `None` on malformed bytes.
     fn decode_kind(r: &mut WireReader<'_>) -> Option<Self>;
-
-    /// Encodes one bucket summary.
-    fn encode_summary(summary: &Self::Summary, out: &mut Vec<u8>);
-
-    /// Decodes one bucket summary. `None` on malformed bytes.
-    fn decode_summary(r: &mut WireReader<'_>) -> Option<Self::Summary>;
 }
 
 /// Encodes an exponential histogram: shape, clock, then every live
@@ -193,7 +153,7 @@ fn put_hist<K: SnapshotKind>(out: &mut Vec<u8>, hist: &ExpHistogram<K::Summary>)
         put_u64(out, b.oldest);
         put_u64(out, b.newest);
         put_f64(out, b.mass);
-        K::encode_summary(&b.summary.settled(), out);
+        b.summary.settled().put_summary(out);
     }
 }
 
@@ -215,7 +175,7 @@ fn read_hist<K: SnapshotKind>(r: &mut WireReader<'_>) -> Option<ExpHistogram<K::
         let oldest = r.u64()?;
         let newest = r.u64()?;
         let mass = r.f64()?;
-        let summary = K::decode_summary(r)?;
+        let summary = <K::Summary as SummaryCodec>::read_summary(r)?;
         buckets.push(WinBucket {
             summary,
             mass,
@@ -246,25 +206,20 @@ impl<S> SwMsg<S> {
     }
 }
 
-impl<S: BucketCost> MessageCost for SwMsg<S> {
-    /// One unit for the clock scalar plus each bucket's element cost.
+impl<S: SummaryCodec> MessageCost for SwMsg<S> {
+    /// One unit for the clock scalar, plus each bucket's elements and
+    /// one for its mass/age tag.
     fn cost(&self) -> u64 {
         1 + self
             .buckets
             .iter()
-            .map(|b| b.summary.bucket_cost())
+            .map(|b| b.summary.elements() + 1)
             .sum::<u64>()
     }
 
-    /// Exact size of the [`crate::wire`] encoding: the clock and bucket
-    /// count, then each bucket's `[oldest, newest]` range, mass, and
-    /// summary.
+    /// Exact size of the [`crate::wire`] encoding.
     fn wire_bytes(&self) -> u64 {
-        16 + self
-            .buckets
-            .iter()
-            .map(|b| 24 + b.summary.bucket_bytes())
-            .sum::<u64>()
+        self.encoded_len()
     }
 
     /// A lost message loses all its buckets' window mass.
@@ -660,7 +615,7 @@ fn sw_site_frac(mem: &Membership) -> f64 {
 
 /// Interior share of the withholding budget as a fraction of `ε`:
 /// `covered/(2·L·m)` — this node's slice of the interior half
-/// ([`make_kind_aggregator`], restated over a [`Membership`]).
+/// ([`make_aggregator`], restated over a [`Membership`]).
 fn sw_interior_frac(mem: &Membership, covered: usize) -> f64 {
     covered as f64 / (2.0 * mem.levels.max(1) as f64 * mem.sites as f64)
 }
@@ -764,47 +719,57 @@ impl<K: SnapshotKind> WireCodec for SwAggregator<K> {
     }
 }
 
-/// Builds a flat-star deployment for any [`WindowKind`].
-pub(crate) fn deploy_kind<K: WindowKind>(
-    kind: K,
-    params: &SwParams,
-) -> Runner<SwSite<K>, SwCoordinator<K>> {
-    let tau = params.site_tau_frac(Topology::Star);
-    let sites = (0..params.sites)
-        .map(|_| SwSite::new(kind.clone(), params, tau))
-        .collect();
-    Runner::new(sites, SwCoordinator::new(kind, params))
+/// A windowed deployment's configuration: the shared knobs, and the
+/// bucket summary the config type picks.
+pub trait WindowConfig {
+    /// The bucket summary the deployment runs.
+    type Kind: WindowKind;
+    /// Shared sliding-window knobs.
+    fn params(&self) -> &SwParams;
+    /// The kind, with its summary's size.
+    fn kind(&self) -> Self::Kind;
 }
 
-/// Builds a deployment over an arbitrary aggregation topology; with no
-/// interior nodes (star, or `fanout ≥ m`) this is *identical* to
-/// [`deploy_kind`].
-pub(crate) fn deploy_kind_topology<K: WindowKind>(
-    kind: K,
-    params: &SwParams,
-    topology: Topology,
-) -> Runner<SwSite<K>, SwCoordinator<K>, SwAggregator<K>> {
+fn window_sites<C: WindowConfig>(cfg: &C, topology: Topology) -> Vec<SwSite<C::Kind>> {
+    let (kind, params) = (cfg.kind(), cfg.params());
     let tau = params.site_tau_frac(topology);
-    let sites = (0..params.sites)
+    (0..params.sites)
         .map(|_| SwSite::new(kind.clone(), params, tau))
-        .collect();
+        .collect()
+}
+
+/// A windowed deployment over an aggregation topology.
+pub type SwTree<K> = Runner<SwSite<K>, SwCoordinator<K>, SwAggregator<K>>;
+
+/// Builds a flat-star windowed deployment.
+pub fn deploy<C: WindowConfig>(cfg: &C) -> Runner<SwSite<C::Kind>, SwCoordinator<C::Kind>> {
+    let coordinator = SwCoordinator::new(cfg.kind(), cfg.params());
+    Runner::new(window_sites(cfg, Topology::Star), coordinator)
+}
+
+/// Builds a windowed deployment over an arbitrary aggregation topology;
+/// with no interior nodes (star, or `fanout ≥ m`) this is *identical* to
+/// [`deploy`].
+pub fn deploy_topology<C: WindowConfig>(cfg: &C, topology: Topology) -> SwTree<C::Kind> {
     Runner::with_topology(
-        sites,
-        SwCoordinator::new(kind, params),
+        window_sites(cfg, topology),
+        SwCoordinator::new(cfg.kind(), cfg.params()),
         topology,
-        make_kind_aggregator(params, topology),
+        make_aggregator(cfg, topology),
     )
 }
 
-/// Aggregator factory matching [`deploy_kind_topology`]'s budget split
-/// (for the engine's topology drivers): each interior node gets
+/// Aggregator factory matching [`deploy_topology`]'s budget split — the
+/// entry point for driving a tree deployment through
+/// [`engine::run_partitioned_topology_parts`]: each interior node gets
 /// `(ε/2L)·(c/m)` of `Ŵ` — its slice of the interior half of the
 /// withholding budget, proportional to the `c` leaves it covers over
 /// `L` interior levels.
-pub(crate) fn make_kind_aggregator<K: WindowKind>(
-    params: &SwParams,
+pub fn make_aggregator<C: WindowConfig>(
+    cfg: &C,
     topology: Topology,
-) -> impl FnMut(AggNode) -> SwAggregator<K> {
+) -> impl FnMut(AggNode) -> SwAggregator<C::Kind> {
+    let params = cfg.params();
     let plan = topology.plan(params.sites);
     let levels = plan.internal_levels().max(1) as f64;
     let m = params.sites as f64;
@@ -819,25 +784,29 @@ pub(crate) fn make_kind_aggregator<K: WindowKind>(
     }
 }
 
-/// Runs a full pre-partitioned windowed deployment through the
-/// execution engine, scheduled on a bounded worker pool
-/// ([`Executor::Pool`]) or deterministically on the calling thread
-/// ([`Executor::Inline`]). Sites and aggregators carry the same budget
-/// split as [`deploy_kind_topology`].
-pub(crate) fn run_kind_engine<K>(
-    kind: K,
-    params: &SwParams,
+/// Runs a complete windowed deployment — pre-partitioned per-site
+/// streams of stamped arrivals — through the pooled execution engine
+/// (`cma_stream::runner::engine`). The deployment and budget split are
+/// identical to [`deploy_topology`]; the executor only decides
+/// scheduling: a bounded worker pool ([`Executor::Pool`], thread count
+/// `workers + 1` regardless of `m`) or the deterministic calling-thread
+/// reference ([`Executor::Inline`]). Returns the finished sites, the
+/// interior aggregators (still holding their sub-threshold buckets), the
+/// drained coordinator and the merged stats.
+pub fn run_engine<C, K>(
+    cfg: &C,
     inputs: Vec<Vec<Stamped<K::Input>>>,
     tcfg: &ThreadedConfig,
     executor: Executor,
     topology: Topology,
 ) -> TreeRunParts<SwSite<K>, SwCoordinator<K>, SwAggregator<K>>
 where
+    C: WindowConfig<Kind = K>,
     K: WindowKind + Send,
     K::Input: Send,
     K::Summary: Send,
 {
-    let (sites, coordinator, _) = deploy_kind_topology(kind, params, topology).into_parts();
+    let (sites, coordinator, _) = deploy_topology(cfg, topology).into_parts();
     engine::run_partitioned_topology_parts(
         sites,
         coordinator,
@@ -845,13 +814,14 @@ where
         tcfg,
         executor,
         topology,
-        make_kind_aggregator(params, topology),
+        make_aggregator(cfg, topology),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cma_sketch::MgSummary;
 
     #[test]
     fn params_validate() {

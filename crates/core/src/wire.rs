@@ -11,10 +11,9 @@
 //! (by re-encoded byte equality — sketches and matrices carry no
 //! `PartialEq`).
 
-use crate::hh::p1::P1Msg;
+use crate::flush::{mass_bytes, FlushKind, FlushMsg};
 use crate::hh::p2::P2Msg;
 use crate::hh::p4::P4Msg;
-use crate::matrix::p1::MP1Msg;
 use crate::matrix::p2::MP2Msg;
 use crate::matrix::p4::MP4Msg;
 use crate::matrix::Row;
@@ -41,8 +40,9 @@ fn read_finite(r: &mut WireReader<'_>) -> Option<f64> {
     r.f64().filter(|v| v.is_finite())
 }
 
-/// A squared-norm mass (`frob_sq`, `shrink_loss`): finite and `≥ 0`.
-fn read_mass(r: &mut WireReader<'_>) -> Option<f64> {
+/// A mass or a bound on one (`frob_sq`, `shrink_loss`, a Misra–Gries
+/// total or counter, a flush's mass): finite and `≥ 0`.
+pub(crate) fn read_mass(r: &mut WireReader<'_>) -> Option<f64> {
     r.f64().filter(|v| v.is_finite() && *v >= 0.0)
 }
 
@@ -67,18 +67,19 @@ pub fn put_mg(out: &mut Vec<u8>, s: &MgSummary) {
     }
 }
 
-/// Inverse of [`put_mg`].
+/// Inverse of [`put_mg`]; `None` on a negative or non-finite total,
+/// decrement total or counter.
 pub fn read_mg(r: &mut WireReader<'_>) -> Option<MgSummary> {
     let capacity = read_len(r)?;
-    let total_weight = r.f64()?;
-    let decrement_total = r.f64()?;
+    let total_weight = read_mass(r)?;
+    let decrement_total = read_mass(r)?;
     let len = read_len(r)?;
     if capacity == 0 || len > capacity {
         return None;
     }
     let mut counters = Vec::with_capacity(r.capacity_for(len));
     for _ in 0..len {
-        counters.push((r.u64()?, r.f64()?));
+        counters.push((r.u64()?, read_mass(r)?));
     }
     Some(MgSummary::from_parts(
         capacity,
@@ -182,24 +183,36 @@ pub fn row_bytes(row: &[f64]) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Heavy-hitter messages
+// P1 messages: one codec over the summary kind
 // ---------------------------------------------------------------------
 
-impl WireCodec for P1Msg {
+/// `summary, mass` — the mass only where the kind does not imply it:
+/// HH-P1 `32 + 16·len` bytes, MT-P1 `24 + 8·rows·d`.
+impl<K: FlushKind> WireCodec for FlushMsg<K> {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_mg(out, &self.summary);
+        self.summary.put_summary(out);
+        if K::IMPLIED_MASS.is_none() {
+            put_f64(out, self.mass);
+        }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(P1Msg {
-            summary: read_mg(r)?,
-        })
+        let summary = K::Shipped::read_summary(r)?;
+        let mass = match K::IMPLIED_MASS {
+            Some(implied) => implied(&summary),
+            None => read_mass(r)?,
+        };
+        Some(FlushMsg { summary, mass })
     }
 
     fn encoded_len(&self) -> u64 {
-        mg_bytes(&self.summary)
+        self.summary.summary_bytes() + mass_bytes::<K>()
     }
 }
+
+// ---------------------------------------------------------------------
+// Heavy-hitter messages
+// ---------------------------------------------------------------------
 
 impl WireCodec for P2Msg {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -266,24 +279,6 @@ impl WireCodec for P4Msg {
 // ---------------------------------------------------------------------
 // Matrix messages
 // ---------------------------------------------------------------------
-
-impl WireCodec for MP1Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_matrix(out, &self.rows);
-        put_f64(out, self.mass);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        Some(MP1Msg {
-            rows: read_matrix(r)?,
-            mass: r.f64()?,
-        })
-    }
-
-    fn encoded_len(&self) -> u64 {
-        matrix_bytes(&self.rows) + 8
-    }
-}
 
 impl WireCodec for MP2Msg {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -426,9 +421,9 @@ impl<K: SampleKind> WireCodec for WrMsg<K> {
 // Sliding-window messages
 // ---------------------------------------------------------------------
 
-/// Byte-level codec for a window bucket summary — the per-family leg of
-/// the generic [`SwMsg`] codec. A local trait (not `WireCodec`) because
-/// the summary types live in `cma-sketch`.
+/// Byte-level codec for a summary — the per-family leg of the generic
+/// window and P1 codecs — or for what a P1 flush ships. A local trait
+/// (not `WireCodec`) because the summary types live in other crates.
 pub trait SummaryCodec: Sized {
     /// Appends the summary's encoding.
     fn put_summary(&self, out: &mut Vec<u8>);
@@ -436,6 +431,9 @@ pub trait SummaryCodec: Sized {
     fn read_summary(r: &mut WireReader<'_>) -> Option<Self>;
     /// Exact encoded size.
     fn summary_bytes(&self) -> u64;
+    /// Elements carried, in the paper's message units: live counters or
+    /// sketch rows.
+    fn elements(&self) -> u64;
 }
 
 impl SummaryCodec for MgSummary {
@@ -450,6 +448,10 @@ impl SummaryCodec for MgSummary {
     fn summary_bytes(&self) -> u64 {
         mg_bytes(self)
     }
+
+    fn elements(&self) -> u64 {
+        self.len() as u64
+    }
 }
 
 impl SummaryCodec for FrequentDirections {
@@ -463,6 +465,29 @@ impl SummaryCodec for FrequentDirections {
 
     fn summary_bytes(&self) -> u64 {
         fd_bytes(self)
+    }
+
+    fn elements(&self) -> u64 {
+        self.sketch().rows() as u64
+    }
+}
+
+/// FD's sketch rows, as an MT-P1 flush ships them.
+impl SummaryCodec for Matrix {
+    fn put_summary(&self, out: &mut Vec<u8>) {
+        put_matrix(out, self);
+    }
+
+    fn read_summary(r: &mut WireReader<'_>) -> Option<Self> {
+        read_matrix(r)
+    }
+
+    fn summary_bytes(&self) -> u64 {
+        matrix_bytes(self)
+    }
+
+    fn elements(&self) -> u64 {
+        self.rows() as u64
     }
 }
 

@@ -227,6 +227,13 @@ fn hh_restated_bounds_across_churn_matrix() {
                         "p1 {name} m={m} {topo:?}: item {e} err {err} > εW_fed"
                     );
                 }
+                // The total too: every departing or migrating node ships
+                // all the weight it withholds, counters or not.
+                let w_c = parts.coordinator.total_weight();
+                assert!(
+                    (w_c - w_fed).abs() <= cfg.epsilon * w_fed,
+                    "p1 {name} m={m} {topo:?}: W_C {w_c} vs W_fed {w_fed}"
+                );
 
                 // P2: same deterministic contract, per-element thresholds.
                 let parts = run_hh!(p2, cfg.clone(), topo, inputs, &ccfg);

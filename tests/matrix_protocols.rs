@@ -375,3 +375,82 @@ fn sampling_protocols_agree_across_payloads() {
         }
     }
 }
+
+/// FNV-1a (64-bit) of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// MT-P1's traffic and every node's final state, pinned on seeded
+/// m = 24 runs: the star fed row by row (`observe`, coordinator
+/// merges) and a fanout-4 tree fed in batches (`observe_batch`,
+/// aggregator merges and forwards). ε = 0.2 keeps `ℓ = 20` rows per
+/// sketch in `d = 16`, more than the `⌈ℓ/2⌉ − 1 = 9` a shrink keeps,
+/// so shrinks at sites and aggregators lose mass and a forwarded
+/// partial's exact mass differs from its sketch's own `frob_sq`. The
+/// FD wire encoding is a pure function of the sketch, so the state
+/// hashes are deterministic; any change to what a flush ships, to an
+/// aggregator's held mass, or to a sketch row's last bit moves them.
+#[test]
+fn mt_p1_traffic_and_state_are_pinned() {
+    use cma::stream::partition::RoundRobin;
+    use cma::stream::{Topology, WireCodec};
+
+    let m = 24;
+    let cfg = MatrixConfig::new(m, 0.2, 16);
+    let spectrum: Vec<f64> = (0..16).map(|j| 2.0 * 0.8_f64.powi(j)).collect();
+    let mut source = SyntheticMatrixStream::new(16, &spectrum, 1e3, 31);
+    let rows: Vec<Vec<f64>> = (0..20_000).map(|_| source.next_row()).collect();
+    // (up_msgs, total, bytes_up, bytes_down, broadcast_events,
+    //  coordinator hash, aggregators hash)
+    let golden: [(Topology, [u64; 7]); 2] = [
+        (
+            Topology::Star,
+            [
+                1164,
+                12405,
+                1221024,
+                15360,
+                80,
+                5305381746018170887,
+                14695981039346656037,
+            ],
+        ),
+        (
+            Topology::Tree { fanout: 4 },
+            [
+                2004,
+                31900,
+                3397672,
+                19712,
+                77,
+                2585338574389685815,
+                9033389817766061883,
+            ],
+        ),
+    ];
+    for (topology, want) in golden {
+        let mut r = p1::deploy_topology(&cfg, topology);
+        if topology == Topology::Star {
+            for (i, row) in rows.iter().enumerate() {
+                r.feed(i % m, row.clone());
+            }
+        } else {
+            r.run_partitioned(rows.iter().cloned(), &mut RoundRobin::new(m), 64);
+        }
+        let s = r.stats();
+        let aggs: Vec<u8> = r.aggregators().iter().flat_map(|a| a.to_wire()).collect();
+        let got = [
+            s.up_msgs,
+            s.total(),
+            s.bytes_up,
+            s.bytes_down,
+            s.broadcast_events,
+            fnv1a(&r.coordinator().to_wire()),
+            fnv1a(&aggs),
+        ];
+        assert_eq!(got, want, "{topology:?}");
+    }
+}

@@ -19,14 +19,16 @@ use cma::protocols::matrix::p3wr::MP3wrMsg;
 use cma::protocols::matrix::p4::MP4Msg;
 use cma::protocols::sampling::WrHit;
 use cma::protocols::window::SwMsg;
-use cma::protocols::wire::{put_fd, read_fd};
+use cma::protocols::wire::{put_fd, put_mg, read_fd, read_mg};
 use cma::sketch::sliding_window::WinBucket;
 use cma::sketch::{FrequentDirections, MgSummary};
 use cma::stream::{GossipDigest, GossipFrame, MessageCost, WireCodec, WireReader, WireSized};
 use proptest::prelude::*;
 
 /// The shared pin: buffer length == `encoded_len` == `wire_bytes`,
-/// decode succeeds, consumes everything, and re-encodes byte-exactly.
+/// decode succeeds, consumes everything, and re-encodes byte-exactly;
+/// and every strict prefix of the encoding decodes to `None` — a
+/// truncated frame never assembles a phantom message from a short read.
 fn assert_roundtrip<T: WireCodec + MessageCost>(msg: &T, what: &str) {
     let buf = msg.to_wire();
     assert_eq!(buf.len() as u64, msg.encoded_len(), "{what}: encoded_len");
@@ -35,6 +37,13 @@ fn assert_roundtrip<T: WireCodec + MessageCost>(msg: &T, what: &str) {
     let back = T::decode(&mut r).unwrap_or_else(|| panic!("{what}: decode failed"));
     assert!(r.is_empty(), "{what}: decode left trailing bytes");
     assert_eq!(buf, back.to_wire(), "{what}: re-encode diverged");
+    for cut in 0..buf.len() {
+        assert!(
+            T::decode(&mut WireReader::new(&buf[..cut])).is_none(),
+            "{what}: a {cut}-byte prefix of {} decoded",
+            buf.len()
+        );
+    }
 }
 
 fn mg_from(capacity: usize, updates: &[(u64, f64)]) -> MgSummary {
@@ -60,15 +69,17 @@ fn poison(buf: &[u8], at: usize, v: f64) -> Vec<u8> {
     out
 }
 
-/// Hostile bytes: a row, matrix or sketch carrying a NaN or ∞ entry, or
-/// a sketch whose `frob_sq`/`shrink_loss` is non-finite or negative,
-/// decodes to `None` instead of a summary whose bound is NaN.
+/// Hostile bytes: a row, matrix or sketch carrying a NaN or ∞ entry, a
+/// sketch whose `frob_sq`/`shrink_loss` is non-finite or negative, a
+/// Misra–Gries summary whose total, decrement total or counter weight
+/// is, or an MT-P1 flush whose mass is, decodes to `None` instead of a
+/// summary whose bound is NaN.
 #[test]
 fn non_finite_values_fail_to_decode() {
     let row = vec![1.0, -2.0, 3.0];
     let direction = MP2Msg::Direction(row.clone()).to_wire();
     let flush = MP1Msg {
-        rows: Matrix::from_vec(1, 3, row.clone()),
+        summary: Matrix::from_vec(1, 3, row.clone()),
         mass: 14.0,
     }
     .to_wire();
@@ -80,9 +91,19 @@ fn non_finite_values_fail_to_decode() {
     // shrink_loss.
     let entries = 8 * fd.sketch().rows() * fd.dim();
     let (frob_at, loss_at) = (32 + entries, 40 + entries);
+    let mass_at = 16 + 8 * row.len();
+    // Misra–Gries = capacity, total, decrement total, len, (item,
+    // weight)*: a four-counter table that has decremented once.
+    let mg = mg_from(4, &[(1, 3.0), (2, 2.0), (3, 1.5), (4, 1.0), (5, 2.5)]);
+    assert!(mg.observed_error_bound() > 0.0 && mg.len() == 4);
+    let mut table = Vec::new();
+    put_mg(&mut table, &mg);
+    let mg_at = [8, 16, 40, 56, 72, 88];
     assert!(MP2Msg::decode(&mut WireReader::new(&direction)).is_some());
     assert!(MP1Msg::decode(&mut WireReader::new(&flush)).is_some());
     assert!(read_fd(&mut WireReader::new(&sketch)).is_some());
+    assert!(read_mg(&mut WireReader::new(&table)).is_some());
+    assert!(P1Msg::decode(&mut WireReader::new(&table)).is_some());
 
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         for k in 0..row.len() {
@@ -96,6 +117,24 @@ fn non_finite_values_fail_to_decode() {
             assert!(
                 read_fd(&mut WireReader::new(&buf)).is_none(),
                 "{bad} at {at}"
+            );
+        }
+    }
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+        let buf = poison(&flush, mass_at, bad);
+        assert!(
+            MP1Msg::decode(&mut WireReader::new(&buf)).is_none(),
+            "MP1 mass {bad}"
+        );
+        for at in mg_at {
+            let buf = poison(&table, at, bad);
+            assert!(
+                read_mg(&mut WireReader::new(&buf)).is_none(),
+                "MG {bad} at {at}"
+            );
+            assert!(
+                P1Msg::decode(&mut WireReader::new(&buf)).is_none(),
+                "P1 {bad} at {at}"
             );
         }
     }
@@ -113,7 +152,8 @@ proptest! {
         capacity in 1usize..24,
         updates in prop::collection::vec((0u64..5_000, 0.1f64..100.0), 0..64),
     ) {
-        let msg = P1Msg { summary: mg_from(capacity, &updates) };
+        let summary = mg_from(capacity, &updates);
+        let msg = P1Msg { mass: summary.total_weight(), summary };
         assert_roundtrip(&msg, "P1Msg");
     }
 
@@ -153,7 +193,7 @@ proptest! {
     ) {
         let rows = cells.len() / cols;
         let msg = MP1Msg {
-            rows: Matrix::from_vec(rows, cols, cells[..rows * cols].to_vec()),
+            summary: Matrix::from_vec(rows, cols, cells[..rows * cols].to_vec()),
             mass,
         };
         assert_roundtrip(&msg, "MP1Msg");
