@@ -301,3 +301,70 @@ fn p1_traffic_and_state_are_pinned() {
         assert_eq!(got, want, "{topology:?}");
     }
 }
+
+/// HH-P4's traffic and every node's final state, pinned on seeded
+/// m = 64 runs: the star fed item by item (`observe`) and a fanout-4
+/// tree fed in batches (`observe_batch`, aggregators coalescing tracker
+/// reports and relaying count reports). The coordinator's encoding sorts
+/// its `(item, site)` reports, so the state hashes are deterministic;
+/// moving the RNG draw, the count a report carries, or a tracker
+/// report's last bit moves them.
+#[test]
+fn p4_traffic_and_state_are_pinned() {
+    use cma::stream::partition::RoundRobin;
+    use cma::stream::{Topology, WireCodec};
+
+    let m = 64;
+    let cfg = HhConfig::new(m, 0.1).with_seed(41);
+    let (stream, _) = zipf(100_000, 1000.0, 11);
+    // (up_msgs, total, bytes_up, bytes_down, broadcast_events,
+    //  coordinator hash, aggregators hash)
+    let golden: [(Topology, [u64; 7]); 2] = [
+        (
+            Topology::Star,
+            [
+                2443,
+                4171,
+                33083,
+                13824,
+                27,
+                165036122158571835,
+                14695981039346656037,
+            ],
+        ),
+        (
+            Topology::Tree { fanout: 4 },
+            [
+                2744,
+                10500,
+                108216,
+                18144,
+                27,
+                9982551850877769446,
+                14536742791077469488,
+            ],
+        ),
+    ];
+    for (topology, want) in golden {
+        let mut r = p4::deploy_topology(&cfg, topology);
+        if topology == Topology::Star {
+            for (i, &a) in stream.iter().enumerate() {
+                r.feed(i % m, a);
+            }
+        } else {
+            r.run_partitioned(stream.iter().copied(), &mut RoundRobin::new(m), 64);
+        }
+        let s = r.stats();
+        let aggs: Vec<u8> = r.aggregators().iter().flat_map(|a| a.to_wire()).collect();
+        let got = [
+            s.up_msgs,
+            s.total(),
+            s.bytes_up,
+            s.bytes_down,
+            s.broadcast_events,
+            fnv1a(&r.coordinator().to_wire()),
+            fnv1a(&aggs),
+        ];
+        assert_eq!(got, want, "{topology:?}");
+    }
+}

@@ -454,3 +454,71 @@ fn mt_p1_traffic_and_state_are_pinned() {
         assert_eq!(got, want, "{topology:?}");
     }
 }
+
+/// MT-P4's traffic and every node's final state, pinned on seeded
+/// m = 24 runs: the star fed row by row (`observe`) and a fanout-4 tree
+/// fed in batches (`observe_batch`, aggregators coalescing tracker
+/// reports and relaying z refreshes). Every z entry is
+/// `√(G_jj + 1/p)`, so moving the RNG draw, the Gram update or the
+/// `1/p` term moves the coordinator hash.
+#[test]
+fn mt_p4_traffic_and_state_are_pinned() {
+    use cma::stream::partition::RoundRobin;
+    use cma::stream::{Topology, WireCodec};
+
+    let m = 24;
+    let cfg = MatrixConfig::new(m, 0.2, 16).with_seed(43);
+    let spectrum: Vec<f64> = (0..16).map(|j| 2.0 * 0.8_f64.powi(j)).collect();
+    let mut source = SyntheticMatrixStream::new(16, &spectrum, 1e3, 37);
+    let rows: Vec<Vec<f64>> = (0..20_000).map(|_| source.next_row()).collect();
+    // (up_msgs, total, bytes_up, bytes_down, broadcast_events,
+    //  coordinator hash, aggregators hash)
+    let golden: [(Topology, [u64; 7]); 2] = [
+        (
+            Topology::Star,
+            [
+                776,
+                1352,
+                60872,
+                4608,
+                24,
+                15643017703402767828,
+                14695981039346656037,
+            ],
+        ),
+        (
+            Topology::Tree { fanout: 4 },
+            [
+                874,
+                3390,
+                186030,
+                6144,
+                24,
+                2514155321641128377,
+                15743452231164411059,
+            ],
+        ),
+    ];
+    for (topology, want) in golden {
+        let mut r = p4::deploy_topology(&cfg, topology);
+        if topology == Topology::Star {
+            for (i, row) in rows.iter().enumerate() {
+                r.feed(i % m, row.clone());
+            }
+        } else {
+            r.run_partitioned(rows.iter().cloned(), &mut RoundRobin::new(m), 64);
+        }
+        let s = r.stats();
+        let aggs: Vec<u8> = r.aggregators().iter().flat_map(|a| a.to_wire()).collect();
+        let got = [
+            s.up_msgs,
+            s.total(),
+            s.bytes_up,
+            s.bytes_down,
+            s.broadcast_events,
+            fnv1a(&r.coordinator().to_wire()),
+            fnv1a(&aggs),
+        ];
+        assert_eq!(got, want, "{topology:?}");
+    }
+}
