@@ -1,12 +1,12 @@
-//! Criterion micro-benchmarks for the centralized sketches: SpaceSaving,
-//! the priority sampler, the sliding-window sketches, and the Misra–Gries
+//! Criterion micro-benchmarks for the centralized sketches: the priority
+//! sampler, the sliding-window sketches, and the Misra–Gries
 //! flush hand-off. The repo benchmark's `sketch.mg_*` rows time MG updates
 //! and merges into one fresh table, not a small flush handed off and
 //! merged into a large table; `misra_gries/flush_merge` times that.
 //! Frequent Directions is timed by the repo benchmark's `sketch.fd_*` rows.
 
 use cma_data::WeightedZipfStream;
-use cma_sketch::{MgSummary, PrioritySampler, SpaceSaving};
+use cma_sketch::{MgSummary, PrioritySampler};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,27 +16,6 @@ const STREAM_LEN: usize = 20_000;
 
 fn zipf_stream() -> Vec<(u64, f64)> {
     WeightedZipfStream::new(10_000, 2.0, 1_000.0, 42).take_vec(STREAM_LEN)
-}
-
-fn bench_space_saving(c: &mut Criterion) {
-    let stream = zipf_stream();
-    let mut g = c.benchmark_group("space_saving");
-    g.throughput(Throughput::Elements(STREAM_LEN as u64));
-    for cap in [64usize, 1024] {
-        g.bench_function(format!("update/cap={cap}"), |b| {
-            b.iter_batched(
-                || SpaceSaving::new(cap),
-                |mut ss| {
-                    for &(e, w) in &stream {
-                        ss.update(e, w);
-                    }
-                    black_box(ss.len())
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    g.finish();
 }
 
 fn bench_priority_sampler(c: &mut Criterion) {
@@ -118,7 +97,6 @@ fn bench_sliding_window(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_space_saving,
     bench_priority_sampler,
     bench_misra_gries,
     bench_sliding_window

@@ -17,9 +17,10 @@
 //! * [`p4`] — probabilistic count reports, `O((√m/ε) log(βN))` messages;
 //!   randomized, constant failure probability.
 //!
-//! P3 and P3wr are not written here: each is one deployment of
-//! [`crate::sampling`], shared with its matrix twin, over weighted items.
-//! Their modules hold only the estimator and the type names.
+//! P1, P3, P3wr and P4 are not written here: each is one deployment of
+//! [`crate::flush`], [`crate::sampling`] or [`crate::report`], shared
+//! with its matrix twin. Their modules hold only the estimator and the
+//! type names.
 //!
 //! All coordinators implement [`HhEstimator`], whose default
 //! [`HhEstimator::heavy_hitters`] is the one place the paper's query

@@ -19,7 +19,8 @@
 //! * [`p4`] — Appendix C: the attempted analogue of HH-P4, which
 //!   **cannot work**: per-site updates are only exact along the fixed
 //!   right-singular basis of the site's approximation, so error in other
-//!   directions is unbounded. Implemented to reproduce the paper's
+//!   directions is unbounded. The same deployment as HH-P4
+//!   ([`crate::report`]) over rows; implemented to reproduce the paper's
 //!   Figures 6–7.
 
 pub mod p1;

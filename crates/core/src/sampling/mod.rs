@@ -37,6 +37,7 @@
 //! [`HhConfig`] deploys over [`ItemKind`], a [`MatrixConfig`] over
 //! [`RowKind`]. That is why `hh::p3::deploy(&cfg)` and
 //! `matrix::p3::deploy(&cfg)` are the same function, [`wor::deploy`].
+//! P4 ([`crate::report`]) deploys over the same two kinds.
 //!
 //! What stays per protocol is only the estimator: `hh::p3` and
 //! `hh::p3wr` implement [`crate::hh::HhEstimator`] (a per-item estimate
@@ -177,8 +178,9 @@ impl SampleKind for RowKind {
         put_usize(out, *dim);
     }
 
+    /// `None` on `d = 0`, which no deployment has.
     fn read_header(r: &mut WireReader<'_>) -> Option<usize> {
-        r.usize()
+        r.usize().filter(|&dim| dim >= 1)
     }
 }
 
@@ -189,6 +191,8 @@ pub trait SamplingConfig {
     type Kind: SampleKind;
     /// Number of sites `m`.
     fn sites(&self) -> usize;
+    /// Error parameter `ε`.
+    fn epsilon(&self) -> f64;
     /// Sample size `s`.
     fn sample_size(&self) -> usize;
     /// Per-site RNG seed.
@@ -202,6 +206,10 @@ impl SamplingConfig for HhConfig {
 
     fn sites(&self) -> usize {
         self.sites
+    }
+
+    fn epsilon(&self) -> f64 {
+        self.epsilon
     }
 
     fn sample_size(&self) -> usize {
@@ -220,6 +228,10 @@ impl SamplingConfig for MatrixConfig {
 
     fn sites(&self) -> usize {
         self.sites
+    }
+
+    fn epsilon(&self) -> f64 {
+        self.epsilon
     }
 
     fn sample_size(&self) -> usize {

@@ -1,11 +1,10 @@
 //! Total-weight tracking sub-protocol.
 //!
-//! Protocols HH-P4 and MT-P4 need every site to know a 2-approximation
-//! `Ŵ ≤ W ≤ 2Ŵ` of the global total weight (it calibrates their send
-//! probability `p = 2√m/(εŴ)`). The paper runs this as a separate
-//! parallel process (§4, "Estimating total weight"); this module is that
-//! process, factored out so both protocols share one audited
-//! implementation.
+//! Protocol P4 ([`crate::report`], HH-P4 and MT-P4) needs every site to
+//! know a 2-approximation `Ŵ ≤ W ≤ 2Ŵ` of the global total weight (it
+//! calibrates the send probability `p = 2√m/(εŴ)`). The paper runs this
+//! as a separate parallel process (§4, "Estimating total weight"); this
+//! module is that process.
 //!
 //! Mechanism: a site reports its unreported local weight once it reaches
 //! `Ŵ/(2m)`; the coordinator re-broadcasts `Ŵ ← W_C` once the received

@@ -13,10 +13,9 @@
 
 use crate::flush::{mass_bytes, FlushKind, FlushMsg};
 use crate::hh::p2::P2Msg;
-use crate::hh::p4::P4Msg;
 use crate::matrix::p2::MP2Msg;
-use crate::matrix::p4::MP4Msg;
 use crate::matrix::Row;
+use crate::report::{ReportKind, ReportMsg};
 use crate::sampling::{SampleEntry, SampleKind, WrHit, WrMsg};
 use crate::window::SwMsg;
 use cma_linalg::Matrix;
@@ -41,7 +40,8 @@ fn read_finite(r: &mut WireReader<'_>) -> Option<f64> {
 }
 
 /// A mass or a bound on one (`frob_sq`, `shrink_loss`, a Misra–Gries
-/// total or counter, a flush's mass): finite and `≥ 0`.
+/// total or counter, a flush's mass, a P4 weight or count): finite and
+/// `≥ 0`.
 pub(crate) fn read_mass(r: &mut WireReader<'_>) -> Option<f64> {
     r.f64().filter(|v| v.is_finite() && *v >= 0.0)
 }
@@ -211,7 +211,7 @@ impl<K: FlushKind> WireCodec for FlushMsg<K> {
 }
 
 // ---------------------------------------------------------------------
-// Heavy-hitter messages
+// P2 messages
 // ---------------------------------------------------------------------
 
 impl WireCodec for P2Msg {
@@ -245,41 +245,6 @@ impl WireCodec for P2Msg {
     }
 }
 
-impl WireCodec for P4Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            P4Msg::Total(w) => {
-                out.push(0);
-                put_f64(out, *w);
-            }
-            P4Msg::Count(e, f) => {
-                out.push(1);
-                put_u64(out, *e);
-                put_f64(out, *f);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        match r.u8()? {
-            0 => Some(P4Msg::Total(r.f64()?)),
-            1 => Some(P4Msg::Count(r.u64()?, r.f64()?)),
-            _ => None,
-        }
-    }
-
-    fn encoded_len(&self) -> u64 {
-        match self {
-            P4Msg::Total(_) => 9,
-            P4Msg::Count(..) => 17,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Matrix messages
-// ---------------------------------------------------------------------
-
 impl WireCodec for MP2Msg {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -310,32 +275,39 @@ impl WireCodec for MP2Msg {
     }
 }
 
-impl WireCodec for MP4Msg {
+// ---------------------------------------------------------------------
+// P4 messages: one codec over the payload kind
+// ---------------------------------------------------------------------
+
+/// `tag, value`: a tracker report (tag 0, its weight) or a state report
+/// (tag 1): HH-P4 `Total` 9 bytes and `(e, count)` 17, MT-P4 z
+/// `9 + 8d`.
+impl<K: ReportKind> WireCodec for ReportMsg<K> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            MP4Msg::Total(f) => {
+            ReportMsg::Total(w) => {
                 out.push(0);
-                put_f64(out, *f);
+                put_f64(out, *w);
             }
-            MP4Msg::Z(z) => {
+            ReportMsg::Report(report) => {
                 out.push(1);
-                put_row(out, z);
+                K::put_report(out, report);
             }
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         match r.u8()? {
-            0 => Some(MP4Msg::Total(r.f64()?)),
-            1 => Some(MP4Msg::Z(read_row(r)?)),
+            0 => Some(ReportMsg::Total(read_mass(r)?)),
+            1 => Some(ReportMsg::Report(K::read_report(r)?)),
             _ => None,
         }
     }
 
     fn encoded_len(&self) -> u64 {
         match self {
-            MP4Msg::Total(_) => 9,
-            MP4Msg::Z(z) => 1 + row_bytes(z),
+            ReportMsg::Total(_) => 9,
+            ReportMsg::Report(report) => 1 + K::report_bytes(report),
         }
     }
 }

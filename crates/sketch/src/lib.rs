@@ -9,9 +9,6 @@
 //!   counters: `0 ≤ fe − f̂e ≤ W/(ℓ+1)`, mergeable without error growth
 //!   beyond the bound (Agarwal et al., PODS 2012). Sites of protocol HH-P1
 //!   run one of these; the coordinator merges them.
-//! * [`SpaceSaving`] — weighted SpaceSaving (Metwally et al.):
-//!   overestimates, `0 ≤ f̂e − fe ≤ W/ℓ`; the paper's suggested
-//!   space reduction for sites in HH-P2/P4.
 //! * [`FrequentDirections`] — Liberty's matrix sketch (SIGKDD 2013):
 //!   `0 ≤ ‖Ax‖² − ‖Bx‖² ≤ 2‖A‖²_F/ℓ` for every unit `x`, mergeable.
 //!   Sites and coordinator of protocol MT-P1 run these.
@@ -30,8 +27,7 @@
 //! # Mergeability
 //!
 //! Mergeability is what makes tree aggregation sound (see
-//! `cma-stream`'s `Aggregator`): `MgSummary::merge`,
-//! `SpaceSaving::merge` (min-offset mergeable-summaries merge) and
+//! `cma-stream`'s `Aggregator`): `MgSummary::merge` and
 //! `FrequentDirections::merge_rows` (stack + single shrink) combine two
 //! summaries with the error of the combined stream — no growth per
 //! merge — and are order/associativity-insensitive up to their bounds
@@ -63,7 +59,6 @@ pub mod misra_gries;
 pub mod ord;
 pub mod priority;
 pub mod sliding_window;
-pub mod space_saving;
 
 pub use exact::ExactWeightedCounter;
 pub use frequent_directions::FrequentDirections;
@@ -71,7 +66,6 @@ pub use misra_gries::MgSummary;
 pub use ord::OrdF64;
 pub use priority::PrioritySampler;
 pub use sliding_window::{ExpHistogram, SwFd, SwMg, WinBucket, WindowSummary};
-pub use space_saving::SpaceSaving;
 
 /// Item identifiers in weighted-frequency summaries.
 ///

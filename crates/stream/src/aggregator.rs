@@ -3,7 +3,7 @@
 //! Splitting the old monolithic coordinator role in two: the
 //! [`crate::Coordinator`] at the root folds messages into the *global*
 //! answer, while an [`Aggregator`] at an interior tree node merges the
-//! partial summaries passing through it — Misra–Gries / SpaceSaving
+//! partial summaries passing through it — Misra–Gries
 //! counters for the heavy-hitter protocols, Frequent Directions sketches
 //! for the matrix protocols, threshold/round state for the sampling
 //! protocols. The runner wires `fanout` children into each aggregator

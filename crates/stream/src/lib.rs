@@ -71,7 +71,7 @@
 //! unchanged behind relaying aggregators.
 //!
 //! What makes interior merging *sound* is mergeability of the protocol
-//! summaries (Misra–Gries, SpaceSaving and Frequent Directions merge
+//! summaries (Misra–Gries and Frequent Directions merge
 //! with the error of the combined stream; sampling round state filters
 //! losslessly) plus a **node-budget split**: a protocol whose guarantee
 //! bounds the total mass withheld across `m` reporting sites restates

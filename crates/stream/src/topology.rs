@@ -3,7 +3,7 @@
 //! The paper's model is a flat star — every site talks straight to the
 //! coordinator — which makes coordinator fan-in the scaling wall for
 //! `m ≫ 100`. Because the protocols' summaries are *mergeable*
-//! (Misra–Gries, SpaceSaving and Frequent Directions merge without error
+//! (Misra–Gries and Frequent Directions merge without error
 //! growth; the sampling protocols' round state filters losslessly), the
 //! star can be replaced by a k-ary aggregation tree: sites report to
 //! intermediate [`crate::Aggregator`] nodes, which merge partial

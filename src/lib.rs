@@ -18,7 +18,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`protocols`] | the paper's contribution: HH P1–P4, matrix P1–P4 |
-//! | [`sketch`] | Misra–Gries, SpaceSaving, Frequent Directions, priority sampling |
+//! | [`sketch`] | Misra–Gries, Frequent Directions, priority sampling |
 //! | [`stream`] | sites/coordinator traits, message-accounting runners |
 //! | [`linalg`] | dense matrices, QR, SVD, symmetric eigen, spectral norms |
 //! | [`data`] | Zipfian and synthetic-matrix workloads, CSV loading, ground truth |

@@ -622,8 +622,8 @@ fn adaptive_topology_replans_under_churn_and_keeps_bounds() {
     assert_deterministic_contract!(p1);
     assert_deterministic_contract!(p2);
 
-    // P4's tracker re-broadcasts only on Ŵ doublings — none falls after
-    // the joins here — so quiet boundaries count as settled to make the
+    // P4's tracker re-broadcasts only once W_C reaches 1.5·Ŵ — none
+    // falls after the joins here — so quiet boundaries count as settled to make the
     // regrow fire whatever the broadcast cadence.
     let cfg4 = HhConfig::new(m, 0.15).with_seed(83);
     let quiet = ChurnConfig {

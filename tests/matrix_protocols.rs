@@ -482,7 +482,7 @@ fn mt_p4_traffic_and_state_are_pinned() {
                 60872,
                 4608,
                 24,
-                15643017703402767828,
+                2404645295890983313,
                 14695981039346656037,
             ],
         ),
@@ -494,7 +494,7 @@ fn mt_p4_traffic_and_state_are_pinned() {
                 186030,
                 6144,
                 24,
-                2514155321641128377,
+                15640640080763903096,
                 15743452231164411059,
             ],
         ),

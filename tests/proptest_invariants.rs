@@ -5,7 +5,7 @@
 use cma::linalg::svd::{gram_svd, jacobi_svd};
 use cma::linalg::Matrix;
 use cma::protocols::hh::{p1, p2, HhConfig, HhEstimator};
-use cma::sketch::{ExactWeightedCounter, FrequentDirections, MgSummary, SpaceSaving};
+use cma::sketch::{ExactWeightedCounter, FrequentDirections, MgSummary};
 use proptest::prelude::*;
 
 /// Streams of up to 400 items from a small universe with weights in
@@ -40,28 +40,6 @@ proptest! {
             let est = mg.estimate(e);
             prop_assert!(est <= f + 1e-9, "overestimate on {}", e);
             prop_assert!(f - est <= bound, "undercount {} > {}", f - est, bound);
-        }
-    }
-
-    /// SpaceSaving invariant: `0 ≤ f̂e − fe ≤ W/ℓ`, and unmonitored
-    /// items have true weight ≤ W/ℓ.
-    #[test]
-    fn space_saving_invariant(stream in weighted_stream(), cap in 1usize..12) {
-        let mut ss = SpaceSaving::new(cap);
-        let mut exact = ExactWeightedCounter::new();
-        for &(e, w) in &stream {
-            ss.update(e, w);
-            exact.update(e, w);
-        }
-        let bound = ss.error_bound() + 1e-9;
-        for (e, f) in exact.iter() {
-            let est = ss.estimate(e);
-            if est > 0.0 {
-                prop_assert!(est + 1e-9 >= f);
-                prop_assert!(est - f <= bound);
-            } else {
-                prop_assert!(f <= bound, "missed item {} with f={}", e, f);
-            }
         }
     }
 

@@ -72,8 +72,8 @@ fn poison(buf: &[u8], at: usize, v: f64) -> Vec<u8> {
 /// Hostile bytes: a row, matrix or sketch carrying a NaN or ∞ entry, a
 /// sketch whose `frob_sq`/`shrink_loss` is non-finite or negative, a
 /// Misra–Gries summary whose total, decrement total or counter weight
-/// is, or an MT-P1 flush whose mass is, decodes to `None` instead of a
-/// summary whose bound is NaN.
+/// is, an MT-P1 flush whose mass is, or a P4 tracker report or count
+/// that is, decodes to `None` instead of a summary whose bound is NaN.
 #[test]
 fn non_finite_values_fail_to_decode() {
     let row = vec![1.0, -2.0, 3.0];
@@ -142,6 +142,117 @@ fn non_finite_values_fail_to_decode() {
         let buf = poison(&sketch, at, -1.0);
         assert!(read_fd(&mut WireReader::new(&buf)).is_none(), "-1 at {at}");
     }
+    for (msg, what) in [
+        (P4Msg::Total(f64::NAN), "P4 Total(NaN)"),
+        (P4Msg::Report((3, f64::INFINITY)), "P4 Count(3, ∞)"),
+        (P4Msg::Total(-5.0), "P4 Total(-5)"),
+    ] {
+        assert!(
+            P4Msg::decode(&mut WireReader::new(&msg.to_wire())).is_none(),
+            "{what}"
+        );
+    }
+    let buf = MP4Msg::Total(f64::NAN).to_wire();
+    assert!(
+        MP4Msg::decode(&mut WireReader::new(&buf)).is_none(),
+        "MP4 Total(NaN)"
+    );
+}
+
+/// `buf` with the little-endian `u64` at byte offset `at` replaced by `v`.
+fn patch(buf: &[u8], at: usize, v: u64) -> Vec<u8> {
+    let mut out = buf.to_vec();
+    out[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    out
+}
+
+/// A P4 snapshot carrying a state no deployment reaches decodes to
+/// `None`: a coordinator with `sites = 0` (every estimate `∞`), `ε`
+/// outside `(0, 1)`, a negative or non-finite count, `W_C` or `Ŵ`, or
+/// `Ŵ < 1`; an MT coordinator whose `d` is 0 or disagrees with its z
+/// vectors (the sketch would index out of bounds); an aggregator whose
+/// withheld weight or `Ŵ` is.
+#[test]
+fn p4_snapshots_reject_unreachable_states() {
+    use cma::protocols::hh::p4::{self, P4Aggregator, P4Coordinator};
+    use cma::protocols::hh::HhConfig;
+    use cma::protocols::matrix::p4::{self as mp4, MP4Aggregator, MP4Coordinator};
+    use cma::protocols::matrix::{MatrixConfig, MatrixEstimator};
+    use cma::stream::Topology;
+
+    fn rejects<T: WireCodec>(buf: &[u8]) -> bool {
+        T::decode(&mut WireReader::new(buf)).is_none()
+    }
+    /// Offset of the last occurrence of `v`'s encoding in `buf`.
+    fn find(buf: &[u8], v: f64) -> usize {
+        buf.windows(8).rposition(|w| w == v.to_le_bytes()).unwrap()
+    }
+
+    let tree = Topology::Tree { fanout: 2 };
+    let mut hh = p4::deploy_topology(&HhConfig::new(8, 0.1).with_seed(3), tree);
+    for i in 0..2_000u64 {
+        hh.feed((i % 8) as usize, (i % 13, 1.0 + (i % 5) as f64));
+    }
+    let coord = hh.coordinator().to_wire();
+    let agg = hh.aggregators()[0].to_wire();
+    let mut mt = mp4::deploy_topology(&MatrixConfig::new(4, 0.2, 3).with_seed(3), tree);
+    for i in 0..2_000 {
+        mt.feed(i % 4, vec![1.0, (i % 7) as f64, -0.5]);
+    }
+    let mcoord = mt.coordinator().to_wire();
+    let magg = mt.aggregators()[0].to_wire();
+    assert!(!rejects::<P4Coordinator>(&coord) && !rejects::<P4Aggregator>(&agg));
+    assert!(!rejects::<MP4Coordinator>(&mcoord) && !rejects::<MP4Aggregator>(&magg));
+
+    // HH coordinator = len, (e, j, count)*, W_C, Ŵ, sites, ε.
+    let n = coord.len();
+    assert!(
+        rejects::<P4Coordinator>(&patch(&coord, n - 16, 0)),
+        "sites = 0"
+    );
+    for eps in [0.0, 1.0, f64::NAN] {
+        assert!(
+            rejects::<P4Coordinator>(&poison(&coord, n - 8, eps)),
+            "ε = {eps}"
+        );
+    }
+    for bad in [f64::NAN, f64::INFINITY, -1.0] {
+        for at in [24, n - 32, n - 24] {
+            assert!(
+                rejects::<P4Coordinator>(&poison(&coord, at, bad)),
+                "{bad} at {at}"
+            );
+        }
+    }
+    assert!(
+        rejects::<P4Coordinator>(&poison(&coord, n - 24, 0.5)),
+        "Ŵ = 0.5"
+    );
+    // MT coordinator = d, len, (0 | 1, z)*, W_C, Ŵ, …
+    for dim in [0, 2, 4] {
+        assert!(
+            rejects::<MP4Coordinator>(&patch(&mcoord, 0, dim)),
+            "d = {dim}"
+        );
+    }
+    let received_at = find(&mcoord, mt.coordinator().frob_estimate());
+    for (at, bad) in [(received_at, f64::NAN), (received_at + 8, 0.5)] {
+        assert!(
+            rejects::<MP4Coordinator>(&poison(&mcoord, at, bad)),
+            "{bad} at {at}"
+        );
+    }
+    // Aggregator = budget, unreported, Ŵ, pending, rep.
+    for (at, bad) in [(8, f64::NAN), (8, -1.0), (16, 0.5), (16, f64::INFINITY)] {
+        assert!(
+            rejects::<P4Aggregator>(&poison(&agg, at, bad)),
+            "{bad} at {at}"
+        );
+        assert!(
+            rejects::<MP4Aggregator>(&poison(&magg, at, bad)),
+            "{bad} at {at}"
+        );
+    }
 }
 
 proptest! {
@@ -181,7 +292,7 @@ proptest! {
 
     #[test]
     fn p4_roundtrips(tag in 0u8..2, e in 0u64..10_000, w in 0.0f64..1e9) {
-        let msg = if tag == 0 { P4Msg::Total(w) } else { P4Msg::Count(e, w) };
+        let msg = if tag == 0 { P4Msg::Total(w) } else { P4Msg::Report((e, w)) };
         assert_roundtrip(&msg, "P4Msg");
     }
 
@@ -235,7 +346,7 @@ proptest! {
         f in 0.0f64..1e9,
         z in prop::collection::vec(0.0f64..100.0, 0..16),
     ) {
-        let msg = if tag == 0 { MP4Msg::Total(f) } else { MP4Msg::Z(z) };
+        let msg = if tag == 0 { MP4Msg::Total(f) } else { MP4Msg::Report(z) };
         assert_roundtrip(&msg, "MP4Msg");
     }
 
