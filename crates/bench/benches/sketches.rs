@@ -3,7 +3,10 @@
 //! flush hand-off. The repo benchmark's `sketch.mg_*` rows time MG updates
 //! and merges into one fresh table, not a small flush handed off and
 //! merged into a large table; `misra_gries/flush_merge` times that.
-//! Frequent Directions is timed by the repo benchmark's `sketch.fd_*` rows.
+//! Frequent Directions is timed by the repo benchmark's `sketch.fd_*` rows;
+//! `sliding_window/sw_fd/query/{cold,warm}` times the windowed-FD root's
+//! read path — one fold of every live bucket — at the shape of the repo
+//! benchmark's `swfd-churn-faulty` workload.
 
 use cma_data::WeightedZipfStream;
 use cma_sketch::{MgSummary, PrioritySampler};
@@ -95,10 +98,45 @@ fn bench_sliding_window(c: &mut Criterion) {
     g.finish();
 }
 
+/// A windowed-FD query at `swfd-churn-faulty`'s shape (`pamap_like`,
+/// `d = 44`, `ℓ = 40`, window 8 192, 64 sites on a fanout-4 tree, two
+/// windows of rows): `cold` is the first fold after ingest, every bucket
+/// Gram computed; `warm` repeats a fold with nothing ingested between,
+/// every bucket Gram cached.
+fn bench_window_query(c: &mut Criterion) {
+    use cma_core::window::{fd, SwFdConfig};
+    use cma_stream::partition::RoundRobin;
+    use cma_stream::Topology;
+    const SITES: usize = 64;
+    const WINDOW: u64 = 8_192;
+    let mut source = cma_data::SyntheticMatrixStream::pamap_like(1);
+    let cfg = SwFdConfig::new(SITES, 0.1, WINDOW, source.dim(), 40);
+    let mut runner = fd::deploy_topology(&cfg, Topology::Tree { fanout: 4 });
+    let now = 2 * WINDOW;
+    let rows = (0..now).map(|t| (t, source.next_row()));
+    runner.run_partitioned(rows, &mut RoundRobin::new(SITES), 64);
+    let root = runner.coordinator();
+    let mut g = c.benchmark_group("sliding_window");
+    g.sample_size(20);
+    g.bench_function("sw_fd/query/cold", |b| {
+        b.iter_batched(
+            || root.clone(),
+            |cold| black_box(cold.sketch_at(now)),
+            BatchSize::SmallInput,
+        )
+    });
+    black_box(root.sketch_at(now));
+    g.bench_function("sw_fd/query/warm", |b| {
+        b.iter(|| black_box(root.sketch_at(now)))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_priority_sampler,
     bench_misra_gries,
-    bench_sliding_window
+    bench_sliding_window,
+    bench_window_query
 );
 criterion_main!(benches);

@@ -40,7 +40,7 @@ use crate::hh::Item;
 use crate::matrix::Row;
 use crate::sampling::{ItemKind, RowKind, SampleKind, SamplingConfig};
 use crate::weight_tracker::{CoordWeightTracker, SiteWeightTracker};
-use crate::wire::{put_row, read_mass, read_row, row_bytes};
+use crate::wire::{put_row, read_mass, read_row, read_w_hat, row_bytes};
 use cma_linalg::matrix::accumulate_outer;
 use cma_linalg::Matrix;
 use cma_stream::{
@@ -469,11 +469,6 @@ impl<K: ReportKind> ChurnBudget for ReportAggregator<K> {
     fn rebudget(&mut self, share: &BudgetShare) {
         self.tracker.set_budget(share.next.nodes());
     }
-}
-
-/// A tracker's `Ŵ`: finite and `≥ 1` (it starts at 1 and only grows).
-fn read_w_hat(r: &mut WireReader<'_>) -> Option<f64> {
-    r.f64().filter(|w| w.is_finite() && *w >= 1.0)
 }
 
 /// `header, mirror, received, Ŵ, sites, ε`.

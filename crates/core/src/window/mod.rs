@@ -33,10 +33,13 @@
 //! the eager one (masses, `[oldest, newest]` ranges — hence `Ŵ`,
 //! broadcasts, expiry, straddling and every message — are identical)
 //! but whose FD merges stack rows up to `2ℓ` before one shrink. A query
-//! stacks every live bucket and shrinks once
-//! ([`SwCoordinator::window_summary_at`]); by FD mergeability the
-//! stack's loss still telescopes to `Σδ ≤ 2·mass/ℓ`, the summary-loss
-//! term below. The snapshot encoding writes every bucket *settled* (one
+//! folds every live bucket in one shot
+//! ([`SwCoordinator::window_summary_at`] →
+//! [`cma_sketch::WindowSummary::fold_settled`]): for FD it sums the
+//! buckets' Grams, each cached until its bucket next changes, and runs
+//! one eigensolve and one shrink; by FD mergeability the fold's loss
+//! still telescopes to `Σδ ≤ 2·mass/ℓ`, the summary-loss term below.
+//! The snapshot encoding writes every bucket *settled* (one
 //! shrink for a bucket at `≥ ℓ` rows), so decoders keep refusing
 //! sketches over `ℓ` rows and the encoded state shrinks; and the churn
 //! driver settles the live root just before capture
@@ -80,7 +83,7 @@
 //! picks the kind ([`WindowConfig`]), so [`deploy`], [`deploy_topology`],
 //! [`make_aggregator`] and [`run_engine`] are written once for both.
 
-use crate::wire::SummaryCodec;
+use crate::wire::{read_bucket_head, read_mass, read_w_hat, SummaryCodec};
 use cma_sketch::sliding_window::{ExpHistogram, WinBucket, WindowSummary};
 use cma_stream::runner::engine::{self, Executor, ThreadedConfig, TreeRunParts};
 use cma_stream::{
@@ -159,7 +162,9 @@ fn put_hist<K: SnapshotKind>(out: &mut Vec<u8>, hist: &ExpHistogram<K::Summary>)
 
 /// Decodes [`put_hist`]'s output. Re-inserting an already-compacted
 /// bucket list is a structural no-op, so the restored histogram is
-/// bucket-for-bucket identical to the captured one.
+/// bucket-for-bucket identical to the captured one. A bucket whose mass
+/// is negative or non-finite, or whose `oldest > newest`, fails the
+/// decode.
 fn read_hist<K: SnapshotKind>(r: &mut WireReader<'_>) -> Option<ExpHistogram<K::Summary>> {
     let window = r.u64()?;
     let per_level = r.usize()?;
@@ -172,9 +177,7 @@ fn read_hist<K: SnapshotKind>(r: &mut WireReader<'_>) -> Option<ExpHistogram<K::
     hist.advance(now);
     let mut buckets = Vec::with_capacity(r.capacity_for(n));
     for _ in 0..n {
-        let oldest = r.u64()?;
-        let newest = r.u64()?;
-        let mass = r.f64()?;
+        let (oldest, newest, mass) = read_bucket_head(r)?;
         let summary = <K::Summary as SummaryCodec>::read_summary(r)?;
         buckets.push(WinBucket {
             summary,
@@ -660,6 +663,12 @@ impl<K: WindowKind> ChurnCoordinator for SwCoordinator<K> {
     }
 }
 
+/// `kind, histogram, Ŵ, Ŵ_peak, θ, ε, fault undercount, fault
+/// overcount`. The decoder refuses states no deployment reaches — `Ŵ` or
+/// `Ŵ_peak` below 1 or non-finite, `θ ≤ 0`, `ε` outside `(0, 1)`, a
+/// negative or non-finite fault term — since each would void a term of
+/// [`SwCoordinator::error_bound_at`] (a NaN term passes every
+/// `gap > bound` check).
 impl<K: SnapshotKind> WireCodec for SwCoordinator<K> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.kind.encode_kind(out);
@@ -675,15 +684,12 @@ impl<K: SnapshotKind> WireCodec for SwCoordinator<K> {
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         let kind = K::decode_kind(r)?;
         let hist = read_hist::<K>(r)?;
-        let w_hat = r.f64()?;
-        let w_peak = r.f64()?;
-        let theta = r.f64()?;
-        let hold_budget = r.f64()?;
-        let fault_undercount = r.f64()?;
-        let fault_overcount = r.f64()?;
-        if theta <= 0.0 {
-            return None;
-        }
+        let w_hat = read_w_hat(r)?;
+        let w_peak = read_w_hat(r)?;
+        let theta = r.f64().filter(|t| t.is_finite() && *t > 0.0)?;
+        let hold_budget = r.f64().filter(|e| e.is_finite() && *e > 0.0 && *e < 1.0)?;
+        let fault_undercount = read_mass(r)?;
+        let fault_overcount = read_mass(r)?;
         Some(SwCoordinator {
             kind,
             hist,
@@ -697,6 +703,8 @@ impl<K: SnapshotKind> WireCodec for SwCoordinator<K> {
     }
 }
 
+/// `histogram, hold fraction, Ŵ, rep`. The decoder refuses a negative or
+/// non-finite hold fraction and a `Ŵ` below 1 or non-finite.
 impl<K: SnapshotKind> WireCodec for SwAggregator<K> {
     fn encode(&self, out: &mut Vec<u8>) {
         put_hist::<K>(out, &self.hist);
@@ -707,8 +715,8 @@ impl<K: SnapshotKind> WireCodec for SwAggregator<K> {
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         let hist = read_hist::<K>(r)?;
-        let hold_frac = r.f64()?;
-        let w_hat = r.f64()?;
+        let hold_frac = r.f64().filter(|f| f.is_finite() && *f >= 0.0)?;
+        let w_hat = read_w_hat(r)?;
         let rep = r.usize()?;
         Some(SwAggregator {
             hist,

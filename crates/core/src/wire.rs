@@ -46,6 +46,23 @@ pub(crate) fn read_mass(r: &mut WireReader<'_>) -> Option<f64> {
     r.f64().filter(|v| v.is_finite() && *v >= 0.0)
 }
 
+/// A broadcast mass estimate `Ŵ` (or the largest one sent): finite and
+/// `≥ 1`, since every estimate starts at 1 and is broadcast as
+/// `max(mass, 1)`.
+pub(crate) fn read_w_hat(r: &mut WireReader<'_>) -> Option<f64> {
+    r.f64().filter(|w| w.is_finite() && *w >= 1.0)
+}
+
+/// A window bucket's `[oldest, newest]` range and mass: a range that
+/// runs backwards or a mass that [`read_mass`] refuses fails the
+/// decode — either would void the straddling and expiry accounting.
+pub(crate) fn read_bucket_head(r: &mut WireReader<'_>) -> Option<(u64, u64, f64)> {
+    let oldest = r.u64()?;
+    let newest = r.u64()?;
+    let mass = read_mass(r)?;
+    (oldest <= newest).then_some((oldest, newest, mass))
+}
+
 // ---------------------------------------------------------------------
 // Payload helpers (sketches, matrices, rows) — free functions rather
 // than `WireCodec` impls because the payload types live in other
@@ -476,14 +493,14 @@ impl<S: SummaryCodec> WireCodec for SwMsg<S> {
         }
     }
 
+    /// `None` on a bucket whose mass is negative or non-finite, or
+    /// whose `oldest > newest`.
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         let latest = r.u64()?;
         let n = read_len(r)?;
         let mut buckets = Vec::with_capacity(r.capacity_for(n));
         for _ in 0..n {
-            let oldest = r.u64()?;
-            let newest = r.u64()?;
-            let mass = r.f64()?;
+            let (oldest, newest, mass) = read_bucket_head(r)?;
             let summary = S::read_summary(r)?;
             buckets.push(WinBucket {
                 summary,

@@ -404,16 +404,23 @@ impl Matrix {
     /// # Panics
     /// Panics on shape mismatch.
     pub fn add(&self, b: &Matrix) -> Matrix {
+        let mut sum = self.clone();
+        sum.add_in_place(b);
+        sum
+    }
+
+    /// `A += B` entrywise, in place.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn add_in_place(&mut self, b: &Matrix) {
         assert_eq!(
             (self.rows, self.cols),
             (b.rows, b.cols),
             "add: shape mismatch"
         );
-        let data = self.data.iter().zip(&b.data).map(|(x, y)| x + y).collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
+        for (x, y) in self.data.iter_mut().zip(&b.data) {
+            *x += y;
         }
     }
 

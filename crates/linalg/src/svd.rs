@@ -256,6 +256,18 @@ fn from_gram_eigen(eig: SymEigen) -> SvdValuesVectors {
     }
 }
 
+/// `(Σ, V)` of a tall `A` (`rows ≥ cols`) given only its Gram `g = AᵀA`
+/// — the tall case of [`gram_svd_blocked`], bit for bit, for a caller
+/// that already holds the Gram. Grams add over any split of `A`'s rows
+/// (`AᵀA = Σᵢ AᵢᵀAᵢ`), so `g` may be a sum of per-part Grams and `A`
+/// never needs stacking.
+///
+/// # Errors
+/// Propagates [`LinalgError`] from the eigensolver.
+pub fn svd_from_gram(g: &Matrix) -> Result<SvdValuesVectors, LinalgError> {
+    Ok(from_gram_eigen(ql_eigen_sym(g)?))
+}
+
 /// `(Σ, V)` of `A` through the production kernels — the sketching SVD
 /// behind every Frequent Directions shrink and merge.
 ///
@@ -274,7 +286,7 @@ fn from_gram_eigen(eig: SymEigen) -> SvdValuesVectors {
 pub fn gram_svd_blocked(a: &Matrix) -> Result<SvdValuesVectors, LinalgError> {
     let n = a.rows();
     if n >= a.cols() {
-        return Ok(from_gram_eigen(ql_eigen_sym(&a.gram())?));
+        return svd_from_gram(&a.gram());
     }
     let eig = ql_eigen_sym(&a.outer_gram())?;
     let top = eig.values.first().copied().unwrap_or(0.0).max(0.0);

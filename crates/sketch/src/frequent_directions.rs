@@ -36,13 +36,24 @@
 //!   buffer was. So a holder that never ships its sketch may shrink
 //!   less often: [`FrequentDirections::merge_deferred`] lets rows stack
 //!   up to `2ℓ` (the double-buffered FD), [`FrequentDirections::stack`]
-//!   stacks without bound for a one-shot fold, and
-//!   [`FrequentDirections::settle`] brings either back under `ℓ` rows
-//!   with one shrink.
+//!   stacks without bound, and [`FrequentDirections::settle`] brings
+//!   either back under `ℓ` rows with one shrink.
+//! * A tall shrink reads its rows only through their Gram `BᵀB`, and
+//!   Grams add: `AᵀA = Σᵢ AᵢᵀAᵢ` over any split of the rows. So a sketch
+//!   keeps the Gram of its rows once read ([`FrequentDirections::gram`]),
+//!   drops it at every change to them, and a one-shot fold of many
+//!   sketches ([`FrequentDirections::fold_settled`]) sums their Grams
+//!   into one eigensolve instead of stacking their rows. A sliding-window
+//!   root that folds its live buckets per query therefore re-Grams only
+//!   the buckets that changed since the last query. The cache costs one
+//!   `d × d` Gram per sketch that a fold has read: `O(r·log(βW)·d²)` over
+//!   a window histogram's live buckets (≈ 0.6 MB at the 38 buckets and
+//!   `d = 44` of `swfd-churn-faulty`). It is never encoded.
 
-use cma_linalg::svd::gram_svd_blocked;
+use cma_linalg::svd::{gram_svd_blocked, svd_from_gram, SvdValuesVectors};
 use cma_linalg::{FdShrink, KernelPath, Matrix};
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Frequent Directions sketch with at most `ℓ` buffered rows (fewer
 /// than `2ℓ` under [`FrequentDirections::merge_deferred`], any number
@@ -58,6 +69,10 @@ pub struct FrequentDirections {
     /// Total shrinkage `Δ = Σ δ`: a valid upper bound on
     /// `‖Ax‖² − ‖Bx‖²` for every unit `x`, and `≤ 2‖A‖²_F/ℓ`.
     shrink_loss: f64,
+    /// `BᵀB` of `buf` once read ([`FrequentDirections::gram`]); every
+    /// change to `buf` goes through [`FrequentDirections::rows_mut`],
+    /// which drops it.
+    gram: OnceLock<Matrix>,
 }
 
 impl FrequentDirections {
@@ -75,6 +90,7 @@ impl FrequentDirections {
             buf: Matrix::with_cols(d),
             frob_sq: 0.0,
             shrink_loss: 0.0,
+            gram: OnceLock::new(),
         }
     }
 
@@ -111,7 +127,7 @@ impl FrequentDirections {
             sketch.rows(),
             sketch.cols(),
         );
-        fd.buf = sketch;
+        *fd.rows_mut() = sketch;
         fd.frob_sq = frob_sq;
         fd.shrink_loss = shrink_loss;
         fd
@@ -168,6 +184,20 @@ impl FrequentDirections {
         &self.buf
     }
 
+    /// The Gram `BᵀB` of the sketch rows (`d × d`), bit-identical to
+    /// `self.sketch().gram()`: computed on the first read and kept until
+    /// the rows next change.
+    pub fn gram(&self) -> &Matrix {
+        self.gram.get_or_init(|| self.buf.gram())
+    }
+
+    /// The sketch rows for a change: the one way to mutate them, so the
+    /// cached Gram can never outlive the rows it was computed from.
+    fn rows_mut(&mut self) -> &mut Matrix {
+        self.gram.take();
+        &mut self.buf
+    }
+
     /// `‖Bx‖²` for an arbitrary direction `x` (not necessarily unit).
     pub fn query(&self, x: &[f64]) -> f64 {
         self.buf.apply_norm_sq(x)
@@ -187,13 +217,14 @@ impl FrequentDirections {
             "FrequentDirections: row dimension mismatch"
         );
         self.frob_sq += finite_norm_sq(row);
-        self.buf.push_row(row);
+        self.rows_mut().push_row(row);
         self.settle();
     }
 
     /// The textbook shrink to `⌈ℓ/2⌉ − 1` rows, in place.
     fn shrink(&mut self) {
-        let rows = std::mem::replace(&mut self.buf, Matrix::with_cols(self.d));
+        let empty = Matrix::with_cols(self.d);
+        let rows = std::mem::replace(self.rows_mut(), empty);
         self.shrink_from(&rows);
     }
 
@@ -203,8 +234,14 @@ impl FrequentDirections {
     /// `δ` charged to the loss. With no more than `keep` directions the
     /// rows are only re-expressed compactly, at no loss.
     fn shrink_from(&mut self, rows: &Matrix) {
-        let keep = self.ell.div_ceil(2) - 1;
         let svd = gram_svd_blocked(rows).expect("FrequentDirections: eigensolver diverged");
+        self.shrink_svd(&svd, || rows.frob_norm_sq());
+    }
+
+    /// [`FrequentDirections::shrink_from`] given the rows' `(Σ, V)` and,
+    /// for the debug check only, their `‖·‖²_F`.
+    fn shrink_svd(&mut self, svd: &SvdValuesVectors, rows_frob_sq: impl FnOnce() -> f64) {
+        let keep = self.ell.div_ceil(2) - 1;
         let mut out = Matrix::with_cols(self.d);
         if svd.sigma.len() <= keep {
             for row in svd.sigma_vt().iter_rows() {
@@ -212,7 +249,7 @@ impl FrequentDirections {
                     out.push_row(row);
                 }
             }
-            self.buf = out;
+            *self.rows_mut() = out;
             return;
         }
         let delta = svd.sigma[keep] * svd.sigma[keep];
@@ -220,8 +257,7 @@ impl FrequentDirections {
         // from rows keeps ‖B‖²_F + ⌈ℓ/2⌉·Δ ≤ ‖A‖²_F (a decoded one need
         // not), and δ comes off at least ⌈ℓ/2⌉ squared singular values.
         debug_assert!(
-            rows.frob_norm_sq() + (keep + 1) as f64 * self.shrink_loss
-                > self.frob_sq * (1.0 + 1e-9)
+            rows_frob_sq() + (keep + 1) as f64 * self.shrink_loss > self.frob_sq * (1.0 + 1e-9)
                 || self.shrink_loss + delta <= self.error_bound() + 1e-9 * self.frob_sq,
             "FrequentDirections: Δ = {} exceeds 2‖A‖²_F/ℓ = {}",
             self.shrink_loss + delta,
@@ -240,7 +276,7 @@ impl FrequentDirections {
             }
             out.push_row(&row);
         }
-        self.buf = out;
+        *self.rows_mut() = out;
     }
 
     /// Merges another sketch of the same shape into this one: stacks the
@@ -279,6 +315,13 @@ impl FrequentDirections {
     /// # Panics
     /// Panics if dimensions or `ℓ` differ.
     pub fn stack(&mut self, other: &FrequentDirections) {
+        self.stack_scalars(other);
+        self.rows_mut().stack(&other.buf);
+    }
+
+    /// The error scalars of [`FrequentDirections::stack`], after its
+    /// shape checks.
+    fn stack_scalars(&mut self, other: &FrequentDirections) {
         assert_eq!(
             self.d, other.d,
             "FrequentDirections::merge: dimension mismatch"
@@ -287,9 +330,44 @@ impl FrequentDirections {
             self.ell, other.ell,
             "FrequentDirections::merge: ell mismatch"
         );
-        self.buf.stack(&other.buf);
         self.frob_sq += other.frob_sq;
         self.shrink_loss += other.shrink_loss;
+    }
+
+    /// [`FrequentDirections::stack`] every part in order, then
+    /// [`FrequentDirections::settle`] — the one-shot fold of many
+    /// sketches — without stacking any rows when a tall shrink is due.
+    /// With at least `ℓ` and at least `d` rows in all, the shrink's
+    /// `(Σ, V)` comes from one eigensolve of the summed Grams
+    /// ([`FrequentDirections::gram`], cached per part), so a part whose
+    /// rows have not changed since the last fold costs `d²` additions.
+    /// `frob_sq_seen` and `shrink_loss` accumulate part by part as under
+    /// `stack`, bit for bit; the sketch rows can differ from the stacked
+    /// shrink's in their last bits (the Gram is summed per part instead
+    /// of per row). Fewer than `ℓ` rows return stacked, unshrunk; fewer
+    /// than `d` take `stack` and `settle`'s outer-Gram route.
+    ///
+    /// # Panics
+    /// As [`FrequentDirections::stack`] and
+    /// [`FrequentDirections::settle`].
+    pub fn fold_settled<'a>(&mut self, parts: impl IntoIterator<Item = &'a FrequentDirections>) {
+        let parts: Vec<&FrequentDirections> = parts.into_iter().collect();
+        let rows = self.buf.rows() + parts.iter().map(|p| p.buf.rows()).sum::<usize>();
+        if rows < self.ell || rows < self.d {
+            for p in parts {
+                self.stack(p);
+            }
+            self.settle();
+            return;
+        }
+        let mut gram = self.gram().clone();
+        for p in parts {
+            self.stack_scalars(p);
+            gram.add_in_place(p.gram());
+        }
+        let svd = svd_from_gram(&gram).expect("FrequentDirections: eigensolver diverged");
+        // trace(BᵀB) = ‖B‖²_F of the rows the Gram sums.
+        self.shrink_svd(&svd, || (0..gram.rows()).map(|i| gram[(i, i)]).sum());
     }
 
     /// `true` when the sketch holds fewer than `ℓ` rows — the shape
@@ -324,6 +402,7 @@ impl FrequentDirections {
         }
         let mut out = FrequentDirections {
             buf: Matrix::with_cols(self.d),
+            gram: OnceLock::new(),
             ..*self
         };
         out.shrink_from(&self.buf);
@@ -351,7 +430,7 @@ impl FrequentDirections {
         );
         for row in rows.iter_rows() {
             self.frob_sq += finite_norm_sq(row);
-            self.buf.push_row(row);
+            self.rows_mut().push_row(row);
         }
         self.settle();
     }
@@ -359,7 +438,8 @@ impl FrequentDirections {
     /// Extracts the current sketch and resets the state (keeping `d`, `ℓ`).
     /// This is the "flush" operation of protocol MT-P1 sites.
     pub fn take(&mut self) -> (Matrix, f64) {
-        let buf = std::mem::replace(&mut self.buf, Matrix::with_cols(self.d));
+        let empty = Matrix::with_cols(self.d);
+        let buf = std::mem::replace(self.rows_mut(), empty);
         let frob = self.frob_sq;
         self.frob_sq = 0.0;
         self.shrink_loss = 0.0;

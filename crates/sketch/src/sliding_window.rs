@@ -16,14 +16,16 @@
 //!   structure) is the window-boundary error term.
 //!
 //! Querying merges all live buckets in **one shot**
-//! ([`ExpHistogram::fold_live_at`]): every summary is stacked
-//! ([`WindowSummary::stack`]) and the stack is compressed once
-//! ([`WindowSummary::settle`]) — for Frequent Directions one shrink per
-//! query instead of one per bucket. By mergeability the stacked sketch's
-//! loss still telescopes to at most `2·mass/ℓ`. The error against the
-//! true window content has two parts: the summaries' own loss (inherited
-//! from the mergeable summary) and the straddling mass. Two
-//! instantiations are provided:
+//! ([`ExpHistogram::fold_live_at`] → [`WindowSummary::fold_settled`]):
+//! by default every summary is merged in and the result settled once
+//! ([`WindowSummary::settle`]). Frequent Directions sums the buckets'
+//! cached Grams instead ([`FrequentDirections::fold_settled`]) — one
+//! eigensolve per query, and only the buckets changed since the last
+//! query are re-Grammed. By mergeability the folded sketch's loss still
+//! telescopes to at most `2·mass/ℓ`. The error against the true window
+//! content has two parts: the summaries' own loss (inherited from the
+//! mergeable summary) and the straddling mass. Two instantiations are
+//! provided:
 //!
 //! * [`SwFd`] — matrix tracking over the last `W` rows (buckets are
 //!   Frequent Directions sketches);
@@ -115,13 +117,6 @@ pub trait WindowSummary: Clone {
         self.merge_from(other);
     }
 
-    /// Folds `other` in with no compression at all — the accumulator of
-    /// a one-shot fold, settled once at the end. The default merges
-    /// eagerly.
-    fn stack(&mut self, other: &Self) {
-        self.merge_from(other);
-    }
-
     /// The summary at its settled size (what [`WindowSummary::merge_from`]
     /// leaves): borrowed when already there. The default is always
     /// settled.
@@ -135,10 +130,24 @@ pub trait WindowSummary: Clone {
             *self = s;
         }
     }
+
+    /// Folds every part into `self` in one shot and settles the result:
+    /// what a window query asks of the live buckets. The default merges
+    /// the parts in order and settles once.
+    fn fold_settled<'a>(&mut self, parts: impl IntoIterator<Item = &'a Self>)
+    where
+        Self: 'a,
+    {
+        for p in parts {
+            self.merge_from(p);
+        }
+        self.settle();
+    }
 }
 
 /// Frequent Directions defers by double-buffering: rows stack up to `2ℓ`
-/// before a shrink, and a settled sketch holds fewer than `ℓ`.
+/// before a shrink, and a settled sketch holds fewer than `ℓ`. Its fold
+/// sums the parts' cached Grams instead of stacking their rows.
 impl WindowSummary for FrequentDirections {
     fn merge_from(&mut self, other: &Self) {
         self.merge(other);
@@ -148,12 +157,12 @@ impl WindowSummary for FrequentDirections {
         FrequentDirections::merge_deferred(self, other);
     }
 
-    fn stack(&mut self, other: &Self) {
-        FrequentDirections::stack(self, other);
-    }
-
     fn settled(&self) -> Cow<'_, Self> {
         FrequentDirections::settled(self)
+    }
+
+    fn fold_settled<'a>(&mut self, parts: impl IntoIterator<Item = &'a Self>) {
+        FrequentDirections::fold_settled(self, parts);
     }
 }
 
@@ -459,8 +468,8 @@ impl<S: WindowSummary> ExpHistogram<S> {
     }
 
     /// Merges all live buckets into `acc` (oldest first) in one shot:
-    /// every summary is [stacked](WindowSummary::stack), then `acc` is
-    /// settled once.
+    /// [`WindowSummary::fold_settled`] over their summaries — for
+    /// Frequent Directions one eigensolve of the summed bucket Grams.
     pub fn fold_into(&self, acc: &mut S) {
         self.fold(0, acc);
     }
@@ -474,10 +483,12 @@ impl<S: WindowSummary> ExpHistogram<S> {
     }
 
     fn fold(&self, horizon: u64, acc: &mut S) {
-        for b in self.buckets.iter().filter(|b| b.newest >= horizon) {
-            acc.stack(&b.summary);
-        }
-        acc.settle();
+        acc.fold_settled(
+            self.buckets
+                .iter()
+                .filter(|b| b.newest >= horizon)
+                .map(|b| &b.summary),
+        );
     }
 }
 

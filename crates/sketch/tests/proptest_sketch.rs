@@ -2,6 +2,7 @@
 //! adversarial streams (arbitrary item/weight sequences) rather than the
 //! benign distributions of the unit tests.
 
+use cma_linalg::Matrix;
 use cma_sketch::{ExactWeightedCounter, FrequentDirections, MgSummary, SwMg};
 use proptest::prelude::*;
 
@@ -16,6 +17,20 @@ fn mg_from(cap: usize, items: impl IntoIterator<Item = (u64, f64)>) -> MgSummary
         mg.update(e, w);
     }
     mg
+}
+
+/// A matrix's entries, bit for bit.
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// An FD sketch of dimension `d` and size `ell` fed `cells` as rows.
+fn fd_from(d: usize, ell: usize, cells: &[f64]) -> FrequentDirections {
+    let mut fd = FrequentDirections::new(d, ell);
+    for row in cells.chunks_exact(d) {
+        fd.update(row);
+    }
+    fd
 }
 
 /// An MG summary's whole state, bit for bit: both totals and the
@@ -275,6 +290,112 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// The cached Gram never outlives the rows it was computed from:
+    /// over a random interleaving of every row-changing call — `update`,
+    /// `merge`, `merge_deferred`, `stack`, `merge_rows`, `settle`,
+    /// `take`, `fold_settled`, `from_parts` and `settled` — with the
+    /// Gram read after every step (so a warm cache meets each mutation),
+    /// `gram()` equals a fresh `sketch().gram()` bit for bit.
+    #[test]
+    fn fd_gram_cache_tracks_rows(
+        ops in prop::collection::vec((0usize..10, prop::collection::vec(-4.0f64..4.0, 24)), 1..40),
+        d in 1usize..5,
+        ell in 2usize..7,
+    ) {
+        let mut fd = FrequentDirections::new(d, ell);
+        for (step, (op, cells)) in ops.iter().enumerate() {
+            let cells = &cells[..cells.len() / d * d];
+            // A partner whose own cache is warm, as a folded bucket's is.
+            let partner = fd_from(d, ell, &cells[cells.len() / 2 / d * d..]);
+            let _ = partner.gram();
+            match op {
+                0 => fd.update(&cells[..d]),
+                1 => fd.merge(&partner),
+                2 => fd.merge_deferred(&partner),
+                3 => fd.stack(&partner),
+                4 => fd.merge_rows(&Matrix::from_vec(cells.len() / d, d, cells.to_vec())),
+                5 => fd.settle(),
+                6 => {
+                    fd.take();
+                }
+                7 => {
+                    let other = fd_from(d, ell, &cells[..cells.len() / 2 / d * d]);
+                    fd.fold_settled([&partner, &other]);
+                }
+                8 => {
+                    let settled = fd.settled().into_owned();
+                    prop_assert_eq!(bits(settled.gram()), bits(&settled.sketch().gram()));
+                    fd = settled;
+                }
+                _ => {
+                    let settled = fd.settled();
+                    fd = FrequentDirections::from_parts(
+                        d,
+                        ell,
+                        settled.sketch().clone(),
+                        settled.frob_sq_seen(),
+                        settled.shrink_loss(),
+                    );
+                }
+            }
+            prop_assert!(
+                bits(fd.gram()) == bits(&fd.sketch().gram()),
+                "step {} (op {}): the cached Gram is stale",
+                step,
+                op
+            );
+        }
+    }
+
+    /// `fold_settled` is stack-then-settle, with the shrink's `(Σ, V)`
+    /// taken from the summed per-part Grams exactly when a tall shrink
+    /// is due: below `ℓ` stacked rows the fold returns the stacked rows
+    /// unshrunk, and below `d` it takes the outer-Gram route — both bit
+    /// for bit. On the Gram route `frob_sq_seen` is still bit-identical,
+    /// and the sketch agrees with the stacked shrink's to rounding.
+    #[test]
+    fn fd_fold_settled_is_stack_then_settle(
+        cells in prop::collection::vec(-4.0f64..4.0, 1..240),
+        parts in 1usize..8,
+        d in 1usize..9,
+        ell in 2usize..10,
+        warm in 0usize..2,
+    ) {
+        let cells = &cells[..cells.len() / d * d];
+        prop_assume!(!cells.is_empty());
+        let rows = cells.len() / d;
+        let per = rows.div_ceil(parts) * d;
+        let parts: Vec<FrequentDirections> =
+            cells.chunks(per).map(|c| fd_from(d, ell, c)).collect();
+        if warm == 1 {
+            for p in &parts {
+                let _ = p.gram();
+            }
+        }
+        let mut stacked = FrequentDirections::new(d, ell);
+        for p in &parts {
+            stacked.stack(p);
+        }
+        let height = stacked.sketch().rows();
+        let frob_bits = stacked.frob_sq_seen().to_bits();
+        let loss_before = stacked.shrink_loss();
+        stacked.settle();
+        let mut folded = FrequentDirections::new(d, ell);
+        folded.fold_settled(&parts);
+        prop_assert!(folded.is_settled());
+        prop_assert_eq!(folded.frob_sq_seen().to_bits(), frob_bits);
+        if height < ell || height < d {
+            prop_assert_eq!(bits(folded.sketch()), bits(stacked.sketch()));
+            prop_assert_eq!(folded.shrink_loss().to_bits(), stacked.shrink_loss().to_bits());
+        } else {
+            let tol = 1e-9 * f64::from_bits(frob_bits).max(1.0);
+            prop_assert!(folded.shrink_loss() >= loss_before);
+            prop_assert!((folded.shrink_loss() - stacked.shrink_loss()).abs() <= tol);
+            let gap = folded.sketch().gram().sub(&stacked.sketch().gram()).max_abs();
+            prop_assert!(gap <= tol, "sketch Grams differ by {} (height {})", gap, height);
         }
     }
 }

@@ -16,9 +16,12 @@
 //!    at a mid-stream query point and at the end of the stream.
 //! 3. **Deferral at the root is sound** — a generated sweep over
 //!    deployments whose root stacks bucket rows up to `2ℓ` and answers
-//!    with one shrink keeps the same bound against the exact window
-//!    Gram, in the worst direction, with the fold's tracked loss inside
-//!    its a-priori `2·mass/ℓ`.
+//!    with one eigensolve over the summed bucket Grams keeps the same
+//!    bound against the exact window Gram, in the worst direction, with
+//!    the fold's tracked loss inside its a-priori `2·mass/ℓ` — and a
+//!    root queried at every checkpoint (its bucket Grams cached, then
+//!    invalidated by later merges) answers bit for bit as its twin
+//!    queried only at the end.
 
 use cma::linalg::eigen::jacobi_eigen_sym;
 use cma::linalg::{random, Matrix};
@@ -282,15 +285,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The root merges its buckets with deferral (rows stack up to `2ℓ`
-    /// before a shrink) and a query stacks every live bucket and shrinks
-    /// once. Over generated deployments — star or tree, `d` on both sides
-    /// of `ℓ`, rows whose norms span two orders of magnitude — the
-    /// answer keeps the two-sided window bound in the *worst* direction
-    /// (the extreme eigenvalues of `A_WᵀA_W − BᵀB`, not sampled
-    /// directions): undercount ≤ the fold's tracked loss + withheld ≤
-    /// summary loss + withheld, overcount ≤ straddle. The tracked loss
-    /// itself stays inside `2·mass/ℓ`, the telescoping bound the
-    /// certificate states.
+    /// before a shrink) and a query folds every live bucket with one
+    /// shrink of their summed Grams. Over generated deployments — star
+    /// or tree, `d` on both sides of `ℓ`, rows whose norms span two
+    /// orders of magnitude — the answer keeps the two-sided window bound
+    /// in the *worst* direction (the extreme eigenvalues of
+    /// `A_WᵀA_W − BᵀB`, not sampled directions): undercount ≤ the fold's
+    /// tracked loss + withheld ≤ summary loss + withheld, overcount ≤
+    /// straddle. The tracked loss itself stays inside `2·mass/ℓ`, the
+    /// telescoping bound the certificate states. A twin deployment fed
+    /// the same rows but queried only at the end — every bucket Gram
+    /// computed cold — answers with the same bits as the queried one,
+    /// whose Grams were cached at each checkpoint and partly invalidated
+    /// by the merges since.
     #[test]
     fn swfd_deferred_root_keeps_window_bound(
         seed in 0u64..1_000_000,
@@ -313,11 +320,14 @@ proptest! {
         let topology = if fanout == 1 { Topology::Star } else { Topology::Tree { fanout } };
         let mut runner = fd::deploy_topology(&cfg, topology);
         let mut partitioner = RoundRobin::new(m);
+        let mut cold = fd::deploy_topology(&cfg, topology);
+        let mut cold_partitioner = RoundRobin::new(m);
         let checkpoints = 6;
         let step = rows.len().div_ceil(checkpoints);
         for start in (0..rows.len()).step_by(step) {
             let t_now = (start + step).min(rows.len());
             runner.run_partitioned(stamped[start..t_now].iter().cloned(), &mut partitioner, 16);
+            cold.run_partitioned(stamped[start..t_now].iter().cloned(), &mut cold_partitioner, 16);
             let coord = runner.coordinator();
             let bound = coord.error_bound_at(t_now as u64);
             let fold = coord.window_summary_at(t_now as u64);
@@ -346,6 +356,21 @@ proptest! {
                 "t={}: overcount {} > straddle {}",
                 t_now, over, bound.straddle
             );
+        }
+        let end = rows.len() as u64;
+        let (warm, cold) = (runner.coordinator(), cold.coordinator());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert!(
+            bits(&warm.sketch_at(end)) == bits(&cold.sketch_at(end)),
+            "warm and cold folds differ"
+        );
+        let (wb, cb) = (warm.error_bound_at(end), cold.error_bound_at(end));
+        for (w, c) in [
+            (wb.summary_loss, cb.summary_loss),
+            (wb.straddle, cb.straddle),
+            (wb.withheld, cb.withheld),
+        ] {
+            prop_assert_eq!(w.to_bits(), c.to_bits());
         }
     }
 }

@@ -72,8 +72,10 @@ fn poison(buf: &[u8], at: usize, v: f64) -> Vec<u8> {
 /// Hostile bytes: a row, matrix or sketch carrying a NaN or ∞ entry, a
 /// sketch whose `frob_sq`/`shrink_loss` is non-finite or negative, a
 /// Misra–Gries summary whose total, decrement total or counter weight
-/// is, an MT-P1 flush whose mass is, or a P4 tracker report or count
-/// that is, decodes to `None` instead of a summary whose bound is NaN.
+/// is, an MT-P1 flush whose mass is, a P4 tracker report or count that
+/// is, or a window frame whose bucket mass is or whose bucket range
+/// runs backwards, decodes to `None` instead of a summary whose bound
+/// is NaN.
 #[test]
 fn non_finite_values_fail_to_decode() {
     let row = vec![1.0, -2.0, 3.0];
@@ -157,6 +159,24 @@ fn non_finite_values_fail_to_decode() {
         MP4Msg::decode(&mut WireReader::new(&buf)).is_none(),
         "MP4 Total(NaN)"
     );
+    // Window frame = latest, nbuckets, (oldest, newest, mass, summary)*.
+    let frame = SwMsg {
+        buckets: vec![WinBucket {
+            mass: fd.frob_sq_seen(),
+            summary: fd,
+            oldest: 3,
+            newest: 9,
+        }],
+        latest: 10,
+    }
+    .to_wire();
+    let sw_rejects =
+        |buf: &[u8]| SwMsg::<FrequentDirections>::decode(&mut WireReader::new(buf)).is_none();
+    assert!(!sw_rejects(&frame));
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+        assert!(sw_rejects(&poison(&frame, 32, bad)), "SwMsg mass {bad}");
+    }
+    assert!(sw_rejects(&patch(&frame, 16, 10)), "SwMsg oldest > newest");
 }
 
 /// `buf` with the little-endian `u64` at byte offset `at` replaced by `v`.
@@ -251,6 +271,84 @@ fn p4_snapshots_reject_unreachable_states() {
         assert!(
             rejects::<MP4Aggregator>(&poison(&magg, at, bad)),
             "{bad} at {at}"
+        );
+    }
+}
+
+/// A windowed-FD snapshot carrying a state no deployment reaches
+/// decodes to `None`: a histogram bucket whose mass is negative or
+/// non-finite or whose `oldest > newest`; a coordinator whose `Ŵ` or
+/// `Ŵ_peak` is below 1 or non-finite, whose `θ` is not a positive
+/// finite number, whose `ε` lies outside `(0, 1)`, or whose fault
+/// undercount or overcount is negative or non-finite — each would turn
+/// a term of `error_bound_at` into NaN or void it; an aggregator whose
+/// hold fraction is negative or non-finite, or whose `Ŵ` is.
+#[test]
+fn window_snapshots_reject_unreachable_states() {
+    use cma::protocols::window::fd::{self, SwFdAggregator, SwFdCoordinator};
+    use cma::protocols::window::SwFdConfig;
+    use cma::stream::partition::RoundRobin;
+    use cma::stream::Topology;
+
+    fn rejects<T: WireCodec>(buf: &[u8]) -> bool {
+        T::decode(&mut WireReader::new(buf)).is_none()
+    }
+
+    let (m, d) = (8, 3);
+    let cfg = SwFdConfig::new(m, 0.15, 256, d, 4);
+    let mut runner = fd::deploy_topology(&cfg, Topology::Tree { fanout: 2 });
+    let rows = (0..2_000u64).map(|t| (t, vec![1.0 + (t % 7) as f64, -0.5, (t % 3) as f64]));
+    runner.run_partitioned(rows, &mut RoundRobin::new(m), 16);
+    let coord = runner.coordinator().to_wire();
+    let agg = runner.aggregators()[0].to_wire();
+    assert!(runner.coordinator().bucket_count() > 0);
+    assert!(!rejects::<SwFdCoordinator>(&coord) && !rejects::<SwFdAggregator>(&agg));
+
+    // Coordinator = kind (d, ℓ), histogram (window, per_level, clock,
+    // n, (oldest, newest, mass, summary)*), Ŵ, Ŵ_peak, θ, ε, fault
+    // undercount, fault overcount.
+    let n = coord.len();
+    let (oldest_at, mass_at) = (48, 64);
+    for bad in [f64::NAN, f64::INFINITY, -1.0] {
+        assert!(
+            rejects::<SwFdCoordinator>(&poison(&coord, mass_at, bad)),
+            "bucket mass {bad}"
+        );
+    }
+    assert!(
+        rejects::<SwFdCoordinator>(&patch(&coord, oldest_at, u64::MAX)),
+        "oldest > newest"
+    );
+    let (w_hat, w_peak, theta, eps, under, over) = (n - 48, n - 40, n - 32, n - 24, n - 16, n - 8);
+    let cases = [
+        (w_hat, [f64::NAN, f64::INFINITY, -1.0, 0.5]),
+        (w_peak, [f64::NAN, f64::INFINITY, -1.0, 0.5]),
+        (theta, [f64::NAN, f64::INFINITY, -1.0, 0.0]),
+        (eps, [f64::NAN, 1.0, -1.0, 0.0]),
+        (under, [f64::NAN, f64::INFINITY, -1.0, f64::NEG_INFINITY]),
+        (over, [f64::NAN, f64::INFINITY, -1.0, f64::NEG_INFINITY]),
+    ];
+    for (at, bads) in cases {
+        for bad in bads {
+            assert!(
+                rejects::<SwFdCoordinator>(&poison(&coord, at, bad)),
+                "{bad} at {at} of {n}"
+            );
+        }
+    }
+    // Aggregator = histogram, hold fraction, Ŵ, rep.
+    let n = agg.len();
+    for (at, bad) in [
+        (n - 24, f64::NAN),
+        (n - 24, f64::INFINITY),
+        (n - 24, -1.0),
+        (n - 16, f64::NAN),
+        (n - 16, f64::INFINITY),
+        (n - 16, 0.5),
+    ] {
+        assert!(
+            rejects::<SwFdAggregator>(&poison(&agg, at, bad)),
+            "{bad} at {at} of {n}"
         );
     }
 }
