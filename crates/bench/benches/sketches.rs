@@ -6,7 +6,9 @@
 //! Frequent Directions is timed by the repo benchmark's `sketch.fd_*` rows;
 //! `sliding_window/sw_fd/query/{cold,warm}` times the windowed-FD root's
 //! read path — one fold of every live bucket — at the shape of the repo
-//! benchmark's `swfd-churn-faulty` workload.
+//! benchmark's `swfd-churn-faulty` workload. `mt_p2/query/{gram,stacked}`
+//! times one MT-P2 direction query at `mt-p2-highrank-star`'s shape, from
+//! the coordinator's Gram and from the stack of the same directions.
 
 use cma_data::WeightedZipfStream;
 use cma_sketch::{MgSummary, PrioritySampler};
@@ -132,11 +134,59 @@ fn bench_window_query(c: &mut Criterion) {
     g.finish();
 }
 
+/// The MT-P2 root beside the stack of every direction it received.
+struct Stacked {
+    root: cma_core::matrix::p2::MP2Coordinator,
+    stack: cma_linalg::Matrix,
+}
+
+impl cma_stream::Coordinator for Stacked {
+    type UpMsg = cma_core::matrix::p2::MP2Msg;
+    type Broadcast = f64;
+
+    fn receive(&mut self, from: usize, msg: Self::UpMsg, out: &mut Vec<f64>) {
+        if let cma_core::matrix::p2::MP2Msg::Direction(row) = &msg {
+            self.stack.push_row(row);
+        }
+        self.root.receive(from, msg, out);
+    }
+}
+
+/// One MT-P2 direction query at `mt-p2-highrank-star`'s shape
+/// (`msd_like`, `d = 90`, 50 sites, `ε = 0.1`, 10 000 rows, ≈ 1 000
+/// directions received): `gram` is the coordinator's `xᵀGx`, `stacked`
+/// is `Matrix::apply_norm_sq` over the same directions stacked.
+fn bench_mt_p2_query(c: &mut Criterion) {
+    use cma_core::matrix::{p2, MatrixConfig, MatrixEstimator};
+    use cma_stream::partition::RoundRobin;
+    use cma_stream::{Runner, Topology};
+    const SITES: usize = 50;
+    let source = cma_data::SyntheticMatrixStream::msd_like(1);
+    let dim = source.dim();
+    let cfg = MatrixConfig::new(SITES, 0.1, dim);
+    let (sites, root, _) = p2::deploy_topology(&cfg, Topology::Star).into_parts();
+    let stack = cma_linalg::Matrix::with_cols(dim);
+    let mut runner = Runner::new(sites, Stacked { root, stack });
+    runner.run_partitioned(source.take(10_000), &mut RoundRobin::new(SITES), 256);
+    let Stacked { root, stack } = runner.coordinator();
+    assert!(stack.rows() > 900, "{} directions received", stack.rows());
+    let x = cma_linalg::random::unit_vector(&mut StdRng::seed_from_u64(2), dim);
+    let mut g = c.benchmark_group("mt_p2");
+    g.bench_function("query/gram", |b| {
+        b.iter(|| black_box(root.direction_norm_sq(black_box(&x))))
+    });
+    g.bench_function("query/stacked", |b| {
+        b.iter(|| black_box(stack.apply_norm_sq(black_box(&x))))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_priority_sampler,
     bench_misra_gries,
     bench_sliding_window,
-    bench_window_query
+    bench_window_query,
+    bench_mt_p2_query
 );
 criterion_main!(benches);

@@ -54,7 +54,7 @@ use crate::matrix::{row_weight, Row};
 use crate::window::fd::FdKind;
 use crate::window::mg::MgKind;
 use crate::window::WindowKind;
-use crate::wire::{read_mass, SummaryCodec};
+use crate::wire::{read_fraction, read_mass, read_w_hat, SummaryCodec};
 use cma_linalg::Matrix;
 use cma_sketch::{FrequentDirections, MgSummary};
 use cma_stream::{
@@ -378,12 +378,14 @@ impl<K: FlushKind> WireCodec for FlushCoordinator<K> {
         put_f64(out, self.epsilon);
     }
 
+    /// `None` on a negative or non-finite `W_C`, `Ŵ < 1`, or `ε` outside
+    /// `(0, 1)`.
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         Some(FlushCoordinator {
             summary: SummaryCodec::read_summary(r)?,
-            received: r.f64()?,
-            w_hat: r.f64()?,
-            epsilon: r.f64()?,
+            received: read_mass(r)?,
+            w_hat: read_w_hat(r)?,
+            epsilon: read_fraction(r)?,
         })
     }
 
@@ -393,7 +395,8 @@ impl<K: FlushKind> WireCodec for FlushCoordinator<K> {
 }
 
 /// `summary, mass, hold_frac, Ŵ, rep` — the mass only where the summary
-/// does not imply it.
+/// does not imply it. Decode refuses a negative or non-finite mass or
+/// hold fraction and `Ŵ < 1`.
 impl<K: FlushKind> WireCodec for FlushAggregator<K> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.summary.put_summary(out);
@@ -414,8 +417,8 @@ impl<K: FlushKind> WireCodec for FlushAggregator<K> {
         Some(FlushAggregator {
             summary,
             mass,
-            hold_frac: r.f64()?,
-            w_hat: r.f64()?,
+            hold_frac: r.f64().filter(|f| f.is_finite() && *f >= 0.0)?,
+            w_hat: read_w_hat(r)?,
             rep: r.usize()?,
         })
     }

@@ -24,6 +24,7 @@
 
 use super::{validate_weight, HhEstimator, Item, WeightedItem};
 use crate::config::HhConfig;
+use crate::wire::{read_fraction, read_mass, read_w_hat};
 use cma_sketch::MgSummary;
 use cma_stream::{
     put_f64, put_u64, put_usize, AggNode, Aggregator, BudgetShare, ChurnBudget, ChurnCoordinator,
@@ -454,7 +455,7 @@ fn read_coord_store(r: &mut WireReader<'_>) -> Option<CoordStore> {
             let mut map = HashMap::with_capacity(r.capacity_for(n));
             for _ in 0..n {
                 let e = r.u64()?;
-                map.insert(e, r.f64()?);
+                map.insert(e, read_mass(r)?);
             }
             Some(CoordStore::Exact(map))
         }
@@ -471,11 +472,13 @@ impl WireCodec for P2Coordinator {
         put_coord_store(out, &self.counts);
     }
 
+    /// `None` on `Ŵ < 1`, `sites = 0`, or a negative or non-finite
+    /// estimate.
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         Some(P2Coordinator {
-            w_hat: r.f64()?,
+            w_hat: read_w_hat(r)?,
             msg_count: r.usize()?,
-            sites: r.usize()?,
+            sites: r.usize().filter(|&m| m >= 1)?,
             counts: read_coord_store(r)?,
         })
     }
@@ -497,19 +500,21 @@ impl WireCodec for P2Aggregator {
         put_usize(out, self.rep);
     }
 
+    /// `None` on a negative or non-finite pending total or delta, a
+    /// threshold fraction outside `(0, 1)`, or `Ŵ < 1`.
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        let pending_total = r.f64()?;
+        let pending_total = read_mass(r)?;
         let n = r.usize()?;
         let mut pending_deltas = HashMap::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             let e = r.u64()?;
-            pending_deltas.insert(e, r.f64()?);
+            pending_deltas.insert(e, read_mass(r)?);
         }
         Some(P2Aggregator {
             pending_total,
             pending_deltas,
-            thr_frac: r.f64()?,
-            w_hat: r.f64()?,
+            thr_frac: read_fraction(r)?,
+            w_hat: read_w_hat(r)?,
             rep: r.usize()?,
         })
     }

@@ -10,9 +10,10 @@
 //!
 //! # Exact lazy SVD
 //!
-//! Algorithm 5.3 as written decomposes `Bj` on *every* arrival. Four
+//! Algorithm 5.3 as written decomposes `Bj` on *every* arrival, and
+//! Algorithm 5.4's coordinator stacks every direction it receives. Five
 //! observations make the implementation fast without weakening the send
-//! rule or the invariant:
+//! rule, the invariant or Lemma 8:
 //!
 //! 1. Only the Gram of `Bj` matters (both for the send rule and the
 //!    guarantee), so after an SVD the site re-expresses `Bj` as
@@ -77,6 +78,15 @@
 //!      with it). The certificate may therefore refuse in the sliver
 //!      `λ_max ∈ [send·(1 − 2·10⁻⁹), send)`; a refusal only costs the
 //!      decomposition that used to run anyway.
+//! 5. The coordinator needs only the Gram too: Lemma 8 reads
+//!    `‖Bx‖² = xᵀ(BᵀB)x`. So [`MP2Coordinator`] holds the `d×d` Gram of
+//!    the received directions, not their stack: a direction adds in with
+//!    one `accumulate_outer`, a direction query costs `O(d²)` however many
+//!    directions have arrived, the root's state is `d²` floats instead of
+//!    one row per message, and the sketch is at most `d` rows `σᵢ·vᵢᵀ`
+//!    from one eigensolve. The test-side recording root keeps the stack
+//!    as the oracle: `coordinator_answers_as_the_received_stack` pins
+//!    answers, sketch Gram and snapshot against it.
 //!
 //! The seed's eager layout — the full `d×d` withheld Gram, decomposed
 //! with cyclic Jacobi at **every** trigger, observations 1 and 2 only —
@@ -93,6 +103,9 @@
 
 use super::{row_weight, MatrixEstimator, Row};
 use crate::config::MatrixConfig;
+use crate::wire::{
+    put_matrix, put_sym, read_fraction, read_gram, read_mass, read_matrix, read_w_hat,
+};
 use cma_linalg::cholesky::{certifies_lambda_max_below, lambda_max_upper_bound};
 use cma_linalg::matrix::accumulate_outer;
 use cma_linalg::ql::ql_eigen_sym;
@@ -230,22 +243,17 @@ impl Withheld {
     /// Gram `small` — one Householder + QL eigensolve
     /// ([`ql_eigen_sym`]), full precision at no tolerance.
     fn spectrum(&self, small: &Matrix) -> (Vec<f64>, Matrix) {
-        let eig = ql_eigen_sym(small).expect("MT-P2: eigensolver failed");
-        let dirs = match self {
+        match self {
             // P = Uᵀ·S has rows σᵢ·vᵢᵀ, and PᵀP = Sᵀ(UUᵀ)S = SᵀS to the
             // orthonormality of the accumulated reflections and rotations
             // (machine precision), so the re-expression is lossless
             // independently of eigenvalue accuracy.
-            Withheld::Rows { rows, .. } => eig.vectors.matmul(rows),
-            Withheld::Gram(_) => {
-                let mut dirs = eig.vectors;
-                for (i, &lam) in eig.values.iter().enumerate() {
-                    vector::scale(lam.max(0.0).sqrt(), dirs.row_mut(i));
-                }
-                dirs
+            Withheld::Rows { rows, .. } => {
+                let eig = ql_eigen_sym(small).expect("MT-P2: eigensolver failed");
+                (eig.values, eig.vectors.matmul(rows))
             }
-        };
-        (eig.values, dirs)
+            Withheld::Gram(_) => gram_spectrum(small),
+        }
     }
 
     /// Ships the directions at or above `send`, keeps the rest as rows.
@@ -269,11 +277,26 @@ impl Withheld {
     fn to_rows(&self) -> Matrix {
         match self {
             Withheld::Rows { rows, .. } => rows.clone(),
-            Withheld::Gram(gram) => {
-                split_spectrum(f64::INFINITY, self.spectrum(gram), &mut Vec::new()).0
-            }
+            Withheld::Gram(gram) => gram_rows(gram),
         }
     }
+}
+
+/// Eigen-directions of a `d×d` Gram, descending: `λᵢ` and the rows
+/// `√λᵢ·vᵢᵀ` — one [`ql_eigen_sym`].
+fn gram_spectrum(gram: &Matrix) -> (Vec<f64>, Matrix) {
+    let eig = ql_eigen_sym(gram).expect("MT-P2: eigensolver failed");
+    let mut dirs = eig.vectors;
+    for (i, &lam) in eig.values.iter().enumerate() {
+        vector::scale(lam.max(0.0).sqrt(), dirs.row_mut(i));
+    }
+    (eig.values, dirs)
+}
+
+/// At most `d` rows `σᵢ·vᵢᵀ` whose Gram is `gram`, structurally zero
+/// directions dropped (`split_spectrum` with nothing shipped).
+fn gram_rows(gram: &Matrix) -> Matrix {
+    split_spectrum(f64::INFINITY, gram_spectrum(gram), &mut Vec::new()).0
 }
 
 /// Splits eigen-directions `(λᵢ, σᵢ·vᵢᵀ)` at `send`: those at or above
@@ -454,10 +477,14 @@ impl Site for MP2Site {
     }
 }
 
-/// MT-P2 coordinator: stacked received directions (Algorithm 5.4).
+/// MT-P2 coordinator (Algorithm 5.4), holding the Gram `BᵀB` of the
+/// received directions instead of their stack `B` (module doc,
+/// observation 5).
 #[derive(Debug, Clone)]
 pub struct MP2Coordinator {
-    b: Matrix,
+    /// `BᵀB = Σ σ²·vvᵀ` over every received direction `σ·v`: `d×d` and
+    /// exactly symmetric (each entry pair adds the same products).
+    gram: Matrix,
     f_hat: f64,
     msg_count: usize,
     sites: usize,
@@ -466,16 +493,11 @@ pub struct MP2Coordinator {
 impl MP2Coordinator {
     fn new(cfg: &MatrixConfig) -> Self {
         MP2Coordinator {
-            b: Matrix::with_cols(cfg.dim),
+            gram: Matrix::zeros(cfg.dim, cfg.dim),
             f_hat: 1.0,
             msg_count: 0,
             sites: cfg.sites,
         }
-    }
-
-    /// Number of direction rows received so far.
-    pub fn rows_received(&self) -> usize {
-        self.b.rows()
     }
 }
 
@@ -493,22 +515,30 @@ impl Coordinator for MP2Coordinator {
                     out.push(self.f_hat);
                 }
             }
-            MP2Msg::Direction(row) => self.b.push_row(&row),
+            MP2Msg::Direction(row) => accumulate_outer(&mut self.gram, &row),
         }
     }
 }
 
 impl MatrixEstimator for MP2Coordinator {
+    /// At most `d` rows `σᵢ·vᵢᵀ` with the Gram of every received
+    /// direction, from one `d×d` eigensolve per call. The rows are not
+    /// the directions as they arrived: Lemma 8 reads only `BᵀB`.
     fn sketch(&self) -> Matrix {
-        self.b.clone()
+        gram_rows(&self.gram)
     }
     fn frob_estimate(&self) -> f64 {
         (self.f_hat - 1.0).max(0.0)
     }
-    /// Scans the received directions in place; the default would clone
-    /// the whole sketch per query.
+    /// `xᵀ(BᵀB)x` in `O(d²)`, however many directions have arrived.
     fn direction_norm_sq(&self, x: &[f64]) -> f64 {
-        self.b.apply_norm_sq(x)
+        let q: f64 = self
+            .gram
+            .iter_rows()
+            .zip(x)
+            .map(|(g, &xi)| xi * vector::dot_lanes(g, x))
+            .sum();
+        q.max(0.0)
     }
 }
 
@@ -615,24 +645,25 @@ impl ChurnBudget for MP2Aggregator {
     }
 }
 
+/// `Gram (lower triangle), F̂, scalar reports, sites`.
 impl WireCodec for MP2Coordinator {
     fn encode(&self, out: &mut Vec<u8>) {
-        crate::wire::put_matrix(out, &self.b);
+        put_sym(out, &self.gram);
         put_f64(out, self.f_hat);
         put_usize(out, self.msg_count);
         put_usize(out, self.sites);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        let b = crate::wire::read_matrix(r)?;
-        let f_hat = r.f64()?;
+        let gram = read_gram(r)?;
+        let f_hat = read_w_hat(r)?;
         let msg_count = r.usize()?;
         let sites = r.usize()?;
         if sites == 0 {
             return None;
         }
         Some(MP2Coordinator {
-            b,
+            gram,
             f_hat,
             msg_count,
             sites,
@@ -652,20 +683,20 @@ impl WireCodec for MP2Aggregator {
         }
         put_f64(out, self.inner.thr_frac);
         put_f64(out, self.inner.f_hat);
-        crate::wire::put_matrix(out, &self.inner.withheld.to_rows());
+        put_matrix(out, &self.inner.withheld.to_rows());
     }
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        let pending_scalar = r.f64()?;
+        let pending_scalar = read_mass(r)?;
         let rep = r.usize()?;
         let n = r.usize()?;
         let mut outbox = Vec::with_capacity(r.capacity_for(n));
         for _ in 0..n {
             outbox.push(MP2Msg::decode(r)?);
         }
-        let thr_frac = r.f64()?;
-        let f_hat = r.f64()?;
-        let rows = crate::wire::read_matrix(r)?;
+        let thr_frac = read_fraction(r)?;
+        let f_hat = read_w_hat(r)?;
+        let rows = read_matrix(r)?;
         Some(MP2Aggregator {
             inner: MP2Site::from_withheld(thr_frac, f_hat, rows),
             pending_scalar,
@@ -875,6 +906,131 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The paper's literal root (Algorithm 5.4) beside the production
+    /// one: every direction the root receives, stacked in arrival order —
+    /// the oracle the coordinator's answers are pinned against.
+    #[derive(Debug, Clone)]
+    struct Recording {
+        inner: MP2Coordinator,
+        stack: Matrix,
+    }
+
+    impl Recording {
+        fn new(cfg: &MatrixConfig) -> Self {
+            Recording {
+                inner: MP2Coordinator::new(cfg),
+                stack: Matrix::with_cols(cfg.dim),
+            }
+        }
+    }
+
+    impl Coordinator for Recording {
+        type UpMsg = MP2Msg;
+        type Broadcast = f64;
+
+        fn receive(&mut self, from: SiteId, msg: MP2Msg, out: &mut Vec<f64>) {
+            if let MP2Msg::Direction(row) = &msg {
+                self.stack.push_row(row);
+            }
+            self.inner.receive(from, msg, out);
+        }
+    }
+
+    /// [`deploy_topology`] with a recording root.
+    fn deploy_recorded(
+        cfg: &MatrixConfig,
+        topology: Topology,
+    ) -> Runner<MP2Site, Recording, MP2Aggregator> {
+        let (sites, _, _) = deploy_topology(cfg, topology).into_parts();
+        Runner::with_topology(
+            sites,
+            Recording::new(cfg),
+            topology,
+            make_aggregator(cfg, topology),
+        )
+    }
+
+    fn gaussian_rows(seed: u64, dim: usize, n: usize) -> impl Iterator<Item = Row> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(move |_| -> Row {
+            (0..dim)
+                .map(|_| random::standard_normal(&mut rng))
+                .collect()
+        })
+    }
+
+    /// Rank 3 in `d = 32`: each row is `c ⊗ (2, −1)` over two blocks.
+    fn rank_three_rows(seed: u64, n: usize) -> impl Iterator<Item = Row> {
+        gaussian_rows(seed, 3, n).map(|c| {
+            let mut row = vec![0.0; 32];
+            for (k, c) in c.into_iter().enumerate() {
+                row[k] = 2.0 * c;
+                row[k + 16] = -c;
+            }
+            row
+        })
+    }
+
+    /// The root answers as the stack of every received direction would:
+    /// `direction_norm_sq(x)` is the oracle's `‖Bx‖²` and `sketch()` has
+    /// the oracle's Gram, both within `10⁻¹²·‖B‖²_F`, on a stream that
+    /// saturates the sites' rank and on a rank-3 one, over a star and a
+    /// fanout-4 tree. A snapshot of the root decodes to a root whose
+    /// answers and re-encoded bytes are bit-identical.
+    #[test]
+    fn coordinator_answers_as_the_received_stack() {
+        let saturating = (MatrixConfig::new(8, 0.05, 12), 21);
+        let low_rank = (MatrixConfig::new(8, 0.05, 32), 22);
+        for (cfg, seed) in [saturating, low_rank] {
+            for topology in [Topology::Star, Topology::Tree { fanout: 4 }] {
+                let mut runner = deploy_recorded(&cfg, topology);
+                let rows: Vec<Row> = if cfg.dim == 32 {
+                    rank_three_rows(seed, 4_000).collect()
+                } else {
+                    gaussian_rows(seed, cfg.dim, 4_000).collect()
+                };
+                for (i, row) in rows.into_iter().enumerate() {
+                    runner.feed(i % cfg.sites, row);
+                }
+                let Recording { inner: root, stack } = runner.coordinator();
+                let what = format!("d = {}, {topology:?}", cfg.dim);
+                assert!(stack.rows() > 2 * cfg.dim, "{what}: too few directions");
+                let tol = 1e-12 * stack.frob_norm_sq();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let xs: Vec<Row> = (0..32)
+                    .map(|_| random::unit_vector(&mut rng, cfg.dim))
+                    .collect();
+                for x in &xs {
+                    let (got, want) = (root.direction_norm_sq(x), stack.apply_norm_sq(x));
+                    assert!(
+                        (got - want).abs() <= tol,
+                        "{what}: ‖Bx‖² {got} vs stacked {want}"
+                    );
+                }
+                let diff = root.sketch().gram().sub(&stack.gram()).max_abs();
+                assert!(diff <= tol, "{what}: sketch Gram off by {diff}");
+
+                let bytes = root.to_wire();
+                let back = MP2Coordinator::decode(&mut WireReader::new(&bytes))
+                    .unwrap_or_else(|| panic!("{what}: snapshot failed to decode"));
+                assert_eq!(back.to_wire(), bytes, "{what}: re-encoding diverged");
+                for x in &xs {
+                    assert_eq!(
+                        back.direction_norm_sq(x).to_bits(),
+                        root.direction_norm_sq(x).to_bits(),
+                        "{what}: restored root answers differently"
+                    );
+                }
+                assert_eq!(
+                    back.sketch().as_slice(),
+                    root.sketch().as_slice(),
+                    "{what}: restored sketch differs"
+                );
+                assert_eq!(back.frob_estimate(), root.frob_estimate());
+            }
+        }
+    }
+
     fn run_gaussian(
         cfg: &MatrixConfig,
         n: usize,
@@ -1000,7 +1156,7 @@ mod tests {
             runner.feed(i % 2, row);
         }
         let sketch = runner.coordinator().sketch();
-        // All received directions lie (numerically) along e₀.
+        // The sketch's directions lie (numerically) along e₀.
         for r in sketch.iter_rows() {
             for (j, &v) in r.iter().enumerate() {
                 if j != 0 {
@@ -1068,7 +1224,7 @@ mod tests {
         }
     }
 
-    fn deploy_eager(cfg: &MatrixConfig, opts: &MP2Options) -> Runner<EagerSite, MP2Coordinator> {
+    fn deploy_eager(cfg: &MatrixConfig, opts: &MP2Options) -> Runner<EagerSite, Recording> {
         let site = EagerSite {
             gram: Matrix::zeros(cfg.dim, cfg.dim),
             pending_mass: 0.0,
@@ -1078,7 +1234,13 @@ mod tests {
             thr_frac: cfg.epsilon / cfg.sites as f64,
             f_hat: 1.0,
         };
-        Runner::new(vec![site; cfg.sites], MP2Coordinator::new(cfg))
+        Runner::new(vec![site; cfg.sites], Recording::new(cfg))
+    }
+
+    /// [`deploy_with`] with a recording root.
+    fn deploy_with_recorded(cfg: &MatrixConfig, opts: &MP2Options) -> Runner<MP2Site, Recording> {
+        let sites = (0..cfg.sites).map(|_| MP2Site::new(cfg, opts)).collect();
+        Runner::new(sites, Recording::new(cfg))
     }
 
     #[test]
@@ -1090,7 +1252,7 @@ mod tests {
         let cfg = MatrixConfig::new(3, 0.25, dim);
         let run = |opts: &MP2Options| {
             let mut eager = deploy_eager(&cfg, opts);
-            let mut certified = deploy_with(&cfg, opts);
+            let mut certified = deploy_with_recorded(&cfg, opts);
             let mut truth = StreamingGram::new(dim);
             let mut rng = StdRng::seed_from_u64(12);
             for i in 0..3_000 {
@@ -1102,8 +1264,8 @@ mod tests {
                 certified.feed(i % 3, row);
             }
             for sketch in [
-                eager.coordinator().sketch(),
-                certified.coordinator().sketch(),
+                eager.coordinator().inner.sketch(),
+                certified.coordinator().inner.sketch(),
             ] {
                 let err = truth.error_of_sketch(&sketch).unwrap();
                 assert!(err <= cfg.epsilon, "covariance error {err} > ε");
@@ -1116,15 +1278,15 @@ mod tests {
         // threshold: certified-lazy ≡ eager, message for message.
         let (eager, certified, truth) = run(&MP2Options { batch_slack: 0.0 });
         assert_eq!(
-            (eager.stats().total(), eager.coordinator().rows_received()),
+            (eager.stats().total(), eager.coordinator().stack.rows()),
             (
                 certified.stats().total(),
-                certified.coordinator().rows_received()
+                certified.coordinator().stack.rows()
             ),
             "certified site diverged from the eager oracle in message schedule"
         );
-        let ge = eager.coordinator().sketch().gram();
-        let gc = certified.coordinator().sketch().gram();
+        let ge = eager.coordinator().inner.sketch().gram();
+        let gc = certified.coordinator().inner.sketch().gram();
         let diff = ge.sub(&gc).max_abs();
         assert!(
             diff <= 1e-6 * truth.frob_sq(),
@@ -1158,13 +1320,13 @@ mod tests {
         rows: impl Iterator<Item = Row>,
     ) -> (usize, usize) {
         let saturated = |s: &MP2Site| matches!(s.withheld, Withheld::Gram(_));
-        let mut runner = deploy_with(cfg, opts);
+        let mut runner = deploy_with_recorded(cfg, opts);
         let (mut entered, mut left) = (0, 0);
         for (i, row) in rows.enumerate() {
             let j = i % cfg.sites;
             let before = &runner.sites()[j];
             let (send, was_saturated) = (before.send_threshold(), saturated(before));
-            let received = runner.coordinator().rows_received();
+            let received = runner.coordinator().stack.rows();
             runner.feed(j, row);
 
             // 1e-9 is the relative accuracy the shipping decomposition
@@ -1184,7 +1346,7 @@ mod tests {
                 site.smax2,
                 site.pending_mass
             );
-            let b = &runner.coordinator().b;
+            let b = &runner.coordinator().stack;
             for shipped in (received..b.rows()).map(|k| b.row(k)) {
                 let sigma2 = vector::norm_sq(shipped);
                 assert!(
@@ -1200,14 +1362,6 @@ mod tests {
 
     #[test]
     fn certified_bound_holds_after_every_arrival() {
-        let gaussian = |seed: u64, dim: usize, n: usize| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            (0..n).map(move |_| -> Row {
-                (0..dim)
-                    .map(|_| random::standard_normal(&mut rng))
-                    .collect()
-            })
-        };
         let per_row = MP2Options { batch_slack: 0.0 };
         // Flat spectrum at d = 12 with ε/m < 1/d, so directions keep
         // reaching the threshold: sites saturate within a few dozen rows
@@ -1215,7 +1369,7 @@ mod tests {
         for opts in [&MP2Options::default(), &per_row] {
             let cfg = MatrixConfig::new(4, 0.05, 12);
             let (entered, left) =
-                assert_certified_after_every_arrival(&cfg, opts, gaussian(21, 12, 2_000));
+                assert_certified_after_every_arrival(&cfg, opts, gaussian_rows(21, 12, 2_000));
             assert!(
                 entered >= 3 && left >= 3,
                 "rank saturation entered {entered}×, left {left}×"
@@ -1224,16 +1378,11 @@ mod tests {
         // Rank 3 in d = 32: every doubling of the stack is decomposed
         // back to three rows, so the site never saturates.
         let cfg = MatrixConfig::new(4, 0.05, 32);
-        let low_rank = gaussian(22, 3, 1_500).map(|c| {
-            let mut row = vec![0.0; 32];
-            for (k, c) in c.into_iter().enumerate() {
-                row[k] = 2.0 * c;
-                row[k + 16] = -c;
-            }
-            row
-        });
-        let (entered, _) =
-            assert_certified_after_every_arrival(&cfg, &MP2Options::default(), low_rank);
+        let (entered, _) = assert_certified_after_every_arrival(
+            &cfg,
+            &MP2Options::default(),
+            rank_three_rows(22, 1_500),
+        );
         assert_eq!(entered, 0, "rank-3 stream saturated");
         // Rank 1: one repeated row.
         let rank_one = (0..800).map(|_| vec![0.0, 2.0, 0.0, -1.0]);
@@ -1242,7 +1391,7 @@ mod tests {
         // d = 1: the second row already saturates (a 1×1 Gram).
         let cfg = MatrixConfig::new(2, 0.2, 1);
         let (entered, left) =
-            assert_certified_after_every_arrival(&cfg, &per_row, gaussian(23, 1, 600));
+            assert_certified_after_every_arrival(&cfg, &per_row, gaussian_rows(23, 1, 600));
         assert!(entered >= 3 && left >= 3, "d = 1 never cycled");
     }
 

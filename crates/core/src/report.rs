@@ -40,7 +40,7 @@ use crate::hh::Item;
 use crate::matrix::Row;
 use crate::sampling::{ItemKind, RowKind, SampleKind, SamplingConfig};
 use crate::weight_tracker::{CoordWeightTracker, SiteWeightTracker};
-use crate::wire::{put_row, read_mass, read_row, read_w_hat, row_bytes};
+use crate::wire::{put_row, read_fraction, read_mass, read_row, read_w_hat, row_bytes};
 use cma_linalg::matrix::accumulate_outer;
 use cma_linalg::Matrix;
 use cma_stream::{
@@ -491,7 +491,7 @@ impl<K: ReportKind> WireCodec for ReportCoordinator<K> {
             tracker,
             header,
             sites: r.usize().filter(|&m| m >= 1)?,
-            epsilon: r.f64().filter(|&e| e > 0.0 && e < 1.0)?,
+            epsilon: read_fraction(r)?,
         })
     }
 }

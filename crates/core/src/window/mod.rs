@@ -83,7 +83,7 @@
 //! picks the kind ([`WindowConfig`]), so [`deploy`], [`deploy_topology`],
 //! [`make_aggregator`] and [`run_engine`] are written once for both.
 
-use crate::wire::{read_bucket_head, read_mass, read_w_hat, SummaryCodec};
+use crate::wire::{read_bucket_head, read_fraction, read_mass, read_w_hat, SummaryCodec};
 use cma_sketch::sliding_window::{ExpHistogram, WinBucket, WindowSummary};
 use cma_stream::runner::engine::{self, Executor, ThreadedConfig, TreeRunParts};
 use cma_stream::{
@@ -687,7 +687,7 @@ impl<K: SnapshotKind> WireCodec for SwCoordinator<K> {
         let w_hat = read_w_hat(r)?;
         let w_peak = read_w_hat(r)?;
         let theta = r.f64().filter(|t| t.is_finite() && *t > 0.0)?;
-        let hold_budget = r.f64().filter(|e| e.is_finite() && *e > 0.0 && *e < 1.0)?;
+        let hold_budget = read_fraction(r)?;
         let fault_undercount = read_mass(r)?;
         let fault_overcount = read_mass(r)?;
         Some(SwCoordinator {

@@ -53,6 +53,12 @@ pub(crate) fn read_w_hat(r: &mut WireReader<'_>) -> Option<f64> {
     r.f64().filter(|w| w.is_finite() && *w >= 1.0)
 }
 
+/// A share of the error budget (`ε`, a node's threshold fraction):
+/// strictly inside `(0, 1)`, which refuses NaN too.
+pub(crate) fn read_fraction(r: &mut WireReader<'_>) -> Option<f64> {
+    r.f64().filter(|&f| f > 0.0 && f < 1.0)
+}
+
 /// A window bucket's `[oldest, newest]` range and mass: a range that
 /// runs backwards or a mass that [`read_mass`] refuses fails the
 /// decode — either would void the straddling and expiry accounting.
@@ -140,6 +146,41 @@ pub fn read_matrix(r: &mut WireReader<'_>) -> Option<Matrix> {
 /// Exact encoded size of a matrix.
 pub fn matrix_bytes(m: &Matrix) -> u64 {
     16 + 8 * (m.rows() * m.cols()) as u64
+}
+
+/// `d, lower triangle row by row` of a symmetric `d×d` matrix.
+/// 8 + 4·d(d+1) bytes.
+pub(crate) fn put_sym(out: &mut Vec<u8>, g: &Matrix) {
+    put_usize(out, g.rows());
+    for (i, row) in g.iter_rows().enumerate() {
+        for &v in &row[..=i] {
+            put_f64(out, v);
+        }
+    }
+}
+
+/// Inverse of [`put_sym`] for a Gram `BᵀB`: the triangle is mirrored,
+/// so the result is symmetric by construction. `None` on `d = 0`, a
+/// non-finite entry or a negative diagonal entry, which no Gram has.
+pub(crate) fn read_gram(r: &mut WireReader<'_>) -> Option<Matrix> {
+    let d = read_len(r)?;
+    let entries = d.checked_mul(d + 1)? / 2;
+    // Every entry is 8 bytes, so the allocation is bounded by the input.
+    if d == 0 || r.remaining() / 8 < entries {
+        return None;
+    }
+    let mut g = Matrix::zeros(d, d);
+    for i in 0..d {
+        for j in 0..=i {
+            let v = read_finite(r)?;
+            g[(i, j)] = v;
+            g[(j, i)] = v;
+        }
+        if g[(i, i)] < 0.0 {
+            return None;
+        }
+    }
+    Some(g)
 }
 
 /// `d, ell, sketch, frob_sq, shrink_loss`. 48 + 8·rows·d bytes.
@@ -248,8 +289,8 @@ impl WireCodec for P2Msg {
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         match r.u8()? {
-            0 => Some(P2Msg::Total(r.f64()?)),
-            1 => Some(P2Msg::Element(r.u64()?, r.f64()?)),
+            0 => Some(P2Msg::Total(read_mass(r)?)),
+            1 => Some(P2Msg::Element(r.u64()?, read_mass(r)?)),
             _ => None,
         }
     }
@@ -278,7 +319,7 @@ impl WireCodec for MP2Msg {
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         match r.u8()? {
-            0 => Some(MP2Msg::Scalar(r.f64()?)),
+            0 => Some(MP2Msg::Scalar(read_mass(r)?)),
             1 => Some(MP2Msg::Direction(read_row(r)?)),
             _ => None,
         }

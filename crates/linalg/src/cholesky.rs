@@ -37,6 +37,7 @@
 //! `c ≤ λ_max`, always a pass at `c ≥ λ_max·(1 + 10⁻⁶)`.
 
 use crate::matrix::Matrix;
+use crate::vector::dot_lanes;
 
 /// Relative safety margin `μ` of the certificate: the shift that is
 /// factored is `c·(1 − μ)`, which absorbs the backward error of the
@@ -139,29 +140,6 @@ fn factors_shifted(m: &Matrix, c: f64, work: &mut [f64]) -> bool {
 #[inline]
 fn not_positive(x: f64) -> bool {
     x.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
-}
-
-/// Inner product over eight independent accumulator lanes.
-/// [`crate::vector::dot`] sums strictly left to right — one dependent
-/// add per element, which the compiler may not reorder — and the
-/// factorisation is nothing but short dot products, so the serial chain
-/// would set its speed. Any summation order satisfies the error bound
-/// the certificate's margin rests on.
-#[inline]
-fn dot_lanes(x: &[f64], y: &[f64]) -> f64 {
-    const LANES: usize = 8;
-    let (xc, yc) = (x.chunks_exact(LANES), y.chunks_exact(LANES));
-    let mut tail = 0.0;
-    for (a, b) in xc.remainder().iter().zip(yc.remainder()) {
-        tail += a * b;
-    }
-    let mut acc = [0.0; LANES];
-    for (a, b) in xc.zip(yc) {
-        for k in 0..LANES {
-            acc[k] += a[k] * b[k];
-        }
-    }
-    acc.iter().sum::<f64>() + tail
 }
 
 #[cfg(test)]

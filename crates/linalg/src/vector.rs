@@ -15,6 +15,33 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     x.iter().zip(y).map(|(a, b)| a * b).sum()
 }
 
+/// Dot product `⟨x, y⟩` over eight independent accumulator lanes.
+/// [`dot`] sums strictly left to right — one dependent add per element,
+/// which the compiler may not reorder — so on short hot loops (a
+/// Cholesky factorisation, a quadratic form per query) the serial chain
+/// sets the speed. Summed in a different order than [`dot`], so the two
+/// may differ in the last bits.
+///
+/// # Panics
+/// Panics if `x.len() != y.len()`.
+#[inline]
+pub fn dot_lanes(x: &[f64], y: &[f64]) -> f64 {
+    const LANES: usize = 8;
+    assert_eq!(x.len(), y.len(), "dot_lanes: dimension mismatch");
+    let (xc, yc) = (x.chunks_exact(LANES), y.chunks_exact(LANES));
+    let mut tail = 0.0;
+    for (a, b) in xc.remainder().iter().zip(yc.remainder()) {
+        tail += a * b;
+    }
+    let mut acc = [0.0; LANES];
+    for (a, b) in xc.zip(yc) {
+        for k in 0..LANES {
+            acc[k] += a[k] * b[k];
+        }
+    }
+    acc.iter().sum::<f64>() + tail
+}
+
 /// Squared Euclidean norm `‖x‖²`.
 #[inline]
 pub fn norm_sq(x: &[f64]) -> f64 {

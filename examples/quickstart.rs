@@ -37,6 +37,10 @@ fn main() {
     runner.run_partitioned(rows, &mut RoundRobin::new(sites), 256);
 
     // The coordinator answers at any time without extra communication.
+    // It keeps the Gram `BᵀB` of the directions it received, not the
+    // directions themselves — the guarantee reads only `‖Bx‖² = xᵀBᵀBx` —
+    // so the sketch it hands back has at most `d` rows however many
+    // directions arrived.
     let sketch = runner.coordinator().sketch();
     let err = truth.error_of_sketch(&sketch).expect("error metric");
     let stats = runner.stats();
@@ -45,7 +49,10 @@ fn main() {
     println!("sites                   : {sites}");
     println!("accuracy target ε       : {epsilon}");
     println!("covariance error        : {err:.5}  (guarantee: ≤ ε)");
-    println!("sketch size             : {} rows", sketch.rows());
+    println!(
+        "sketch size             : {} rows (≤ d = {dim})",
+        sketch.rows()
+    );
     println!(
         "communication           : {} messages ({:.2}% of shipping every row)",
         stats.total(),

@@ -72,10 +72,11 @@ fn poison(buf: &[u8], at: usize, v: f64) -> Vec<u8> {
 /// Hostile bytes: a row, matrix or sketch carrying a NaN or ∞ entry, a
 /// sketch whose `frob_sq`/`shrink_loss` is non-finite or negative, a
 /// Misra–Gries summary whose total, decrement total or counter weight
-/// is, an MT-P1 flush whose mass is, a P4 tracker report or count that
-/// is, or a window frame whose bucket mass is or whose bucket range
-/// runs backwards, decodes to `None` instead of a summary whose bound
-/// is NaN.
+/// is, an MT-P1 flush whose mass is, a P2 scalar report or element
+/// weight or an MT-P2 scalar report that is, a P4 tracker report or
+/// count that is, or a window frame whose bucket mass is or whose bucket
+/// range runs backwards, decodes to `None` instead of a summary whose
+/// bound is NaN.
 #[test]
 fn non_finite_values_fail_to_decode() {
     let row = vec![1.0, -2.0, 3.0];
@@ -152,6 +153,25 @@ fn non_finite_values_fail_to_decode() {
         assert!(
             P4Msg::decode(&mut WireReader::new(&msg.to_wire())).is_none(),
             "{what}"
+        );
+    }
+    // A NaN `F̂` or `Ŵ` fails every `≥ threshold` test: sites would stop
+    // sending and the bound would be void without a sign.
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+        let buf = MP2Msg::Scalar(bad).to_wire();
+        assert!(
+            MP2Msg::decode(&mut WireReader::new(&buf)).is_none(),
+            "MP2 Scalar({bad})"
+        );
+        let buf = P2Msg::Total(bad).to_wire();
+        assert!(
+            P2Msg::decode(&mut WireReader::new(&buf)).is_none(),
+            "P2 Total({bad})"
+        );
+        let buf = P2Msg::Element(4, bad).to_wire();
+        assert!(
+            P2Msg::decode(&mut WireReader::new(&buf)).is_none(),
+            "P2 Element(4, {bad})"
         );
     }
     let buf = MP4Msg::Total(f64::NAN).to_wire();
@@ -351,6 +371,164 @@ fn window_snapshots_reject_unreachable_states() {
             "{bad} at {at} of {n}"
         );
     }
+}
+
+/// A P2-pair or P1 snapshot carrying a state no deployment reaches
+/// decodes to `None`. HH-P2 and MT-P2: a coordinator whose `Ŵ`/`F̂` is
+/// below 1 or non-finite, whose site count is 0, whose per-element
+/// estimate is negative or non-finite, or (MT-P2) whose Gram is empty or
+/// has a negative or non-finite entry on or off its diagonal; an
+/// aggregator whose pending total, delta or scalar (in the outbox too)
+/// is negative or non-finite, whose threshold fraction lies outside
+/// `(0, 1)`, or whose `Ŵ`/`F̂` is. P1: a coordinator whose `W_C` is
+/// negative or non-finite, whose `Ŵ` is below 1 or non-finite, or whose
+/// `ε` lies outside `(0, 1)`; an aggregator whose hold fraction is
+/// negative or non-finite, or whose `Ŵ` is.
+#[test]
+fn p2_snapshots_reject_unreachable_states() {
+    use cma::protocols::hh::p1::{P1Aggregator, P1Coordinator};
+    use cma::protocols::hh::p2::{self, P2Aggregator, P2Coordinator};
+    use cma::protocols::hh::{self, HhConfig};
+    use cma::protocols::matrix::p1::{MP1Aggregator, MP1Coordinator};
+    use cma::protocols::matrix::p2::{self as mp2, MP2Aggregator, MP2Coordinator};
+    use cma::protocols::matrix::{self, MatrixConfig};
+    use cma::stream::{put_f64, put_u64, put_usize, Topology};
+
+    fn rejects<T: WireCodec>(buf: &[u8]) -> bool {
+        T::decode(&mut WireReader::new(buf)).is_none()
+    }
+    /// Asserts that `buf` decodes and that each `(offset, value)` poison
+    /// of it does not.
+    fn check<T: WireCodec>(what: &str, buf: &[u8], cases: &[(usize, f64)]) {
+        assert!(
+            !rejects::<T>(buf),
+            "{what}: the live state failed to decode"
+        );
+        for &(at, bad) in cases {
+            assert!(
+                rejects::<T>(&poison(buf, at, bad)),
+                "{what}: {bad} at {at} of {}",
+                buf.len()
+            );
+        }
+    }
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+
+    let (m, tree) = (8, Topology::Tree { fanout: 2 });
+    let hcfg = HhConfig::new(m, 0.1);
+    let items = (0..4_000u64).map(|i| (i % 13, 1.0 + (i % 5) as f64));
+    let mut hh2 = p2::deploy_topology(&hcfg, tree);
+    let mut hh1 = hh::p1::deploy_topology(&hcfg, tree);
+    for (i, item) in items.enumerate() {
+        hh2.feed(i % m, item);
+        hh1.feed(i % m, item);
+    }
+    let mcfg = MatrixConfig::new(m, 0.1, 3);
+    let rows = (0..4_000).map(|i| vec![1.0, (i % 7) as f64, -0.5 * (i % 3) as f64]);
+    let mut mt2 = mp2::deploy_topology(&mcfg, tree);
+    let mut mt1 = matrix::p1::deploy_topology(&mcfg, tree);
+    for (i, row) in rows.enumerate() {
+        mt2.feed(i % m, row.clone());
+        mt1.feed(i % m, row);
+    }
+
+    // HH-P2 coordinator = Ŵ, reports, sites, tag 0, n, (e, estimate)*.
+    let coord = hh2.coordinator().to_wire();
+    assert_eq!(coord[24], 0, "exact estimate store");
+    check::<P2Coordinator>(
+        "HH-P2 coordinator",
+        &coord,
+        &[
+            (0, nan),
+            (0, inf),
+            (0, -1.0),
+            (0, 0.5),
+            (41, nan),
+            (41, inf),
+            (41, -1.0),
+        ],
+    );
+    assert!(rejects::<P2Coordinator>(&patch(&coord, 16, 0)), "sites = 0");
+    // HH-P2 aggregator = pending total, n, (e, delta)*, fraction, Ŵ, rep;
+    // rebuilt with one pending delta, which synchronous runs never hold.
+    let agg = hh2.aggregators()[0].to_wire();
+    let tail = &agg[agg.len() - 24..];
+    let mut held = Vec::new();
+    put_f64(&mut held, 2.0);
+    put_usize(&mut held, 1);
+    put_u64(&mut held, 7);
+    put_f64(&mut held, 3.0);
+    held.extend_from_slice(tail);
+    let (frac, w_hat) = (held.len() - 24, held.len() - 16);
+    let mut cases = vec![
+        (0, nan),
+        (0, inf),
+        (0, -1.0),
+        (24, nan),
+        (24, inf),
+        (24, -1.0),
+    ];
+    cases.extend([nan, inf, -1.0, 0.0, 1.0].map(|bad| (frac, bad)));
+    cases.extend([nan, inf, 0.5].map(|bad| (w_hat, bad)));
+    check::<P2Aggregator>("HH-P2 aggregator", &held, &cases);
+
+    // MT-P2 coordinator = d, Gram lower triangle (g₀₀, g₁₀, g₁₁, …), F̂,
+    // reports, sites.
+    let coord = mt2.coordinator().to_wire();
+    let n = coord.len();
+    assert_eq!(n, 8 + 8 * 6 + 24, "d = 3: six triangle entries");
+    let mut cases = vec![(8, -1.0), (8, nan), (16, nan), (16, inf), (24, -1.0)];
+    cases.extend([nan, inf, -1.0, 0.5].map(|bad| (n - 24, bad)));
+    check::<MP2Coordinator>("MT-P2 coordinator", &coord, &cases);
+    assert!(
+        rejects::<MP2Coordinator>(&patch(&coord, n - 8, 0)),
+        "sites = 0"
+    );
+    assert!(rejects::<MP2Coordinator>(&patch(&coord, 0, 0)), "d = 0");
+    // MT-P2 aggregator = pending scalar, rep, n, outbox, fraction, F̂,
+    // withheld rows.
+    let agg = mt2.aggregators()[0].to_wire();
+    assert_eq!(agg[16..24], 0u64.to_le_bytes(), "empty outbox");
+    let mut cases = vec![(0, nan), (0, inf), (0, -1.0)];
+    cases.extend([nan, inf, -1.0, 0.0, 1.0].map(|bad| (24, bad)));
+    cases.extend([nan, inf, 0.5].map(|bad| (32, bad)));
+    check::<MP2Aggregator>("MT-P2 aggregator", &agg, &cases);
+    for bad in [nan, inf, -1.0] {
+        let mut queued = patch(&agg, 16, 1)[..24].to_vec();
+        queued.extend(MP2Msg::Scalar(bad).to_wire());
+        queued.extend_from_slice(&agg[24..]);
+        assert!(rejects::<MP2Aggregator>(&queued), "outbox Scalar({bad})");
+    }
+    let mut queued = patch(&agg, 16, 1)[..24].to_vec();
+    queued.extend(MP2Msg::Scalar(2.0).to_wire());
+    queued.extend_from_slice(&agg[24..]);
+    assert!(!rejects::<MP2Aggregator>(&queued), "outbox Scalar(2)");
+
+    // P1 coordinator = summary, W_C, Ŵ, ε; aggregator = summary, [mass],
+    // hold fraction, Ŵ, rep.
+    let mut coord_cases = Vec::new();
+    for (at, bads) in [
+        (24, [nan, inf, -1.0, f64::NEG_INFINITY]),
+        (16, [nan, inf, -1.0, 0.5]),
+        (8, [nan, -1.0, 0.0, 1.0]),
+    ] {
+        coord_cases.extend(bads.map(|bad| (at, bad)));
+    }
+    let mut agg_cases = Vec::new();
+    for (at, bads) in [(24, [nan, inf, -1.0]), (16, [nan, inf, 0.5])] {
+        agg_cases.extend(bads.map(|bad| (at, bad)));
+    }
+    let from_end = |buf: &[u8], cases: &[(usize, f64)]| -> Vec<(usize, f64)> {
+        cases.iter().map(|&(k, v)| (buf.len() - k, v)).collect()
+    };
+    let buf = hh1.coordinator().to_wire();
+    check::<P1Coordinator>("HH-P1 coordinator", &buf, &from_end(&buf, &coord_cases));
+    let buf = mt1.coordinator().to_wire();
+    check::<MP1Coordinator>("MT-P1 coordinator", &buf, &from_end(&buf, &coord_cases));
+    let buf = hh1.aggregators()[0].to_wire();
+    check::<P1Aggregator>("HH-P1 aggregator", &buf, &from_end(&buf, &agg_cases));
+    let buf = mt1.aggregators()[0].to_wire();
+    check::<MP1Aggregator>("MT-P1 aggregator", &buf, &from_end(&buf, &agg_cases));
 }
 
 proptest! {
