@@ -7,12 +7,15 @@
 //! blocked-vs-naive kernel A/B (`kernels` group) that measures what the
 //! cache-tiled `matmul`/`gram`/`apply_transpose` and the row-pair Jacobi
 //! buy over the retained reference implementations at the paper's d = 44
-//! and the d-axis extremes 128/512, plus the `cholesky certificate` vs
-//! `ql eigen` pair at d = 90 — what MT-P2's certified trigger pays
-//! against what it skips.
+//! and the d-axis extremes 128/512, plus the `cholesky certificate`,
+//! `certificate + bisection` and `cholesky bracketed bound` rows against
+//! `ql eigen` at d = 90 — what MT-P2's certified trigger pays against
+//! what it skips — and the outer Gram of a passed check's small side.
 
 use cma_data::SyntheticMatrixStream;
-use cma_linalg::cholesky::{certifies_lambda_max_below, lambda_max_upper_bound};
+use cma_linalg::cholesky::{
+    bracketed_upper_bound, certifies_lambda_max_below, lambda_max_upper_bound,
+};
 use cma_linalg::eigen::{
     jacobi_eigen_sym, jacobi_eigen_sym_with_basis_tol, jacobi_eigen_sym_with_basis_tol_naive,
 };
@@ -160,19 +163,40 @@ fn bench_kernel_ab(c: &mut Criterion) {
         });
     }
     // The MT-P2 trigger at the MSD shape: proving `λ_max < send` on a
-    // saturated d = 90 withheld Gram (a pass plus the five-halving bound)
-    // against the production eigensolve a decomposition pays for the
-    // same answer.
-    let gram = random::gaussian(&mut rng, 200, 90).gram();
+    // saturated d = 90 withheld Gram — one certificate, the certificate
+    // plus the five-halving bound, and the bracketed bound that returns
+    // the same bits, warm-started from the top eigenvector of the Gram
+    // before its last ten rows — against the production eigensolve a
+    // decomposition pays for the same answer.
+    let rows = random::gaussian(&mut rng, 200, 90);
+    let gram = rows.gram();
     let send = 1.25 * jacobi_eigen_sym(&gram).unwrap().values[0];
+    let mut older = rows.clone();
+    older.truncate_rows(190);
+    let warm = ql_eigen_sym(&older.gram()).unwrap().vectors.row(0).to_vec();
     g.bench_function("cholesky certificate/90", |b| {
+        b.iter(|| black_box(certifies_lambda_max_below(&gram, send)))
+    });
+    g.bench_function("certificate + bisection/90", |b| {
         b.iter(|| {
             assert!(certifies_lambda_max_below(&gram, send));
             black_box(lambda_max_upper_bound(&gram, send))
         })
     });
+    g.bench_function("cholesky bracketed bound/90", |b| {
+        b.iter(|| black_box(bracketed_upper_bound(&gram, send, &mut warm.clone())))
+    });
     g.bench_function("ql eigen/90", |b| {
         b.iter(|| black_box(ql_eigen_sym(&gram).unwrap().values[0]))
+    });
+    // The small side of a passed MT-P2 check: the outer Gram `S·Sᵀ` of
+    // 61 stacked rows (the mean at a pass on the MSD-like stream).
+    let stack = random::gaussian(&mut rng, 61, 90);
+    g.bench_function("outer_gram_blocked/61x90", |b| {
+        b.iter(|| black_box(stack.outer_gram().frob_norm_sq()))
+    });
+    g.bench_function("outer_gram_naive/61x90", |b| {
+        b.iter(|| black_box(stack.outer_gram_naive().frob_norm_sq()))
     });
     g.finish();
 }

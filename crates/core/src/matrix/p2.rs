@@ -53,11 +53,17 @@
 //!    runs, and ships at least one direction. **Passed** ⇒ nothing could
 //!    ship, so nothing is decomposed: five bisection steps tighten the
 //!    certified bound towards `λ_max` (resolution `(send − max diag)/32`,
-//!    about a tenth of the default slack; each further halving would cost
-//!    one more factorisation per check to postpone the next check by
-//!    half as much again), the bound becomes the new `s²` of
-//!    observation 2, and the rows stay as they are — un-orthogonalised,
-//!    which correctness never needed (observation 1). The send rule, the
+//!    about a tenth of the default slack), the bound becomes the new `s²`
+//!    of observation 2, and the rows stay as they are — un-orthogonalised,
+//!    which correctness never needed (observation 1). The certificate and
+//!    the bisection decide six points but factor about one:
+//!    `cholesky::bracketed_upper_bound` brackets `λ_max` between a
+//!    Rayleigh quotient and one passed factorisation a little above it,
+//!    and a point outside the bracket has a known answer. Its Lanczos
+//!    steps start from a warm vector the node keeps — the last check's
+//!    iterate, `e₀` (the top kept direction) after a decomposition,
+//!    carried to `Sᵀu` when the small side flips — so the bound is bit
+//!    for bit the one six factorisations would give. The send rule, the
 //!    invariant `λ_max < (ε/m)F̂` — now certified rather than inferred —
 //!    and the form of the lazy trigger are unchanged; check times move by
 //!    less than the bisection's resolution. Two details:
@@ -106,7 +112,7 @@ use crate::config::MatrixConfig;
 use crate::wire::{
     put_matrix, put_sym, read_fraction, read_gram, read_mass, read_matrix, read_w_hat,
 };
-use cma_linalg::cholesky::{certifies_lambda_max_below, lambda_max_upper_bound};
+use cma_linalg::cholesky::bracketed_upper_bound;
 use cma_linalg::matrix::accumulate_outer;
 use cma_linalg::ql::ql_eigen_sym;
 use cma_linalg::{vector, Matrix};
@@ -180,10 +186,15 @@ impl Withheld {
         }
     }
 
-    fn push(&mut self, row: &[f64]) {
+    /// Appends a row. The flip to the `d×d` Gram carries the warm vector
+    /// `u` of the small side over to `Sᵀu`, its image on the Gram's side.
+    fn push(&mut self, row: &[f64], warm: &mut Vec<f64>) {
         match self {
             Withheld::Rows { rows, .. } if rows.rows() < rows.cols() => rows.push_row(row),
             Withheld::Rows { rows, .. } => {
+                warm.resize(rows.rows(), 0.0);
+                let image = rows.apply_transpose(warm);
+                warm.copy_from_slice(&image);
                 let mut gram = rows.gram();
                 accumulate_outer(&mut gram, row);
                 *self = Withheld::Gram(gram);
@@ -217,25 +228,33 @@ impl Withheld {
     /// level with the eager layout with it). On a stream whose rank keeps
     /// up with its rows the stack never doubles and every check asks the
     /// certificate first.
-    fn check(&mut self, send: f64, out: &mut Vec<MP2Msg>) -> f64 {
+    ///
+    /// `warm` is the start vector of the certificate's Lanczos steps
+    /// (`bracketed_upper_bound`), one entry per row of the small side:
+    /// the iterate the last check left, zero-padded for the rows absorbed
+    /// since, or `e₀` — the top kept direction — after a decomposition.
+    fn check(&mut self, send: f64, warm: &mut Vec<f64>, out: &mut Vec<MP2Msg>) -> f64 {
         let compressible = match &*self {
             Withheld::Rows { rows, directions } => rows.rows() > 2 * directions,
             Withheld::Gram(_) => false,
         };
         let small = self.small_gram();
-        if !compressible && certifies_lambda_max_below(&small, send) {
-            return lambda_max_upper_bound(&small, send);
+        if !compressible {
+            warm.resize(small.rows(), 0.0);
+            if let Some(bound) = bracketed_upper_bound(&small, send, warm) {
+                return bound;
+            }
         }
         let spectrum = self.spectrum(&small);
-        self.keep_below(send, spectrum, out)
+        self.keep_below(send, spectrum, warm, out)
     }
 
     /// The eager step of Algorithm 5.3: decomposes, ships every direction
     /// with `σ² ≥ send`, re-expresses the rest as `Σ Vᵀ` rows and returns
     /// their largest `σ²`.
-    fn decompose(&mut self, send: f64, out: &mut Vec<MP2Msg>) -> f64 {
+    fn decompose(&mut self, send: f64, warm: &mut Vec<f64>, out: &mut Vec<MP2Msg>) -> f64 {
         let spectrum = self.spectrum(&self.small_gram());
-        self.keep_below(send, spectrum, out)
+        self.keep_below(send, spectrum, warm, out)
     }
 
     /// Eigen-directions of the withheld Gram, descending: `λᵢ = σᵢ²` and
@@ -256,14 +275,20 @@ impl Withheld {
         }
     }
 
-    /// Ships the directions at or above `send`, keeps the rest as rows.
+    /// Ships the directions at or above `send`, keeps the rest as rows,
+    /// and points `warm` at the top kept one (`e₀`; empty if none is).
     fn keep_below(
         &mut self,
         send: f64,
         spectrum: (Vec<f64>, Matrix),
+        warm: &mut Vec<f64>,
         out: &mut Vec<MP2Msg>,
     ) -> f64 {
         let (rows, smax2) = split_spectrum(send, spectrum, out);
+        warm.clear();
+        if rows.rows() > 0 {
+            warm.push(1.0);
+        }
         *self = Withheld::Rows {
             directions: rows.rows(),
             rows,
@@ -333,6 +358,9 @@ fn split_spectrum(
 #[derive(Debug, Clone)]
 pub struct MP2Site {
     withheld: Withheld,
+    /// Start vector of the next check's Lanczos steps (`Withheld::check`):
+    /// capacity `d`, allocated once, never encoded.
+    warm: Vec<f64>,
     /// Total squared mass absorbed since the last check.
     pending_mass: f64,
     /// Upper bound on `λ_max` of the withheld Gram as of the last check:
@@ -381,6 +409,7 @@ impl MP2Site {
         );
         MP2Site {
             withheld: Withheld::empty(cfg.dim),
+            warm: Vec::with_capacity(cfg.dim),
             pending_mass: 0.0,
             smax2: 0.0,
             f_local: 0.0,
@@ -406,10 +435,12 @@ impl MP2Site {
     /// only when something must ship or the stack is due for compression
     /// (`Withheld::check`).
     fn withhold(&mut self, row: &[f64], w: f64, out: &mut Vec<MP2Msg>) {
-        self.withheld.push(row);
+        self.withheld.push(row, &mut self.warm);
         self.pending_mass += w;
         if self.smax2 + self.pending_mass >= self.threshold() {
-            self.smax2 = self.withheld.check(self.send_threshold(), out);
+            self.smax2 = self
+                .withheld
+                .check(self.send_threshold(), &mut self.warm, out);
             self.pending_mass = 0.0;
         }
     }
@@ -430,7 +461,7 @@ impl MP2Site {
     /// certificate or not, ships **every** withheld direction and leaves
     /// the state empty.
     fn drain_all_directions(&mut self, out: &mut Vec<MP2Msg>) {
-        self.withheld.decompose(0.0, out);
+        self.withheld.decompose(0.0, &mut self.warm, out);
         self.pending_mass = 0.0;
         self.smax2 = 0.0;
     }
@@ -441,9 +472,11 @@ impl MP2Site {
     /// trivially.
     fn from_withheld(thr_frac: f64, f_hat: f64, rows: Matrix) -> Self {
         let mut withheld = Withheld::empty(rows.cols());
-        rows.iter_rows().for_each(|r| withheld.push(r));
+        let mut warm = Vec::with_capacity(rows.cols());
+        rows.iter_rows().for_each(|r| withheld.push(r, &mut warm));
         MP2Site {
             withheld,
+            warm,
             pending_mass: rows.frob_norm_sq(),
             smax2: 0.0,
             f_local: 0.0,
@@ -671,6 +704,10 @@ impl WireCodec for MP2Coordinator {
     }
 }
 
+/// `pending scalar, rep, n, outbox, threshold fraction, F̂, withheld
+/// rows`. Decode refuses withheld rows of width 0 and an outbox
+/// `Direction` of another width: either would panic the node or its
+/// parent at the next row it merges.
 impl WireCodec for MP2Aggregator {
     /// The spectral merge state is encoded as its canonical withheld
     /// rows (`Withheld::to_rows`).
@@ -697,6 +734,11 @@ impl WireCodec for MP2Aggregator {
         let thr_frac = read_fraction(r)?;
         let f_hat = read_w_hat(r)?;
         let rows = read_matrix(r)?;
+        let width = rows.cols();
+        let fits = |msg: &MP2Msg| !matches!(msg, MP2Msg::Direction(v) if v.len() != width);
+        if width == 0 || !outbox.iter().all(fits) {
+            return None;
+        }
         Some(MP2Aggregator {
             inner: MP2Site::from_withheld(thr_frac, f_hat, rows),
             pending_scalar,

@@ -10,6 +10,7 @@
 //! `O((m+s) log(βN/s))` messages.
 
 use super::{SampleKind, SamplingConfig};
+use crate::wire::{read_mass, read_w_hat};
 use cma_stream::{
     put_f64, put_usize, AggNode, ChurnBudget, ChurnCoordinator, ChurnSite, Coordinator,
     FilteredRelay, MessageCost, RelayFilter, Runner, Site, SiteId, Topology, WireCodec, WireReader,
@@ -303,21 +304,25 @@ fn put_entries<K: SampleKind>(out: &mut Vec<u8>, entries: &[SampleEntry<K>]) {
     }
 }
 
+/// Inverse of `put_entries`; `None` on a weight or priority that
+/// [`read_mass`] refuses.
 fn read_entries<K: SampleKind>(r: &mut WireReader<'_>) -> Option<Vec<SampleEntry<K>>> {
     let n = r.usize()?;
     let mut entries = Vec::with_capacity(r.capacity_for(n));
     for _ in 0..n {
         entries.push(SampleEntry {
             payload: K::read_payload(r)?,
-            weight: r.f64()?,
-            rho: r.f64()?,
+            weight: read_mass(r)?,
+            rho: read_mass(r)?,
         });
     }
     Some(entries)
 }
 
 /// Snapshot codec: `header, s, τ, Qj, Qj+1`, each entry
-/// `payload, weight, ρ`.
+/// `payload, weight, ρ`. Decode refuses `s = 0`, a `τ` below 1 or not
+/// finite (it starts at 1 and only doubles), and a negative or
+/// non-finite weight or `ρ`.
 impl<K: SampleKind> WireCodec for RoundCoordinator<K> {
     fn encode(&self, out: &mut Vec<u8>) {
         K::put_header(out, &self.header);
@@ -333,7 +338,7 @@ impl<K: SampleKind> WireCodec for RoundCoordinator<K> {
         if s == 0 {
             return None;
         }
-        let tau = r.f64()?;
+        let tau = read_w_hat(r)?;
         let q_cur = read_entries(r)?;
         let q_next = read_entries(r)?;
         Some(RoundCoordinator {
@@ -346,6 +351,7 @@ impl<K: SampleKind> WireCodec for RoundCoordinator<K> {
     }
 }
 
+/// `τ`; decode refuses one below 1 or not finite, as the coordinator's.
 impl<K: SampleKind> WireCodec for PriorityFilter<K> {
     fn encode(&self, out: &mut Vec<u8>) {
         put_f64(out, self.tau);
@@ -353,7 +359,7 @@ impl<K: SampleKind> WireCodec for PriorityFilter<K> {
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         Some(PriorityFilter {
-            tau: r.f64()?,
+            tau: read_w_hat(r)?,
             kind: PhantomData,
         })
     }

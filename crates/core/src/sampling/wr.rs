@@ -15,6 +15,7 @@
 //! (`O((m + s log s) log(βN))`) and accuracy; Table 1 reproduces that.
 
 use super::{SampleKind, SamplingConfig};
+use crate::wire::{read_mass, read_w_hat};
 use cma_stream::{
     put_f64, put_usize, AggNode, ChurnBudget, ChurnCoordinator, ChurnSite, Coordinator,
     FilteredRelay, MessageCost, RelayFilter, Runner, Site, SiteId, Topology, WireCodec, WireReader,
@@ -328,7 +329,9 @@ impl<K: SampleKind> ChurnCoordinator for WrCoordinator<K> {
 
 /// Snapshot codec: `header, τ, s, (ρ₁, ρ₂, top?)*` with
 /// `top = 1, payload, weight` or `0`. The pending count is recomputed
-/// from the invariant it tracks (`ρ⁽²⁾ ≤ 2τ`).
+/// from the invariant it tracks (`ρ⁽²⁾ ≤ 2τ`). Decode refuses `s = 0`, a
+/// `τ` below 1 or not finite (it starts at 1 and only doubles), and a
+/// negative or non-finite `ρ` or weight.
 impl<K: SampleKind> WireCodec for WrCoordinator<K> {
     fn encode(&self, out: &mut Vec<u8>) {
         K::put_header(out, &self.header);
@@ -350,18 +353,18 @@ impl<K: SampleKind> WireCodec for WrCoordinator<K> {
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         let header = K::read_header(r)?;
-        let tau = r.f64()?;
+        let tau = read_w_hat(r)?;
         let n = r.usize()?;
         if n == 0 {
             return None;
         }
         let mut slots = Vec::with_capacity(r.capacity_for(n));
         for _ in 0..n {
-            let rho1 = r.f64()?;
-            let rho2 = r.f64()?;
+            let rho1 = read_mass(r)?;
+            let rho2 = read_mass(r)?;
             let top = match r.u8()? {
                 0 => None,
-                1 => Some((K::read_payload(r)?, r.f64()?)),
+                1 => Some((K::read_payload(r)?, read_mass(r)?)),
                 _ => return None,
             };
             slots.push(WrSlot { rho1, rho2, top });
@@ -375,6 +378,7 @@ impl<K: SampleKind> WireCodec for WrCoordinator<K> {
     }
 }
 
+/// `s, (ρ₁, ρ₂)*`; decode refuses a negative or non-finite `ρ`.
 impl<K: SampleKind> WireCodec for WrFilter<K> {
     fn encode(&self, out: &mut Vec<u8>) {
         put_usize(out, self.top2.len());
@@ -388,8 +392,8 @@ impl<K: SampleKind> WireCodec for WrFilter<K> {
         let n = r.usize()?;
         let mut top2 = Vec::with_capacity(r.capacity_for(n));
         for _ in 0..n {
-            let r1 = r.f64()?;
-            top2.push((r1, r.f64()?));
+            let r1 = read_mass(r)?;
+            top2.push((r1, read_mass(r)?));
         }
         Some(WrFilter {
             top2,

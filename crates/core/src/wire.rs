@@ -40,15 +40,16 @@ fn read_finite(r: &mut WireReader<'_>) -> Option<f64> {
 }
 
 /// A mass or a bound on one (`frob_sq`, `shrink_loss`, a Misra–Gries
-/// total or counter, a flush's mass, a P4 weight or count): finite and
-/// `≥ 0`.
+/// total or counter, a flush's mass, a P4 weight or count, a sampled
+/// record's weight or priority `ρ`): finite and `≥ 0`.
 pub(crate) fn read_mass(r: &mut WireReader<'_>) -> Option<f64> {
     r.f64().filter(|v| v.is_finite() && *v >= 0.0)
 }
 
 /// A broadcast mass estimate `Ŵ` (or the largest one sent): finite and
 /// `≥ 1`, since every estimate starts at 1 and is broadcast as
-/// `max(mass, 1)`.
+/// `max(mass, 1)`. A sampling round's threshold `τ` obeys the same rule:
+/// it starts at 1 and only doubles.
 pub(crate) fn read_w_hat(r: &mut WireReader<'_>) -> Option<f64> {
     r.f64().filter(|w| w.is_finite() && *w >= 1.0)
 }

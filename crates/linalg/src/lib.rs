@@ -33,8 +33,8 @@
 //!
 //! Everything is `f64`. Decompositions are written for the regime the
 //! protocols occupy (tall-thin or square, `d ≲ 500`). There is one
-//! production route: the hot kernels (`matmul`, `gram`, `apply_transpose`)
-//! are cache-blocked and every decomposition runs on Householder + QL. The
+//! production route: the hot kernels (`matmul`, `gram`, `outer_gram`,
+//! `apply_transpose`) are blocked and every decomposition runs on Householder + QL. The
 //! naive loops (`*_naive`) stay as bit-exact oracles of the blocked
 //! kernels; the one-sided Jacobi SVD is accurate to near machine precision
 //! and serves as the verification oracle for the faster Gram path in

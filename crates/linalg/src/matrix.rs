@@ -299,9 +299,56 @@ impl Matrix {
     }
 
     /// The outer Gram matrix `AAᵀ` (`rows × rows`): entry `(i, j)` is
-    /// `⟨rowᵢ, rowⱼ⟩`. Used by the wide-matrix SVD fast path, where
-    /// `rows ≪ cols` makes this much smaller than [`Matrix::gram`].
+    /// `⟨rowᵢ, rowⱼ⟩`. Used by the wide-matrix SVD fast path and MT-P2's
+    /// small-side checks, where `rows ≪ cols` makes this much smaller than
+    /// [`Matrix::gram`].
+    ///
+    /// Four entries of row `i` are summed at a time: row `i` is loaded
+    /// once per quad and the four independent accumulators hide the add
+    /// latency that serialises a single [`vector::dot`]. Each accumulator
+    /// still starts from `-0.0` (`Iterator::sum`'s neutral element) and
+    /// adds its products in ascending `k` order, so the result is
+    /// bit-for-bit [`Matrix::outer_gram_naive`] (pinned by
+    /// `proptest_linalg`).
     pub fn outer_gram(&self) -> Matrix {
+        let n = self.rows;
+        let mut g = Matrix::zeros(n, n);
+        for i in 0..n {
+            let ri = self.row(i);
+            let mut j = 0;
+            while j + 4 <= i + 1 {
+                let (r0, r1, r2, r3) = (
+                    &self.row(j)[..ri.len()],
+                    &self.row(j + 1)[..ri.len()],
+                    &self.row(j + 2)[..ri.len()],
+                    &self.row(j + 3)[..ri.len()],
+                );
+                let mut acc = [-0.0; 4];
+                for (k, &a) in ri.iter().enumerate() {
+                    acc[0] += a * r0[k];
+                    acc[1] += a * r1[k];
+                    acc[2] += a * r2[k];
+                    acc[3] += a * r3[k];
+                }
+                for (q, v) in acc.into_iter().enumerate() {
+                    g[(i, j + q)] = v;
+                    g[(j + q, i)] = v;
+                }
+                j += 4;
+            }
+            for j in j..=i {
+                let v = vector::dot(ri, self.row(j));
+                g[(i, j)] = v;
+                g[(j, i)] = v;
+            }
+        }
+        g
+    }
+
+    /// Reference entry-by-entry `AAᵀ`, one [`vector::dot`] per entry of
+    /// the lower triangle — the oracle [`Matrix::outer_gram`] is pinned
+    /// against.
+    pub fn outer_gram_naive(&self) -> Matrix {
         let n = self.rows;
         let mut g = Matrix::zeros(n, n);
         for i in 0..n {
@@ -825,6 +872,19 @@ mod tests {
                 a.gram().as_slice(),
                 a.gram_naive().as_slice(),
                 "panel gram diverged from naive at {n}x{d}"
+            );
+        }
+    }
+
+    #[test]
+    fn quad_outer_gram_bit_identical_to_naive() {
+        // Rows around the quad width, including the per-entry remainder.
+        for &(n, d) in &[(1usize, 1usize), (3, 9), (4, 9), (5, 0), (61, 90)] {
+            let a = patterned(n, d, 9 + n as u64);
+            assert_eq!(
+                a.outer_gram().as_slice(),
+                a.outer_gram_naive().as_slice(),
+                "quad outer gram diverged from naive at {n}x{d}"
             );
         }
     }

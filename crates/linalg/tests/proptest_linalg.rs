@@ -2,7 +2,9 @@
 //! identities that must hold for *arbitrary* matrices, not just the
 //! Gaussian ensembles the unit tests draw.
 
-use cma_linalg::cholesky::{certifies_lambda_max_below, lambda_max_upper_bound};
+use cma_linalg::cholesky::{
+    bracketed_upper_bound, certifies_lambda_max_below, lambda_max_upper_bound,
+};
 use cma_linalg::eigen::{
     jacobi_eigen_sym, jacobi_eigen_sym_with_basis, jacobi_eigen_sym_with_basis_tol,
     jacobi_eigen_sym_with_basis_tol_naive,
@@ -11,8 +13,10 @@ use cma_linalg::matrix::{accumulate_outer, accumulate_outer_panel};
 use cma_linalg::ql::ql_eigen_sym;
 use cma_linalg::qr::householder_qr;
 use cma_linalg::svd::{gram_svd, jacobi_svd};
-use cma_linalg::Matrix;
+use cma_linalg::{random, Matrix};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Matrices with entries in `[-100, 100]`, up to 10×8 — includes
 /// rank-deficient, zero and single-entry cases by construction.
@@ -34,15 +38,25 @@ fn any_symmetric() -> impl Strategy<Value = Matrix> {
 }
 
 /// Shapes that straddle the blocking constants (`MATMUL_KC = 64`,
-/// `GRAM_PANEL = 32`), with ~20% of entries forced to exactly `0.0` so
-/// the blocked kernels' per-k zero-skip is exercised, not just the
-/// dense path.
+/// `GRAM_PANEL = 32`, the outer Gram's quads of 4), with ~20% of entries
+/// forced to exactly `±0.0` so the blocked kernels' per-k zero-skip is
+/// exercised, not just the dense path — and, in every other matrix, one
+/// entry in a hundred `±∞` or NaN, whose propagation the blocked order
+/// must reproduce too.
 fn any_kernel_matrix() -> impl Strategy<Value = Matrix> {
-    (1usize..90, 1usize..90).prop_flat_map(|(n, d)| {
+    (1usize..90, 1usize..90, 0u8..2).prop_flat_map(|(n, d, special)| {
         prop::collection::vec(-100.0f64..100.0, n * d).prop_map(move |data| {
             let salted: Vec<f64> = data
                 .into_iter()
-                .map(|v| if v.abs() < 20.0 { 0.0 } else { v })
+                .map(|v| match v.abs() {
+                    a if a < 10.0 => 0.0,
+                    a if a < 20.0 => -0.0,
+                    a if special == 1 && a > 99.0 => {
+                        [f64::INFINITY, f64::NEG_INFINITY][(a * 1e3) as usize % 2]
+                    }
+                    a if special == 1 && a > 98.0 => f64::NAN,
+                    _ => v,
+                })
                 .collect();
             Matrix::from_vec(n, d, salted)
         })
@@ -158,6 +172,25 @@ fn assert_ql_accurate(s: &Matrix) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The inputs of MT-P2's certified check: a Gram of `n ∈ 1..=96`, with a
+/// flat spectrum (`Aᵀ·A` of a Gaussian `A` with `n` to `2n` rows) or a
+/// spiked one (that plus `s·vvᵀ` for a unit `v` and `s` up to ten times
+/// the trace), from a seed.
+fn any_check_gram() -> impl Strategy<Value = Matrix> {
+    (1usize..97, 0u8..2, 0u64..1 << 40, 0.5f64..10.0).prop_map(|(n, spiked, seed, s)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let k = n + (seed as usize) % (n + 1);
+        let mut g = random::gaussian(&mut rng, k, n).gram();
+        if spiked == 1 {
+            let trace: f64 = (0..n).map(|i| g[(i, i)]).sum();
+            let v = random::unit_vector(&mut rng, n);
+            let spike: Vec<f64> = v.iter().map(|x| x * (s * trace).sqrt()).collect();
+            accumulate_outer(&mut g, &spike);
+        }
+        g
+    })
+}
+
 /// `λ_max` by the full-precision Jacobi eigensolve — the oracle the
 /// certificate is judged against (relative error ≈ 10⁻¹², three orders
 /// inside the certificate's own margin).
@@ -165,7 +198,10 @@ fn lambda_max(g: &Matrix) -> f64 {
     jacobi_eigen_sym(g).unwrap().values[0]
 }
 
-/// Entry-wise bit equality (distinguishes `-0.0` from `0.0`).
+/// Entry-wise bit equality (distinguishes `-0.0` from `0.0`), except
+/// that any two NaNs are equal: Rust leaves the sign and payload of a
+/// NaN result unspecified, and the compiler may swap the operands of an
+/// add, so only NaN-ness is the kernels' to keep.
 fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
     a.rows() == b.rows()
         && a.cols() == b.cols()
@@ -173,8 +209,13 @@ fn bits_equal(a: &Matrix, b: &Matrix) -> bool {
             a.row(i)
                 .iter()
                 .zip(b.row(i))
-                .all(|(p, q)| p.to_bits() == q.to_bits())
+                .all(|(p, q)| same_value(*p, *q))
         })
+}
+
+/// Equal bits, or both NaN (see [`bits_equal`]).
+fn same_value(p: f64, q: f64) -> bool {
+    p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan())
 }
 
 proptest! {
@@ -276,10 +317,11 @@ proptest! {
     /// Blocked kernels are BIT-IDENTICAL to the naive references on
     /// arbitrary shapes — including shapes that straddle the blocking
     /// constants (k up to 90 crosses `MATMUL_KC = 64`; rows up to 90
-    /// cross `GRAM_PANEL = 32`) and matrices salted with exact zeros,
+    /// cross `GRAM_PANEL = 32`) and matrices salted with exact `±0.0`,
     /// which exercise the per-k zero-skip that keeps `-0.0` rows from
-    /// flipping sign in the blocked accumulation order. Equality is
-    /// `==` on every entry, not a tolerance: the blocked loops commit
+    /// flipping sign in the blocked accumulation order, and with `±∞`
+    /// and NaN. Equality is bit equality on every entry (NaN-ness for a
+    /// NaN, see `bits_equal`), not a tolerance: the blocked loops commit
     /// to the naive ascending-k single-accumulator order exactly.
     #[test]
     fn blocked_kernels_bit_identical(a in any_kernel_matrix(), b_data in prop::collection::vec(-100.0f64..100.0, 90 * 12)) {
@@ -292,12 +334,16 @@ proptest! {
         prop_assert!(bits_equal(&blocked, &naive), "matmul diverged");
 
         prop_assert!(bits_equal(&a.gram(), &a.gram_naive()), "gram diverged");
+        prop_assert!(
+            bits_equal(&a.outer_gram(), &a.outer_gram_naive()),
+            "outer_gram diverged"
+        );
 
         let x: Vec<f64> = (0..n).map(|i| ((i * 13 + 7) as f64).sin() * 3.0).collect();
         let yb = a.apply_transpose(&x);
         let yn = a.apply_transpose_naive(&x);
         prop_assert!(
-            yb.iter().zip(&yn).all(|(p, q)| p.to_bits() == q.to_bits()),
+            yb.iter().zip(&yn).all(|(p, q)| same_value(*p, *q)),
             "apply_transpose diverged"
         );
 
@@ -374,6 +420,65 @@ proptest! {
             bound <= top * (1.0 + 1e-6) + (hi - max_diag) / 32.0,
             "bound {bound:e} loose: λ_max {top:e}, bracket [{max_diag:e}, {hi:e}]"
         );
+    }
+
+    /// The bracketed bound is the certificate followed by the bisected
+    /// bound, bit for bit, whatever it starts from: warm vectors that are
+    /// zero, NaN, `±∞` (no bracket), the top eigenvector, orthogonal to it
+    /// or random; sends within `10⁻⁹` of `λ_max` (the certificate's
+    /// sliver), just past its completeness bound, far above, at the
+    /// largest diagonal entry, and non-positive or non-finite ones.
+    #[test]
+    fn bracketed_bound_is_certificate_then_bisection(
+        g in any_check_gram(),
+        t in -1.0f64..1.0,
+        far in 1.0f64..4.0,
+        seed in 0u64..1 << 40,
+    ) {
+        let n = g.rows();
+        let eig = jacobi_eigen_sym(&g).unwrap();
+        let top = eig.values[0];
+        let top_vec = eig.vectors.row(0).to_vec();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let random_vec = random::unit_vector(&mut rng, n);
+        let along: f64 = random_vec.iter().zip(&top_vec).map(|(a, b)| a * b).sum();
+        let orthogonal: Vec<f64> = random_vec
+            .iter()
+            .zip(&top_vec)
+            .map(|(a, b)| a - along * b)
+            .collect();
+        let mut warms = vec![vec![0.0; n], top_vec, orthogonal, random_vec];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut w = warms[3].clone();
+            w[seed as usize % n] = bad;
+            warms.push(w);
+        }
+        let max_diag = (0..n).map(|i| g[(i, i)]).fold(f64::NEG_INFINITY, f64::max);
+        let sends = [
+            top * (1.0 + 1e-9 * t),
+            top * (1.0 + 1e-9),
+            top * (1.0 + 2e-6),
+            top * (1.0 + 1e-4),
+            top * (1.0 + 1e-2 * far),
+            top * far,
+            top * 1.25,
+            max_diag,
+            0.0,
+            -top,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for send in sends {
+            let pair = certifies_lambda_max_below(&g, send).then(|| lambda_max_upper_bound(&g, send));
+            for (i, warm) in warms.iter().enumerate() {
+                let mut warm = warm.clone();
+                let got = bracketed_upper_bound(&g, send, &mut warm);
+                prop_assert!(
+                    got.map(f64::to_bits) == pair.map(f64::to_bits),
+                    "n = {n}, send = {send:e}, λ_max = {top:e}, warm {i}: {got:?} vs {pair:?}"
+                );
+            }
+        }
     }
 
     /// `‖Ax‖ ≤ σ₁·‖x‖` for arbitrary x (operator-norm consistency).

@@ -531,6 +531,112 @@ fn p2_snapshots_reject_unreachable_states() {
     check::<MP1Aggregator>("MT-P1 aggregator", &buf, &from_end(&buf, &agg_cases));
 }
 
+/// An MT-P2 aggregator snapshot whose withheld rows have width 0, or
+/// whose outbox holds a `Direction` of another width than the rows,
+/// decodes to `None`. Accepted, either state panics at the next row
+/// merged — in the node's `accumulate_outer`, or in the root's once the
+/// node flushes — which the test drives whenever decode accepts one.
+#[test]
+fn mt_p2_aggregator_snapshot_refuses_mismatched_widths() {
+    use cma::protocols::matrix::p2::{self as mp2, MP2Aggregator};
+    use cma::protocols::matrix::MatrixConfig;
+    use cma::stream::{put_usize, Aggregator, Coordinator, Topology};
+
+    let m = 8;
+    let mut mt2 = mp2::deploy_topology(&MatrixConfig::new(m, 0.1, 3), Topology::Tree { fanout: 2 });
+    for i in 0..4_000 {
+        mt2.feed(i % m, vec![1.0, (i % 7) as f64, -0.5 * (i % 3) as f64]);
+    }
+    // Aggregator = pending scalar, rep, n, outbox, fraction, F̂, rows.
+    let agg = mt2.aggregators()[0].to_wire();
+    assert_eq!(agg[16..24], 0u64.to_le_bytes(), "empty outbox");
+    let mut narrow = patch(&agg, 16, 1)[..24].to_vec();
+    narrow.extend(MP2Msg::Direction(vec![1.0, 2.0]).to_wire());
+    narrow.extend_from_slice(&agg[24..]);
+    let mut empty = agg[..40].to_vec();
+    put_usize(&mut empty, 0);
+    put_usize(&mut empty, 0);
+    for (what, buf) in [("a width-2 outbox Direction", narrow), ("width 0", empty)] {
+        let decoded = MP2Aggregator::decode(&mut WireReader::new(&buf));
+        if let Some(mut node) = decoded.clone() {
+            node.absorb(0, MP2Msg::Direction(vec![1.0, 0.5, -0.5]));
+            let mut up = Vec::new();
+            node.flush(&mut up);
+            let mut root = mt2.coordinator().clone();
+            for (from, msg) in up {
+                root.receive(from, msg, &mut Vec::new());
+            }
+        }
+        assert!(decoded.is_none(), "{what} decoded");
+    }
+}
+
+/// A P3 or P3wr snapshot carrying a state no deployment reaches decodes
+/// to `None`: a round threshold `τ` below 1 or not finite (it starts at
+/// 1 and only doubles), in a coordinator or a relay filter; a sampled
+/// record's weight or priority `ρ` that is negative or not finite, in a
+/// coordinator queue or slot or a with-replacement filter's top two.
+#[test]
+fn p3_snapshots_reject_unreachable_states() {
+    use cma::protocols::hh::p3::{self, P3Aggregator, P3Coordinator};
+    use cma::protocols::hh::p3wr::{self, P3wrAggregator, P3wrCoordinator};
+    use cma::protocols::hh::HhConfig;
+    use cma::stream::Topology;
+
+    fn rejects<T: WireCodec>(buf: &[u8]) -> bool {
+        T::decode(&mut WireReader::new(buf)).is_none()
+    }
+    /// Asserts that `buf` decodes and that each `(offset, value)` poison
+    /// of it does not.
+    fn check<T: WireCodec>(what: &str, buf: &[u8], cases: &[(usize, f64)]) {
+        assert!(
+            !rejects::<T>(buf),
+            "{what}: the live state failed to decode"
+        );
+        for &(at, bad) in cases {
+            assert!(rejects::<T>(&poison(buf, at, bad)), "{what}: {bad} at {at}");
+        }
+    }
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    let tau_cases = |at: usize| [nan, inf, -1.0, 0.5].map(|bad| (at, bad));
+    let mass_cases = |at: usize| [nan, inf, -1.0].map(|bad| (at, bad));
+
+    let (m, tree) = (8, Topology::Tree { fanout: 2 });
+    let cfg = HhConfig::new(m, 0.2).with_seed(5);
+    let mut wor = p3::deploy_topology(&cfg, tree);
+    let mut wr = p3wr::deploy_topology(&cfg, tree);
+    for i in 0..4_000u64 {
+        let item = (i % 13, 1.0 + (i % 5) as f64);
+        wor.feed((i % m as u64) as usize, item);
+        wr.feed((i % m as u64) as usize, item);
+    }
+
+    // P3 coordinator = s, τ, |Qj|, (e, weight, ρ)*, |Qj+1|, …
+    let coord = wor.coordinator().to_wire();
+    assert!(coord[16..24] != [0; 8], "a non-empty Qj");
+    let mut cases = tau_cases(8).to_vec();
+    cases.extend(mass_cases(32));
+    cases.extend(mass_cases(40));
+    check::<P3Coordinator>("P3 coordinator", &coord, &cases);
+    // P3 aggregator = filter τ, pending.
+    let agg = wor.aggregators()[0].to_wire();
+    check::<P3Aggregator>("P3 aggregator", &agg, &tau_cases(0));
+
+    // P3wr coordinator = τ, s, (ρ₁, ρ₂, 1, e, weight | 0)*.
+    let coord = wr.coordinator().to_wire();
+    assert_eq!(coord[32], 1, "the first slot holds a record");
+    let mut cases = tau_cases(0).to_vec();
+    for at in [16, 24, 41] {
+        cases.extend(mass_cases(at));
+    }
+    check::<P3wrCoordinator>("P3wr coordinator", &coord, &cases);
+    // P3wr aggregator = filter s, (ρ₁, ρ₂)*, pending.
+    let agg = wr.aggregators()[0].to_wire();
+    let mut cases = mass_cases(8).to_vec();
+    cases.extend(mass_cases(16));
+    check::<P3wrAggregator>("P3wr aggregator", &agg, &cases);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
