@@ -2,7 +2,9 @@
 //! sampler, the sliding-window sketches, and the Misra–Gries
 //! flush hand-off. The repo benchmark's `sketch.mg_*` rows time MG updates
 //! and merges into one fresh table, not a small flush handed off and
-//! merged into a large table; `misra_gries/flush_merge` times that.
+//! merged into a large table; `misra_gries/flush_merge` times that,
+//! `misra_gries/root_merge` the overflowing merges at a full root, and
+//! `misra_gries/update_distinct` updates that mostly miss a full table.
 //! Frequent Directions is timed by the repo benchmark's `sketch.fd_*` rows;
 //! `sliding_window/sw_fd/query/{cold,warm}` times the windowed-FD root's
 //! read path — one fold of every live bucket — at the shape of the repo
@@ -14,7 +16,7 @@ use cma_data::WeightedZipfStream;
 use cma_sketch::{MgSummary, PrioritySampler};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 const STREAM_LEN: usize = 20_000;
@@ -56,6 +58,63 @@ fn bench_misra_gries(c: &mut Criterion) {
                     }
                 }
                 black_box(agg.len())
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+
+    // The root of a P1 tree: a full 2 000-counter table absorbing
+    // 64-counter tables whose keys it does not hold, so every merge
+    // overflows and reads the (ℓ+1)-th largest counter.
+    const ROOT: usize = 2_000;
+    const PARTIALS: usize = 64;
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut root = MgSummary::new(ROOT);
+    for e in 0..ROOT as u64 {
+        root.update(e, rng.gen_range(1.0..1_000.0));
+    }
+    let partials: Vec<MgSummary> = (0..PARTIALS as u64)
+        .map(|p| {
+            let mut t = MgSummary::new(ROOT);
+            for k in 0..64 {
+                t.update(10_000 + 64 * p + k, rng.gen_range(1.0..1_000.0));
+            }
+            t
+        })
+        .collect();
+    let mut g = c.benchmark_group("misra_gries");
+    g.throughput(Throughput::Elements(PARTIALS as u64));
+    g.bench_function("root_merge", |b| {
+        b.iter_batched(
+            || (root.clone(), partials.clone()),
+            |(mut root, partials)| {
+                for t in partials {
+                    root.absorb(t);
+                }
+                black_box(root.len())
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+
+    // High cardinality: items drawn from 10⁶ keys, so once the table is
+    // full nearly every update misses and decrements — O(ℓ) each.
+    const DISTINCT_LEN: usize = 5_000;
+    let distinct: Vec<(u64, f64)> = (0..DISTINCT_LEN)
+        .map(|_| (rng.gen_range(0..1_000_000), rng.gen_range(1.0..1_000.0)))
+        .collect();
+    let mut g = c.benchmark_group("misra_gries");
+    g.throughput(Throughput::Elements(DISTINCT_LEN as u64));
+    g.bench_function("update_distinct", |b| {
+        b.iter_batched(
+            || MgSummary::new(ROOT),
+            |mut mg| {
+                for &(e, w) in &distinct {
+                    mg.update(e, w);
+                }
+                black_box(mg.len())
             },
             BatchSize::SmallInput,
         )

@@ -13,6 +13,14 @@
 //!   per-item execution (the `batch_parity` suite), so the difference is
 //!   pure dispatch and locality.
 //!
+//! `hh_tree_seq` runs the `hh-p1-tree-seq` deployment (m = 256 on a
+//! fanout-4 tree, ε = 10⁻³, batch 256) on a shorter stream twice: as
+//! HH-P1 (`p1/tree_seq`) and as its routing floor (`p1/routing_floor`),
+//! the same thresholds over nodes that carry only mass. The floor sends
+//! the same messages and broadcasts — checked before timing — so the
+//! gap between the rows is the Misra–Gries work, and the floor is the
+//! runner's share, read without the traced pass.
+//!
 //! `broadcast_disseminate` prints the per-event cost of the broadcast
 //! plane at the `hh-p1-bigm-gossip` deployment (m = 65 536 on a
 //! fanout-8 tree): the tree cascade as the control, push–pull gossip as
@@ -22,8 +30,8 @@ use cma_core::{hh, matrix, HhConfig, MatrixConfig, Topology};
 use cma_data::{SyntheticMatrixStream, WeightedZipfStream};
 use cma_stream::partition::RoundRobin;
 use cma_stream::{
-    Aggregator, BroadcastPlane, BroadcastState, ChannelTransport, CommStats, Coordinator,
-    FaultPlan, LinkFaults, MessageCost, Runner, SimNet, Site, WireSized,
+    AggNode, Aggregator, BroadcastPlane, BroadcastState, ChannelTransport, CommStats, Coordinator,
+    FaultPlan, LinkFaults, MessageCost, Runner, SimNet, Site, SiteId, WireSized,
 };
 use criterion::{
     criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion, Throughput,
@@ -114,6 +122,168 @@ fn bench_matrix(c: &mut Criterion) {
     g.finish();
 }
 
+/// A P1 flush stripped to its mass: what the routing floor ships.
+#[derive(Debug, Clone)]
+struct Mass(f64);
+
+impl MessageCost for Mass {
+    fn cost(&self) -> u64 {
+        1
+    }
+
+    fn mass(&self) -> f64 {
+        self.0
+    }
+}
+
+/// `cma_core::flush`'s site without its summary: it adds each weight
+/// and ships the sum once it reaches `τ = tau_frac·Ŵ`.
+struct FloorSite {
+    mass: f64,
+    tau_frac: f64,
+    w_hat: f64,
+}
+
+impl Site for FloorSite {
+    type Input = (u64, f64);
+    type UpMsg = Mass;
+    type Broadcast = f64;
+
+    fn observe(&mut self, (_, w): (u64, f64), out: &mut Vec<Mass>) {
+        self.mass += w;
+        if self.mass >= self.tau_frac * self.w_hat {
+            out.push(Mass(std::mem::take(&mut self.mass)));
+        }
+    }
+
+    fn observe_batch(&mut self, inputs: impl IntoIterator<Item = (u64, f64)>, out: &mut Vec<Mass>) {
+        let tau = self.tau_frac * self.w_hat;
+        for (_, w) in inputs {
+            self.mass += w;
+            if self.mass >= tau {
+                out.push(Mass(std::mem::take(&mut self.mass)));
+                return;
+            }
+        }
+    }
+
+    fn on_broadcast(&mut self, w_hat: &f64) {
+        self.w_hat = *w_hat;
+    }
+}
+
+/// `cma_core::flush`'s aggregator without its summary.
+struct FloorAggregator {
+    mass: f64,
+    hold_frac: f64,
+    w_hat: f64,
+    rep: SiteId,
+}
+
+impl Aggregator for FloorAggregator {
+    type UpMsg = Mass;
+    type Broadcast = f64;
+
+    fn absorb(&mut self, from: SiteId, msg: Mass) {
+        if self.mass == 0.0 {
+            self.rep = from;
+        }
+        self.mass += msg.0;
+    }
+
+    fn flush(&mut self, out: &mut Vec<(SiteId, Mass)>) {
+        if self.mass > 0.0 && self.mass >= self.hold_frac * self.w_hat {
+            out.push((self.rep, Mass(std::mem::take(&mut self.mass))));
+        }
+    }
+
+    fn on_broadcast(&mut self, w_hat: &f64) {
+        self.w_hat = *w_hat;
+    }
+}
+
+/// `cma_core::flush`'s coordinator without its summary: it adds the
+/// masses and re-broadcasts `Ŵ` when they grow by `1 + ε/2`.
+struct FloorCoordinator {
+    received: f64,
+    w_hat: f64,
+    epsilon: f64,
+}
+
+impl Coordinator for FloorCoordinator {
+    type UpMsg = Mass;
+    type Broadcast = f64;
+
+    fn receive(&mut self, _from: SiteId, msg: Mass, out: &mut Vec<f64>) {
+        self.received += msg.0;
+        if self.received / self.w_hat > 1.0 + self.epsilon / 2.0 {
+            self.w_hat = self.received;
+            out.push(self.w_hat);
+        }
+    }
+}
+
+/// Feeds `stream` round-robin at batch 256 and returns the traffic.
+fn run_seq<S, C, A>(mut runner: Runner<S, C, A>, stream: &[(u64, f64)]) -> CommStats
+where
+    S: Site<Input = (u64, f64), Broadcast = f64>,
+    S::UpMsg: MessageCost + Clone,
+    C: Coordinator<UpMsg = S::UpMsg, Broadcast = f64>,
+    A: Aggregator<UpMsg = S::UpMsg, Broadcast = f64>,
+{
+    let m = runner.sites().len();
+    runner.run_partitioned(stream.iter().copied(), &mut RoundRobin::new(m), BATCH);
+    runner.stats().clone()
+}
+
+/// HH-P1 at `hh-p1-tree-seq`'s deployment against its routing floor.
+fn bench_hh_tree_seq(c: &mut Criterion) {
+    const M: usize = 256;
+    const EPSILON: f64 = 1e-3;
+    const N: usize = 1_000_000;
+    let topology = Topology::Tree { fanout: 4 };
+    let stream = WeightedZipfStream::new(100_000, 2.0, 1_000.0, 1).take_vec(N);
+    let cfg = HhConfig::new(M, EPSILON).with_seed(1);
+    let levels = topology.plan(M).internal_levels().max(1) as f64;
+    let floor = || {
+        let sites = (0..M)
+            .map(|_| FloorSite {
+                mass: 0.0,
+                tau_frac: EPSILON / (4.0 * M as f64),
+                w_hat: 1.0,
+            })
+            .collect();
+        let coordinator = FloorCoordinator {
+            received: 0.0,
+            w_hat: 1.0,
+            epsilon: EPSILON,
+        };
+        Runner::with_topology(sites, coordinator, topology, |node: AggNode| {
+            FloorAggregator {
+                mass: 0.0,
+                hold_frac: EPSILON / (4.0 * levels) * (node.leaves as f64 / M as f64),
+                w_hat: 1.0,
+                rep: 0,
+            }
+        })
+    };
+    let p1 = run_seq(hh::p1::deploy_topology(&cfg, topology), &stream);
+    let bare = run_seq(floor(), &stream);
+    assert_eq!(p1.up_msgs, bare.up_msgs, "the floor's traffic left P1's");
+    assert_eq!(p1.broadcast_events, bare.broadcast_events);
+
+    let mut g = c.benchmark_group("hh_tree_seq");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(N as u64));
+    g.bench_function("p1/tree_seq", |b| {
+        b.iter(|| black_box(run_seq(hh::p1::deploy_topology(&cfg, topology), &stream).up_msgs))
+    });
+    g.bench_function("p1/routing_floor", |b| {
+        b.iter(|| black_box(run_seq(floor(), &stream).up_msgs))
+    });
+    g.finish();
+}
+
 fn bench_broadcast_disseminate(c: &mut Criterion) {
     let m = 65_536;
     let plan = Topology::Tree { fanout: 8 }.plan(m);
@@ -169,5 +339,11 @@ fn bench_broadcast_disseminate(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_hh, bench_matrix, bench_broadcast_disseminate);
+criterion_group!(
+    benches,
+    bench_hh,
+    bench_matrix,
+    bench_hh_tree_seq,
+    bench_broadcast_disseminate
+);
 criterion_main!(benches);

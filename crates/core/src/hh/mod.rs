@@ -67,9 +67,20 @@ pub trait HhEstimator {
             .collect()
     }
 
+    /// The pairs of [`HhEstimator::estimates`] whose estimate is at least
+    /// `floor`, in unspecified order. A coordinator that holds its
+    /// estimates in place filters them as it walks them, so a query
+    /// builds no list of every tracked item.
+    fn estimates_at_least(&self, floor: f64) -> Vec<(Item, f64)> {
+        self.estimates()
+            .into_iter()
+            .filter(|&(_, w)| w >= floor)
+            .collect()
+    }
+
     /// The paper's reporting rule: return `e` iff `Ŵe/Ŵ ≥ φ − ε/2`,
     /// sorted by descending estimate. The one place the threshold is
-    /// written; protocols supply [`HhEstimator::estimates`], not this.
+    /// written; protocols supply estimates, not this.
     ///
     /// Guarantees (Lemma 1): all true `φ`-heavy hitters are returned, and
     /// nothing below `(φ − ε)W` is, provided the protocol meets its
@@ -79,12 +90,7 @@ pub trait HhEstimator {
         if w_hat <= 0.0 {
             return Vec::new();
         }
-        let threshold = (phi - epsilon / 2.0) * w_hat;
-        let mut out: Vec<(Item, f64)> = self
-            .estimates()
-            .into_iter()
-            .filter(|&(_, w)| w >= threshold)
-            .collect();
+        let mut out = self.estimates_at_least((phi - epsilon / 2.0) * w_hat);
         out.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .expect("NaN estimate")

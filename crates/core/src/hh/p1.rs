@@ -36,6 +36,15 @@ impl HhEstimator for P1Coordinator {
     fn estimates(&self) -> Vec<(Item, f64)> {
         self.summary.counters().collect()
     }
+
+    /// The same pass, keeping only what a query reports: the root's
+    /// table is thousands of counters, and a query copying them all
+    /// before filtering paid for it in `query_p95_us`.
+    fn estimates_at_least(&self, floor: f64) -> Vec<(Item, f64)> {
+        let mut out = Vec::with_capacity(self.summary.len());
+        out.extend(self.summary.counters().filter(|&(_, w)| w >= floor));
+        out
+    }
 }
 
 #[cfg(test)]

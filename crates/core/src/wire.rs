@@ -41,7 +41,8 @@ fn read_finite(r: &mut WireReader<'_>) -> Option<f64> {
 
 /// A mass or a bound on one (`frob_sq`, `shrink_loss`, a Misra–Gries
 /// total or counter, a flush's mass, a P4 weight or count, a sampled
-/// record's weight or priority `ρ`): finite and `≥ 0`.
+/// record's weight or priority `ρ`, in a snapshot or a message frame):
+/// finite and `≥ 0`.
 pub(crate) fn read_mass(r: &mut WireReader<'_>) -> Option<f64> {
     r.f64().filter(|v| v.is_finite() && *v >= 0.0)
 }
@@ -91,8 +92,10 @@ pub fn put_mg(out: &mut Vec<u8>, s: &MgSummary) {
     }
 }
 
-/// Inverse of [`put_mg`]; `None` on a negative or non-finite total,
-/// decrement total or counter.
+/// Inverse of [`put_mg`]; `None` on a negative or non-finite total or
+/// decrement total, a counter that is not finite and `> 0`, or items
+/// that are not strictly ascending (a repeated item would fold two
+/// counters into one while the total still counts both).
 pub fn read_mg(r: &mut WireReader<'_>) -> Option<MgSummary> {
     let capacity = read_len(r)?;
     let total_weight = read_mass(r)?;
@@ -101,9 +104,13 @@ pub fn read_mg(r: &mut WireReader<'_>) -> Option<MgSummary> {
     if capacity == 0 || len > capacity {
         return None;
     }
-    let mut counters = Vec::with_capacity(r.capacity_for(len));
+    let mut counters: Vec<(Item, f64)> = Vec::with_capacity(r.capacity_for(len));
     for _ in 0..len {
-        counters.push((r.u64()?, read_mass(r)?));
+        let item = r.u64()?;
+        if counters.last().is_some_and(|&(prev, _)| prev >= item) {
+            return None;
+        }
+        counters.push((item, read_mass(r).filter(|&c| c > 0.0)?));
     }
     Some(MgSummary::from_parts(
         capacity,
@@ -382,11 +389,12 @@ fn put_weight<K: SampleKind>(out: &mut Vec<u8>, weight: f64) {
     }
 }
 
-/// Reads a record's weight, or recomputes it from the payload.
+/// Reads a record's weight (a mass: finite and `≥ 0`), or recomputes it
+/// from the payload.
 fn read_weight<K: SampleKind>(r: &mut WireReader<'_>, payload: &K::Payload) -> Option<f64> {
     match K::IMPLIED_WEIGHT {
         Some(implied) => Some(implied(payload)),
-        None => r.f64(),
+        None => read_mass(r),
     }
 }
 
@@ -410,7 +418,7 @@ impl<K: SampleKind> WireCodec for SampleEntry<K> {
         Some(SampleEntry {
             payload,
             weight,
-            rho: r.f64()?,
+            rho: read_mass(r)?,
         })
     }
 
@@ -432,7 +440,7 @@ impl<K: SampleKind> WireCodec for WrMsg<K> {
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         let hit = WrHit {
             sampler: r.usize()?,
-            rho: r.f64()?,
+            rho: read_mass(r)?,
         };
         let payload = K::read_payload(r)?;
         let weight = read_weight::<K>(r, &payload)?;

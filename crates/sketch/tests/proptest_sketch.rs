@@ -399,3 +399,268 @@ proptest! {
         }
     }
 }
+
+/// The reference Misra–Gries table: items hashed by the map, and the
+/// `(ℓ+1)`-th largest counter read off a full sort. `MgSummary` must
+/// match it bit for bit under any sequence of operations.
+#[derive(Debug, Clone)]
+struct OracleMg {
+    capacity: usize,
+    counters: std::collections::HashMap<u64, f64>,
+    total_weight: f64,
+    decrement_total: f64,
+}
+
+impl OracleMg {
+    fn new(capacity: usize) -> Self {
+        OracleMg {
+            capacity,
+            counters: Default::default(),
+            total_weight: 0.0,
+            decrement_total: 0.0,
+        }
+    }
+
+    fn update(&mut self, item: u64, weight: f64) {
+        if weight == 0.0 {
+            return;
+        }
+        self.total_weight += weight;
+        if let Some(c) = self.counters.get_mut(&item) {
+            *c += weight;
+            return;
+        }
+        if self.counters.len() < self.capacity {
+            self.counters.insert(item, weight);
+            return;
+        }
+        let min_counter = self.counters.values().fold(f64::INFINITY, |m, &v| m.min(v));
+        let delta = min_counter.min(weight);
+        self.decrement_total += delta;
+        self.counters.retain(|_, v| {
+            *v -= delta;
+            *v > 0.0
+        });
+        let remaining = weight - delta;
+        if remaining > 0.0 {
+            self.counters.insert(item, remaining);
+        }
+    }
+
+    fn merge(&mut self, other: &OracleMg) {
+        self.total_weight += other.total_weight;
+        self.decrement_total += other.decrement_total;
+        for (&e, &c) in &other.counters {
+            *self.counters.entry(e).or_insert(0.0) += c;
+        }
+        if self.counters.len() <= self.capacity {
+            return;
+        }
+        let mut values: Vec<f64> = self.counters.values().copied().collect();
+        values.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        let delta = values[self.capacity];
+        self.decrement_total += delta;
+        self.counters.retain(|_, v| {
+            *v -= delta;
+            *v > 0.0
+        });
+    }
+
+    fn absorb(&mut self, mut other: OracleMg) {
+        if other.counters.len() > self.counters.len() {
+            std::mem::swap(self, &mut other);
+        }
+        self.merge(&other);
+    }
+
+    fn take(&mut self, item: u64) -> f64 {
+        match self.counters.remove(&item) {
+            Some(c) => {
+                self.total_weight = (self.total_weight - c).max(0.0);
+                c
+            }
+            None => 0.0,
+        }
+    }
+
+    fn take_all(&mut self) -> OracleMg {
+        std::mem::replace(self, OracleMg::new(self.capacity))
+    }
+
+    fn bits(&self) -> (u64, u64, Vec<(u64, u64)>) {
+        let mut counters: Vec<(u64, u64)> = self
+            .counters
+            .iter()
+            .map(|(&e, c)| (e, c.to_bits()))
+            .collect();
+        counters.sort_unstable();
+        (
+            self.total_weight.to_bits(),
+            self.decrement_total.to_bits(),
+            counters,
+        )
+    }
+}
+
+/// One step on a pool of tables; indices are taken modulo the pool.
+#[derive(Debug, Clone)]
+enum MgOp {
+    Update(usize, u64, f64),
+    /// `merge` a copy of the second table into the first.
+    Merge(usize, usize),
+    /// Hand the second table off with `take_all` and `absorb` it into
+    /// the first, as a P1 flush does.
+    Absorb(usize, usize),
+    Take(usize, u64),
+    TakeAll(usize),
+}
+
+/// Runs `ops` on `tables` tables of capacity `cap` and on their oracle
+/// twins, comparing every table bit for bit after every step, and every
+/// value `take` or `take_all` hands back.
+fn check_against_oracle(cap: usize, tables: usize, ops: &[MgOp]) -> Result<(), TestCaseError> {
+    let mut mg: Vec<MgSummary> = (0..tables).map(|_| MgSummary::new(cap)).collect();
+    let mut oracle: Vec<OracleMg> = (0..tables).map(|_| OracleMg::new(cap)).collect();
+    for (step, op) in ops.iter().enumerate() {
+        match *op {
+            MgOp::Update(t, e, w) => {
+                mg[t % tables].update(e, w);
+                oracle[t % tables].update(e, w);
+            }
+            MgOp::Merge(t, u) => {
+                let (t, u) = (t % tables, u % tables);
+                let (theirs, twin) = (mg[u].clone(), oracle[u].clone());
+                mg[t].merge(&theirs);
+                oracle[t].merge(&twin);
+            }
+            MgOp::Absorb(t, u) => {
+                let (t, u) = (t % tables, u % tables);
+                let (theirs, twin) = (mg[u].take_all(), oracle[u].take_all());
+                mg[t].absorb(theirs);
+                oracle[t].absorb(twin);
+            }
+            MgOp::Take(t, e) => {
+                let (got, want) = (mg[t % tables].take(e), oracle[t % tables].take(e));
+                prop_assert!(got.to_bits() == want.to_bits(), "take at step {}", step);
+            }
+            MgOp::TakeAll(t) => {
+                let (got, want) = (mg[t % tables].take_all(), oracle[t % tables].take_all());
+                prop_assert!(mg_bits(&got) == want.bits(), "take_all at step {}", step);
+            }
+        }
+        for (t, (m, o)) in mg.iter().zip(&oracle).enumerate() {
+            prop_assert!(m.len() <= cap);
+            prop_assert!(
+                mg_bits(m) == o.bits(),
+                "table {} after step {} ({:?}): {:?} vs oracle {:?}",
+                t,
+                step,
+                op,
+                mg_bits(m),
+                o.bits()
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `MgSummary` is the reference table bit for bit under any sequence
+    /// of `update`, `merge`, `absorb`, `take` and `take_all` on three
+    /// tables: hashing each item once and selecting the `(ℓ+1)`-th
+    /// counter instead of sorting change no counter, total or decrement
+    /// total. Items come from `cap + extra` keys, so a merge overflows by
+    /// one counter or by many; integer weights make counter ties common.
+    /// With `disjoint`, each table updates its own key range, so merges
+    /// bring only new keys; otherwise all three share one range.
+    #[test]
+    fn mg_matches_sorting_oracle_bitwise(
+        cap in 1usize..10,
+        extra in 1u64..20,
+        disjoint in 0u8..2,
+        integer in 0u8..2,
+        raw in prop::collection::vec(
+            ((0u8..14, 0usize..3, 0usize..3), (0u64..1_000, 0.5f64..100.0, 1u8..4)),
+            0..200,
+        ),
+    ) {
+        let universe = cap as u64 + extra;
+        let ops: Vec<MgOp> = raw
+            .iter()
+            .map(|&((kind, t, u), (e, w, small))| {
+                let e = e % universe;
+                match kind {
+                    0..=7 => {
+                        let e = if disjoint == 1 { e + 1_000 * t as u64 } else { e };
+                        MgOp::Update(t, e, if integer == 1 { f64::from(small) } else { w })
+                    }
+                    8 | 9 => MgOp::Merge(t, u),
+                    10 | 11 => MgOp::Absorb(t, u),
+                    12 => MgOp::Take(t, e),
+                    _ => MgOp::TakeAll(t),
+                }
+            })
+            .collect();
+        check_against_oracle(cap, 3, &ops)?;
+    }
+}
+
+/// The merge overflows the oracle proptest must reach, spelled out:
+/// capacity 1, overflow by exactly one counter and by many, ties at
+/// the `(ℓ+1)`-th counter, and identical and disjoint key sets.
+#[test]
+fn mg_matches_sorting_oracle_at_the_edges() {
+    use MgOp::{Absorb, Merge, Update};
+    let fill = |t: usize, keys: std::ops::Range<u64>, w: f64| keys.map(move |e| Update(t, e, w));
+    let cases: Vec<(&str, usize, Vec<MgOp>)> = vec![
+        (
+            "capacity 1",
+            1,
+            vec![
+                Update(0, 1, 3.0),
+                Update(1, 2, 5.0),
+                Merge(0, 1),
+                Update(1, 1, 2.0),
+                Absorb(0, 1),
+            ],
+        ),
+        (
+            "over by one",
+            4,
+            fill(0, 0..4, 2.0)
+                .chain([Update(1, 9, 1.0), Merge(0, 1)])
+                .collect(),
+        ),
+        (
+            "over by many, disjoint keys",
+            4,
+            fill(0, 0..4, 2.0)
+                .chain(fill(1, 100..104, 3.0))
+                .chain([Absorb(0, 1)])
+                .collect(),
+        ),
+        (
+            "ties at the decrement",
+            4,
+            fill(0, 0..4, 1.0)
+                .chain(fill(1, 2..6, 1.0))
+                .chain([Merge(0, 1)])
+                .collect(),
+        ),
+        (
+            "identical keys",
+            4,
+            fill(0, 0..4, 1.5)
+                .chain(fill(1, 0..4, 2.5))
+                .chain([Merge(0, 1), Absorb(1, 0)])
+                .collect(),
+        ),
+    ];
+    for (what, cap, ops) in cases {
+        if let Err(e) = check_against_oracle(cap, 2, &ops) {
+            panic!("{what}: {e:?}");
+        }
+    }
+}

@@ -637,6 +637,91 @@ fn p3_snapshots_reject_unreachable_states() {
     check::<P3wrAggregator>("P3wr aggregator", &agg, &cases);
 }
 
+/// A P3 or P3wr message frame whose record weight or priority `ρ` is
+/// negative or not finite decodes to `None`, as the same record does in
+/// a snapshot: a NaN `ρ` fails both of a round's tests (`ρ < τ`,
+/// `ρ > 2τ`) and would enter the queue whose minimum every estimate
+/// reads.
+#[test]
+fn p3_frames_reject_unreachable_values() {
+    fn rejects<T: WireCodec>(msg: &T) -> bool {
+        T::decode(&mut WireReader::new(&msg.to_wire())).is_none()
+    }
+    let p3 = |weight, rho| P3Msg {
+        payload: 7,
+        weight,
+        rho,
+    };
+    let p3wr = |weight, rho| P3wrMsg {
+        hit: WrHit { sampler: 2, rho },
+        payload: 7,
+        weight,
+    };
+    assert!(!rejects(&p3(3.0, 1.5)) && !rejects(&p3wr(3.0, 1.5)));
+    for (weight, rho) in [(f64::NAN, 1.5), (3.0, f64::NAN), (f64::NAN, f64::NAN)] {
+        assert!(rejects(&p3(weight, rho)), "P3Msg weight {weight}, ρ {rho}");
+    }
+    for (weight, rho) in [(3.0, -1.0), (f64::INFINITY, 1.5), (f64::INFINITY, -1.0)] {
+        assert!(
+            rejects(&p3wr(weight, rho)),
+            "P3wrMsg weight {weight}, ρ {rho}"
+        );
+    }
+    // MT records imply their weight from the row; `ρ` is still read.
+    let row = vec![1.0, 2.0];
+    for rho in [f64::NAN, f64::NEG_INFINITY, -1.0] {
+        let mp3 = MP3Msg {
+            payload: row.clone(),
+            weight: 5.0,
+            rho,
+        };
+        assert!(rejects(&mp3), "MP3Msg ρ {rho}");
+        let mp3wr = MP3wrMsg {
+            hit: WrHit { sampler: 0, rho },
+            payload: row.clone(),
+            weight: 5.0,
+        };
+        assert!(rejects(&mp3wr), "MP3wrMsg ρ {rho}");
+    }
+}
+
+/// A Misra–Gries encoding lists its counters in strictly ascending item
+/// order, each finite and `> 0`. A P1 coordinator snapshot that repeats
+/// an item (a table would keep one counter while its total counts
+/// both), lists two items in descending order, or carries a zero
+/// counter decodes to `None`.
+#[test]
+fn p1_snapshots_refuse_unordered_or_empty_counters() {
+    use cma::protocols::hh::p1::{self, P1Coordinator};
+    use cma::protocols::hh::HhConfig;
+
+    fn rejects(buf: &[u8]) -> bool {
+        P1Coordinator::decode(&mut WireReader::new(buf)).is_none()
+    }
+    let m = 4;
+    let mut star = p1::deploy(&HhConfig::new(m, 0.1));
+    for i in 0..2_000u64 {
+        star.feed((i % m as u64) as usize, (i % 11, 1.0 + (i % 3) as f64));
+    }
+    // Coordinator = MG (capacity, total, decrement total, len,
+    // (item, counter)*), W_C, Ŵ, ε.
+    let coord = star.coordinator().to_wire();
+    let len = u64::from_le_bytes(coord[24..32].try_into().unwrap());
+    assert!(len >= 2, "the root tracks at least two items");
+    let item = |i: usize| u64::from_le_bytes(coord[32 + 16 * i..40 + 16 * i].try_into().unwrap());
+    assert!(!rejects(&coord));
+    let duplicated = patch(&coord, 48, item(0));
+    assert!(rejects(&duplicated), "a repeated item decoded");
+    let descending = patch(&patch(&coord, 32, item(1)), 48, item(0));
+    assert!(rejects(&descending), "a descending pair decoded");
+    for zero in [0.0, -0.0] {
+        assert!(
+            rejects(&poison(&coord, 40, zero)),
+            "a {zero} counter decoded"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
