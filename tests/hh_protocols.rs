@@ -368,3 +368,130 @@ fn p4_traffic_and_state_are_pinned() {
         assert_eq!(got, want, "{topology:?}");
     }
 }
+
+/// HH-P2's traffic and every node's final state, pinned on seeded
+/// m = 64 runs: the star fed item by item (`observe`), a fanout-4 tree
+/// fed in batches (`observe_batch`, aggregators summing deltas and
+/// testing them at flush), and the same tree under churn through the
+/// segmented driver, where a leave and a join pin a site's `depart`,
+/// every node's `rebudget` and the retiring aggregators'
+/// `split_for_migration`. The coordinator's encoding sorts its items, so
+/// the state hashes are deterministic; moving a threshold test, the
+/// delta a message carries or a re-split's last bit moves them.
+#[test]
+fn p2_traffic_and_state_are_pinned() {
+    use cma::stream::partition::{partition_round_robin, RoundRobin};
+    use cma::stream::runner::churn::run_churn_partitioned_topology_parts_on as run_churn;
+    use cma::stream::runner::engine::ThreadedConfig;
+    use cma::stream::{
+        ChannelTransport, ChurnConfig, ChurnEvent, ChurnSchedule, CommStats, Executor, Topology,
+        WireCodec,
+    };
+
+    let m = 64;
+    let cfg = HhConfig::new(m, 0.1);
+    let (stream, _) = zipf(100_000, 1000.0, 13);
+    let tree = Topology::Tree { fanout: 4 };
+    // (up_msgs, total, bytes_up, bytes_down, broadcast_events,
+    //  coordinator hash, aggregators hash)
+    let golden: [(&str, [u64; 7]); 3] = [
+        (
+            "star",
+            [
+                6268,
+                9788,
+                78124,
+                28160,
+                55,
+                886001673904868605,
+                14695981039346656037,
+            ],
+        ),
+        (
+            "tree4",
+            [
+                7818,
+                29156,
+                293860,
+                45696,
+                68,
+                9700451371879162485,
+                15304207795679267011,
+            ],
+        ),
+        (
+            "tree4 churn",
+            [
+                7755,
+                28975,
+                291575,
+                45696,
+                68,
+                15701580505541719906,
+                6377566245077499979,
+            ],
+        ),
+    ];
+    fn pin<C: WireCodec, A: WireCodec>(s: &CommStats, coord: &C, aggs: &[A]) -> [u64; 7] {
+        let aggs: Vec<u8> = aggs.iter().flat_map(|a| a.to_wire()).collect();
+        [
+            s.up_msgs,
+            s.total(),
+            s.bytes_up,
+            s.bytes_down,
+            s.broadcast_events,
+            fnv1a(&coord.to_wire()),
+            fnv1a(&aggs),
+        ]
+    }
+
+    let mut star = p2::deploy_topology(&cfg, Topology::Star);
+    for (i, &a) in stream.iter().enumerate() {
+        star.feed(i % m, a);
+    }
+    let mut batched = p2::deploy_topology(&cfg, tree);
+    batched.run_partitioned(stream.iter().copied(), &mut RoundRobin::new(m), 64);
+    let (sites, coord, _) = p2::deploy_topology(&cfg, tree).into_parts();
+    let churn = ChurnConfig {
+        segment_len: 64,
+        schedule: ChurnSchedule::new()
+            .at(2, ChurnEvent::Leave(5))
+            .at(4, ChurnEvent::Join(m - 1)),
+        ..ChurnConfig::default()
+    };
+    let tcfg = ThreadedConfig {
+        batch_size: 16,
+        channel_capacity: 2,
+        plane: Default::default(),
+    };
+    let parts = run_churn(
+        sites,
+        coord,
+        partition_round_robin(&stream, m),
+        &tcfg,
+        Executor::Inline,
+        tree,
+        |t| p2::make_aggregator(&cfg, t),
+        &churn,
+        &ChannelTransport,
+    );
+    let report = &parts.report;
+    assert_eq!((report.leaves, report.joins), (1, 1));
+    assert!(
+        report.departed_msgs > 0 && report.migrated_msgs > 0,
+        "{report:?}"
+    );
+
+    let got = [
+        pin(star.stats(), star.coordinator(), star.aggregators()),
+        pin(
+            batched.stats(),
+            batched.coordinator(),
+            batched.aggregators(),
+        ),
+        pin(&parts.stats, &parts.coordinator, &parts.aggregators),
+    ];
+    for ((what, want), got) in golden.iter().zip(got) {
+        assert_eq!(got, *want, "{what}");
+    }
+}

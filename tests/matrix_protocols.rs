@@ -522,3 +522,132 @@ fn mt_p4_traffic_and_state_are_pinned() {
         assert_eq!(got, want, "{topology:?}");
     }
 }
+
+/// MT-P2's traffic and every node's final state, pinned on seeded
+/// m = 24 runs: the star fed row by row (`observe`), a fanout-4 tree fed
+/// in batches (`observe_batch`, aggregators withholding relayed
+/// directions under their own certified trigger), and the same tree
+/// under churn through the segmented driver, where a leave and a join
+/// pin a site's `depart`, every node's `rebudget` and the retiring
+/// aggregators' `split_for_migration`. The root's encoding is its Gram
+/// and an aggregator's its canonical withheld rows, so moving a check,
+/// a shipped direction's last bit or a re-split moves the hashes.
+#[test]
+fn mt_p2_traffic_and_state_are_pinned() {
+    use cma::stream::partition::{partition_round_robin, RoundRobin};
+    use cma::stream::runner::churn::run_churn_partitioned_topology_parts_on as run_churn;
+    use cma::stream::runner::engine::ThreadedConfig;
+    use cma::stream::{
+        ChannelTransport, ChurnConfig, ChurnEvent, ChurnSchedule, CommStats, Executor, Topology,
+        WireCodec,
+    };
+
+    let m = 24;
+    let cfg = MatrixConfig::new(m, 0.2, 16).with_seed(47);
+    let spectrum: Vec<f64> = (0..16).map(|j| 2.0 * 0.8_f64.powi(j)).collect();
+    let mut source = SyntheticMatrixStream::new(16, &spectrum, 1e3, 53);
+    let rows: Vec<Vec<f64>> = (0..20_000).map(|_| source.next_row()).collect();
+    let tree = Topology::Tree { fanout: 4 };
+    // (up_msgs, total, bytes_up, bytes_down, broadcast_events,
+    //  coordinator hash, aggregators hash)
+    let golden: [(&str, [u64; 7]); 3] = [
+        (
+            "star",
+            [
+                1275,
+                1947,
+                87123,
+                5376,
+                28,
+                11369809614342964008,
+                14695981039346656037,
+            ],
+        ),
+        (
+            "tree4",
+            [
+                1642,
+                5709,
+                299221,
+                8960,
+                35,
+                3090610735851498099,
+                8260126500317138575,
+            ],
+        ),
+        (
+            "tree4 churn",
+            [
+                1607,
+                5885,
+                331237,
+                9216,
+                36,
+                9209759587796049659,
+                5903784874550111059,
+            ],
+        ),
+    ];
+    fn pin<C: WireCodec, A: WireCodec>(s: &CommStats, coord: &C, aggs: &[A]) -> [u64; 7] {
+        let aggs: Vec<u8> = aggs.iter().flat_map(|a| a.to_wire()).collect();
+        [
+            s.up_msgs,
+            s.total(),
+            s.bytes_up,
+            s.bytes_down,
+            s.broadcast_events,
+            fnv1a(&coord.to_wire()),
+            fnv1a(&aggs),
+        ]
+    }
+
+    let mut star = p2::deploy_topology(&cfg, Topology::Star);
+    for (i, row) in rows.iter().enumerate() {
+        star.feed(i % m, row.clone());
+    }
+    let mut batched = p2::deploy_topology(&cfg, tree);
+    batched.run_partitioned(rows.iter().cloned(), &mut RoundRobin::new(m), 64);
+    let (sites, coord, _) = p2::deploy_topology(&cfg, tree).into_parts();
+    let churn = ChurnConfig {
+        segment_len: 64,
+        schedule: ChurnSchedule::new()
+            .at(2, ChurnEvent::Leave(5))
+            .at(4, ChurnEvent::Join(m - 1)),
+        ..ChurnConfig::default()
+    };
+    let tcfg = ThreadedConfig {
+        batch_size: 16,
+        channel_capacity: 2,
+        plane: Default::default(),
+    };
+    let parts = run_churn(
+        sites,
+        coord,
+        partition_round_robin(&rows, m),
+        &tcfg,
+        Executor::Inline,
+        tree,
+        |t| p2::make_aggregator(&cfg, t),
+        &churn,
+        &ChannelTransport,
+    );
+    let report = &parts.report;
+    assert_eq!((report.leaves, report.joins), (1, 1));
+    assert!(
+        report.departed_msgs > 0 && report.migrated_msgs > 0,
+        "{report:?}"
+    );
+
+    let got = [
+        pin(star.stats(), star.coordinator(), star.aggregators()),
+        pin(
+            batched.stats(),
+            batched.coordinator(),
+            batched.aggregators(),
+        ),
+        pin(&parts.stats, &parts.coordinator, &parts.aggregators),
+    ];
+    for ((what, want), got) in golden.iter().zip(got) {
+        assert_eq!(got, *want, "{what}");
+    }
+}
