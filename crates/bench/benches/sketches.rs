@@ -204,7 +204,7 @@ impl cma_stream::Coordinator for Stacked {
     type Broadcast = f64;
 
     fn receive(&mut self, from: usize, msg: Self::UpMsg, out: &mut Vec<f64>) {
-        if let cma_core::matrix::p2::MP2Msg::Direction(row) = &msg {
+        if let cma_core::matrix::p2::MP2Msg::Delta(row) = &msg {
             self.stack.push_row(row);
         }
         self.root.receive(from, msg, out);

@@ -17,9 +17,9 @@
 //! * [`p4`] — probabilistic count reports, `O((√m/ε) log(βN))` messages;
 //!   randomized, constant failure probability.
 //!
-//! P1, P3, P3wr and P4 are not written here: each is one deployment of
-//! [`crate::flush`], [`crate::sampling`] or [`crate::report`], shared
-//! with its matrix twin. Their modules hold only the estimator and the
+//! No protocol is written here: each is one deployment of
+//! [`crate::flush`], [`crate::threshold`], [`crate::sampling`] or
+//! [`crate::report`], shared with its matrix twin. Their modules hold only the estimator and the
 //! type names.
 //!
 //! All coordinators implement [`HhEstimator`], whose default

@@ -15,22 +15,22 @@
 //! | paper | module | mechanism | communication |
 //! |---|---|---|---|
 //! | §4.1 | [`hh::p1`] | per-site Misra–Gries, batch flush ([`flush`]) | `O((m/ε²) log βN)` |
-//! | §4.2 | [`hh::p2`] | per-element thresholds (Yi–Zhang) | `O((m/ε) log βN)` |
+//! | §4.2 | [`hh::p2`] | per-element thresholds (Yi–Zhang, [`threshold`]) | `O((m/ε) log βN)` |
 //! | §4.3 | [`hh::p3`] | priority sampling, w/o replacement | `O((m+s) log(βN/s))` |
 //! | §4.3.1 | [`hh::p3wr`] | with-replacement sampling | `O((m+s log s) log βN)` |
 //! | §4.4 | [`hh::p4`] | probabilistic count reports ([`report`]) | `O((√m/ε) log βN)` |
 //! | §5.1 | [`matrix::p1`] | per-site Frequent Directions, flush ([`flush`]) | `O((m/ε²) log βN)` |
-//! | §5.2 | [`matrix::p2`] | singular-direction thresholds | `O((m/ε) log βN)` |
+//! | §5.2 | [`matrix::p2`] | singular-direction thresholds ([`threshold`]) | `O((m/ε) log βN)` |
 //! | §5.3 | [`matrix::p3`] / [`matrix::p3wr`] | row priority sampling | `O((m+s) log(βN/s))` |
 //! | App. C | [`matrix::p4`] | **negative result** — no guarantee ([`report`]) | `O((√m/ε) log βN)` |
 //! | §6 ext. | [`window::mg`] / [`window::fd`] | sliding-window tracking via exponential-histogram buckets | sublinear in `N`; see module docs |
 //!
 //! Where the paper defines the matrix protocol as the heavy-hitter one
 //! over rows, the code writes it once: P1 in [`flush`], generic over the
-//! summary (Misra–Gries or Frequent Directions), and P3/P3wr in
-//! [`sampling`] and P4 in [`report`], generic over the payload. Those
-//! protocol modules keep only their estimator and the deployment's type
-//! names.
+//! summary (Misra–Gries or Frequent Directions), and P2 in
+//! [`threshold`], P3/P3wr in [`sampling`] and P4 in [`report`], generic
+//! over the payload. Those protocol modules keep only their estimator
+//! and the deployment's type names.
 //!
 //! Every protocol is split into a site type (implements
 //! [`cma_stream::Site`]) and a coordinator type (implements
@@ -84,6 +84,7 @@ pub mod hh;
 pub mod matrix;
 pub mod report;
 pub mod sampling;
+pub mod threshold;
 pub mod weight_tracker;
 pub mod window;
 pub mod wire;

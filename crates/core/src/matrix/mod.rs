@@ -11,7 +11,8 @@
 //!   (the matrix analogue of HH-P1). Deterministic,
 //!   `O((m/ε²) log(βN))` rows.
 //! * [`p2`] — sites send `σℓ·vℓ` whenever some direction's squared norm
-//!   reaches `(ε/m)F̂` (the analogue of HH-P2). Deterministic,
+//!   reaches `(ε/m)F̂`: the same deployment as HH-P2
+//!   ([`crate::threshold`]) over rows. Deterministic,
 //!   `O((m/ε) log(βN))` rows — the paper's best deterministic protocol.
 //! * [`p3`] / [`p3wr`] — row priority sampling by squared norm: the
 //!   same deployments as HH-P3/P3wr ([`crate::sampling`]) over rows,

@@ -12,11 +12,10 @@
 //! `PartialEq`).
 
 use crate::flush::{mass_bytes, FlushKind, FlushMsg};
-use crate::hh::p2::P2Msg;
-use crate::matrix::p2::MP2Msg;
 use crate::matrix::Row;
 use crate::report::{ReportKind, ReportMsg};
 use crate::sampling::{SampleEntry, SampleKind, WrHit, WrMsg};
+use crate::threshold::{ThresholdKind, ThresholdMsg};
 use crate::window::SwMsg;
 use cma_linalg::Matrix;
 use cma_sketch::sliding_window::WinBucket;
@@ -277,66 +276,45 @@ impl<K: FlushKind> WireCodec for FlushMsg<K> {
 }
 
 // ---------------------------------------------------------------------
-// P2 messages
+// P2 messages: one codec over the payload kind
 // ---------------------------------------------------------------------
 
-impl WireCodec for P2Msg {
+/// `tag, value`: a total (tag 0, its weight) or a delta (tag 1, encoded
+/// as a sampling record): HH-P2 `Total` 9 bytes and `(e, Δe)` 17, MT-P2
+/// direction `9 + 8d`.
+impl<K: ThresholdKind> WireCodec for ThresholdMsg<K> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            P2Msg::Total(w) => {
+            ThresholdMsg::Total(w) => {
                 out.push(0);
                 put_f64(out, *w);
             }
-            P2Msg::Element(e, w) => {
+            ThresholdMsg::Delta(delta) => {
                 out.push(1);
-                put_u64(out, *e);
-                put_f64(out, *w);
+                K::put_payload(out, K::payload(delta));
+                if K::IMPLIED_WEIGHT.is_none() {
+                    put_f64(out, K::weight(delta));
+                }
             }
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         match r.u8()? {
-            0 => Some(P2Msg::Total(read_mass(r)?)),
-            1 => Some(P2Msg::Element(r.u64()?, read_mass(r)?)),
+            0 => Some(ThresholdMsg::Total(read_mass(r)?)),
+            1 => {
+                let payload = K::read_payload(r)?;
+                let weight = read_weight::<K>(r, &payload)?;
+                Some(ThresholdMsg::Delta(K::delta(payload, weight)))
+            }
             _ => None,
         }
     }
 
     fn encoded_len(&self) -> u64 {
         match self {
-            P2Msg::Total(_) => 9,
-            P2Msg::Element(..) => 17,
-        }
-    }
-}
-
-impl WireCodec for MP2Msg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            MP2Msg::Scalar(f) => {
-                out.push(0);
-                put_f64(out, *f);
-            }
-            MP2Msg::Direction(v) => {
-                out.push(1);
-                put_row(out, v);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        match r.u8()? {
-            0 => Some(MP2Msg::Scalar(read_mass(r)?)),
-            1 => Some(MP2Msg::Direction(read_row(r)?)),
-            _ => None,
-        }
-    }
-
-    fn encoded_len(&self) -> u64 {
-        match self {
-            MP2Msg::Scalar(_) => 9,
-            MP2Msg::Direction(v) => 1 + row_bytes(v),
+            ThresholdMsg::Total(_) => 9,
+            ThresholdMsg::Delta(delta) => 1 + record_bytes::<K>(K::payload(delta)),
         }
     }
 }
@@ -574,6 +552,7 @@ impl<S: SummaryCodec> WireCodec for SwMsg<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hh::p2::P2Msg;
     use crate::hh::p3::P3Msg;
 
     #[test]

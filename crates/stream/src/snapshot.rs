@@ -45,7 +45,8 @@ impl Snapshot {
     }
 
     /// Decodes the root complex back out of the bytes, or `None` on a
-    /// malformed / truncated / version-mismatched buffer. The buffer
+    /// malformed / truncated / version-mismatched buffer, or on nodes
+    /// that name different widths ([`WireCodec::width`]). The buffer
     /// must be fully consumed — trailing garbage is a decode failure.
     pub fn restore<C: WireCodec, A: WireCodec>(&self) -> Option<(C, Vec<A>)> {
         let mut r = WireReader::new(&self.bytes);
@@ -59,6 +60,11 @@ impl Snapshot {
             aggs.push(A::decode(&mut r)?);
         }
         if !r.is_empty() {
+            return None;
+        }
+        let mut widths = aggs.iter().filter_map(A::width).chain(coordinator.width());
+        let first = widths.next();
+        if !widths.all(|w| Some(w) == first) {
             return None;
         }
         Some((coordinator, aggs))
@@ -111,6 +117,35 @@ mod tests {
         let (c, aggs): (Scalar, Vec<Scalar>) = snap.restore().unwrap();
         assert_eq!(c, Scalar(1.5));
         assert_eq!(aggs, vec![Scalar(2.0), Scalar(-3.25)]);
+    }
+
+    /// A node whose payload width is its value.
+    #[derive(Debug, PartialEq)]
+    struct Wide(u64);
+
+    impl WireCodec for Wide {
+        fn encode(&self, out: &mut Vec<u8>) {
+            put_u64(out, self.0);
+        }
+        fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+            r.u64().map(Wide)
+        }
+        fn width(&self) -> Option<usize> {
+            Some(self.0 as usize)
+        }
+    }
+
+    #[test]
+    fn nodes_of_different_widths_are_refused() {
+        let agree = Snapshot::capture(&Wide(3), &[Wide(3), Wide(3)]);
+        assert!(agree.restore::<Wide, Wide>().is_some());
+        // A node without a width constrains nothing.
+        let unshaped = Snapshot::capture(&Scalar(1.0), &[Wide(3), Wide(3)]);
+        assert!(unshaped.restore::<Scalar, Wide>().is_some());
+        for (root, aggs) in [(3, [3, 2]), (3, [2, 2])] {
+            let snap = Snapshot::capture(&Wide(root), &aggs.map(Wide));
+            assert!(snap.restore::<Wide, Wide>().is_none(), "{root} vs {aggs:?}");
+        }
     }
 
     #[test]

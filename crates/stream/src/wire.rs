@@ -162,6 +162,14 @@ pub trait WireCodec: Sized {
         self.encode(&mut buf);
         buf
     }
+
+    /// The payload width `d` a decoded node is shaped for, if it has one.
+    /// [`Snapshot::restore`](crate::Snapshot::restore) refuses a root
+    /// complex whose nodes name different widths: each decodes alone,
+    /// but together they would fail at the first merge.
+    fn width(&self) -> Option<usize> {
+        None
+    }
 }
 
 impl WireCodec for f64 {

@@ -204,18 +204,6 @@ fn matrix_p2_batched_identical_to_per_item() {
 }
 
 #[test]
-fn matrix_p2_bounded_batched_identical_to_per_item() {
-    let cfg = MatrixConfig::new(3, 0.3, 5).with_seed(8);
-    for batch in BATCH_SIZES {
-        assert_matrix_parity!(
-            matrix::p2::deploy_bounded(&cfg),
-            matrix_stream(1_500, 5, 23),
-            batch
-        );
-    }
-}
-
-#[test]
 fn matrix_p3_batched_identical_to_per_item() {
     let cfg = MatrixConfig::new(4, 0.25, 6).with_seed(9);
     for batch in BATCH_SIZES {

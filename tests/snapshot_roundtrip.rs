@@ -277,7 +277,7 @@ fn saturated_mt_p2_node_roundtrips_its_withheld_gram() {
     for _ in 0..3 * dim {
         let row = stream.next_row();
         truth.update(&row);
-        aggregators[0].absorb(0, MP2Msg::Direction(row));
+        aggregators[0].absorb(0, MP2Msg::Delta(row));
     }
     // The layout is private; its `Debug` form names it.
     assert!(
@@ -297,7 +297,7 @@ fn saturated_mt_p2_node_roundtrips_its_withheld_gram() {
         node.split_for_migration(&mut drained);
         let mut withheld = StreamingGram::new(dim);
         for (_, msg) in &drained {
-            if let MP2Msg::Direction(v) = msg {
+            if let MP2Msg::Delta(v) = msg {
                 withheld.update(v);
             }
         }
@@ -308,6 +308,63 @@ fn saturated_mt_p2_node_roundtrips_its_withheld_gram() {
             truth.frob_sq()
         );
     }
+}
+
+/// A d = 3 MT-P2 snapshot of a fanout-4 tree whose every aggregator is
+/// rewritten to width 2 (the third column of its withheld rows cut)
+/// restores to `None`. Each node decodes alone — the decoders know
+/// nothing of `d` — so without the restore's width check the snapshot
+/// came back, and the first direction a node forwarded panicked the
+/// root (`accumulate_outer: shape mismatch`): the test drives that path
+/// whenever restore accepts.
+#[test]
+fn mt_p2_snapshot_refuses_aggregators_of_another_width() {
+    use cma::protocols::matrix::p2::{MP2Aggregator, MP2Coordinator, MP2Msg};
+    use cma::stream::{Aggregator, Coordinator, MigratableAggregator};
+
+    let (m, dim) = (16, 3);
+    let topo = Topology::Tree { fanout: 4 };
+    let mut runner = matrix::p2::deploy_topology(&MatrixConfig::new(m, 0.1, dim), topo);
+    for (i, row) in matrix_stream(2_000, dim, 31).into_iter().enumerate() {
+        runner.feed(i % m, row);
+    }
+    let snap = Snapshot::capture(runner.coordinator(), runner.aggregators());
+    assert!(snap.restore::<MP2Coordinator, MP2Aggregator>().is_some());
+
+    // Layout: version, count, root (d, six triangle entries, F̂, reports,
+    // sites), then per node: pending total, rep, outbox length (0 after
+    // a synchronous run), fraction, F̂, rows, cols, entries.
+    let bytes = snap.as_bytes();
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let mut at = 16 + 8 + 8 * 6 + 24;
+    let mut narrow = bytes[..at].to_vec();
+    for _ in 0..runner.aggregators().len() {
+        assert_eq!(word(at + 16), 0, "outbox not empty");
+        assert_eq!(word(at + 48), dim);
+        let rows = word(at + 40);
+        narrow.extend_from_slice(&bytes[at..at + 48]);
+        narrow.extend_from_slice(&2u64.to_le_bytes());
+        at += 56;
+        for _ in 0..rows {
+            narrow.extend_from_slice(&bytes[at..at + 16]);
+            at += 8 * dim;
+        }
+    }
+    assert_eq!(at, bytes.len());
+
+    let restored = Snapshot::from_bytes(narrow).restore::<MP2Coordinator, MP2Aggregator>();
+    if let Some((mut root, mut aggs)) = restored.clone() {
+        aggs[0].absorb(0, MP2Msg::Delta(vec![3.0, -1.0]));
+        let mut up = Vec::new();
+        aggs[0].split_for_migration(&mut up);
+        for (from, msg) in up {
+            root.receive(from, msg, &mut Vec::new());
+        }
+    }
+    assert!(
+        restored.is_none(),
+        "width-2 aggregators under a d = 3 root restored"
+    );
 }
 
 fn snap_only_cfg(crash: Option<usize>) -> ChurnConfig {

@@ -80,7 +80,7 @@ fn poison(buf: &[u8], at: usize, v: f64) -> Vec<u8> {
 #[test]
 fn non_finite_values_fail_to_decode() {
     let row = vec![1.0, -2.0, 3.0];
-    let direction = MP2Msg::Direction(row.clone()).to_wire();
+    let direction = MP2Msg::Delta(row.clone()).to_wire();
     let flush = MP1Msg {
         summary: Matrix::from_vec(1, 3, row.clone()),
         mass: 14.0,
@@ -158,7 +158,7 @@ fn non_finite_values_fail_to_decode() {
     // A NaN `F̂` or `Ŵ` fails every `≥ threshold` test: sites would stop
     // sending and the bound would be void without a sign.
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
-        let buf = MP2Msg::Scalar(bad).to_wire();
+        let buf = MP2Msg::Total(bad).to_wire();
         assert!(
             MP2Msg::decode(&mut WireReader::new(&buf)).is_none(),
             "MP2 Scalar({bad})"
@@ -168,7 +168,7 @@ fn non_finite_values_fail_to_decode() {
             P2Msg::decode(&mut WireReader::new(&buf)).is_none(),
             "P2 Total({bad})"
         );
-        let buf = P2Msg::Element(4, bad).to_wire();
+        let buf = P2Msg::Delta((4, bad)).to_wire();
         assert!(
             P2Msg::decode(&mut WireReader::new(&buf)).is_none(),
             "P2 Element(4, {bad})"
@@ -495,12 +495,12 @@ fn p2_snapshots_reject_unreachable_states() {
     check::<MP2Aggregator>("MT-P2 aggregator", &agg, &cases);
     for bad in [nan, inf, -1.0] {
         let mut queued = patch(&agg, 16, 1)[..24].to_vec();
-        queued.extend(MP2Msg::Scalar(bad).to_wire());
+        queued.extend(MP2Msg::Total(bad).to_wire());
         queued.extend_from_slice(&agg[24..]);
         assert!(rejects::<MP2Aggregator>(&queued), "outbox Scalar({bad})");
     }
     let mut queued = patch(&agg, 16, 1)[..24].to_vec();
-    queued.extend(MP2Msg::Scalar(2.0).to_wire());
+    queued.extend(MP2Msg::Total(2.0).to_wire());
     queued.extend_from_slice(&agg[24..]);
     assert!(!rejects::<MP2Aggregator>(&queued), "outbox Scalar(2)");
 
@@ -551,7 +551,7 @@ fn mt_p2_aggregator_snapshot_refuses_mismatched_widths() {
     let agg = mt2.aggregators()[0].to_wire();
     assert_eq!(agg[16..24], 0u64.to_le_bytes(), "empty outbox");
     let mut narrow = patch(&agg, 16, 1)[..24].to_vec();
-    narrow.extend(MP2Msg::Direction(vec![1.0, 2.0]).to_wire());
+    narrow.extend(MP2Msg::Delta(vec![1.0, 2.0]).to_wire());
     narrow.extend_from_slice(&agg[24..]);
     let mut empty = agg[..40].to_vec();
     put_usize(&mut empty, 0);
@@ -559,7 +559,7 @@ fn mt_p2_aggregator_snapshot_refuses_mismatched_widths() {
     for (what, buf) in [("a width-2 outbox Direction", narrow), ("width 0", empty)] {
         let decoded = MP2Aggregator::decode(&mut WireReader::new(&buf));
         if let Some(mut node) = decoded.clone() {
-            node.absorb(0, MP2Msg::Direction(vec![1.0, 0.5, -0.5]));
+            node.absorb(0, MP2Msg::Delta(vec![1.0, 0.5, -0.5]));
             let mut up = Vec::new();
             node.flush(&mut up);
             let mut root = mt2.coordinator().clone();
@@ -737,7 +737,7 @@ proptest! {
 
     #[test]
     fn p2_roundtrips(tag in 0u8..2, e in 0u64..10_000, w in 0.0f64..1e9) {
-        let msg = if tag == 0 { P2Msg::Total(w) } else { P2Msg::Element(e, w) };
+        let msg = if tag == 0 { P2Msg::Total(w) } else { P2Msg::Delta((e, w)) };
         assert_roundtrip(&msg, "P2Msg");
     }
 
@@ -783,7 +783,7 @@ proptest! {
         f in 0.0f64..1e9,
         row in prop::collection::vec(-100.0f64..100.0, 0..16),
     ) {
-        let msg = if tag == 0 { MP2Msg::Scalar(f) } else { MP2Msg::Direction(row) };
+        let msg = if tag == 0 { MP2Msg::Total(f) } else { MP2Msg::Delta(row) };
         assert_roundtrip(&msg, "MP2Msg");
     }
 
