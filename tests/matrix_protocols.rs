@@ -251,7 +251,7 @@ fn site_scaling_matches_figure2() {
 /// the spectrum is flat in `d = 8`, so within a few hundred rows every
 /// leaf has stacked more rows than `d` and holds its withheld Gram
 /// instead. The interior `MP2Aggregator`s saturate too, but only inside
-/// `absorb_direction`: a relayed direction is already at its sender's
+/// `ThresholdKind::hold`: a relayed direction is already at its sender's
 /// send threshold, so the ninth stacked row converts the node to the
 /// Gram layout and the check in that same call decomposes it again
 /// (≈ 50 times in this run) — nothing an outside observer can see at
