@@ -1019,6 +1019,63 @@ mod tests {
         assert!(ok, "gossip counts moved; fresh table:\n{fresh}");
     }
 
+    /// A transparent wire and a clean `SimNet` gossip the same events. The
+    /// clean `SimNet` is not transparent, so it takes the wired round loop
+    /// with its cached links. Per event both report the same adopters in
+    /// the same order, the same `CommStats` and the same leaf versions.
+    /// The payload grows per event, so each event's frames are charged at
+    /// its own payload size.
+    #[test]
+    fn transparent_and_clean_wired_gossip_agree() {
+        let clean = SimNet::new(FaultPlan::default());
+        assert!(
+            !clean.is_transparent(),
+            "the clean SimNet takes the wired path"
+        );
+        let gossip = |fanout, rounds, seed| BroadcastPlane::Gossip {
+            fanout,
+            rounds,
+            seed,
+        };
+        let cases = [
+            (
+                Topology::Tree { fanout: 8 }.plan(65_536),
+                gossip(4, 24, 1),
+                4,
+            ),
+            (
+                Topology::Tree { fanout: 4 }.plan(1_000),
+                gossip(3, 16, 5),
+                12,
+            ),
+            (Topology::Star.plan(4_096), gossip(4, 24, 7), 8),
+        ];
+        for (plan, plane, events) in cases {
+            let m = plan.sites();
+            let mut transparent = BroadcastState::new(plane, m);
+            let mut wired = BroadcastState::new(plane, m);
+            for v in 1..=events as u64 {
+                let at = format!("m{m} {plane:?} event {v}");
+                let (mut st, mut sw) = (stats_for(&plan), stats_for(&plan));
+                let a = transparent.disseminate(&plan, 8 * v, &mut st, &ChannelTransport);
+                let b = wired.disseminate(&plan, 8 * v, &mut sw, &clean);
+                assert!(
+                    matches!(a, LeafSet::Subset(_)),
+                    "{at}: gossip returns a subset"
+                );
+                assert_eq!(a, b, "{at}: adopters");
+                assert_eq!(st, sw, "{at}: CommStats");
+                for sid in 0..m {
+                    assert_eq!(
+                        transparent.leaf_version(sid),
+                        wired.leaf_version(sid),
+                        "{at}: leaf {sid} version"
+                    );
+                }
+            }
+        }
+    }
+
     /// What [`gossip_events_are_pinned`] expects, case by case: the rows of
     /// `pinned_run` and its leaf-version hash.
     #[rustfmt::skip]

@@ -29,7 +29,7 @@ use cma::sketch::ExactWeightedCounter;
 use cma::stream::partition::partition_round_robin as partition;
 use cma::stream::partition::RoundRobin;
 use cma::stream::runner::engine::{self, Executor, ThreadedConfig, TreeRunParts};
-use cma::stream::{BroadcastPlane, ChannelTransport, Topology};
+use cma::stream::{BroadcastPlane, ChannelTransport, FaultPlan, SimNet, Topology, Transport};
 
 fn zipf_stream(n: usize, seed: u64) -> Vec<(u64, f64)> {
     WeightedZipfStream::new(2_000, 2.0, 50.0, seed).take_vec(n)
@@ -185,6 +185,45 @@ fn full_coverage_gossip_matches_cascade_up_traffic_bit_for_bit() {
     }
     assert_eq!(sc.node_in_msgs, sg.node_in_msgs, "per-node fan-in");
     assert_same_estimates(&cascade.coordinator, &gossip.coordinator, "full coverage");
+}
+
+/// A transparent wire and a clean `SimNet` run the same gossiping HH-P1
+/// deployment. The clean `SimNet` is not transparent, so its broadcasts
+/// take the wired round loop, while the `ChannelTransport` takes the
+/// transparent one. Every count and estimate must agree.
+#[test]
+fn transparent_and_clean_wired_gossip_runs_agree() {
+    let m = 4_096;
+    let stream = zipf_stream(60_000, 409);
+    let cfg = HhConfig::new(m, 0.2).with_seed(11);
+    let topo = Topology::Tree { fanout: 8 };
+    let inputs = partition(&stream, m);
+    let plane = BroadcastPlane::Gossip {
+        fanout: 4,
+        rounds: 24,
+        seed: 3,
+    };
+    let run = |net: &dyn Transport| {
+        let (sites, coord, _) = hh::p1::deploy_topology(&cfg, topo).into_parts();
+        engine::run_partitioned_topology_parts_on(
+            sites,
+            coord,
+            inputs.clone(),
+            &cfg_with(plane),
+            Executor::Inline,
+            topo,
+            hh::p1::make_aggregator(&cfg, topo),
+            net,
+        )
+    };
+    let transparent = run(&ChannelTransport);
+    let wired = run(&SimNet::new(FaultPlan::default()));
+    assert!(
+        transparent.stats.broadcast_events > 1,
+        "no repeated broadcasts — vacuous"
+    );
+    assert_eq!(transparent.stats, wired.stats, "CommStats diverged");
+    assert_same_estimates(&transparent.coordinator, &wired.coordinator, "clean wire");
 }
 
 /// Claim 3 for the monotone protocols: sparse gossip (fanout 2, three
