@@ -25,10 +25,14 @@
 //! plane at the `hh-p1-bigm-gossip` deployment (m = 65 536 on a
 //! fanout-8 tree): the tree cascade as the control, push–pull gossip as
 //! the subject, on a transparent wire and over a faulty `SimNet`.
+//! `bigm_gossip/p1` runs that deployment end to end as HH-P1 through the
+//! inline engine on a 2·10⁵-arrival stream, set-up excluded, so the
+//! gossip plane's share of ingest reads without the traced pass.
 
 use cma_core::{hh, matrix, HhConfig, MatrixConfig, Topology};
 use cma_data::{SyntheticMatrixStream, WeightedZipfStream};
-use cma_stream::partition::RoundRobin;
+use cma_stream::partition::{partition_round_robin, RoundRobin};
+use cma_stream::runner::engine::{self, Executor, ThreadedConfig};
 use cma_stream::{
     AggNode, Aggregator, BroadcastPlane, BroadcastState, ChannelTransport, CommStats, Coordinator,
     FaultPlan, LinkFaults, MessageCost, Runner, SimNet, Site, SiteId, WireSized,
@@ -339,11 +343,56 @@ fn bench_broadcast_disseminate(c: &mut Criterion) {
     g.finish();
 }
 
+/// HH-P1 at `hh-p1-bigm-gossip`'s deployment through the inline engine.
+fn bench_bigm_gossip(c: &mut Criterion) {
+    const M: usize = 65_536;
+    const N: usize = 200_000;
+    let topology = Topology::Tree { fanout: 8 };
+    let stream = WeightedZipfStream::new(100_000, 2.0, 1_000.0, 1).take_vec(N);
+    let cfg = HhConfig::new(M, 0.05).with_seed(1);
+    let run_cfg = ThreadedConfig {
+        batch_size: 64,
+        plane: BroadcastPlane::Gossip {
+            fanout: 4,
+            rounds: 24,
+            seed: 1,
+        },
+        ..ThreadedConfig::default()
+    };
+    let inputs = partition_round_robin(&stream, M);
+    let mut g = c.benchmark_group("bigm_gossip");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(N as u64));
+    g.bench_function("p1", |b| {
+        b.iter_batched(
+            || {
+                let (sites, coordinator, _) = hh::p1::deploy_topology(&cfg, topology).into_parts();
+                (sites, coordinator, inputs.clone())
+            },
+            |(sites, coordinator, inputs)| {
+                let parts = engine::run_partitioned_topology_parts(
+                    sites,
+                    coordinator,
+                    inputs,
+                    &run_cfg,
+                    Executor::Inline,
+                    topology,
+                    hh::p1::make_aggregator(&cfg, topology),
+                );
+                parts.stats.broadcast_events
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_hh,
     bench_matrix,
     bench_hh_tree_seq,
-    bench_broadcast_disseminate
+    bench_broadcast_disseminate,
+    bench_bigm_gossip
 );
 criterion_main!(benches);

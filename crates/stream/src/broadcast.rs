@@ -80,9 +80,10 @@
 //!
 //! Peer selection is a pure function of `(seed, version, round, node)`
 //! via a SplitMix64-style mixer: two runs over the same plan and seed
-//! gossip identically, and no `m`-dependent state is shared between
-//! events. Gossip edges are ordinary [`Transport`] links
-//! (`net.link(from, to, false)`), so a [`crate::SimNet`] fault plan
+//! gossip identically. On a transparent wire nothing else enters an
+//! event, so it is a pure function of the plan, the plane and its
+//! version. On any other wire gossip edges are ordinary [`Transport`]
+//! links (`net.link(from, to, false)`), so a [`crate::SimNet`] fault plan
 //! applies per-edge drops/duplicates/delays/reorders to gossip traffic
 //! exactly as it does to tree traffic, and the [`crate::FaultLink`]s are
 //! cached per edge, keeping each link's deterministic fault schedule
@@ -92,21 +93,37 @@
 //! asker a reply that the monotone check refuses. Replies ride the
 //! ordinary frame link of the (responder, asker) edge.
 //!
-//! # Cost of an event
+//! # Cost of an event, and where it runs
 //!
 //! At `m = 65536`, `Gossip{4, 24, 1}`, an event sends ≈ 70 k pushes,
 //! four pull rounds of `m` digests and ≈ 22.6 k replies, so a message
-//! costs little more than its seeded draw: tallies stay in locals, an
-//! adoption reads only `adopted_round` and is written without a branch,
-//! and a pull round charges every digest, then answers only the askers
-//! that can earn a reply. A current asker just needs to know if its draw
-//! hit itself, which an exact divisibility test tells without a division.
+//! costs little more than its seeded draw: an adoption is written without
+//! a branch, and a current asker only needs to know if its draw hit
+//! itself, which an exact divisibility test tells without a division.
+//!
+//! Both wires run the same round loop. On a transparent wire an event
+//! runs on **one helper thread**: the first gossip event starts it, and
+//! while the caller delivers event `v` and goes on ingesting, the helper
+//! runs `v + 1`. This is exact because that event is a pure function of
+//! its version: the helper returns the adopters in adoption order and
+//! the message counts, and [`BroadcastState::disseminate`] charges them
+//! at the payload size of the event that asks for them. An event over a
+//! faulty wire runs inline on the caller, because its cached links make
+//! each event depend on the ones before. Such an event, or an event on
+//! another plan, stops the helper first. Dropping the state cancels the
+//! helper between two rounds and joins it, so it never outlives a run.
 //!
 //! [`CommStats::broadcast_deliveries`]: crate::CommStats::broadcast_deliveries
 //! [`CommStats::broadcast_reach`]: crate::CommStats::broadcast_reach
 //! [`CommStats::broadcast_stale`]: crate::CommStats::broadcast_stale
 
 use std::collections::BTreeMap;
+use std::mem::take;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use crate::comm::CommStats;
 use crate::topology::TopologyPlan;
@@ -215,17 +232,376 @@ fn self_draw(m: usize) -> impl Fn(u64, usize) -> bool {
     move |x, r| x >= r as u64 && (x - r as u64).wrapping_mul(inv).rotate_right(k) <= max
 }
 
-/// One gossip event: wire (`None` if transparent), round, frame bytes, tallies
-/// (added to [`CommStats`] at its end), adopters with a spare slot past `m`.
-#[derive(Default)]
-struct Event<'a> {
-    net: Option<&'a dyn Transport>,
-    round: u32,
-    frame: u64,
-    msgs: u64,
-    bytes: u64,
+/// What decides a transparent event besides its version: the plane's
+/// parameters and the parts of the plan the round loop reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Shape {
+    m: usize,
+    fanout: usize,
+    rounds: usize,
+    seed: u64,
+    root_id: usize,
+    /// The root's interior children, fed by the interior cascade (charged
+    /// in [`BroadcastState::disseminate`]): they count toward its out-degree.
+    root_children: u64,
+    /// Interior nodes above level 0 forward to at most `fanout` interior
+    /// children over the cascade.
+    interior_peak: u64,
+}
+
+impl Shape {
+    fn new(plan: &TopologyPlan, fanout: usize, rounds: usize, seed: u64) -> Self {
+        Shape {
+            m: plan.sites(),
+            fanout,
+            rounds,
+            seed,
+            root_id: plan.root_node_id(),
+            root_children: plan.levels().last().copied().unwrap_or(0) as u64,
+            interior_peak: if plan.internal_levels() > 1 {
+                plan.fanout() as u64
+            } else {
+                0
+            },
+        }
+    }
+}
+
+/// What one gossip event did. The adopters, in adoption order, are the
+/// first `adopted` entries of the adopter buffer the event ran with.
+#[derive(Debug, Clone, Copy)]
+struct Outcome {
+    adopted: usize,
+    /// Frame copies delivered: pushes and replies.
+    frames: u64,
+    /// Digest copies delivered.
+    digests: u64,
+    peak: u64,
+    rounds_run: u64,
+}
+
+/// The round loop's scratch, reused event after event.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The round each leaf adopted the current event in.
+    adopted_round: Vec<u32>,
+    /// Per-leaf outbound message counts of the current event.
+    out_leaf: Vec<u32>,
+    /// Per-leaf replies sent in the current pull round.
+    replies: Vec<u32>,
+    /// Bit set of this pull round's askers that can earn a reply.
+    asking: Vec<u64>,
+    /// Adopters in adoption order, with a spare slot past `m`.
     adopters: Vec<SiteId>,
     adopted: usize,
+    round: u32,
+}
+
+/// What a sent message meets: nothing on a transparent wire, cached fault
+/// links on any other.
+trait Wire {
+    /// Every message arrives once, at once: a current asker need not ask.
+    const TRANSPARENT: bool;
+    /// Sends the current frame `from → to` if `sent` (else nothing happens)
+    /// and adopts at `to` what arrives now; returns the copies delivered.
+    fn frame(&mut self, sc: &mut Scratch, from: usize, to: SiteId, sent: bool) -> u64;
+    /// Sends asker `from`'s digest to `to`; returns the copies delivered and
+    /// whether one shows the asker behind the current version.
+    fn digest(&mut self, from: usize, to: usize) -> (u64, bool);
+}
+
+/// The transparent wire: a sent frame is one delivery, adopted at once.
+struct Clean;
+
+impl Wire for Clean {
+    const TRANSPARENT: bool = true;
+
+    #[inline(always)]
+    fn frame(&mut self, sc: &mut Scratch, _from: usize, to: SiteId, sent: bool) -> u64 {
+        sc.adopt(to, sent);
+        sent as u64
+    }
+
+    fn digest(&mut self, _from: usize, _to: usize) -> (u64, bool) {
+        unreachable!("a transparent event answers stale askers without digest links")
+    }
+}
+
+/// A non-transparent wire, one cached [`FaultLink`] per edge. Late frames of
+/// earlier events are charged at their own size in `frame_bytes`.
+struct Wired<'a> {
+    net: &'a dyn Transport,
+    version: u64,
+    frame: u64,
+    frame_bytes: u64,
+    links: &'a mut Links,
+    leaf_version: &'a mut [u64],
+}
+
+impl Wire for Wired<'_> {
+    const TRANSPARENT: bool = false;
+
+    /// Applies what the wire delivers *now* — nothing, a duplicate, or a
+    /// frame held from an earlier event — under the monotone check.
+    fn frame(&mut self, sc: &mut Scratch, from: usize, to: SiteId, sent: bool) -> u64 {
+        if !sent {
+            return 0;
+        }
+        let Links {
+            frames, frame_buf, ..
+        } = &mut *self.links;
+        frame_buf.clear();
+        frames
+            .entry((from, to))
+            .or_insert_with(|| FaultLink::new(self.net.link(from, to, false)))
+            .receive((self.version, self.frame), 0.0, frame_buf);
+        for &(vd, fb) in frame_buf.iter() {
+            self.frame_bytes += fb;
+            if vd == self.version {
+                sc.adopt(to, true);
+                raise(&mut self.leaf_version[to], vd);
+            } else if vd > self.leaf_version[to] {
+                // A late frame advances the version bookkeeping, but its
+                // payload is superseded — the node stays stale until a
+                // fresh frame reaches it (safe).
+                raise(&mut self.leaf_version[to], vd);
+            }
+        }
+        frame_buf.len() as u64
+    }
+
+    fn digest(&mut self, from: usize, to: usize) -> (u64, bool) {
+        let Links {
+            digests,
+            digest_buf,
+            ..
+        } = &mut *self.links;
+        digest_buf.clear();
+        digests
+            .entry((from, to))
+            .or_insert_with(|| FaultLink::new(self.net.link(from, to, false)))
+            .receive(self.leaf_version[from], 0.0, digest_buf);
+        let stale = digest_buf.iter().any(|&dv| dv < self.version);
+        (digest_buf.len() as u64, stale)
+    }
+}
+
+impl Scratch {
+    fn new(m: usize) -> Self {
+        Scratch {
+            adopted_round: vec![NOT_ADOPTED; m],
+            out_leaf: vec![0; m],
+            replies: vec![0; m],
+            asking: vec![0; m.div_ceil(64)],
+            ..Scratch::default()
+        }
+    }
+
+    /// Runs the push and pull rounds of event `version` over the leaves
+    /// (plus the root as the initial pusher) into the adopter buffer, which
+    /// must hold `m + 1` entries. Returns `None` if `cancel` was raised
+    /// between two rounds.
+    fn run<W: Wire>(
+        &mut self,
+        s: &Shape,
+        version: u64,
+        wire: &mut W,
+        cancel: &AtomicBool,
+    ) -> Option<Outcome> {
+        let (m, fanout) = (s.m, s.fanout);
+        debug_assert_eq!(self.adopters.len(), m + 1, "adopter buffer sized");
+        self.adopted_round.fill(NOT_ADOPTED);
+        self.out_leaf.fill(0);
+        self.adopted = 0;
+        let (mut frames, mut digests) = (0, 0);
+        let mut root_out = s.root_children;
+        let mut rounds_run: u64 = 0;
+        let v_mix = version_mix(version);
+        for round in 0..s.rounds {
+            if self.adopted == m {
+                break;
+            }
+            if cancel.load(Ordering::Relaxed) {
+                return None;
+            }
+            rounds_run += 1;
+            self.round = round as u32;
+            // Holders this round: every leaf that adopted in an earlier
+            // round (nodes adopting *this* round act from the next).
+            let frontier = self.adopted;
+            if frontier.saturating_mul(fanout) >= m {
+                // Pull round — a push round would now cost ≥ m: each
+                // leaf asks one peer, and a holder answers a stale
+                // asker at most `fanout − 1` times, so with its own
+                // digest no leaf sends more than `fanout` this round.
+                // Askers that can earn a reply — the stale ones on a
+                // transparent wire, all of them on a faulty one — are
+                // marked, then answered in id order.
+                let draw =
+                    |asker| splitmix(&mut draw_seed(s.seed ^ PULL_SALT, v_mix, round, asker));
+                let hits_self = self_draw(m);
+                let (out, held) = (&mut self.out_leaf[..m], &self.adopted_round[..m]);
+                for (w, bits) in self.asking.iter_mut().enumerate() {
+                    let mut word = 0;
+                    for asker in w * 64..m.min(w * 64 + 64) {
+                        let asks = !W::TRANSPARENT || {
+                            let sent = !hits_self(draw(asker), asker);
+                            out[asker] += sent as u32;
+                            digests += sent as u64;
+                            sent && held[asker] == NOT_ADOPTED
+                        };
+                        word |= (asks as u64) << (asker % 64);
+                    }
+                    *bits = word;
+                }
+                self.replies.fill(0);
+                for w in 0..self.asking.len() {
+                    let mut bits = self.asking[w];
+                    while bits != 0 {
+                        let asker = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let r = (draw(asker) % m as u64) as usize;
+                        let heard = W::TRANSPARENT
+                            || (r != asker && {
+                                self.out_leaf[asker] += 1;
+                                let (copies, stale) = wire.digest(asker, r);
+                                digests += copies;
+                                stale
+                            });
+                        let answer = heard
+                            & (self.adopted_round[r] < self.round)
+                            & ((self.replies[r] as usize) + 1 < fanout);
+                        self.replies[r] += answer as u32;
+                        self.out_leaf[r] += answer as u32;
+                        frames += wire.frame(self, r, asker, answer);
+                    }
+                }
+                continue;
+            }
+            // Push round: the root, then the holders. `fanout ≥ m`
+            // pushes to every leaf in id order — the degenerate config
+            // that pins gossip to RootFanOut message-for-message.
+            let exhaustive = fanout >= m;
+            let draws = if exhaustive { m } else { fanout };
+            for pi in 0..=frontier {
+                let pid = if pi > 0 {
+                    self.adopters[pi - 1]
+                } else {
+                    s.root_id
+                };
+                let mut rng = draw_seed(s.seed, v_mix, round, pid);
+                let mut sent = 0;
+                for k in 0..draws {
+                    let q = if exhaustive {
+                        k
+                    } else {
+                        (splitmix(&mut rng) % m as u64) as usize
+                    };
+                    if pi > 0 && q == pid {
+                        continue;
+                    }
+                    sent += 1;
+                    frames += wire.frame(self, pid, q, true);
+                }
+                if pi == 0 {
+                    root_out += sent as u64;
+                } else {
+                    self.out_leaf[pid] += sent;
+                }
+            }
+        }
+        let leaf_peak = self.out_leaf.iter().copied().max().unwrap_or(0) as u64;
+        Some(Outcome {
+            adopted: self.adopted,
+            frames,
+            digests,
+            peak: root_out.max(leaf_peak).max(s.interior_peak),
+            rounds_run,
+        })
+    }
+
+    /// Adopts the current event at leaf `to` if it `heard` the frame, without
+    /// a branch: `adopted_round` tells whether `to` adopted already, and a
+    /// repeat rewrites it.
+    fn adopt(&mut self, to: SiteId, heard: bool) {
+        let fresh = heard & (self.adopted_round[to] == NOT_ADOPTED);
+        let round = if heard { self.round } else { NOT_ADOPTED };
+        self.adopted_round[to] = self.adopted_round[to].min(round);
+        self.adopters[self.adopted] = to;
+        self.adopted += fresh as usize;
+    }
+}
+
+/// One helper thread that runs transparent events one version ahead of
+/// the caller, over the scratch it holds until it is stopped.
+#[derive(Debug)]
+struct Helper {
+    shape: Shape,
+    /// The version the helper is running, or has run, for the caller.
+    next: u64,
+    /// Raised to make the helper return between two rounds; the helper
+    /// holds a clone until it exits. `Relaxed` suffices: the flag publishes
+    /// no data, and the scratch comes back through `join`.
+    cancel: Arc<AtomicBool>,
+    jobs: SyncSender<(u64, Vec<SiteId>)>,
+    done: Receiver<(Outcome, Vec<SiteId>)>,
+    thread: JoinHandle<Scratch>,
+}
+
+impl Helper {
+    /// Starts a helper on `scratch`, running event `version` into `buf`.
+    fn spawn(shape: Shape, mut scratch: Scratch, version: u64, buf: Vec<SiteId>) -> Self {
+        let (jobs, inbox) = sync_channel::<(u64, Vec<SiteId>)>(1);
+        let (outbox, done) = sync_channel(1);
+        let cancel = Arc::new(AtomicBool::new(false));
+        let stop = Arc::clone(&cancel);
+        let thread = std::thread::Builder::new()
+            .name("gossip-rounds".into())
+            .spawn(move || {
+                while let Ok((v, buf)) = inbox.recv() {
+                    scratch.adopters = buf;
+                    let Some(out) = scratch.run(&shape, v, &mut Clean, &stop) else {
+                        break;
+                    };
+                    if outbox.send((out, take(&mut scratch.adopters))).is_err() {
+                        break;
+                    }
+                }
+                scratch
+            })
+            .expect("broadcast: spawn the gossip helper");
+        jobs.send((version, buf)).expect("the helper is waiting");
+        Helper {
+            shape,
+            next: version,
+            cancel,
+            jobs,
+            done,
+            thread,
+        }
+    }
+
+    /// Cancels the helper between rounds, joins it and returns its scratch
+    /// (the panic's payload if it panicked).
+    fn stop(self) -> std::thread::Result<Scratch> {
+        self.cancel.store(true, Ordering::Relaxed);
+        drop((self.jobs, self.done));
+        self.thread.join()
+    }
+}
+
+/// The gossip plane's cached fault links and their delivery buffers;
+/// populated only under a non-transparent transport.
+#[derive(Debug, Default)]
+struct Links {
+    /// Frame links, keyed `(from, to)` in transport node ids; messages
+    /// carry `(version, frame_bytes)`.
+    frames: BTreeMap<(usize, usize), FaultLink<(u64, u64)>>,
+    /// Pull-digest links, keyed `(asker, responder)`; messages carry the
+    /// asker's version.
+    digests: BTreeMap<(usize, usize), FaultLink<u64>>,
+    frame_buf: Vec<(u64, u64)>,
+    digest_buf: Vec<u64>,
 }
 
 /// Per-run dissemination state of the broadcast plane.
@@ -236,6 +612,10 @@ struct Event<'a> {
 /// version, performs the plane's rounds (charging
 /// [`CommStats`] per edge actually crossed), and returns the
 /// [`LeafSet`] the driver must physically deliver the payload to.
+///
+/// On a transparent wire a gossip event runs on a helper thread one
+/// version ahead (see the module docs); dropping the state stops and
+/// joins that thread.
 ///
 /// The segmented driver ([`crate::runner::churn`]) rebuilds this state
 /// per segment: the version counter restarts, which is sound because
@@ -250,26 +630,22 @@ pub struct BroadcastState {
     /// Highest version each leaf has adopted (or been announced via a
     /// late frame); index = site id.
     leaf_version: Vec<u64>,
-    /// Cached gossip frame links, keyed `(from, to)` in transport node
-    /// ids; messages carry `(version, frame_bytes)`. Only populated
-    /// under a non-transparent transport.
-    links: BTreeMap<(usize, usize), FaultLink<(u64, u64)>>,
-    /// Cached pull-digest links, keyed `(asker, responder)`; messages
-    /// carry the asker's version. Only populated under a
-    /// non-transparent transport.
-    digest_links: BTreeMap<(usize, usize), FaultLink<u64>>,
-    /// Scratch: the round each leaf adopted the current event in.
-    adopted_round: Vec<u32>,
-    /// Scratch: per-event per-leaf outbound message counts.
-    out_leaf: Vec<u32>,
-    /// Scratch: per-leaf replies sent in the current pull round.
-    replies: Vec<u32>,
-    /// Scratch: bit set of this pull round's askers that can earn a reply.
-    asking: Vec<u64>,
-    /// Scratch: frame wire delivery buffer.
-    wire_buf: Vec<(u64, u64)>,
-    /// Scratch: digest wire delivery buffer.
-    digest_buf: Vec<u64>,
+    links: Links,
+    /// The gossip round loop's scratch; `None` while the helper holds it.
+    scratch: Option<Scratch>,
+    /// The helper running transparent gossip events one version ahead.
+    helper: Option<Helper>,
+    /// An adopter buffer handed back by the driver, for the next event.
+    spare: Vec<SiteId>,
+}
+
+impl Drop for BroadcastState {
+    fn drop(&mut self) {
+        if let Some(helper) = self.helper.take() {
+            // A helper's panic is not re-raised while dropping.
+            let _ = helper.stop();
+        }
+    }
 }
 
 impl BroadcastState {
@@ -284,14 +660,10 @@ impl BroadcastState {
             plane,
             version: 0,
             leaf_version: vec![0; m],
-            links: BTreeMap::new(),
-            digest_links: BTreeMap::new(),
-            adopted_round: vec![NOT_ADOPTED; m],
-            out_leaf: vec![0; m],
-            replies: vec![0; m],
-            asking: vec![0; m.div_ceil(64)],
-            wire_buf: Vec::new(),
-            digest_buf: Vec::new(),
+            links: Links::default(),
+            scratch: plane.is_gossip().then(|| Scratch::new(m)),
+            helper: None,
+            spare: Vec::new(),
         }
     }
 
@@ -366,203 +738,112 @@ impl BroadcastState {
                 for (li, &count) in levels.iter().enumerate().rev() {
                     stats.record_broadcast_level(li + 1, count as u64, frame);
                 }
-                let net = (!net.is_transparent()).then_some(net);
-                self.gossip_leaves(plan, fanout, rounds, seed, frame, stats, net)
-            }
-        }
-    }
-
-    /// The push and pull rounds over the leaves (plus the root as the
-    /// initial pusher) for the current version. `net` is `None` on a
-    /// transparent wire. Returns the adopters.
-    #[allow(clippy::too_many_arguments)]
-    fn gossip_leaves(
-        &mut self,
-        plan: &TopologyPlan,
-        fanout: usize,
-        rounds: usize,
-        seed: u64,
-        frame: u64,
-        stats: &mut CommStats,
-        net: Option<&dyn Transport>,
-    ) -> LeafSet {
-        let m = plan.sites();
-        let root_id = plan.root_node_id();
-        self.adopted_round.fill(NOT_ADOPTED);
-        self.out_leaf.fill(0);
-        let mut ev = Event {
-            net,
-            frame,
-            adopters: vec![0; m + 1],
-            ..Default::default()
-        };
-        // The interior cascade the root also feeds (charged in
-        // `disseminate`): its top-level children count toward the
-        // root's out-degree.
-        let mut root_out: u64 = plan.levels().last().copied().unwrap_or(0) as u64;
-        let mut rounds_run: u64 = 0;
-        let v_mix = version_mix(self.version);
-        for round in 0..rounds {
-            if ev.adopted == m {
-                break;
-            }
-            rounds_run += 1;
-            ev.round = round as u32;
-            // Holders this round: every leaf that adopted in an earlier
-            // round (nodes adopting *this* round act from the next).
-            let frontier = ev.adopted;
-            if frontier.saturating_mul(fanout) >= m {
-                // Pull round — a push round would now cost ≥ m: each
-                // leaf asks one peer, and a holder answers a stale
-                // asker at most `fanout − 1` times, so with its own
-                // digest no leaf sends more than `fanout` this round.
-                // Askers that can earn a reply — the stale ones on a
-                // transparent wire, all of them on a faulty one — are
-                // marked, then answered in id order.
-                let draw = |asker| splitmix(&mut draw_seed(seed ^ PULL_SALT, v_mix, round, asker));
-                let hits_self = self_draw(m);
-                let mut digests = 0;
-                let (out, held) = (&mut self.out_leaf[..m], &self.adopted_round[..m]);
-                for (w, bits) in self.asking.iter_mut().enumerate() {
-                    let mut word = 0;
-                    for asker in w * 64..m.min(w * 64 + 64) {
-                        let asks = net.is_some() || {
-                            let sent = !hits_self(draw(asker), asker);
-                            out[asker] += sent as u32;
-                            digests += sent as u64;
-                            sent && held[asker] == NOT_ADOPTED
-                        };
-                        word |= (asks as u64) << (asker % 64);
-                    }
-                    *bits = word;
-                }
-                ev.msgs += digests;
-                ev.bytes += digests * DIGEST_BYTES;
-                self.replies.fill(0);
-                for w in 0..self.asking.len() {
-                    let mut bits = self.asking[w];
-                    while bits != 0 {
-                        let asker = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let r = (draw(asker) % m as u64) as usize;
-                        let answer = net
-                            .is_none_or(|n| r != asker && self.wire_digest(asker, r, &mut ev, n))
-                            & (self.adopted_round[r] < ev.round)
-                            & ((self.replies[r] as usize) + 1 < fanout);
-                        self.replies[r] += answer as u32;
-                        self.out_leaf[r] += answer as u32;
-                        self.send_frame(r, asker, answer, &mut ev);
-                    }
-                }
-                continue;
-            }
-            // Push round: the root, then the holders. `fanout ≥ m`
-            // pushes to every leaf in id order — the degenerate config
-            // that pins gossip to RootFanOut message-for-message.
-            let exhaustive = fanout >= m;
-            let draws = if exhaustive { m } else { fanout };
-            for pi in 0..=frontier {
-                let pid = if pi > 0 { ev.adopters[pi - 1] } else { root_id };
-                let mut rng = draw_seed(seed, v_mix, round, pid);
-                let mut sent = 0;
-                for k in 0..draws {
-                    let q = if exhaustive {
-                        k
-                    } else {
-                        (splitmix(&mut rng) % m as u64) as usize
-                    };
-                    if pi > 0 && q == pid {
-                        continue;
-                    }
-                    sent += 1;
-                    self.send_frame(pid, q, true, &mut ev);
-                }
-                if pi == 0 {
-                    root_out += sent as u64;
+                let shape = Shape::new(plan, fanout, rounds, seed);
+                let (out, adopters, frame_bytes) = if net.is_transparent() {
+                    let (out, adopters) = self.run_ahead(shape);
+                    (out, adopters, out.frames * frame)
                 } else {
-                    self.out_leaf[pid] += sent;
+                    self.run_wired(shape, frame, net)
+                };
+                stats.record_broadcast_edges(
+                    0,
+                    out.frames + out.digests,
+                    frame_bytes + out.digests * DIGEST_BYTES,
+                );
+                stats.record_broadcast_adopt(out.adopted as u64);
+                stats.record_broadcast_shape(out.peak, out.rounds_run, (m - out.adopted) as u64);
+                for &sid in &adopters {
+                    raise(&mut self.leaf_version[sid], v);
                 }
+                LeafSet::Subset(adopters)
             }
         }
-        let leaf_peak = self.out_leaf.iter().copied().max().unwrap_or(0) as u64;
-        // Interior nodes above level 0 forward to at most `fanout`
-        // interior children over the cascade.
-        let interior_peak = if plan.internal_levels() > 1 {
-            plan.fanout() as u64
-        } else {
-            0
-        };
-        let peak = root_out.max(leaf_peak).max(interior_peak);
-        let stale = (m - ev.adopted) as u64;
-        stats.record_broadcast_edges(0, ev.msgs, ev.bytes);
-        stats.record_broadcast_adopt(ev.adopted as u64);
-        stats.record_broadcast_shape(peak, rounds_run, stale);
-        ev.adopters.truncate(ev.adopted);
-        for (lv, &r) in self.leaf_version.iter_mut().zip(&self.adopted_round) {
-            raise(lv, if r == NOT_ADOPTED { *lv } else { self.version });
-        }
-        LeafSet::Subset(ev.adopters)
     }
 
-    /// Adopts `v` at leaf `to` if it `heard` the frame, without a branch:
-    /// `leaf_version[to] < v` iff `to` has not adopted `v` this event, so
-    /// `adopted_round` decides and a repeat rewrites it; `leaf_version` follows at the end.
-    fn adopt(&mut self, to: SiteId, heard: bool, ev: &mut Event) {
-        let fresh = heard & (self.adopted_round[to] == NOT_ADOPTED);
-        let round = if heard { ev.round } else { NOT_ADOPTED };
-        self.adopted_round[to] = self.adopted_round[to].min(round);
-        ev.adopters[ev.adopted] = to;
-        ev.adopted += fresh as usize;
-    }
-
-    /// Sends the current frame `from → to` if `sent` (else, branch-free, nothing
-    /// happens) and applies what the wire delivers *now* — on a faulty wire
-    /// nothing, a duplicate, or a frame held from an earlier event — under the monotone check.
-    #[inline(always)]
-    fn send_frame(&mut self, from: usize, to: SiteId, sent: bool, ev: &mut Event) {
-        let Some(net) = ev.net.filter(|_| sent) else {
-            ev.msgs += sent as u64;
-            ev.bytes += sent as u64 * ev.frame;
-            return self.adopt(to, sent, ev);
-        };
-        let mut wire = std::mem::take(&mut self.wire_buf);
-        wire.clear();
-        self.links
-            .entry((from, to))
-            .or_insert_with(|| FaultLink::new(net.link(from, to, false)))
-            .receive((self.version, ev.frame), 0.0, &mut wire);
-        for &(vd, fb) in &wire {
-            ev.msgs += 1;
-            ev.bytes += fb;
-            if vd == self.version {
-                self.adopt(to, true, ev);
-                raise(&mut self.leaf_version[to], vd);
-            } else if vd > self.leaf_version[to] {
-                // A late frame advances the version bookkeeping, but its
-                // payload is superseded — the node stays stale until a
-                // fresh frame reaches it (safe).
-                raise(&mut self.leaf_version[to], vd);
+    /// Hands a delivered [`LeafSet`]'s buffer back, so a later event fills
+    /// it instead of allocating one.
+    pub(crate) fn recycle(&mut self, set: LeafSet) {
+        if let LeafSet::Subset(buf) = set {
+            if buf.capacity() > self.spare.capacity() {
+                self.spare = buf;
             }
         }
-        self.wire_buf = wire;
     }
 
-    /// Sends asker `from`'s digest to `to` over a faulty wire, charging
-    /// every copy it delivers, and returns whether a delivered digest
-    /// shows the asker behind the current version.
-    fn wire_digest(&mut self, from: usize, to: usize, ev: &mut Event, net: &dyn Transport) -> bool {
-        self.out_leaf[from] += 1;
-        let mut wire = std::mem::take(&mut self.digest_buf);
-        wire.clear();
-        self.digest_links
-            .entry((from, to))
-            .or_insert_with(|| FaultLink::new(net.link(from, to, false)))
-            .receive(self.leaf_version[from], 0.0, &mut wire);
-        ev.msgs += wire.len() as u64;
-        ev.bytes += wire.len() as u64 * DIGEST_BYTES;
-        let stale = wire.iter().any(|&dv| dv < self.version);
-        self.digest_buf = wire;
-        stale
+    /// An adopter buffer of `m + 1` entries: the recycled one if any.
+    fn adopter_buffer(&mut self, m: usize) -> Vec<SiteId> {
+        let mut buf = take(&mut self.spare);
+        buf.resize(m + 1, 0);
+        buf
+    }
+
+    /// Stops the helper, if one runs, and returns the scratch it held.
+    fn reclaim(&mut self) -> &mut Scratch {
+        if let Some(helper) = self.helper.take() {
+            let scratch = helper.stop().unwrap_or_else(|p| resume_unwind(p));
+            self.scratch = Some(scratch);
+        }
+        self.scratch.as_mut().expect("gossip planes own a scratch")
+    }
+
+    /// The current event on a transparent wire. It is a pure function of
+    /// `(shape, version)`, so the helper ran it while the caller went on,
+    /// and runs the next version now. A helper started for another shape
+    /// or version is replaced.
+    fn run_ahead(&mut self, shape: Shape) -> (Outcome, Vec<SiteId>) {
+        let v = self.version;
+        if !self
+            .helper
+            .as_ref()
+            .is_some_and(|h| h.shape == shape && h.next == v)
+        {
+            let buf = self.adopter_buffer(shape.m);
+            self.reclaim();
+            let scratch = self.scratch.take().expect("reclaimed");
+            self.helper = Some(Helper::spawn(shape, scratch, v, buf));
+        }
+        let next = self.adopter_buffer(shape.m);
+        let helper = self.helper.as_mut().expect("started");
+        let Ok((out, mut adopters)) = helper.done.recv() else {
+            // The helper exited without an answer: join it to raise its panic.
+            let helper = self.helper.take().expect("started");
+            let err = helper.stop();
+            resume_unwind(err.expect_err("a helper only quits early by panicking"));
+        };
+        helper.next = v + 1;
+        // A send fails only if the helper died; the next event raises that.
+        let _ = helper.jobs.send((v + 1, next));
+        adopters.truncate(out.adopted);
+        (out, adopters)
+    }
+
+    /// The current event over a non-transparent wire, on the calling thread:
+    /// its cached links are stateful, so the event depends on every one
+    /// before it. Returns the frame bytes the wire delivered.
+    fn run_wired(
+        &mut self,
+        shape: Shape,
+        frame: u64,
+        net: &dyn Transport,
+    ) -> (Outcome, Vec<SiteId>, u64) {
+        let buf = self.adopter_buffer(shape.m);
+        let scratch = self.reclaim();
+        scratch.adopters = buf;
+        let mut wire = Wired {
+            net,
+            version: self.version,
+            frame,
+            frame_bytes: 0,
+            links: &mut self.links,
+            leaf_version: &mut self.leaf_version,
+        };
+        let scratch = self.scratch.as_mut().expect("reclaimed");
+        let out = scratch
+            .run(&shape, self.version, &mut wire, &AtomicBool::new(false))
+            .expect("never cancelled");
+        let mut adopters = take(&mut scratch.adopters);
+        adopters.truncate(out.adopted);
+        (out, adopters, wire.frame_bytes)
     }
 
     /// Closes the plane's cached fault links (end of run): frames and
@@ -571,26 +852,34 @@ impl BroadcastState {
     /// payloads are superseded, so only version bookkeeping can advance;
     /// a late digest has no round left to be answered in.
     pub fn close(&mut self, stats: &mut CommStats) {
-        let mut wire = std::mem::take(&mut self.wire_buf);
-        for ((_, to), mut link) in std::mem::take(&mut self.links) {
-            wire.clear();
-            link.close(&mut wire);
-            for &(vd, fb) in wire.iter() {
+        let Links {
+            frames,
+            digests,
+            frame_buf,
+            digest_buf,
+        } = &mut self.links;
+        for ((_, to), mut link) in take(frames) {
+            frame_buf.clear();
+            link.close(frame_buf);
+            for &(vd, fb) in frame_buf.iter() {
                 stats.record_broadcast_edge(0, fb);
                 if let Some(lv) = self.leaf_version.get_mut(to).filter(|lv| vd > **lv) {
                     raise(lv, vd);
                 }
             }
         }
-        self.wire_buf = wire;
-        let mut digests = std::mem::take(&mut self.digest_buf);
-        for (_, mut link) in std::mem::take(&mut self.digest_links) {
-            digests.clear();
-            link.close(&mut digests);
-            let n = digests.len() as u64;
+        for (_, mut link) in take(digests) {
+            digest_buf.clear();
+            link.close(digest_buf);
+            let n = digest_buf.len() as u64;
             stats.record_broadcast_edges(0, n, n * DIGEST_BYTES);
         }
-        self.digest_buf = digests;
+    }
+
+    /// A handle that outlives the helper thread only while it runs.
+    #[cfg(test)]
+    pub(crate) fn helper_token(&self) -> Option<std::sync::Weak<AtomicBool>> {
+        self.helper.as_ref().map(|h| Arc::downgrade(&h.cancel))
     }
 }
 
@@ -1073,6 +1362,48 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The helper runs the next version of the plan it last served. A wired
+    /// event stops it, and an event on another plan replaces it. Each event
+    /// still matches a state that only takes the wired path.
+    #[test]
+    fn helper_stops_for_a_wired_event_and_restarts_for_another_plan() {
+        let clean = SimNet::new(FaultPlan::default());
+        let m = 4_096;
+        let (star, tree) = (Topology::Star.plan(m), Topology::Tree { fanout: 8 }.plan(m));
+        let plane = BroadcastPlane::Gossip {
+            fanout: 4,
+            rounds: 24,
+            seed: 3,
+        };
+        let mut mixed = BroadcastState::new(plane, m);
+        let mut wired = BroadcastState::new(plane, m);
+        let steps = [
+            (&tree, true),
+            (&tree, true),
+            (&tree, false),
+            (&tree, true),
+            (&star, true),
+            (&star, true),
+            (&tree, true),
+            (&tree, false),
+        ];
+        for (i, (plan, transparent)) in steps.into_iter().enumerate() {
+            let net: &dyn Transport = if transparent {
+                &ChannelTransport
+            } else {
+                &clean
+            };
+            let (mut sm, mut sw) = (stats_for(plan), stats_for(plan));
+            let a = mixed.disseminate(plan, 8, &mut sm, net);
+            let b = wired.disseminate(plan, 8, &mut sw, &clean);
+            assert_eq!(a, b, "event {i}: adopters");
+            assert_eq!(sm, sw, "event {i}: CommStats");
+            assert!((0..m).all(|sid| mixed.leaf_version(sid) == wired.leaf_version(sid)));
+            assert_eq!(mixed.helper_token().is_some(), transparent, "event {i}");
+            mixed.recycle(a);
         }
     }
 

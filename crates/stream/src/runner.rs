@@ -568,9 +568,9 @@ where
     fn deliver_broadcasts(&mut self, net: &dyn Transport) {
         while let Some(bc) = pop_front(&mut self.bc_buf) {
             let set = self.core.route_broadcast(&bc, &mut self.stats, net);
-            match (set, self.core.leaf_heard()) {
+            match (&set, self.core.leaf_heard()) {
                 (LeafSet::Subset(adopters), _) if adopters.len() < self.sites.len() => {
-                    for sid in adopters {
+                    for &sid in adopters {
                         self.sites[sid].on_broadcast(&bc);
                     }
                 }
@@ -589,6 +589,7 @@ where
                     }
                 }
             }
+            self.core.bcast.recycle(set);
         }
     }
 
@@ -941,5 +942,27 @@ mod tests {
     fn run_partitioned_rejects_mismatched_partitioner() {
         let mut r = toy_runner(2);
         r.run_partitioned(std::iter::once(1.0), &mut RoundRobin::new(3), 8);
+    }
+
+    /// A gossiping runner on a transparent wire runs its events on a
+    /// helper thread. Dropping the runner mid-run stops and joins that
+    /// thread: the token the helper holds is gone once the drop returns.
+    #[test]
+    fn dropping_a_gossiping_runner_joins_its_helper() {
+        let m = 4_096;
+        let mut r = toy_tree(m, 8, 0.0);
+        r.set_broadcast_plane(BroadcastPlane::Gossip {
+            fanout: 4,
+            rounds: 24,
+            seed: 1,
+        });
+        for i in 0..4 * m {
+            r.feed(i % m, 1.0);
+        }
+        assert!(r.stats().broadcast_events > 1, "no repeated broadcasts");
+        let token = r.core.bcast.helper_token().expect("a helper runs");
+        assert!(token.upgrade().is_some(), "the helper is alive mid-run");
+        drop(r);
+        assert!(token.upgrade().is_none(), "the helper outlived its runner");
     }
 }

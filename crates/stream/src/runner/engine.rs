@@ -1186,12 +1186,13 @@ where
                     for tx in &root_bcs {
                         let _ = tx.send(bc.clone());
                     }
-                    if let LeafSet::Subset(adopters) = set {
-                        for sid in adopters {
+                    if let LeafSet::Subset(adopters) = &set {
+                        for &sid in adopters {
                             // A leaf may already have retired; fine.
                             let _ = gossip_bcs[sid].send(bc.clone());
                         }
                     }
+                    bcast.recycle(set);
                 }
             }
         };
