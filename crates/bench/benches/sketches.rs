@@ -6,9 +6,11 @@
 //! `misra_gries/root_merge` the overflowing merges at a full root, and
 //! `misra_gries/update_distinct` updates that mostly miss a full table.
 //! Frequent Directions is timed by the repo benchmark's `sketch.fd_*` rows;
-//! `sliding_window/sw_fd/query/{cold,warm}` times the windowed-FD root's
-//! read path — one fold of every live bucket — at the shape of the repo
-//! benchmark's `swfd-churn-faulty` workload. `mt_p2/query/{gram,stacked}`
+//! at the shape of the repo benchmark's `swfd-churn-faulty` workload,
+//! `sliding_window/sw_fd/root_receive` times the windowed-FD root's
+//! ingest — a replay of every up-message one run delivered to it — and
+//! `sliding_window/sw_fd/query/{cold,warm}` its read path, one fold of
+//! every live bucket. `mt_p2/query/{gram,stacked}`
 //! times one MT-P2 direction query at `mt-p2-highrank-star`'s shape, from
 //! the coordinator's Gram and from the stack of the same directions.
 
@@ -159,26 +161,83 @@ fn bench_sliding_window(c: &mut Criterion) {
     g.finish();
 }
 
-/// A windowed-FD query at `swfd-churn-faulty`'s shape (`pamap_like`,
+/// An up-message of the windowed-FD protocol.
+type SwFdMsg = cma_core::window::SwMsg<cma_sketch::FrequentDirections>;
+
+/// A windowed-FD root that records every message it receives.
+struct Recording {
+    root: cma_core::window::fd::SwFdCoordinator,
+    received: Vec<(usize, SwFdMsg)>,
+}
+
+impl cma_stream::Coordinator for Recording {
+    type UpMsg = SwFdMsg;
+    type Broadcast = f64;
+
+    fn receive(&mut self, from: usize, msg: Self::UpMsg, out: &mut Vec<f64>) {
+        self.received.push((from, msg.clone()));
+        self.root.receive(from, msg, out);
+    }
+}
+
+/// The windowed-FD root at `swfd-churn-faulty`'s shape (`pamap_like`,
 /// `d = 44`, `ℓ = 40`, window 8 192, 64 sites on a fanout-4 tree, two
-/// windows of rows): `cold` is the first fold after ingest, every bucket
-/// Gram computed; `warm` repeats a fold with nothing ingested between,
-/// every bucket Gram cached.
-fn bench_window_query(c: &mut Criterion) {
+/// windows of rows). `root_receive` replays every up-message the root
+/// received into a fresh root: its ingest, bucket merges included. Of
+/// the reads, `query/cold` is the first fold after ingest, every
+/// row-held bucket's Gram computed; `query/warm` repeats a fold with
+/// nothing ingested between, every Gram cached.
+fn bench_window_root(c: &mut Criterion) {
     use cma_core::window::{fd, SwFdConfig};
     use cma_stream::partition::RoundRobin;
-    use cma_stream::Topology;
+    use cma_stream::{Coordinator, Runner, Topology};
     const SITES: usize = 64;
     const WINDOW: u64 = 8_192;
+    const TOPOLOGY: Topology = Topology::Tree { fanout: 4 };
     let mut source = cma_data::SyntheticMatrixStream::pamap_like(1);
     let cfg = SwFdConfig::new(SITES, 0.1, WINDOW, source.dim(), 40);
-    let mut runner = fd::deploy_topology(&cfg, Topology::Tree { fanout: 4 });
+    let (sites, root, _) = fd::deploy_topology(&cfg, TOPOLOGY).into_parts();
+    let fresh = root.clone();
+    let recording = Recording {
+        root,
+        received: Vec::new(),
+    };
+    let mut runner = Runner::with_topology(
+        sites,
+        recording,
+        TOPOLOGY,
+        fd::make_aggregator(&cfg, TOPOLOGY),
+    );
     let now = 2 * WINDOW;
     let rows = (0..now).map(|t| (t, source.next_row()));
     runner.run_partitioned(rows, &mut RoundRobin::new(SITES), 64);
-    let root = runner.coordinator();
+    let root_in = *runner.stats().node_in_msgs.last().expect("a root");
+    let Recording { root, received } = runner.coordinator();
+    assert_eq!(
+        received.len() as u64,
+        root_in,
+        "the recorder missed messages"
+    );
+    assert!(
+        received.len() > 300,
+        "{} up-messages received",
+        received.len()
+    );
     let mut g = c.benchmark_group("sliding_window");
     g.sample_size(20);
+    g.bench_function("sw_fd/root_receive", |b| {
+        b.iter_batched(
+            || (fresh.clone(), received.clone()),
+            |(mut root, msgs)| {
+                let mut out = Vec::new();
+                for (from, msg) in msgs {
+                    root.receive(from, msg, &mut out);
+                }
+                black_box((root.bucket_count(), out.len()))
+            },
+            BatchSize::SmallInput,
+        )
+    });
     g.bench_function("sw_fd/query/cold", |b| {
         b.iter_batched(
             || root.clone(),
@@ -245,7 +304,7 @@ criterion_group!(
     bench_priority_sampler,
     bench_misra_gries,
     bench_sliding_window,
-    bench_window_query,
+    bench_window_root,
     bench_mt_p2_query
 );
 criterion_main!(benches);

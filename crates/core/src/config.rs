@@ -102,7 +102,7 @@ pub struct MatrixConfig {
     pub sample_size: Option<usize>,
     /// Single-value shim ([`LinalgProfile`]): the protocols have one
     /// linalg route and read nothing here. Kept for the frozen
-    /// `benchmark/` package until ROADMAP item 4(d).
+    /// `benchmark/` package until ROADMAP item 5(d).
     pub profile: LinalgProfile,
 }
 
@@ -135,7 +135,7 @@ impl MatrixConfig {
     }
 
     /// Sets the single-value [`MatrixConfig::profile`] shim. Kept for the
-    /// frozen `benchmark/` package until ROADMAP item 4(d).
+    /// frozen `benchmark/` package until ROADMAP item 5(d).
     pub fn with_profile(mut self, profile: LinalgProfile) -> Self {
         self.profile = profile;
         self

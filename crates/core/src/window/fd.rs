@@ -139,7 +139,7 @@ impl SwFdConfig {
     }
 
     /// Returns the config unchanged: [`LinalgProfile`] has one value.
-    /// Kept for the frozen `benchmark/` package until ROADMAP item 4(d).
+    /// Kept for the frozen `benchmark/` package until ROADMAP item 5(d).
     pub fn with_profile(self, _profile: LinalgProfile) -> Self {
         self
     }

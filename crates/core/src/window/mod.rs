@@ -32,19 +32,22 @@
 //! [`ExpHistogram::insert_buckets_deferred`], whose level compaction is
 //! the eager one (masses, `[oldest, newest]` ranges — hence `Ŵ`,
 //! broadcasts, expiry, straddling and every message — are identical)
-//! but whose FD merges stack rows up to `2ℓ` before one shrink. A query
-//! folds every live bucket in one shot
-//! ([`SwCoordinator::window_summary_at`] →
+//! but whose FD merges never shrink on ingest when `d < 2ℓ`: a bucket
+//! that reaches `d` rows holds their exact `d × d` Gram instead, and
+//! later merges add Grams
+//! ([`cma_sketch::FrequentDirections::merge_deferred`]; at `d ≥ 2ℓ`
+//! rows stack up to `2ℓ` before one shrink). A query folds every live
+//! bucket in one shot ([`SwCoordinator::window_summary_at`] →
 //! [`cma_sketch::WindowSummary::fold_settled`]): for FD it sums the
-//! buckets' Grams, each cached until its bucket next changes, and runs
-//! one eigensolve and one shrink; by FD mergeability the fold's loss
-//! still telescopes to `Σδ ≤ 2·mass/ℓ`, the summary-loss term below.
-//! The snapshot encoding writes every bucket *settled* (one
-//! shrink for a bucket at `≥ ℓ` rows), so decoders keep refusing
-//! sketches over `ℓ` rows and the encoded state shrinks; and the churn
-//! driver settles the live root just before capture
-//! ([`ChurnCoordinator::settle_for_snapshot`]), so a snapshot is exactly
-//! the state the live root goes on from.
+//! buckets' Grams — held, or cached until a row-held bucket next
+//! changes — and runs one eigensolve and one shrink; by FD mergeability
+//! the fold's loss still telescopes to `Σδ ≤ 2·mass/ℓ`, the
+//! summary-loss term below. The snapshot encoding writes every bucket
+//! *settled* (one shrink for a bucket at `≥ ℓ` rows or holding a
+//! Gram), so decoders keep refusing sketches over `ℓ` rows and the
+//! encoded state shrinks; and the churn driver settles the live root
+//! just before capture ([`ChurnCoordinator::settle_for_snapshot`]), so
+//! a snapshot is exactly the state the live root goes on from.
 //!
 //! # The two-part window error, re-split over `m + I` nodes
 //!

@@ -4,14 +4,14 @@
 //! `benchmark/` package outside the workspace still imports the names of
 //! the former selection surface, so they stay here as single-value types
 //! that no caller can set to anything the code would ignore. They live
-//! until that package is unfrozen (ROADMAP item 4(d)).
+//! until that package is unfrozen (ROADMAP item 5(d)).
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::svd::{gram_svd_blocked, SvdValuesVectors};
 
 /// The dense kernels of the protocol hot paths. One value; kept for the
-/// frozen `benchmark/` package until ROADMAP item 4(d).
+/// frozen `benchmark/` package until ROADMAP item 5(d).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPath {
     /// Cache-blocked kernels and the Householder + QL eigensolver.
@@ -41,7 +41,7 @@ impl KernelPath {
 }
 
 /// How `FrequentDirections` shrinks a full buffer. One value; kept for
-/// the frozen `benchmark/` package until ROADMAP item 4(d).
+/// the frozen `benchmark/` package until ROADMAP item 5(d).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FdShrink {
     /// The textbook shrink: exact `(Σ, V)` of the buffer, subtract
@@ -51,7 +51,7 @@ pub enum FdShrink {
 }
 
 /// The pair the frozen `benchmark/` package reads as `profile.kernels`
-/// and `profile.shrink`; kept until ROADMAP item 4(d).
+/// and `profile.shrink`; kept until ROADMAP item 5(d).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LinalgProfile {
     /// Dense kernels (one value).

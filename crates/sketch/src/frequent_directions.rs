@@ -33,46 +33,80 @@
 //!   route.
 //! * The argument behind `Δ ≤ 2‖A‖²_F/ℓ` — each shrink's `δ` comes off at
 //!   least `⌈ℓ/2⌉` squared singular values — does not care how tall the
-//!   buffer was. So a holder that never ships its sketch may shrink
-//!   less often: [`FrequentDirections::merge_deferred`] lets rows stack
-//!   up to `2ℓ` (the double-buffered FD), [`FrequentDirections::stack`]
+//!   buffer was, and a tall shrink reads its rows only through their Gram
+//!   `BᵀB`. So a holder that never ships its sketch need not shrink on
+//!   ingest: under [`FrequentDirections::merge_deferred`] a sketch with
+//!   `d < 2ℓ` trades its stacked rows for their exact `d × d` Gram once
+//!   they reach `d` rows, and every later merge adds the other sketch's
+//!   Gram — no eigensolve until the sketch is settled. With `d ≥ 2ℓ` the
+//!   Gram is the larger of the two, so rows stack up to `2ℓ` before one
+//!   shrink (the double-buffered FD). [`FrequentDirections::stack`]
 //!   stacks without bound, and [`FrequentDirections::settle`] brings
-//!   either back under `ℓ` rows with one shrink.
-//! * A tall shrink reads its rows only through their Gram `BᵀB`, and
-//!   Grams add: `AᵀA = Σᵢ AᵢᵀAᵢ` over any split of the rows. So a sketch
-//!   keeps the Gram of its rows once read ([`FrequentDirections::gram`]),
-//!   drops it at every change to them, and a one-shot fold of many
-//!   sketches ([`FrequentDirections::fold_settled`]) sums their Grams
-//!   into one eigensolve instead of stacking their rows. A sliding-window
-//!   root that folds its live buckets per query therefore re-Grams only
-//!   the buckets that changed since the last query. The cache costs one
-//!   `d × d` Gram per sketch that a fold has read: `O(r·log(βW)·d²)` over
-//!   a window histogram's live buckets (≈ 0.6 MB at the 38 buckets and
-//!   `d = 44` of `swfd-churn-faulty`). It is never encoded.
+//!   any of these back under `ℓ` rows with one shrink, from the rows or
+//!   from the Gram.
+//! * Grams add: `AᵀA = Σᵢ AᵢᵀAᵢ` over any split of the rows. So a sketch
+//!   that holds rows keeps their Gram once read
+//!   ([`FrequentDirections::gram`]) and drops it at every change to them,
+//!   and a one-shot fold of many sketches
+//!   ([`FrequentDirections::fold_settled`]) sums their Grams into one
+//!   eigensolve instead of stacking their rows. A sliding-window root
+//!   that folds its live buckets per query therefore re-Grams only the
+//!   row-held buckets that changed since the last query. A Gram-held
+//!   sketch costs `d²` floats (15.5 KB at `d = 44`, against up to 27.8
+//!   KB for the `2ℓ − 1 = 79` rows it would otherwise stack at `ℓ = 40`)
+//!   and carries no second copy; a row-held one that a fold has read
+//!   keeps one `d × d` Gram beside its rows. Neither Gram is ever
+//!   encoded: an encoder writes the settled rows.
 
+use cma_linalg::matrix::{accumulate_outer, accumulate_outer_panel};
 use cma_linalg::svd::{gram_svd_blocked, svd_from_gram, SvdValuesVectors};
-use cma_linalg::{FdShrink, KernelPath, Matrix};
+use cma_linalg::{vector, FdShrink, KernelPath, Matrix};
 use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// Frequent Directions sketch with at most `ℓ` buffered rows (fewer
 /// than `2ℓ` under [`FrequentDirections::merge_deferred`], any number
-/// under [`FrequentDirections::stack`] until the next settle).
+/// under [`FrequentDirections::stack`] until the next settle), or — for
+/// a deferred sketch with `d < 2ℓ` — the exact Gram of the rows it
+/// stacked.
 #[derive(Debug, Clone)]
 pub struct FrequentDirections {
     d: usize,
     ell: usize,
-    /// Current sketch rows (only the nonzero rows are stored).
-    buf: Matrix,
+    /// The sketch content: rows, or the Gram a deferred sketch holds
+    /// instead.
+    held: Held,
     /// Exact squared Frobenius norm of everything fed in (`‖A‖²_F`).
     frob_sq: f64,
     /// Total shrinkage `Δ = Σ δ`: a valid upper bound on
     /// `‖Ax‖² − ‖Bx‖²` for every unit `x`, and `≤ 2‖A‖²_F/ℓ`.
     shrink_loss: f64,
-    /// `BᵀB` of `buf` once read ([`FrequentDirections::gram`]); every
-    /// change to `buf` goes through [`FrequentDirections::rows_mut`],
-    /// which drops it.
-    gram: OnceLock<Matrix>,
+}
+
+/// What a sketch holds. Each form caches what the other holds: the rows
+/// their Gram, the Gram a factor of itself. Every change goes through
+/// [`FrequentDirections::rows_mut`] or [`FrequentDirections::gram_mut`],
+/// which drop the cache, or replaces the whole value.
+#[derive(Debug, Clone)]
+enum Held {
+    /// Sketch rows (only the nonzero rows are stored) and, once read
+    /// ([`FrequentDirections::gram`]), their Gram `BᵀB`.
+    Rows { buf: Matrix, gram: OnceLock<Matrix> },
+    /// `BᵀB` of every row a deferred sketch stacked, unshrunk, and, once
+    /// read ([`FrequentDirections::sketch`]), rows whose Gram it is.
+    Gram {
+        gram: Matrix,
+        factor: OnceLock<Matrix>,
+    },
+}
+
+impl Held {
+    fn rows(buf: Matrix) -> Self {
+        Held::Rows {
+            buf,
+            gram: OnceLock::new(),
+        }
+    }
 }
 
 impl FrequentDirections {
@@ -87,10 +121,9 @@ impl FrequentDirections {
         FrequentDirections {
             d,
             ell,
-            buf: Matrix::with_cols(d),
+            held: Held::rows(Matrix::with_cols(d)),
             frob_sq: 0.0,
             shrink_loss: 0.0,
-            gram: OnceLock::new(),
         }
     }
 
@@ -127,21 +160,21 @@ impl FrequentDirections {
             sketch.rows(),
             sketch.cols(),
         );
-        *fd.rows_mut() = sketch;
+        fd.held = Held::rows(sketch);
         fd.frob_sq = frob_sq;
         fd.shrink_loss = shrink_loss;
         fd
     }
 
     /// Returns the sketch unchanged: [`FdShrink`] has one value. Kept for
-    /// the frozen `benchmark/` package until ROADMAP item 4(d).
+    /// the frozen `benchmark/` package until ROADMAP item 5(d).
     #[must_use]
     pub fn using_shrink(self, _shrink: FdShrink) -> Self {
         self
     }
 
     /// Returns the sketch unchanged: [`KernelPath`] has one value. Kept
-    /// for the frozen `benchmark/` package until ROADMAP item 4(d).
+    /// for the frozen `benchmark/` package until ROADMAP item 5(d).
     #[must_use]
     pub fn using_kernels(self, _kernels: KernelPath) -> Self {
         self
@@ -159,7 +192,7 @@ impl FrequentDirections {
 
     /// `true` if no rows have been absorbed.
     pub fn is_empty(&self) -> bool {
-        self.buf.rows() == 0 && self.frob_sq == 0.0
+        matches!(&self.held, Held::Rows { buf, .. } if buf.rows() == 0) && self.frob_sq == 0.0
     }
 
     /// Exact `‖A‖²_F` of the data fed in so far.
@@ -178,29 +211,95 @@ impl FrequentDirections {
         2.0 * self.frob_sq / self.ell as f64
     }
 
+    /// `true` while the sketch holds the Gram of its rows instead of
+    /// the rows ([`FrequentDirections::merge_deferred`] at `d < 2ℓ`).
+    pub fn holds_gram(&self) -> bool {
+        matches!(self.held, Held::Gram { .. })
+    }
+
     /// The current sketch matrix `B` (`< ℓ` rows when settled, `d`
-    /// columns).
+    /// columns). For a Gram-held sketch, rows `σᵢvᵢᵀ` of the held Gram's
+    /// eigendecomposition — at most `d`, with the Gram's mass, found by
+    /// one eigensolve on the first read and kept until the Gram changes.
+    ///
+    /// # Panics
+    /// Panics (never observed) if that eigensolve fails to converge.
     pub fn sketch(&self) -> &Matrix {
-        &self.buf
+        match &self.held {
+            Held::Rows { buf, .. } => buf,
+            Held::Gram { gram, factor } => factor.get_or_init(|| gram_factor(gram)),
+        }
     }
 
     /// The Gram `BᵀB` of the sketch rows (`d × d`), bit-identical to
-    /// `self.sketch().gram()`: computed on the first read and kept until
-    /// the rows next change.
+    /// `self.sketch().gram()` for a row-held sketch: computed on the
+    /// first read and kept until the rows next change. A Gram-held
+    /// sketch returns the Gram it holds.
     pub fn gram(&self) -> &Matrix {
-        self.gram.get_or_init(|| self.buf.gram())
+        match &self.held {
+            Held::Rows { buf, gram } => gram.get_or_init(|| buf.gram()),
+            Held::Gram { gram, .. } => gram,
+        }
     }
 
     /// The sketch rows for a change: the one way to mutate them, so the
     /// cached Gram can never outlive the rows it was computed from.
+    ///
+    /// # Panics
+    /// Panics on a Gram-held sketch, which has no rows to change: a
+    /// caller must add to the Gram ([`FrequentDirections::gram_mut`])
+    /// rather than lose it.
     fn rows_mut(&mut self) -> &mut Matrix {
-        self.gram.take();
-        &mut self.buf
+        match &mut self.held {
+            Held::Rows { buf, gram } => {
+                gram.take();
+                buf
+            }
+            Held::Gram { .. } => panic!("FrequentDirections: a Gram-held sketch has no rows"),
+        }
     }
 
-    /// `‖Bx‖²` for an arbitrary direction `x` (not necessarily unit).
+    /// The held Gram for a change, converting a row-held sketch first
+    /// (its Gram cached or computed, the same bits either way). Drops
+    /// the cached factor.
+    fn gram_mut(&mut self) -> &mut Matrix {
+        if let Held::Rows { buf, gram } = &mut self.held {
+            let gram = gram.take().unwrap_or_else(|| buf.gram());
+            self.held = Held::Gram {
+                gram,
+                factor: OnceLock::new(),
+            };
+        }
+        let Held::Gram { gram, factor } = &mut self.held else {
+            unreachable!("converted above")
+        };
+        factor.take();
+        gram
+    }
+
+    /// The stacked rows, or `None` for a Gram-held sketch.
+    fn stacked(&self) -> Option<&Matrix> {
+        match &self.held {
+            Held::Rows { buf, .. } => Some(buf),
+            Held::Gram { .. } => None,
+        }
+    }
+
+    /// `‖Bx‖²` for an arbitrary direction `x` (not necessarily unit):
+    /// `xᵀGx` for a Gram-held sketch.
     pub fn query(&self, x: &[f64]) -> f64 {
-        self.buf.apply_norm_sq(x)
+        match &self.held {
+            Held::Rows { buf, .. } => buf.apply_norm_sq(x),
+            Held::Gram { gram, .. } => {
+                assert_eq!(x.len(), self.d, "query: dimension mismatch");
+                let q: f64 = gram
+                    .iter_rows()
+                    .zip(x)
+                    .map(|(g, &xi)| xi * vector::dot(g, x))
+                    .sum();
+                q.max(0.0)
+            }
+        }
     }
 
     /// Absorbs one row.
@@ -217,15 +316,20 @@ impl FrequentDirections {
             "FrequentDirections: row dimension mismatch"
         );
         self.frob_sq += finite_norm_sq(row);
-        self.rows_mut().push_row(row);
+        if self.holds_gram() {
+            accumulate_outer(self.gram_mut(), row);
+        } else {
+            self.rows_mut().push_row(row);
+        }
         self.settle();
     }
 
     /// The textbook shrink to `⌈ℓ/2⌉ − 1` rows, in place.
     fn shrink(&mut self) {
-        let empty = Matrix::with_cols(self.d);
-        let rows = std::mem::replace(self.rows_mut(), empty);
-        self.shrink_from(&rows);
+        match std::mem::replace(&mut self.held, Held::rows(Matrix::with_cols(self.d))) {
+            Held::Rows { buf, .. } => self.shrink_from(&buf),
+            Held::Gram { gram, .. } => self.shrink_from_gram(&gram),
+        }
     }
 
     /// Replaces the buffer with the textbook shrink of `rows`: rotated
@@ -238,18 +342,19 @@ impl FrequentDirections {
         self.shrink_svd(&svd, || rows.frob_norm_sq());
     }
 
+    /// [`FrequentDirections::shrink_from`] given only the rows' Gram.
+    fn shrink_from_gram(&mut self, gram: &Matrix) {
+        let svd = svd_from_gram(gram).expect("FrequentDirections: eigensolver diverged");
+        // trace(BᵀB) = ‖B‖²_F of the rows the Gram sums.
+        self.shrink_svd(&svd, || (0..gram.rows()).map(|i| gram[(i, i)]).sum());
+    }
+
     /// [`FrequentDirections::shrink_from`] given the rows' `(Σ, V)` and,
     /// for the debug check only, their `‖·‖²_F`.
     fn shrink_svd(&mut self, svd: &SvdValuesVectors, rows_frob_sq: impl FnOnce() -> f64) {
         let keep = self.ell.div_ceil(2) - 1;
-        let mut out = Matrix::with_cols(self.d);
         if svd.sigma.len() <= keep {
-            for row in svd.sigma_vt().iter_rows() {
-                if row.iter().any(|&v| v != 0.0) {
-                    out.push_row(row);
-                }
-            }
-            *self.rows_mut() = out;
+            self.held = Held::rows(nonzero_rows(svd));
             return;
         }
         let delta = svd.sigma[keep] * svd.sigma[keep];
@@ -264,6 +369,7 @@ impl FrequentDirections {
             self.error_bound()
         );
         self.shrink_loss += delta;
+        let mut out = Matrix::with_cols(self.d);
         for i in 0..keep {
             let s2 = svd.sigma[i] * svd.sigma[i] - delta;
             if s2 <= 0.0 {
@@ -276,7 +382,7 @@ impl FrequentDirections {
             }
             out.push_row(&row);
         }
-        *self.rows_mut() = out;
+        self.held = Held::rows(out);
     }
 
     /// Merges another sketch of the same shape into this one: stacks the
@@ -292,31 +398,46 @@ impl FrequentDirections {
     }
 
     /// [`FrequentDirections::merge`] for a holder that never ships the
-    /// result: rows stack up to `2ℓ` before one shrink to `⌈ℓ/2⌉ − 1`
-    /// rows (the double-buffered FD), so a run of merges pays a fraction
-    /// of the eigensolves. The guarantee is the same, by the same
-    /// argument — a shrink charges its `δ` against `⌈ℓ/2⌉` squared
-    /// singular values whatever the buffer's height — but the sketch may
-    /// hold up to `2ℓ − 1` rows until [`FrequentDirections::settle`].
+    /// result, so a run of merges pays a fraction of the eigensolves.
+    /// The rule is one by shape. With `d < 2ℓ`, once the two stacks
+    /// would reach `d` rows the sketch holds their exact `d × d` Gram
+    /// instead ([`FrequentDirections::holds_gram`]), and from then on a
+    /// merge adds `other`'s Gram ([`FrequentDirections::gram`], the same
+    /// bits cached or cold): no shrink until
+    /// [`FrequentDirections::settle`]. With `d ≥ 2ℓ` rows stack up to
+    /// `2ℓ` before one shrink to `⌈ℓ/2⌉ − 1` rows (the double-buffered
+    /// FD), so the sketch may hold up to `2ℓ − 1` rows until settled.
+    /// The guarantee is the same either way, by the same argument — a
+    /// shrink charges its `δ` against `⌈ℓ/2⌉` squared singular values
+    /// whatever the buffer's height, and the Gram is the buffer's.
     ///
     /// # Panics
     /// As [`FrequentDirections::merge`].
     pub fn merge_deferred(&mut self, other: &FrequentDirections) {
+        // A held Gram stands for at least `d` rows.
+        let height = |fd: &FrequentDirections| fd.stacked().map_or(fd.d, Matrix::rows);
+        if self.d < 2 * self.ell && height(self) + height(other) >= self.d {
+            self.gram_mut();
+        }
         self.stack(other);
-        if self.buf.rows() >= 2 * self.ell {
+        if self.stacked().is_some_and(|buf| buf.rows() >= 2 * self.ell) {
             self.shrink();
         }
     }
 
     /// Stacks another sketch's rows and error scalars with no shrink at
     /// all: the accumulator of a one-shot fold over many sketches, which
-    /// one [`FrequentDirections::settle`] then brings back to size.
+    /// one [`FrequentDirections::settle`] then brings back to size. If
+    /// either side holds a Gram the result holds the sum of both Grams.
     ///
     /// # Panics
     /// Panics if dimensions or `ℓ` differ.
     pub fn stack(&mut self, other: &FrequentDirections) {
         self.stack_scalars(other);
-        self.rows_mut().stack(&other.buf);
+        match other.stacked().filter(|_| !self.holds_gram()) {
+            Some(rows) => self.rows_mut().stack(rows),
+            None => self.gram_mut().add_in_place(other.gram()),
+        }
     }
 
     /// The error scalars of [`FrequentDirections::stack`], after its
@@ -337,23 +458,27 @@ impl FrequentDirections {
     /// [`FrequentDirections::stack`] every part in order, then
     /// [`FrequentDirections::settle`] — the one-shot fold of many
     /// sketches — without stacking any rows when a tall shrink is due.
-    /// With at least `ℓ` and at least `d` rows in all, the shrink's
-    /// `(Σ, V)` comes from one eigensolve of the summed Grams
-    /// ([`FrequentDirections::gram`], cached per part), so a part whose
-    /// rows have not changed since the last fold costs `d²` additions.
-    /// `frob_sq_seen` and `shrink_loss` accumulate part by part as under
-    /// `stack`, bit for bit; the sketch rows can differ from the stacked
-    /// shrink's in their last bits (the Gram is summed per part instead
-    /// of per row). Fewer than `ℓ` rows return stacked, unshrunk; fewer
-    /// than `d` take `stack` and `settle`'s outer-Gram route.
+    /// With at least `ℓ` and at least `d` rows in all, or any Gram-held
+    /// part (or `self`), the shrink's `(Σ, V)` comes from one eigensolve
+    /// of the summed Grams ([`FrequentDirections::gram`], cached per
+    /// row-held part), so a part whose rows have not changed since the
+    /// last fold costs `d²` additions. `frob_sq_seen` and `shrink_loss`
+    /// accumulate part by part as under `stack`, bit for bit; the sketch
+    /// rows can differ from the stacked shrink's in their last bits (the
+    /// Gram is summed per part instead of per row). Fewer than `ℓ` rows
+    /// return stacked, unshrunk; fewer than `d` take `stack` and
+    /// `settle`'s outer-Gram route.
     ///
     /// # Panics
     /// As [`FrequentDirections::stack`] and
     /// [`FrequentDirections::settle`].
     pub fn fold_settled<'a>(&mut self, parts: impl IntoIterator<Item = &'a FrequentDirections>) {
         let parts: Vec<&FrequentDirections> = parts.into_iter().collect();
-        let rows = self.buf.rows() + parts.iter().map(|p| p.buf.rows()).sum::<usize>();
-        if rows < self.ell || rows < self.d {
+        let rows: Option<usize> = std::iter::once(&*self)
+            .chain(parts.iter().copied())
+            .map(|p| p.stacked().map(Matrix::rows))
+            .sum();
+        if rows.is_some_and(|rows| rows < self.ell || rows < self.d) {
             for p in parts {
                 self.stack(p);
             }
@@ -365,22 +490,21 @@ impl FrequentDirections {
             self.stack_scalars(p);
             gram.add_in_place(p.gram());
         }
-        let svd = svd_from_gram(&gram).expect("FrequentDirections: eigensolver diverged");
-        // trace(BᵀB) = ‖B‖²_F of the rows the Gram sums.
-        self.shrink_svd(&svd, || (0..gram.rows()).map(|i| gram[(i, i)]).sum());
+        self.shrink_from_gram(&gram);
     }
 
     /// `true` when the sketch holds fewer than `ℓ` rows — the shape
     /// [`FrequentDirections::update`] and [`FrequentDirections::merge`]
     /// leave, and the only one [`FrequentDirections::from_parts`] (and
-    /// so the wire decoder) accepts.
+    /// so the wire decoder) accepts. A Gram-held sketch is never settled.
     pub fn is_settled(&self) -> bool {
-        self.buf.rows() < self.ell
+        self.stacked().is_some_and(|buf| buf.rows() < self.ell)
     }
 
     /// Brings a sketch grown by [`FrequentDirections::merge_deferred`]
     /// or [`FrequentDirections::stack`] back to fewer than `ℓ` rows with
-    /// one shrink (none when it is already settled).
+    /// one shrink (none when it is already settled), from its rows or
+    /// from its held Gram.
     ///
     /// # Panics
     /// Panics (never observed) if the eigensolver fails to converge.
@@ -392,7 +516,8 @@ impl FrequentDirections {
 
     /// [`FrequentDirections::settle`] as a value, leaving this sketch as
     /// it is: borrowed when already settled, otherwise shrunk straight
-    /// from this sketch's rows (bit-identical to settling in place).
+    /// from this sketch's rows or Gram (bit-identical to settling in
+    /// place).
     ///
     /// # Panics
     /// Panics (never observed) if the eigensolver fails to converge.
@@ -400,24 +525,25 @@ impl FrequentDirections {
         if self.is_settled() {
             return Cow::Borrowed(self);
         }
-        let mut out = FrequentDirections {
-            buf: Matrix::with_cols(self.d),
-            gram: OnceLock::new(),
-            ..*self
-        };
-        out.shrink_from(&self.buf);
+        let mut out = FrequentDirections::new(self.d, self.ell);
+        out.frob_sq = self.frob_sq;
+        out.shrink_loss = self.shrink_loss;
+        match &self.held {
+            Held::Rows { buf, .. } => out.shrink_from(buf),
+            Held::Gram { gram, .. } => out.shrink_from_gram(gram),
+        }
         Cow::Owned(out)
     }
 
     /// Merges a *flushed sketch* — a stack of rows already summarising
     /// some stream — into this sketch: the rows are stacked in one go
-    /// and at most **one** shrink follows, instead of the per-row shrink
-    /// cadence [`FrequentDirections::update`] would run. This is the
-    /// Agarwal et al. merge with the second operand given as its row
-    /// matrix, and the workhorse of tree-structured aggregation
-    /// (protocol MT-P1's interior nodes and coordinator fold received
-    /// sketches with it): same combined-stream guarantee, a fraction of
-    /// the eigensolves.
+    /// (added to the Gram, if the sketch holds one) and at most **one**
+    /// shrink follows, instead of the per-row shrink cadence
+    /// [`FrequentDirections::update`] would run. This is the Agarwal et
+    /// al. merge with the second operand given as its row matrix, and
+    /// the workhorse of tree-structured aggregation (protocol MT-P1's
+    /// interior nodes and coordinator fold received sketches with it):
+    /// same combined-stream guarantee, a fraction of the eigensolves.
     ///
     /// # Panics
     /// Panics if `rows` has a different column count or a row whose
@@ -430,20 +556,42 @@ impl FrequentDirections {
         );
         for row in rows.iter_rows() {
             self.frob_sq += finite_norm_sq(row);
-            self.rows_mut().push_row(row);
+        }
+        if self.holds_gram() {
+            accumulate_outer_panel(self.gram_mut(), rows);
+        } else {
+            self.rows_mut().stack(rows);
         }
         self.settle();
     }
 
     /// Extracts the current sketch and resets the state (keeping `d`, `ℓ`).
-    /// This is the "flush" operation of protocol MT-P1 sites.
+    /// This is the "flush" operation of protocol MT-P1 sites. A Gram-held
+    /// sketch hands out [`FrequentDirections::sketch`]'s rows.
+    ///
+    /// # Panics
+    /// Panics (never observed) if a Gram-held sketch's eigensolve fails
+    /// to converge.
     pub fn take(&mut self) -> (Matrix, f64) {
-        let empty = Matrix::with_cols(self.d);
-        let buf = std::mem::replace(self.rows_mut(), empty);
+        let buf = match std::mem::replace(&mut self.held, Held::rows(Matrix::with_cols(self.d))) {
+            Held::Rows { buf, .. } => buf,
+            Held::Gram { gram, factor } => {
+                factor.into_inner().unwrap_or_else(|| gram_factor(&gram))
+            }
+        };
         let frob = self.frob_sq;
         self.frob_sq = 0.0;
         self.shrink_loss = 0.0;
         (buf, frob)
+    }
+
+    /// `(Σ, V)` of the sketch: from its rows, or from its held Gram.
+    fn svd(&self) -> SvdValuesVectors {
+        match &self.held {
+            Held::Rows { buf, .. } => gram_svd_blocked(buf),
+            Held::Gram { gram, .. } => svd_from_gram(gram),
+        }
+        .expect("FrequentDirections: eigensolver diverged")
     }
 
     /// The best rank-`k` part of the sketch, `B_k = Σ_k V_kᵀ` (rows are
@@ -459,7 +607,7 @@ impl FrequentDirections {
     /// # Panics
     /// Panics (never observed) if the eigensolver fails to converge.
     pub fn rank_k_sketch(&self, k: usize) -> Matrix {
-        let svd = gram_svd_blocked(&self.buf).expect("FrequentDirections: eigensolver diverged");
+        let svd = self.svd();
         let mut out = Matrix::with_cols(self.d);
         for i in 0..k.min(svd.sigma.len()) {
             if svd.sigma[i] <= 0.0 {
@@ -480,7 +628,7 @@ impl FrequentDirections {
     /// # Panics
     /// Panics (never observed) if the eigensolver fails to converge.
     pub fn top_directions(&self, k: usize) -> Matrix {
-        let svd = gram_svd_blocked(&self.buf).expect("FrequentDirections: eigensolver diverged");
+        let svd = self.svd();
         let mut out = Matrix::with_cols(self.d);
         for i in 0..k.min(svd.sigma.len()) {
             if svd.sigma[i] <= 0.0 {
@@ -490,6 +638,24 @@ impl FrequentDirections {
         }
         out
     }
+}
+
+/// Rows `σᵢvᵢᵀ` whose Gram is `gram`: the sketch a Gram-held
+/// [`FrequentDirections`] reports.
+fn gram_factor(gram: &Matrix) -> Matrix {
+    nonzero_rows(&svd_from_gram(gram).expect("FrequentDirections: eigensolver diverged"))
+}
+
+/// The nonzero rows of `Σ Vᵀ`: a compact matrix with the decomposed
+/// rows' Gram.
+fn nonzero_rows(svd: &SvdValuesVectors) -> Matrix {
+    let mut out = Matrix::with_cols(svd.vt.cols());
+    for row in svd.sigma_vt().iter_rows() {
+        if row.iter().any(|&v| v != 0.0) {
+            out.push_row(row);
+        }
+    }
+    out
 }
 
 /// `‖row‖²`, asserted finite: a NaN or infinite entry (or an overflow)
@@ -694,6 +860,73 @@ mod tests {
         stacked.settle();
         assert!(stacked.is_settled());
         assert_fd_guarantee(&a, &stacked);
+    }
+
+    /// At `d < 2ℓ` a deferred merge trades rows for their Gram, and no
+    /// mutating call may lose what that Gram holds: after the same call,
+    /// the Gram-held sketch and a row-held twin that stacked the same
+    /// parts agree on `frob_sq_seen` bit for bit and on their Grams (and
+    /// `shrink_loss`) to rounding.
+    #[test]
+    fn gram_held_sketch_keeps_its_mass_through_every_mutation() {
+        let (d, ell) = (10, 8);
+        let mut rng = StdRng::seed_from_u64(9);
+        let a = random::gaussian(&mut rng, 240, d);
+        let mut parts: Vec<FrequentDirections> =
+            (0..12).map(|_| FrequentDirections::new(d, ell)).collect();
+        for (i, r) in a.iter_rows().enumerate() {
+            parts[i % 12].update(r);
+        }
+        let (mut held, mut twin) = (parts[0].clone(), parts[0].clone());
+        for p in &parts[1..4] {
+            held.merge_deferred(p);
+            twin.stack(p);
+        }
+        assert!(
+            held.holds_gram(),
+            "nothing Gram-held: the case tests nothing"
+        );
+        assert!(!twin.holds_gram());
+        assert!(held.sketch().rows() > 0, "a Gram-held sketch reports rows");
+        let extra = random::gaussian(&mut rng, 5, d);
+        let apply = |op: usize, fd: &mut FrequentDirections| match op {
+            0 => {
+                fd.update(extra.row(0));
+                None
+            }
+            1 => {
+                fd.stack(&parts[4]);
+                None
+            }
+            2 => {
+                fd.merge(&parts[4]);
+                None
+            }
+            3 => {
+                fd.merge_rows(&extra);
+                None
+            }
+            _ => Some(fd.take()),
+        };
+        let close = |x: &Matrix, y: &Matrix, tol: f64| x.sub(y).max_abs() <= tol;
+        for op in 0..5 {
+            let (mut g, mut t) = (held.clone(), twin.clone());
+            let (taken_g, taken_t) = (apply(op, &mut g), apply(op, &mut t));
+            assert_eq!(g.frob_sq_seen().to_bits(), t.frob_sq_seen().to_bits());
+            let tol = 1e-9 * held.frob_sq_seen();
+            match (taken_g, taken_t) {
+                (Some((bg, fg)), Some((bt, ft))) => {
+                    assert_eq!(fg.to_bits(), ft.to_bits());
+                    assert!(close(&bg.gram(), &bt.gram(), tol), "take lost mass");
+                    assert!(g.is_empty() && !g.holds_gram());
+                }
+                _ => {
+                    assert!(close(g.gram(), t.gram(), tol), "op {op} lost mass");
+                    assert!((g.shrink_loss() - t.shrink_loss()).abs() <= tol);
+                    assert_eq!(g.is_settled(), t.is_settled(), "op {op}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! ([`ExpHistogram::fold_live_at`] → [`WindowSummary::fold_settled`]):
 //! by default every summary is merged in and the result settled once
 //! ([`WindowSummary::settle`]). Frequent Directions sums the buckets'
-//! cached Grams instead ([`FrequentDirections::fold_settled`]) — one
-//! eigensolve per query, and only the buckets changed since the last
+//! Grams instead ([`FrequentDirections::fold_settled`]) — one
+//! eigensolve per query; a Gram-held bucket hands over the Gram it
+//! holds, and of the row-held buckets only those changed since the last
 //! query are re-Grammed. By mergeability the folded sketch's loss still
 //! telescopes to at most `2·mass/ℓ`. The error against the true window
 //! content has two parts: the summaries' own loss (inherited from the
@@ -58,14 +59,17 @@
 //! which runs the same level compaction — same masses, same
 //! `[oldest, newest]` ranges, so levels, expiry and straddling are
 //! bit-identical — but merges summaries with
-//! [`WindowSummary::merge_deferred`]. For FD that is the double-buffered
-//! sketch: rows stack up to `2ℓ` and only then shrink to `⌈ℓ/2⌉ − 1`
-//! rows (a constant of the sketch, not a knob). Whoever needs the
-//! settled form asks for it: a fold settles its accumulator, an encoder
-//! writes [`WindowSummary::settled`] copies, and [`ExpHistogram::settle`]
-//! settles every bucket in place (before a snapshot, so the live root is
-//! exactly what its encoding restores to). Misra–Gries buckets keep the
-//! trait's eager defaults.
+//! [`WindowSummary::merge_deferred`]. For FD the rule is one by shape
+//! ([`FrequentDirections::merge_deferred`]): with `d < 2ℓ` a bucket
+//! trades its rows for their exact `d × d` Gram once they reach `d`
+//! rows, and later merges add Grams — no eigensolve on ingest; with
+//! `d ≥ 2ℓ` it is the double-buffered sketch, whose rows stack up to
+//! `2ℓ` and only then shrink to `⌈ℓ/2⌉ − 1` rows. Neither is a knob.
+//! Whoever needs the settled form asks for it: a fold settles its
+//! accumulator, an encoder writes [`WindowSummary::settled`] copies, and
+//! [`ExpHistogram::settle`] settles every bucket in place (before a
+//! snapshot, so the live root is exactly what its encoding restores
+//! to). Misra–Gries buckets keep the trait's eager defaults.
 
 use crate::frequent_directions::FrequentDirections;
 use crate::misra_gries::MgSummary;
@@ -145,9 +149,10 @@ pub trait WindowSummary: Clone {
     }
 }
 
-/// Frequent Directions defers by double-buffering: rows stack up to `2ℓ`
-/// before a shrink, and a settled sketch holds fewer than `ℓ`. Its fold
-/// sums the parts' cached Grams instead of stacking their rows.
+/// Frequent Directions defers by holding the Gram of its rows at
+/// `d < 2ℓ`, by double-buffering (rows stack up to `2ℓ` before a
+/// shrink) at `d ≥ 2ℓ`; a settled sketch holds fewer than `ℓ` rows. Its
+/// fold sums the parts' Grams instead of stacking their rows.
 impl WindowSummary for FrequentDirections {
     fn merge_from(&mut self, other: &Self) {
         self.merge(other);
@@ -934,14 +939,19 @@ mod tests {
         assert_eq!(live.0, total.0);
     }
 
-    /// Deferred insertion moves only *when* summaries shrink: every
-    /// bucket's mass and `[oldest, newest]` range — so levels, expiry and
-    /// straddling — match the eager histogram's exactly, and the one-shot
-    /// fold of either keeps the window bound.
-    #[test]
-    fn deferred_insertion_keeps_eager_bookkeeping() {
-        let (d, ell, window) = (10, 4, 200usize);
-        let rows = random_rows(1_000, d, 11);
+    /// An eager and a deferred FD histogram fed the same singleton
+    /// buckets of `rows`, five per step, with their bookkeeping — every
+    /// bucket's mass and `[oldest, newest]` range — asserted equal after
+    /// each step.
+    fn eager_and_deferred(
+        rows: &[Vec<f64>],
+        ell: usize,
+        window: usize,
+    ) -> (
+        ExpHistogram<FrequentDirections>,
+        ExpHistogram<FrequentDirections>,
+    ) {
+        let d = rows[0].len();
         let mut eager: ExpHistogram<FrequentDirections> = ExpHistogram::new(window as u64, 2);
         let mut deferred = eager.clone();
         for (c, chunk) in rows.chunks(5).enumerate() {
@@ -967,6 +977,18 @@ mod tests {
             };
             assert_eq!(shape(&eager), shape(&deferred), "bookkeeping diverged");
         }
+        (eager, deferred)
+    }
+
+    /// Deferred insertion moves only *when* summaries shrink: every
+    /// bucket's mass and `[oldest, newest]` range — so levels, expiry and
+    /// straddling — match the eager histogram's exactly, and the one-shot
+    /// fold of either keeps the window bound.
+    #[test]
+    fn deferred_insertion_keeps_eager_bookkeeping() {
+        let (d, ell, window) = (10, 4, 200usize);
+        let rows = random_rows(1_000, d, 11);
+        let (eager, mut deferred) = eager_and_deferred(&rows, ell, window);
         assert!(
             deferred.buckets().iter().any(|b| !b.summary.is_settled()),
             "nothing deferred: the case tests nothing"
@@ -986,6 +1008,52 @@ mod tests {
         }
         deferred.settle();
         assert!(deferred.buckets().iter().all(|b| b.summary.is_settled()));
+    }
+
+    /// At `d < 2ℓ` — the shape of a windowed-FD root in production — a
+    /// deferred bucket trades its rows for their Gram once they reach
+    /// `d` rows. The bookkeeping still matches the eager histogram's
+    /// exactly (`eager_and_deferred`); settling a Gram-held bucket as a
+    /// value or in place gives the same bits; and a Gram-held bucket's
+    /// `xᵀGx` sits above its settled rows' answer by no more than the
+    /// settle's loss.
+    #[test]
+    fn deferred_insertion_holds_bucket_grams_below_two_ell() {
+        let (d, ell, window) = (10, 8, 200usize);
+        let rows = random_rows(1_000, d, 13);
+        let (_, deferred) = eager_and_deferred(&rows, ell, window);
+        assert!(
+            deferred.buckets().iter().any(|b| b.summary.holds_gram()),
+            "no Gram-held bucket: the case tests nothing"
+        );
+        let mut rng = StdRng::seed_from_u64(14);
+        for b in deferred.buckets() {
+            let settled = b.summary.settled().into_owned();
+            let mut in_place = b.summary.clone();
+            in_place.settle();
+            assert_eq!(settled.sketch().as_slice(), in_place.sketch().as_slice());
+            assert_eq!(settled.shrink_loss(), in_place.shrink_loss());
+            assert_eq!(settled.frob_sq_seen(), b.summary.frob_sq_seen());
+            assert!(settled.is_settled());
+            if !b.summary.holds_gram() {
+                continue;
+            }
+            let loss = settled.shrink_loss() - b.summary.shrink_loss();
+            assert!(loss <= settled.error_bound());
+            let slack = 1e-9 * b.summary.frob_sq_seen();
+            for _ in 0..10 {
+                let x = random::unit_vector(&mut rng, d);
+                let (held, shrunk) = (b.summary.query(&x), settled.query(&x));
+                assert!(
+                    shrunk <= held + slack,
+                    "settling added mass: {shrunk} > {held}"
+                );
+                assert!(
+                    held - shrunk <= loss + slack,
+                    "{held} − {shrunk} > loss {loss}"
+                );
+            }
+        }
     }
 
     /// A bucket whose newest index is already outside the receiver's

@@ -649,6 +649,41 @@ fn swfd_crash_at_snapshot_boundary_is_invisible_with_d_above_ell() {
     );
 }
 
+/// The production regime `ℓ < d < 2ℓ` (`swfd-churn-faulty` runs
+/// `d = 44`, `ℓ = 40`): the root's buckets trade their rows for their
+/// Gram at `d` rows, before any shrink, and settling a Gram-held bucket
+/// for capture is a lossy shrink from the Gram. Neither cell above
+/// reaches it (`d = 5 < ℓ` and `d = 24 ≥ 2ℓ`); the crash must stay
+/// invisible here too.
+#[test]
+fn swfd_crash_at_snapshot_boundary_is_invisible_with_gram_held_buckets() {
+    let m = 16;
+    let dim = 12;
+    let rows = matrix_stream(m * PER_SLOT, dim, 12_003);
+    let inputs = partition(&stamp(&rows), m);
+    let cfg = SwFdConfig::new(m, 0.15, 4_096, dim, 8);
+    let run = |ccfg: &ChurnConfig| {
+        let (sites, coord, _) = fd::deploy(&cfg).into_parts();
+        run_churn(
+            sites,
+            coord,
+            inputs.clone(),
+            &tcfg(),
+            Executor::Inline,
+            Topology::Star,
+            |t| fd::make_aggregator(&cfg, t),
+            ccfg,
+            &ChannelTransport,
+        )
+    };
+    assert_invisible(
+        run(&snap_only_cfg(Some(2))),
+        run(&snap_only_cfg(None)),
+        true,
+        "sw-fd ℓ < d < 2ℓ star mid-run",
+    );
+}
+
 /// Overwrites the eight bytes at every offset of a captured root complex
 /// with a huge count and restores: every decoder must return — `Some`
 /// or `None` — rather than abort the process on a pre-allocation sized

@@ -284,20 +284,21 @@ fn swmg_distributed_window_forgets_expired_regime() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The root merges its buckets with deferral (rows stack up to `2ℓ`
-    /// before a shrink) and a query folds every live bucket with one
-    /// shrink of their summed Grams. Over generated deployments — star
-    /// or tree, `d` on both sides of `ℓ`, rows whose norms span two
-    /// orders of magnitude — the answer keeps the two-sided window bound
-    /// in the *worst* direction (the extreme eigenvalues of
-    /// `A_WᵀA_W − BᵀB`, not sampled directions): undercount ≤ the fold's
-    /// tracked loss + withheld ≤ summary loss + withheld, overcount ≤
-    /// straddle. The tracked loss itself stays inside `2·mass/ℓ`, the
-    /// telescoping bound the certificate states. A twin deployment fed
-    /// the same rows but queried only at the end — every bucket Gram
-    /// computed cold — answers with the same bits as the queried one,
-    /// whose Grams were cached at each checkpoint and partly invalidated
-    /// by the merges since.
+    /// The root merges its buckets with deferral (at `d < 2ℓ` a bucket
+    /// holds the Gram of its rows once they reach `d`, at `d ≥ 2ℓ` rows
+    /// stack up to `2ℓ` before a shrink) and a query folds every live
+    /// bucket with one shrink of their summed Grams. Over generated
+    /// deployments — star or tree, `d` on both sides of `ℓ` and of `2ℓ`,
+    /// rows whose norms span two orders of magnitude — the answer keeps
+    /// the two-sided window bound in the *worst* direction (the extreme
+    /// eigenvalues of `A_WᵀA_W − BᵀB`, not sampled directions):
+    /// undercount ≤ the fold's tracked loss + withheld ≤ summary loss +
+    /// withheld, overcount ≤ straddle. The tracked loss itself stays
+    /// inside `2·mass/ℓ`, the telescoping bound the certificate states. A
+    /// twin deployment fed the same rows but queried only at the end —
+    /// every bucket Gram computed cold — answers with the same bits as
+    /// the queried one, whose Grams were cached at each checkpoint and
+    /// partly invalidated by the merges since.
     #[test]
     fn swfd_deferred_root_keeps_window_bound(
         seed in 0u64..1_000_000,
