@@ -9,8 +9,11 @@
 //! at the shape of the repo benchmark's `swfd-churn-faulty` workload,
 //! `sliding_window/sw_fd/root_receive` times the windowed-FD root's
 //! ingest — a replay of every up-message one run delivered to it — and
-//! `sliding_window/sw_fd/query/{cold,warm}` its read path, one fold of
-//! every live bucket. `mt_p2/query/{gram,stacked}`
+//! `sliding_window/sw_fd/query/{cold,after_receive,hit}` its read path:
+//! the root folds every live bucket once per state and keeps that fold
+//! until its next change, so a query either folds or borrows.
+//! `sliding_window/sw_mg/estimate_at` is one item estimate at a windowed
+//! heavy-hitter root that has kept its fold. `mt_p2/query/{gram,stacked}`
 //! times one MT-P2 direction query at `mt-p2-highrank-star`'s shape, from
 //! the coordinator's Gram and from the stack of the same directions.
 
@@ -161,6 +164,11 @@ fn bench_sliding_window(c: &mut Criterion) {
     g.finish();
 }
 
+/// Queries per iteration of the rows that borrow a kept fold: each
+/// takes well under the timer's 1 µs resolution, so those rows' ms/iter
+/// reads µs per query.
+const REPEATS: u64 = 1_000;
+
 /// An up-message of the windowed-FD protocol.
 type SwFdMsg = cma_core::window::SwMsg<cma_sketch::FrequentDirections>;
 
@@ -184,9 +192,13 @@ impl cma_stream::Coordinator for Recording {
 /// `d = 44`, `ℓ = 40`, window 8 192, 64 sites on a fanout-4 tree, two
 /// windows of rows). `root_receive` replays every up-message the root
 /// received into a fresh root: its ingest, bucket merges included. Of
-/// the reads, `query/cold` is the first fold after ingest, every
-/// row-held bucket's Gram computed; `query/warm` repeats a fold with
-/// nothing ingested between, every Gram cached.
+/// the reads, `query/cold` is a clone of a root never queried, every
+/// row-held bucket's Gram computed; `query/after_receive` a queried root
+/// that has received one more recorded up-message since, so it folds
+/// again with most Grams cached (the first query at each instant of the
+/// workload, what its `query_p95_us` reads); `query/hit` a repeat query
+/// with nothing received between, which borrows the kept fold
+/// ([`REPEATS`] per iteration).
 fn bench_window_root(c: &mut Criterion) {
     use cma_core::window::{fd, SwFdConfig};
     use cma_stream::partition::RoundRobin;
@@ -238,6 +250,25 @@ fn bench_window_root(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    let bits =
+        |m: cma_linalg::Matrix| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+    let cold_bits = bits(root.clone().sketch_at(now));
+    let queried = root.clone();
+    black_box(queried.sketch_at(now));
+    let (from, last) = received.last().cloned().expect("a message");
+    let receive_one = |mut root: fd::SwFdCoordinator| {
+        root.receive(from, last.clone(), &mut Vec::new());
+        root
+    };
+    assert!(
+        bits(receive_one(queried.clone()).sketch_at(now))
+            == bits(receive_one(root.clone()).sketch_at(now)),
+        "a receive left the queried root's fold in place"
+    );
+    assert!(
+        bits(queried.sketch_at(now)) == cold_bits,
+        "a hit answers otherwise"
+    );
     g.bench_function("sw_fd/query/cold", |b| {
         b.iter_batched(
             || root.clone(),
@@ -245,9 +276,59 @@ fn bench_window_root(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    black_box(root.sketch_at(now));
-    g.bench_function("sw_fd/query/warm", |b| {
-        b.iter(|| black_box(root.sketch_at(now)))
+    g.bench_function("sw_fd/query/after_receive", |b| {
+        b.iter_batched(
+            || receive_one(queried.clone()),
+            |root| black_box(root.sketch_at(now)),
+            BatchSize::SmallInput,
+        )
+    });
+    g.throughput(Throughput::Elements(REPEATS));
+    g.bench_function("sw_fd/query/hit", |b| {
+        b.iter(|| {
+            for _ in 0..REPEATS {
+                black_box(queried.sketch_at(now));
+            }
+        })
+    });
+    g.finish();
+}
+
+/// One item estimate at a windowed heavy-hitter root (64 sites on a
+/// fanout-4 tree, 64 counters per bucket, window 8 192, two windows of
+/// the Zipf stream) that has kept its fold: a borrowed table lookup
+/// ([`REPEATS`] per iteration).
+fn bench_window_mg_root(c: &mut Criterion) {
+    use cma_core::window::{mg, SwMgConfig};
+    use cma_stream::partition::RoundRobin;
+    use cma_stream::Topology;
+    const SITES: usize = 64;
+    const WINDOW: u64 = 8_192;
+    const TOPOLOGY: Topology = Topology::Tree { fanout: 4 };
+    let cfg = SwMgConfig::new(SITES, 0.1, WINDOW, 64);
+    let mut runner = mg::deploy_topology(&cfg, TOPOLOGY);
+    let now = 2 * WINDOW;
+    let stream = WeightedZipfStream::new(10_000, 2.0, 1_000.0, 42).take_vec(now as usize);
+    let stamped = (0..now).zip(stream);
+    runner.run_partitioned(stamped, &mut RoundRobin::new(SITES), 64);
+    let root = runner.coordinator();
+    let item = *root
+        .tracked_items_at(now)
+        .iter()
+        .min()
+        .expect("a tracked item");
+    let cold = root.clone().estimate_at(now, item);
+    let queried = root.clone();
+    black_box(queried.estimate_at(now, item));
+    assert_eq!(queried.estimate_at(now, item).to_bits(), cold.to_bits());
+    let mut g = c.benchmark_group("sliding_window");
+    g.throughput(Throughput::Elements(REPEATS));
+    g.bench_function("sw_mg/estimate_at", |b| {
+        b.iter(|| {
+            for _ in 0..REPEATS {
+                black_box(queried.estimate_at(now, black_box(item)));
+            }
+        })
     });
     g.finish();
 }
@@ -305,6 +386,7 @@ criterion_group!(
     bench_misra_gries,
     bench_sliding_window,
     bench_window_root,
+    bench_window_mg_root,
     bench_mt_p2_query
 );
 criterion_main!(benches);

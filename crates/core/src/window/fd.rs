@@ -49,7 +49,7 @@ pub use super::{deploy, deploy_topology, make_aggregator, run_engine};
 
 /// The Frequent Directions instantiation of the windowed protocol
 /// family.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FdKind {
     pub(crate) dim: usize,
     pub(crate) ell: usize,
@@ -94,6 +94,17 @@ impl SnapshotKind for FdKind {
         }
         Some(FdKind { dim, ell })
     }
+
+    fn kind_of(fd: &FrequentDirections) -> Self {
+        FdKind {
+            dim: fd.dim(),
+            ell: fd.ell(),
+        }
+    }
+
+    fn width(&self) -> Option<usize> {
+        Some(self.dim)
+    }
 }
 
 /// Site type of the windowed matrix protocol.
@@ -108,6 +119,7 @@ impl SwFdCoordinator {
     /// globally): `|‖A_W x‖² − ‖Bx‖²|` is bounded by
     /// [`SwCoordinator::error_bound_at`] for every unit `x`.
     pub fn sketch_at(&self, t_now: u64) -> Matrix {
+        // Borrows the root's kept fold: only the sketch rows are copied.
         self.window_summary_at(t_now).sketch().clone()
     }
 }

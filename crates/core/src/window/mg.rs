@@ -40,7 +40,7 @@ use cma_stream::{put_usize, WireReader};
 pub use super::{deploy, deploy_topology, make_aggregator, run_engine};
 
 /// The Misra–Gries instantiation of the windowed protocol family.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MgKind {
     pub(crate) capacity: usize,
 }
@@ -75,6 +75,12 @@ impl SnapshotKind for MgKind {
         let capacity = r.usize()?;
         (capacity >= 1).then_some(MgKind { capacity })
     }
+
+    fn kind_of(mg: &MgSummary) -> Self {
+        MgKind {
+            capacity: mg.capacity(),
+        }
+    }
 }
 
 /// Site type of the windowed heavy-hitter protocol.
@@ -87,7 +93,8 @@ pub type SwMgAggregator = SwAggregator<MgKind>;
 impl SwMgCoordinator {
     /// Estimated window weight of `item` for a query at clock `t_now`
     /// (arrivals observed globally), accurate within
-    /// [`SwCoordinator::error_bound_at`].
+    /// [`SwCoordinator::error_bound_at`]: a lookup in the root's kept
+    /// fold, merged once per state.
     pub fn estimate_at(&self, t_now: u64, item: Item) -> f64 {
         self.window_summary_at(t_now).estimate(item)
     }

@@ -36,18 +36,24 @@
 //! that reaches `d` rows holds their exact `d × d` Gram instead, and
 //! later merges add Grams
 //! ([`cma_sketch::FrequentDirections::merge_deferred`]; at `d ≥ 2ℓ`
-//! rows stack up to `2ℓ` before one shrink). A query folds every live
-//! bucket in one shot ([`SwCoordinator::window_summary_at`] →
-//! [`cma_sketch::WindowSummary::fold_settled`]): for FD it sums the
+//! rows stack up to `2ℓ` before one shrink). The root folds every live
+//! bucket in one shot once per state ([`SwCoordinator::window_summary_at`]
+//! → [`ExpHistogram::folded_at`] →
+//! [`cma_sketch::WindowSummary::fold_settled`]): for FD the fold sums the
 //! buckets' Grams — held, or cached until a row-held bucket next
 //! changes — and runs one eigensolve and one shrink; by FD mergeability
-//! the fold's loss still telescopes to `Σδ ≤ 2·mass/ℓ`, the
-//! summary-loss term below. The snapshot encoding writes every bucket
+//! its loss still telescopes to `Σδ ≤ 2·mass/ℓ`, the summary-loss term
+//! below. The root keeps the fold until its next change (a receive, a
+//! settle), so every later query until then borrows it — the first query
+//! after a receive folds, the repeats cost a copy of the sketch rows. The
+//! snapshot encoding writes every bucket
 //! *settled* (one shrink for a bucket at `≥ ℓ` rows or holding a
 //! Gram), so decoders keep refusing sketches over `ℓ` rows and the
 //! encoded state shrinks; and the churn driver settles the live root
 //! just before capture ([`ChurnCoordinator::settle_for_snapshot`]), so
-//! a snapshot is exactly the state the live root goes on from.
+//! a snapshot is exactly the state the live root goes on from. A
+//! decoded bucket must be shaped for its node's kind
+//! ([`SnapshotKind::kind_of`]).
 //!
 //! # The two-part window error, re-split over `m + I` nodes
 //!
@@ -94,6 +100,7 @@ use cma_stream::{
     ChurnSite, Coordinator, Membership, MessageCost, MigratableAggregator, Runner, Site, SiteId,
     Topology, WireCodec, WireReader,
 };
+use std::borrow::Cow;
 
 pub mod fd;
 pub mod mg;
@@ -137,13 +144,24 @@ pub trait WindowKind: Clone {
 ///
 /// Only *sketch content* is snapshotted (see
 /// [`cma_sketch::FrequentDirections::from_parts`]).
-pub trait SnapshotKind: WindowKind {
+pub trait SnapshotKind: WindowKind + PartialEq {
     /// Encodes the kind's configuration (what [`WindowKind::empty`] and
     /// the error accounting need).
     fn encode_kind(&self, out: &mut Vec<u8>);
 
     /// Decodes a kind configuration. `None` on malformed bytes.
     fn decode_kind(r: &mut WireReader<'_>) -> Option<Self>;
+
+    /// The kind `summary` is shaped for. A decoded bucket must be shaped
+    /// for its node's kind: summaries of two shapes decode alone but
+    /// panic at their first merge.
+    fn kind_of(summary: &Self::Summary) -> Self;
+
+    /// The payload width `d` the kind's summaries are shaped for, if
+    /// they have one ([`WireCodec::width`]).
+    fn width(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// Encodes an exponential histogram: shape, clock, then every live
@@ -167,8 +185,12 @@ fn put_hist<K: SnapshotKind>(out: &mut Vec<u8>, hist: &ExpHistogram<K::Summary>)
 /// bucket list is a structural no-op, so the restored histogram is
 /// bucket-for-bucket identical to the captured one. A bucket whose mass
 /// is negative or non-finite, or whose `oldest > newest`, fails the
-/// decode.
-fn read_hist<K: SnapshotKind>(r: &mut WireReader<'_>) -> Option<ExpHistogram<K::Summary>> {
+/// decode, and so does one not shaped for `kind` ([`SnapshotKind::kind_of`];
+/// with no `kind`, as on an aggregator, for the first bucket's).
+fn read_hist<K: SnapshotKind>(
+    r: &mut WireReader<'_>,
+    mut kind: Option<K>,
+) -> Option<ExpHistogram<K::Summary>> {
     let window = r.u64()?;
     let per_level = r.usize()?;
     if window == 0 || per_level == 0 {
@@ -182,6 +204,9 @@ fn read_hist<K: SnapshotKind>(r: &mut WireReader<'_>) -> Option<ExpHistogram<K::
     for _ in 0..n {
         let (oldest, newest, mass) = read_bucket_head(r)?;
         let summary = <K::Summary as SummaryCodec>::read_summary(r)?;
+        if *kind.get_or_insert_with(|| K::kind_of(&summary)) != K::kind_of(&summary) {
+            return None;
+        }
         buckets.push(WinBucket {
             summary,
             mass,
@@ -549,11 +574,11 @@ impl<K: WindowKind> SwCoordinator<K> {
 
     /// The merged window summary for a query at clock `t_now` (arrivals
     /// observed globally). Buckets fully expired at `t_now` are skipped
-    /// even if the coordinator's own clock lags behind.
-    pub fn window_summary_at(&self, t_now: u64) -> K::Summary {
-        let mut acc = self.kind.empty();
-        self.hist.fold_live_at(t_now, &mut acc);
-        acc
+    /// even if the coordinator's own clock lags behind. The root folds
+    /// once per state ([`ExpHistogram::folded_at`]): repeat queries until
+    /// the next receive borrow that fold.
+    pub fn window_summary_at(&self, t_now: u64) -> Cow<'_, K::Summary> {
+        self.hist.folded_at(t_now, self.kind.empty())
     }
 
     /// Charges network faults to the certified bound: `undercount` is
@@ -671,7 +696,8 @@ impl<K: WindowKind> ChurnCoordinator for SwCoordinator<K> {
 /// `Ŵ_peak` below 1 or non-finite, `θ ≤ 0`, `ε` outside `(0, 1)`, a
 /// negative or non-finite fault term — since each would void a term of
 /// [`SwCoordinator::error_bound_at`] (a NaN term passes every
-/// `gap > bound` check).
+/// `gap > bound` check), and a bucket not shaped for the decoded kind,
+/// which would panic the first query.
 impl<K: SnapshotKind> WireCodec for SwCoordinator<K> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.kind.encode_kind(out);
@@ -686,7 +712,7 @@ impl<K: SnapshotKind> WireCodec for SwCoordinator<K> {
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         let kind = K::decode_kind(r)?;
-        let hist = read_hist::<K>(r)?;
+        let hist = read_hist(r, Some(kind.clone()))?;
         let w_hat = read_w_hat(r)?;
         let w_peak = read_w_hat(r)?;
         let theta = r.f64().filter(|t| t.is_finite() && *t > 0.0)?;
@@ -704,10 +730,15 @@ impl<K: SnapshotKind> WireCodec for SwCoordinator<K> {
             fault_overcount,
         })
     }
+
+    fn width(&self) -> Option<usize> {
+        self.kind.width()
+    }
 }
 
 /// `histogram, hold fraction, Ŵ, rep`. The decoder refuses a negative or
-/// non-finite hold fraction and a `Ŵ` below 1 or non-finite.
+/// non-finite hold fraction, a `Ŵ` below 1 or non-finite, and buckets of
+/// two shapes. The node encodes no kind, so its width is its buckets'.
 impl<K: SnapshotKind> WireCodec for SwAggregator<K> {
     fn encode(&self, out: &mut Vec<u8>) {
         put_hist::<K>(out, &self.hist);
@@ -717,7 +748,7 @@ impl<K: SnapshotKind> WireCodec for SwAggregator<K> {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        let hist = read_hist::<K>(r)?;
+        let hist = read_hist::<K>(r, None)?;
         let hold_frac = r.f64().filter(|f| f.is_finite() && *f >= 0.0)?;
         let w_hat = read_w_hat(r)?;
         let rep = r.usize()?;
@@ -727,6 +758,11 @@ impl<K: SnapshotKind> WireCodec for SwAggregator<K> {
             w_hat,
             rep,
         })
+    }
+
+    fn width(&self) -> Option<usize> {
+        let first = self.hist.buckets().first()?;
+        K::kind_of(&first.summary).width()
     }
 }
 

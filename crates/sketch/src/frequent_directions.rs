@@ -50,8 +50,10 @@
 //!   and a one-shot fold of many sketches
 //!   ([`FrequentDirections::fold_settled`]) sums their Grams into one
 //!   eigensolve instead of stacking their rows. A sliding-window root
-//!   that folds its live buckets per query therefore re-Grams only the
-//!   row-held buckets that changed since the last query. A Gram-held
+//!   folds its live buckets once per state (its histogram keeps the fold
+//!   until the next change, `ExpHistogram::folded_at`), and each fold
+//!   re-Grams only the row-held buckets that changed since the last
+//!   one. A Gram-held
 //!   sketch costs `d²` floats (15.5 KB at `d = 44`, against up to 27.8
 //!   KB for the `2ℓ − 1 = 79` rows it would otherwise stack at `ℓ = 40`)
 //!   and carries no second copy; a row-held one that a fold has read

@@ -20,9 +20,12 @@
 //! by default every summary is merged in and the result settled once
 //! ([`WindowSummary::settle`]). Frequent Directions sums the buckets'
 //! Grams instead ([`FrequentDirections::fold_settled`]) — one
-//! eigensolve per query; a Gram-held bucket hands over the Gram it
+//! eigensolve per fold; a Gram-held bucket hands over the Gram it
 //! holds, and of the row-held buckets only those changed since the last
-//! query are re-Grammed. By mergeability the folded sketch's loss still
+//! fold are re-Grammed. A histogram folds once per state
+//! ([`ExpHistogram::folded_at`]): it keeps its last fold until its next
+//! change, so repeat queries between two changes borrow it. By
+//! mergeability the folded sketch's loss still
 //! telescopes to at most `2·mass/ℓ`. The error against the true window
 //! content has two parts: the summaries' own loss (inherited from the
 //! mergeable summary) and the straddling mass. Two instantiations are
@@ -77,6 +80,7 @@ use crate::Item;
 use cma_linalg::Matrix;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// A summary that can absorb another of its kind — the only capability
 /// the histogram needs from its buckets.
@@ -239,10 +243,15 @@ impl<S: WindowSummary> WinBucket<S> {
 pub struct ExpHistogram<S> {
     window: u64,
     per_level: usize,
-    /// Live buckets, sorted by `newest` ascending (oldest first).
+    /// Live buckets, sorted by `newest` ascending (oldest first). Every
+    /// change goes through [`ExpHistogram::buckets_mut`].
     buckets: Vec<WinBucket<S>>,
     /// Clock high-water: one past the newest stream index observed.
     t: u64,
+    /// The last kept fold ([`ExpHistogram::folded_at`]) with the number
+    /// of leading buckets it skipped; out of line, so a histogram that
+    /// is never queried carries one pointer. Dropped by every change.
+    folded: OnceLock<Box<(usize, S)>>,
 }
 
 impl<S: WindowSummary> ExpHistogram<S> {
@@ -259,6 +268,7 @@ impl<S: WindowSummary> ExpHistogram<S> {
             per_level,
             buckets: Vec::new(),
             t: 0,
+            folded: OnceLock::new(),
         }
     }
 
@@ -397,12 +407,13 @@ impl<S: WindowSummary> ExpHistogram<S> {
         merge: fn(&mut S, &S),
     ) {
         let h = self.horizon();
+        let live = self.buckets_mut();
         for b in buckets {
             if b.newest < h {
                 continue;
             }
-            let pos = self.buckets.partition_point(|x| x.newest <= b.newest);
-            self.buckets.insert(pos, b);
+            let pos = live.partition_point(|x| x.newest <= b.newest);
+            live.insert(pos, b);
         }
         self.compact(merge);
     }
@@ -411,7 +422,7 @@ impl<S: WindowSummary> ExpHistogram<S> {
     /// ([`WindowSummary::settle`]) — after deferred insertion, the state
     /// an eager histogram's encoding would carry.
     pub fn settle(&mut self) {
-        for b in &mut self.buckets {
+        for b in self.buckets_mut() {
             b.summary.settle();
         }
     }
@@ -419,7 +430,24 @@ impl<S: WindowSummary> ExpHistogram<S> {
     /// Removes and returns every live bucket (the clock is kept) — how a
     /// site or aggregator flushes its pending partial into one message.
     pub fn drain(&mut self) -> Vec<WinBucket<S>> {
-        std::mem::take(&mut self.buckets)
+        std::mem::take(self.buckets_mut())
+    }
+
+    /// The buckets for a change: the one way to mutate them, so a kept
+    /// fold can never outlive the buckets it was computed from.
+    fn buckets_mut(&mut self) -> &mut Vec<WinBucket<S>> {
+        if self.folded.get().is_some() {
+            self.drop_fold();
+        }
+        &mut self.buckets
+    }
+
+    /// Drops the kept fold: out of line, so the arrival path of a
+    /// histogram that is never queried holds one load and one branch.
+    #[cold]
+    #[inline(never)]
+    fn drop_fold(&mut self) {
+        self.folded = OnceLock::new();
     }
 
     /// First stream index still inside the window.
@@ -430,7 +458,7 @@ impl<S: WindowSummary> ExpHistogram<S> {
     /// Drops buckets whose newest arrival has left the window.
     fn expire(&mut self) {
         let h = self.horizon();
-        self.buckets.retain(|b| b.newest >= h);
+        self.buckets_mut().retain(|b| b.newest >= h);
     }
 
     /// Merges oldest same-level bucket pairs until every level holds at
@@ -441,34 +469,35 @@ impl<S: WindowSummary> ExpHistogram<S> {
     /// taken once per call and updated per merge: a merge takes two
     /// buckets off its level and puts one back at the merged mass's.
     fn compact(&mut self, merge: fn(&mut S, &S)) {
+        let per_level = self.per_level;
+        let buckets = self.buckets_mut();
         let mut census: BTreeMap<i32, usize> = BTreeMap::new();
-        for b in &self.buckets {
+        for b in buckets.iter() {
             *census.entry(b.level()).or_insert(0) += 1;
         }
         while let Some(lvl) = census
             .iter()
-            .find(|&(_, &c)| c > self.per_level)
+            .find(|&(_, &c)| c > per_level)
             .map(|(&l, _)| l)
         {
             // The two oldest buckets of the overfull level (the vec is
             // age-ordered by `newest`).
-            let mut idx = self
-                .buckets
+            let mut idx = buckets
                 .iter()
                 .enumerate()
                 .filter(|(_, b)| b.level() == lvl)
                 .map(|(i, _)| i);
             let i = idx.next().expect("overfull level has buckets");
             let j = idx.next().expect("overfull level has a pair");
-            let newer = self.buckets.remove(j);
-            let mut older = self.buckets.remove(i);
+            let newer = buckets.remove(j);
+            let mut older = buckets.remove(i);
             older.absorb_with(&newer, merge);
             *census.get_mut(&lvl).expect("census holds the level") -= 2;
             *census.entry(older.level()).or_insert(0) += 1;
             // Re-insert at the merged bucket's age position: its `newest`
             // is the max of the pair.
-            let pos = self.buckets.partition_point(|x| x.newest <= older.newest);
-            self.buckets.insert(pos, older);
+            let pos = buckets.partition_point(|x| x.newest <= older.newest);
+            buckets.insert(pos, older);
         }
     }
 
@@ -484,16 +513,49 @@ impl<S: WindowSummary> ExpHistogram<S> {
     /// buckets that are fully expired at `t_now` even if this
     /// histogram's own clock has not caught up.
     pub fn fold_live_at(&self, t_now: u64, acc: &mut S) {
-        self.fold(t_now.saturating_sub(self.window), acc);
+        self.fold(self.expired_at(t_now), acc);
     }
 
-    fn fold(&self, horizon: u64, acc: &mut S) {
-        acc.fold_settled(
-            self.buckets
-                .iter()
-                .filter(|b| b.newest >= horizon)
-                .map(|b| &b.summary),
-        );
+    /// [`ExpHistogram::fold_live_at`] into `empty`, kept until the
+    /// histogram next changes (every `&mut` method drops it): a repeat
+    /// query between two changes borrows the kept fold instead of
+    /// folding again. The fold is keyed by the number of leading buckets
+    /// fully expired at `t_now`, so clocks that see the same live buckets
+    /// share it; a query that skips another number folds on its own and
+    /// leaves the kept fold as it is. `empty` must be the empty summary
+    /// at every call, since a kept fold answers for any of them.
+    pub fn folded_at(&self, t_now: u64, empty: S) -> Cow<'_, S> {
+        let skip = self.expired_at(t_now);
+        let fold = |mut acc: S| {
+            self.fold(skip, &mut acc);
+            acc
+        };
+        match self.folded.get() {
+            Some(kept) if kept.0 == skip => Cow::Borrowed(&kept.1),
+            Some(_) => Cow::Owned(fold(empty)),
+            None => {
+                // Another reader may keep its fold between the check and
+                // here; this one is then returned owned, unless they
+                // skip the same buckets.
+                let mine = self.folded.set(Box::new((skip, fold(empty)))).err();
+                let kept = self.folded.get().expect("a fold was just kept");
+                match mine {
+                    Some(mine) if kept.0 != skip => Cow::Owned(mine.1),
+                    _ => Cow::Borrowed(&kept.1),
+                }
+            }
+        }
+    }
+
+    /// How many leading buckets are fully expired at clock `t_now`: the
+    /// buckets are sorted by `newest`, so the expired ones lead.
+    fn expired_at(&self, t_now: u64) -> usize {
+        let h = t_now.saturating_sub(self.window);
+        self.buckets.partition_point(|b| b.newest < h)
+    }
+
+    fn fold(&self, skip: usize, acc: &mut S) {
+        acc.fold_settled(self.buckets[skip..].iter().map(|b| &b.summary));
     }
 }
 
@@ -588,11 +650,11 @@ impl SwFd {
         self.hist.update(fd, mass);
     }
 
-    /// The window sketch: all live buckets merged.
+    /// The window sketch: all live buckets merged, folded once per
+    /// state ([`ExpHistogram::folded_at`]).
     pub fn sketch(&self) -> Matrix {
-        let mut acc = FrequentDirections::new(self.d, self.ell);
-        self.hist.fold_into(&mut acc);
-        acc.sketch().clone()
+        let empty = FrequentDirections::new(self.d, self.ell);
+        self.hist.folded_at(self.hist.now(), empty).sketch().clone()
     }
 
     /// A-priori bound on `|‖A_W x‖² − ‖Bx‖²|` for unit `x`: FD loss over
@@ -679,9 +741,8 @@ impl SwMg {
     /// Estimated weight of `item` within the window (up to
     /// [`SwMg::error_bound`]).
     pub fn estimate(&self, item: Item) -> f64 {
-        let mut acc = MgSummary::new(self.capacity);
-        self.hist.fold_into(&mut acc);
-        acc.estimate(item)
+        let empty = MgSummary::new(self.capacity);
+        self.hist.folded_at(self.hist.now(), empty).estimate(item)
     }
 
     /// A-priori bound on `|f_W(e) − estimate(e)|`: MG undercount over the
@@ -1053,6 +1114,201 @@ mod tests {
                     "{held} − {shrunk} > loss {loss}"
                 );
             }
+        }
+    }
+
+    /// Bits of an FD fold: the sketch entries and both error scalars.
+    fn fd_bits(fd: &FrequentDirections) -> Vec<u64> {
+        let scalars = [fd.frob_sq_seen(), fd.shrink_loss()];
+        let entries = fd.sketch().as_slice().iter().chain(&scalars);
+        entries.map(|v| v.to_bits()).collect()
+    }
+
+    /// Bits of an MG fold: its counters by item and both totals.
+    fn mg_bits(mg: &MgSummary) -> Vec<u64> {
+        let mut counters: Vec<(Item, f64)> = mg.counters().collect();
+        counters.sort_unstable_by_key(|&(e, _)| e);
+        let totals = [mg.total_weight(), mg.observed_error_bound()];
+        let counters = counters.into_iter().flat_map(|(e, w)| [e, w.to_bits()]);
+        counters.chain(totals.map(f64::to_bits)).collect()
+    }
+
+    /// `h`'s answer at every clock of `clocks` is a fresh fold of its
+    /// live buckets into an empty accumulator, bit for bit.
+    fn assert_folds_fresh<S: WindowSummary>(
+        h: &ExpHistogram<S>,
+        clocks: &[u64],
+        empty: &impl Fn() -> S,
+        bits: &impl Fn(&S) -> Vec<u64>,
+        what: &str,
+    ) {
+        for &t in clocks {
+            let mut fresh = empty();
+            h.fold_live_at(t, &mut fresh);
+            let kept = h.folded_at(t, empty());
+            assert!(bits(&kept) == bits(&fresh), "{what}: stale fold at {t}");
+        }
+    }
+
+    /// A change to the histogram, named for the failure message.
+    type Step<S> = (&'static str, Box<dyn Fn(&mut ExpHistogram<S>)>);
+
+    /// Queries `h` at its clock, applies one step, and checks the answers
+    /// at the old and the new clock against fresh folds — for every step
+    /// in turn, then for a clone.
+    fn assert_every_change_drops_the_fold<S: WindowSummary>(
+        mut h: ExpHistogram<S>,
+        steps: Vec<Step<S>>,
+        empty: impl Fn() -> S,
+        bits: impl Fn(&S) -> Vec<u64>,
+    ) {
+        for (what, step) in steps {
+            let before = h.now();
+            let _ = h.folded_at(before, empty());
+            step(&mut h);
+            assert_folds_fresh(&h, &[before, h.now()], &empty, &bits, what);
+        }
+        let twin = h.clone();
+        let now = h.now();
+        assert!(matches!(twin.folded_at(now, empty()), Cow::Borrowed(_)));
+        assert!(bits(&twin.folded_at(now, empty())) == bits(&h.folded_at(now, empty())));
+    }
+
+    fn fd_singleton(row: &[f64], ell: usize, t: u64) -> WinBucket<FrequentDirections> {
+        let mut fd = FrequentDirections::new(row.len(), ell);
+        fd.update(row);
+        WinBucket::singleton(t, fd, row.iter().map(|v| v * v).sum())
+    }
+
+    /// Every change the histogram offers, each of which must drop a kept
+    /// fold: arrivals, bulk inserts eager and deferred, an advance that
+    /// expires the oldest bucket, a settle, and a drain.
+    fn every_change<S: WindowSummary + 'static>(
+        singleton: impl Fn(u64) -> WinBucket<S> + Clone + 'static,
+    ) -> Vec<Step<S>> {
+        let (s1, s2, s3, s4) = (
+            singleton.clone(),
+            singleton.clone(),
+            singleton.clone(),
+            singleton,
+        );
+        vec![
+            (
+                "observe_at",
+                Box::new(move |h| {
+                    let b = s1(h.now());
+                    h.observe_at(b.newest, b.summary, b.mass);
+                }),
+            ),
+            (
+                "insert_buckets",
+                Box::new(move |h| h.insert_buckets((h.now() - 3..h.now()).map(&s2))),
+            ),
+            (
+                "insert_buckets_deferred",
+                Box::new(move |h| h.insert_buckets_deferred((h.now() - 3..h.now()).map(&s3))),
+            ),
+            (
+                "advance",
+                Box::new(|h| {
+                    let count = h.bucket_count();
+                    h.advance(h.buckets()[0].newest + h.window() + 1);
+                    assert!(h.bucket_count() < count, "advance expired nothing");
+                }),
+            ),
+            (
+                "update",
+                Box::new(move |h| {
+                    let b = s4(h.now());
+                    h.update(b.summary, b.mass);
+                }),
+            ),
+            ("settle", Box::new(|h| h.settle())),
+            (
+                "drain",
+                Box::new(|h| {
+                    h.drain();
+                }),
+            ),
+        ]
+    }
+
+    /// The kept fold never outlives a change: on a deferred FD histogram
+    /// at `d < 2ℓ` (Gram-held buckets, so a settle changes them) and on
+    /// an MG histogram, every `&mut` method in turn leaves a query
+    /// answering as a fresh fold, bit for bit, and a clone answers as the
+    /// original. A query at the old clock after `advance` reads a stale
+    /// fold if `advance` keeps it; one after `settle` reads the unsettled
+    /// buckets' fold if `settle` keeps it.
+    #[test]
+    fn every_change_drops_the_kept_fold() {
+        let (d, ell, window) = (10, 8, 200usize);
+        let rows = random_rows(1_000, d, 15);
+        let (_, deferred) = eager_and_deferred(&rows, ell, window);
+        assert!(
+            deferred.buckets().iter().any(|b| b.summary.holds_gram()),
+            "no Gram-held bucket: settle changes nothing"
+        );
+        let extra = random_rows(64, d, 16);
+        let singleton = move |t: u64| fd_singleton(&extra[t as usize % 64], ell, t);
+        let mut steps = every_change(singleton);
+        let settle = steps.iter().position(|s| s.0 == "settle").unwrap();
+        steps.insert(
+            settle,
+            (
+                "unsettled before settle",
+                Box::new(|h| assert!(h.buckets().iter().any(|b| !b.summary.is_settled()))),
+            ),
+        );
+        let empty = move || FrequentDirections::new(d, ell);
+        assert_every_change_drops_the_fold(deferred, steps, empty, fd_bits);
+
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut mg: ExpHistogram<MgSummary> = ExpHistogram::new(window as u64, 2);
+        for t in 0..1_000 {
+            let mut s = MgSummary::new(8);
+            let w = rng.gen_range(1.0..5.0);
+            s.update(rng.gen_range(0..40), w);
+            mg.observe_at(t, s, w);
+        }
+        let singleton = |t: u64| {
+            let mut s = MgSummary::new(8);
+            s.update(t % 40, 2.0);
+            WinBucket::singleton(t, s, 2.0)
+        };
+        let empty = || MgSummary::new(8);
+        assert_every_change_drops_the_fold(mg, every_change(singleton), empty, mg_bits);
+    }
+
+    /// The fold is kept per set of live buckets, not per clock: a query
+    /// that sees other buckets folds on its own and leaves the kept fold;
+    /// one that sees the same buckets borrows it. A clone carries it.
+    #[test]
+    fn queries_at_other_clocks_leave_the_kept_fold() {
+        let (d, ell, window) = (10, 8, 200usize);
+        let rows = random_rows(1_000, d, 18);
+        let (_, h) = eager_and_deferred(&rows, ell, window);
+        let never_queried = h.clone();
+        let empty = || FrequentDirections::new(d, ell);
+        let (old, new) = (h.now(), h.buckets()[0].newest + h.window() + 1);
+        assert!(h.expired_at(new) > 0 && h.expired_at(old) == 0);
+        assert_folds_fresh(&h, &[new, old, new], &empty, &fd_bits, "new, old, new");
+        assert!(matches!(h.folded_at(new, empty()), Cow::Borrowed(_)));
+        assert!(matches!(h.folded_at(old, empty()), Cow::Owned(_)));
+        let shared = never_queried.clone();
+        let _ = shared.folded_at(old, empty());
+        assert!(
+            matches!(shared.folded_at(old - 1, empty()), Cow::Borrowed(_)),
+            "two clocks over the same buckets folded twice"
+        );
+        let twin = h.clone();
+        assert!(matches!(twin.folded_at(new, empty()), Cow::Borrowed(_)));
+        for (t, copy) in [(new, &twin), (old, &never_queried)] {
+            let (a, b) = (copy.folded_at(t, empty()), h.folded_at(t, empty()));
+            assert!(
+                fd_bits(&a) == fd_bits(&b),
+                "a clone answers otherwise at {t}"
+            );
         }
     }
 

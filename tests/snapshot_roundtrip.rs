@@ -34,6 +34,7 @@ use cma::stream::runner::churn::{
 use cma::stream::runner::engine::{self, ThreadedConfig};
 use cma::stream::{
     ChannelTransport, ChurnConfig, ChurnSchedule, Executor, Snapshot, Topology, WireCodec,
+    WireReader,
 };
 use proptest::prelude::*;
 
@@ -681,6 +682,123 @@ fn swfd_crash_at_snapshot_boundary_is_invisible_with_gram_held_buckets() {
         run(&snap_only_cfg(None)),
         true,
         "sw-fd ℓ < d < 2ℓ star mid-run",
+    );
+}
+
+/// The windowed-FD root keeps its last fold until its next change, and
+/// [`ChurnCoordinator::settle_for_snapshot`] changes every Gram-held
+/// bucket. At `ℓ < d < 2ℓ` a root queried just before the settle (so a
+/// fold is kept), then settled and captured, must answer as the root its
+/// snapshot decodes to, bit for bit: a settle that kept the fold would
+/// answer with the unsettled buckets'.
+///
+/// [`ChurnCoordinator::settle_for_snapshot`]: cma::stream::ChurnCoordinator::settle_for_snapshot
+#[test]
+fn swfd_root_queried_before_capture_answers_as_its_snapshot() {
+    use cma::stream::ChurnCoordinator;
+
+    let (m, dim) = (16, 12);
+    let rows = matrix_stream(m * PER_SLOT, dim, 12_004);
+    let cfg = SwFdConfig::new(m, 0.15, 4_096, dim, 8);
+    let (sites, coord, _) = fd::deploy(&cfg).into_parts();
+    let mut parts = engine::run_partitioned_topology_parts(
+        sites,
+        coord,
+        partition(&stamp(&rows), m),
+        &tcfg(),
+        Executor::Inline,
+        Topology::Star,
+        fd::make_aggregator(&cfg, Topology::Star),
+    );
+    let now = rows.len() as u64;
+    let bits =
+        |m: cma::linalg::Matrix| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+    let root = &mut parts.coordinator;
+    let unsettled = bits(root.sketch_at(now));
+    root.settle_for_snapshot();
+    let snap = Snapshot::capture(&*root, &parts.aggregators);
+    let (restored, _) = snap
+        .restore::<fd::SwFdCoordinator, fd::SwFdAggregator>()
+        .expect("snapshot restores");
+    let settled = bits(root.sketch_at(now));
+    assert!(
+        settled == bits(restored.sketch_at(now)),
+        "the live root answers otherwise than its snapshot"
+    );
+    assert!(settled != unsettled, "the settle changed nothing");
+}
+
+/// Each windowed node decodes alone, so a bucket whose summary is not
+/// shaped for its node's kind used to decode: a root whose kind names
+/// `d = 12` over buckets of `d = 13` restored, and its first query
+/// panicked (`FrequentDirections::merge: dimension mismatch`). The root
+/// now refuses such buckets (FD: `d` and `ℓ`; MG: the capacity), and a
+/// restore refuses interior nodes whose buckets are of another width
+/// than the root's.
+#[test]
+fn window_snapshots_refuse_buckets_of_another_shape() {
+    let (m, topo) = (16, Topology::Tree { fanout: 4 });
+    let fd_run = |dim: usize| {
+        let rows = matrix_stream(m * PER_SLOT, dim, 12_005);
+        let cfg = SwFdConfig::new(m, 0.15, 4_096, dim, 8);
+        let (sites, coord, _) = fd::deploy_topology(&cfg, topo).into_parts();
+        engine::run_partitioned_topology_parts(
+            sites,
+            coord,
+            partition(&stamp(&rows), m),
+            &tcfg(),
+            Executor::Inline,
+            topo,
+            fd::make_aggregator(&cfg, topo),
+        )
+    };
+    let (narrow, wide) = (fd_run(12), fd_run(13));
+    assert!(wide.coordinator.bucket_count() > 0);
+    assert!(wide.aggregators.iter().any(|a| a.bucket_count() > 0));
+    let restore = |root: &fd::SwFdCoordinator, aggs: &[fd::SwFdAggregator]| {
+        Snapshot::capture(root, aggs)
+            .restore::<fd::SwFdCoordinator, fd::SwFdAggregator>()
+            .is_some()
+    };
+    assert!(restore(&narrow.coordinator, &narrow.aggregators));
+    assert!(restore(&wide.coordinator, &wide.aggregators));
+    assert!(
+        !restore(&narrow.coordinator, &wide.aggregators),
+        "d = 13 interior nodes under a d = 12 root restored"
+    );
+
+    // The kind leads a root's encoding: `d, ℓ` for FD, the capacity for MG.
+    let spliced = |kind_of: Vec<u8>, buckets_of: Vec<u8>, kind_len: usize| {
+        let mut bytes = kind_of[..kind_len].to_vec();
+        bytes.extend_from_slice(&buckets_of[kind_len..]);
+        bytes
+    };
+    let bytes = spliced(narrow.coordinator.to_wire(), wide.coordinator.to_wire(), 16);
+    assert!(
+        fd::SwFdCoordinator::decode(&mut WireReader::new(&bytes)).is_none(),
+        "a d = 12 root over d = 13 buckets decoded"
+    );
+    let mg_root = |capacity: usize| {
+        let cfg = SwMgConfig::new(m, 0.1, 4_096, capacity);
+        let stream = zipf_stream(m * PER_SLOT, 12_006);
+        let (sites, coord, _) = mg::deploy(&cfg).into_parts();
+        engine::run_partitioned_topology_parts(
+            sites,
+            coord,
+            partition(&stamp(&stream), m),
+            &tcfg(),
+            Executor::Inline,
+            Topology::Star,
+            mg::make_aggregator(&cfg, Topology::Star),
+        )
+        .coordinator
+    };
+    let (small, large) = (mg_root(8), mg_root(32));
+    assert!(large.bucket_count() > 0);
+    let bytes = spliced(small.to_wire(), large.to_wire(), 8);
+    assert!(
+        mg::SwMgCoordinator::decode(&mut WireReader::new(&bytes)).is_none(),
+        "an 8-counter root over 32-counter buckets decoded"
     );
 }
 
